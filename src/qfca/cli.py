@@ -22,7 +22,9 @@ missing compose pairs default to the bottom arrow.  Presets take parameters
 inline: {"preset": {"name": "lukasiewicz-chain", "n": 3}}.
 
 Exit codes: 0 success/pass, 1 validation failure, 2 usage or precondition
-error, 3 property-verification failure.  Outputs are deterministic:
+error, 3 property-verification failure.  The computing subcommands print
+the validation report of an invalid inline quantaloid and exit 1 without
+computing on it.  Outputs are deterministic:
 repeated runs on the same input are byte-identical.  The environment
 variable QFCA_BUDGET overrides all enumeration and search caps.
 """
@@ -87,6 +89,14 @@ from .represent import (
 
 class UsageError(QfcaError):
     """Bad command-line data: unknown names, missing sections, bad references."""
+
+
+class InvalidQuantaloid(QfcaError):
+    """An inline quantaloid failed validation; nothing is computed on it."""
+
+    def __init__(self, report):
+        super().__init__(f"{report.subject} failed validation; see the report")
+        self.report = report
 
 
 @dataclass
@@ -218,6 +228,19 @@ def load_document(path: str) -> ContextDocument:
         raise UsageError(f"{path} misses the required field {e.args[0]!r}") from None
 
 
+def load_valid_document(path: str) -> ContextDocument:
+    """Load a context file to compute on: an inline quantaloid must validate.
+
+    Presets are validated by ``build_preset`` already.
+    """
+    doc = load_document(path)
+    if "preset" not in doc.quantaloid_spec:
+        report = validate_quantaloid(doc.quantaloid)
+        if not report.ok:
+            raise InvalidQuantaloid(report)
+    return doc
+
+
 def serialize_document(doc: ContextDocument) -> dict:
     Q = doc.quantaloid
     if "preset" in doc.quantaloid_spec:
@@ -311,7 +334,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_concepts(args) -> int:
-    doc = load_document(args.path)
+    doc = load_valid_document(args.path)
     phi = _pick_distributor(doc, args.dist)
     lattice = fca_lattice(phi) if args.mode == "fca" else rst_lattice(phi)
     wanted = list(doc.quantaloid.objects) if args.type == "all" else [args.type]
@@ -350,7 +373,7 @@ def cmd_concepts(args) -> int:
 
 
 def cmd_girard(args) -> int:
-    doc = load_document(args.path)
+    doc = load_valid_document(args.path)
     Q = doc.quantaloid
     fam = find_cyclic_dualizing_family(Q)
     if fam is None:
@@ -379,16 +402,18 @@ def _parse_data_tokens(tokens) -> dict:
     return out
 
 
-def _functor_from_doc(doc: ContextDocument, data: dict, key: str) -> QFunctor:
+def _data_ref(named: dict, data: dict, key: str, what: str):
+    """The category or functor that the ``--data`` token ``key`` names."""
     name = data[key]
     try:
-        return doc.functors[name]
+        return named[name]
     except KeyError:
-        raise UsageError(f"no functor {name!r} in the context file") from None
+        raise UsageError(f"--data {key}={name}: no {what} {name!r} in the context file; "
+                         f"choices: {sorted(named)}") from None
 
 
 def cmd_verify(args) -> int:
-    doc = load_document(args.path)
+    doc = load_valid_document(args.path)
     data = _parse_data_tokens(args.data)
     kind = data.get("kind", "fca")
     if kind not in ("fca", "rst"):
@@ -397,13 +422,13 @@ def cmd_verify(args) -> int:
 
     if prop == "yoneda":
         report = Report("yoneda")
-        cats = ([doc.categories[data["category"]]] if "category" in data
+        cats = ([_data_ref(doc.categories, data, "category", "category")] if "category" in data
                 else list(doc.categories.values()))
         for A in cats:
             report.extend(verify_yoneda(A), prefix=f"{A.name}:")
     elif prop == "dense-cond":
         report = Report("dense-cond")
-        cats = ([doc.categories[data["category"]]] if "category" in data
+        cats = ([_data_ref(doc.categories, data, "category", "category")] if "category" in data
                 else list(doc.categories.values()))
         for A in cats:
             report.extend(verify_density_suite(A), prefix=f"{A.name}:")
@@ -439,9 +464,10 @@ def cmd_verify(args) -> int:
     elif prop == "mphi-rep":
         phi = _pick_distributor(doc, args.dist)
         if {"F", "G", "X"} <= data.keys():
-            X = doc.categories[data["X"]]
             report = verify_fca_representation(
-                phi, X, _functor_from_doc(doc, data, "F"), _functor_from_doc(doc, data, "G"))
+                phi, _data_ref(doc.categories, data, "X", "category"),
+                _data_ref(doc.functors, data, "F", "functor"),
+                _data_ref(doc.functors, data, "G", "functor"))
         else:
             d, F, G = canonical_fca_data(phi)
             report = verify_fca_representation(phi, d.X, F, G, assume_complete=True)
@@ -465,7 +491,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tr(args) -> int:
-    doc = load_document(args.path)
+    doc = load_valid_document(args.path)
     phi = _pick_distributor(doc, args.dist)
     Q = doc.quantaloid
     rc = residual_category(phi.dom)
@@ -538,6 +564,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidQuantaloid as e:
+        _dump({"ok": False, "reports": [e.report.to_json()]}, args.output)
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (UsageError, InvalidParams, NotGirard, NotAQuantale, HypothesesNotMet) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -77,83 +77,83 @@ def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
     """Residuate the context by a presheaf on A; lands in copresheaves on B."""
     if mu.base != phi.dom:
         raise BaseMismatch("presheaf must live on the context's row category")
-    q = phi.q
-    A, B = phi.dom, phi.cod
+    q, limp, s = phi.q, phi.q.limp_table, mu.type
+    mu_ix = [a.index for a in mu.values]
     values = tuple(
-        q.hom_meet(mu.type, B.types[j],
-                   [q.left_imp(phi.matrix[i][j], mu.values[i]) for i in range(len(A))])
-        for j in range(len(B))
+        q.meet_ix(s, t, [limp[(p, s, t)][row[j].index][u]
+                         for p, row, u in zip(phi.dom.types, phi.matrix, mu_ix)])
+        for j, t in enumerate(phi.cod.types)
     )
-    return Copresheaf(B, mu.type, values)
+    return Copresheaf(phi.cod, s, values)
 
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
     if lam.base != phi.cod:
         raise BaseMismatch("copresheaf must live on the context's column category")
-    q = phi.q
-    A, B = phi.dom, phi.cod
+    q, rimp, t = phi.q, phi.q.rimp_table, lam.type
+    lam_ix = [a.index for a in lam.values]
     values = tuple(
-        q.hom_meet(A.types[i], lam.type,
-                   [q.right_imp(lam.values[j], phi.matrix[i][j]) for j in range(len(B))])
-        for i in range(len(A))
+        q.meet_ix(p, t, [rimp[(p, t, b)][v][w.index]
+                         for b, v, w in zip(phi.cod.types, lam_ix, row)])
+        for p, row in zip(phi.dom.types, phi.matrix)
     )
-    return Presheaf(A, lam.type, values)
+    return Presheaf(phi.dom, t, values)
 
 
 def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
     """Compose a presheaf on B with the context, giving a presheaf on A."""
     if lam.base != phi.cod:
         raise BaseMismatch("presheaf must live on the context's column category")
-    q = phi.q
-    A, B = phi.dom, phi.cod
+    q, comp, t = phi.q, phi.q.compose_table, lam.type
+    lam_ix = [a.index for a in lam.values]
     values = tuple(
-        q.hom_join(A.types[i], lam.type,
-                   [q.compose(lam.values[j], phi.matrix[i][j]) for j in range(len(B))])
-        for i in range(len(A))
+        q.join_ix(p, t, [comp[(p, b, t)][v][u.index]
+                         for b, v, u in zip(phi.cod.types, lam_ix, row)])
+        for p, row in zip(phi.dom.types, phi.matrix)
     )
-    return Presheaf(A, lam.type, values)
+    return Presheaf(phi.dom, t, values)
 
 
 def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
     """Right extension of a presheaf on A along the context; lands on B."""
     if mu.base != phi.dom:
         raise BaseMismatch("presheaf must live on the context's row category")
-    q = phi.q
-    A, B = phi.dom, phi.cod
+    q, limp, s = phi.q, phi.q.limp_table, mu.type
+    mu_ix = [a.index for a in mu.values]
     values = tuple(
-        q.hom_meet(B.types[j], mu.type,
-                   [q.left_imp(mu.values[i], phi.matrix[i][j]) for i in range(len(A))])
-        for j in range(len(B))
+        q.meet_ix(b, s, [limp[(p, b, s)][w][row[j].index]
+                         for p, row, w in zip(phi.dom.types, phi.matrix, mu_ix)])
+        for j, b in enumerate(phi.cod.types)
     )
-    return Presheaf(B, mu.type, values)
+    return Presheaf(phi.cod, s, values)
 
 
 def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
     """Compose a copresheaf on A with the context, giving a copresheaf on B."""
     if mu.base != phi.dom:
         raise BaseMismatch("copresheaf must live on the context's row category")
-    q = phi.q
-    A, B = phi.dom, phi.cod
+    q, comp, s = phi.q, phi.q.compose_table, mu.type
+    mu_ix = [a.index for a in mu.values]
     values = tuple(
-        q.hom_join(mu.type, B.types[j],
-                   [q.compose(phi.matrix[i][j], mu.values[i]) for i in range(len(A))])
-        for j in range(len(B))
+        q.join_ix(s, b, [comp[(s, p, b)][row[j].index][u]
+                         for p, row, u in zip(phi.dom.types, phi.matrix, mu_ix)])
+        for j, b in enumerate(phi.cod.types)
     )
-    return Copresheaf(B, mu.type, values)
+    return Copresheaf(phi.cod, s, values)
 
 
 def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
     """Left extension of a copresheaf on B along the context; lands on A."""
     if lam.base != phi.cod:
         raise BaseMismatch("copresheaf must live on the context's column category")
-    q = phi.q
-    A, B = phi.dom, phi.cod
+    q, rimp, t = phi.q, phi.q.rimp_table, lam.type
+    lam_ix = [a.index for a in lam.values]
     values = tuple(
-        q.hom_meet(lam.type, A.types[i],
-                   [q.right_imp(phi.matrix[i][j], lam.values[j]) for j in range(len(B))])
-        for i in range(len(A))
+        q.meet_ix(t, p, [rimp[(t, p, b)][v.index][w]
+                         for b, v, w in zip(phi.cod.types, row, lam_ix)])
+        for p, row in zip(phi.dom.types, phi.matrix)
     )
-    return Copresheaf(A, lam.type, values)
+    return Copresheaf(phi.dom, t, values)
 
 
 @dataclass(frozen=True)
@@ -242,11 +242,12 @@ def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
     """Worklist closure under binary pointwise meets, deterministic order."""
     limit = budget("closure", cap)
     items: list[Presheaf] = []
-    seen = set()
+    seen = set()  # index vectors: base and type are fixed, so they identify a presheaf
 
     def add(p: Presheaf) -> None:
-        if p.key() not in seen:
-            seen.add(p.key())
+        key = tuple(a.index for a in p.values)
+        if key not in seen:
+            seen.add(key)
             items.append(p)
             if len(items) > limit:
                 raise ClosureBudgetExceeded(
@@ -273,13 +274,15 @@ def fca_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) 
     A, B, q = phi.dom, phi.cod, phi.q
     pair = IsbellPair(phi)
     concepts: list[Presheaf] = []
+    q.require_lattices()
     for qobj in q.objects:
         gens = [top_presheaf(A, qobj)]
-        for j, b in enumerate(B.objects):
-            for v in q.arrows(qobj, B.types[j]):
-                values = tuple(
-                    q.right_imp(v, phi.matrix[i][j]) for i in range(len(A)))
-                gens.append(Presheaf(A, qobj, values))
+        for j, b in enumerate(B.types):
+            column = [(q.rimp_table[(p, qobj, b)], q.arrows(p, qobj), row[j].index)
+                      for p, row in zip(A.types, phi.matrix)]
+            for v in range(len(q.hom(qobj, b))):
+                gens.append(Presheaf(A, qobj, tuple(arrows[rimp[v][w]]
+                                                    for rimp, arrows, w in column)))
         closed = _meet_closure(A, qobj, gens, cap)
         if verify:
             for p in closed:
@@ -298,13 +301,15 @@ def rst_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) 
     A, B, q = phi.dom, phi.cod, phi.q
     pair = KanPair(phi)
     concepts: list[Presheaf] = []
+    q.require_lattices()
     for qobj in q.objects:
         gens = [top_presheaf(B, qobj)]
-        for i, a in enumerate(A.objects):
-            for u in q.arrows(A.types[i], qobj):
-                values = tuple(
-                    q.left_imp(u, phi.matrix[i][j]) for j in range(len(B)))
-                gens.append(Presheaf(B, qobj, values))
+        for p, row in zip(A.types, phi.matrix):
+            cells = [(q.limp_table[(p, b, qobj)], q.arrows(b, qobj), a.index)
+                     for b, a in zip(B.types, row)]
+            for u in range(len(q.hom(p, qobj))):
+                gens.append(Presheaf(B, qobj, tuple(arrows[limp[u][x]]
+                                                    for limp, arrows, x in cells)))
         closed = _meet_closure(B, qobj, gens, cap)
         if verify:
             for p in closed:

@@ -30,7 +30,6 @@ from .qcat import (
     validate_functor,
 )
 from .qdist import (
-    QDistributor,
     cograph,
     dist_left_imp,
     dist_right_imp,
@@ -108,16 +107,20 @@ def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
     """The hom arrow from mu to nu: meet over a of left_imp(nu(a), mu(a))."""
     _check_same_base(mu, nu)
     A, q = mu.base, mu.base.q
-    return q.hom_meet(mu.type, nu.type,
-                      [q.left_imp(nu.values[i], mu.values[i]) for i in range(len(A))])
+    s, t = mu.type, nu.type
+    limp = q.limp_table
+    return q.meet_ix(s, t, [limp[(p, s, t)][w.index][u.index]
+                            for p, u, w in zip(A.types, mu.values, nu.values)])
 
 
 def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
     """The hom arrow from lam to kap: meet over a of right_imp(kap(a), lam(a))."""
     _check_same_base(lam, kap)
     A, q = lam.base, lam.base.q
-    return q.hom_meet(lam.type, kap.type,
-                      [q.right_imp(kap.values[i], lam.values[i]) for i in range(len(A))])
+    s, t = lam.type, kap.type
+    rimp = q.rimp_table
+    return q.meet_ix(s, t, [rimp[(s, t, p)][v.index][w.index]
+                            for p, v, w in zip(A.types, kap.values, lam.values)])
 
 
 def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
@@ -130,11 +133,15 @@ def presheaf_meet(A: QCategory, qobj: str, parts) -> Presheaf:
     if not parts:
         return top_presheaf(A, qobj)
     q = A.q
-    values = tuple(
-        q.hom_meet(A.types[i], qobj, [p.values[i] for p in parts])
-        for i in range(len(A))
-    )
-    return Presheaf(A, qobj, values)
+    q.require_lattices()
+    values = []  # meet_ix inlined: one call per position would double the closure's cost
+    for i, t in enumerate(A.types):
+        hom = q.homs[(t, qobj)]
+        meets, k = hom.meets, hom.top
+        for p in parts:
+            k = meets[k][p.values[i].index]
+        values.append(q.arrow_table[(t, qobj)][k])
+    return Presheaf(A, qobj, tuple(values))
 
 
 def presheaf_join(A: QCategory, qobj: str, parts) -> Presheaf:
@@ -171,18 +178,6 @@ def coyoneda(A: QCategory, a: str) -> Copresheaf:
     """a |-> hom(a, -), of type |a|."""
     i = A.index(a)
     return Copresheaf(A, A.types[i], tuple(A.hom[i][j] for j in range(len(A))))
-
-
-def presheaf_as_dist(mu: Presheaf) -> QDistributor:
-    from .qcat import singleton_category
-    return QDistributor(mu.base, singleton_category(mu.base.q, mu.type),
-                        [[v] for v in mu.values])
-
-
-def copresheaf_as_dist(lam: Copresheaf) -> QDistributor:
-    from .qcat import singleton_category
-    return QDistributor(singleton_category(lam.base.q, lam.type), lam.base,
-                        [list(lam.values)])
 
 
 # -- suprema, infima, weighted (co)limits ----------------------------------------
@@ -476,10 +471,6 @@ class PresheafSpace:
         """Build a functor into this space from a member-valued map on labels."""
         mapping = {x: self.label_of(assignment(x)) for x in dom.objects}
         return QFunctor(dom, self.category, mapping, name=name or "into-presheaves")
-
-    def endo_functor(self, f, name: str = "") -> QFunctor:
-        mapping = {lbl: self.label_of(f(m)) for lbl, m in zip(self.category.objects, self.members)}
-        return QFunctor(self.category, self.category, mapping, name=name or "endo")
 
     def functor_to(self, other: "PresheafSpace", f, name: str = "") -> QFunctor:
         mapping = {lbl: other.label_of(f(m)) for lbl, m in zip(self.category.objects, self.members)}

@@ -76,9 +76,10 @@ class QCategory:
         return self.hom[self.index(x)][self.index(y)]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, QCategory) and self.q is other.q
-                and self.objects == other.objects and self.types == other.types
-                and self.hom == other.hom)
+        return self is other or (
+            isinstance(other, QCategory) and self.q is other.q
+            and self.objects == other.objects and self.types == other.types
+            and self.hom == other.hom)
 
     def __hash__(self) -> int:
         return hash((id(self.q), self.objects, self.types, self.hom))
@@ -164,20 +165,24 @@ class Preorder:
         reps = [min(cls) for cls in self.iso_classes()]
         strict = {(x, y) for x in reps for y in reps
                   if x != y and self.leq(x, y) and not self.leq(y, x)}
-        covers = []
-        for x, y in sorted(strict):
-            if not any((x, z) in strict and (z, y) in strict for z in reps):
-                covers.append((x, y))
-        return tuple(covers)
+        above = {x: set() for x in reps}
+        below = {x: set() for x in reps}
+        for x, y in strict:
+            above[x].add(y)
+            below[y].add(x)
+        return tuple((x, y) for x, y in sorted(strict) if above[x].isdisjoint(below[y]))
 
 
 def underlying_order(A: QCategory) -> Preorder:
     q = A.q
-    pairs = set()
-    for i, j in itertools.product(range(len(A)), repeat=2):
-        if A.types[i] == A.types[j] and q.leq(q.unit(A.types[i]), A.hom[i][j]):
-            pairs.add((A.objects[i], A.objects[j]))
-    return Preorder(A.objects, frozenset(pairs))
+    above_unit = {t: q.hom(t, t).up[q.units[t]] for t in set(A.types)}
+    pairs = frozenset(
+        (x, y)
+        for x, t, row in zip(A.objects, A.types, A.hom)
+        for y, s, a in zip(A.objects, A.types, row)
+        if s == t and above_unit[t] >> a.index & 1
+    )
+    return Preorder(A.objects, pairs)
 
 
 def is_separated(A: QCategory) -> bool:

@@ -3,15 +3,30 @@
 A quantaloid here is a small category whose hom-sets are finite complete
 lattices and whose composition preserves joins in each variable.  Everything
 is exact and symbolic: an arrow is an index into an explicit element list, and
-no floating point is used anywhere.  Residuations are never stored; they are
-computed from the composition table by the join formula
+no floating point is used anywhere.
+
+Lattice operations and both residuations read integer tables, built once
+when a quantaloid is constructed and never changed afterwards:
+
+* per hom (``HomLattice``): the order as bitmask rows, binary join and meet
+  tables, top and bottom; the quantaloid adds one interned ``Arrow`` per
+  element;
+* per object triple (p, q, r), beside ``compose_table[(p, q, r)]``: the
+  residuations ``limp_table`` and ``rimp_table``, derived from the
+  composition table by the join formula
 
     left_imp(w, u)  = join { v | v . u <= w }
     right_imp(v, w) = join { u | v . u <= w }
 
 so the adjunction  v.u <= w  iff  v <= left_imp(w,u)  iff  u <= right_imp(v,w)
 holds by construction on valid input; ``validate_quantaloid`` still
-cross-checks it exhaustively.
+cross-checks the tables exhaustively against an independent scan.  The
+opposite quantaloid, built on first use, shares the hom tables and
+transposes the others.
+
+A quantaloid whose homs are not all lattices still constructs, so that the
+validator can report it: a table entry that would need a missing bound is
+``None``, and the operations that need one raise :class:`QfcaError`.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -43,13 +58,41 @@ class Arrow:
     index: int
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _extremum(mask: int, cone) -> int | None:
+    """The unique k in ``mask`` whose ``cone[k]`` contains all of ``mask``.
+
+    With ``cone`` the up-sets this is the least element of ``mask``, with the
+    down-sets the greatest; ``None`` when there is none or more than one.
+    """
+    found = None
+    for k in _bits(mask):
+        if mask & ~cone[k] == 0:
+            if found is not None:
+                return None
+            found = k
+    return found
+
+
+def _transpose(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*rows))
+
+
 class HomLattice:
     """A finite lattice of arrow labels with an explicit order relation.
 
-    Joins and meets are found by scanning upper/lower bounds, which is fine at
-    desk scale (|hom| <= ~64).  ``join_opt``/``meet_opt`` return ``None`` when
-    the bound does not exist, so validators can report incompleteness instead
-    of crashing.
+    The order is kept as bitmask rows: bit j of ``up[i]`` and bit i of
+    ``down[j]`` are set when i <= j.  ``joins[i][j]``/``meets[i][j]``, ``top``
+    and ``bottom`` are computed once, here, as least upper and greatest lower
+    bounds; an entry is ``None`` where that bound does not exist, so
+    validators can report incompleteness instead of crashing.
     """
 
     def __init__(self, elements: tuple[str, ...], leq_pairs: frozenset[tuple[int, int]]):
@@ -58,17 +101,34 @@ class HomLattice:
         self.elements = tuple(elements)
         n = len(self.elements)
         self.leq_pairs = frozenset(leq_pairs)
-        self._leq = [[False] * n for _ in range(n)]
-        for i, j in leq_pairs:
-            self._leq[i][j] = True
-        self._join_cache: dict[frozenset[int], int | None] = {}
-        self._meet_cache: dict[frozenset[int], int | None] = {}
+        up, down = [0] * n, [0] * n
+        for i, j in self.leq_pairs:
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        self.up, self.down = tuple(up), tuple(down)
+        self._all = (1 << n) - 1
+        self.top = self.join_opt(range(n))
+        self.bottom = self.meet_opt(range(n))
+        joins = [[None] * n for _ in range(n)]
+        meets = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                joins[i][j] = joins[j][i] = _extremum(up[i] & up[j], up)
+                meets[i][j] = meets[j][i] = _extremum(down[i] & down[j], down)
+        self.joins = tuple(map(tuple, joins))
+        self.meets = tuple(map(tuple, meets))
+        poset = all(
+            up[i] >> i & 1 and up[i] & down[i] == 1 << i
+            and all(up[j] & ~up[i] == 0 for j in _bits(up[i]))
+            for i in range(n))
+        self.is_lattice = (poset and self.top is not None and self.bottom is not None
+                           and None not in itertools.chain(*joins, *meets))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def leq(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
+        return bool(self.up[i] >> j & 1)
 
     def index(self, label: str) -> int:
         try:
@@ -77,26 +137,22 @@ class HomLattice:
             raise InvalidParams(f"unknown arrow label {label!r}; have {self.elements}") from None
 
     def join_opt(self, indices) -> int | None:
-        key = frozenset(indices)
-        if key not in self._join_cache:
-            ubs = [k for k in range(len(self.elements)) if all(self._leq[i][k] for i in key)]
-            least = [u for u in ubs if all(self._leq[u][k] for k in ubs)]
-            self._join_cache[key] = least[0] if len(least) == 1 else None
-        return self._join_cache[key]
+        mask = self._all
+        for i in indices:
+            mask &= self.up[i]
+        return _extremum(mask, self.up)
 
     def meet_opt(self, indices) -> int | None:
-        key = frozenset(indices)
-        if key not in self._meet_cache:
-            lbs = [k for k in range(len(self.elements)) if all(self._leq[k][i] for i in key)]
-            greatest = [l for l in lbs if all(self._leq[k][l] for k in lbs)]
-            self._meet_cache[key] = greatest[0] if len(greatest) == 1 else None
-        return self._meet_cache[key]
+        mask = self._all
+        for i in indices:
+            mask &= self.down[i]
+        return _extremum(mask, self.down)
 
     def top_opt(self) -> int | None:
-        return self.join_opt(range(len(self.elements)))
+        return self.top
 
     def bottom_opt(self) -> int | None:
-        return self.meet_opt(range(len(self.elements)))
+        return self.bottom
 
     @staticmethod
     def from_labels(elements, leq_label_pairs, transitive: bool = True) -> "HomLattice":
@@ -104,26 +160,57 @@ class HomLattice:
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        rel = {(i, i) for i in range(n)}
+        up = [1 << i for i in range(n)]
         for a, b in leq_label_pairs:
-            rel.add((idx[a], idx[b]))
+            up[idx[a]] |= 1 << idx[b]
         if transitive:
-            changed = True
-            while changed:
-                changed = False
-                for (i, j), (k, l) in itertools.product(list(rel), list(rel)):
-                    if j == k and (i, l) not in rel:
-                        rel.add((i, l))
-                        changed = True
-        return HomLattice(elements, frozenset(rel))
+            for k in range(n):
+                for i in range(n):
+                    if up[i] >> k & 1:
+                        up[i] |= up[k]
+        return HomLattice(elements, frozenset((i, j) for i in range(n) for j in _bits(up[i])))
+
+
+def _residuation_tables(homs, compose_table):
+    """``limp[(p,q,r)][w][u]`` and ``rimp[(p,q,r)][v][w]`` by the join formula.
+
+    For u: p -> q, v: q -> r and w: p -> r, the join of the v with v.u <= w is
+    the least element of the intersection of their up-sets, and likewise for
+    the u; one pass over the composition table per w collects both.
+    """
+    limp, rimp = {}, {}
+    for (p, q, r), comp in compose_table.items():
+        dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
+        left = []
+        right = [[None] * len(cod) for _ in range(len(mid))]
+        for w in range(len(cod)):
+            below = cod.down[w]
+            left_ub = [mid._all] * len(dom)
+            for v, row in enumerate(comp):
+                up_v, right_ub = mid.up[v], dom._all
+                for u, c in enumerate(row):
+                    if below >> c & 1:
+                        left_ub[u] &= up_v
+                        right_ub &= dom.up[u]
+                right[v][w] = _extremum(right_ub, dom.up)
+            left.append(tuple(_extremum(m, mid.up) for m in left_ub))
+        limp[(p, q, r)] = tuple(left)
+        rimp[(p, q, r)] = tuple(map(tuple, right))
+    return limp, rimp
 
 
 class Quantaloid:
     """Objects, a hom-lattice per ordered object pair, composition and units.
 
     ``compose_table[(p, q, r)][j][i]`` is the index of ``v_j . u_i`` in
-    ``Q(p, r)`` for ``u_i`` in ``Q(p, q)`` and ``v_j`` in ``Q(q, r)``.
-    Equality of quantaloids is identity; fixtures share one instance.
+    ``Q(p, r)`` for ``u_i`` in ``Q(p, q)`` and ``v_j`` in ``Q(q, r)``.  Beside
+    it, ``limp_table[(p, q, r)][w][u]`` indexes ``left_imp(w, u)`` in
+    ``Q(q, r)`` and ``rimp_table[(p, q, r)][v][w]`` indexes
+    ``right_imp(v, w)`` in ``Q(p, q)``, for ``w`` in ``Q(p, r)``.
+    ``arrow_table[(p, q)][i]`` is the one interned ``Arrow(p, q, i)``.
+    ``lattice_issue`` names the first hom that is not a lattice, or is
+    ``None``.  Equality of quantaloids is identity; fixtures share one
+    instance.
     """
 
     def __init__(self, objects, homs, compose_table, units, name: str = "quantaloid"):
@@ -150,9 +237,33 @@ class Quantaloid:
         for q in self.objects:
             if q not in self.units:
                 raise InvalidParams(f"missing unit for object {q}")
-        self._limp_cache: dict[tuple[Arrow, Arrow], Arrow] = {}
-        self._rimp_cache: dict[tuple[Arrow, Arrow], Arrow] = {}
-        self._opposite: "Quantaloid | None" = None
+        self.limp_table, self.rimp_table = _residuation_tables(self.homs, self.compose_table)
+        self._finish()
+
+    def _finish(self) -> None:
+        """Intern the arrows and find the first hom that is not a lattice."""
+        self.arrow_table = {(p, q): tuple(Arrow(p, q, i) for i in range(len(hom)))
+                            for (p, q), hom in self.homs.items()}
+        self.lattice_issue = next(
+            (f"hom ({p},{q}) is not a complete lattice"
+             for (p, q), hom in sorted(self.homs.items()) if not hom.is_lattice), None)
+
+    def _transposed(self) -> "Quantaloid":
+        """The opposite quantaloid, its tables transposed from this one's."""
+        op = Quantaloid.__new__(Quantaloid)
+        op.name = f"{self.name}^op"
+        op.objects, op.units = self.objects, self.units
+        triples = list(itertools.product(self.objects, repeat=3))
+        op.homs = {(p, q): self.homs[(q, p)] for p, q in itertools.product(self.objects, repeat=2)}
+        # v .op u = u . v, and each residuation of the opposite is the other
+        # residuation of this quantaloid with its arguments swapped.
+        op.compose_table = {(p, q, r): _transpose(self.compose_table[(r, q, p)])
+                            for p, q, r in triples}
+        op.limp_table = {(p, q, r): _transpose(self.rimp_table[(r, q, p)]) for p, q, r in triples}
+        op.rimp_table = {(p, q, r): _transpose(self.limp_table[(r, q, p)]) for p, q, r in triples}
+        op._finish()
+        op._opposite = self
+        return op
 
     # -- basic access -------------------------------------------------------
 
@@ -163,32 +274,35 @@ class Quantaloid:
             raise TypeMismatch(f"no hom ({p},{q}) in {self.name}") from None
 
     def arrows(self, p: str, q: str) -> tuple[Arrow, ...]:
-        return tuple(Arrow(p, q, i) for i in range(len(self.hom(p, q))))
+        try:
+            return self.arrow_table[(p, q)]
+        except KeyError:
+            raise TypeMismatch(f"no hom ({p},{q}) in {self.name}") from None
 
     def all_arrows(self):
         for p, q in itertools.product(self.objects, repeat=2):
             yield from self.arrows(p, q)
 
     def arrow(self, p: str, q: str, label: str) -> Arrow:
-        return Arrow(p, q, self.hom(p, q).index(label))
+        return self.arrows(p, q)[self.hom(p, q).index(label)]
 
     def label(self, a: Arrow) -> str:
         return self.hom(a.src, a.dst).elements[a.index]
 
     def unit(self, q: str) -> Arrow:
-        return Arrow(q, q, self.units[q])
+        return self.arrow_table[(q, q)][self.units[q]]
 
     def top(self, p: str, q: str) -> Arrow:
-        t = self.hom(p, q).top_opt()
+        t = self.hom(p, q).top
         if t is None:
             raise QfcaError(f"hom ({p},{q}) has no top")
-        return Arrow(p, q, t)
+        return self.arrow_table[(p, q)][t]
 
     def bottom(self, p: str, q: str) -> Arrow:
-        b = self.hom(p, q).bottom_opt()
+        b = self.hom(p, q).bottom
         if b is None:
             raise QfcaError(f"hom ({p},{q}) has no bottom")
-        return Arrow(p, q, b)
+        return self.arrow_table[(p, q)][b]
 
     def leq(self, a: Arrow, b: Arrow) -> bool:
         if (a.src, a.dst) != (b.src, b.dst):
@@ -209,7 +323,7 @@ class Quantaloid:
         if u.dst != v.src:
             raise TypeMismatch(f"cannot compose {v} after {u}")
         k = self.compose_table[(u.src, u.dst, v.dst)][v.index][u.index]
-        return Arrow(u.src, v.dst, k)
+        return self.arrow_table[(u.src, v.dst)][k]
 
     def hom_join(self, p: str, q: str, arrows) -> Arrow:
         """Least upper bound; the empty join is the bottom arrow."""
@@ -223,7 +337,7 @@ class Quantaloid:
         j = self.hom(p, q).join_opt(idx)
         if j is None:
             raise QfcaError(f"join missing in hom ({p},{q}) for indices {sorted(set(idx))}")
-        return Arrow(p, q, j)
+        return self.arrow_table[(p, q)][j]
 
     def hom_meet(self, p: str, q: str, arrows) -> Arrow:
         """Greatest lower bound; the empty meet is the top arrow."""
@@ -237,48 +351,73 @@ class Quantaloid:
         m = self.hom(p, q).meet_opt(idx)
         if m is None:
             raise QfcaError(f"meet missing in hom ({p},{q}) for indices {sorted(set(idx))}")
-        return Arrow(p, q, m)
+        return self.arrow_table[(p, q)][m]
 
     def left_imp(self, w: Arrow, u: Arrow) -> Arrow:
         """left_imp(w, u) for u: p -> q, w: p -> r, giving q -> r."""
         if w.src != u.src:
             raise TypeMismatch(f"left_imp needs a common source, got {w} and {u}")
-        key = (w, u)
-        if key not in self._limp_cache:
-            q, r = u.dst, w.dst
-            vs = [v for v in self.arrows(q, r) if self.leq(self.compose(v, u), w)]
-            self._limp_cache[key] = self.hom_join(q, r, vs)
-        return self._limp_cache[key]
+        q, r = u.dst, w.dst
+        k = self.limp_table[(u.src, q, r)][w.index][u.index]
+        if k is None:  # the join is missing: let hom_join name it
+            return self.hom_join(q, r, [v for v in self.arrows(q, r)
+                                        if self.leq(self.compose(v, u), w)])
+        return self.arrow_table[(q, r)][k]
 
     def right_imp(self, v: Arrow, w: Arrow) -> Arrow:
         """right_imp(v, w) for v: q -> r, w: p -> r, giving p -> q."""
         if v.dst != w.dst:
             raise TypeMismatch(f"right_imp needs a common target, got {v} and {w}")
-        key = (v, w)
-        if key not in self._rimp_cache:
-            p, q = w.src, v.src
-            us = [u for u in self.arrows(p, q) if self.leq(self.compose(v, u), w)]
-            self._rimp_cache[key] = self.hom_join(p, q, us)
-        return self._rimp_cache[key]
+        p, q = w.src, v.src
+        k = self.rimp_table[(p, q, v.dst)][v.index][w.index]
+        if k is None:  # the join is missing: let hom_join name it
+            return self.hom_join(p, q, [u for u in self.arrows(p, q)
+                                        if self.leq(self.compose(v, u), w)])
+        return self.arrow_table[(p, q)][k]
+
+    # -- index-level kernel --------------------------------------------------
+
+    def require_lattices(self) -> None:
+        """Raise unless every hom is a lattice, so that every table entry exists."""
+        if self.lattice_issue is not None:
+            raise QfcaError(self.lattice_issue)
+
+    def meet_ix(self, p: str, q: str, indices) -> Arrow:
+        """Meet in hom (p, q) of arrows given by index; the empty meet is the top.
+
+        The kernel of the presheaf and concept layers: it reads the tables
+        only, so every hom must be a lattice.
+        """
+        self.require_lattices()
+        hom = self.homs[(p, q)]
+        meets, k = hom.meets, hom.top
+        for i in indices:
+            k = meets[k][i]
+        return self.arrow_table[(p, q)][k]
+
+    def join_ix(self, p: str, q: str, indices) -> Arrow:
+        """Join in hom (p, q) of arrows given by index; the empty join is the bottom."""
+        self.require_lattices()
+        hom = self.homs[(p, q)]
+        joins, k = hom.joins, hom.bottom
+        for i in indices:
+            k = joins[k][i]
+        return self.arrow_table[(p, q)][k]
 
     # -- duality ------------------------------------------------------------
 
     def opposite(self) -> "Quantaloid":
-        """The opposite quantaloid: 1-cells reverse, hom-orders stay."""
-        if self._opposite is None:
-            homs = {(p, q): self.homs[(q, p)] for p, q in itertools.product(self.objects, repeat=2)}
-            table = {}
-            for p, q, r in itertools.product(self.objects, repeat=3):
-                # v .op u = u . v computed in self, with u: q -> p, v: r -> q.
-                base = self.compose_table[(r, q, p)]
-                nv, nu = len(self.homs[(q, r)]), len(self.homs[(p, q)])
-                table[(p, q, r)] = tuple(
-                    tuple(base[u_i][v_j] for u_i in range(nu)) for v_j in range(nv)
-                )
-            op = Quantaloid(self.objects, homs, table, self.units, name=f"{self.name}^op")
-            op._opposite = self
-            self._opposite = op
-        return self._opposite
+        """The opposite quantaloid: 1-cells reverse, hom-orders stay.
+
+        Built on first use, not at construction, because the two instances
+        refer to each other and so are freed only by the cycle collector.
+        ``dict.setdefault`` publishes it atomically: callers racing here all
+        get the one instance stored.
+        """
+        op = self.__dict__.get("_opposite")
+        if op is None:
+            op = self.__dict__.setdefault("_opposite", self._transposed())
+        return op
 
     def dual_arrow(self, a: Arrow) -> Arrow:
         """The same arrow seen in the opposite quantaloid."""
@@ -289,99 +428,124 @@ class Quantaloid:
 
 
 def validate_quantaloid(Q: Quantaloid) -> ValidationReport:
-    """Check every quantaloid law, reporting all violations as data."""
+    """Check every quantaloid law on the tables, reporting all violations as data."""
     report = ValidationReport(f"quantaloid {Q.name}")
     lattices_ok = True
     for (p, q), hom in sorted(Q.homs.items()):
-        n = len(hom)
+        n, el, up = len(hom), hom.elements, hom.up
         for i in range(n):
-            if not hom.leq(i, i):
-                report.add("poset.reflexive", (p, q, hom.elements[i]), "x <= x fails")
+            if not up[i] >> i & 1:
+                report.add("poset.reflexive", (p, q, el[i]), "x <= x fails")
                 lattices_ok = False
-        for i, j in itertools.product(range(n), repeat=2):
-            if i != j and hom.leq(i, j) and hom.leq(j, i):
-                report.add("poset.antisymmetric", (p, q, hom.elements[i], hom.elements[j]),
+        for i in range(n):
+            for j in _bits(up[i] & hom.down[i] & ~(1 << i)):
+                report.add("poset.antisymmetric", (p, q, el[i], el[j]),
                            "x <= y and y <= x for distinct elements")
                 lattices_ok = False
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if hom.leq(i, j) and hom.leq(j, k) and not hom.leq(i, k):
-                report.add("poset.transitive",
-                           (p, q, hom.elements[i], hom.elements[j], hom.elements[k]),
-                           "x <= y <= z but not x <= z")
-                lattices_ok = False
-        if hom.top_opt() is None:
+        for i in range(n):
+            for j in _bits(up[i]):
+                for k in _bits(up[j] & ~up[i]):
+                    report.add("poset.transitive", (p, q, el[i], el[j], el[k]),
+                               "x <= y <= z but not x <= z")
+                    lattices_ok = False
+        if hom.top is None:
             report.add("lattice.top", (p, q), "no greatest element")
             lattices_ok = False
-        if hom.bottom_opt() is None:
+        if hom.bottom is None:
             report.add("lattice.bottom", (p, q), "no least element")
             lattices_ok = False
         for i, j in itertools.combinations(range(n), 2):
-            if hom.join_opt([i, j]) is None:
-                report.add("lattice.join", (p, q, hom.elements[i], hom.elements[j]),
-                           "pairwise join missing")
+            if hom.joins[i][j] is None:
+                report.add("lattice.join", (p, q, el[i], el[j]), "pairwise join missing")
                 lattices_ok = False
-            if hom.meet_opt([i, j]) is None:
-                report.add("lattice.meet", (p, q, hom.elements[i], hom.elements[j]),
-                           "pairwise meet missing")
+            if hom.meets[i][j] is None:
+                report.add("lattice.meet", (p, q, el[i], el[j]), "pairwise meet missing")
                 lattices_ok = False
     if not lattices_ok:
         return report
 
-    lbl = Q.label
+    def lbl(p, q, i):
+        return Q.homs[(p, q)].elements[i]
+
+    comp = Q.compose_table
     for q in Q.objects:
-        one = Q.unit(q)
+        one = Q.units[q]
         for p in Q.objects:
-            for u in Q.arrows(p, q):
-                if Q.compose(one, u) != u:
-                    report.add("unit.left", (p, q, lbl(u)), "1.u != u")
+            for u, vu in enumerate(comp[(p, q, q)][one]):
+                if vu != u:
+                    report.add("unit.left", (p, q, lbl(p, q, u)), "1.u != u")
         for r in Q.objects:
-            for v in Q.arrows(q, r):
-                if Q.compose(v, one) != v:
-                    report.add("unit.right", (q, r, lbl(v)), "v.1 != v")
+            for v, row in enumerate(comp[(q, q, r)]):
+                if row[one] != v:
+                    report.add("unit.right", (q, r, lbl(q, r, v)), "v.1 != v")
 
     for p, q, r, s in itertools.product(Q.objects, repeat=4):
-        for u in Q.arrows(p, q):
-            for v in Q.arrows(q, r):
-                vu = Q.compose(v, u)
-                for w in Q.arrows(r, s):
-                    if Q.compose(Q.compose(w, v), u) != Q.compose(w, vu):
-                        report.add("compose.associative", (lbl(w), lbl(v), lbl(u)),
+        pqr, qrs, prs, pqs = comp[(p, q, r)], comp[(q, r, s)], comp[(p, r, s)], comp[(p, q, s)]
+        for u in range(len(Q.homs[(p, q)])):
+            for v, row in enumerate(pqr):
+                vu = row[u]
+                for w, w_row in enumerate(qrs):
+                    if pqs[w_row[v]][u] != prs[w][vu]:
+                        report.add("compose.associative",
+                                   (lbl(r, s, w), lbl(q, r, v), lbl(p, q, u)),
                                    "(w.v).u != w.(v.u)")
 
     # Join preservation in each variable: bottom plus binary joins suffice
     # for all finite joins; the acceptance suite additionally checks every
     # subset on small homs.
     for p, q, r in itertools.product(Q.objects, repeat=3):
-        bot_pq, bot_qr, bot_pr = Q.bottom(p, q), Q.bottom(q, r), Q.bottom(p, r)
-        for u in Q.arrows(p, q):
-            if Q.compose(bot_qr, u) != bot_pr:
-                report.add("compose.joins.left", (p, q, r, lbl(u)), "bottom.u != bottom")
-            for v1, v2 in itertools.combinations_with_replacement(Q.arrows(q, r), 2):
-                lhs = Q.compose(Q.hom_join(q, r, [v1, v2]), u)
-                rhs = Q.hom_join(p, r, [Q.compose(v1, u), Q.compose(v2, u)])
-                if lhs != rhs:
-                    report.add("compose.joins.left", (lbl(v1), lbl(v2), lbl(u)),
+        dom, mid, cod, table = Q.homs[(p, q)], Q.homs[(q, r)], Q.homs[(p, r)], comp[(p, q, r)]
+        for u in range(len(dom)):
+            if table[mid.bottom][u] != cod.bottom:
+                report.add("compose.joins.left", (p, q, r, lbl(p, q, u)), "bottom.u != bottom")
+            for v1, v2 in itertools.combinations_with_replacement(range(len(mid)), 2):
+                if table[mid.joins[v1][v2]][u] != cod.joins[table[v1][u]][table[v2][u]]:
+                    report.add("compose.joins.left",
+                               (lbl(q, r, v1), lbl(q, r, v2), lbl(p, q, u)),
                                "(v1 v v2).u != v1.u v v2.u")
-        for v in Q.arrows(q, r):
-            if Q.compose(v, bot_pq) != bot_pr:
-                report.add("compose.joins.right", (p, q, r, lbl(v)), "v.bottom != bottom")
-            for u1, u2 in itertools.combinations_with_replacement(Q.arrows(p, q), 2):
-                lhs = Q.compose(v, Q.hom_join(p, q, [u1, u2]))
-                rhs = Q.hom_join(p, r, [Q.compose(v, u1), Q.compose(v, u2)])
-                if lhs != rhs:
-                    report.add("compose.joins.right", (lbl(v), lbl(u1), lbl(u2)),
+        for v, row in enumerate(table):
+            if row[dom.bottom] != cod.bottom:
+                report.add("compose.joins.right", (p, q, r, lbl(q, r, v)), "v.bottom != bottom")
+            for u1, u2 in itertools.combinations_with_replacement(range(len(dom)), 2):
+                if row[dom.joins[u1][u2]] != cod.joins[row[u1]][row[u2]]:
+                    report.add("compose.joins.right",
+                               (lbl(q, r, v), lbl(p, q, u1), lbl(p, q, u2)),
                                "v.(u1 v u2) != v.u1 v v.u2")
 
+    # The residuation tables against the join formula, scanned entry by entry
+    # with binary joins, and the adjunction they must satisfy.
     for p, q, r in itertools.product(Q.objects, repeat=3):
-        for u in Q.arrows(p, q):
-            for v in Q.arrows(q, r):
-                for w in Q.arrows(p, r):
-                    left = Q.leq(Q.compose(v, u), w)
-                    mid = Q.leq(v, Q.left_imp(w, u))
-                    right = Q.leq(u, Q.right_imp(v, w))
-                    if not (left == mid == right):
-                        report.add("residuation.adjunction", (lbl(u), lbl(v), lbl(w)),
-                                   f"v.u<=w is {left}, v<=w<l u is {mid}, u<=v>r w is {right}")
+        dom, mid, cod, table = Q.homs[(p, q)], Q.homs[(q, r)], Q.homs[(p, r)], comp[(p, q, r)]
+        limp, rimp = Q.limp_table[(p, q, r)], Q.rimp_table[(p, q, r)]
+        for w in range(len(cod)):
+            below = cod.down[w]
+            for u in range(len(dom)):
+                scan = mid.bottom
+                for v, row in enumerate(table):
+                    if below >> row[u] & 1:
+                        scan = mid.joins[scan][v]
+                if scan != limp[w][u]:
+                    report.add("residuation.table", (p, q, r, lbl(p, r, w), lbl(p, q, u)),
+                               "left_imp(w, u) is not the join of the v with v.u <= w")
+            for v, row in enumerate(table):
+                scan = dom.bottom
+                for u, c in enumerate(row):
+                    if below >> c & 1:
+                        scan = dom.joins[scan][u]
+                if scan != rimp[v][w]:
+                    report.add("residuation.table", (p, q, r, lbl(q, r, v), lbl(p, r, w)),
+                               "right_imp(v, w) is not the join of the u with v.u <= w")
+        for u in range(len(dom)):
+            for v, row in enumerate(table):
+                for w in range(len(cod)):
+                    left = bool(cod.down[w] >> row[u] & 1)
+                    mid_ok = bool(mid.up[v] >> limp[w][u] & 1)
+                    right = bool(dom.up[u] >> rimp[v][w] & 1)
+                    if not (left == mid_ok == right):
+                        report.add("residuation.adjunction",
+                                   (lbl(p, q, u), lbl(q, r, v), lbl(p, r, w)),
+                                   f"v.u<=w is {left}, v<=w<l u is {mid_ok}, "
+                                   f"u<=v>r w is {right}")
     return report
 
 
@@ -472,27 +636,6 @@ class _Frame:
         greatest = [x for x in lbs if all(self.leq[(y, x)] for y in lbs)]
         return greatest[0]
 
-    def join(self, a: str, b: str) -> str:
-        ubs = [x for x in self.elements if self.leq[(a, x)] and self.leq[(b, x)]]
-        least = [x for x in ubs if all(self.leq[(x, y)] for y in ubs)]
-        return least[0]
-
-    def implies(self, a: str, b: str) -> str:
-        """Heyting implication: the largest x with x meet a <= b."""
-        xs = [x for x in self.elements if self.leq[(self.meet(x, a), b)]]
-        out = xs[0]
-        for x in xs[1:]:
-            out = self.join(out, x)
-        return out
-
-    @property
-    def top(self) -> str:
-        return [x for x in self.elements if all(self.leq[(y, x)] for y in self.elements)][0]
-
-    @property
-    def bottom(self) -> str:
-        return [x for x in self.elements if all(self.leq[(x, y)] for y in self.elements)][0]
-
     @staticmethod
     def chain(n: int) -> "_Frame":
         if n < 1:
@@ -528,8 +671,9 @@ def _chain_quantaloid(name: str, n: int, tensor) -> Quantaloid:
     labels = tuple(str(v) for v in values)
     hom = HomLattice.from_labels(
         labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    position = {v: i for i, v in enumerate(values)}
     table = {("*", "*", "*"): tuple(
-        tuple(values.index(tensor(values[j], values[i])) for i in range(n))
+        tuple(position[tensor(values[j], values[i])] for i in range(n))
         for j in range(n)
     )}
     return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": n - 1}, name=name)

@@ -119,3 +119,41 @@ def presheaf_to_subset(Q, p):
     """Over the two-element quantaloid, read a presheaf as a subset."""
     one = Q.arrow("*", "*", "1")
     return frozenset(x for x, v in zip(p.base.objects, p.values) if v == one)
+
+
+# -- brute-force lattice operations and residuations --------------------------------
+#
+# These read only a hom's element list, its ``leq_pairs`` and the composition
+# table, the data a quantaloid is built from, never the derived tables.
+
+
+def scan_join(Q, p, q, indices):
+    """Least upper bound in hom (p, q) by scanning every element, or None."""
+    le, n = Q.hom(p, q).leq_pairs, len(Q.hom(p, q))
+    ubs = [k for k in range(n) if all((i, k) in le for i in indices)]
+    least = [u for u in ubs if all((u, k) in le for k in ubs)]
+    return least[0] if len(least) == 1 else None
+
+
+def scan_meet(Q, p, q, indices):
+    """Greatest lower bound in hom (p, q) by scanning every element, or None."""
+    le, n = Q.hom(p, q).leq_pairs, len(Q.hom(p, q))
+    lbs = [k for k in range(n) if all((k, i) in le for i in indices)]
+    greatest = [g for g in lbs if all((k, g) in le for k in lbs)]
+    return greatest[0] if len(greatest) == 1 else None
+
+
+def scan_left_imp(Q, w, u):
+    """Index of left_imp(w, u) by the join formula: join of v with v.u <= w."""
+    p, q, r = u.src, u.dst, w.dst
+    le, comp = Q.hom(p, r).leq_pairs, Q.compose_table[(p, q, r)]
+    return scan_join(Q, q, r, [v for v in range(len(Q.hom(q, r)))
+                               if (comp[v][u.index], w.index) in le])
+
+
+def scan_right_imp(Q, v, w):
+    """Index of right_imp(v, w) by the join formula: join of u with v.u <= w."""
+    p, q, r = w.src, v.src, v.dst
+    le, comp = Q.hom(p, r).leq_pairs, Q.compose_table[(p, q, r)]
+    return scan_join(Q, p, q, [u for u in range(len(Q.hom(p, q)))
+                               if (comp[v.index][u], w.index) in le])

@@ -204,3 +204,37 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QFCA_BUDGET", "1")
     code = cli.main(["concepts", str(CONTEXTS / "fix_2id.json"), "--oracle"])
     assert code == 1  # the enumeration cap trips and surfaces as an error
+
+
+def test_verify_data_unknown_name_usage_error(capsys, tmp_path):
+    path = CONTEXTS / "fix_2id.json"
+    for prop in ("yoneda", "dense-cond"):
+        assert cli.main(["verify", str(path), "--prop", prop, "--data", "category=nope"]) == 2
+        err = capsys.readouterr().err
+        assert "category=nope" in err and "choices: ['A', 'B']" in err
+    doc = json.loads(path.read_text())
+    doc["functors"]["F"] = {"from": "A", "to": "A", "map": {"a1": "a1", "a2": "a2"}}
+    user = tmp_path / "user.json"
+    user.write_text(json.dumps(doc))
+    for data in (["F=F", "G=F", "X=nope"], ["F=F", "G=nope", "X=A"]):
+        assert cli.main(["verify", str(user), "--prop", "mphi-rep", "--data", *data]) == 2
+        assert "nope" in capsys.readouterr().err
+
+
+def test_invalid_inline_quantaloid_is_not_computed_on(capsys, tmp_path):
+    doc = json.loads((DATA / "broken_compose.json").read_text())
+    doc["categories"] = {
+        "A": {"objects": [{"label": "a", "type": "*"}], "hom": [["a", "a", "1"]]},
+        "B": {"objects": [{"label": "b", "type": "*"}], "hom": [["b", "b", "1"]]},
+    }
+    doc["distributors"] = {"phi": {"from": "A", "to": "B", "entries": [["a", "b", "m"]]}}
+    path = tmp_path / "broken_with_context.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["concepts"], ["concepts", "--mode", "rst"], ["tr"], ["girard"],
+                 ["verify", "--prop", "k-eq-m-tr"], ["verify", "--prop", "girard-probe"]):
+        code, out = run(capsys, argv[0], path, *argv[1:])
+        assert code == 1, argv
+        report = json.loads(out)
+        assert report["ok"] is False
+        codes = {i["code"] for r in report["reports"] for i in r["issues"]}
+        assert "compose.associative" in codes, argv

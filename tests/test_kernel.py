@@ -1,0 +1,109 @@
+"""The integer tables under the quantaloid against brute-force scans."""
+
+import itertools
+
+import pytest
+
+from _helpers import scan_join, scan_left_imp, scan_meet, scan_right_imp
+from qfca.concept import fca_lattice, rst_lattice
+from qfca.errors import QfcaError
+from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset, validate_quantaloid
+
+DIAMOND = ["0", "a", "b", "1"]
+DIAMOND_LEQ = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+
+
+def _diamond_meet(x, y):
+    if x == y or y == "1":
+        return x
+    return y if x == "1" else "0"
+
+
+PRESETS = {
+    "two": ("two", {}),
+    "luk3": ("lukasiewicz-chain", {"n": 3}),
+    "luk4": ("lukasiewicz-chain", {"n": 4}),
+    "luk5": ("lukasiewicz-chain", {"n": 5}),
+    "godel3": ("godel-chain", {"n": 3}),
+    "diag-chain3": ("frame-diagonal", {"chain": 3}),
+    "diag-boolean2": ("frame-diagonal", {"boolean": 2}),
+    "diamond": ("commutative-quantale-from-table", {
+        "elements": DIAMOND, "leq": DIAMOND_LEQ, "unit": "1",
+        "products": [(x, y, _diamond_meet(x, y)) for x in DIAMOND for y in DIAMOND]}),
+}
+
+
+def _quantaloids():
+    for name, (preset, params) in PRESETS.items():
+        Q = build_preset(preset, **params)
+        yield pytest.param(Q, id=name)
+        yield pytest.param(Q.opposite(), id=f"{name}^op")
+
+
+@pytest.mark.parametrize("Q", list(_quantaloids()))
+def test_tables_agree_with_scans(Q):
+    for p, q in itertools.product(Q.objects, repeat=2):
+        hom, n = Q.hom(p, q), len(Q.hom(p, q))
+        arrows = Q.arrows(p, q)
+        assert Q.hom_join(p, q, []).index == scan_join(Q, p, q, [])
+        assert Q.hom_meet(p, q, []).index == scan_meet(Q, p, q, [])
+        for i, j in itertools.product(range(n), repeat=2):
+            assert Q.leq(arrows[i], arrows[j]) == ((i, j) in hom.leq_pairs)
+            assert Q.hom_join(p, q, [arrows[i], arrows[j]]).index == scan_join(Q, p, q, [i, j])
+            assert Q.hom_meet(p, q, [arrows[i], arrows[j]]).index == scan_meet(Q, p, q, [i, j])
+            assert Q.join_ix(p, q, [i, j]).index == scan_join(Q, p, q, [i, j])
+            assert Q.meet_ix(p, q, [i, j]).index == scan_meet(Q, p, q, [i, j])
+    for p, q, r in itertools.product(Q.objects, repeat=3):
+        for u, w in itertools.product(Q.arrows(p, q), Q.arrows(p, r)):
+            assert Q.left_imp(w, u).index == scan_left_imp(Q, w, u)
+        for v, w in itertools.product(Q.arrows(q, r), Q.arrows(p, r)):
+            assert Q.right_imp(v, w).index == scan_right_imp(Q, v, w)
+
+
+def test_results_are_interned_arrows():
+    Q = build_preset("lukasiewicz-chain", n=4)
+    half = Q.arrow("*", "*", "1/3")
+    assert Q.compose(half, half) is Q.arrows("*", "*")[0]
+    assert Q.left_imp(half, Q.unit("*")) is Q.arrows("*", "*")[1]
+    assert Q.hom_meet("*", "*", [Arrow("*", "*", 2), half]) is Q.arrows("*", "*")[1]
+
+
+def _container_sizes(Q):
+    owners = [Q, Q.opposite(), *Q.homs.values()]
+    return [(id(o), name, len(value)) for o in owners for name, value in vars(o).items()
+            if isinstance(value, (dict, list, set, frozenset, tuple))]
+
+
+def test_computing_leaves_the_quantaloid_unchanged(fixdl3):
+    Q = fixdl3.phi.q
+    before = _container_sizes(Q)
+    for _ in range(2):
+        fca_lattice(fixdl3.phi)
+        rst_lattice(fixdl3.phi)
+    assert _container_sizes(Q) == before
+
+
+def test_non_lattice_hom_constructs_and_raises_at_use():
+    # a and b have two minimal upper bounds, c and d: no join of {a, b}
+    hom = HomLattice.from_labels(
+        ("0", "a", "b", "c", "d", "1"),
+        [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"),
+         ("c", "1"), ("d", "1")])
+    table = {("*", "*", "*"): tuple(tuple(0 for _ in range(6)) for _ in range(6))}
+    Q = Quantaloid(("*",), {("*", "*"): hom}, table, {"*": 5}, name="no-join")
+    report = validate_quantaloid(Q)
+    assert ("*", "*", "a", "b") in {i.where for i in report.issues if i.code == "lattice.join"}
+    a, b = Q.arrow("*", "*", "a"), Q.arrow("*", "*", "b")
+    with pytest.raises(QfcaError, match=r"join missing in hom \(\*,\*\) for indices \[1, 2\]"):
+        Q.hom_join("*", "*", [a, b])
+    with pytest.raises(QfcaError, match="not a complete lattice"):
+        Q.meet_ix("*", "*", [1, 2])
+
+
+def test_validator_rescans_the_residuation_tables():
+    Q = build_preset("lukasiewicz-chain", n=3)
+    rows = [list(row) for row in Q.limp_table[("*", "*", "*")]]
+    rows[0][2] = 1  # left_imp(0, 1) is 0, not 1/2
+    Q.limp_table[("*", "*", "*")] = tuple(map(tuple, rows))
+    codes = {i.code for i in validate_quantaloid(Q).issues}
+    assert codes == {"residuation.table", "residuation.adjunction"}

@@ -1,37 +1,71 @@
-"""Randomized law tests over generated contexts."""
+"""Randomized law tests over generated contexts.
 
-import itertools
+Contexts are drawn over discrete and non-discrete carriers of one or two
+objects (every category structure ``_helpers.enumerate_categories`` yields,
+with every typing) and over one-object quantales as well as the
+three-object ``frame-diagonal chain=3``; the distributor is any valid one
+between the drawn carriers.  The brute-force enumeration is the oracle for
+the closure-built lattices.
+"""
+
+import functools
 
 from hypothesis import given, settings, strategies as st
 
-from qfca.qcat import QTypedSet, discrete_category
-from qfca.qdist import QDistributor, validate_distributor
-from qfca.quantaloid import Arrow, build_preset
+from _helpers import enumerate_categories, enumerate_distributors
+from qfca.quantaloid import build_preset
 from qfca.presheaf import enumerate_presheaves, pointwise_leq
-from qfca.concept import IsbellPair, KanPair, verify_rst_as_fca
+from qfca.concept import (
+    IsbellPair,
+    KanPair,
+    brute_force_fixed,
+    fca_lattice,
+    rst_lattice,
+    verify_rst_as_fca,
+)
 
 TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
 GODEL3 = build_preset("godel-chain", n=3)
+DIAG3 = build_preset("frame-diagonal", chain=3)
+QUANTALOIDS = [TWO, LUK3, GODEL3, DIAG3]
+
+
+@functools.cache
+def _categories(Q, labels):
+    return tuple(enumerate_categories(Q, labels))
+
+
+@functools.cache
+def _distributors(A, B):
+    return tuple(enumerate_distributors(A, B))
 
 
 def random_context(data, Q):
-    na = data.draw(st.integers(1, 2), label="rows")
-    nb = data.draw(st.integers(1, 2), label="cols")
-    A = discrete_category(Q, QTypedSet(tuple(f"a{i}" for i in range(na)), ("*",) * na))
-    B = discrete_category(Q, QTypedSet(tuple(f"b{j}" for j in range(nb)), ("*",) * nb))
-    n = len(Q.hom("*", "*"))
-    matrix = [[Arrow("*", "*", data.draw(st.integers(0, n - 1), label=f"e{i}{j}"))
-               for j in range(nb)] for i in range(na)]
-    phi = QDistributor(A, B, matrix)
-    assert validate_distributor(phi).ok  # discrete carriers accept any matrix
-    return phi
+    cats = {}
+    for side in ("a", "b"):
+        n = data.draw(st.integers(1, 2), label=f"{side}-size")
+        labels = tuple(f"{side}{i}" for i in range(n))
+        cats[side] = data.draw(st.sampled_from(_categories(Q, labels)), label=f"{side}-category")
+    return data.draw(st.sampled_from(_distributors(cats["a"], cats["b"])), label="context")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lattices_match_brute_force_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    for kind, compute in (("fca", fca_lattice), ("rst", rst_lattice)):
+        per_type = compute(phi).per_type()
+        for qobj in Q.objects:
+            expected = {p.key() for p in brute_force_fixed(phi, kind, qobj)}
+            assert {p.key() for p in per_type[qobj]} == expected, (kind, qobj)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_rst_is_fca_of_residual_randomized(data):
-    Q = data.draw(st.sampled_from([TWO, LUK3, GODEL3]), label="quantaloid")
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
     phi = random_context(data, Q)
     assert verify_rst_as_fca(phi).passed
 
@@ -39,13 +73,14 @@ def test_rst_is_fca_of_residual_randomized(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_closure_laws_randomized(data):
-    Q = data.draw(st.sampled_from([TWO, LUK3, GODEL3]), label="quantaloid")
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
     phi = random_context(data, Q)
     isb, kan = IsbellPair(phi), KanPair(phi)
-    for mu in enumerate_presheaves(phi.dom, "*"):
-        assert pointwise_leq(mu, isb.closure(mu))
-        assert isb.closure(isb.closure(mu)) == isb.closure(mu)
-        assert pointwise_leq(kan.interior(mu), mu)
-    for lam in enumerate_presheaves(phi.cod, "*"):
-        assert pointwise_leq(lam, kan.closure(lam))
-        assert kan.closure(kan.closure(lam)) == kan.closure(lam)
+    for qobj in Q.objects:
+        for mu in enumerate_presheaves(phi.dom, qobj):
+            assert pointwise_leq(mu, isb.closure(mu))
+            assert isb.closure(isb.closure(mu)) == isb.closure(mu)
+            assert pointwise_leq(kan.interior(mu), mu)
+        for lam in enumerate_presheaves(phi.cod, qobj):
+            assert pointwise_leq(lam, kan.closure(lam))
+            assert kan.closure(kan.closure(lam)) == kan.closure(lam)
