@@ -102,7 +102,6 @@ from .presheaf import (
     materialize_presheaves,
     presheaf_hom,
     pushforward,
-    copushforward,
     ran,
     sup,
     weighted_colimit,

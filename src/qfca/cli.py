@@ -22,11 +22,14 @@ missing compose pairs default to the bottom arrow.  Presets take parameters
 inline: {"preset": {"name": "lukasiewicz-chain", "n": 3}}.
 
 Exit codes: 0 success/pass, 1 validation failure, 2 usage or precondition
-error, 3 property-verification failure.  The computing subcommands print
-the validation report of an invalid inline quantaloid and exit 1 without
-computing on it.  Outputs are deterministic:
-repeated runs on the same input are byte-identical.  The environment
-variable QFCA_BUDGET overrides all enumeration and search caps.
+error, 3 property-verification failure, 4 budget exhausted (an enumeration,
+search or closure cap was reached; the message names the limit).  The
+computing subcommands print the validation report of an invalid inline
+quantaloid and exit 1 without computing on it.  A document of the wrong
+shape (a field of the wrong JSON type) is a usage error naming the field's
+JSON path.  Outputs are deterministic: repeated runs on the same input are
+byte-identical.  The environment variable QFCA_BUDGET overrides all
+enumeration, search and closure caps.
 """
 
 from __future__ import annotations
@@ -38,12 +41,15 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
+    ClosureBudgetExceeded,
     HypothesesNotMet,
     InvalidParams,
     NotAQuantale,
     NotGirard,
     QfcaError,
     Report,
+    SearchBudgetExceeded,
 )
 from .quantaloid import (
     Arrow,
@@ -141,6 +147,8 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
     objects = list(spec["objects"])
     homs = {}
     for key, h in spec["homs"].items():
+        if "->" not in key:
+            raise UsageError(f"hom section {key!r} is not named 'p->q'")
         p, q = key.split("->", 1)
         homs[(p, q)] = HomLattice.from_labels(h["elements"], [tuple(x) for x in h.get("leq", [])])
     for p, q in itertools.product(objects, repeat=2):
@@ -216,12 +224,79 @@ def parse_document(data: dict) -> ContextDocument:
     return ContextDocument(Q, data["quantaloid"], categories, distributors, functors)
 
 
+class _AnyOf(tuple):
+    """Alternative shapes for one field."""
+
+
+# The shape of a context document.  ``str`` is a JSON string, ``[s]`` a list
+# of s, a tuple a list of exactly those entries, a dict an object whose listed
+# keys have those shapes ("*" for every other key; without "*" other keys are
+# ignored).  Missing fields are reported by the parser.
+_TRIPLE = (str, str, str)
+_DOCUMENT_SHAPE = {
+    "quantaloid": {
+        "preset": _AnyOf((str, {"name": str})),
+        "objects": [str],
+        "homs": {"*": {"elements": [str], "leq": [(str, str)]}},
+        "compose": [_TRIPLE],
+        "units": {"*": str},
+        "name": str,
+    },
+    "categories": {"*": {"objects": [{"label": str, "type": str}], "hom": [_TRIPLE]}},
+    "distributors": {"*": {"from": str, "to": str, "entries": [_TRIPLE]}},
+    "functors": {"*": {"from": str, "to": str, "map": {"*": str}}},
+}
+
+
+def _shape_name(shape) -> str:
+    if isinstance(shape, _AnyOf):
+        return " or ".join(map(_shape_name, shape))
+    if shape is str:
+        return "a string"
+    if isinstance(shape, tuple):
+        return f"a list of {len(shape)}"
+    return "a list" if isinstance(shape, list) else "an object"
+
+
+def _fits(value, shape) -> bool:
+    """Whether the value has the shape's JSON kind (entries are checked apart)."""
+    if isinstance(shape, _AnyOf):
+        return any(_fits(value, alt) for alt in shape)
+    if shape is str:
+        return isinstance(value, str)
+    if isinstance(shape, dict):
+        return isinstance(value, dict)
+    return isinstance(value, list) and (isinstance(shape, list) or len(value) == len(shape))
+
+
+def _check_shape(value, shape, path: str = "$") -> None:
+    """Raise a UsageError naming the JSON path of the first misshapen field."""
+    if not _fits(value, shape):
+        got = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+        raise UsageError(f"{path} must be {_shape_name(shape)}, got {got}")
+    if isinstance(shape, _AnyOf):
+        _check_shape(value, next(alt for alt in shape if _fits(value, alt)), path)
+    elif isinstance(shape, dict):
+        for key, item in value.items():
+            sub = shape.get(key, shape.get("*"))
+            if sub is not None:
+                step = f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
+                _check_shape(item, sub, path + step)
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, tuple):
+        for i, (item, sub) in enumerate(zip(value, shape)):
+            _check_shape(item, sub, f"{path}[{i}]")
+
+
 def load_document(path: str) -> ContextDocument:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise UsageError(f"{path} is not valid JSON: {e}") from None
+    _check_shape(data, _DOCUMENT_SHAPE)
     try:
         return parse_document(data)
     except KeyError as e:
@@ -574,6 +649,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except QfcaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ complement route is also available.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,7 +33,6 @@ from .qcat import (
     QCategory,
     QFunctor,
     singleton_category,
-    underlying_order,
     validate_functor,
 )
 from .qdist import (
@@ -54,7 +54,6 @@ from .presheaf import (
     materialize_presheaves,
     presheaf_hom,
     presheaf_label,
-    presheaf_meet,
     pushforward,
     top_presheaf,
     yoneda,
@@ -64,6 +63,7 @@ from .quantaloid import (
     Arrow,
     CyclicDualizingFamily,
     Quantaloid,
+    _bits,
     complement_arrow,
     is_cyclic_family,
     is_dualizing_family,
@@ -195,23 +195,31 @@ class KanPair:
 class ConceptLattice:
     """Fixed presheaves of one of the two closures, with their category.
 
-    Concepts are grouped by type in quantaloid object order; within a type the
-    order is the closure's insertion order (generators first, then meets), so
-    repeated runs produce identical output.
+    Concepts are grouped by type in quantaloid object order.  Within a type
+    the order is the closure's insertion order: each generator in turn, then
+    the new meets it makes with the concepts before it.  Repeated runs
+    therefore produce identical output.
+
+    ``category`` (the full subcategory of presheaves on the concepts) is
+    built on first use; serialization reads the order from the concepts'
+    down-set codes instead.  It is a pure function of the concepts, so two
+    threads that race to build it build equal categories.
     """
 
     def __init__(self, kind: str, phi: QDistributor, concepts: tuple[Presheaf, ...]):
         self.kind = kind
         self.phi = phi
         self.concepts = concepts
-        base = phi.dom if kind == "fca" else phi.cod
-        labels = [presheaf_label(p) for p in concepts]
-        hom = [[presheaf_hom(p, p2) for p2 in concepts] for p in concepts]
-        self.category = QCategory(phi.q, labels, [p.type for p in concepts], hom,
-                                  name=f"{kind}({phi.name})")
-        self.base = base
-        self._by_key = {p.key(): lbl for p, lbl in zip(concepts, labels)}
-        self._by_label = dict(zip(labels, concepts))
+        self.base = phi.dom if kind == "fca" else phi.cod
+        self._labels = tuple(presheaf_label(p) for p in concepts)
+        self._by_key = {p.key(): lbl for p, lbl in zip(concepts, self._labels)}
+        self._by_label = dict(zip(self._labels, concepts))
+
+    @functools.cached_property
+    def category(self) -> QCategory:
+        hom = [[presheaf_hom(p, p2) for p2 in self.concepts] for p in self.concepts]
+        return QCategory(self.phi.q, self._labels, [p.type for p in self.concepts], hom,
+                         name=f"{self.kind}({self.phi.name})")
 
     def per_type(self) -> dict[str, tuple[Presheaf, ...]]:
         out: dict[str, list[Presheaf]] = {q: [] for q in self.phi.q.objects}
@@ -238,29 +246,61 @@ class ConceptLattice:
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
 
 
+class _DownSetCode:
+    """Presheaves of one type on a base as ints: their values' down-sets side by side.
+
+    Position i holds ``q.homs[(|x_i|, qobj)].down[v_i]`` at a fixed offset.  In
+    a lattice the down-set of a meet is the intersection of the down-sets, so
+    the pointwise meet of two presheaves is ``&`` of their codes, and
+    ``mu <= nu`` pointwise exactly when ``code(mu) & ~code(nu) == 0``.
+    """
+
+    def __init__(self, base: QCategory, qobj: str):
+        q = base.q
+        self.base, self.qobj = base, qobj
+        self._rows, self._fields, self._arrows = [], [], []
+        offset = 0
+        for t in base.types:
+            hom = q.homs[(t, qobj)]
+            rows = tuple(d << offset for d in hom.down)
+            self._rows.append(rows)
+            self._fields.append(((1 << len(hom)) - 1) << offset)
+            self._arrows.append(dict(zip(rows, q.arrow_table[(t, qobj)])))
+            offset += len(hom)
+
+    def encode(self, p: Presheaf) -> int:
+        return sum(rows[v.index] for rows, v in zip(self._rows, p.values))
+
+    def decode(self, code: int) -> Presheaf:
+        return Presheaf(self.base, self.qobj,
+                        tuple(arrows[code & field]
+                              for field, arrows in zip(self._fields, self._arrows)))
+
+
 def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
-    """Worklist closure under binary pointwise meets, deterministic order."""
+    """Closure of the generators under binary pointwise meets, on down-set codes.
+
+    Each generator that is not yet present is added, followed by its meet
+    with every element present before it.  That keeps the set meet-closed,
+    since ``(g & x) & (g & y) == g & (x & y)``, so the closure costs one AND
+    per generator and element.
+    """
     limit = budget("closure", cap)
-    items: list[Presheaf] = []
-    seen = set()  # index vectors: base and type are fixed, so they identify a presheaf
-
-    def add(p: Presheaf) -> None:
-        key = tuple(a.index for a in p.values)
-        if key not in seen:
-            seen.add(key)
-            items.append(p)
-            if len(items) > limit:
-                raise ClosureBudgetExceeded(
-                    f"meet closure at type {qobj} exceeded {limit} elements")
-
-    for g in generators:
-        add(g)
-    i = 0
-    while i < len(items):
-        for j in range(i):
-            add(presheaf_meet(base, qobj, [items[i], items[j]]))
-        i += 1
-    return tuple(items)
+    code = _DownSetCode(base, qobj)
+    codes: list[int] = []
+    seen: set[int] = set()
+    for g in map(code.encode, generators):
+        if g in seen:
+            continue
+        for m in [g] + [g & x for x in codes]:
+            if m not in seen:
+                seen.add(m)
+                codes.append(m)
+                if len(codes) > limit:
+                    raise ClosureBudgetExceeded(
+                        f"closure cap of {limit} elements exceeded by the meet closure "
+                        f"at type {qobj!r}; QFCA_BUDGET or cap= overrides it")
+    return tuple(map(code.decode, codes))
 
 
 def fca_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) -> ConceptLattice:
@@ -707,19 +747,41 @@ def verify_functoriality_square(c: ChuTransform, cap: int | None = None) -> Repo
 # -- serialization ---------------------------------------------------------------------
 
 
+def _hasse_covers(base: QCategory, ps, labels) -> list[tuple[str, str]]:
+    """Cover label pairs (lower, upper) among concepts ``ps`` of one type, sorted.
+
+    Read from the down-set codes: a concept's covers are its strict up-set
+    minus the up-sets of the concepts in it.  Distinct concepts have distinct
+    codes, so this is ``Preorder.hasse_edges`` of the lattice category on ps,
+    without building that category.
+    """
+    if not ps:
+        return []
+    code = _DownSetCode(base, ps[0].type)
+    codes = [code.encode(p) for p in ps]
+    ups = [sum(1 << j for j, y in enumerate(codes) if x & ~y == 0) & ~(1 << i)
+           for i, x in enumerate(codes)]
+    edges = []
+    for i, up in enumerate(ups):
+        above = 0
+        for j in _bits(up):
+            above |= ups[j]
+        edges.extend((labels[i], labels[j]) for j in _bits(up & ~above))
+    return sorted(edges)
+
+
 def lattice_to_json(lat: ConceptLattice) -> dict:
     q = lat.phi.q
     types = {}
     for qobj, ps in lat.per_type().items():
-        sub = lat.category.full_subcategory([lat.label_of(p) for p in ps]) if ps else None
-        hasse = list(underlying_order(sub).hasse_edges()) if sub else []
+        labels = [lat.label_of(p) for p in ps]
         types[qobj] = {
             "concepts": [
-                {"label": lat.label_of(p),
+                {"label": lbl,
                  "values": {x: q.label(v) for x, v in zip(p.base.objects, p.values)}}
-                for p in ps
+                for p, lbl in zip(ps, labels)
             ],
-            "hasse": [[a, b] for a, b in hasse],
+            "hasse": [[a, b] for a, b in _hasse_covers(lat.base, ps, labels)],
         }
     return {"kind": lat.kind, "context": lat.phi.name, "types": types}
 
@@ -740,9 +802,7 @@ def lattice_to_dot(lat: ConceptLattice) -> str:
         for p, lbl in zip(ps, labels):
             text = ", ".join(f"{x}:{q.label(v)}" for x, v in zip(p.base.objects, p.values))
             lines.append(f"  {_dot_quote(lbl)} [label={_dot_quote(text)}];")
-        if ps:
-            sub = lat.category.full_subcategory(labels)
-            for a, b in underlying_order(sub).hasse_edges():
-                lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
+        for a, b in _hasse_covers(lat.base, ps, labels):
+            lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
     return "\n".join(lines) + "\n"

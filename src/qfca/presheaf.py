@@ -274,19 +274,6 @@ def pushforward(F: QFunctor, mu: Presheaf) -> Presheaf:
     return Presheaf(A, mu.type, values)
 
 
-def copushforward(F: QFunctor, lam: Copresheaf) -> Copresheaf:
-    """Transport a copresheaf along F by composing with the graph of F."""
-    if lam.base != F.dom:
-        raise BaseMismatch("copresheaf must live on the functor's domain")
-    A, X, q = F.cod, F.dom, F.cod.q
-    values = tuple(
-        q.hom_join(lam.type, A.types[i],
-                   [q.compose(A.hom_of(F(x), A.objects[i]), lam.at(x)) for x in X.objects])
-        for i in range(len(A))
-    )
-    return Copresheaf(A, lam.type, values)
-
-
 # -- pointwise Kan extensions ----------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 
 import qfca.cli as cli
@@ -203,7 +206,58 @@ def test_byte_identical_outputs(capsys):
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QFCA_BUDGET", "1")
     code = cli.main(["concepts", str(CONTEXTS / "fix_2id.json"), "--oracle"])
-    assert code == 1  # the enumeration cap trips and surfaces as an error
+    assert code == 4  # the cap trips and surfaces as budget exhaustion
+
+
+def test_budget_exhaustion_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("QFCA_BUDGET", "2")
+    code = cli.main(["concepts", str(CONTEXTS / "fix_2id.json"), "--mode", "fca"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "closure cap of 2 elements" in err and "at type '*'" in err
+    assert "QFCA_BUDGET or cap= overrides it" in err
+    monkeypatch.setenv("QFCA_BUDGET", "1")
+    # enumeration (BudgetExceeded) and family search (SearchBudgetExceeded)
+    assert cli.main(["verify", str(CONTEXTS / "fix_2id.json"), "--prop", "yoneda"]) == 4
+    assert cli.main(["girard", str(CONTEXTS / "godel3.json")]) == 4
+
+
+def test_malformed_documents_are_usage_errors(tmp_path):
+    doc = json.loads((CONTEXTS / "fix_2id.json").read_text())
+    doc["categories"]["A"]["objects"] = 5
+    cases = {"list.json": ([doc], "$ must be an object"),
+             "objects.json": (doc, "$.categories.A.objects must be a list, got 5")}
+    for name, (data, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfca.cli", "concepts", str(path)],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_document_shape_paths(capsys, tmp_path):
+    base = json.loads((CONTEXTS / "fix_2id.json").read_text())
+    edits = [
+        (lambda d: d["quantaloid"].update(preset=5),
+         "$.quantaloid.preset must be a string or an object, got 5"),
+        (lambda d: d["quantaloid"].update(preset={"name": 5}),
+         "$.quantaloid.preset.name must be a string, got 5"),
+        (lambda d: d["distributors"]["phi"]["entries"].append(["a1", "b2"]),
+         "$.distributors.phi.entries[2] must be a list of 3, got a list"),
+        (lambda d: d["functors"]["swapA"]["map"].update(a1=["a2"]),
+         "$.functors.swapA.map.a1 must be a string, got a list"),
+    ]
+    for edit, message in edits:
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_verify_data_unknown_name_usage_error(capsys, tmp_path):

@@ -1,7 +1,7 @@
 
 import pytest
 
-from qfca.errors import NotGirard, HypothesesNotMet
+from qfca.errors import ClosureBudgetExceeded, NotGirard, HypothesesNotMet
 from qfca.qcat import (
     QCategory,
     QFunctor,
@@ -420,3 +420,21 @@ def test_serializers_deterministic(fixl3):
     assert j1 == j2
     d1, d2 = lattice_to_dot(lat), lattice_to_dot(rst_lattice(fixl3.phi))
     assert d1 == d2 and d1.count("digraph") == 1 and "->" in d1
+
+
+def test_closure_budget_boundary(all_contexts):
+    # the cap bounds each type's closure: the largest type fits at cap N, not at N - 1
+    for ctx in all_contexts.values():
+        for compute in (fca_lattice, rst_lattice):
+            lat = compute(ctx.phi)
+            sizes = {t: len(ps) for t, ps in lat.per_type().items()}
+            n = max(sizes.values())
+            assert compute(ctx.phi, cap=n).keys() == lat.keys()
+            with pytest.raises(ClosureBudgetExceeded) as err:
+                compute(ctx.phi, cap=n - 1)
+            message = str(err.value)
+            assert f"closure cap of {n - 1} elements" in message
+            first_full = next(t for t, k in sizes.items() if k == n)
+            assert f"at type {first_full!r}" in message
+            assert "QFCA_BUDGET or cap= overrides it" in message
+

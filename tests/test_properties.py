@@ -5,7 +5,8 @@ objects (every category structure ``_helpers.enumerate_categories`` yields,
 with every typing) and over one-object quantales as well as the
 three-object ``frame-diagonal chain=3``; the distributor is any valid one
 between the drawn carriers.  The brute-force enumeration is the oracle for
-the closure-built lattices.
+the closure-built lattices, and the materialized lattice category is the
+oracle for the Hasse covers that serialization reads from down-set codes.
 """
 
 import functools
@@ -14,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from _helpers import enumerate_categories, enumerate_distributors
 from qfca.quantaloid import build_preset
+from qfca.qcat import underlying_order
 from qfca.presheaf import enumerate_presheaves, pointwise_leq
 from qfca.concept import (
     IsbellPair,
     KanPair,
     brute_force_fixed,
     fca_lattice,
+    lattice_to_dot,
+    lattice_to_json,
     rst_lattice,
     verify_rst_as_fca,
 )
@@ -84,3 +88,19 @@ def test_closure_laws_randomized(data):
         for lam in enumerate_presheaves(phi.cod, qobj):
             assert pointwise_leq(lam, kan.closure(lam))
             assert kan.closure(kan.closure(lam)) == kan.closure(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mask_covers_match_lattice_category_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    for compute in (fca_lattice, rst_lattice):
+        lat = compute(phi)
+        types = lattice_to_json(lat)["types"]
+        lattice_to_dot(lat)
+        assert "category" not in lat.__dict__
+        for qobj, ps in lat.per_type().items():
+            sub = lat.category.full_subcategory([lat.label_of(p) for p in ps])
+            expected = [list(e) for e in underlying_order(sub).hasse_edges()]
+            assert types[qobj]["hasse"] == expected, (lat.kind, qobj)
