@@ -157,3 +157,68 @@ def scan_right_imp(Q, v, w):
     le, comp = Q.hom(p, r).leq_pairs, Q.compose_table[(p, q, r)]
     return scan_join(Q, p, q, [u for u in range(len(Q.hom(p, q)))
                                if (comp[v.index][u], w.index) in le])
+
+
+# -- brute-force copresheaf half --------------------------------------------------
+#
+# Entrywise, from the scans above and the composition table only.  Each
+# returns the value vector as arrows; ``scan_*`` give the index in the hom.
+
+
+def scan_compose(Q, v, u):
+    """Index of v . u read straight from the composition table."""
+    return Q.compose_table[(u.src, u.dst, v.dst)][v.index][u.index]
+
+
+def scan_leq(Q, a, b):
+    return (a.index, b.index) in Q.hom(a.src, a.dst).leq_pairs
+
+
+def oracle_isbell_down(phi, lam):
+    """down(lam)(a) = meet_b right_imp(lam(b), phi(a, b)): |a| -> type."""
+    Q, t = phi.q, lam.type
+    return tuple(
+        Arrow(p, t, scan_meet(Q, p, t, [scan_right_imp(Q, v, w)
+                                        for v, w in zip(lam.values, row)]))
+        for p, row in zip(phi.dom.types, phi.matrix))
+
+
+def oracle_kan_dag(phi, mu):
+    """dag(mu)(b) = join_a phi(a, b) . mu(a): type -> |b|."""
+    Q, s = phi.q, mu.type
+    return tuple(
+        Arrow(s, b, scan_join(Q, s, b, [scan_compose(Q, row[j], u)
+                                        for row, u in zip(phi.matrix, mu.values)]))
+        for j, b in enumerate(phi.cod.types))
+
+
+def oracle_kan_lower_dag(phi, lam):
+    """lower_dag(lam)(a) = meet_b right_imp(phi(a, b), lam(b)): type -> |a|."""
+    Q, t = phi.q, lam.type
+    return tuple(
+        Arrow(t, p, scan_meet(Q, t, p, [scan_right_imp(Q, v, w)
+                                        for v, w in zip(row, lam.values)]))
+        for p, row in zip(phi.dom.types, phi.matrix))
+
+
+def oracle_copresheaf_hom(lam, kap):
+    """hom(lam, kap) = meet_a right_imp(kap(a), lam(a)): type(lam) -> type(kap)."""
+    Q, s, t = lam.base.q, lam.type, kap.type
+    return Arrow(s, t, scan_meet(Q, s, t, [scan_right_imp(Q, v, w)
+                                           for v, w in zip(kap.values, lam.values)]))
+
+
+def oracle_copresheaf_law(A, values):
+    """hom(x_i, x_j) . values[i] <= values[j] for all i, j."""
+    Q, n = A.q, len(A)
+    return all(scan_leq(Q, Arrow(values[i].src, A.types[j],
+                                 scan_compose(Q, A.hom[i][j], values[i])), values[j])
+               for i in range(n) for j in range(n))
+
+
+def all_copresheaf_vectors(A, qobj):
+    """Every vector of arrows qobj -> |x_i|, law or not, in lexicographic order."""
+    Q = A.q
+    pools = [range(len(Q.hom(qobj, t))) for t in A.types]
+    for combo in itertools.product(*pools):
+        yield tuple(Arrow(qobj, t, k) for t, k in zip(A.types, combo))

@@ -3,8 +3,10 @@
 Contexts are drawn over discrete and non-discrete carriers of one or two
 objects (every category structure ``_helpers.enumerate_categories`` yields,
 with every typing) and over one-object quantales as well as the
-three-object ``frame-diagonal chain=3``; the distributor is any valid one
-between the drawn carriers.  The brute-force enumeration is the oracle for
+three-object ``frame-diagonal chain=3``; over ``two`` carriers have up to
+three objects, enough for lattices with concepts that are meets of
+generators but not generators.  The distributor is any valid one between
+the drawn carriers.  The brute-force enumeration is the oracle for
 the closure-built lattices, and the materialized lattice category is the
 oracle for the Hasse covers that serialization reads from down-set codes.
 """
@@ -13,15 +15,34 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
-from _helpers import enumerate_categories, enumerate_distributors
+from _helpers import (
+    all_copresheaf_vectors,
+    enumerate_categories,
+    enumerate_distributors,
+    oracle_copresheaf_hom,
+    oracle_copresheaf_law,
+    oracle_isbell_down,
+    oracle_kan_dag,
+    oracle_kan_lower_dag,
+)
 from qfca.quantaloid import build_preset
-from qfca.qcat import underlying_order
-from qfca.presheaf import enumerate_presheaves, pointwise_leq
+from qfca.qcat import QTypedSet, discrete_category, underlying_order
+from qfca.presheaf import (
+    Copresheaf,
+    copresheaf_hom,
+    copresheaf_law_ok,
+    enumerate_copresheaves,
+    enumerate_presheaves,
+    pointwise_leq,
+)
 from qfca.concept import (
     IsbellPair,
     KanPair,
     brute_force_fixed,
     fca_lattice,
+    isbell_down,
+    kan_dag,
+    kan_lower_dag,
     lattice_to_dot,
     lattice_to_json,
     rst_lattice,
@@ -48,22 +69,34 @@ def _distributors(A, B):
 def random_context(data, Q):
     cats = {}
     for side in ("a", "b"):
-        n = data.draw(st.integers(1, 2), label=f"{side}-size")
+        n = data.draw(st.integers(1, 3 if Q is TWO else 2), label=f"{side}-size")
         labels = tuple(f"{side}{i}" for i in range(n))
         cats[side] = data.draw(st.sampled_from(_categories(Q, labels)), label=f"{side}-category")
     return data.draw(st.sampled_from(_distributors(cats["a"], cats["b"])), label="context")
+
+
+def classical_context(data):
+    """A relation between discrete 3-object carriers over ``two``.
+
+    Over half of the 512 have a concept that is a meet of generators but
+    not itself a generator, which valid contexts on the preorders that
+    ``random_context`` draws rarely have.
+    """
+    A, B = (discrete_category(TWO, QTypedSet(tuple(f"{side}{i}" for i in range(3)), ("*",) * 3))
+            for side in "ab")
+    return data.draw(st.sampled_from(_distributors(A, B)), label="classical-context")
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lattices_match_brute_force_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
-    phi = random_context(data, Q)
-    for kind, compute in (("fca", fca_lattice), ("rst", rst_lattice)):
-        per_type = compute(phi).per_type()
-        for qobj in Q.objects:
-            expected = {p.key() for p in brute_force_fixed(phi, kind, qobj)}
-            assert {p.key() for p in per_type[qobj]} == expected, (kind, qobj)
+    for phi in (random_context(data, Q), classical_context(data)):
+        for kind, compute in (("fca", fca_lattice), ("rst", rst_lattice)):
+            per_type = compute(phi).per_type()
+            for qobj in phi.q.objects:
+                expected = {p.key() for p in brute_force_fixed(phi, kind, qobj)}
+                assert {p.key() for p in per_type[qobj]} == expected, (kind, qobj)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,3 +137,32 @@ def test_mask_covers_match_lattice_category_randomized(data):
             sub = lat.category.full_subcategory([lat.label_of(p) for p in ps])
             expected = [list(e) for e in underlying_order(sub).hasse_edges()]
             assert types[qobj]["hasse"] == expected, (lat.kind, qobj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_copresheaf_half_matches_oracle_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    A, B = phi.dom, phi.cod
+    for qobj in Q.objects:
+        spaces = {}
+        for C in (A, B):
+            vectors = list(all_copresheaf_vectors(C, qobj))
+            for values in vectors:
+                assert copresheaf_law_ok(Copresheaf(C, qobj, values)) == \
+                    oracle_copresheaf_law(C, values)
+            expected = [v for v in vectors if oracle_copresheaf_law(C, v)]
+            spaces[C] = enumerate_copresheaves(C, qobj)
+            assert [lam.values for lam in spaces[C]] == expected
+            assert all(lam.base is C and lam.type == qobj for lam in spaces[C])
+        for lam in spaces[B]:
+            assert isbell_down(phi, lam).values == oracle_isbell_down(phi, lam)
+            assert kan_lower_dag(phi, lam).values == oracle_kan_lower_dag(phi, lam)
+        for mu in spaces[A]:
+            assert kan_dag(phi, mu).values == oracle_kan_dag(phi, mu)
+        for kap_type in Q.objects:
+            others = enumerate_copresheaves(A, kap_type)
+            for lam in spaces[A]:
+                for kap in others:
+                    assert copresheaf_hom(lam, kap) == oracle_copresheaf_hom(lam, kap)
