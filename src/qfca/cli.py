@@ -128,6 +128,8 @@ def _parse_arrow_ref(Q: Quantaloid, ref: str) -> Arrow:
     if ":" in ref and "->" in ref.split(":", 1)[0]:
         hom, label = ref.split(":", 1)
         p, q = hom.split("->", 1)
+        if (p, q) not in Q.homs:
+            raise UsageError(f"arrow {ref!r} names the unknown hom {hom!r}")
         return Q.arrow(p, q, label)
     hits = [a for a in Q.all_arrows() if Q.label(a) == ref]
     if not hits:
@@ -150,12 +152,17 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
         if "->" not in key:
             raise UsageError(f"hom section {key!r} is not named 'p->q'")
         p, q = key.split("->", 1)
+        unknown = [x for pair in h.get("leq", []) for x in pair if x not in h["elements"]]
+        if unknown:
+            raise UsageError(f"hom section {key!r}: leq names the unknown label {unknown[0]!r}")
         homs[(p, q)] = HomLattice.from_labels(h["elements"], [tuple(x) for x in h.get("leq", [])])
     for p, q in itertools.product(objects, repeat=2):
         if (p, q) not in homs:
             raise UsageError(f"missing hom section '{p}->{q}'")
     units = {}
     for q, label in spec["units"].items():
+        if (q, q) not in homs:
+            raise UsageError(f"units name the unknown object {q!r}")
         units[q] = homs[(q, q)].index(label)
     tables = {}
     for p, q, r in itertools.product(objects, repeat=3):

@@ -32,6 +32,7 @@ from .errors import (
 from .qcat import (
     QCategory,
     QFunctor,
+    is_fully_faithful,
     singleton_category,
     validate_functor,
 )
@@ -40,6 +41,7 @@ from .qdist import (
     QDistributor,
     dist_left_imp,
     dist_right_imp,
+    dualize_distributor,
     identity_dist,
     validate_chu,
 )
@@ -47,7 +49,8 @@ from .presheaf import (
     Copresheaf,
     Presheaf,
     PresheafSpace,
-    copresheaf_hom,
+    _copresheaf_of,
+    _presheaf_of,
     enumerate_presheaves,
     is_codense,
     materialize_copresheaves,
@@ -78,26 +81,22 @@ def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
     if mu.base != phi.dom:
         raise BaseMismatch("presheaf must live on the context's row category")
     q, limp, s = phi.q, phi.q.limp_table, mu.type
+    q.require_lattices()
     mu_ix = [a.index for a in mu.values]
-    values = tuple(
-        q.meet_ix(s, t, [limp[(p, s, t)][row[j].index][u]
-                         for p, row, u in zip(phi.dom.types, phi.matrix, mu_ix)])
-        for j, t in enumerate(phi.cod.types)
-    )
-    return Copresheaf(phi.cod, s, values)
+    values = []
+    for j, t in enumerate(phi.cod.types):  # meet_ix inlined: this is the hot loop
+        meets, k = q.homs[s, t].meets, q.homs[s, t].top
+        for p, row, u in zip(phi.dom.types, phi.matrix, mu_ix):
+            k = meets[k][limp[p, s, t][row[j].index][u]]
+        values.append(q.arrow_table[s, t][k])
+    return Copresheaf(phi.cod, s, tuple(values))
 
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
+    """isbell_up of the dual context: a copresheaf on B back to a presheaf on A."""
     if lam.base != phi.cod:
         raise BaseMismatch("copresheaf must live on the context's column category")
-    q, rimp, t = phi.q, phi.q.rimp_table, lam.type
-    lam_ix = [a.index for a in lam.values]
-    values = tuple(
-        q.meet_ix(p, t, [rimp[(p, t, b)][v][w.index]
-                         for b, v, w in zip(phi.cod.types, lam_ix, row)])
-        for p, row in zip(phi.dom.types, phi.matrix)
-    )
-    return Presheaf(phi.dom, t, values)
+    return _presheaf_of(isbell_up(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
 
 
 def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
@@ -105,13 +104,15 @@ def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
     if lam.base != phi.cod:
         raise BaseMismatch("presheaf must live on the context's column category")
     q, comp, t = phi.q, phi.q.compose_table, lam.type
+    q.require_lattices()
     lam_ix = [a.index for a in lam.values]
-    values = tuple(
-        q.join_ix(p, t, [comp[(p, b, t)][v][u.index]
-                         for b, v, u in zip(phi.cod.types, lam_ix, row)])
-        for p, row in zip(phi.dom.types, phi.matrix)
-    )
-    return Presheaf(phi.dom, t, values)
+    values = []
+    for p, row in zip(phi.dom.types, phi.matrix):  # join_ix inlined
+        joins, k = q.homs[p, t].joins, q.homs[p, t].bottom
+        for b, v, u in zip(phi.cod.types, lam_ix, row):
+            k = joins[k][comp[p, b, t][v][u.index]]
+        values.append(q.arrow_table[p, t][k])
+    return Presheaf(phi.dom, t, tuple(values))
 
 
 def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
@@ -119,41 +120,29 @@ def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
     if mu.base != phi.dom:
         raise BaseMismatch("presheaf must live on the context's row category")
     q, limp, s = phi.q, phi.q.limp_table, mu.type
+    q.require_lattices()
     mu_ix = [a.index for a in mu.values]
-    values = tuple(
-        q.meet_ix(b, s, [limp[(p, b, s)][w][row[j].index]
-                         for p, row, w in zip(phi.dom.types, phi.matrix, mu_ix)])
-        for j, b in enumerate(phi.cod.types)
-    )
-    return Presheaf(phi.cod, s, values)
+    values = []
+    for j, b in enumerate(phi.cod.types):  # meet_ix inlined
+        meets, k = q.homs[b, s].meets, q.homs[b, s].top
+        for p, row, w in zip(phi.dom.types, phi.matrix, mu_ix):
+            k = meets[k][limp[p, b, s][w][row[j].index]]
+        values.append(q.arrow_table[b, s][k])
+    return Presheaf(phi.cod, s, tuple(values))
 
 
 def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
-    """Compose a copresheaf on A with the context, giving a copresheaf on B."""
+    """Compose a copresheaf on A with the context: kan_star of the dual context."""
     if mu.base != phi.dom:
         raise BaseMismatch("copresheaf must live on the context's row category")
-    q, comp, s = phi.q, phi.q.compose_table, mu.type
-    mu_ix = [a.index for a in mu.values]
-    values = tuple(
-        q.join_ix(s, b, [comp[(s, p, b)][row[j].index][u]
-                         for p, row, u in zip(phi.dom.types, phi.matrix, mu_ix)])
-        for j, b in enumerate(phi.cod.types)
-    )
-    return Copresheaf(phi.cod, s, values)
+    return _copresheaf_of(kan_star(dualize_distributor(phi), _presheaf_of(mu)), phi.cod)
 
 
 def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
-    """Left extension of a copresheaf on B along the context; lands on A."""
+    """Left extension of a copresheaf on B along the context: kan_lower of the dual."""
     if lam.base != phi.cod:
         raise BaseMismatch("copresheaf must live on the context's column category")
-    q, rimp, t = phi.q, phi.q.rimp_table, lam.type
-    lam_ix = [a.index for a in lam.values]
-    values = tuple(
-        q.meet_ix(t, p, [rimp[(t, p, b)][v.index][w]
-                         for b, v, w in zip(phi.cod.types, row, lam_ix)])
-        for p, row in zip(phi.dom.types, phi.matrix)
-    )
-    return Copresheaf(phi.dom, t, values)
+    return _copresheaf_of(kan_lower(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
 
 
 @dataclass(frozen=True)
@@ -303,74 +292,68 @@ def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
     return tuple(map(code.decode, codes))
 
 
+def _fixpoint_lattice(kind: str, phi: QDistributor, base: QCategory, generators, closure,
+                      cap: int | None, verify: bool) -> ConceptLattice:
+    """All fixed presheaves of ``closure`` on ``base``, one meet-closure per type.
+
+    ``generators(qobj)`` yields fixed presheaves whose meets, with the top
+    presheaf (the empty meet), are all the fixed ones.
+    """
+    phi.q.require_lattices()
+    concepts: list[Presheaf] = []
+    for qobj in phi.q.objects:
+        closed = _meet_closure(base, qobj, [top_presheaf(base, qobj), *generators(qobj)], cap)
+        if verify:
+            for p in closed:
+                if closure(p) != p:
+                    raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
+        concepts.extend(closed)
+    return ConceptLattice(kind, phi, tuple(concepts))
+
+
 def fca_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) -> ConceptLattice:
-    """All fixed presheaves of the Isbell closure, one meet-closure per type.
+    """All fixed presheaves of the Isbell closure.
 
     The generators at type q are the residuals ``right_imp(v, phi(-, b))``
-    over all columns b and arrows v: q -> |b|, seeded with the top presheaf
-    (the empty meet).  Every generator is itself fixed and every fixed
-    presheaf is a meet of generators, so the closure is exactly the lattice.
+    over all columns b and arrows v: q -> |b|.
     """
-    A, B, q = phi.dom, phi.cod, phi.q
-    pair = IsbellPair(phi)
-    concepts: list[Presheaf] = []
-    q.require_lattices()
-    for qobj in q.objects:
-        gens = [top_presheaf(A, qobj)]
-        for j, b in enumerate(B.types):
+    A, q = phi.dom, phi.q
+
+    def generators(qobj):
+        for j, b in enumerate(phi.cod.types):
             column = [(q.rimp_table[(p, qobj, b)], q.arrows(p, qobj), row[j].index)
                       for p, row in zip(A.types, phi.matrix)]
             for v in range(len(q.hom(qobj, b))):
-                gens.append(Presheaf(A, qobj, tuple(arrows[rimp[v][w]]
-                                                    for rimp, arrows, w in column)))
-        closed = _meet_closure(A, qobj, gens, cap)
-        if verify:
-            for p in closed:
-                if pair.closure(p) != p:
-                    raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
-        concepts.extend(closed)
-    return ConceptLattice("fca", phi, tuple(concepts))
+                yield Presheaf(A, qobj, tuple(arrows[rimp[v][w]] for rimp, arrows, w in column))
+
+    return _fixpoint_lattice("fca", phi, A, generators, IsbellPair(phi).closure, cap, verify)
 
 
 def rst_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) -> ConceptLattice:
-    """All fixed presheaves of the Kan closure, one meet-closure per type.
+    """All fixed presheaves of the Kan closure.
 
     Generators at type q are ``left_imp(u, phi(a, -))`` over all rows a and
-    arrows u: |a| -> q, plus the top presheaf.
+    arrows u: |a| -> q.
     """
-    A, B, q = phi.dom, phi.cod, phi.q
-    pair = KanPair(phi)
-    concepts: list[Presheaf] = []
-    q.require_lattices()
-    for qobj in q.objects:
-        gens = [top_presheaf(B, qobj)]
-        for p, row in zip(A.types, phi.matrix):
+    B, q = phi.cod, phi.q
+
+    def generators(qobj):
+        for p, row in zip(phi.dom.types, phi.matrix):
             cells = [(q.limp_table[(p, b, qobj)], q.arrows(b, qobj), a.index)
                      for b, a in zip(B.types, row)]
             for u in range(len(q.hom(p, qobj))):
-                gens.append(Presheaf(B, qobj, tuple(arrows[limp[u][x]]
-                                                    for limp, arrows, x in cells)))
-        closed = _meet_closure(B, qobj, gens, cap)
-        if verify:
-            for p in closed:
-                if pair.closure(p) != p:
-                    raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
-        concepts.extend(closed)
-    return ConceptLattice("rst", phi, tuple(concepts))
+                yield Presheaf(B, qobj, tuple(arrows[limp[u][x]] for limp, arrows, x in cells))
+
+    return _fixpoint_lattice("rst", phi, B, generators, KanPair(phi).closure, cap, verify)
 
 
 def brute_force_fixed(phi: QDistributor, kind: str, qobj: str,
                       cap: int | None = None) -> tuple[Presheaf, ...]:
     """Independent oracle: filter the full presheaf enumeration by fixedness."""
-    if kind == "fca":
-        pair = IsbellPair(phi)
-        space = enumerate_presheaves(phi.dom, qobj, cap)
-        return tuple(p for p in space if pair.closure(p) == p)
-    if kind == "rst":
-        pair = KanPair(phi)
-        space = enumerate_presheaves(phi.cod, qobj, cap)
-        return tuple(p for p in space if pair.closure(p) == p)
-    raise QfcaError(f"unknown lattice kind {kind!r}")
+    if kind not in ("fca", "rst"):
+        raise QfcaError(f"unknown lattice kind {kind!r}")
+    pair, base = (IsbellPair(phi), phi.dom) if kind == "fca" else (KanPair(phi), phi.cod)
+    return tuple(p for p in enumerate_presheaves(base, qobj, cap) if pair.closure(p) == p)
 
 
 def macneille_completion(A: QCategory, cap: int | None = None) -> ConceptLattice:
@@ -472,17 +455,22 @@ def verify_rst_as_fca(phi: QDistributor, cap: int | None = None) -> Report:
     back = dist_right_imp(tr, rc.yoneda_graph)
     report.check("pseudo-complement-identity", back == phi,
                  "phi == (yoneda_graph <l phi) >r yoneda_graph")
-    k = rst_lattice(phi, cap)
-    m = fca_lattice(tr, cap)
-    k_types, m_types = k.per_type(), m.per_type()
+    _check_rst_is_fca(report, phi, tr, "residual-fca", cap, show_difference=True)
+    return report
+
+
+def _check_rst_is_fca(report: Report, phi: QDistributor, other: QDistributor, other_name: str,
+                      cap: int | None, show_difference: bool = False) -> None:
+    """One ``lattice-equality@q`` condition per type: rst(phi) against fca(other)."""
+    k_types = rst_lattice(phi, cap).per_type()
+    m_types = fca_lattice(other, cap).per_type()
     for qobj in phi.q.objects:
         ks = frozenset(p.key() for p in k_types[qobj])
         ms = frozenset(p.key() for p in m_types[qobj])
-        report.check(f"lattice-equality@{qobj}", ks == ms,
-                     f"rst has {len(ks)}, residual-fca has {len(ms)}"
-                     + ("" if ks == ms else
-                        f"; first difference {sorted(ks ^ ms)[:1]}"))
-    return report
+        detail = f"rst has {len(ks)}, {other_name} has {len(ms)}"
+        if show_difference and ks != ms:
+            detail += f"; first difference {sorted(ks ^ ms)[:1]}"
+        report.check(f"lattice-equality@{qobj}", ks == ms, detail)
 
 
 # -- Girard complements -------------------------------------------------------------
@@ -518,25 +506,13 @@ def verify_rst_as_fca_complement(phi: QDistributor, fam: CyclicDualizingFamily,
     report.check("complement-formulas",
                  neg == dist_left_imp(neg_a, phi) and neg == dist_right_imp(phi, neg_b),
                  "pointwise complement matches both residuation routes")
-    k = rst_lattice(phi, cap)
-    m = fca_lattice(neg, cap)
-    k_types, m_types = k.per_type(), m.per_type()
-    for qobj in phi.q.objects:
-        ks = frozenset(p.key() for p in k_types[qobj])
-        ms = frozenset(p.key() for p in m_types[qobj])
-        report.check(f"lattice-equality@{qobj}", ks == ms,
-                     f"rst has {len(ks)}, complement-fca has {len(ms)}")
+    _check_rst_is_fca(report, phi, neg, "complement-fca", cap)
     pa = materialize_presheaves(phi.dom)
     pda = materialize_copresheaves(phi.dom)
     negf = pa.functor_to(pda, lambda mu: complement_presheaf(fam, mu), name="complement")
     bijective = len(set(negf.mapping.values())) == len(pda.category.objects)
-    ff = all(
-        presheaf_hom(m1, m2) == copresheaf_hom(complement_presheaf(fam, m1),
-                                               complement_presheaf(fam, m2))
-        for m1 in pa.members for m2 in pa.members
-    )
     report.check("complement-is-iso",
-                 validate_functor(negf).ok and bijective and ff,
+                 validate_functor(negf).ok and bijective and is_fully_faithful(negf),
                  "complement is a bijective fully faithful functor P -> P+")
     return report
 
@@ -583,31 +559,28 @@ def codense_probe(Q: Quantaloid, qobj: str) -> Report:
 # -- transposes of a context ---------------------------------------------------------
 
 
+def _column(phi: QDistributor, y: str) -> Presheaf:
+    j = phi.cod.index(y)
+    return Presheaf(phi.dom, phi.cod.types[j], tuple(row[j] for row in phi.matrix))
+
+
 def presheaf_transpose(phi: QDistributor, pa: PresheafSpace) -> QFunctor:
     """Columns as presheaves: a functor from the column category into P(A)."""
     if pa.base != phi.dom or pa.kind != "presheaf":
         raise BaseMismatch("need the presheaf space of the context's row category")
-    B = phi.cod
-
-    def column(y: str) -> Presheaf:
-        j = B.index(y)
-        return Presheaf(phi.dom, B.types[j],
-                        tuple(phi.matrix[i][j] for i in range(len(phi.dom))))
-
-    return pa.functor_from(B, column, name=f"transpose({phi.name})")
+    return pa.functor_from(phi.cod, lambda y: _column(phi, y), name=f"transpose({phi.name})")
 
 
 def copresheaf_transpose(phi: QDistributor, pdb: PresheafSpace) -> QFunctor:
-    """Rows as copresheaves: a functor from the row category into P+(B)."""
+    """Rows as copresheaves: a functor from the row category into P+(B).
+
+    The rows of phi are the columns of its dual, read back as copresheaves.
+    """
     if pdb.base != phi.cod or pdb.kind != "copresheaf":
         raise BaseMismatch("need the copresheaf space of the context's column category")
-    A = phi.dom
-
-    def row(x: str) -> Copresheaf:
-        i = A.index(x)
-        return Copresheaf(phi.cod, A.types[i], tuple(phi.matrix[i]))
-
-    return pdb.functor_from(A, row, name=f"cotranspose({phi.name})")
+    op = dualize_distributor(phi)
+    return pdb.functor_from(phi.dom, lambda x: _copresheaf_of(_column(op, x), phi.cod),
+                            name=f"cotranspose({phi.name})")
 
 
 def verify_transpose_identities(phi: QDistributor) -> Report:
@@ -656,32 +629,29 @@ def _require_chu(c: ChuTransform) -> None:
         raise InvalidChu(f"not a Chu transform: {rep.issues[0].detail}")
 
 
+def _lattice_map(src: ConceptLattice, dst: ConceptLattice, F: QFunctor, closure,
+                 name: str) -> QFunctor:
+    """Each concept of src pushed forward along F and closed in dst."""
+    mapping = {src.label_of(p): dst.label_of(closure(pushforward(F, p))) for p in src.concepts}
+    return QFunctor(src.category, dst.category, mapping, name=name)
+
+
 def fca_lattice_map(c: ChuTransform, src: ConceptLattice | None = None,
                     dst: ConceptLattice | None = None) -> QFunctor:
     """The FCA lattice map of a Chu transform, from src concepts to dst concepts."""
     _require_chu(c)
-    src = src if src is not None else fca_lattice(c.frm)
-    dst = dst if dst is not None else fca_lattice(c.to)
-    pair = IsbellPair(c.to)
-    mapping = {
-        src.label_of(p): dst.label_of(pair.closure(pushforward(c.F, p)))
-        for p in src.concepts
-    }
-    return QFunctor(src.category, dst.category, mapping, name="fca-map")
+    return _lattice_map(src if src is not None else fca_lattice(c.frm),
+                        dst if dst is not None else fca_lattice(c.to),
+                        c.F, IsbellPair(c.to).closure, "fca-map")
 
 
 def rst_lattice_map(c: ChuTransform, src: ConceptLattice | None = None,
                     dst: ConceptLattice | None = None) -> QFunctor:
     """The RST lattice map of a Chu transform; contravariant: dst concepts to src."""
     _require_chu(c)
-    src = src if src is not None else rst_lattice(c.to)
-    dst = dst if dst is not None else rst_lattice(c.frm)
-    pair = KanPair(c.frm)
-    mapping = {
-        src.label_of(p): dst.label_of(pair.closure(pushforward(c.G, p)))
-        for p in src.concepts
-    }
-    return QFunctor(src.category, dst.category, mapping, name="rst-map")
+    return _lattice_map(src if src is not None else rst_lattice(c.to),
+                        dst if dst is not None else rst_lattice(c.frm),
+                        c.G, KanPair(c.frm).closure, "rst-map")
 
 
 def residual_map_functor(F: QFunctor, rc_src: ResidualCategory,

@@ -5,9 +5,13 @@ category on q; concretely a vector of arrows ``values[i]: |x_i| -> q`` with
 ``values[i] . hom(x_j, x_i) <= values[j]`` for all i, j.  A copresheaf points
 the other way: ``values[i]: q -> |x_i|``.
 
-Order warning: the underlying order of the copresheaf category is the
-*reverse* of the entrywise arrow order.  Functions here always state which
-order they use; ``pointwise_leq`` is always the entrywise one.
+A copresheaf on A over Q is a presheaf on the dual A^op over Q^op, so each
+copresheaf operation here is its presheaf twin applied to that dual.
+
+Order warning: the copresheaf category on A is the opposite of the presheaf
+category on A^op, so its underlying order is the *reverse* of the entrywise
+arrow order.  Functions here always state which order they use;
+``pointwise_leq`` is always the entrywise one.
 
 Presheaf and copresheaf categories are never materialized implicitly;
 ``materialize_presheaves``/``materialize_copresheaves`` build them explicitly
@@ -25,14 +29,14 @@ from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, bud
 from .qcat import (
     QCategory,
     QFunctor,
+    dualize_category,
+    dualize_functor,
     identity_functor,
     underlying_order,
     validate_functor,
 )
 from .qdist import (
-    cograph,
     dist_left_imp,
-    dist_right_imp,
     graph,
     identity_dist,
     is_adjoint_functor_pair,
@@ -41,33 +45,48 @@ from .quantaloid import Arrow
 
 
 @dataclass(frozen=True)
-class Presheaf:
+class _Vector:
+    """The fields and lookups that presheaves and copresheaves share."""
+
+    base: QCategory
+    type: str
+    values: tuple[Arrow, ...]
+
+    def at(self, x: str) -> Arrow:
+        return self.values[self.base.index(x)]
+
+    def key(self):
+        return (self.type, self.values)
+
+
+class Presheaf(_Vector):
     """A vector ``values[i]: |x_i| -> type`` over the base carrier."""
 
-    base: QCategory
-    type: str
-    values: tuple[Arrow, ...]
 
-    def at(self, x: str) -> Arrow:
-        return self.values[self.base.index(x)]
-
-    def key(self):
-        return (self.type, self.values)
-
-
-@dataclass(frozen=True)
-class Copresheaf:
+class Copresheaf(_Vector):
     """A vector ``values[i]: type -> |x_i|`` over the base carrier."""
 
-    base: QCategory
-    type: str
-    values: tuple[Arrow, ...]
 
-    def at(self, x: str) -> Arrow:
-        return self.values[self.base.index(x)]
+def _presheaf_of(lam: Copresheaf, base: QCategory | None = None) -> Presheaf:
+    """lam as a presheaf over the opposite quantaloid on ``base``, the dual of
+    lam's base (by default ``dualize_category(lam.base)``).
 
-    def key(self):
-        return (self.type, self.values)
+    Kept on lam, so each copresheaf is converted at most once; one made by
+    ``_copresheaf_of`` starts out with it.
+    """
+    mu = lam.__dict__.get("_dual")
+    if mu is None:
+        base = dualize_category(lam.base) if base is None else base
+        mu = lam.__dict__.setdefault(
+            "_dual", Presheaf(base, lam.type, lam.base.q.dual_arrows(lam.values)))
+    return mu
+
+
+def _copresheaf_of(mu: Presheaf, base: QCategory) -> Copresheaf:
+    """mu, a presheaf on the dual of ``base``, as a copresheaf on ``base``."""
+    lam = Copresheaf(base, mu.type, mu.base.q.dual_arrows(mu.values))
+    lam.__dict__["_dual"] = mu
+    return lam
 
 
 def _check_same_base(a, b):
@@ -85,12 +104,7 @@ def presheaf_law_ok(p: Presheaf) -> bool:
 
 
 def copresheaf_law_ok(lam: Copresheaf) -> bool:
-    A, q = lam.base, lam.base.q
-    n = len(A)
-    return all(
-        q.leq(q.compose(A.hom[i][j], lam.values[i]), lam.values[j])
-        for i in range(n) for j in range(n)
-    )
+    return presheaf_law_ok(_presheaf_of(lam))
 
 
 def pointwise_leq(a, b) -> bool:
@@ -114,13 +128,12 @@ def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
 
 
 def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
-    """The hom arrow from lam to kap: meet over a of right_imp(kap(a), lam(a))."""
-    _check_same_base(lam, kap)
-    A, q = lam.base, lam.base.q
-    s, t = lam.type, kap.type
-    rimp = q.rimp_table
-    return q.meet_ix(s, t, [rimp[(s, t, p)][v.index][w.index]
-                            for p, v, w in zip(A.types, kap.values, lam.values)])
+    """The hom arrow from lam to kap: meet over a of right_imp(kap(a), lam(a)).
+
+    It is the presheaf hom from kap to lam on the dual base.
+    """
+    mu = _presheaf_of(kap)
+    return mu.base.q.dual_arrows([presheaf_hom(mu, _presheaf_of(lam))])[0]
 
 
 def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
@@ -156,13 +169,7 @@ def presheaf_join(A: QCategory, qobj: str, parts) -> Presheaf:
 
 def copresheaf_join(A: QCategory, qobj: str, parts) -> Copresheaf:
     """Pointwise join, which is the *meet* in the copresheaf underlying order."""
-    parts = list(parts)
-    q = A.q
-    values = tuple(
-        q.hom_join(qobj, A.types[i], [p.values[i] for p in parts])
-        for i in range(len(A))
-    )
-    return Copresheaf(A, qobj, values)
+    return _copresheaf_of(presheaf_join(dualize_category(A), qobj, map(_presheaf_of, parts)), A)
 
 
 # -- Yoneda ---------------------------------------------------------------------
@@ -175,9 +182,8 @@ def yoneda(A: QCategory, a: str) -> Presheaf:
 
 
 def coyoneda(A: QCategory, a: str) -> Copresheaf:
-    """a |-> hom(a, -), of type |a|."""
-    i = A.index(a)
-    return Copresheaf(A, A.types[i], tuple(A.hom[i][j] for j in range(len(A))))
+    """a |-> hom(a, -), of type |a|: the Yoneda embedding of A^op."""
+    return _copresheaf_of(yoneda(dualize_category(A), a), A)
 
 
 # -- suprema, infima, weighted (co)limits ----------------------------------------
@@ -189,55 +195,32 @@ def _label_order(A: QCategory):
 
 
 def sup(A: QCategory, mu: Presheaf):
-    """The least-label object x with hom(x, -) = hom <l mu, or ``None``."""
+    """The least-label object x with hom(x, -) = hom <l mu, or ``None``: colim(mu, 1_A)."""
     if mu.base != A:
         raise BaseMismatch("presheaf does not live on this category")
-    q = A.q
-    n = len(A)
-    for i in _label_order(A):
-        if A.types[i] != mu.type:
-            continue
-        if all(
-            A.hom[i][j] == q.hom_meet(mu.type, A.types[j],
-                                      [q.left_imp(A.hom[k][j], mu.values[k])
-                                       for k in range(n)])
-            for j in range(n)
-        ):
-            return A.objects[i]
-    return None
+    return weighted_colimit(mu, identity_functor(A))
 
 
 def inf(A: QCategory, lam: Copresheaf):
     """The least-label object x with hom(-, x) = lam >r hom, or ``None``."""
     if lam.base != A:
         raise BaseMismatch("copresheaf does not live on this category")
-    q = A.q
-    n = len(A)
-    for i in _label_order(A):
-        if A.types[i] != lam.type:
-            continue
-        if all(
-            A.hom[j][i] == q.hom_meet(A.types[j], lam.type,
-                                      [q.right_imp(lam.values[k], A.hom[j][k])
-                                       for k in range(n)])
-            for j in range(n)
-        ):
-            return A.objects[i]
-    return None
+    return sup(dualize_category(A), _presheaf_of(lam))
 
 
 def weighted_colimit(mu: Presheaf, F: QFunctor):
     """Colimit of F weighted by mu: base(mu) must be dom(F); ``None`` if absent."""
     if mu.base != F.dom:
         raise BaseMismatch("weight must live on the functor's domain")
-    A, X, q = F.cod, F.dom, F.cod.q
+    A, q = F.cod, F.cod.q
+    image = [A.index(F(x)) for x in F.dom.objects]
     for i in _label_order(A):
         if A.types[i] != mu.type:
             continue
         if all(
             A.hom[i][j] == q.hom_meet(mu.type, A.types[j],
-                                      [q.left_imp(A.hom_of(F(x), A.objects[j]), mu.at(x))
-                                       for x in X.objects])
+                                      [q.left_imp(A.hom[k][j], v)
+                                       for k, v in zip(image, mu.values)])
             for j in range(len(A))
         ):
             return A.objects[i]
@@ -245,20 +228,8 @@ def weighted_colimit(mu: Presheaf, F: QFunctor):
 
 
 def weighted_limit(lam: Copresheaf, F: QFunctor):
-    if lam.base != F.dom:
-        raise BaseMismatch("weight must live on the functor's domain")
-    A, X, q = F.cod, F.dom, F.cod.q
-    for i in _label_order(A):
-        if A.types[i] != lam.type:
-            continue
-        if all(
-            A.hom[j][i] == q.hom_meet(A.types[j], lam.type,
-                                      [q.right_imp(lam.at(x), A.hom_of(A.objects[j], F(x)))
-                                       for x in X.objects])
-            for j in range(len(A))
-        ):
-            return A.objects[i]
-    return None
+    """Limit of F weighted by lam: the colimit of F^op weighted by lam^op."""
+    return weighted_colimit(_presheaf_of(lam), dualize_functor(F))
 
 
 def pushforward(F: QFunctor, mu: Presheaf) -> Presheaf:
@@ -303,23 +274,17 @@ def lan(K: QFunctor, F: QFunctor) -> QFunctor:
 
 
 def ran(H: QFunctor, G: QFunctor) -> QFunctor:
-    """The pointwise right Kan extension of G along H (same domain)."""
-    if H.dom != G.dom:
-        raise BaseMismatch("Kan extension needs functors with a common domain")
-    B = H.cod
-    mapping = {}
-    for b in B.objects:
-        weight = Copresheaf(H.dom, B.type_of(b),
-                            tuple(B.hom_of(b, H(x)) for x in H.dom.objects))
-        c = weighted_limit(weight, G)
-        if c is None:
-            raise ColimitMissing(b, "limit")
-        mapping[b] = c
-    R = QFunctor(B, G.cod, mapping, name=f"ran({H.name},{G.name})")
-    if cograph(R) != dist_right_imp(cograph(H), cograph(G)):
-        raise QfcaError("pointwise right Kan extension violates its cograph identity")
-    validate_functor(R).require()
-    return R
+    """The pointwise right Kan extension of G along H (same domain): lan(H^op, G^op).
+
+    The graph identity that lan asserts there is the cograph identity
+    cograph(result) = cograph(H) >r cograph(G) here, and a colimit missing
+    there is a limit missing here.
+    """
+    try:
+        L = lan(dualize_functor(H), dualize_functor(G))
+    except ColimitMissing as e:
+        raise ColimitMissing(e.point, "limit") from None
+    return QFunctor(H.cod, G.cod, L.mapping, name=f"ran({H.name},{G.name})")
 
 
 def find_right_adjoint(F: QFunctor):
@@ -349,22 +314,22 @@ def is_dense(F: QFunctor) -> bool:
 
 
 def is_codense(F: QFunctor) -> bool:
-    c = cograph(F)
-    return dist_right_imp(c, c) == identity_dist(F.cod)
+    """F is codense when F^op is dense."""
+    return is_dense(dualize_functor(F))
 
 
 # -- enumeration -----------------------------------------------------------------
 
 
-def enumerate_presheaves(A: QCategory, qobj: str, cap: int | None = None) -> tuple[Presheaf, ...]:
-    """All presheaves of one type, in lexicographic value order."""
+def _enumerate(A: QCategory, qobj: str, cap: int | None, space: str) -> tuple[Presheaf, ...]:
+    """All presheaves of one type on A; ``space`` names them in the budget error."""
     q = A.q
     count = 1
     for t in A.types:
         count *= len(q.hom(t, qobj))
     limit = budget("enumeration", cap)
     if count > limit:
-        raise BudgetExceeded(f"presheaf space on {A.name} at {qobj} exceeds {limit}", count)
+        raise BudgetExceeded(f"{space} at {qobj} exceeds {limit}", count)
     out = []
     for combo in itertools.product(*(range(len(q.hom(t, qobj))) for t in A.types)):
         p = Presheaf(A, qobj, tuple(Arrow(t, qobj, i) for t, i in zip(A.types, combo)))
@@ -373,20 +338,15 @@ def enumerate_presheaves(A: QCategory, qobj: str, cap: int | None = None) -> tup
     return tuple(out)
 
 
+def enumerate_presheaves(A: QCategory, qobj: str, cap: int | None = None) -> tuple[Presheaf, ...]:
+    """All presheaves of one type, in lexicographic value order."""
+    return _enumerate(A, qobj, cap, f"presheaf space on {A.name}")
+
+
 def enumerate_copresheaves(A: QCategory, qobj: str, cap: int | None = None) -> tuple[Copresheaf, ...]:
-    q = A.q
-    count = 1
-    for t in A.types:
-        count *= len(q.hom(qobj, t))
-    limit = budget("enumeration", cap)
-    if count > limit:
-        raise BudgetExceeded(f"copresheaf space on {A.name} at {qobj} exceeds {limit}", count)
-    out = []
-    for combo in itertools.product(*(range(len(q.hom(qobj, t))) for t in A.types)):
-        p = Copresheaf(A, qobj, tuple(Arrow(qobj, t, i) for t, i in zip(A.types, combo)))
-        if copresheaf_law_ok(p):
-            out.append(p)
-    return tuple(out)
+    """All copresheaves of one type, in lexicographic value order."""
+    space = _enumerate(dualize_category(A), qobj, cap, f"copresheaf space on {A.name}")
+    return tuple(_copresheaf_of(mu, A) for mu in space)
 
 
 _complete_cache = weakref.WeakKeyDictionary()
@@ -419,9 +379,9 @@ class PresheafSpace:
     """The category of all (co)presheaves on a base, with value lookups.
 
     Members are enumerated per type in quantaloid object order, lexicographic
-    within a type, so labels and hom matrices are reproducible.  The hom of
-    the copresheaf flavour is the reversed residuation, which makes the
-    underlying order of the materialized category the correct (reversed) one.
+    within a type, so labels and hom matrices are reproducible.  The
+    copresheaf flavour is the opposite of the presheaf category on the dual
+    base, which makes its underlying order the correct (reversed) one.
     """
 
     def __init__(self, base: QCategory, kind: str = "presheaf", cap: int | None = None):
@@ -429,16 +389,14 @@ class PresheafSpace:
             raise QfcaError(f"unknown flavour {kind!r}")
         self.base = base
         self.kind = kind
-        members = []
-        for qobj in base.q.objects:
-            if kind == "presheaf":
-                members.extend(enumerate_presheaves(base, qobj, cap))
-            else:
-                members.extend(enumerate_copresheaves(base, qobj, cap))
+        enumerate_kind = enumerate_presheaves if kind == "presheaf" else enumerate_copresheaves
+        members = [m for qobj in base.q.objects for m in enumerate_kind(base, qobj, cap)]
         self.members = tuple(members)
         labels = [presheaf_label(m) for m in members]
-        hom_fn = presheaf_hom if kind == "presheaf" else copresheaf_hom
-        hom = [[hom_fn(m, m2) for m2 in members] for m in members]
+        duals = members if kind == "presheaf" else [_presheaf_of(m) for m in members]
+        hom = [[presheaf_hom(d, d2) for d2 in duals] for d in duals]
+        if kind == "copresheaf":  # the opposite of the presheaf category on the dual base
+            hom = [base.q.opposite().dual_arrows(col) for col in zip(*hom)]
         self.category = QCategory(base.q, labels, [m.type for m in members], hom,
                                   name=f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
         self._by_key = {m.key(): lbl for m, lbl in zip(members, labels)}
@@ -504,17 +462,13 @@ def image_join_dense(X: QCategory, image, assume_complete: bool = False) -> bool
 
 
 def image_meet_dense(X: QCategory, image, assume_complete: bool = False) -> bool:
+    """Is every object of X the underlying meet of objects from ``image``?
+
+    Meets in X are joins in X^op, so this is join-density there.
+    """
     if not assume_complete and not is_complete(X):
         raise QfcaError(f"{X.name} is not complete; meet-density is undefined here")
-    order = underlying_order(X)
-    image = sorted(set(image), key=X.index)
-    for y in X.objects:
-        above = [s for s in image if X.type_of(s) == X.type_of(y) and order.leq(y, s)]
-        lam = copresheaf_join(X, X.type_of(y), [coyoneda(X, s) for s in above])
-        m = inf(X, lam)
-        if m is None or not order.iso(m, y):
-            return False
-    return True
+    return image_join_dense(dualize_category(X), image, assume_complete=True)
 
 
 def is_join_dense(F: QFunctor, assume_complete: bool = False) -> bool:

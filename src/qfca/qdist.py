@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TypeMismatch, ValidationReport
-from .qcat import QCategory, QFunctor, dualize_category
+from .qcat import QCategory, QFunctor, _cached_dual, dualize_category
 from .quantaloid import Arrow
 
 
@@ -121,14 +121,15 @@ def dist_right_imp(psi: QDistributor, xi: QDistributor) -> QDistributor:
     return QDistributor(A, B, matrix, name=f"({psi.name})>r({xi.name})")
 
 
-def dualize_distributor(phi: QDistributor) -> QDistributor:
-    """phi^op: B^op -/-> A^op with transposed matrix; involutive."""
-    A, B = phi.dom, phi.cod
-    q = phi.q
-    matrix = [[q.dual_arrow(phi.matrix[i][j]) for i in range(len(A))]
-              for j in range(len(B))]
-    return QDistributor(dualize_category(B), dualize_category(A), matrix,
+def _dual_distributor(phi: QDistributor) -> QDistributor:
+    matrix = [phi.q.dual_arrows([row[j] for row in phi.matrix]) for j in range(len(phi.cod))]
+    return QDistributor(dualize_category(phi.cod), dualize_category(phi.dom), matrix,
                         name=f"{phi.name}^op")
+
+
+def dualize_distributor(phi: QDistributor) -> QDistributor:
+    """phi^op: B^op -/-> A^op with transposed matrix; involutive; cached."""
+    return _cached_dual(phi, _dual_distributor)
 
 
 # -- graphs and cographs of functors ------------------------------------------

@@ -35,6 +35,7 @@ function, so concurrent use needs no locking.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -423,6 +424,11 @@ class Quantaloid:
         """The same arrow seen in the opposite quantaloid."""
         return Arrow(a.dst, a.src, a.index)
 
+    def dual_arrows(self, arrows) -> tuple[Arrow, ...]:
+        """The same arrows seen in the opposite quantaloid, interned there."""
+        table = self.opposite().arrow_table
+        return tuple([table[a.dst, a.src][a.index] for a in arrows])
+
 
 # -- validation --------------------------------------------------------------
 
@@ -719,35 +725,54 @@ def _quantale_from_table(elements, leq_pairs, products, unit, name) -> Quantaloi
     return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": hom.index(unit)}, name=name)
 
 
+_PRESET_PARAMS = {"two": (), "lukasiewicz-chain": ("n",), "godel-chain": ("n",),
+                  "frame-diagonal": ("chain", "boolean"),
+                  "commutative-quantale-from-table": ("elements", "leq", "products", "unit",
+                                                      "name")}
+
+
+def _int_param(params: dict, key: str, default: int | None = None) -> int:
+    """An integer parameter, given as an int or a string of digits."""
+    value = params.get(key, default)
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}") from None
+
+
 def build_preset(name: str, **params) -> Quantaloid:
-    """Construct and validate one of the named stock quantaloids."""
+    """Construct and validate one of the named stock quantaloids; InvalidParams if bad."""
+    if name not in _PRESET_PARAMS:
+        raise InvalidParams(f"unknown preset {name!r}")
+    unknown = sorted(set(params) - set(_PRESET_PARAMS[name]))
+    if unknown:
+        raise InvalidParams(f"preset {name!r} takes no parameter {unknown[0]!r}; "
+                            f"its parameters are {list(_PRESET_PARAMS[name])}")
     if name == "two":
         Q = _chain_quantaloid("two", 2, min)
     elif name == "lukasiewicz-chain":
-        n = int(params.get("n", 3))
+        n = _int_param(params, "n", 3)
         Q = _chain_quantaloid(f"lukasiewicz-{n}", n,
                               lambda a, b: max(Fraction(0), a + b - 1))
     elif name == "godel-chain":
-        n = int(params.get("n", 3))
+        n = _int_param(params, "n", 3)
         Q = _chain_quantaloid(f"godel-{n}", n, min)
     elif name == "frame-diagonal":
         if "chain" in params:
-            L = _Frame.chain(int(params["chain"]))
-            Q = _frame_diagonal(L, f"diag-chain-{params['chain']}")
+            n = _int_param(params, "chain")
+            Q = _frame_diagonal(_Frame.chain(n), f"diag-chain-{n}")
         elif "boolean" in params:
-            L = _Frame.boolean(int(params["boolean"]))
-            Q = _frame_diagonal(L, f"diag-boolean-{params['boolean']}")
+            k = _int_param(params, "boolean")
+            Q = _frame_diagonal(_Frame.boolean(k), f"diag-boolean-{k}")
         else:
             raise InvalidParams("frame-diagonal needs chain=<n> or boolean=<k>")
-    elif name == "commutative-quantale-from-table":
+    else:
         try:
             Q = _quantale_from_table(params["elements"], params["leq"],
                                      params["products"], params["unit"],
                                      params.get("name", "quantale"))
         except KeyError as e:
             raise InvalidParams(f"missing parameter {e.args[0]!r}") from None
-    else:
-        raise InvalidParams(f"unknown preset {name!r}")
     report = validate_quantaloid(Q)
     if not report.ok:
         raise InvalidParams(f"preset {name!r} failed validation: {report.issues[:3]}")

@@ -30,6 +30,7 @@ from .qcat import (
     QTypedSet,
     compose_functors,
     discrete_category,
+    dualize_category,
     is_essentially_surjective,
     is_fully_faithful,
     is_separated,
@@ -47,12 +48,15 @@ from .presheaf import (
     Copresheaf,
     Presheaf,
     PresheafSpace,
+    _copresheaf_of,
     copresheaf_hom,
     image_join_dense,
     image_meet_dense,
     is_codense,
     is_complete,
     is_dense,
+    is_join_dense,
+    is_meet_dense,
     lan,
     materialize_copresheaves,
     materialize_presheaves,
@@ -296,17 +300,13 @@ def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
 
 
 def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
-    """The corepresentable at a composed with u; type dom(u)."""
-    q = A.q
-    i = A.index(a)
-    return Copresheaf(A, u.src, tuple(q.compose(A.hom[i][j], u) for j in range(len(A))))
+    """The corepresentable at a composed with u; type dom(u): presheaf_tensor in A^op."""
+    return _copresheaf_of(presheaf_tensor(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
 
 
 def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
-    """The representable at a residuated into u; type dom(u)."""
-    q = A.q
-    i = A.index(a)
-    return Copresheaf(A, u.src, tuple(q.right_imp(A.hom[j][i], u) for j in range(len(A))))
+    """The representable at a residuated into u; type dom(u): presheaf_residual in A^op."""
+    return _copresheaf_of(presheaf_residual(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
 
 
 @dataclass
@@ -352,22 +352,14 @@ def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
                           lambda l: copresheaf_tensor(A, *pair_of[l]), name="cotensors")
     cr = pda.functor_from(cod_cat,
                           lambda l: copresheaf_residual(A, *pair_of[l]), name="coresiduals")
+    # materialized (co)presheaf spaces are complete
     density = {
-        "presheaf_tensors:join": is_join_dense_functor(ut),
-        "presheaf_residuals:meet": is_meet_dense_functor(nr),
-        "copresheaf_tensors:meet": is_meet_dense_functor(ct),
-        "copresheaf_residuals:join": is_join_dense_functor(cr),
+        "presheaf_tensors:join": is_join_dense(ut, assume_complete=True),
+        "presheaf_residuals:meet": is_meet_dense(nr, assume_complete=True),
+        "copresheaf_tensors:meet": is_meet_dense(ct, assume_complete=True),
+        "copresheaf_residuals:join": is_join_dense(cr, assume_complete=True),
     }
     return GeneratorMaps(A, dom_set, cod_set, ut, nr, ct, cr, density, pair_of)
-
-
-def is_join_dense_functor(F: QFunctor) -> bool:
-    """Join-density into a materialized (co)presheaf space, known complete."""
-    return image_join_dense(F.cod, {F(x) for x in F.dom.objects}, assume_complete=True)
-
-
-def is_meet_dense_functor(F: QFunctor) -> bool:
-    return image_meet_dense(F.cod, {F(x) for x in F.dom.objects}, assume_complete=True)
 
 
 def verify_elementary_identities(phi: QDistributor) -> Report:
@@ -380,11 +372,11 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
     report = Report("elementary-identities")
     A, B, q = phi.dom, phi.cod, phi.q
     bad = []
+    cotensors = [(b, v, copresheaf_tensor(B, b, v)) for b, v in cod_pairs(B)]
     for a, u in dom_pairs(A):
-        mu = presheaf_tensor(A, a, u)
-        for b, v in cod_pairs(B):
-            lam = copresheaf_tensor(B, b, v)
-            lhs = copresheaf_hom(isbell_up(phi, mu), lam)
+        up = isbell_up(phi, presheaf_tensor(A, a, u))
+        for b, v, lam in cotensors:
+            lhs = copresheaf_hom(up, lam)
             rhs = q.right_imp(v, q.left_imp(phi.at(a, b), u))
             if lhs != rhs:
                 bad.append((a, q.label(u), b, q.label(v)))

@@ -239,6 +239,46 @@ def test_malformed_documents_are_usage_errors(tmp_path):
         assert proc.stdout == ""
 
 
+def test_unknown_labels_are_named(capsys, tmp_path):
+    doc = json.loads((DATA / "inline_two.json").read_text())
+    doc["quantaloid"]["homs"]["*->*"]["leq"] = [["0", "zz"]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "hom section '*->*'" in err and "unknown label 'zz'" in err
+    assert "misses the required field" not in err
+    doc["quantaloid"]["homs"]["*->*"]["leq"] = [["0", "1"]]
+    for edit, message in [
+            (lambda q: q["units"].update(zz="1"), "units name the unknown object 'zz'"),
+            (lambda q: q.update(compose=[["*->zz:1", "1", "1"]]),
+             "arrow '*->zz:1' names the unknown hom '*->zz'"),
+            (lambda q: q.pop("units"), "misses the required field 'units'")]:
+        bad = json.loads(json.dumps(doc))
+        edit(bad["quantaloid"])
+        path.write_text(json.dumps(bad))
+        assert cli.main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_bad_preset_parameters_are_usage_errors(tmp_path):
+    cases = {"n": ({"name": "lukasiewicz-chain", "n": "x"},
+                   "parameter 'n' must be an integer, got 'x'"),
+             "bogus": ({"name": "lukasiewicz-chain", "n": 3, "bogus": 1},
+                       "takes no parameter 'bogus'")}
+    for name, (preset, message) in cases.items():
+        doc = json.loads((CONTEXTS / "fix_2id.json").read_text())
+        doc["quantaloid"] = {"preset": preset}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfca.cli", "validate", str(path)],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_document_shape_paths(capsys, tmp_path):
     base = json.loads((CONTEXTS / "fix_2id.json").read_text())
     edits = [

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from qfca.errors import InvalidParams
@@ -97,6 +100,21 @@ def test_dualize_involution(fixdl3):
     F = identity_functor(A)
     assert dualize_functor(dualize_functor(F)) == F
     assert dualize_distributor(dualize_distributor(fixdl3.phi)) == fixdl3.phi
+
+
+def test_dual_is_cached_without_a_reference_cycle(fixdl3):
+    A, phi = fixdl3.A, fixdl3.phi
+    assert dualize_category(A) is dualize_category(A)
+    assert dualize_distributor(phi) is dualize_distributor(phi)
+    assert dualize_distributor(phi).dom is dualize_category(phi.cod)
+    B = A.full_subcategory(A.objects)
+    refs = [weakref.ref(B), weakref.ref(dualize_category(B))]
+    gc.disable()
+    try:
+        del B  # freed by reference counting alone: no cycle holds it
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_dualize_values(fixl3, two):

@@ -221,6 +221,18 @@ def test_build_preset_errors():
         build_preset("frame-diagonal")
 
 
+def test_build_preset_checks_parameters():
+    with pytest.raises(InvalidParams, match="parameter 'n' must be an integer, got 'x'"):
+        build_preset("lukasiewicz-chain", n="x")
+    with pytest.raises(InvalidParams, match="parameter 'chain' must be an integer"):
+        build_preset("frame-diagonal", chain=2.5)
+    with pytest.raises(InvalidParams, match="takes no parameter 'bogus'"):
+        build_preset("lukasiewicz-chain", n=3, bogus=1)
+    with pytest.raises(InvalidParams, match="takes no parameter 'n'"):
+        build_preset("two", n=2)
+    assert build_preset("godel-chain", n="4").name == "godel-4"
+
+
 def test_quantale_from_table():
     Q = build_preset(
         "commutative-quantale-from-table",
