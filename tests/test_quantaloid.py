@@ -252,3 +252,36 @@ def test_opposite_involution(diag3):
     u, v = a("1", "2", "0"), a("2", "2", "1")
     assert op.compose(diag3.dual_arrow(u), diag3.dual_arrow(v)) == \
         diag3.dual_arrow(diag3.compose(v, u))
+
+
+# sha256 (first 16 hex digits) of the objects, each hom's elements and leq
+# pairs, the compose tables, the units and the name, recorded when the frames
+# were built by a separate lattice class; the presets must not change.
+FRAME_DIAGONAL_DIGESTS = {
+    ("chain", 1): "7839f211b6c02b8f", ("chain", 2): "2de4d5fd36445dd9",
+    ("chain", 3): "706ddd2e5532b76c", ("chain", 4): "1aa96951b309524b",
+    ("chain", 5): "ed48d4494a84a77d", ("boolean", 0): "5be4a56797790a5f",
+    ("boolean", 1): "d8d29fd6e3d5d091", ("boolean", 2): "d6f510b4ab76572c",
+    ("boolean", 3): "bc1b948989f5fb7d",
+}
+
+
+def _table_digest(Q):
+    import hashlib
+    import json
+
+    homs = {f"{p}->{q}": [list(h.elements),
+                          sorted([h.elements[i], h.elements[j]] for i, j in h.leq_pairs)]
+            for (p, q), h in sorted(Q.homs.items())}
+    comp = {",".join(k): [list(r) for r in t] for k, t in sorted(Q.compose_table.items())}
+    units = {q: Q.homs[(q, q)].elements[i] for q, i in sorted(Q.units.items())}
+    blob = json.dumps([list(Q.objects), homs, comp, units, Q.name], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_frame_diagonal_tables_are_pinned():
+    for (key, n), expected in FRAME_DIAGONAL_DIGESTS.items():
+        assert _table_digest(build_preset("frame-diagonal", **{key: n})) == expected, (key, n)
+    for key, n in (("chain", 0), ("boolean", -1), ("boolean", 7)):
+        with pytest.raises(InvalidParams):
+            build_preset("frame-diagonal", **{key: n})
