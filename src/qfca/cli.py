@@ -97,12 +97,13 @@ class UsageError(QfcaError):
     """Bad command-line data: unknown names, missing sections, bad references."""
 
 
-class InvalidQuantaloid(QfcaError):
-    """An inline quantaloid failed validation; nothing is computed on it."""
+class InvalidDocument(QfcaError):
+    """Part of a context file failed validation; nothing is computed on it."""
 
-    def __init__(self, report):
-        super().__init__(f"{report.subject} failed validation; see the report")
-        self.report = report
+    def __init__(self, reports):
+        super().__init__(f"{', '.join(r.subject for r in reports)} failed validation; "
+                         "see the report")
+        self.reports = reports
 
 
 @dataclass
@@ -242,7 +243,8 @@ class _AnyOf(tuple):
 _TRIPLE = (str, str, str)
 _DOCUMENT_SHAPE = {
     "quantaloid": {
-        "preset": _AnyOf((str, {"name": str})),
+        "preset": _AnyOf((str, {"name": str, "elements": [str], "leq": [(str, str)],
+                                "products": [_TRIPLE], "unit": str})),
         "objects": [str],
         "homs": {"*": {"elements": [str], "leq": [(str, str)]}},
         "compose": [_TRIPLE],
@@ -310,16 +312,26 @@ def load_document(path: str) -> ContextDocument:
         raise UsageError(f"{path} misses the required field {e.args[0]!r}") from None
 
 
+def _validation_reports(doc: ContextDocument, quantaloid: bool = True) -> list:
+    """The report of every validator on the document, in the order ``validate``
+    prints them; ``quantaloid=False`` leaves out the quantaloid's own."""
+    reports = [validate_quantaloid(doc.quantaloid)] if quantaloid else []
+    reports += [validate_category(c) for c in doc.categories.values()]
+    reports += [validate_distributor(d) for d in doc.distributors.values()]
+    reports += [validate_functor(f) for f in doc.functors.values()]
+    return reports
+
+
 def load_valid_document(path: str) -> ContextDocument:
-    """Load a context file to compute on: an inline quantaloid must validate.
+    """Load a context file to compute on: everything ``validate`` checks must pass.
 
     Presets are validated by ``build_preset`` already.
     """
     doc = load_document(path)
-    if "preset" not in doc.quantaloid_spec:
-        report = validate_quantaloid(doc.quantaloid)
-        if not report.ok:
-            raise InvalidQuantaloid(report)
+    failed = [r for r in _validation_reports(doc, "preset" not in doc.quantaloid_spec)
+              if not r.ok]
+    if failed:
+        raise InvalidDocument(failed)
     return doc
 
 
@@ -405,11 +417,7 @@ def _pick_distributor(doc: ContextDocument, name: str | None) -> QDistributor:
 
 
 def cmd_validate(args) -> int:
-    doc = load_document(args.path)
-    reports = [validate_quantaloid(doc.quantaloid)]
-    reports += [validate_category(c) for c in doc.categories.values()]
-    reports += [validate_distributor(d) for d in doc.distributors.values()]
-    reports += [validate_functor(f) for f in doc.functors.values()]
+    reports = _validation_reports(load_document(args.path))
     ok = all(r.ok for r in reports)
     _dump({"ok": ok, "reports": [r.to_json() for r in reports]}, args.output)
     return 0 if ok else 1
@@ -565,6 +573,9 @@ def cmd_verify(args) -> int:
     elif prop == "girard-probe":
         Q = doc.quantaloid
         qobj = data.get("object", Q.objects[0])
+        if qobj not in Q.objects:
+            raise UsageError(f"--data object={qobj}: no object {qobj!r} in the quantaloid; "
+                             f"choices: {list(Q.objects)}")
         report = codense_probe(Q, qobj)
     else:
         raise UsageError(f"unknown property {prop!r}")
@@ -646,8 +657,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidQuantaloid as e:
-        _dump({"ok": False, "reports": [e.report.to_json()]}, args.output)
+    except InvalidDocument as e:
+        _dump({"ok": False, "reports": [r.to_json() for r in e.reports]}, args.output)
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (UsageError, InvalidParams, NotGirard, NotAQuantale, HypothesesNotMet) as e:

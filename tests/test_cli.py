@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfca.cli as cli
 
@@ -332,3 +336,131 @@ def test_invalid_inline_quantaloid_is_not_computed_on(capsys, tmp_path):
         assert report["ok"] is False
         codes = {i["code"] for r in report["reports"] for i in r["issues"]}
         assert "compose.associative" in codes, argv
+
+
+def _edited(tmp_path, name, edit):
+    """A copy of ``contexts/<name>`` changed in place by ``edit``."""
+    doc = json.loads((CONTEXTS / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+COMPUTING = (["concepts"], ["concepts", "--mode", "rst"], ["tr"], ["girard"],
+             ["verify", "--prop", "k-eq-m-tr"], ["verify", "--prop", "mphi-rep"])
+
+
+@pytest.mark.parametrize("name, edit, code", [
+    ("fix_dl3.json",
+     lambda d: d["distributors"]["phi"]["entries"].remove(["x", "p", "1"]),
+     "distributor.bimodule"),
+    ("fix_l3.json",
+     lambda d: d["categories"]["A"].update(hom=[["a", "a", "0"]]),
+     "category.unit"),
+])
+def test_documents_that_fail_validation_are_not_computed_on(capsys, tmp_path, name, edit, code):
+    path = _edited(tmp_path, name, edit)
+    for argv in [["validate"], *COMPUTING]:
+        status, out = run(capsys, argv[0], path, *argv[1:])
+        assert status == 1, argv
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert code in {i["code"] for r in report["reports"] for i in r["issues"]}, argv
+
+
+def test_girard_probe_unknown_object_usage_error(capsys):
+    code = cli.main(["verify", str(CONTEXTS / "godel3.json"), "--prop", "girard-probe",
+                     "--data", "object=zz"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "object=zz" in err and "choices: ['*']" in err
+
+
+def test_table_preset_parameter_shapes(capsys, tmp_path):
+    preset = {"name": "commutative-quantale-from-table", "elements": ["0", "1"],
+              "leq": [["0", "1"]], "products": [["1", "1", "1"]], "unit": "1"}
+    for key, value, message in [
+            ("elements", 5, "$.quantaloid.preset.elements must be a list, got 5"),
+            ("leq", [["0"]], "$.quantaloid.preset.leq[0] must be a list of 2, got a list"),
+            ("products", {}, "$.quantaloid.preset.products must be a list, got an object"),
+            ("unit", 1, "$.quantaloid.preset.unit must be a string, got 1")]:
+        path = _edited(tmp_path, "fix_2id.json",
+                       lambda d: d.update(quantaloid={"preset": {**preset, key: value}}))
+        for command in ("validate", "concepts"):
+            assert cli.main([command, str(path)]) == 2, key
+            assert message in capsys.readouterr().err
+
+
+# -- mutated context documents -------------------------------------------------------
+
+MUTATION_COMMANDS = (["validate"], ["concepts"], ["tr"], ["verify", "--prop", "k-eq-m-tr"])
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, kind, data):
+    """One mutation of a copy of ``doc``: drop a key, give a field the wrong JSON
+    type, use an unknown label, or set a hom or distributor entry to another
+    element of its hom (or drop it, which makes it the bottom)."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_json_paths(doc))
+    if kind == "drop":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p[:-1]), dict)]))
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "type":
+        path = data.draw(st.sampled_from(paths))
+        old = type(_at(doc, path))
+        new = data.draw(st.sampled_from([v for v in (None, True, 7, "zz", [], {})
+                                         if type(v) is not old]))
+        _at(doc, path[:-1])[path[-1]] = new
+    elif kind == "label":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), str)]))
+        _at(doc, path[:-1])[path[-1]] = "zz"
+    else:
+        parsed = cli.parse_document(doc)
+        cats = parsed.categories
+        slots = [(("categories", n, "hom"), cats[n], cats[n]) for n in doc.get("categories", {})]
+        slots += [(("distributors", n, "entries"), cats[d["from"]], cats[d["to"]])
+                  for n, d in doc.get("distributors", {}).items()]
+        section, A, B = data.draw(st.sampled_from([s for s in slots if _at(doc, s[0])]))
+        entries = _at(doc, section)
+        i = data.draw(st.integers(0, len(entries) - 1))
+        x, y, _ = entries[i]
+        labels = parsed.quantaloid.hom(A.type_of(x), B.type_of(y)).elements
+        label = data.draw(st.sampled_from((None,) + labels))
+        if label is None:
+            del entries[i]
+        else:
+            entries[i] = [x, y, label]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(p.name for p in CONTEXTS.glob("*.json"))),
+       kind=st.sampled_from(["drop", "type", "label", "law"]), data=st.data())
+def test_mutated_contexts_exit_with_documented_codes(tmp_path_factory, name, kind, data):
+    doc = _mutate(json.loads((CONTEXTS / name).read_text()), kind, data)
+    path = tmp_path_factory.mktemp("mutated") / name
+    path.write_text(json.dumps(doc))
+    codes = []
+    for argv in MUTATION_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main([argv[0], str(path), *argv[1:]]))
+    assert set(codes) <= DOCUMENTED_EXIT_CODES, codes
+    if codes[0] == 1:  # validate rejects it: no computing command may compute on it
+        assert codes[1:] == [1] * (len(codes) - 1), codes
