@@ -168,7 +168,7 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
     tables = {}
     for p, q, r in itertools.product(objects, repeat=3):
         dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
-        bottom = cod.bottom_opt()
+        bottom = cod.bottom
         if bottom is None:
             raise UsageError(f"hom '{p}->{r}' has no bottom; cannot default compose entries")
         tables[(p, q, r)] = [[bottom] * len(dom) for _ in range(len(mid))]

@@ -149,14 +149,8 @@ class HomLattice:
             mask &= self.down[i]
         return _extremum(mask, self.down)
 
-    def top_opt(self) -> int | None:
-        return self.top
-
-    def bottom_opt(self) -> int | None:
-        return self.bottom
-
     @staticmethod
-    def from_labels(elements, leq_label_pairs, transitive: bool = True) -> "HomLattice":
+    def from_labels(elements, leq_label_pairs) -> "HomLattice":
         """Build from labels; the given pairs are closed reflexively/transitively."""
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
@@ -164,11 +158,10 @@ class HomLattice:
         up = [1 << i for i in range(n)]
         for a, b in leq_label_pairs:
             up[idx[a]] |= 1 << idx[b]
-        if transitive:
-            for k in range(n):
-                for i in range(n):
-                    if up[i] >> k & 1:
-                        up[i] |= up[k]
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         return HomLattice(elements, frozenset((i, j) for i in range(n) for j in _bits(up[i])))
 
 
@@ -630,53 +623,12 @@ def complement_arrow(Q: Quantaloid, fam: CyclicDualizingFamily, u: Arrow) -> Arr
 # -- presets ------------------------------------------------------------------
 
 
-class _Frame:
-    """A finite frame (here: finite distributive lattice) used to build presets."""
-
-    def __init__(self, elements: tuple[str, ...], leq: dict[tuple[str, str], bool]):
-        self.elements = elements
-        self.leq = leq
-
-    def meet(self, a: str, b: str) -> str:
-        lbs = [x for x in self.elements if self.leq[(x, a)] and self.leq[(x, b)]]
-        greatest = [x for x in lbs if all(self.leq[(y, x)] for y in lbs)]
-        return greatest[0]
-
-    @staticmethod
-    def chain(n: int) -> "_Frame":
-        if n < 1:
-            raise InvalidParams("chain length must be >= 1")
-        elements = tuple(str(i) for i in range(n))
-        leq = {(a, b): int(a) <= int(b) for a in elements for b in elements}
-        return _Frame(elements, leq)
-
-    @staticmethod
-    def boolean(k: int) -> "_Frame":
-        """The Boolean algebra on k named atoms; 2 gives the 4-element one."""
-        if k < 0 or k > 6:
-            raise InvalidParams("boolean frame supports 0..6 atoms")
-        atoms = "abcdef"[:k]
-        subsets = []
-        for size in range(k + 1):
-            for combo in itertools.combinations(atoms, size):
-                subsets.append("".join(combo) or "0")
-        elements = tuple(subsets)
-
-        def as_set(e: str) -> frozenset:
-            return frozenset() if e == "0" else frozenset(e)
-
-        leq = {(a, b): as_set(a) <= as_set(b) for a in elements for b in elements}
-        return _Frame(elements, leq)
-
-
 def _chain_quantaloid(name: str, n: int, tensor) -> Quantaloid:
     """One-object quantaloid on the chain 0 < 1/(n-1) < ... < 1."""
     if n < 2:
         raise InvalidParams("chain presets need n >= 2")
     values = [Fraction(i, n - 1) for i in range(n)]
-    labels = tuple(str(v) for v in values)
-    hom = HomLattice.from_labels(
-        labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+    hom = _chain([str(v) for v in values])
     position = {v: i for i, v in enumerate(values)}
     table = {("*", "*", "*"): tuple(
         tuple(position[tensor(values[j], values[i])] for i in range(n))
@@ -685,30 +637,30 @@ def _chain_quantaloid(name: str, n: int, tensor) -> Quantaloid:
     return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": n - 1}, name=name)
 
 
-def _frame_diagonal(L: _Frame, name: str) -> Quantaloid:
-    """The diagonal quantaloid of a frame L.
+def _chain(labels) -> HomLattice:
+    """The chain of the labels in their order."""
+    return HomLattice.from_labels(labels, zip(labels, labels[1:]))
+
+
+def _frame_diagonal(L: HomLattice, name: str) -> Quantaloid:
+    """The diagonal quantaloid of a finite frame L.
 
     Objects are the elements of L; the hom at (p, q) is the downset of
     p meet q; composition is the meet of L; the identity at q is q itself.
     """
-    objects = tuple(L.elements)
-    homs = {}
-    for p, q in itertools.product(objects, repeat=2):
-        m = L.meet(p, q)
-        elems = tuple(x for x in L.elements if L.leq[(x, m)])
-        homs[(p, q)] = HomLattice.from_labels(
-            elems, [(a, b) for a in elems for b in elems if L.leq[(a, b)]],
-            transitive=False)
+    el, n = L.elements, len(L)
+    homs, below = {}, {}  # below[p, q]: the indices in L of the hom's elements
+    for p, q in itertools.product(range(n), repeat=2):
+        xs = below[p, q] = list(_bits(L.down[L.meets[p][q]]))
+        homs[(el[p], el[q])] = HomLattice.from_labels(
+            [el[x] for x in xs], [(el[x], el[y]) for x in xs for y in xs if L.leq(x, y)])
     table = {}
-    for p, q, r in itertools.product(objects, repeat=3):
-        dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
-        table[(p, q, r)] = tuple(
-            tuple(cod.index(L.meet(mid.elements[j], dom.elements[i]))
-                  for i in range(len(dom)))
-            for j in range(len(mid))
-        )
-    units = {q: homs[(q, q)].index(q) for q in objects}
-    return Quantaloid(objects, homs, table, units, name=name)
+    for p, q, r in itertools.product(range(n), repeat=3):
+        dom, mid, cod = below[p, q], below[q, r], below[p, r]
+        table[(el[p], el[q], el[r])] = tuple(
+            tuple(cod.index(L.meets[v][u]) for u in dom) for v in mid)
+    units = {el[q]: below[q, q].index(q) for q in range(n)}
+    return Quantaloid(el, homs, table, units, name=name)
 
 
 def _quantale_from_table(elements, leq_pairs, products, unit, name) -> Quantaloid:
@@ -760,10 +712,19 @@ def build_preset(name: str, **params) -> Quantaloid:
     elif name == "frame-diagonal":
         if "chain" in params:
             n = _int_param(params, "chain")
-            Q = _frame_diagonal(_Frame.chain(n), f"diag-chain-{n}")
+            if n < 1:
+                raise InvalidParams("chain length must be >= 1")
+            Q = _frame_diagonal(_chain([str(i) for i in range(n)]), f"diag-chain-{n}")
         elif "boolean" in params:
             k = _int_param(params, "boolean")
-            Q = _frame_diagonal(_Frame.boolean(k), f"diag-boolean-{k}")
+            if k < 0 or k > 6:
+                raise InvalidParams("boolean frame supports 0..6 atoms")
+            # the subsets of k named atoms, by size; "0" is the empty one
+            sets = ["".join(c) or "0" for size in range(k + 1)
+                    for c in itertools.combinations("abcdef"[:k], size)]
+            L = HomLattice.from_labels(sets, [(a, b) for a in sets for b in sets
+                                              if set(a) - {"0"} <= set(b)])
+            Q = _frame_diagonal(L, f"diag-boolean-{k}")
         else:
             raise InvalidParams("frame-diagonal needs chain=<n> or boolean=<k>")
     else:
