@@ -124,15 +124,16 @@ class ContextDocument:
 # -- parsing ---------------------------------------------------------------------
 
 
-def _parse_arrow_ref(Q: Quantaloid, ref: str) -> Arrow:
+def _parse_arrow_ref(objects, homs: dict, ref: str) -> Arrow:
     """Resolve 'p->q:label' or a bare label that is unique across all homs."""
     if ":" in ref and "->" in ref.split(":", 1)[0]:
         hom, label = ref.split(":", 1)
         p, q = hom.split("->", 1)
-        if (p, q) not in Q.homs:
+        if (p, q) not in homs:
             raise UsageError(f"arrow {ref!r} names the unknown hom {hom!r}")
-        return Q.arrow(p, q, label)
-    hits = [a for a in Q.all_arrows() if Q.label(a) == ref]
+        return Arrow(p, q, homs[(p, q)].index(label))
+    hits = [Arrow(p, q, i) for p, q in itertools.product(objects, repeat=2)
+            for i, label in enumerate(homs[(p, q)].elements) if label == ref]
     if not hits:
         raise UsageError(f"no arrow labelled {ref!r} in the quantaloid")
     if len(hits) > 1:
@@ -172,17 +173,12 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
         if bottom is None:
             raise UsageError(f"hom '{p}->{r}' has no bottom; cannot default compose entries")
         tables[(p, q, r)] = [[bottom] * len(dom) for _ in range(len(mid))]
-    Q0 = Quantaloid(objects, homs, {k: tuple(tuple(r) for r in t) for k, t in tables.items()},
-                    units, name=spec.get("name", "inline"))
     for v_ref, u_ref, w_ref in spec.get("compose", []):
-        v = _parse_arrow_ref(Q0, v_ref)
-        u = _parse_arrow_ref(Q0, u_ref)
-        w = _parse_arrow_ref(Q0, w_ref)
+        v, u, w = (_parse_arrow_ref(objects, homs, ref) for ref in (v_ref, u_ref, w_ref))
         if u.dst != v.src or (w.src, w.dst) != (u.src, v.dst):
             raise UsageError(f"compose triple [{v_ref},{u_ref},{w_ref}] is not composable")
         tables[(u.src, u.dst, v.dst)][v.index][u.index] = w.index
-    return Quantaloid(objects, homs, {k: tuple(tuple(r) for r in t) for k, t in tables.items()},
-                      units, name=spec.get("name", "inline"))
+    return Quantaloid(objects, homs, tables, units, name=spec.get("name", "inline"))
 
 
 def _parse_category(Q: Quantaloid, name: str, spec: dict) -> QCategory:

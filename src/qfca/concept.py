@@ -17,7 +17,6 @@ complement route is also available.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,6 +47,7 @@ from .qdist import (
 from .presheaf import (
     Copresheaf,
     Presheaf,
+    PresheafFamily,
     PresheafSpace,
     _copresheaf_of,
     _presheaf_of,
@@ -55,8 +55,8 @@ from .presheaf import (
     is_codense,
     materialize_copresheaves,
     materialize_presheaves,
-    presheaf_hom,
     presheaf_label,
+    presheaf_residual,
     pushforward,
     top_presheaf,
     yoneda,
@@ -181,7 +181,7 @@ class KanPair:
 # -- concept lattices -------------------------------------------------------------
 
 
-class ConceptLattice:
+class ConceptLattice(PresheafFamily):
     """Fixed presheaves of one of the two closures, with their category.
 
     Concepts are grouped by type in quantaloid object order.  Within a type
@@ -191,24 +191,14 @@ class ConceptLattice:
 
     ``category`` (the full subcategory of presheaves on the concepts) is
     built on first use; serialization reads the order from the concepts'
-    down-set codes instead.  It is a pure function of the concepts, so two
-    threads that race to build it build equal categories.
+    down-set codes instead.
     """
 
     def __init__(self, kind: str, phi: QDistributor, concepts: tuple[Presheaf, ...]):
+        super().__init__(phi.dom if kind == "fca" else phi.cod, concepts, f"{kind}({phi.name})")
         self.kind = kind
         self.phi = phi
-        self.concepts = concepts
-        self.base = phi.dom if kind == "fca" else phi.cod
-        self._labels = tuple(presheaf_label(p) for p in concepts)
-        self._by_key = {p.key(): lbl for p, lbl in zip(concepts, self._labels)}
-        self._by_label = dict(zip(self._labels, concepts))
-
-    @functools.cached_property
-    def category(self) -> QCategory:
-        hom = [[presheaf_hom(p, p2) for p2 in self.concepts] for p in self.concepts]
-        return QCategory(self.phi.q, self._labels, [p.type for p in self.concepts], hom,
-                         name=f"{self.kind}({self.phi.name})")
+        self.concepts = self.members
 
     def per_type(self) -> dict[str, tuple[Presheaf, ...]]:
         out: dict[str, list[Presheaf]] = {q: [] for q in self.phi.q.objects}
@@ -218,18 +208,6 @@ class ConceptLattice:
 
     def keys(self) -> frozenset:
         return frozenset(p.key() for p in self.concepts)
-
-    def label_of(self, p: Presheaf) -> str:
-        try:
-            return self._by_key[p.key()]
-        except KeyError:
-            raise QfcaError(f"{presheaf_label(p)} is not a concept here") from None
-
-    def member_of(self, label: str) -> Presheaf:
-        return self._by_label[label]
-
-    def __len__(self) -> int:
-        return len(self.concepts)
 
     def __repr__(self) -> str:
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
@@ -293,25 +271,25 @@ def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
 
 
 def _fixpoint_lattice(kind: str, phi: QDistributor, base: QCategory, generators, closure,
-                      cap: int | None, verify: bool) -> ConceptLattice:
+                      cap: int | None) -> ConceptLattice:
     """All fixed presheaves of ``closure`` on ``base``, one meet-closure per type.
 
     ``generators(qobj)`` yields fixed presheaves whose meets, with the top
-    presheaf (the empty meet), are all the fixed ones.
+    presheaf (the empty meet), are all the fixed ones.  Every result is
+    checked to be fixed.
     """
     phi.q.require_lattices()
     concepts: list[Presheaf] = []
     for qobj in phi.q.objects:
         closed = _meet_closure(base, qobj, [top_presheaf(base, qobj), *generators(qobj)], cap)
-        if verify:
-            for p in closed:
-                if closure(p) != p:
-                    raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
+        for p in closed:
+            if closure(p) != p:
+                raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
         concepts.extend(closed)
     return ConceptLattice(kind, phi, tuple(concepts))
 
 
-def fca_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) -> ConceptLattice:
+def fca_lattice(phi: QDistributor, cap: int | None = None) -> ConceptLattice:
     """All fixed presheaves of the Isbell closure.
 
     The generators at type q are the residuals ``right_imp(v, phi(-, b))``
@@ -326,10 +304,10 @@ def fca_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) 
             for v in range(len(q.hom(qobj, b))):
                 yield Presheaf(A, qobj, tuple(arrows[rimp[v][w]] for rimp, arrows, w in column))
 
-    return _fixpoint_lattice("fca", phi, A, generators, IsbellPair(phi).closure, cap, verify)
+    return _fixpoint_lattice("fca", phi, A, generators, IsbellPair(phi).closure, cap)
 
 
-def rst_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) -> ConceptLattice:
+def rst_lattice(phi: QDistributor, cap: int | None = None) -> ConceptLattice:
     """All fixed presheaves of the Kan closure.
 
     Generators at type q are ``left_imp(u, phi(a, -))`` over all rows a and
@@ -344,7 +322,7 @@ def rst_lattice(phi: QDistributor, cap: int | None = None, verify: bool = True) 
             for u in range(len(q.hom(p, qobj))):
                 yield Presheaf(B, qobj, tuple(arrows[limp[u][x]] for limp, arrows, x in cells))
 
-    return _fixpoint_lattice("rst", phi, B, generators, KanPair(phi).closure, cap, verify)
+    return _fixpoint_lattice("rst", phi, B, generators, KanPair(phi).closure, cap)
 
 
 def brute_force_fixed(phi: QDistributor, kind: str, qobj: str,
@@ -364,7 +342,7 @@ def macneille_completion(A: QCategory, cap: int | None = None) -> ConceptLattice
 # -- the residual category and residual contexts -----------------------------------
 
 
-class ResidualCategory:
+class ResidualCategory(PresheafFamily):
     """Presheaves of the form ``left_imp(u, hom(a, -))``, deduplicated.
 
     These are the relative pseudo-complements of the representable
@@ -376,41 +354,17 @@ class ResidualCategory:
 
     def __init__(self, base: QCategory):
         q = base.q
-        members: list[Presheaf] = []
-        provenance: dict[tuple, list[tuple[str, Arrow]]] = {}
-        for i, a in enumerate(base.objects):
+        found: dict[tuple, tuple[Presheaf, list[tuple[str, Arrow]]]] = {}
+        for a, t in zip(base.objects, base.types):
             for qobj in q.objects:
-                for u in q.arrows(base.types[i], qobj):
-                    values = tuple(
-                        q.left_imp(u, base.hom[i][k]) for k in range(len(base)))
-                    p = Presheaf(base, qobj, values)
-                    if p.key() not in provenance:
-                        provenance[p.key()] = []
-                        members.append(p)
-                    provenance[p.key()].append((a, u))
-        self.base = base
-        self.members = tuple(members)
-        self.provenance = {k: tuple(v) for k, v in provenance.items()}
-        labels = [presheaf_label(p) for p in members]
-        hom = [[presheaf_hom(p, p2) for p2 in members] for p in members]
-        self.category = QCategory(q, labels, [p.type for p in members], hom,
-                                  name=f"residuals({base.name})")
-        self._by_key = {p.key(): lbl for p, lbl in zip(members, labels)}
-        matrix = [[p.values[i] for p in members] for i in range(len(base))]
+                for u in q.arrows(t, qobj):
+                    p = presheaf_residual(base, a, u)
+                    found.setdefault(p.key(), (p, []))[1].append((a, u))
+        super().__init__(base, [p for p, _ in found.values()], f"residuals({base.name})")
+        self.provenance = {k: tuple(pairs) for k, (_, pairs) in found.items()}
+        matrix = [[p.values[i] for p in self.members] for i in range(len(base))]
         self.yoneda_graph = QDistributor(base, self.category, matrix,
                                          name=f"yoneda-graph({base.name})")
-
-    def label_of(self, p: Presheaf) -> str:
-        try:
-            return self._by_key[p.key()]
-        except KeyError:
-            raise QfcaError(f"{presheaf_label(p)} is not a residual member") from None
-
-    def inclusion_into(self, space: PresheafSpace) -> QFunctor:
-        return QFunctor(self.category, space.category,
-                        {lbl: space.label_of(p)
-                         for lbl, p in zip(self.category.objects, self.members)},
-                        name="residual-inclusion")
 
 
 def residual_category(base: QCategory) -> ResidualCategory:
@@ -455,22 +409,20 @@ def verify_rst_as_fca(phi: QDistributor, cap: int | None = None) -> Report:
     back = dist_right_imp(tr, rc.yoneda_graph)
     report.check("pseudo-complement-identity", back == phi,
                  "phi == (yoneda_graph <l phi) >r yoneda_graph")
-    _check_rst_is_fca(report, phi, tr, "residual-fca", cap, show_difference=True)
+    _check_rst_is_fca(report, phi, tr, "residual-fca", cap)
     return report
 
 
 def _check_rst_is_fca(report: Report, phi: QDistributor, other: QDistributor, other_name: str,
-                      cap: int | None, show_difference: bool = False) -> None:
+                      cap: int | None) -> None:
     """One ``lattice-equality@q`` condition per type: rst(phi) against fca(other)."""
     k_types = rst_lattice(phi, cap).per_type()
     m_types = fca_lattice(other, cap).per_type()
     for qobj in phi.q.objects:
         ks = frozenset(p.key() for p in k_types[qobj])
         ms = frozenset(p.key() for p in m_types[qobj])
-        detail = f"rst has {len(ks)}, {other_name} has {len(ms)}"
-        if show_difference and ks != ms:
-            detail += f"; first difference {sorted(ks ^ ms)[:1]}"
-        report.check(f"lattice-equality@{qobj}", ks == ms, detail)
+        report.check_none(f"lattice-equality@{qobj}", sorted(ks ^ ms),
+                          f"rst has {len(ks)}, {other_name} has {len(ms)}")
 
 
 # -- Girard complements -------------------------------------------------------------
@@ -632,8 +584,7 @@ def _require_chu(c: ChuTransform) -> None:
 def _lattice_map(src: ConceptLattice, dst: ConceptLattice, F: QFunctor, closure,
                  name: str) -> QFunctor:
     """Each concept of src pushed forward along F and closed in dst."""
-    mapping = {src.label_of(p): dst.label_of(closure(pushforward(F, p))) for p in src.concepts}
-    return QFunctor(src.category, dst.category, mapping, name=name)
+    return src.functor_to(dst, lambda p: closure(pushforward(F, p)), name=name)
 
 
 def fca_lattice_map(c: ChuTransform, src: ConceptLattice | None = None,
@@ -659,15 +610,12 @@ def residual_map_functor(F: QFunctor, rc_src: ResidualCategory,
     """The induced map between residual categories along a row functor."""
     if rc_src.base != F.dom or rc_dst.base != F.cod:
         raise BaseMismatch("residual categories must sit on the functor endpoints")
-    q = F.dom.q
-    mapping = {}
-    for lbl, p in zip(rc_src.category.objects, rc_src.members):
+
+    def image(p):
         a, u = rc_src.provenance[p.key()][0]
-        i = F.cod.index(F(a))
-        image = Presheaf(F.cod, p.type,
-                         tuple(q.left_imp(u, F.cod.hom[i][k]) for k in range(len(F.cod))))
-        mapping[lbl] = rc_dst.label_of(image)
-    return QFunctor(rc_src.category, rc_dst.category, mapping, name="residual-map")
+        return presheaf_residual(F.cod, F(a), u)
+
+    return rc_src.functor_to(rc_dst, image, name="residual-map")
 
 
 def residual_chu(c: ChuTransform, rc_src: ResidualCategory | None = None,
@@ -708,9 +656,7 @@ def verify_functoriality_square(c: ChuTransform, cap: int | None = None) -> Repo
         moved = pushforward(c.G, p)
         if kan.closure(moved) != isb.closure(moved):
             bad.append(presheaf_label(p))
-    report.check("square-commutes", not bad,
-                 "rst map equals residual fca map pointwise"
-                 + ("" if not bad else f"; differs at {bad[:3]}"))
+    report.check_none("square-commutes", bad, "rst map equals residual fca map pointwise")
     return report
 
 

@@ -175,6 +175,10 @@ class Report:
         self.conditions.append(Condition(name, bool(passed), detail))
         return bool(passed)
 
+    def check_none(self, name: str, bad: list, detail: str) -> bool:
+        """Pass when there is no counterexample in ``bad``; else name the first."""
+        return self.check(name, not bad, detail + (f"; differs at {bad[0]}" if bad else ""))
+
     def skip(self, name: str, detail: str) -> None:
         self.conditions.append(Condition(name, True, f"skipped: {detail}"))
 

@@ -21,6 +21,7 @@ whole space (transposes, generator maps, canonical representation data).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -184,6 +185,13 @@ def yoneda(A: QCategory, a: str) -> Presheaf:
 def coyoneda(A: QCategory, a: str) -> Copresheaf:
     """a |-> hom(a, -), of type |a|: the Yoneda embedding of A^op."""
     return _copresheaf_of(yoneda(dualize_category(A), a), A)
+
+
+def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
+    """u residuated by the corepresentable at a: ``left_imp(u, hom(a, -))``, type cod(u)."""
+    q = A.q
+    i = A.index(a)
+    return Presheaf(A, u.dst, tuple(q.left_imp(u, A.hom[i][j]) for j in range(len(A))))
 
 
 # -- suprema, infima, weighted (co)limits ----------------------------------------
@@ -375,7 +383,55 @@ def presheaf_label(p) -> str:
     return f"{p.type}|{cells}"
 
 
-class PresheafSpace:
+class PresheafFamily:
+    """Labelled (co)presheaves on one base, and the category they span.
+
+    ``members`` keep the order they are given in; ``labels`` are their
+    ``presheaf_label``s.  ``category``, the members with their hom matrix, is
+    built on first use.  It is a pure function of the members, so two threads
+    that race to build it build equal categories.
+    """
+
+    def __init__(self, base: QCategory, members, name: str):
+        self.base = base
+        self.members = tuple(members)
+        self.labels = tuple(presheaf_label(m) for m in self.members)
+        self.name = name
+        self._by_key = {m.key(): lbl for m, lbl in zip(self.members, self.labels)}
+        self._by_label = dict(zip(self.labels, self.members))
+
+    def _hom(self) -> list:
+        return [[presheaf_hom(m, m2) for m2 in self.members] for m in self.members]
+
+    @functools.cached_property
+    def category(self) -> QCategory:
+        return QCategory(self.base.q, self.labels, [m.type for m in self.members], self._hom(),
+                         name=self.name)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def label_of(self, m) -> str:
+        try:
+            return self._by_key[m.key()]
+        except KeyError:
+            raise QfcaError(f"{presheaf_label(m)} is not a member of {self.name}") from None
+
+    def member_of(self, label: str):
+        return self._by_label[label]
+
+    def functor_from(self, dom: QCategory, assignment, name: str = "") -> QFunctor:
+        """Build a functor into this family from a member-valued map on dom's objects."""
+        mapping = {x: self.label_of(assignment(x)) for x in dom.objects}
+        return QFunctor(dom, self.category, mapping, name=name or "into-presheaves")
+
+    def functor_to(self, other: "PresheafFamily", f, name: str = "") -> QFunctor:
+        """Build a functor into another family that sends each member m to f(m)."""
+        mapping = {lbl: other.label_of(f(m)) for lbl, m in zip(self.labels, self.members)}
+        return QFunctor(self.category, other.category, mapping, name=name or "between-spaces")
+
+
+class PresheafSpace(PresheafFamily):
     """The category of all (co)presheaves on a base, with value lookups.
 
     Members are enumerated per type in quantaloid object order, lexicographic
@@ -387,39 +443,18 @@ class PresheafSpace:
     def __init__(self, base: QCategory, kind: str = "presheaf", cap: int | None = None):
         if kind not in ("presheaf", "copresheaf"):
             raise QfcaError(f"unknown flavour {kind!r}")
-        self.base = base
         self.kind = kind
         enumerate_kind = enumerate_presheaves if kind == "presheaf" else enumerate_copresheaves
         members = [m for qobj in base.q.objects for m in enumerate_kind(base, qobj, cap)]
-        self.members = tuple(members)
-        labels = [presheaf_label(m) for m in members]
-        duals = members if kind == "presheaf" else [_presheaf_of(m) for m in members]
+        super().__init__(base, members, f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
+
+    def _hom(self) -> list:
+        if self.kind == "presheaf":
+            return super()._hom()
+        # the opposite of the presheaf category on the dual base
+        duals = [_presheaf_of(m) for m in self.members]
         hom = [[presheaf_hom(d, d2) for d2 in duals] for d in duals]
-        if kind == "copresheaf":  # the opposite of the presheaf category on the dual base
-            hom = [base.q.opposite().dual_arrows(col) for col in zip(*hom)]
-        self.category = QCategory(base.q, labels, [m.type for m in members], hom,
-                                  name=f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
-        self._by_key = {m.key(): lbl for m, lbl in zip(members, labels)}
-        self._by_label = {lbl: m for m, lbl in zip(members, labels)}
-
-    def label_of(self, m) -> str:
-        try:
-            return self._by_key[m.key()]
-        except KeyError:
-            raise QfcaError(f"{presheaf_label(m)} is not a member of {self.category.name}"
-                            ) from None
-
-    def member_of(self, label: str):
-        return self._by_label[label]
-
-    def functor_from(self, dom: QCategory, assignment, name: str = "") -> QFunctor:
-        """Build a functor into this space from a member-valued map on labels."""
-        mapping = {x: self.label_of(assignment(x)) for x in dom.objects}
-        return QFunctor(dom, self.category, mapping, name=name or "into-presheaves")
-
-    def functor_to(self, other: "PresheafSpace", f, name: str = "") -> QFunctor:
-        mapping = {lbl: other.label_of(f(m)) for lbl, m in zip(self.category.objects, self.members)}
-        return QFunctor(self.category, other.category, mapping, name=name or "between-spaces")
+        return [self.base.q.opposite().dual_arrows(col) for col in zip(*hom)]
 
     def yoneda_functor(self) -> QFunctor:
         if self.kind == "presheaf":

@@ -61,6 +61,7 @@ from .presheaf import (
     materialize_copresheaves,
     materialize_presheaves,
     presheaf_hom,
+    presheaf_residual,
     ran,
     yoneda,
     coyoneda,
@@ -162,8 +163,7 @@ def verify_type_preserving_representation(S: QFunctor, T: QFunctor,
     gS = graph(S)
     bad = [(c, d) for c in C.objects for d in D.objects
            if gS.at(c, d) != X.hom_of(L[c], R[d])]
-    report.check("hom-identity", not bad,
-                 "graph(S)(c,d) == X(Lc,Rd)" + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none("hom-identity", bad, "graph(S)(c,d) == X(Lc,Rd)")
     if report.passed:
         Lf = QFunctor(C, X, L, name="L")
         Rf = QFunctor(D, X, R, name="R")
@@ -181,12 +181,11 @@ def verify_type_preserving_representation(S: QFunctor, T: QFunctor,
 
 def verify_dense_representation(S: QFunctor, T: QFunctor, F: QFunctor, K: QFunctor,
                                 G: QFunctor, H: QFunctor, X: QCategory,
-                                assume_complete: bool = False,
-                                construct_witnesses: bool = True) -> Report:
+                                assume_complete: bool = False) -> Report:
     """Dense F, K and codense G, H with the four-way composite identity.
 
-    With ``construct_witnesses`` the Kan extensions lan(K, F) and ran(H, G)
-    are built pointwise and handed to the general representation verifier,
+    When all of that holds, the Kan extensions lan(K, F) and ran(H, G) are
+    built pointwise and handed to the general representation verifier,
     replaying the sufficiency proof on the given data.
     """
     if F.dom != K.dom or G.dom != H.dom:
@@ -209,7 +208,7 @@ def verify_dense_representation(S: QFunctor, T: QFunctor, F: QFunctor, K: QFunct
     rhs = dist_compose(cograph(G), graph(F))
     report.check("four-way-identity", lhs == rhs,
                  "cograph(H) . graph(S) . graph(K) == cograph(G) . graph(F)")
-    if report.passed and construct_witnesses:
+    if report.passed:
         L = lan(K, F)
         R = ran(H, G)
         report.extend(verify_general_representation(S, T, L, R, X), prefix="general:")
@@ -219,12 +218,13 @@ def verify_dense_representation(S: QFunctor, T: QFunctor, F: QFunctor, K: QFunct
 # -- concept lattice representation theorems ----------------------------------------
 
 
-def verify_fca_representation(phi: QDistributor, X: QCategory, F: QFunctor,
-                              G: QFunctor, assume_complete: bool = False) -> Report:
+def _check_representation(name: str, phi: QDistributor, X: QCategory, F: QFunctor,
+                          G: QFunctor, assume_complete: bool, identity: str,
+                          formula: str) -> Report:
     """Dense F: A -> X and codense G: B -> X with phi(a,b) = X(Fa, Gb)."""
     if F.dom != phi.dom or G.dom != phi.cod or F.cod != X or G.cod != X:
         raise TypeMismatch("F must map rows into X and G columns into X")
-    report = Report("fca-representation")
+    report = Report(name)
     report.check("separated", is_separated(X), "")
     if assume_complete:
         report.skip("complete", "asserted by caller")
@@ -234,34 +234,28 @@ def verify_fca_representation(phi: QDistributor, X: QCategory, F: QFunctor,
     report.check("codense-G", is_codense(G), "")
     bad = [(a, b) for a in phi.dom.objects for b in phi.cod.objects
            if phi.at(a, b) != X.hom_of(F(a), G(b))]
-    report.check("context-identity", not bad,
-                 "phi(a,b) == X(Fa,Gb)" + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none(identity, bad, formula)
     return report
+
+
+def verify_fca_representation(phi: QDistributor, X: QCategory, F: QFunctor,
+                              G: QFunctor, assume_complete: bool = False) -> Report:
+    """Dense F: A -> X and codense G: B -> X with phi(a,b) = X(Fa, Gb)."""
+    return _check_representation("fca-representation", phi, X, F, G, assume_complete,
+                                 "context-identity", "phi(a,b) == X(Fa,Gb)")
 
 
 def verify_rst_representation(phi: QDistributor, X: QCategory, F: QFunctor,
                               G: QFunctor, rc: ResidualCategory | None = None,
                               assume_complete: bool = False) -> Report:
     """Dense F: B -> X and codense G from the residual category into X,
-    matching the residual context: residual(phi)(b, m) = X(Fb, Gm)."""
-    if rc is None:
-        rc = residual_category(phi.dom)
-    if F.dom != phi.cod or G.dom != rc.category or F.cod != X or G.cod != X:
-        raise TypeMismatch("F must map columns into X; G the residual members into X")
-    report = Report("rst-representation")
-    report.check("separated", is_separated(X), "")
-    if assume_complete:
-        report.skip("complete", "asserted by caller")
-    else:
-        report.check("complete", is_complete(X), "")
-    report.check("dense-F", is_dense(F), "")
-    report.check("codense-G", is_codense(G), "")
-    tr = residual_context(phi, rc)
-    bad = [(b, m) for b in phi.cod.objects for m in rc.category.objects
-           if tr.at(b, m) != X.hom_of(F(b), G(m))]
-    report.check("residual-identity", not bad,
-                 "residual(phi)(b,m) == X(Fb,Gm)" + ("" if not bad else f"; differs at {bad[0]}"))
-    return report
+    matching the residual context: residual(phi)(b, m) = X(Fb, Gm).
+
+    This is the FCA representation of the residual context.
+    """
+    return _check_representation("rst-representation", residual_context(phi, rc), X, F, G,
+                                 assume_complete, "residual-identity",
+                                 "residual(phi)(b,m) == X(Fb,Gm)")
 
 
 # -- generator maps and elementary theorems ------------------------------------------
@@ -290,13 +284,6 @@ def presheaf_tensor(A: QCategory, a: str, u: Arrow) -> Presheaf:
     q = A.q
     i = A.index(a)
     return Presheaf(A, u.dst, tuple(q.compose(u, A.hom[j][i]) for j in range(len(A))))
-
-
-def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
-    """u residuated by the corepresentable at a; type cod(u)."""
-    q = A.q
-    i = A.index(a)
-    return Presheaf(A, u.dst, tuple(q.left_imp(u, A.hom[i][j]) for j in range(len(A))))
 
 
 def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
@@ -380,9 +367,8 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
             rhs = q.right_imp(v, q.left_imp(phi.at(a, b), u))
             if lhs != rhs:
                 bad.append((a, q.label(u), b, q.label(v)))
-    report.check("polarity-hom", not bad,
-                 "hom(up(tensor(a,u)), cotensor(b,v)) == right_imp(v, left_imp(phi(a,b), u))"
-                 + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none("polarity-hom", bad,
+                      "hom(up(tensor(a,u)), cotensor(b,v)) == right_imp(v, left_imp(phi(a,b), u))")
     bad = []
     for b, v in dom_pairs(B):
         lam = presheaf_tensor(B, b, v)
@@ -392,9 +378,8 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
             rhs = q.left_imp(q.left_imp(u, phi.at(a, b)), v)
             if lhs != rhs:
                 bad.append((b, q.label(v), a, q.label(u)))
-    report.check("kan-hom", not bad,
-                 "hom(star(tensor(b,v)), residual(a,u)) == left_imp(left_imp(u, phi(a,b)), v)"
-                 + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none("kan-hom", bad,
+                      "hom(star(tensor(b,v)), residual(a,u)) == left_imp(left_imp(u, phi(a,b)), v)")
     return report
 
 
@@ -449,9 +434,8 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
                 rhs = q.left_imp(q.left_imp(u, phi.at(a, b)), v)
             if X.hom_of(F[pf], G[pg]) != rhs:
                 bad.append((pf[0], q.label(pf[1]), pg[0], q.label(pg[1])))
-    report.check("hom-identity", not bad,
-                 "X(F(.), G(.)) equals the double residuation of the entry"
-                 + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none("hom-identity", bad,
+                      "X(F(.), G(.)) equals the double residuation of the entry")
     return report
 
 
@@ -478,9 +462,8 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
                 rhs = order.leq(F[(b, v)], G[(a, u)])
                 if lhs != rhs:
                     bad.append((a, b, q.label(u), q.label(v)))
-        report.check("object-oriented-biconditional", not bad,
-                     "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)"
-                     + ("" if not bad else f"; differs at {bad[0]}"))
+        report.check_none("object-oriented-biconditional", bad,
+                          "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)")
     else:
         for (a, u) in dom_pairs(phi.dom):
             for (b, v) in cod_pairs(phi.cod):
@@ -488,9 +471,8 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
                 rhs = order.leq(F[(a, u)], G[(b, v)])
                 if lhs != rhs:
                     bad.append((a, b, q.label(u), q.label(v)))
-        report.check("formal-concept-biconditional", not bad,
-                     "v.u <= phi(a,b)  iff  F(a,u) <= G(b,v)"
-                     + ("" if not bad else f"; differs at {bad[0]}"))
+        report.check_none("formal-concept-biconditional", bad,
+                          "v.u <= phi(a,b)  iff  F(a,u) <= G(b,v)")
     return report
 
 
@@ -508,16 +490,14 @@ def verify_yoneda(A: QCategory, cap: int | None = None) -> Report:
             for a in A.objects:
                 if presheaf_hom(yoneda(A, a), mu) != mu.at(a):
                     bad.append((qobj, a))
-    report.check("presheaf-half", not bad,
-                 "mu(a) == hom(yoneda(a), mu)" + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none("presheaf-half", bad, "mu(a) == hom(yoneda(a), mu)")
     bad = []
     for qobj in A.q.objects:
         for lam in enumerate_copresheaves(A, qobj, cap):
             for a in A.objects:
                 if copresheaf_hom(lam, coyoneda(A, a)) != lam.at(a):
                     bad.append((qobj, a))
-    report.check("copresheaf-half", not bad,
-                 "lam(a) == hom(lam, coyoneda(a))" + ("" if not bad else f"; differs at {bad[0]}"))
+    report.check_none("copresheaf-half", bad, "lam(a) == hom(lam, coyoneda(a))")
     return report
 
 
@@ -588,7 +568,8 @@ def verify_density_suite(A: QCategory) -> Report:
     report.check("yoneda-dense", is_dense(pa.yoneda_functor()), "")
     report.check("coyoneda-codense", is_codense(pda.yoneda_functor()), "")
     rc = residual_category(A)
-    report.check("residual-inclusion-codense", is_codense(rc.inclusion_into(pa)), "")
+    report.check("residual-inclusion-codense",
+                 is_codense(rc.functor_to(pa, lambda m: m, name="residual-inclusion")), "")
     gm = build_generator_maps(A, pa, pda)
     for name, ok in gm.density.items():
         report.check(name, ok, "")
@@ -653,16 +634,9 @@ def canonical_general_data(phi: QDistributor, kind: str) -> CanonicalRepresentat
         down = pair.lower
     else:
         raise QfcaError(f"unknown kind {kind!r}")
-    X = lattice.category
-    L = QFunctor(adj.C_space.category, X,
-                 {lbl: lattice.label_of(close(m))
-                  for lbl, m in zip(adj.C_space.category.objects, adj.C_space.members)},
-                 name="closure-restriction")
-    R = QFunctor(adj.D_space.category, X,
-                 {lbl: lattice.label_of(down(m))
-                  for lbl, m in zip(adj.D_space.category.objects, adj.D_space.members)},
-                 name="right-restriction")
-    return CanonicalRepresentation(adj, L, R, X, lattice)
+    L = adj.C_space.functor_to(lattice, close, name="closure-restriction")
+    R = adj.D_space.functor_to(lattice, down, name="right-restriction")
+    return CanonicalRepresentation(adj, L, R, lattice.category, lattice)
 
 
 def canonical_fca_data(phi: QDistributor):
@@ -670,10 +644,10 @@ def canonical_fca_data(phi: QDistributor):
     data = canonical_general_data(phi, "fca")
     A, B = phi.dom, phi.cod
     pair = IsbellPair(phi)
-    F = QFunctor(A, data.X, {a: data.lattice.label_of(pair.closure(yoneda(A, a)))
-                             for a in A.objects}, name="rows-into-concepts")
-    G = QFunctor(B, data.X, {b: data.lattice.label_of(isbell_down(phi, coyoneda(B, b)))
-                             for b in B.objects}, name="columns-into-concepts")
+    F = data.lattice.functor_from(A, lambda a: pair.closure(yoneda(A, a)),
+                                  name="rows-into-concepts")
+    G = data.lattice.functor_from(B, lambda b: isbell_down(phi, coyoneda(B, b)),
+                                  name="columns-into-concepts")
     return data, F, G
 
 
@@ -684,12 +658,9 @@ def canonical_rst_data(phi: QDistributor, rc: ResidualCategory | None = None):
         rc = residual_category(phi.dom)
     B = phi.cod
     pair = KanPair(phi)
-    F = QFunctor(B, data.X, {b: data.lattice.label_of(pair.closure(yoneda(B, b)))
-                             for b in B.objects}, name="columns-into-concepts")
-    G = QFunctor(rc.category, data.X,
-                 {lbl: data.lattice.label_of(kan_lower(phi, m))
-                  for lbl, m in zip(rc.category.objects, rc.members)},
-                 name="residuals-into-concepts")
+    F = data.lattice.functor_from(B, lambda b: pair.closure(yoneda(B, b)),
+                                  name="columns-into-concepts")
+    G = rc.functor_to(data.lattice, lambda m: kan_lower(phi, m), name="residuals-into-concepts")
     return data, F, G, rc
 
 
@@ -702,7 +673,7 @@ def canonical_dense_data(phi: QDistributor, kind: str):
         return data, F, K, G, H
     data, F, G, rc = canonical_rst_data(phi)
     K = data.adj.C_space.yoneda_functor()
-    H = rc.inclusion_into(data.adj.D_space)
+    H = rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion")
     return data, F, K, G, H
 
 

@@ -94,8 +94,8 @@ def test_concepts_oracle_mismatch_fault_injection(capsys, monkeypatch):
     # simulate a buggy closure by dropping a concept from the computed lattice
     real = cli.fca_lattice
 
-    def broken(phi, cap=None, verify=True):
-        lattice = real(phi, cap, verify)
+    def broken(phi, cap=None):
+        lattice = real(phi, cap)
         from qfca.concept import ConceptLattice
         return ConceptLattice("fca", phi, lattice.concepts[:-1])
 

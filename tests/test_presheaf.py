@@ -171,7 +171,7 @@ def test_lan_along_yoneda_is_closure(fix2id):
 def test_ran_of_codense_along_itself(fixl3):
     A = fixl3.A
     pa = materialize_presheaves(A)
-    J = residual_category(A).inclusion_into(pa)
+    J = residual_category(A).functor_to(pa, lambda m: m)
     assert is_codense(J)
     R = ran(J, J)
     assert functor_iso(R, identity_functor(pa.category))
@@ -192,7 +192,7 @@ def test_density_predicates(fix2id, fixl3):
         pda = materialize_copresheaves(ctx.A)
         assert is_dense(pa.yoneda_functor())
         assert is_codense(pda.yoneda_functor())
-        assert is_codense(residual_category(ctx.A).inclusion_into(pa))
+        assert is_codense(residual_category(ctx.A).functor_to(pa, lambda m: m))
 
 
 def test_join_dense_negative_case(luk3):
