@@ -24,12 +24,12 @@ inline: {"preset": {"name": "lukasiewicz-chain", "n": 3}}.
 Exit codes: 0 success/pass, 1 validation failure, 2 usage or precondition
 error, 3 property-verification failure, 4 budget exhausted (an enumeration,
 search or closure cap was reached; the message names the limit).  The
-computing subcommands print the validation report of an invalid inline
-quantaloid and exit 1 without computing on it.  A document of the wrong
-shape (a field of the wrong JSON type) is a usage error naming the field's
-JSON path.  Outputs are deterministic: repeated runs on the same input are
-byte-identical.  The environment variable QFCA_BUDGET overrides all
-enumeration, search and closure caps.
+computing subcommands refuse any document that ``validate`` rejects: they
+print the failing validation reports and exit 1 without computing on it.  A
+document of the wrong shape (a field of the wrong JSON type) is a usage
+error naming the field's JSON path.  Outputs are deterministic: repeated
+runs on the same input are byte-identical.  The environment variable
+QFCA_BUDGET overrides all enumeration, search and closure caps.
 """
 
 from __future__ import annotations
