@@ -1,0 +1,132 @@
+"""Per-condition verdicts of the verifiers on corrupted quantaloid tables.
+
+Each case replaces one entry of the ``limp_table``, ``rimp_table`` or
+``compose_table`` of ``lukasiewicz-chain n=3`` by another element, then runs
+``verify_adjunction_laws`` and ``verify_transpose_identities`` on a fixed
+2x2 discrete context and ``verify_yoneda`` on its row category.  The pinned
+outcome names, in report order, the conditions that fail (or the class of the
+exception raised).  A verifier that checks a law on the wrong side, or pairs a
+unit with the wrong counit, changes some of these verdicts.
+"""
+
+import itertools
+
+import pytest
+
+from qfca.concept import verify_transpose_identities
+from qfca.qcat import QTypedSet, discrete_category
+from qfca.qdist import QDistributor
+from qfca.quantaloid import build_preset
+from qfca.represent import verify_adjunction_laws, verify_yoneda
+
+SHORT = {"polarity-unit": "pu", "polarity-counit": "pc", "extension-unit": "eu",
+         "extension-counit": "ec", "dual-extension-unit": "du", "dual-extension-counit": "dc",
+         "factor-through-presheaves": "fp", "factor-through-copresheaves": "fc",
+         "cotranspose-via-adjunctions": "ca", "transpose-via-adjunctions": "ta",
+         "presheaf-half": "yp", "copresheaf-half": "yc"}
+CONTEXT = (("1/2", "0"), ("1", "1/2"))
+
+# (table, row, column, new entry): "adjunction laws | transpose identities |
+# yoneda", each the failed conditions by SHORT name, "-" for none, or the class
+# of the exception raised
+PINNED = {
+    ("limp", 0, 0, 0): "pc eu | ca | yp",
+    ("limp", 0, 0, 1): "pc eu | - | yp",
+    ("limp", 0, 1, 0): "pc eu | - | -",
+    ("limp", 0, 1, 2): "pu ec | fp | -",
+    ("limp", 0, 2, 1): "pu ec | fp ca | yp",
+    ("limp", 0, 2, 2): "pu ec | fp ca | yp",
+    ("limp", 1, 0, 0): "pc eu | fp ca | yp",
+    ("limp", 1, 0, 1): "pc eu | fp ca | yp",
+    ("limp", 1, 1, 0): "pc eu | - | -",
+    ("limp", 1, 1, 1): "pc eu | - | -",
+    ("limp", 1, 2, 0): "pc eu | fp ca | yp",
+    ("limp", 1, 2, 2): "pu ec | fp ca | yp",
+    ("limp", 2, 0, 0): "- | ca | yp",
+    ("limp", 2, 0, 1): "- | - | yp",
+    ("limp", 2, 1, 0): "pc eu | - | -",
+    ("limp", 2, 1, 1): "pc eu | - | -",
+    ("limp", 2, 2, 0): "pc eu | fp ca | yp",
+    ("limp", 2, 2, 1): "pc eu | fp ca | yp",
+    ("rimp", 0, 0, 0): "pu dc | ta | yc",
+    ("rimp", 0, 0, 1): "pu dc | - | yc",
+    ("rimp", 0, 1, 0): "pu dc | fc ta | yc",
+    ("rimp", 0, 1, 1): "pu dc | fc ta | yc",
+    ("rimp", 0, 2, 0): "- | ta | yc",
+    ("rimp", 0, 2, 1): "- | - | yc",
+    ("rimp", 1, 0, 0): "pu dc | - | -",
+    ("rimp", 1, 0, 2): "pc du | fc | -",
+    ("rimp", 1, 1, 0): "pu dc | - | -",
+    ("rimp", 1, 1, 1): "pu dc | - | -",
+    ("rimp", 1, 2, 0): "pu dc | - | -",
+    ("rimp", 1, 2, 1): "pu dc | - | -",
+    ("rimp", 2, 0, 1): "pc du | fc ta | yc",
+    ("rimp", 2, 0, 2): "pc du | fc ta | yc",
+    ("rimp", 2, 1, 0): "pu dc | fc ta | yc",
+    ("rimp", 2, 1, 2): "pc du | fc ta | yc",
+    ("rimp", 2, 2, 0): "pu dc | fc ta | yc",
+    ("rimp", 2, 2, 1): "pu dc | fc ta | yc",
+    ("compose", 0, 0, 1): "- | - | -",
+    ("compose", 0, 0, 2): "- | QfcaError | -",
+    ("compose", 0, 1, 1): "ec du | QfcaError | -",
+    ("compose", 0, 1, 2): "ec du | QfcaError | -",
+    ("compose", 0, 2, 1): "du | QfcaError | -",
+    ("compose", 0, 2, 2): "du | QfcaError | -",
+    ("compose", 1, 0, 1): "ec du | QfcaError | -",
+    ("compose", 1, 0, 2): "ec du | QfcaError | -",
+    ("compose", 1, 1, 1): "ec du | fp fc | -",
+    ("compose", 1, 1, 2): "ec du | fp fc | -",
+    ("compose", 1, 2, 0): "eu dc | ca | -",
+    ("compose", 1, 2, 2): "du | QfcaError | -",
+    ("compose", 2, 0, 1): "ec | QfcaError | -",
+    ("compose", 2, 0, 2): "ec | QfcaError | -",
+    ("compose", 2, 1, 0): "eu dc | ta | -",
+    ("compose", 2, 1, 2): "ec | QfcaError | -",
+    ("compose", 2, 2, 0): "eu dc | fp fc ca ta | -",
+    ("compose", 2, 2, 1): "eu dc | fp fc ca ta | -",
+}
+
+
+def _corruptions():
+    for table in ("limp", "rimp", "compose"):
+        entries = getattr(build_preset("lukasiewicz-chain", n=3), f"{table}_table")["*", "*", "*"]
+        for w, x in itertools.product(range(3), repeat=2):
+            yield from ((table, w, x, new) for new in range(3) if new != entries[w][x])
+
+
+def _outcome(run) -> str:
+    try:
+        return " ".join(SHORT[name] for name in run().failed_names()) or "-"
+    except Exception as e:
+        return type(e).__name__
+
+
+def test_every_single_entry_corruption_is_pinned():
+    assert list(_corruptions()) == list(PINNED)
+    assert len(PINNED) == 54
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_verdicts_on_corrupted_tables(case):
+    table, w, x, new = case
+    Q = build_preset("lukasiewicz-chain", n=3)
+    # corrupt before Q.opposite() is first built, so the opposite quantaloid,
+    # transposed from these tables, carries the same fault
+    assert "_opposite" not in Q.__dict__
+    tables = getattr(Q, f"{table}_table")
+    rows = [list(row) for row in tables["*", "*", "*"]]
+    rows[w][x] = new
+    tables["*", "*", "*"] = tuple(map(tuple, rows))
+    A = discrete_category(Q, QTypedSet(("a1", "a2"), ("*", "*")), name="A")
+    B = discrete_category(Q, QTypedSet(("b1", "b2"), ("*", "*")), name="B")
+    phi = QDistributor(A, B, [[Q.arrow("*", "*", v) for v in row] for row in CONTEXT],
+                       name="phi")
+    got = " | ".join((_outcome(lambda: verify_adjunction_laws(phi)),
+                      _outcome(lambda: verify_transpose_identities(phi)),
+                      _outcome(lambda: verify_yoneda(A))))
+    assert got == PINNED[case]
+
+
+def test_every_condition_fails_somewhere():
+    failed = {code for outcome in PINNED.values() for code in outcome.replace("|", " ").split()}
+    assert set(SHORT.values()) <= failed
