@@ -29,7 +29,7 @@ print the failing validation reports and exit 1 without computing on it.  A
 document of the wrong shape (a field of the wrong JSON type) is a usage
 error naming the field's JSON path.  Outputs are deterministic: repeated
 runs on the same input are byte-identical.  The environment variable
-QFCA_BUDGET overrides all enumeration, search and closure caps.
+QFCA_BUDGET replaces all enumeration, search and closure caps at once.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ from .qcat import QCategory, QFunctor, validate_category, validate_functor
 from .qdist import QDistributor, validate_distributor
 from .presheaf import presheaf_label
 from .concept import (
+    _json_to_dot,
     brute_force_fixed,
     codense_probe,
     fca_lattice,
-    lattice_to_dot,
     lattice_to_json,
     residual_category,
     residual_context,
@@ -443,17 +443,11 @@ def cmd_concepts(args) -> int:
                 }
                 _dump({"oracle": "mismatch", "diff": diff}, args.output)
                 return 3
+    data = lattice_to_json(lattice)
+    data["types"] = {t: data["types"][t] for t in wanted}
     if args.out == "dot":
-        full = lattice_to_dot(lattice)
-        if args.type != "all":
-            blocks = full.split("digraph ")
-            kept = [b for b in blocks if b.startswith(f'"{lattice.kind}_{args.type}"')]
-            full = "digraph " + "digraph ".join(kept) if kept else ""
-        _emit(full, args.output)
+        _emit(_json_to_dot(data), args.output)
     else:
-        data = lattice_to_json(lattice)
-        if args.type != "all":
-            data["types"] = {args.type: data["types"][args.type]}
         _dump(data, args.output)
     return 0
 
@@ -484,6 +478,8 @@ def _parse_data_tokens(tokens) -> dict:
         if "=" not in tok:
             raise UsageError(f"--data expects key=value tokens, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k in out:
+            raise UsageError(f"--data names the key {k!r} twice")
         out[k] = v
     return out
 
@@ -498,34 +494,41 @@ def _data_ref(named: dict, data: dict, key: str, what: str):
                          f"choices: {sorted(named)}") from None
 
 
+# The --data keys that each property reads; mphi-rep reads all three or none.
+_DATA_KEYS = {"thm33": ["kind"], "thm51": ["kind"], "elementary-rep": ["kind"],
+              "yoneda": ["category"], "dense-cond": ["category"],
+              "mphi-rep": ["F", "G", "X"], "girard-probe": ["object"]}
+
+
 def cmd_verify(args) -> int:
     doc = load_valid_document(args.path)
     data = _parse_data_tokens(args.data)
+    prop = args.prop
+    accepted = _DATA_KEYS.get(prop, [])
+    for key in data:
+        if key not in accepted:
+            raise UsageError(f"--prop {prop} reads no --data key {key!r}; "
+                             f"it accepts {accepted}")
+    if prop == "mphi-rep" and data and len(data) < len(accepted):
+        missing = [key for key in accepted if key not in data]
+        raise UsageError(f"--prop mphi-rep reads all of the --data keys {accepted} or none; "
+                         f"{missing[0]!r} is missing")
     kind = data.get("kind", "fca")
     if kind not in ("fca", "rst"):
         raise UsageError(f"kind must be fca or rst, got {kind!r}")
-    prop = args.prop
 
-    if prop == "yoneda":
-        report = Report("yoneda")
+    if prop in ("yoneda", "dense-cond"):
+        verify = verify_yoneda if prop == "yoneda" else verify_density_suite
+        report = Report(prop)
         cats = ([_data_ref(doc.categories, data, "category", "category")] if "category" in data
                 else list(doc.categories.values()))
         for A in cats:
-            report.extend(verify_yoneda(A), prefix=f"{A.name}:")
-    elif prop == "dense-cond":
-        report = Report("dense-cond")
-        cats = ([_data_ref(doc.categories, data, "category", "category")] if "category" in data
-                else list(doc.categories.values()))
-        for A in cats:
-            report.extend(verify_density_suite(A), prefix=f"{A.name}:")
-    elif prop == "isbell-adjunction":
+            report.extend(verify(A), prefix=f"{A.name}:")
+    elif prop in ("isbell-adjunction", "kan-adjunction"):
         phi = _pick_distributor(doc, args.dist)
         report = verify_adjunction_laws(phi)
-        report.extend(verify_adjunction_as_functors(phi, "fca"))
-    elif prop == "kan-adjunction":
-        phi = _pick_distributor(doc, args.dist)
-        report = verify_adjunction_laws(phi)
-        report.extend(verify_adjunction_as_functors(phi, "rst"))
+        report.extend(verify_adjunction_as_functors(
+            phi, "fca" if prop == "isbell-adjunction" else "rst"))
     elif prop == "k-eq-m-tr":
         phi = _pick_distributor(doc, args.dist)
         report = verify_rst_as_fca(phi)
@@ -549,7 +552,7 @@ def cmd_verify(args) -> int:
                                              assume_complete=True)
     elif prop == "mphi-rep":
         phi = _pick_distributor(doc, args.dist)
-        if {"F", "G", "X"} <= data.keys():
+        if data:
             report = verify_fca_representation(
                 phi, _data_ref(doc.categories, data, "X", "category"),
                 _data_ref(doc.functors, data, "F", "functor"),

@@ -38,9 +38,12 @@ from .qcat import (
 from .qdist import (
     ChuTransform,
     QDistributor,
+    cograph,
+    dist_compose,
     dist_left_imp,
     dist_right_imp,
     dualize_distributor,
+    graph,
     identity_dist,
     validate_chu,
 )
@@ -147,35 +150,67 @@ def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
 
 @dataclass(frozen=True)
 class IsbellPair:
-    """The polarity adjunction of a context, as a pair of closures."""
+    """The polarity adjunction ``left = isbell_up -| right = isbell_down``.
+
+    Both closure pairs name the ``kind`` of their lattice, the ``base`` that
+    their ``closure`` acts on, the materialized ``spaces`` that ``left`` and
+    ``right`` start from, and the fixed-point ``lattice``.
+    """
 
     phi: QDistributor
+    kind = "fca"
+    base = property(lambda self: self.phi.dom)
 
-    def up(self, mu: Presheaf) -> Copresheaf:
+    def left(self, mu: Presheaf) -> Copresheaf:
         return isbell_up(self.phi, mu)
 
-    def down(self, lam: Copresheaf) -> Presheaf:
+    def right(self, lam: Copresheaf) -> Presheaf:
         return isbell_down(self.phi, lam)
 
     def closure(self, mu: Presheaf) -> Presheaf:
-        return self.down(self.up(mu))
+        return self.right(self.left(mu))
+
+    def spaces(self) -> tuple[PresheafSpace, PresheafSpace]:
+        return materialize_presheaves(self.base), materialize_copresheaves(self.phi.cod)
+
+    def lattice(self) -> ConceptLattice:
+        return fca_lattice(self.phi)
 
 
 @dataclass(frozen=True)
 class KanPair:
-    phi: QDistributor
+    """The extension adjunction ``left = kan_star -| right = kan_lower``; see
+    :class:`IsbellPair`."""
 
-    def star(self, lam: Presheaf) -> Presheaf:
+    phi: QDistributor
+    kind = "rst"
+    base = property(lambda self: self.phi.cod)
+
+    def left(self, lam: Presheaf) -> Presheaf:
         return kan_star(self.phi, lam)
 
-    def lower(self, mu: Presheaf) -> Presheaf:
+    def right(self, mu: Presheaf) -> Presheaf:
         return kan_lower(self.phi, mu)
 
     def closure(self, lam: Presheaf) -> Presheaf:
-        return self.lower(self.star(lam))
+        return self.right(self.left(lam))
 
     def interior(self, mu: Presheaf) -> Presheaf:
-        return self.star(self.lower(mu))
+        return self.left(self.right(mu))
+
+    def spaces(self) -> tuple[PresheafSpace, PresheafSpace]:
+        return materialize_presheaves(self.base), materialize_presheaves(self.phi.dom)
+
+    def lattice(self) -> ConceptLattice:
+        return rst_lattice(self.phi)
+
+
+def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
+    """The adjunction whose closure's fixed points form the ``kind`` lattice of phi."""
+    pairs = {"fca": IsbellPair, "rst": KanPair}
+    if kind not in pairs:
+        raise QfcaError(f"unknown kind {kind!r}")
+    return pairs[kind](phi)
 
 
 # -- concept lattices -------------------------------------------------------------
@@ -195,7 +230,7 @@ class ConceptLattice(PresheafFamily):
     """
 
     def __init__(self, kind: str, phi: QDistributor, concepts: tuple[Presheaf, ...]):
-        super().__init__(phi.dom if kind == "fca" else phi.cod, concepts, f"{kind}({phi.name})")
+        super().__init__(closure_pair(phi, kind).base, concepts, f"{kind}({phi.name})")
         self.kind = kind
         self.phi = phi
         self.concepts = self.members
@@ -244,7 +279,7 @@ class _DownSetCode:
                               for field, arrows in zip(self._fields, self._arrows)))
 
 
-def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
+def _meet_closure(base: QCategory, qobj: str, generators):
     """Closure of the generators under binary pointwise meets, on down-set codes.
 
     Each generator that is not yet present is added, followed by its meet
@@ -252,7 +287,7 @@ def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
     since ``(g & x) & (g & y) == g & (x & y)``, so the closure costs one AND
     per generator and element.
     """
-    limit = budget("closure", cap)
+    limit = budget("closure")
     code = _DownSetCode(base, qobj)
     codes: list[int] = []
     seen: set[int] = set()
@@ -266,30 +301,30 @@ def _meet_closure(base: QCategory, qobj: str, generators, cap: int | None):
                 if len(codes) > limit:
                     raise ClosureBudgetExceeded(
                         f"closure cap of {limit} elements exceeded by the meet closure "
-                        f"at type {qobj!r}; QFCA_BUDGET or cap= overrides it")
+                        f"at type {qobj!r}; QFCA_BUDGET overrides it")
     return tuple(map(code.decode, codes))
 
 
-def _fixpoint_lattice(kind: str, phi: QDistributor, base: QCategory, generators, closure,
-                      cap: int | None) -> ConceptLattice:
-    """All fixed presheaves of ``closure`` on ``base``, one meet-closure per type.
+def _fixpoint_lattice(pair: IsbellPair | KanPair, generators) -> ConceptLattice:
+    """All fixed presheaves of ``pair.closure`` on ``pair.base``, one meet-closure per type.
 
     ``generators(qobj)`` yields fixed presheaves whose meets, with the top
     presheaf (the empty meet), are all the fixed ones.  Every result is
     checked to be fixed.
     """
+    phi, base = pair.phi, pair.base
     phi.q.require_lattices()
     concepts: list[Presheaf] = []
     for qobj in phi.q.objects:
-        closed = _meet_closure(base, qobj, [top_presheaf(base, qobj), *generators(qobj)], cap)
+        closed = _meet_closure(base, qobj, [top_presheaf(base, qobj), *generators(qobj)])
         for p in closed:
-            if closure(p) != p:
+            if pair.closure(p) != p:
                 raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
         concepts.extend(closed)
-    return ConceptLattice(kind, phi, tuple(concepts))
+    return ConceptLattice(pair.kind, phi, tuple(concepts))
 
 
-def fca_lattice(phi: QDistributor, cap: int | None = None) -> ConceptLattice:
+def fca_lattice(phi: QDistributor) -> ConceptLattice:
     """All fixed presheaves of the Isbell closure.
 
     The generators at type q are the residuals ``right_imp(v, phi(-, b))``
@@ -304,10 +339,10 @@ def fca_lattice(phi: QDistributor, cap: int | None = None) -> ConceptLattice:
             for v in range(len(q.hom(qobj, b))):
                 yield Presheaf(A, qobj, tuple(arrows[rimp[v][w]] for rimp, arrows, w in column))
 
-    return _fixpoint_lattice("fca", phi, A, generators, IsbellPair(phi).closure, cap)
+    return _fixpoint_lattice(IsbellPair(phi), generators)
 
 
-def rst_lattice(phi: QDistributor, cap: int | None = None) -> ConceptLattice:
+def rst_lattice(phi: QDistributor) -> ConceptLattice:
     """All fixed presheaves of the Kan closure.
 
     Generators at type q are ``left_imp(u, phi(a, -))`` over all rows a and
@@ -322,21 +357,18 @@ def rst_lattice(phi: QDistributor, cap: int | None = None) -> ConceptLattice:
             for u in range(len(q.hom(p, qobj))):
                 yield Presheaf(B, qobj, tuple(arrows[limp[u][x]] for limp, arrows, x in cells))
 
-    return _fixpoint_lattice("rst", phi, B, generators, KanPair(phi).closure, cap)
+    return _fixpoint_lattice(KanPair(phi), generators)
 
 
-def brute_force_fixed(phi: QDistributor, kind: str, qobj: str,
-                      cap: int | None = None) -> tuple[Presheaf, ...]:
+def brute_force_fixed(phi: QDistributor, kind: str, qobj: str) -> tuple[Presheaf, ...]:
     """Independent oracle: filter the full presheaf enumeration by fixedness."""
-    if kind not in ("fca", "rst"):
-        raise QfcaError(f"unknown lattice kind {kind!r}")
-    pair, base = (IsbellPair(phi), phi.dom) if kind == "fca" else (KanPair(phi), phi.cod)
-    return tuple(p for p in enumerate_presheaves(base, qobj, cap) if pair.closure(p) == p)
+    pair = closure_pair(phi, kind)
+    return tuple(p for p in enumerate_presheaves(pair.base, qobj) if pair.closure(p) == p)
 
 
-def macneille_completion(A: QCategory, cap: int | None = None) -> ConceptLattice:
+def macneille_completion(A: QCategory) -> ConceptLattice:
     """The FCA lattice of the identity context: the smallest completion of A."""
-    return fca_lattice(identity_dist(A), cap)
+    return fca_lattice(identity_dist(A))
 
 
 # -- the residual category and residual contexts -----------------------------------
@@ -396,7 +428,7 @@ def residual_context(phi: QDistributor, rc: ResidualCategory | None = None) -> Q
     return tr
 
 
-def verify_rst_as_fca(phi: QDistributor, cap: int | None = None) -> Report:
+def verify_rst_as_fca(phi: QDistributor) -> Report:
     """Check that the RST lattice equals the FCA lattice of the residual context.
 
     Also checks the exact residuation identity
@@ -409,15 +441,15 @@ def verify_rst_as_fca(phi: QDistributor, cap: int | None = None) -> Report:
     back = dist_right_imp(tr, rc.yoneda_graph)
     report.check("pseudo-complement-identity", back == phi,
                  "phi == (yoneda_graph <l phi) >r yoneda_graph")
-    _check_rst_is_fca(report, phi, tr, "residual-fca", cap)
+    _check_rst_is_fca(report, phi, tr, "residual-fca")
     return report
 
 
-def _check_rst_is_fca(report: Report, phi: QDistributor, other: QDistributor, other_name: str,
-                      cap: int | None) -> None:
+def _check_rst_is_fca(report: Report, phi: QDistributor, other: QDistributor,
+                      other_name: str) -> None:
     """One ``lattice-equality@q`` condition per type: rst(phi) against fca(other)."""
-    k_types = rst_lattice(phi, cap).per_type()
-    m_types = fca_lattice(other, cap).per_type()
+    k_types = rst_lattice(phi).per_type()
+    m_types = fca_lattice(other).per_type()
     for qobj in phi.q.objects:
         ks = frozenset(p.key() for p in k_types[qobj])
         ms = frozenset(p.key() for p in m_types[qobj])
@@ -443,8 +475,7 @@ def complement_presheaf(fam: CyclicDualizingFamily, mu: Presheaf) -> Copresheaf:
                       tuple(complement_arrow(q, fam, v) for v in mu.values))
 
 
-def verify_rst_as_fca_complement(phi: QDistributor, fam: CyclicDualizingFamily,
-                                 cap: int | None = None) -> Report:
+def verify_rst_as_fca_complement(phi: QDistributor, fam: CyclicDualizingFamily) -> Report:
     """Over a Girard quantaloid: RST lattice equals FCA lattice of the complement.
 
     Conditions: the pointwise complement agrees with both residuation
@@ -458,7 +489,7 @@ def verify_rst_as_fca_complement(phi: QDistributor, fam: CyclicDualizingFamily,
     report.check("complement-formulas",
                  neg == dist_left_imp(neg_a, phi) and neg == dist_right_imp(phi, neg_b),
                  "pointwise complement matches both residuation routes")
-    _check_rst_is_fca(report, phi, neg, "complement-fca", cap)
+    _check_rst_is_fca(report, phi, neg, "complement-fca")
     pa = materialize_presheaves(phi.dom)
     pda = materialize_copresheaves(phi.dom)
     negf = pa.functor_to(pda, lambda mu: complement_presheaf(fam, mu), name="complement")
@@ -523,51 +554,38 @@ def presheaf_transpose(phi: QDistributor, pa: PresheafSpace) -> QFunctor:
     return pa.functor_from(phi.cod, lambda y: _column(phi, y), name=f"transpose({phi.name})")
 
 
-def copresheaf_transpose(phi: QDistributor, pdb: PresheafSpace) -> QFunctor:
-    """Rows as copresheaves: a functor from the row category into P+(B).
-
-    The rows of phi are the columns of its dual, read back as copresheaves.
-    """
-    if pdb.base != phi.cod or pdb.kind != "copresheaf":
-        raise BaseMismatch("need the copresheaf space of the context's column category")
-    op = dualize_distributor(phi)
-    return pdb.functor_from(phi.dom, lambda x: _copresheaf_of(_column(op, x), phi.cod),
-                            name=f"cotranspose({phi.name})")
-
-
-def verify_transpose_identities(phi: QDistributor) -> Report:
-    """The three exact identities tying transposes to Yoneda and the adjunctions."""
-    from .qdist import cograph, dist_compose, graph
-
-    report = Report("transpose-identities")
-    A, B = phi.dom, phi.cod
-    pa = materialize_presheaves(A)
-    pdb = materialize_copresheaves(B)
+def _transpose_identities(phi: QDistributor) -> tuple[bool, bool]:
+    """Whether the transpose factors phi through the Yoneda embedding, and
+    whether the columns are isbell_down of coyoneda and kan_star of yoneda."""
+    B = phi.cod
+    pa = materialize_presheaves(phi.dom)
     pt = presheaf_transpose(phi, pa)
-    ct = copresheaf_transpose(phi, pdb)
-    ya = pa.yoneda_functor()
-    ydb = pdb.yoneda_functor()
-    report.check("factor-through-presheaves",
-                 phi == dist_compose(cograph(pt), graph(ya)),
-                 "phi == cograph(transpose) . graph(yoneda)")
-    report.check("factor-through-copresheaves",
-                 phi == dist_compose(cograph(ydb), graph(ct)),
-                 "phi == cograph(coyoneda) . graph(cotranspose)")
-    up_route = all(
-        isbell_up(phi, yoneda(A, a)).key() == pdb.member_of(ct(a)).key()
-        for a in A.objects)
-    dag_route = all(
-        kan_dag(phi, coyoneda(A, a)).key() == pdb.member_of(ct(a)).key()
-        for a in A.objects)
-    report.check("cotranspose-via-adjunctions", up_route and dag_route,
-                 "rows equal isbell_up of yoneda and kan_dag of coyoneda")
+    factor = phi == dist_compose(cograph(pt), graph(pa.yoneda_functor()))
     down_route = all(
         isbell_down(phi, coyoneda(B, b)).key() == pa.member_of(pt(b)).key()
         for b in B.objects)
     star_route = all(
         kan_star(phi, yoneda(B, b)).key() == pa.member_of(pt(b)).key()
         for b in B.objects)
-    report.check("transpose-via-adjunctions", down_route and star_route,
+    return factor, down_route and star_route
+
+
+def verify_transpose_identities(phi: QDistributor) -> Report:
+    """The exact identities tying transposes to Yoneda and the adjunctions.
+
+    The rows of phi as copresheaves are the columns of phi^op as presheaves,
+    so the copresheaf-side identities are the presheaf-side ones of phi^op.
+    """
+    report = Report("transpose-identities")
+    factor, via = _transpose_identities(phi)
+    cofactor, covia = _transpose_identities(dualize_distributor(phi))
+    report.check("factor-through-presheaves", factor,
+                 "phi == cograph(transpose) . graph(yoneda)")
+    report.check("factor-through-copresheaves", cofactor,
+                 "phi == cograph(coyoneda) . graph(cotranspose)")
+    report.check("cotranspose-via-adjunctions", covia,
+                 "rows equal isbell_up of yoneda and kan_dag of coyoneda")
+    report.check("transpose-via-adjunctions", via,
                  "columns equal isbell_down of coyoneda and kan_star of yoneda")
     return report
 
@@ -636,7 +654,7 @@ def residual_chu(c: ChuTransform, rc_src: ResidualCategory | None = None,
     return out
 
 
-def verify_functoriality_square(c: ChuTransform, cap: int | None = None) -> Report:
+def verify_functoriality_square(c: ChuTransform) -> Report:
     """The RST map of a Chu transform equals the FCA map of its residual transport."""
     report = Report("functoriality-square")
     chu_ok = validate_chu(c).ok
@@ -645,10 +663,10 @@ def verify_functoriality_square(c: ChuTransform, cap: int | None = None) -> Repo
         return report
     phi, psi = c.frm, c.to
     report.check("sides-are-residual-fca",
-                 verify_rst_as_fca(phi, cap).passed and verify_rst_as_fca(psi, cap).passed,
+                 verify_rst_as_fca(phi).passed and verify_rst_as_fca(psi).passed,
                  "both lattices equal their residual-context FCA lattices")
     tr_phi = residual_context(phi)
-    k_psi = rst_lattice(psi, cap)
+    k_psi = rst_lattice(psi)
     kan = KanPair(phi)
     isb = IsbellPair(tr_phi)
     bad = []
@@ -706,19 +724,22 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def lattice_to_dot(lat: ConceptLattice) -> str:
-    """One digraph per type; edges are Hasse covers of the underlying order."""
-    q = lat.phi.q
+def _json_to_dot(data: dict) -> str:
+    """One digraph per type of ``lattice_to_json`` data; edges are its Hasse covers."""
     lines = []
-    for qobj, ps in lat.per_type().items():
-        graph_name = f"{lat.kind}_{qobj}".replace("-", "_")
+    for qobj, part in data["types"].items():
+        graph_name = f"{data['kind']}_{qobj}".replace("-", "_")
         lines.append(f"digraph {_dot_quote(graph_name)} {{")
         lines.append("  rankdir=BT;")
-        labels = [lat.label_of(p) for p in ps]
-        for p, lbl in zip(ps, labels):
-            text = ", ".join(f"{x}:{q.label(v)}" for x, v in zip(p.base.objects, p.values))
-            lines.append(f"  {_dot_quote(lbl)} [label={_dot_quote(text)}];")
-        for a, b in _hasse_covers(lat.base, ps, labels):
+        for c in part["concepts"]:
+            text = ", ".join(f"{x}:{v}" for x, v in c["values"].items())
+            lines.append(f"  {_dot_quote(c['label'])} [label={_dot_quote(text)}];")
+        for a, b in part["hasse"]:
             lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def lattice_to_dot(lat: ConceptLattice) -> str:
+    """One digraph per type; edges are Hasse covers of the underlying order."""
+    return _json_to_dot(lattice_to_json(lat))

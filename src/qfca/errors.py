@@ -81,8 +81,8 @@ class ConditionFailed(QfcaError):
         self.condition = condition
 
 
-# Default caps.  QFCA_BUDGET overrides all of them at once; individual call
-# sites also accept an explicit ``budget=`` argument.
+# Default caps.  The environment variable QFCA_BUDGET, read at each use,
+# replaces all of them at once; it is the only way to change a cap.
 _DEFAULT_BUDGETS = {
     "enumeration": 10**5,
     "search": 10**6,
@@ -90,9 +90,7 @@ _DEFAULT_BUDGETS = {
 }
 
 
-def budget(kind: str, override: int | None = None) -> int:
-    if override is not None:
-        return override
+def budget(kind: str) -> int:
     env = os.environ.get("QFCA_BUDGET")
     if env is not None:
         try:

@@ -168,11 +168,6 @@ def presheaf_join(A: QCategory, qobj: str, parts) -> Presheaf:
     return Presheaf(A, qobj, values)
 
 
-def copresheaf_join(A: QCategory, qobj: str, parts) -> Copresheaf:
-    """Pointwise join, which is the *meet* in the copresheaf underlying order."""
-    return _copresheaf_of(presheaf_join(dualize_category(A), qobj, map(_presheaf_of, parts)), A)
-
-
 # -- Yoneda ---------------------------------------------------------------------
 
 
@@ -329,13 +324,13 @@ def is_codense(F: QFunctor) -> bool:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _enumerate(A: QCategory, qobj: str, cap: int | None, space: str) -> tuple[Presheaf, ...]:
+def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
     """All presheaves of one type on A; ``space`` names them in the budget error."""
     q = A.q
     count = 1
     for t in A.types:
         count *= len(q.hom(t, qobj))
-    limit = budget("enumeration", cap)
+    limit = budget("enumeration")
     if count > limit:
         raise BudgetExceeded(f"{space} at {qobj} exceeds {limit}", count)
     out = []
@@ -346,28 +341,28 @@ def _enumerate(A: QCategory, qobj: str, cap: int | None, space: str) -> tuple[Pr
     return tuple(out)
 
 
-def enumerate_presheaves(A: QCategory, qobj: str, cap: int | None = None) -> tuple[Presheaf, ...]:
+def enumerate_presheaves(A: QCategory, qobj: str) -> tuple[Presheaf, ...]:
     """All presheaves of one type, in lexicographic value order."""
-    return _enumerate(A, qobj, cap, f"presheaf space on {A.name}")
+    return _enumerate(A, qobj, f"presheaf space on {A.name}")
 
 
-def enumerate_copresheaves(A: QCategory, qobj: str, cap: int | None = None) -> tuple[Copresheaf, ...]:
+def enumerate_copresheaves(A: QCategory, qobj: str) -> tuple[Copresheaf, ...]:
     """All copresheaves of one type, in lexicographic value order."""
-    space = _enumerate(dualize_category(A), qobj, cap, f"copresheaf space on {A.name}")
+    space = _enumerate(dualize_category(A), qobj, f"copresheaf space on {A.name}")
     return tuple(_copresheaf_of(mu, A) for mu in space)
 
 
 _complete_cache = weakref.WeakKeyDictionary()
 
 
-def is_complete(A: QCategory, cap: int | None = None) -> bool:
+def is_complete(A: QCategory) -> bool:
     """Exhaustive: every presheaf of every type has a supremum; cached per value."""
     hit = _complete_cache.get(A)
     if hit is None:
         hit = all(
             sup(A, mu) is not None
             for qobj in A.q.objects
-            for mu in enumerate_presheaves(A, qobj, cap)
+            for mu in enumerate_presheaves(A, qobj)
         )
         _complete_cache[A] = hit
     return hit
@@ -440,12 +435,12 @@ class PresheafSpace(PresheafFamily):
     base, which makes its underlying order the correct (reversed) one.
     """
 
-    def __init__(self, base: QCategory, kind: str = "presheaf", cap: int | None = None):
+    def __init__(self, base: QCategory, kind: str = "presheaf"):
         if kind not in ("presheaf", "copresheaf"):
             raise QfcaError(f"unknown flavour {kind!r}")
         self.kind = kind
         enumerate_kind = enumerate_presheaves if kind == "presheaf" else enumerate_copresheaves
-        members = [m for qobj in base.q.objects for m in enumerate_kind(base, qobj, cap)]
+        members = [m for qobj in base.q.objects for m in enumerate_kind(base, qobj)]
         super().__init__(base, members, f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
 
     def _hom(self) -> list:
@@ -462,12 +457,12 @@ class PresheafSpace(PresheafFamily):
         return self.functor_from(self.base, lambda a: coyoneda(self.base, a), name="coyoneda")
 
 
-def materialize_presheaves(base: QCategory, cap: int | None = None) -> PresheafSpace:
-    return PresheafSpace(base, "presheaf", cap)
+def materialize_presheaves(base: QCategory) -> PresheafSpace:
+    return PresheafSpace(base, "presheaf")
 
 
-def materialize_copresheaves(base: QCategory, cap: int | None = None) -> PresheafSpace:
-    return PresheafSpace(base, "copresheaf", cap)
+def materialize_copresheaves(base: QCategory) -> PresheafSpace:
+    return PresheafSpace(base, "copresheaf")
 
 
 # -- order-level density -----------------------------------------------------------

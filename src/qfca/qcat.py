@@ -38,9 +38,6 @@ class QTypedSet:
         if len(set(self.elements)) != len(self.elements):
             raise InvalidParams(f"duplicate element labels: {self.elements}")
 
-    def pairs(self):
-        return tuple(zip(self.elements, self.type_of))
-
 
 class QCategory:
     """A typed carrier plus a hom matrix ``hom[i][j]`` of type arrows."""
@@ -323,14 +320,14 @@ def dualize_functor(F: QFunctor) -> QFunctor:
 # -- equivalence search --------------------------------------------------------
 
 
-def find_equivalence(A: QCategory, B: QCategory, search_budget: int | None = None):
+def find_equivalence(A: QCategory, B: QCategory):
     """Search for an equivalence A -> B; ``None`` if there is none.
 
     Backtracks over type-preserving assignments from a skeleton of A into B,
     pruning with the fully-faithfulness equations, in label order for
     reproducibility.  Worst case is exponential; a node budget guards it.
     """
-    cap = budget("search", search_budget)
+    cap = budget("search")
     skel, proj = skeletal_quotient(A)
     xs = sorted(skel.objects)
     nodes = 0

@@ -110,15 +110,12 @@ def dist_left_imp(xi: QDistributor, phi: QDistributor) -> QDistributor:
 
 
 def dist_right_imp(psi: QDistributor, xi: QDistributor) -> QDistributor:
-    """psi >r xi: A -/-> B for psi: B -/-> C and xi: A -/-> C."""
+    """psi >r xi: A -/-> B for psi: B -/-> C and xi: A -/-> C: the dual of xi^op <l psi^op."""
     if psi.cod != xi.cod:
         raise TypeMismatch("right implication needs a common codomain")
-    A, B, C, q = xi.dom, psi.dom, psi.cod, psi.q
-    matrix = [[q.hom_meet(A.types[i], B.types[j],
-                          [q.right_imp(psi.matrix[j][k], xi.matrix[i][k])
-                           for k in range(len(C))])
-               for j in range(len(B))] for i in range(len(A))]
-    return QDistributor(A, B, matrix, name=f"({psi.name})>r({xi.name})")
+    op = dist_left_imp(dualize_distributor(xi), dualize_distributor(psi))
+    return QDistributor(xi.dom, psi.dom, dualize_distributor(op).matrix,
+                        name=f"({psi.name})>r({xi.name})")
 
 
 def _dual_distributor(phi: QDistributor) -> QDistributor:

@@ -157,6 +157,9 @@ class HomLattice:
         n = len(elements)
         up = [1 << i for i in range(n)]
         for a, b in leq_label_pairs:
+            unknown = [x for x in (a, b) if x not in idx]
+            if unknown:
+                raise InvalidParams(f"unknown arrow label {unknown[0]!r}; have {elements}")
             up[idx[a]] |= 1 << idx[b]
         for k in range(n):
             for i in range(n):
@@ -586,13 +589,13 @@ def is_dualizing_family(Q: Quantaloid, d: dict[str, Arrow]) -> bool:
     return True
 
 
-def find_cyclic_dualizing_family(Q: Quantaloid, search_budget: int | None = None):
+def find_cyclic_dualizing_family(Q: Quantaloid):
     """Search all endo-arrow families in lexicographic order.
 
     Returns the first family that is both cyclic and dualizing; otherwise the
     first cyclic-only family (``dualizing=False``); otherwise ``None``.
     """
-    cap = budget("search", search_budget)
+    cap = budget("search")
     sizes = [len(Q.hom(q, q)) for q in Q.objects]
     total = 1
     for s in sizes:
@@ -728,12 +731,11 @@ def build_preset(name: str, **params) -> Quantaloid:
         else:
             raise InvalidParams("frame-diagonal needs chain=<n> or boolean=<k>")
     else:
-        try:
-            Q = _quantale_from_table(params["elements"], params["leq"],
-                                     params["products"], params["unit"],
-                                     params.get("name", "quantale"))
-        except KeyError as e:
-            raise InvalidParams(f"missing parameter {e.args[0]!r}") from None
+        missing = [k for k in ("elements", "leq", "products", "unit") if k not in params]
+        if missing:
+            raise InvalidParams(f"missing parameter {missing[0]!r}")
+        Q = _quantale_from_table(params["elements"], params["leq"], params["products"],
+                                 params["unit"], params.get("name", "quantale"))
     report = validate_quantaloid(Q)
     if not report.ok:
         raise InvalidParams(f"preset {name!r} failed validation: {report.issues[:3]}")

@@ -20,7 +20,6 @@ from .errors import (
     ConditionFailed,
     NotAdjoint,
     NotAQuantale,
-    QfcaError,
     Report,
     TypeMismatch,
 )
@@ -41,6 +40,7 @@ from .qdist import (
     QDistributor,
     cograph,
     dist_compose,
+    dualize_distributor,
     graph,
     is_adjoint_functor_pair,
 )
@@ -50,6 +50,7 @@ from .presheaf import (
     PresheafSpace,
     _copresheaf_of,
     copresheaf_hom,
+    enumerate_presheaves,
     image_join_dense,
     image_meet_dense,
     is_codense,
@@ -60,25 +61,22 @@ from .presheaf import (
     lan,
     materialize_copresheaves,
     materialize_presheaves,
+    pointwise_leq,
     presheaf_hom,
     presheaf_residual,
     ran,
     yoneda,
-    coyoneda,
 )
 from .concept import (
     ConceptLattice,
     IsbellPair,
     KanPair,
     ResidualCategory,
-    fca_lattice,
-    isbell_down,
+    closure_pair,
     isbell_up,
-    kan_lower,
     kan_star,
     residual_category,
     residual_context,
-    rst_lattice,
 )
 from .quantaloid import Arrow
 
@@ -394,8 +392,7 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
     with in-arrows; for ``kind="rst"``, F on columns with out-arrows and G on
     rows with out-arrows.
     """
-    if kind not in ("fca", "rst"):
-        raise QfcaError(f"unknown kind {kind!r}")
+    f_dom = dom_pairs(closure_pair(phi, kind).base)
     report = Report(f"elementary-{kind}-representation")
     q = phi.q
     A, B = phi.dom, phi.cod
@@ -404,16 +401,9 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
         report.skip("complete", "asserted by caller")
     else:
         report.check("complete", is_complete(X), "")
-    if kind == "fca":
-        f_dom, g_dom = dom_pairs(A), cod_pairs(B)
-        f_type = {p: p[1].dst for p in f_dom}
-        g_type = {p: p[1].src for p in g_dom}
-    else:
-        f_dom, g_dom = dom_pairs(B), dom_pairs(A)
-        f_type = {p: p[1].dst for p in f_dom}
-        g_type = {p: p[1].dst for p in g_dom}
-    tp = all(X.type_of(F[p]) == f_type[p] for p in f_dom) and \
-        all(X.type_of(G[p]) == g_type[p] for p in g_dom)
+    g_dom = cod_pairs(B) if kind == "fca" else dom_pairs(A)
+    tp = all(X.type_of(F[(x, u)]) == u.dst for x, u in f_dom) and \
+        all(X.type_of(G[(y, u)]) == (u.src if kind == "fca" else u.dst) for y, u in g_dom)
     report.check("type-preserving", tp, "")
     if not tp:
         return report
@@ -479,70 +469,57 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
 # -- lemma-level verifiers -------------------------------------------------------------
 
 
-def verify_yoneda(A: QCategory, cap: int | None = None) -> Report:
-    """Both halves of the Yoneda lemma, exhaustively over all (co)presheaves."""
-    from .presheaf import enumerate_copresheaves, enumerate_presheaves
+def _yoneda_misses(A: QCategory) -> list[tuple[str, str]]:
+    """The (type, object) pairs where some presheaf mu has mu(a) != hom(yoneda(a), mu)."""
+    return [(qobj, a) for qobj in A.q.objects for mu in enumerate_presheaves(A, qobj)
+            for a in A.objects if presheaf_hom(yoneda(A, a), mu) != mu.at(a)]
 
+
+def verify_yoneda(A: QCategory) -> Report:
+    """Both halves of the Yoneda lemma, exhaustively over all (co)presheaves.
+
+    A copresheaf on A is a presheaf on A^op, so the copresheaf half is the
+    presheaf half on A^op.
+    """
     report = Report(f"yoneda@{A.name}")
-    bad = []
-    for qobj in A.q.objects:
-        for mu in enumerate_presheaves(A, qobj, cap):
-            for a in A.objects:
-                if presheaf_hom(yoneda(A, a), mu) != mu.at(a):
-                    bad.append((qobj, a))
-    report.check_none("presheaf-half", bad, "mu(a) == hom(yoneda(a), mu)")
-    bad = []
-    for qobj in A.q.objects:
-        for lam in enumerate_copresheaves(A, qobj, cap):
-            for a in A.objects:
-                if copresheaf_hom(lam, coyoneda(A, a)) != lam.at(a):
-                    bad.append((qobj, a))
-    report.check_none("copresheaf-half", bad, "lam(a) == hom(lam, coyoneda(a))")
+    report.check_none("presheaf-half", _yoneda_misses(A), "mu(a) == hom(yoneda(a), mu)")
+    report.check_none("copresheaf-half", _yoneda_misses(dualize_category(A)),
+                      "lam(a) == hom(lam, coyoneda(a))")
     return report
 
 
-def verify_adjunction_laws(phi: QDistributor, cap: int | None = None) -> Report:
+def _presheaf_side_laws(phi: QDistributor) -> tuple[bool, bool, bool]:
+    """Polarity unit, extension unit and extension counit, entrywise over all
+    presheaves on the rows and columns of a context."""
+    isb, kan = IsbellPair(phi), KanPair(phi)
+    rows = [mu for qobj in phi.q.objects for mu in enumerate_presheaves(phi.dom, qobj)]
+    cols = [lam for qobj in phi.q.objects for lam in enumerate_presheaves(phi.cod, qobj)]
+    return (all(pointwise_leq(mu, isb.closure(mu)) for mu in rows),
+            all(pointwise_leq(lam, kan.closure(lam)) for lam in cols),
+            all(pointwise_leq(kan.interior(mu), mu) for mu in rows))
+
+
+def verify_adjunction_laws(phi: QDistributor) -> Report:
     """Pointwise unit/counit laws for the polarity, extension and dual
     extension adjunctions induced by a context.
 
-    All comparisons are entrywise arrow inequalities; the copresheaf-side
-    laws come out reversed because the copresheaf underlying order is the
-    reverse of the entrywise one.
+    All comparisons are entrywise arrow inequalities.  The copresheaf-side
+    laws are the presheaf-side ones of the dual context phi^op: its polarity
+    unit is the polarity counit of phi, and its extension counit and unit are
+    the dual-extension unit and counit of phi.  They come out reversed
+    because the copresheaf underlying order is the reverse of the entrywise one.
     """
-    from .presheaf import enumerate_copresheaves, enumerate_presheaves, pointwise_leq
-    from .concept import kan_dag, kan_lower_dag
-
     report = Report(f"adjunction-laws@{phi.name}")
-    A, B = phi.dom, phi.cod
-    isb, kan = IsbellPair(phi), KanPair(phi)
-    ok_unit = ok_counit = True
-    for qobj in phi.q.objects:
-        for mu in enumerate_presheaves(A, qobj, cap):
-            ok_unit = ok_unit and pointwise_leq(mu, isb.closure(mu))
-        for lam in enumerate_copresheaves(B, qobj, cap):
-            ok_counit = ok_counit and pointwise_leq(lam, isbell_up(phi, isbell_down(phi, lam)))
-    report.check("polarity-unit", ok_unit, "mu <= down(up(mu)) entrywise")
-    report.check("polarity-counit", ok_counit,
+    unit, ext_unit, ext_counit = _presheaf_side_laws(phi)
+    counit, dual_counit, dual_unit = _presheaf_side_laws(dualize_distributor(phi))
+    report.check("polarity-unit", unit, "mu <= down(up(mu)) entrywise")
+    report.check("polarity-counit", counit,
                  "lam <= up(down(lam)) entrywise, i.e. counit <= 1 in the reversed order")
-    ok_unit = ok_counit = True
-    for qobj in phi.q.objects:
-        for lam in enumerate_presheaves(B, qobj, cap):
-            ok_unit = ok_unit and pointwise_leq(lam, kan.closure(lam))
-        for mu in enumerate_presheaves(A, qobj, cap):
-            ok_counit = ok_counit and pointwise_leq(kan.interior(mu), mu)
-    report.check("extension-unit", ok_unit, "lam <= lower(star(lam)) entrywise")
-    report.check("extension-counit", ok_counit, "star(lower(mu)) <= mu entrywise")
-    ok_unit = ok_counit = True
-    for qobj in phi.q.objects:
-        for lam in enumerate_copresheaves(B, qobj, cap):
-            ok_unit = ok_unit and pointwise_leq(
-                kan_dag(phi, kan_lower_dag(phi, lam)), lam)
-        for mu in enumerate_copresheaves(A, qobj, cap):
-            ok_counit = ok_counit and pointwise_leq(
-                mu, kan_lower_dag(phi, kan_dag(phi, mu)))
-    report.check("dual-extension-unit", ok_unit,
+    report.check("extension-unit", ext_unit, "lam <= lower(star(lam)) entrywise")
+    report.check("extension-counit", ext_counit, "star(lower(mu)) <= mu entrywise")
+    report.check("dual-extension-unit", dual_unit,
                  "dag(lower_dag(lam)) <= lam entrywise (reversed order unit)")
-    report.check("dual-extension-counit", ok_counit,
+    report.check("dual-extension-counit", dual_counit,
                  "mu <= lower_dag(dag(mu)) entrywise (reversed order counit)")
     return report
 
@@ -550,10 +527,7 @@ def verify_adjunction_laws(phi: QDistributor, cap: int | None = None) -> Report:
 def verify_adjunction_as_functors(phi: QDistributor, kind: str) -> Report:
     """The same adjunctions as graph equalities on materialized spaces."""
     report = Report(f"{kind}-adjunction-functors@{phi.name}")
-    if kind == "fca":
-        adj = canonical_isbell_adjunction(phi)
-    else:
-        adj = canonical_kan_adjunction(phi)
+    adj = canonical_adjunction(phi, kind)
     report.check("graphs-equal", is_adjoint_functor_pair(adj.S, adj.T),
                  "graph of the left equals cograph of the right")
     return report
@@ -591,20 +565,13 @@ class CanonicalAdjunction:
     D_space: PresheafSpace
 
 
-def canonical_isbell_adjunction(phi: QDistributor) -> CanonicalAdjunction:
-    pa = materialize_presheaves(phi.dom)
-    pdb = materialize_copresheaves(phi.cod)
-    S = pa.functor_to(pdb, lambda m: isbell_up(phi, m), name="polarity-up")
-    T = pdb.functor_to(pa, lambda m: isbell_down(phi, m), name="polarity-down")
-    return CanonicalAdjunction("fca", phi, S, T, pa, pdb)
-
-
-def canonical_kan_adjunction(phi: QDistributor) -> CanonicalAdjunction:
-    pb = materialize_presheaves(phi.cod)
-    pa = materialize_presheaves(phi.dom)
-    S = pb.functor_to(pa, lambda m: kan_star(phi, m), name="extension-star")
-    T = pa.functor_to(pb, lambda m: kan_lower(phi, m), name="extension-lower")
-    return CanonicalAdjunction("rst", phi, S, T, pb, pa)
+def canonical_adjunction(phi: QDistributor, kind: str) -> CanonicalAdjunction:
+    """The closure pair of ``kind`` as functors S -| T between its materialized spaces."""
+    pair = closure_pair(phi, kind)
+    C, D = pair.spaces()
+    S = C.functor_to(D, pair.left, name=f"{kind}-left")
+    T = D.functor_to(C, pair.right, name=f"{kind}-right")
+    return CanonicalAdjunction(kind, phi, S, T, C, D)
 
 
 @dataclass
@@ -620,78 +587,54 @@ class CanonicalRepresentation:
 
 def canonical_general_data(phi: QDistributor, kind: str) -> CanonicalRepresentation:
     """Closure and right-adjoint restrictions onto the concept category."""
-    if kind == "fca":
-        adj = canonical_isbell_adjunction(phi)
-        lattice = fca_lattice(phi)
-        pair = IsbellPair(phi)
-        close = pair.closure
-        down = pair.down
-    elif kind == "rst":
-        adj = canonical_kan_adjunction(phi)
-        lattice = rst_lattice(phi)
-        pair = KanPair(phi)
-        close = pair.closure
-        down = pair.lower
-    else:
-        raise QfcaError(f"unknown kind {kind!r}")
-    L = adj.C_space.functor_to(lattice, close, name="closure-restriction")
-    R = adj.D_space.functor_to(lattice, down, name="right-restriction")
+    adj = canonical_adjunction(phi, kind)
+    pair = closure_pair(phi, kind)
+    lattice = pair.lattice()
+    L = adj.C_space.functor_to(lattice, pair.closure, name="closure-restriction")
+    R = adj.D_space.functor_to(lattice, pair.right, name="right-restriction")
     return CanonicalRepresentation(adj, L, R, lattice.category, lattice)
 
 
+def _dense_data(phi: QDistributor, kind: str, rc: ResidualCategory | None = None):
+    """The general data with the dense K and codense H into the spaces of its
+    adjunction, their composites F = L.K and G = R.H into the concepts, and rc."""
+    data = canonical_general_data(phi, kind)
+    K = data.adj.C_space.yoneda_functor()
+    if kind == "fca":
+        H = data.adj.D_space.yoneda_functor()
+    else:  # the residual members: codense in the presheaves on the rows
+        rc = rc if rc is not None else residual_category(phi.dom)
+        H = rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion")
+    return data, compose_functors(data.L, K), K, compose_functors(data.R, H), H, rc
+
+
 def canonical_fca_data(phi: QDistributor):
-    """Dense F and codense G into the FCA concept category."""
-    data = canonical_general_data(phi, "fca")
-    A, B = phi.dom, phi.cod
-    pair = IsbellPair(phi)
-    F = data.lattice.functor_from(A, lambda a: pair.closure(yoneda(A, a)),
-                                  name="rows-into-concepts")
-    G = data.lattice.functor_from(B, lambda b: isbell_down(phi, coyoneda(B, b)),
-                                  name="columns-into-concepts")
+    """Dense F on rows and codense G on columns, into the FCA concept category."""
+    data, F, _, G, _, _ = _dense_data(phi, "fca")
     return data, F, G
 
 
 def canonical_rst_data(phi: QDistributor, rc: ResidualCategory | None = None):
     """Dense F on columns and codense G on residual members, into RST concepts."""
-    data = canonical_general_data(phi, "rst")
-    if rc is None:
-        rc = residual_category(phi.dom)
-    B = phi.cod
-    pair = KanPair(phi)
-    F = data.lattice.functor_from(B, lambda b: pair.closure(yoneda(B, b)),
-                                  name="columns-into-concepts")
-    G = rc.functor_to(data.lattice, lambda m: kan_lower(phi, m), name="residuals-into-concepts")
+    data, F, _, G, _, rc = _dense_data(phi, "rst", rc)
     return data, F, G, rc
 
 
 def canonical_dense_data(phi: QDistributor, kind: str):
     """The small-generator data for the dense representation theorem."""
-    if kind == "fca":
-        data, F, G = canonical_fca_data(phi)
-        K = data.adj.C_space.yoneda_functor()
-        H = data.adj.D_space.yoneda_functor()
-        return data, F, K, G, H
-    data, F, G, rc = canonical_rst_data(phi)
-    K = data.adj.C_space.yoneda_functor()
-    H = rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion")
-    return data, F, K, G, H
+    return _dense_data(phi, kind)[:5]
 
 
 def canonical_elementary_data(phi: QDistributor, kind: str):
     """Pair-indexed witness maps for the elementary theorems."""
-    A, B = phi.dom, phi.cod
+    data = canonical_general_data(phi, kind)
+    pair, label = closure_pair(phi, kind), data.lattice.label_of
+    F = {(x, u): label(pair.closure(presheaf_tensor(pair.base, x, u)))
+         for x, u in dom_pairs(pair.base)}
     if kind == "fca":
-        data = canonical_general_data(phi, "fca")
-        pair = IsbellPair(phi)
-        F = {(a, u): data.lattice.label_of(pair.closure(presheaf_tensor(A, a, u)))
-             for a, u in dom_pairs(A)}
-        G = {(b, v): data.lattice.label_of(pair.down(copresheaf_tensor(B, b, v)))
-             for b, v in cod_pairs(B)}
-        return data, F, G
-    data = canonical_general_data(phi, "rst")
-    pair = KanPair(phi)
-    F = {(b, v): data.lattice.label_of(pair.closure(presheaf_tensor(B, b, v)))
-         for b, v in dom_pairs(B)}
-    G = {(a, u): data.lattice.label_of(kan_lower(phi, presheaf_residual(A, a, u)))
-         for a, u in dom_pairs(A)}
+        G = {(b, v): label(pair.right(copresheaf_tensor(phi.cod, b, v)))
+             for b, v in cod_pairs(phi.cod)}
+    else:
+        G = {(a, u): label(pair.right(presheaf_residual(phi.dom, a, u)))
+             for a, u in dom_pairs(phi.dom)}
     return data, F, G

@@ -90,12 +90,25 @@ def test_concepts_unknown_type(capsys):
     assert code == 2
 
 
+def test_concepts_type_filter_with_a_dash(capsys, tmp_path):
+    # the DOT graph of type t-1 is named fca_t_1: the filter must still find it
+    path = tmp_path / "dashed.json"
+    path.write_text((DATA / "inline_two.json").read_text().replace("*", "t-1"))
+    for mode in ("fca", "rst"):
+        code, dot = run(capsys, "concepts", path, "--mode", mode, "--out", "dot",
+                        "--type", "t-1")
+        assert code == 0 and dot.startswith(f'digraph "{mode}_t_1" {{')
+        assert dot == run(capsys, "concepts", path, "--mode", mode, "--out", "dot")[1]
+        code, out = run(capsys, "concepts", path, "--mode", mode, "--type", "t-1")
+        assert code == 0 and list(json.loads(out)["types"]) == ["t-1"]
+
+
 def test_concepts_oracle_mismatch_fault_injection(capsys, monkeypatch):
     # simulate a buggy closure by dropping a concept from the computed lattice
     real = cli.fca_lattice
 
-    def broken(phi, cap=None):
-        lattice = real(phi, cap)
+    def broken(phi):
+        lattice = real(phi)
         from qfca.concept import ConceptLattice
         return ConceptLattice("fca", phi, lattice.concepts[:-1])
 
@@ -207,6 +220,36 @@ def test_byte_identical_outputs(capsys):
         assert out1 == out2 and out1
 
 
+def test_verify_data_keys_are_checked(capsys):
+    path = str(CONTEXTS / "fix_dl3.json")
+    for prop, data, message in [
+            ("thm33", ["knd=rst"], "--prop thm33 reads no --data key 'knd'; it accepts ['kind']"),
+            ("mphi-rep", ["F=zz", "G=zz"],
+             "reads all of the --data keys ['F', 'G', 'X'] or none; 'X' is missing"),
+            ("yoneda", ["object=x"],
+             "--prop yoneda reads no --data key 'object'; it accepts ['category']"),
+            ("k-eq-m-tr", ["kind=rst"],
+             "--prop k-eq-m-tr reads no --data key 'kind'; it accepts []"),
+            ("girard-probe", ["category=A"], "it accepts ['object']"),
+            ("thm33", ["kind=rst", "kind=fca"], "--data names the key 'kind' twice")]:
+        assert cli.main(["verify", path, "--prop", prop, "--data", *data]) == 2, prop
+        assert message in capsys.readouterr().err
+    for prop, data in [("thm33", "kind=rst"), ("yoneda", "category=A"),
+                       ("girard-probe", "object=2")]:
+        assert cli.main(["verify", path, "--prop", prop, "--data", data]) == 0, prop
+        capsys.readouterr()
+
+
+def test_table_preset_unknown_label_is_named(capsys, tmp_path):
+    doc = json.loads((DATA / "table_quantale.json").read_text())
+    doc["quantaloid"]["preset"]["leq"] = [["0", "zz"]]
+    path = tmp_path / "unknown_label.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown arrow label 'zz'" in err and "missing parameter" not in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QFCA_BUDGET", "1")
     code = cli.main(["concepts", str(CONTEXTS / "fix_2id.json"), "--oracle"])
@@ -219,7 +262,7 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert "closure cap of 2 elements" in err and "at type '*'" in err
-    assert "QFCA_BUDGET or cap= overrides it" in err
+    assert "QFCA_BUDGET overrides it" in err
     monkeypatch.setenv("QFCA_BUDGET", "1")
     # enumeration (BudgetExceeded) and family search (SearchBudgetExceeded)
     assert cli.main(["verify", str(CONTEXTS / "fix_2id.json"), "--prop", "yoneda"]) == 4
@@ -395,6 +438,8 @@ def test_table_preset_parameter_shapes(capsys, tmp_path):
 # -- mutated context documents -------------------------------------------------------
 
 MUTATION_COMMANDS = (["validate"], ["concepts"], ["tr"], ["verify", "--prop", "k-eq-m-tr"])
+# contexts/*.json use no table preset, so the table-preset document joins them
+MUTATION_FILES = sorted(CONTEXTS.glob("*.json")) + [DATA / "table_quantale.json"]
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
 
 
@@ -451,11 +496,11 @@ def _mutate(doc, kind, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(sorted(p.name for p in CONTEXTS.glob("*.json"))),
+@given(source=st.sampled_from(MUTATION_FILES),
        kind=st.sampled_from(["drop", "type", "label", "law"]), data=st.data())
-def test_mutated_contexts_exit_with_documented_codes(tmp_path_factory, name, kind, data):
-    doc = _mutate(json.loads((CONTEXTS / name).read_text()), kind, data)
-    path = tmp_path_factory.mktemp("mutated") / name
+def test_mutated_contexts_exit_with_documented_codes(tmp_path_factory, source, kind, data):
+    doc = _mutate(json.loads(source.read_text()), kind, data)
+    path = tmp_path_factory.mktemp("mutated") / source.name
     path.write_text(json.dumps(doc))
     codes = []
     for argv in MUTATION_COMMANDS:

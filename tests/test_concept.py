@@ -358,9 +358,9 @@ def test_restriction_equivalence(fix2id, fixl3):
         isb = IsbellPair(ctx.phi)
         for qobj in ctx.phi.q.objects:
             for mu in brute_force_fixed(ctx.phi, "fca", qobj):
-                lam = isb.up(mu)
-                assert isb.up(isb.down(lam)) == lam  # lands in the dual fixed set
-                assert isb.down(lam) == mu
+                lam = isb.left(mu)
+                assert isb.left(isb.right(lam)) == lam  # lands in the dual fixed set
+                assert isb.right(lam) == mu
 
 
 def test_multi_typed_girard_routes_agree(diagb4):
@@ -422,19 +422,22 @@ def test_serializers_deterministic(fixl3):
     assert d1 == d2 and d1.count("digraph") == 1 and "->" in d1
 
 
-def test_closure_budget_boundary(all_contexts):
+def test_closure_budget_boundary(all_contexts, monkeypatch):
     # the cap bounds each type's closure: the largest type fits at cap N, not at N - 1
     for ctx in all_contexts.values():
         for compute in (fca_lattice, rst_lattice):
             lat = compute(ctx.phi)
             sizes = {t: len(ps) for t, ps in lat.per_type().items()}
             n = max(sizes.values())
-            assert compute(ctx.phi, cap=n).keys() == lat.keys()
+            monkeypatch.setenv("QFCA_BUDGET", str(n))
+            assert compute(ctx.phi).keys() == lat.keys()
+            monkeypatch.setenv("QFCA_BUDGET", str(n - 1))
             with pytest.raises(ClosureBudgetExceeded) as err:
-                compute(ctx.phi, cap=n - 1)
+                compute(ctx.phi)
+            monkeypatch.delenv("QFCA_BUDGET")
             message = str(err.value)
             assert f"closure cap of {n - 1} elements" in message
             first_full = next(t for t, k in sizes.items() if k == n)
             assert f"at type {first_full!r}" in message
-            assert "QFCA_BUDGET or cap= overrides it" in message
+            assert "QFCA_BUDGET overrides it" in message
 

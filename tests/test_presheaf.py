@@ -259,9 +259,10 @@ def test_enumerate_counts(two, luk3, fix2id):
     assert len(enumerate_presheaves(fix2id.A, "*")) == 4
 
 
-def test_enumerate_budget(fix2id):
+def test_enumerate_budget(fix2id, monkeypatch):
+    monkeypatch.setenv("QFCA_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
-        enumerate_presheaves(fix2id.A, "*", cap=3)
+        enumerate_presheaves(fix2id.A, "*")
 
 
 def test_enumerate_lexicographic(fix2id):

@@ -182,10 +182,11 @@ def test_complement_requires_dualizing(godel3):
         complement_arrow(godel3, fam, godel3.arrow("*", "*", "1/2"))
 
 
-def test_family_search_budget(luk3):
+def test_family_search_budget(luk3, monkeypatch):
     from qfca.errors import SearchBudgetExceeded
+    monkeypatch.setenv("QFCA_BUDGET", "2")
     with pytest.raises(SearchBudgetExceeded):
-        find_cyclic_dualizing_family(luk3, search_budget=2)
+        find_cyclic_dualizing_family(luk3)
 
 
 def test_build_preset_two():
@@ -231,6 +232,17 @@ def test_build_preset_checks_parameters():
     with pytest.raises(InvalidParams, match="takes no parameter 'n'"):
         build_preset("two", n=2)
     assert build_preset("godel-chain", n="4").name == "godel-4"
+
+
+def test_table_preset_names_unknown_labels_and_missing_parameters():
+    params = dict(elements=["0", "1"], leq=[("0", "1")], unit="1",
+                  products=[("0", "0", "0"), ("0", "1", "0"), ("1", "0", "0"), ("1", "1", "1")])
+    with pytest.raises(InvalidParams, match="unknown arrow label 'zz'"):
+        build_preset("commutative-quantale-from-table", **{**params, "leq": [("0", "zz")]})
+    for key in params:
+        rest = {k: v for k, v in params.items() if k != key}
+        with pytest.raises(InvalidParams, match=f"missing parameter '{key}'"):
+            build_preset("commutative-quantale-from-table", **rest)
 
 
 def test_quantale_from_table():

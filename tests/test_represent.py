@@ -32,11 +32,11 @@ from qfca.concept import (
 )
 from qfca.represent import (
     build_generator_maps,
+    canonical_adjunction,
     canonical_dense_data,
     canonical_elementary_data,
     canonical_fca_data,
     canonical_general_data,
-    canonical_isbell_adjunction,
     canonical_rst_data,
     construct_fix_equivalence,
     dom_pairs,
@@ -61,7 +61,7 @@ def test_fix_points_identity(fix2id):
 
 def test_fix_points_isbell_closure_is_lattice(fix2id):
     phi = fix2id.phi
-    adj = canonical_isbell_adjunction(phi)
+    adj = canonical_adjunction(phi, "fca")
     fixed = fix_points(compose_functors(adj.T, adj.S))
     lattice = fca_lattice(phi)
     assert set(fixed.objects) == set(lattice.category.objects)
