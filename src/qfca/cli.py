@@ -114,11 +114,9 @@ class ContextDocument:
     distributors: dict
     functors: dict
 
-    def canonical(self) -> dict:
-        return serialize_document(self)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, ContextDocument) and self.canonical() == other.canonical()
+        return (isinstance(other, ContextDocument)
+                and serialize_document(self) == serialize_document(other))
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -299,7 +297,7 @@ def load_document(path: str) -> ContextDocument:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # undecodable bytes or malformed JSON
             raise UsageError(f"{path} is not valid JSON: {e}") from None
     _check_shape(data, _DOCUMENT_SHAPE)
     try:
@@ -430,14 +428,13 @@ def cmd_concepts(args) -> int:
     if args.oracle:
         per_type = lattice.per_type()
         for t in wanted:
-            expected = frozenset(p.key() for p in brute_force_fixed(phi, args.mode, t))
+            fixed = brute_force_fixed(phi, args.mode, t)
+            expected = frozenset(p.key() for p in fixed)
             got = frozenset(p.key() for p in per_type[t])
             if expected != got:
                 diff = {
                     "type": t,
-                    "missing": sorted(presheaf_label(p)
-                                      for p in brute_force_fixed(phi, args.mode, t)
-                                      if p.key() not in got),
+                    "missing": sorted(presheaf_label(p) for p in fixed if p.key() not in got),
                     "extra": sorted(lattice.label_of(p) for p in per_type[t]
                                     if p.key() not in expected),
                 }
@@ -516,6 +513,8 @@ def cmd_verify(args) -> int:
     kind = data.get("kind", "fca")
     if kind not in ("fca", "rst"):
         raise UsageError(f"kind must be fca or rst, got {kind!r}")
+    if prop not in ("yoneda", "dense-cond", "girard-probe"):
+        phi = _pick_distributor(doc, args.dist)
 
     if prop in ("yoneda", "dense-cond"):
         verify = verify_yoneda if prop == "yoneda" else verify_density_suite
@@ -525,33 +524,26 @@ def cmd_verify(args) -> int:
         for A in cats:
             report.extend(verify(A), prefix=f"{A.name}:")
     elif prop in ("isbell-adjunction", "kan-adjunction"):
-        phi = _pick_distributor(doc, args.dist)
         report = verify_adjunction_laws(phi)
         report.extend(verify_adjunction_as_functors(
             phi, "fca" if prop == "isbell-adjunction" else "rst"))
     elif prop == "k-eq-m-tr":
-        phi = _pick_distributor(doc, args.dist)
         report = verify_rst_as_fca(phi)
     elif prop == "k-eq-m-neg":
-        phi = _pick_distributor(doc, args.dist)
         fam = find_cyclic_dualizing_family(doc.quantaloid)
         if fam is None or not fam.dualizing:
             raise NotGirard("the quantaloid has no cyclic dualizing family")
         report = verify_rst_as_fca_complement(phi, fam)
     elif prop == "elementary-identities":
-        phi = _pick_distributor(doc, args.dist)
         report = verify_elementary_identities(phi)
     elif prop == "thm33":
-        phi = _pick_distributor(doc, args.dist)
         d = canonical_general_data(phi, kind)
         report = verify_general_representation(d.adj.S, d.adj.T, d.L, d.R, d.X)
     elif prop == "thm51":
-        phi = _pick_distributor(doc, args.dist)
         d, F, K, G, H = canonical_dense_data(phi, kind)
         report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X,
                                              assume_complete=True)
     elif prop == "mphi-rep":
-        phi = _pick_distributor(doc, args.dist)
         if data:
             report = verify_fca_representation(
                 phi, _data_ref(doc.categories, data, "X", "category"),
@@ -561,23 +553,19 @@ def cmd_verify(args) -> int:
             d, F, G = canonical_fca_data(phi)
             report = verify_fca_representation(phi, d.X, F, G, assume_complete=True)
     elif prop == "kphi-rep":
-        phi = _pick_distributor(doc, args.dist)
         d, F, G, rc = canonical_rst_data(phi)
         report = verify_rst_representation(phi, d.X, F, G, rc, assume_complete=True)
     elif prop == "elementary-rep":
-        phi = _pick_distributor(doc, args.dist)
         d, F, G = canonical_elementary_data(phi, kind)
         report = verify_elementary_representation(phi, d.X, F, G, kind,
                                                   assume_complete=True)
-    elif prop == "girard-probe":
+    else:  # girard-probe; argparse admits no other property
         Q = doc.quantaloid
         qobj = data.get("object", Q.objects[0])
         if qobj not in Q.objects:
             raise UsageError(f"--data object={qobj}: no object {qobj!r} in the quantaloid; "
                              f"choices: {list(Q.objects)}")
         report = codense_probe(Q, qobj)
-    else:
-        raise UsageError(f"unknown property {prop!r}")
     _dump(report.to_json(), args.output)
     return 0 if report.passed else 3
 
@@ -645,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tr", help="emit the residual category and residual context")
     p.add_argument("path")
     p.add_argument("--dist")
-    p.add_argument("--out", choices=["json"], default="json")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_tr)
     return parser
@@ -663,7 +650,7 @@ def main(argv=None) -> int:
     except (UsageError, InvalidParams, NotGirard, NotAQuantale, HypothesesNotMet) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # an unreadable path: absent, a directory, no permission
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded) as e:

@@ -110,7 +110,7 @@ def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
     q.require_lattices()
     lam_ix = [a.index for a in lam.values]
     values = []
-    for p, row in zip(phi.dom.types, phi.matrix):  # join_ix inlined
+    for p, row in zip(phi.dom.types, phi.matrix):  # the join over b, from the joins table
         joins, k = q.homs[p, t].joins, q.homs[p, t].bottom
         for b, v, u in zip(phi.cod.types, lam_ix, row):
             k = joins[k][comp[p, b, t][v][u.index]]
@@ -605,48 +605,43 @@ def _lattice_map(src: ConceptLattice, dst: ConceptLattice, F: QFunctor, closure,
     return src.functor_to(dst, lambda p: closure(pushforward(F, p)), name=name)
 
 
-def fca_lattice_map(c: ChuTransform, src: ConceptLattice | None = None,
-                    dst: ConceptLattice | None = None) -> QFunctor:
-    """The FCA lattice map of a Chu transform, from src concepts to dst concepts."""
+def fca_lattice_map(c: ChuTransform) -> QFunctor:
+    """The FCA lattice map of a Chu transform, from frm's concepts to to's."""
     _require_chu(c)
-    return _lattice_map(src if src is not None else fca_lattice(c.frm),
-                        dst if dst is not None else fca_lattice(c.to),
-                        c.F, IsbellPair(c.to).closure, "fca-map")
+    return _lattice_map(fca_lattice(c.frm), fca_lattice(c.to), c.F, IsbellPair(c.to).closure,
+                        "fca-map")
 
 
-def rst_lattice_map(c: ChuTransform, src: ConceptLattice | None = None,
-                    dst: ConceptLattice | None = None) -> QFunctor:
-    """The RST lattice map of a Chu transform; contravariant: dst concepts to src."""
+def rst_lattice_map(c: ChuTransform) -> QFunctor:
+    """The RST lattice map of a Chu transform; contravariant: to's concepts to frm's."""
     _require_chu(c)
-    return _lattice_map(src if src is not None else rst_lattice(c.to),
-                        dst if dst is not None else rst_lattice(c.frm),
-                        c.G, KanPair(c.frm).closure, "rst-map")
+    return _lattice_map(rst_lattice(c.to), rst_lattice(c.frm), c.G, KanPair(c.frm).closure,
+                        "rst-map")
 
 
-def residual_map_functor(F: QFunctor, rc_src: ResidualCategory,
-                         rc_dst: ResidualCategory) -> QFunctor:
+def residual_map_functor(F: QFunctor, src: ResidualCategory,
+                         dst: ResidualCategory) -> QFunctor:
     """The induced map between residual categories along a row functor."""
-    if rc_src.base != F.dom or rc_dst.base != F.cod:
+    if src.base != F.dom or dst.base != F.cod:
         raise BaseMismatch("residual categories must sit on the functor endpoints")
 
     def image(p):
-        a, u = rc_src.provenance[p.key()][0]
+        a, u = src.provenance[p.key()][0]
         return presheaf_residual(F.cod, F(a), u)
 
-    return rc_src.functor_to(rc_dst, image, name="residual-map")
+    return src.functor_to(dst, image, name="residual-map")
 
 
-def residual_chu(c: ChuTransform, rc_src: ResidualCategory | None = None,
-                 rc_dst: ResidualCategory | None = None) -> ChuTransform:
+def residual_chu(c: ChuTransform) -> ChuTransform:
     """Transport a Chu transform to the residual contexts (direction reverses)."""
     _require_chu(c)
-    rc_src = rc_src if rc_src is not None else residual_category(c.frm.dom)
-    rc_dst = rc_dst if rc_dst is not None else residual_category(c.to.dom)
+    src = residual_category(c.frm.dom)
+    dst = residual_category(c.to.dom)
     out = ChuTransform(
-        frm=residual_context(c.to, rc_dst),
-        to=residual_context(c.frm, rc_src),
+        frm=residual_context(c.to, dst),
+        to=residual_context(c.frm, src),
         F=c.G,
-        G=residual_map_functor(c.F, rc_src, rc_dst),
+        G=residual_map_functor(c.F, src, dst),
     )
     rep = validate_chu(out)
     if not rep.ok:

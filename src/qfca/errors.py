@@ -123,9 +123,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.issues
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def add(self, code: str, where: tuple, detail: str) -> None:
         self.issues.append(Issue(code, where, detail))
 

@@ -21,9 +21,7 @@ whole space (transposes, generator maps, canonical representation data).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, budget
@@ -42,7 +40,7 @@ from .qdist import (
     identity_dist,
     is_adjoint_functor_pair,
 )
-from .quantaloid import Arrow
+from .quantaloid import Arrow, _kept
 
 
 @dataclass(frozen=True)
@@ -75,12 +73,9 @@ def _presheaf_of(lam: Copresheaf, base: QCategory | None = None) -> Presheaf:
     Kept on lam, so each copresheaf is converted at most once; one made by
     ``_copresheaf_of`` starts out with it.
     """
-    mu = lam.__dict__.get("_dual")
-    if mu is None:
-        base = dualize_category(lam.base) if base is None else base
-        mu = lam.__dict__.setdefault(
-            "_dual", Presheaf(base, lam.type, lam.base.q.dual_arrows(lam.values)))
-    return mu
+    return _kept(lam, "_dual", lambda lam: Presheaf(
+        dualize_category(lam.base) if base is None else base, lam.type,
+        lam.base.q.dual_arrows(lam.values)))
 
 
 def _copresheaf_of(mu: Presheaf, base: QCategory) -> Copresheaf:
@@ -352,20 +347,13 @@ def enumerate_copresheaves(A: QCategory, qobj: str) -> tuple[Copresheaf, ...]:
     return tuple(_copresheaf_of(mu, A) for mu in space)
 
 
-_complete_cache = weakref.WeakKeyDictionary()
-
-
 def is_complete(A: QCategory) -> bool:
-    """Exhaustive: every presheaf of every type has a supremum; cached per value."""
-    hit = _complete_cache.get(A)
-    if hit is None:
-        hit = all(
-            sup(A, mu) is not None
-            for qobj in A.q.objects
-            for mu in enumerate_presheaves(A, qobj)
-        )
-        _complete_cache[A] = hit
-    return hit
+    """Exhaustive: every presheaf of every type has a supremum; computed on every call."""
+    return all(
+        sup(A, mu) is not None
+        for qobj in A.q.objects
+        for mu in enumerate_presheaves(A, qobj)
+    )
 
 
 # -- materialized (co)presheaf categories ------------------------------------------
@@ -383,8 +371,7 @@ class PresheafFamily:
 
     ``members`` keep the order they are given in; ``labels`` are their
     ``presheaf_label``s.  ``category``, the members with their hom matrix, is
-    built on first use.  It is a pure function of the members, so two threads
-    that race to build it build equal categories.
+    built on first use and kept as ``category``.
     """
 
     def __init__(self, base: QCategory, members, name: str):
@@ -398,10 +385,10 @@ class PresheafFamily:
     def _hom(self) -> list:
         return [[presheaf_hom(m, m2) for m2 in self.members] for m in self.members]
 
-    @functools.cached_property
+    @property
     def category(self) -> QCategory:
-        return QCategory(self.base.q, self.labels, [m.type for m in self.members], self._hom(),
-                         name=self.name)
+        return _kept(self, "category", lambda s: QCategory(
+            s.base.q, s.labels, [m.type for m in s.members], s._hom(), name=s.name))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -22,7 +22,7 @@ from .errors import (
     ValidationReport,
     budget,
 )
-from .quantaloid import Arrow, Quantaloid
+from .quantaloid import Arrow, Quantaloid, _kept
 
 
 @dataclass(frozen=True)
@@ -290,26 +290,14 @@ def skeletal_quotient(A: QCategory) -> tuple[QCategory, QFunctor]:
 # -- duality ------------------------------------------------------------------
 
 
-def _cached_dual(x, build):
-    """The dual of ``x``, built on first use and kept on ``x``.
-
-    The dual does not refer back, so the pair is no reference cycle.
-    ``dict.setdefault`` publishes it atomically: racing callers share one.
-    """
-    dual = x.__dict__.get("_dual")
-    if dual is None:
-        dual = x.__dict__.setdefault("_dual", build(x))
-    return dual
-
-
 def _dual_category(A: QCategory) -> QCategory:
     hom = [A.q.dual_arrows(col) for col in zip(*A.hom)]
     return QCategory(A.q.opposite(), A.objects, A.types, hom, name=f"{A.name}^op")
 
 
 def dualize_category(A: QCategory) -> QCategory:
-    """The same objects over the opposite quantaloid, hom matrix transposed; cached."""
-    return _cached_dual(A, _dual_category)
+    """The same objects over the opposite quantaloid, hom matrix transposed; kept on A."""
+    return _kept(A, "_dual", _dual_category)
 
 
 def dualize_functor(F: QFunctor) -> QFunctor:

@@ -18,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TypeMismatch, ValidationReport
-from .qcat import QCategory, QFunctor, _cached_dual, dualize_category
-from .quantaloid import Arrow
+from .qcat import QCategory, QFunctor, dualize_category
+from .quantaloid import Arrow, _kept
 
 
 class QDistributor:
@@ -125,8 +125,8 @@ def _dual_distributor(phi: QDistributor) -> QDistributor:
 
 
 def dualize_distributor(phi: QDistributor) -> QDistributor:
-    """phi^op: B^op -/-> A^op with transposed matrix; involutive; cached."""
-    return _cached_dual(phi, _dual_distributor)
+    """phi^op: B^op -/-> A^op with transposed matrix; involutive; kept on phi."""
+    return _kept(phi, "_dual", _dual_distributor)
 
 
 # -- graphs and cographs of functors ------------------------------------------

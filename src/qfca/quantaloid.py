@@ -86,6 +86,19 @@ def _transpose(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows))
 
 
+def _kept(owner, attr: str, build):
+    """``build(owner)``, built on first use and kept on ``owner`` as ``attr``.
+
+    Every lazily built value is kept this way, on the object it belongs to;
+    there is no module-level cache.  ``dict.setdefault`` publishes the value
+    atomically: callers racing here all get the one value stored.
+    """
+    value = owner.__dict__.get(attr)
+    if value is None:
+        value = owner.__dict__.setdefault(attr, build(owner))
+    return value
+
+
 class HomLattice:
     """A finite lattice of arrow labels with an explicit order relation.
 
@@ -356,9 +369,8 @@ class Quantaloid:
             raise TypeMismatch(f"left_imp needs a common source, got {w} and {u}")
         q, r = u.dst, w.dst
         k = self.limp_table[(u.src, q, r)][w.index][u.index]
-        if k is None:  # the join is missing: let hom_join name it
-            return self.hom_join(q, r, [v for v in self.arrows(q, r)
-                                        if self.leq(self.compose(v, u), w)])
+        if k is None:  # only a hom that is not a lattice misses a join
+            self.require_lattices()
         return self.arrow_table[(q, r)][k]
 
     def right_imp(self, v: Arrow, w: Arrow) -> Arrow:
@@ -367,9 +379,8 @@ class Quantaloid:
             raise TypeMismatch(f"right_imp needs a common target, got {v} and {w}")
         p, q = w.src, v.src
         k = self.rimp_table[(p, q, v.dst)][v.index][w.index]
-        if k is None:  # the join is missing: let hom_join name it
-            return self.hom_join(p, q, [u for u in self.arrows(p, q)
-                                        if self.leq(self.compose(v, u), w)])
+        if k is None:  # only a hom that is not a lattice misses a join
+            self.require_lattices()
         return self.arrow_table[(p, q)][k]
 
     # -- index-level kernel --------------------------------------------------
@@ -392,15 +403,6 @@ class Quantaloid:
             k = meets[k][i]
         return self.arrow_table[(p, q)][k]
 
-    def join_ix(self, p: str, q: str, indices) -> Arrow:
-        """Join in hom (p, q) of arrows given by index; the empty join is the bottom."""
-        self.require_lattices()
-        hom = self.homs[(p, q)]
-        joins, k = hom.joins, hom.bottom
-        for i in indices:
-            k = joins[k][i]
-        return self.arrow_table[(p, q)][k]
-
     # -- duality ------------------------------------------------------------
 
     def opposite(self) -> "Quantaloid":
@@ -408,17 +410,8 @@ class Quantaloid:
 
         Built on first use, not at construction, because the two instances
         refer to each other and so are freed only by the cycle collector.
-        ``dict.setdefault`` publishes it atomically: callers racing here all
-        get the one instance stored.
         """
-        op = self.__dict__.get("_opposite")
-        if op is None:
-            op = self.__dict__.setdefault("_opposite", self._transposed())
-        return op
-
-    def dual_arrow(self, a: Arrow) -> Arrow:
-        """The same arrow seen in the opposite quantaloid."""
-        return Arrow(a.dst, a.src, a.index)
+        return _kept(self, "_opposite", Quantaloid._transposed)
 
     def dual_arrows(self, arrows) -> tuple[Arrow, ...]:
         """The same arrows seen in the opposite quantaloid, interned there."""

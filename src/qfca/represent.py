@@ -595,15 +595,15 @@ def canonical_general_data(phi: QDistributor, kind: str) -> CanonicalRepresentat
     return CanonicalRepresentation(adj, L, R, lattice.category, lattice)
 
 
-def _dense_data(phi: QDistributor, kind: str, rc: ResidualCategory | None = None):
+def _dense_data(phi: QDistributor, kind: str):
     """The general data with the dense K and codense H into the spaces of its
     adjunction, their composites F = L.K and G = R.H into the concepts, and rc."""
     data = canonical_general_data(phi, kind)
     K = data.adj.C_space.yoneda_functor()
     if kind == "fca":
-        H = data.adj.D_space.yoneda_functor()
+        H, rc = data.adj.D_space.yoneda_functor(), None
     else:  # the residual members: codense in the presheaves on the rows
-        rc = rc if rc is not None else residual_category(phi.dom)
+        rc = residual_category(phi.dom)
         H = rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion")
     return data, compose_functors(data.L, K), K, compose_functors(data.R, H), H, rc
 
@@ -614,9 +614,9 @@ def canonical_fca_data(phi: QDistributor):
     return data, F, G
 
 
-def canonical_rst_data(phi: QDistributor, rc: ResidualCategory | None = None):
+def canonical_rst_data(phi: QDistributor):
     """Dense F on columns and codense G on residual members, into RST concepts."""
-    data, F, _, G, _, rc = _dense_data(phi, "rst", rc)
+    data, F, _, G, _, rc = _dense_data(phi, "rst")
     return data, F, G, rc
 
 

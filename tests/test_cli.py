@@ -269,6 +269,15 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     assert cli.main(["girard", str(CONTEXTS / "godel3.json")]) == 4
 
 
+def test_unreadable_paths_are_usage_errors(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    for path in (undecodable, tmp_path):  # not UTF-8; a directory
+        for command in ("validate", "concepts"):
+            assert cli.main([command, str(path)]) == 2, (command, path)
+            assert str(path) in capsys.readouterr().err
+
+
 def test_malformed_documents_are_usage_errors(tmp_path):
     doc = json.loads((CONTEXTS / "fix_2id.json").read_text())
     doc["categories"]["A"]["objects"] = 5
@@ -499,13 +508,22 @@ def _mutate(doc, kind, data):
 @given(source=st.sampled_from(MUTATION_FILES),
        kind=st.sampled_from(["drop", "type", "label", "law"]), data=st.data())
 def test_mutated_contexts_exit_with_documented_codes(tmp_path_factory, source, kind, data):
-    doc = _mutate(json.loads(source.read_text()), kind, data)
+    original = json.loads(source.read_text())
+    doc = _mutate(original, kind, data)
     path = tmp_path_factory.mktemp("mutated") / source.name
     path.write_text(json.dumps(doc))
-    codes = []
+    codes, errors = [], []
     for argv in MUTATION_COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             codes.append(cli.main([argv[0], str(path), *argv[1:]]))
+        errors.append(err.getvalue())
     assert set(codes) <= DOCUMENTED_EXIT_CODES, codes
     if codes[0] == 1:  # validate rejects it: no computing command may compute on it
         assert codes[1:] == [1] * (len(codes) - 1), codes
+    if kind == "label":  # a usage error names the bad label, not a missing field
+        old = next(_at(original, p) for p in _json_paths(doc)
+                   if _at(doc, p) == "zz" != _at(original, p))
+        for err in (e for code, e in zip(codes, errors) if code == 2):
+            assert "zz" in err or old in err, err
+            assert "missing parameter" not in err and "misses the required field" not in err, err

@@ -264,8 +264,8 @@ def test_identity_chu_maps(fix2id):
     c = ChuTransform(phi, phi, identity_functor(fix2id.A), identity_functor(fix2id.B))
     M = fca_lattice(phi)
     K = rst_lattice(phi)
-    fm = fca_lattice_map(c, M, M)
-    km = rst_lattice_map(c, K, K)
+    fm = fca_lattice_map(c)
+    km = rst_lattice_map(c)
     assert all(fm(lbl) == lbl for lbl in M.category.objects)
     assert all(km(lbl) == lbl for lbl in K.category.objects)
 
@@ -324,7 +324,7 @@ def test_fca_map_preserves_joins(fix2id):
                         QFunctor(fix2id.A, fix2id.A, {"a1": "a2", "a2": "a1"}),
                         QFunctor(fix2id.B, fix2id.B, {"b1": "b2", "b2": "b1"}))
     M = fca_lattice(phi)
-    fm = fca_lattice_map(swap, M, M)
+    fm = fca_lattice_map(swap)
     X = M.category
     order = underlying_order(X)
     for s in X.objects:

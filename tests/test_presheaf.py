@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import pytest
 
@@ -38,8 +39,10 @@ from qfca.presheaf import (
     sup,
     top_presheaf,
     weighted_colimit,
+    weighted_limit,
     yoneda,
 )
+from qfca.cli import load_document
 from qfca.concept import residual_category
 from qfca.represent import canonical_fca_data, canonical_general_data
 
@@ -306,6 +309,19 @@ def test_coyoneda_adjoint_to_inf(two, luk3):
                         {space.label_of(m): inf(X, m) for m in space.members},
                         name="inf")
         assert is_adjoint_functor_pair(yd, inff)
+        assert all(weighted_limit(m, identity_functor(X)) == inf(X, m) for m in space.members)
+
+
+def test_is_complete_obeys_the_budget_on_every_call(monkeypatch):
+    # no verdict is kept, so neither a repeat call nor an equal category
+    # can skip the capped enumeration
+    path = pathlib.Path(__file__).parent.parent / "contexts" / "fix_dl3.json"
+    A = load_document(str(path)).categories["A"]
+    assert not is_complete(A)
+    monkeypatch.setenv("QFCA_BUDGET", "1")
+    for X in (A, QCategory(A.q, A.objects, A.types, A.hom, name=A.name)):
+        with pytest.raises(BudgetExceeded):
+            is_complete(X)
 
 
 def test_supremum_least_label_tie_break(two):
