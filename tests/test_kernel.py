@@ -107,3 +107,47 @@ def test_validator_rescans_the_residuation_tables():
     Q.limp_table[("*", "*", "*")] = tuple(map(tuple, rows))
     codes = {i.code for i in validate_quantaloid(Q).issues}
     assert codes == {"residuation.table", "residuation.adjunction"}
+
+
+def _one_object(hom):
+    table = {("*", "*", "*"): tuple(tuple(0 for _ in range(len(hom))) for _ in range(len(hom)))}
+    return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": 0}, name="broken")
+
+
+NOT_A_LATTICE = "hom (*,*) is not a complete lattice"
+ANTISYMMETRIC = "x <= y and y <= x for distinct elements"
+
+
+@pytest.mark.parametrize("hom, issues", [
+    pytest.param(HomLattice(("0", "1"), frozenset({(0, 1), (1, 1)})), [
+        ("poset.reflexive", ("*", "*", "0"), "x <= x fails"),
+        ("lattice.bottom", ("*", "*"), "no least element"),
+        ("lattice.meet", ("*", "*", "0", "1"), "pairwise meet missing"),
+    ], id="no-reflexive-pair"),
+    pytest.param(HomLattice(("0", "a", "1"), frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)})), [
+        ("poset.transitive", ("*", "*", "0", "a", "1"), "x <= y <= z but not x <= z"),
+        ("lattice.top", ("*", "*"), "no greatest element"),
+        ("lattice.bottom", ("*", "*"), "no least element"),
+        ("lattice.join", ("*", "*", "0", "1"), "pairwise join missing"),
+        ("lattice.meet", ("*", "*", "0", "1"), "pairwise meet missing"),
+    ], id="no-transitive-pair"),
+    pytest.param(HomLattice.from_labels(("0", "1"), [("0", "1"), ("1", "0")]), [
+        ("poset.antisymmetric", ("*", "*", "0", "1"), ANTISYMMETRIC),
+        ("poset.antisymmetric", ("*", "*", "1", "0"), ANTISYMMETRIC),
+        ("lattice.top", ("*", "*"), "no greatest element"),
+        ("lattice.bottom", ("*", "*"), "no least element"),
+        ("lattice.join", ("*", "*", "0", "1"), "pairwise join missing"),
+        ("lattice.meet", ("*", "*", "0", "1"), "pairwise meet missing"),
+    ], id="two-cycle"),
+    pytest.param(HomLattice.from_labels(("a", "b"), []), [
+        ("lattice.top", ("*", "*"), "no greatest element"),
+        ("lattice.bottom", ("*", "*"), "no least element"),
+        ("lattice.join", ("*", "*", "a", "b"), "pairwise join missing"),
+        ("lattice.meet", ("*", "*", "a", "b"), "pairwise meet missing"),
+    ], id="antichain"),
+])
+def test_broken_hom_laws_are_reported_in_order(hom, issues):
+    Q = _one_object(hom)
+    report = validate_quantaloid(Q)
+    assert [(i.code, i.where, i.detail) for i in report.issues] == issues
+    assert Q.lattice_issue == NOT_A_LATTICE

@@ -277,6 +277,18 @@ FRAME_DIAGONAL_DIGESTS = {
     ("boolean", 3): "bc1b948989f5fb7d",
 }
 
+# The same digest of the chain presets, recorded when each built its own
+# product table.
+CHAIN_DIGESTS = {
+    ("two", None): "592061b8c7ab239c",
+    ("lukasiewicz-chain", 2): "e7d0cbaca54b1bd8", ("lukasiewicz-chain", 3): "81b94ed01a54f56e",
+    ("lukasiewicz-chain", 4): "0c1575a998536c14", ("lukasiewicz-chain", 5): "2c5adafa20505d1c",
+    ("lukasiewicz-chain", 6): "c971bf6e4926eb7e", ("lukasiewicz-chain", 32): "f7ef1c19ffeaf3d5",
+    ("godel-chain", 2): "a719e8d49a16cba0", ("godel-chain", 3): "2b870eb03d1182e8",
+    ("godel-chain", 4): "4a2debaa51b2258e", ("godel-chain", 5): "e97e49999621f8df",
+    ("godel-chain", 6): "3a55523141e7ec5d",
+}
+
 
 def _table_digest(Q):
     import hashlib
@@ -297,3 +309,12 @@ def test_frame_diagonal_tables_are_pinned():
     for key, n in (("chain", 0), ("boolean", -1), ("boolean", 7)):
         with pytest.raises(InvalidParams):
             build_preset("frame-diagonal", **{key: n})
+
+
+def test_chain_preset_tables_are_pinned():
+    for (name, n), expected in CHAIN_DIGESTS.items():
+        params = {} if n is None else {"n": n}
+        assert _table_digest(build_preset(name, **params)) == expected, (name, n)
+    for name in ("lukasiewicz-chain", "godel-chain"):
+        with pytest.raises(InvalidParams, match=r"chain presets need n >= 2"):
+            build_preset(name, n=1)
