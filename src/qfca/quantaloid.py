@@ -26,7 +26,11 @@ transposes the others.
 
 A quantaloid whose homs are not all lattices still constructs, so that the
 validator can report it: a table entry that would need a missing bound is
-``None``, and the operations that need one raise :class:`QfcaError`.
+``None``, and the operations that need one raise :class:`QfcaError`.  Each
+hom records the poset and lattice laws it breaks (``HomLattice.issues``);
+``validate_quantaloid`` reports that record and ``require_lattices`` guards
+every table read with it, so the two cannot disagree.  The chain presets are
+product tables, built by the same builder as a custom quantale.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -105,15 +109,17 @@ class HomLattice:
     The order is kept as bitmask rows: bit j of ``up[i]`` and bit i of
     ``down[j]`` are set when i <= j.  ``joins[i][j]``/``meets[i][j]``, ``top``
     and ``bottom`` are computed once, here, as least upper and greatest lower
-    bounds; an entry is ``None`` where that bound does not exist, so
-    validators can report incompleteness instead of crashing.
+    bounds; an entry is ``None`` where that bound does not exist.  ``issues``
+    records each broken poset or lattice law as ``(code, element labels,
+    detail)``, in the order ``validate_quantaloid`` reports them; it is empty
+    exactly when the hom is a complete lattice.
     """
 
     def __init__(self, elements: tuple[str, ...], leq_pairs: frozenset[tuple[int, int]]):
         if len(set(elements)) != len(elements):
             raise InvalidParams(f"duplicate element labels in hom: {elements}")
-        self.elements = tuple(elements)
-        n = len(self.elements)
+        self.elements = el = tuple(elements)
+        n = len(el)
         self.leq_pairs = frozenset(leq_pairs)
         up, down = [0] * n, [0] * n
         for i, j in self.leq_pairs:
@@ -121,8 +127,8 @@ class HomLattice:
             down[j] |= 1 << i
         self.up, self.down = tuple(up), tuple(down)
         self._all = (1 << n) - 1
-        self.top = self.join_opt(range(n))
-        self.bottom = self.meet_opt(range(n))
+        self.top = self.bound(range(n), self.up)
+        self.bottom = self.bound(range(n), self.down)
         joins = [[None] * n for _ in range(n)]
         meets = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -131,12 +137,23 @@ class HomLattice:
                 meets[i][j] = meets[j][i] = _extremum(down[i] & down[j], down)
         self.joins = tuple(map(tuple, joins))
         self.meets = tuple(map(tuple, meets))
-        poset = all(
-            up[i] >> i & 1 and up[i] & down[i] == 1 << i
-            and all(up[j] & ~up[i] == 0 for j in _bits(up[i]))
-            for i in range(n))
-        self.is_lattice = (poset and self.top is not None and self.bottom is not None
-                           and None not in itertools.chain(*joins, *meets))
+        issues = [("poset.reflexive", (el[i],), "x <= x fails")
+                  for i in range(n) if not up[i] >> i & 1]
+        issues += [("poset.antisymmetric", (el[i], el[j]),
+                    "x <= y and y <= x for distinct elements")
+                   for i in range(n) for j in _bits(up[i] & down[i] & ~(1 << i))]
+        issues += [("poset.transitive", (el[i], el[j], el[k]), "x <= y <= z but not x <= z")
+                   for i in range(n) for j in _bits(up[i]) for k in _bits(up[j] & ~up[i])]
+        if self.top is None:
+            issues.append(("lattice.top", (), "no greatest element"))
+        if self.bottom is None:
+            issues.append(("lattice.bottom", (), "no least element"))
+        for i, j in itertools.combinations(range(n), 2):
+            if joins[i][j] is None:
+                issues.append(("lattice.join", (el[i], el[j]), "pairwise join missing"))
+            if meets[i][j] is None:
+                issues.append(("lattice.meet", (el[i], el[j]), "pairwise meet missing"))
+        self.issues = tuple(issues)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -150,17 +167,12 @@ class HomLattice:
         except ValueError:
             raise InvalidParams(f"unknown arrow label {label!r}; have {self.elements}") from None
 
-    def join_opt(self, indices) -> int | None:
+    def bound(self, indices, cone) -> int | None:
+        """The join of ``indices`` with ``cone`` the up-sets, their meet with the down-sets."""
         mask = self._all
         for i in indices:
-            mask &= self.up[i]
-        return _extremum(mask, self.up)
-
-    def meet_opt(self, indices) -> int | None:
-        mask = self._all
-        for i in indices:
-            mask &= self.down[i]
-        return _extremum(mask, self.down)
+            mask &= cone[i]
+        return _extremum(mask, cone)
 
     @staticmethod
     def from_labels(elements, leq_label_pairs) -> "HomLattice":
@@ -256,7 +268,7 @@ class Quantaloid:
                             for (p, q), hom in self.homs.items()}
         self.lattice_issue = next(
             (f"hom ({p},{q}) is not a complete lattice"
-             for (p, q), hom in sorted(self.homs.items()) if not hom.is_lattice), None)
+             for (p, q), hom in sorted(self.homs.items()) if hom.issues), None)
 
     def _transposed(self) -> "Quantaloid":
         """The opposite quantaloid, its tables transposed from this one's."""
@@ -337,31 +349,25 @@ class Quantaloid:
 
     def hom_join(self, p: str, q: str, arrows) -> Arrow:
         """Least upper bound; the empty join is the bottom arrow."""
-        idx = []
-        for a in arrows:
-            if (a.src, a.dst) != (p, q):
-                raise TypeMismatch(f"{a} is not in hom ({p},{q})")
-            idx.append(a.index)
-        if not idx:
-            return self.bottom(p, q)
-        j = self.hom(p, q).join_opt(idx)
-        if j is None:
-            raise QfcaError(f"join missing in hom ({p},{q}) for indices {sorted(set(idx))}")
-        return self.arrow_table[(p, q)][j]
+        return self._hom_bound(p, q, arrows, "join")
 
     def hom_meet(self, p: str, q: str, arrows) -> Arrow:
         """Greatest lower bound; the empty meet is the top arrow."""
+        return self._hom_bound(p, q, arrows, "meet")
+
+    def _hom_bound(self, p: str, q: str, arrows, kind: str) -> Arrow:
         idx = []
         for a in arrows:
             if (a.src, a.dst) != (p, q):
                 raise TypeMismatch(f"{a} is not in hom ({p},{q})")
             idx.append(a.index)
         if not idx:
-            return self.top(p, q)
-        m = self.hom(p, q).meet_opt(idx)
-        if m is None:
-            raise QfcaError(f"meet missing in hom ({p},{q}) for indices {sorted(set(idx))}")
-        return self.arrow_table[(p, q)][m]
+            return self.bottom(p, q) if kind == "join" else self.top(p, q)
+        hom = self.hom(p, q)
+        k = hom.bound(idx, hom.up if kind == "join" else hom.down)
+        if k is None:
+            raise QfcaError(f"{kind} missing in hom ({p},{q}) for indices {sorted(set(idx))}")
+        return self.arrow_table[(p, q)][k]
 
     def left_imp(self, w: Arrow, u: Arrow) -> Arrow:
         """left_imp(w, u) for u: p -> q, w: p -> r, giving q -> r."""
@@ -425,38 +431,10 @@ class Quantaloid:
 def validate_quantaloid(Q: Quantaloid) -> ValidationReport:
     """Check every quantaloid law on the tables, reporting all violations as data."""
     report = ValidationReport(f"quantaloid {Q.name}")
-    lattices_ok = True
     for (p, q), hom in sorted(Q.homs.items()):
-        n, el, up = len(hom), hom.elements, hom.up
-        for i in range(n):
-            if not up[i] >> i & 1:
-                report.add("poset.reflexive", (p, q, el[i]), "x <= x fails")
-                lattices_ok = False
-        for i in range(n):
-            for j in _bits(up[i] & hom.down[i] & ~(1 << i)):
-                report.add("poset.antisymmetric", (p, q, el[i], el[j]),
-                           "x <= y and y <= x for distinct elements")
-                lattices_ok = False
-        for i in range(n):
-            for j in _bits(up[i]):
-                for k in _bits(up[j] & ~up[i]):
-                    report.add("poset.transitive", (p, q, el[i], el[j], el[k]),
-                               "x <= y <= z but not x <= z")
-                    lattices_ok = False
-        if hom.top is None:
-            report.add("lattice.top", (p, q), "no greatest element")
-            lattices_ok = False
-        if hom.bottom is None:
-            report.add("lattice.bottom", (p, q), "no least element")
-            lattices_ok = False
-        for i, j in itertools.combinations(range(n), 2):
-            if hom.joins[i][j] is None:
-                report.add("lattice.join", (p, q, el[i], el[j]), "pairwise join missing")
-                lattices_ok = False
-            if hom.meets[i][j] is None:
-                report.add("lattice.meet", (p, q, el[i], el[j]), "pairwise meet missing")
-                lattices_ok = False
-    if not lattices_ok:
+        for code, labels, detail in hom.issues:
+            report.add(code, (p, q, *labels), detail)
+    if not report.ok:
         return report
 
     def lbl(p, q, i):
@@ -624,13 +602,9 @@ def _chain_quantaloid(name: str, n: int, tensor) -> Quantaloid:
     if n < 2:
         raise InvalidParams("chain presets need n >= 2")
     values = [Fraction(i, n - 1) for i in range(n)]
-    hom = _chain([str(v) for v in values])
-    position = {v: i for i, v in enumerate(values)}
-    table = {("*", "*", "*"): tuple(
-        tuple(position[tensor(values[j], values[i])] for i in range(n))
-        for j in range(n)
-    )}
-    return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": n - 1}, name=name)
+    labels = [str(v) for v in values]
+    products = [(str(a), str(b), str(tensor(a, b))) for a in values for b in values]
+    return _quantale_from_table(labels, zip(labels, labels[1:]), products, "1", name)
 
 
 def _chain(labels) -> HomLattice:
