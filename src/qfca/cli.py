@@ -65,12 +65,11 @@ from .presheaf import presheaf_label
 from .concept import (
     _json_to_dot,
     brute_force_fixed,
+    closure_pair,
     codense_probe,
-    fca_lattice,
     lattice_to_json,
     residual_category,
     residual_context,
-    rst_lattice,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
 )
@@ -104,6 +103,16 @@ class InvalidDocument(QfcaError):
         super().__init__(f"{', '.join(r.subject for r in reports)} failed validation; "
                          "see the report")
         self.reports = reports
+
+
+# The exit code of each error class, the first match winning; the module
+# docstring lists what each code means.
+_EXIT_CODES = (
+    (InvalidDocument, 1),
+    ((UsageError, InvalidParams, NotGirard, NotAQuantale, HypothesesNotMet, OSError), 2),
+    ((BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded), 4),
+    (QfcaError, 1),
+)
 
 
 @dataclass
@@ -167,10 +176,8 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
     tables = {}
     for p, q, r in itertools.product(objects, repeat=3):
         dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
-        bottom = cod.bottom
-        if bottom is None:
-            raise UsageError(f"hom '{p}->{r}' has no bottom; cannot default compose entries")
-        tables[(p, q, r)] = [[bottom] * len(dom) for _ in range(len(mid))]
+        # a hom without a bottom fails validation before any composite is read
+        tables[(p, q, r)] = [[cod.bottom or 0] * len(dom) for _ in range(len(mid))]
     for v_ref, u_ref, w_ref in spec.get("compose", []):
         v, u, w = (_parse_arrow_ref(objects, homs, ref) for ref in (v_ref, u_ref, w_ref))
         if u.dst != v.src or (w.src, w.dst) != (u.src, v.dst):
@@ -198,6 +205,8 @@ def _parse_category(Q: Quantaloid, name: str, spec: dict) -> QCategory:
 
 def parse_document(data: dict) -> ContextDocument:
     Q = _parse_quantaloid(data["quantaloid"])
+    if Q.lattice_issue is not None:  # omitted entries below default to bottoms
+        raise InvalidDocument([validate_quantaloid(Q)])
     categories = {}
     for name in sorted(data.get("categories", {})):
         categories[name] = _parse_category(Q, name, data["categories"][name])
@@ -420,11 +429,11 @@ def cmd_validate(args) -> int:
 def cmd_concepts(args) -> int:
     doc = load_valid_document(args.path)
     phi = _pick_distributor(doc, args.dist)
-    lattice = fca_lattice(phi) if args.mode == "fca" else rst_lattice(phi)
-    wanted = list(doc.quantaloid.objects) if args.type == "all" else [args.type]
-    for t in wanted:
-        if t not in doc.quantaloid.objects:
-            raise UsageError(f"unknown type {t!r}")
+    objects = doc.quantaloid.objects
+    if args.type != "all" and args.type not in objects:
+        raise UsageError(f"unknown type {args.type!r}")
+    wanted = list(objects) if args.type == "all" else [args.type]
+    lattice = closure_pair(phi, args.mode).lattice()
     if args.oracle:
         per_type = lattice.per_type()
         for t in wanted:
@@ -643,22 +652,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidDocument as e:
-        _dump({"ok": False, "reports": [r.to_json() for r in e.reports]}, args.output)
+    except (QfcaError, OSError) as e:  # OSError: an unreadable path
+        if isinstance(e, InvalidDocument):
+            _dump({"ok": False, "reports": [r.to_json() for r in e.reports]}, args.output)
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (UsageError, InvalidParams, NotGirard, NotAQuantale, HypothesesNotMet) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # an unreadable path: absent, a directory, no permission
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except QfcaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(e, kinds))
 
 
 if __name__ == "__main__":

@@ -85,9 +85,12 @@ def test_concepts_json_type_filter(capsys):
     assert list(data["types"].keys()) == ["1"]
 
 
-def test_concepts_unknown_type(capsys):
+def test_concepts_unknown_type(capsys, monkeypatch):
     code = cli.main(["concepts", str(CONTEXTS / "fix_dl3.json"), "--type", "9"])
     assert code == 2
+    monkeypatch.setenv("QFCA_BUDGET", "1")  # the type is checked before any closure runs
+    assert cli.main(["concepts", str(CONTEXTS / "fix_2id.json"), "--type", "zz"]) == 2
+    assert "unknown type 'zz'" in capsys.readouterr().err
 
 
 def test_concepts_type_filter_with_a_dash(capsys, tmp_path):
@@ -105,14 +108,14 @@ def test_concepts_type_filter_with_a_dash(capsys, tmp_path):
 
 def test_concepts_oracle_mismatch_fault_injection(capsys, monkeypatch):
     # simulate a buggy closure by dropping a concept from the computed lattice
-    real = cli.fca_lattice
+    import qfca.concept as concept
+    real = concept.fca_lattice
 
     def broken(phi):
         lattice = real(phi)
-        from qfca.concept import ConceptLattice
-        return ConceptLattice("fca", phi, lattice.concepts[:-1])
+        return concept.ConceptLattice("fca", phi, lattice.concepts[:-1])
 
-    monkeypatch.setattr(cli, "fca_lattice", broken)
+    monkeypatch.setattr(concept, "fca_lattice", broken)
     code, out = run(capsys, "concepts", CONTEXTS / "fix_2id.json",
                     "--mode", "fca", "--oracle")
     assert code == 3
@@ -206,7 +209,7 @@ def test_round_trip(capsys):
         assert cli.parse_document(once) == doc
 
 
-def test_byte_identical_outputs(capsys):
+def test_byte_identical_outputs(capsys, tmp_path):
     fixtures = [
         ("concepts", CONTEXTS / "fix_dl3.json", "--mode", "rst", "--out", "dot"),
         ("concepts", CONTEXTS / "fix_2id.json", "--mode", "fca", "--out", "json"),
@@ -214,10 +217,25 @@ def test_byte_identical_outputs(capsys):
         ("verify", CONTEXTS / "fix_l3.json", "--prop", "k-eq-m-tr"),
         ("tr", CONTEXTS / "fix_dl3.json"),
     ]
-    for argv in fixtures:
-        _, out1 = run(capsys, *argv)
+    for k, argv in enumerate(fixtures):
+        code, out1 = run(capsys, *argv)
         _, out2 = run(capsys, *argv)
         assert out1 == out2 and out1
+        target = tmp_path / f"out{k}"
+        assert run(capsys, *argv, "-o", target) == (code, "")
+        assert target.read_bytes() == out1.encode()
+
+
+def test_dist_choice_is_required_and_checked(capsys, tmp_path):
+    doc = json.loads((CONTEXTS / "fix_dl3.json").read_text())
+    doc["distributors"]["psi"] = doc["distributors"]["phi"]
+    path = tmp_path / "two_distributors.json"
+    path.write_text(json.dumps(doc))
+    for extra, message in [([], "--dist is required; choices: ['phi', 'psi']"),
+                           (["--dist", "zz"], "no distributor 'zz'; choices: ['phi', 'psi']")]:
+        assert cli.main(["concepts", str(path), *extra]) == 2
+        assert message in capsys.readouterr().err
+    assert cli.main(["concepts", str(path), "--dist", "psi"]) == 0
 
 
 def test_verify_data_keys_are_checked(capsys):
@@ -231,7 +249,9 @@ def test_verify_data_keys_are_checked(capsys):
             ("k-eq-m-tr", ["kind=rst"],
              "--prop k-eq-m-tr reads no --data key 'kind'; it accepts []"),
             ("girard-probe", ["category=A"], "it accepts ['object']"),
-            ("thm33", ["kind=rst", "kind=fca"], "--data names the key 'kind' twice")]:
+            ("thm33", ["kind=rst", "kind=fca"], "--data names the key 'kind' twice"),
+            ("thm33", ["kind"], "--data expects key=value tokens, got 'kind'"),
+            ("thm33", ["kind=xyz"], "kind must be fca or rst, got 'xyz'")]:
         assert cli.main(["verify", path, "--prop", prop, "--data", *data]) == 2, prop
         assert message in capsys.readouterr().err
     for prop, data in [("thm33", "kind=rst"), ("yoneda", "category=A"),
@@ -254,6 +274,9 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QFCA_BUDGET", "1")
     code = cli.main(["concepts", str(CONTEXTS / "fix_2id.json"), "--oracle"])
     assert code == 4  # the cap trips and surfaces as budget exhaustion
+    monkeypatch.setenv("QFCA_BUDGET", "abc")
+    assert cli.main(["concepts", str(CONTEXTS / "fix_2id.json")]) == 2
+    assert "QFCA_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):
@@ -305,7 +328,18 @@ def test_unknown_labels_are_named(capsys, tmp_path):
     assert "hom section '*->*'" in err and "unknown label 'zz'" in err
     assert "misses the required field" not in err
     doc["quantaloid"]["homs"]["*->*"]["leq"] = [["0", "1"]]
+    square = {f"{p}->{q}": doc["quantaloid"]["homs"]["*->*"] for p in "*o" for q in "*o"}
     for edit, message in [
+            (lambda q: q.update(compose=[["zz", "1", "1"]]),
+             "no arrow labelled 'zz' in the quantaloid"),
+            (lambda q: q.update(objects=["*", "o"], homs=square),
+             "arrow label '1' is ambiguous; qualify it as 'p->q:1'"),
+            (lambda q: q.update(objects=["*", "o"], homs=square,
+                                compose=[["*->o:1", "*->o:1", "*->o:1"]]),
+             "compose triple [*->o:1,*->o:1,*->o:1] is not composable"),
+            (lambda q: q.update(homs={"**": q["homs"]["*->*"]}),
+             "hom section '**' is not named 'p->q'"),
+            (lambda q: q.update(objects=["*", "o"]), "missing hom section '*->o'"),
             (lambda q: q["units"].update(zz="1"), "units name the unknown object 'zz'"),
             (lambda q: q.update(compose=[["*->zz:1", "1", "1"]]),
              "arrow '*->zz:1' names the unknown hom '*->zz'"),
@@ -388,6 +422,24 @@ def test_invalid_inline_quantaloid_is_not_computed_on(capsys, tmp_path):
         assert report["ok"] is False
         codes = {i["code"] for r in report["reports"] for i in r["issues"]}
         assert "compose.associative" in codes, argv
+
+
+@pytest.mark.parametrize("leq, code, where", [
+    ([["0", "1"], ["1", "0"]], "poset.antisymmetric", ["*", "*", "0", "1"]),
+    ([], "lattice.bottom", ["*", "*"]),
+], ids=["two-cycle", "antichain"])
+def test_inline_hom_that_is_not_a_lattice_fails_validation(capsys, tmp_path, leq, code, where):
+    doc = json.loads((DATA / "inline_two.json").read_text())
+    doc["quantaloid"]["homs"]["*->*"]["leq"] = leq
+    path = tmp_path / "not_a_lattice.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "concepts"):
+        status, out = run(capsys, command, path)
+        assert status == 1, command
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [code, where] in [[i["code"], i["where"]]
+                                 for r in report["reports"] for i in r["issues"]], command
 
 
 def _edited(tmp_path, name, edit):
