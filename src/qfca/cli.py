@@ -28,8 +28,10 @@ computing subcommands refuse any document that ``validate`` rejects: they
 print the failing validation reports and exit 1 without computing on it.  A
 document of the wrong shape (a field of the wrong JSON type) is a usage
 error naming the field's JSON path.  Outputs are deterministic: repeated
-runs on the same input are byte-identical.  The environment variable
-QFCA_BUDGET replaces all enumeration, search and closure caps at once.
+runs on the same input are byte-identical.  An inline quantaloid with a
+hom that is not a complete lattice is refused before its categories are
+read, by ``validate`` too.  The environment variable QFCA_BUDGET replaces
+all enumeration, search and closure caps at once.
 """
 
 from __future__ import annotations
