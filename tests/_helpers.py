@@ -64,14 +64,19 @@ def oracle_compose(psi, phi):
     """join_y psi(y,z).phi(x,y) computed by explicit scans."""
     Q = phi.q
     A, B, C = phi.dom, psi.dom, psi.cod
-    out = []
-    for i in range(len(A)):
-        row = []
-        for k in range(len(C)):
-            terms = [Q.compose(psi.matrix[j][k], phi.matrix[i][j]) for j in range(len(B))]
-            row.append(Q.hom_join(A.types[i], C.types[k], terms))
-        out.append(row)
-    return out
+    return [[Arrow(p, r, scan_join(Q, p, r, [scan_compose(Q, psi.matrix[j][k], row[j])
+                                             for j in range(len(B))]))
+             for k, r in enumerate(C.types)]
+            for p, row in zip(A.types, phi.matrix)]
+
+
+def oracle_left_imp(xi, phi):
+    """(xi <l phi)(y, z) = meet_x left_imp(xi(x, z), phi(x, y)) computed by explicit scans."""
+    Q = phi.q
+    return [[Arrow(s, t, scan_meet(Q, s, t, [scan_left_imp(Q, xrow[k], prow[j])
+                                             for xrow, prow in zip(xi.matrix, phi.matrix)]))
+             for k, t in enumerate(xi.cod.types)]
+            for j, s in enumerate(phi.cod.types)]
 
 
 # -- classical powerset FCA / RST -----------------------------------------------------
@@ -159,7 +164,7 @@ def scan_right_imp(Q, v, w):
                                if (comp[v.index][u], w.index) in le])
 
 
-# -- brute-force copresheaf half --------------------------------------------------
+# -- brute-force presheaf and copresheaf halves ----------------------------------
 #
 # Entrywise, from the scans above and the composition table only.  Each
 # returns the value vector as arrows; ``scan_*`` give the index in the hom.
@@ -172,6 +177,40 @@ def scan_compose(Q, v, u):
 
 def scan_leq(Q, a, b):
     return (a.index, b.index) in Q.hom(a.src, a.dst).leq_pairs
+
+
+def oracle_presheaf_hom(mu, nu):
+    """hom(mu, nu) = meet_a left_imp(nu(a), mu(a)): type(mu) -> type(nu)."""
+    Q, s, t = mu.base.q, mu.type, nu.type
+    return Arrow(s, t, scan_meet(Q, s, t, [scan_left_imp(Q, w, u)
+                                           for u, w in zip(mu.values, nu.values)]))
+
+
+def oracle_isbell_up(phi, mu):
+    """up(mu)(b) = meet_a left_imp(phi(a, b), mu(a)): type -> |b|."""
+    Q, s = phi.q, mu.type
+    return tuple(
+        Arrow(s, t, scan_meet(Q, s, t, [scan_left_imp(Q, row[j], u)
+                                        for row, u in zip(phi.matrix, mu.values)]))
+        for j, t in enumerate(phi.cod.types))
+
+
+def oracle_kan_star(phi, lam):
+    """star(lam)(a) = join_b lam(b) . phi(a, b): |a| -> type."""
+    Q, t = phi.q, lam.type
+    return tuple(
+        Arrow(p, t, scan_join(Q, p, t, [scan_compose(Q, v, u)
+                                        for v, u in zip(lam.values, row)]))
+        for p, row in zip(phi.dom.types, phi.matrix))
+
+
+def oracle_kan_lower(phi, mu):
+    """lower(mu)(b) = meet_a left_imp(mu(a), phi(a, b)): |b| -> type."""
+    Q, s = phi.q, mu.type
+    return tuple(
+        Arrow(b, s, scan_meet(Q, b, s, [scan_left_imp(Q, w, row[j])
+                                        for row, w in zip(phi.matrix, mu.values)]))
+        for j, b in enumerate(phi.cod.types))
 
 
 def oracle_isbell_down(phi, lam):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -143,6 +144,40 @@ def test_verify_props_pass(capsys):
         code, out = run(capsys, "verify", CONTEXTS / "fix_l3.json", "--prop", prop)
         assert code == 0, (prop, out)
         assert json.loads(out)["passed"] is True
+
+
+# sha256 (first 16 hex digits) of the stdouts of test_empty_carrier_documents,
+# joined in run order.
+EMPTY_SIDE_DIGESTS = {"no-rows": "1b5999c1b6701699", "no-columns": "f5d4739cc9811422"}
+PROPS = ("k-eq-m-tr", "k-eq-m-neg", "isbell-adjunction", "kan-adjunction", "yoneda",
+         "dense-cond", "elementary-identities", "thm33", "thm51", "mphi-rep", "kphi-rep",
+         "elementary-rep", "girard-probe")
+
+
+def test_empty_carrier_documents(capsys, tmp_path):
+    """A context whose row or column category has no objects has one concept per type."""
+    side = {"objects": [{"label": "x0", "type": "0"}, {"label": "x1", "type": "1"}],
+            "hom": [["x0", "x0", "0"], ["x1", "x1", "1"]]}
+    empty = {"objects": []}
+    runs = [("concepts", "--mode", mode, *oracle)
+            for mode in ("fca", "rst") for oracle in ((), ("--oracle",))]
+    runs += [("tr",)] + [("verify", "--prop", prop) for prop in PROPS]
+    for name, (rows, cols) in {"no-rows": (empty, side), "no-columns": (side, empty)}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "quantaloid": {"preset": {"name": "frame-diagonal", "chain": 2}},
+            "categories": {"A": rows, "B": cols},
+            "distributors": {"phi": {"from": "A", "to": "B"}}}))
+        outputs = []
+        for command, *rest in runs:
+            code, out = run(capsys, command, path, *rest)
+            assert code == 0, (name, command, rest, out)
+            outputs.append(out)
+        for out in outputs[:4]:
+            assert [len(t["concepts"]) for t in json.loads(out)["types"].values()] == [1, 1]
+        assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()[:16]
+        assert digest == EMPTY_SIDE_DIGESTS[name], name
 
 
 def test_verify_multi_typed_central_identity(capsys):

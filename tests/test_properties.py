@@ -7,8 +7,10 @@ three-object ``frame-diagonal chain=3``; over ``two`` carriers have up to
 three objects, enough for lattices with concepts that are meets of
 generators but not generators.  The distributor is any valid one between
 the drawn carriers.  The brute-force enumeration is the oracle for
-the closure-built lattices, and the materialized lattice category is the
-oracle for the Hasse covers that serialization reads from down-set codes.
+the closure-built lattices, the materialized lattice category is the
+oracle for the Hasse covers that serialization reads from down-set codes,
+and the entrywise scans of ``_helpers`` are the oracles for the adjoint
+maps, the (co)presheaf homs and the distributor calculus.
 """
 
 import functools
@@ -20,13 +22,20 @@ from _helpers import (
     enumerate_categories,
     enumerate_distributors,
     oracle_copresheaf_hom,
+    oracle_compose,
     oracle_copresheaf_law,
     oracle_isbell_down,
+    oracle_isbell_up,
     oracle_kan_dag,
+    oracle_kan_lower,
     oracle_kan_lower_dag,
+    oracle_kan_star,
+    oracle_left_imp,
+    oracle_presheaf_hom,
 )
 from qfca.quantaloid import build_preset
 from qfca.qcat import QTypedSet, discrete_category, underlying_order
+from qfca.qdist import dist_compose, dist_left_imp, identity_dist
 from qfca.presheaf import (
     Copresheaf,
     copresheaf_hom,
@@ -34,6 +43,7 @@ from qfca.presheaf import (
     enumerate_copresheaves,
     enumerate_presheaves,
     pointwise_leq,
+    presheaf_hom,
 )
 from qfca.concept import (
     IsbellPair,
@@ -41,8 +51,11 @@ from qfca.concept import (
     brute_force_fixed,
     fca_lattice,
     isbell_down,
+    isbell_up,
     kan_dag,
+    kan_lower,
     kan_lower_dag,
+    kan_star,
     lattice_to_dot,
     lattice_to_json,
     rst_lattice,
@@ -166,3 +179,28 @@ def test_copresheaf_half_matches_oracle_randomized(data):
             for lam in spaces[A]:
                 for kap in others:
                     assert copresheaf_hom(lam, kap) == oracle_copresheaf_hom(lam, kap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_presheaf_half_matches_oracle_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    A, B = phi.dom, phi.cod
+    spaces = {(C, qobj): enumerate_presheaves(C, qobj) for C in (A, B) for qobj in Q.objects}
+    for (C, qobj), space in spaces.items():
+        for mu in space:
+            if C is A:
+                assert isbell_up(phi, mu).values == oracle_isbell_up(phi, mu)
+                assert kan_lower(phi, mu).values == oracle_kan_lower(phi, mu)
+            else:
+                assert kan_star(phi, mu).values == oracle_kan_star(phi, mu)
+            for nu_type in Q.objects:
+                for nu in spaces[C, nu_type]:
+                    assert presheaf_hom(mu, nu) == oracle_presheaf_hom(mu, nu)
+    phi_phi = dist_left_imp(phi, phi)
+    back = dist_left_imp(identity_dist(A), phi)
+    for xi, psi in ((phi, phi), (identity_dist(A), phi), (identity_dist(B), identity_dist(B))):
+        assert [list(r) for r in dist_left_imp(xi, psi).matrix] == oracle_left_imp(xi, psi)
+    for psi, chi in ((phi_phi, phi), (back, phi), (phi, back), (phi, identity_dist(A))):
+        assert [list(r) for r in dist_compose(psi, chi).matrix] == oracle_compose(psi, chi)

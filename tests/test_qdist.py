@@ -19,9 +19,9 @@ from qfca.qdist import (
     validate_chu,
     validate_distributor,
 )
-from qfca.presheaf import materialize_presheaves, sup
-from qfca.concept import complement_context
-from qfca.quantaloid import find_cyclic_dualizing_family
+from qfca.presheaf import materialize_presheaves, sup, top_presheaf
+from qfca.concept import complement_context, fca_lattice, rst_lattice
+from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 
 from _helpers import enumerate_categories, enumerate_distributors, oracle_compose
 
@@ -222,3 +222,26 @@ def test_shape_errors(fix2id, fixl3):
         dist_compose(fix2id.phi, fix2id.phi)
     with pytest.raises(TypeMismatch):
         fix2id.phi.leq(fixl3.phi)
+
+
+def test_empty_carriers():
+    Q = build_preset("frame-diagonal", chain=2)
+    full = discrete_category(Q, QTypedSet(("x0", "x1"), ("0", "1")), name="X")
+    empty = discrete_category(Q, QTypedSet((), ()), name="E")
+    for phi in (QDistributor(empty, full, [], name="no-rows"),
+                QDistributor(full, empty, [[], []], name="no-columns")):
+        A, B = phi.dom, phi.cod
+        for lattice, base in ((fca_lattice(phi), A), (rst_lattice(phi), B)):
+            assert {t: [p.values for p in ps] for t, ps in lattice.per_type().items()} == \
+                {t: [top_presheaf(base, t).values] for t in Q.objects}
+        back = dist_left_imp(identity_dist(A), phi)
+        assert (back.dom, back.cod) == (B, A) and len(back.matrix) == len(B)
+        assert all(row == () for row in back.matrix)
+        tops = tuple(tuple(Q.top(s, t) for t in B.types) for s in B.types)
+        assert dist_left_imp(phi, phi).matrix == (tops if len(A) == 0 else ())
+        assert dist_compose(phi, identity_dist(A)) == phi
+        assert dist_compose(identity_dist(B), phi) == phi
+        # composing through the empty side makes every entry an empty join
+        through = dist_compose(phi, back) if len(A) == 0 else dist_compose(back, phi)
+        assert through.matrix == tuple(tuple(Q.bottom(s, t) for t in through.cod.types)
+                                       for s in through.dom.types)
