@@ -37,6 +37,7 @@ all enumeration, search and closure caps at once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -133,6 +134,15 @@ class ContextDocument:
 # -- parsing ---------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Re-raise an InvalidParams as a UsageError naming the section and entry ``where``."""
+    try:
+        yield
+    except InvalidParams as e:
+        raise UsageError(f"{where}: {e}") from None
+
+
 def _parse_arrow_ref(objects, homs: dict, ref: str) -> Arrow:
     """Resolve 'p->q:label' or a bare label that is unique across all homs."""
     if ":" in ref and "->" in ref.split(":", 1)[0]:
@@ -174,14 +184,16 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
     for q, label in spec["units"].items():
         if (q, q) not in homs:
             raise UsageError(f"units name the unknown object {q!r}")
-        units[q] = homs[(q, q)].index(label)
+        with _naming(f"units {q!r}"):
+            units[q] = homs[(q, q)].index(label)
     tables = {}
     for p, q, r in itertools.product(objects, repeat=3):
         dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
         # a hom without a bottom fails validation before any composite is read
         tables[(p, q, r)] = [[cod.bottom or 0] * len(dom) for _ in range(len(mid))]
     for v_ref, u_ref, w_ref in spec.get("compose", []):
-        v, u, w = (_parse_arrow_ref(objects, homs, ref) for ref in (v_ref, u_ref, w_ref))
+        with _naming(f"compose triple [{v_ref},{u_ref},{w_ref}]"):
+            v, u, w = (_parse_arrow_ref(objects, homs, ref) for ref in (v_ref, u_ref, w_ref))
         if u.dst != v.src or (w.src, w.dst) != (u.src, v.dst):
             raise UsageError(f"compose triple [{v_ref},{u_ref},{w_ref}] is not composable")
         tables[(u.src, u.dst, v.dst)][v.index][u.index] = w.index
@@ -201,8 +213,10 @@ def _parse_category(Q: Quantaloid, name: str, spec: dict) -> QCategory:
         if x not in index or y not in index:
             raise UsageError(f"category {name!r}: unknown object in hom entry [{x},{y}]")
         i, j = index[x], index[y]
-        hom[i][j] = Arrow(types[i], types[j], Q.hom(types[i], types[j]).index(ref))
-    return QCategory(Q, labels, types, hom, name=name)
+        with _naming(f"category {name!r}: hom entry [{x},{y},{ref}]"):
+            hom[i][j] = Q.arrow(types[i], types[j], ref)
+    with _naming(f"category {name!r}"):
+        return QCategory(Q, labels, types, hom, name=name)
 
 
 def parse_document(data: dict) -> ContextDocument:
@@ -222,9 +236,9 @@ def parse_document(data: dict) -> ContextDocument:
         matrix = [[Q.bottom(A.types[i], B.types[j]) for j in range(len(B))]
                   for i in range(len(A))]
         for x, y, ref in spec.get("entries", []):
-            i, j = A.index(x), B.index(y)
-            matrix[i][j] = Arrow(A.types[i], B.types[j],
-                                 Q.hom(A.types[i], B.types[j]).index(ref))
+            with _naming(f"distributor {name!r}: entry [{x},{y},{ref}]"):
+                i, j = A.index(x), B.index(y)
+                matrix[i][j] = Q.arrow(A.types[i], B.types[j], ref)
         distributors[name] = QDistributor(A, B, matrix, name=name)
     functors = {}
     for name in sorted(data.get("functors", {})):
@@ -233,7 +247,8 @@ def parse_document(data: dict) -> ContextDocument:
             A, B = categories[spec["from"]], categories[spec["to"]]
         except KeyError as e:
             raise UsageError(f"functor {name!r}: unknown category {e.args[0]!r}") from None
-        functors[name] = QFunctor(A, B, dict(spec["map"]), name=name)
+        with _naming(f"functor {name!r}"):
+            functors[name] = QFunctor(A, B, dict(spec["map"]), name=name)
     return ContextDocument(Q, data["quantaloid"], categories, distributors, functors)
 
 

@@ -1,12 +1,16 @@
 """Concept lattices of multi-typed, multi-valued contexts.
 
 A distributor phi: A -/-> B plays the role of a formal context.  It induces
-two adjunctions between (co)presheaf categories:
+two adjunctions between (co)presheaf categories, each map one operation of
+the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
 
-* the Isbell adjunction ``isbell_up -| isbell_down`` (the enriched polarity);
-  its fixed presheaves on A form the FCA concept lattice of the context;
-* the Kan adjunction ``kan_star -| kan_lower``; its fixed presheaves on B
-  form the RST (object-oriented) concept lattice.
+* the Isbell adjunction ``isbell_up(mu) = phi <l mu`` -| ``isbell_down(lam)
+  = lam >r phi`` (the enriched polarity); its fixed presheaves on A form the
+  FCA concept lattice of the context;
+* the Kan adjunction ``kan_star(lam) = lam . phi`` -| ``kan_lower(mu) =
+  mu <l phi``; its fixed presheaves on B form the RST (object-oriented)
+  concept lattice.  On copresheaves, ``kan_dag(mu) = phi . mu`` and
+  ``kan_lower_dag(lam) = phi >r lam`` are the Kan maps of the dual context.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -44,7 +48,9 @@ from .qdist import (
     dist_right_imp,
     dualize_distributor,
     graph,
+    hom_ix,
     identity_dist,
+    tensor_ix,
     validate_chu,
 )
 from .presheaf import (
@@ -80,19 +86,12 @@ from .quantaloid import (
 
 
 def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
-    """Residuate the context by a presheaf on A; lands in copresheaves on B."""
+    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
     if mu.base != phi.dom:
         raise BaseMismatch("presheaf must live on the context's row category")
-    q, limp, s = phi.q, phi.q.limp_table, mu.type
-    q.require_lattices()
-    mu_ix = [a.index for a in mu.values]
-    values = []
-    for j, t in enumerate(phi.cod.types):  # meet_ix inlined: this is the hot loop
-        meets, k = q.homs[s, t].meets, q.homs[s, t].top
-        for p, row, u in zip(phi.dom.types, phi.matrix, mu_ix):
-            k = meets[k][limp[p, s, t][row[j].index][u]]
-        values.append(q.arrow_table[s, t][k])
-    return Copresheaf(phi.cod, s, tuple(values))
+    q, types, s = phi.q, phi.dom.types, mu.type
+    return Copresheaf(phi.cod, s, tuple(hom_ix(q, types, s, t, col, mu.values)
+                                        for t, col in zip(phi.cod.types, phi.columns)))
 
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
@@ -103,35 +102,21 @@ def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
 
 
 def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
-    """Compose a presheaf on B with the context, giving a presheaf on A."""
+    """lam . phi, a presheaf on A: ``kan_star(lam)(a) = join_b lam(b) . phi(a, b)``."""
     if lam.base != phi.cod:
         raise BaseMismatch("presheaf must live on the context's column category")
-    q, comp, t = phi.q, phi.q.compose_table, lam.type
-    q.require_lattices()
-    lam_ix = [a.index for a in lam.values]
-    values = []
-    for p, row in zip(phi.dom.types, phi.matrix):  # the join over b, from the joins table
-        joins, k = q.homs[p, t].joins, q.homs[p, t].bottom
-        for b, v, u in zip(phi.cod.types, lam_ix, row):
-            k = joins[k][comp[p, b, t][v][u.index]]
-        values.append(q.arrow_table[p, t][k])
-    return Presheaf(phi.dom, t, tuple(values))
+    q, types, t = phi.q, phi.cod.types, lam.type
+    return Presheaf(phi.dom, t, tuple(tensor_ix(q, types, p, t, row, lam.values)
+                                      for p, row in zip(phi.dom.types, phi.matrix)))
 
 
 def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
-    """Right extension of a presheaf on A along the context; lands on B."""
+    """mu <l phi, a presheaf on B: ``kan_lower(mu)(b) = hom(phi(-, b), mu)``."""
     if mu.base != phi.dom:
         raise BaseMismatch("presheaf must live on the context's row category")
-    q, limp, s = phi.q, phi.q.limp_table, mu.type
-    q.require_lattices()
-    mu_ix = [a.index for a in mu.values]
-    values = []
-    for j, b in enumerate(phi.cod.types):  # meet_ix inlined
-        meets, k = q.homs[b, s].meets, q.homs[b, s].top
-        for p, row, w in zip(phi.dom.types, phi.matrix, mu_ix):
-            k = meets[k][limp[p, b, s][w][row[j].index]]
-        values.append(q.arrow_table[b, s][k])
-    return Presheaf(phi.cod, s, tuple(values))
+    q, types, s = phi.q, phi.dom.types, mu.type
+    return Presheaf(phi.cod, s, tuple(hom_ix(q, types, b, s, mu.values, col)
+                                      for b, col in zip(phi.cod.types, phi.columns)))
 
 
 def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
@@ -544,7 +529,7 @@ def codense_probe(Q: Quantaloid, qobj: str) -> Report:
 
 def _column(phi: QDistributor, y: str) -> Presheaf:
     j = phi.cod.index(y)
-    return Presheaf(phi.dom, phi.cod.types[j], tuple(row[j] for row in phi.matrix))
+    return Presheaf(phi.dom, phi.cod.types[j], phi.columns[j])
 
 
 def presheaf_transpose(phi: QDistributor, pa: PresheafSpace) -> QFunctor:

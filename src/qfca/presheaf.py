@@ -35,10 +35,13 @@ from .qcat import (
     validate_functor,
 )
 from .qdist import (
+    cograph,
     dist_left_imp,
     graph,
+    hom_ix,
     identity_dist,
     is_adjoint_functor_pair,
+    tensor_ix,
 )
 from .quantaloid import Arrow, _kept
 
@@ -116,11 +119,7 @@ def pointwise_leq(a, b) -> bool:
 def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
     """The hom arrow from mu to nu: meet over a of left_imp(nu(a), mu(a))."""
     _check_same_base(mu, nu)
-    A, q = mu.base, mu.base.q
-    s, t = mu.type, nu.type
-    limp = q.limp_table
-    return q.meet_ix(s, t, [limp[(p, s, t)][w.index][u.index]
-                            for p, u, w in zip(A.types, mu.values, nu.values)])
+    return hom_ix(mu.base.q, mu.base.types, mu.type, nu.type, nu.values, mu.values)
 
 
 def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
@@ -143,7 +142,7 @@ def presheaf_meet(A: QCategory, qobj: str, parts) -> Presheaf:
         return top_presheaf(A, qobj)
     q = A.q
     q.require_lattices()
-    values = []  # meet_ix inlined: one call per position would double the closure's cost
+    values = []  # folded inline: a call per position would double the closure's cost
     for i, t in enumerate(A.types):
         hom = q.homs[(t, qobj)]
         meets, k = hom.meets, hom.top
@@ -187,11 +186,6 @@ def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
 # -- suprema, infima, weighted (co)limits ----------------------------------------
 
 
-def _label_order(A: QCategory):
-    """Scan order for witness searches: least label first (documented tie-break)."""
-    return sorted(range(len(A)), key=lambda i: A.objects[i])
-
-
 def sup(A: QCategory, mu: Presheaf):
     """The least-label object x with hom(x, -) = hom <l mu, or ``None``: colim(mu, 1_A)."""
     if mu.base != A:
@@ -207,22 +201,15 @@ def inf(A: QCategory, lam: Copresheaf):
 
 
 def weighted_colimit(mu: Presheaf, F: QFunctor):
-    """Colimit of F weighted by mu: base(mu) must be dom(F); ``None`` if absent."""
+    """Colimit of F weighted by mu, on dom(F): the least-label object whose hom row
+    is ``graph(F) <l mu``, or ``None``."""
     if mu.base != F.dom:
         raise BaseMismatch("weight must live on the functor's domain")
-    A, q = F.cod, F.cod.q
-    image = [A.index(F(x)) for x in F.dom.objects]
-    for i in _label_order(A):
-        if A.types[i] != mu.type:
-            continue
-        if all(
-            A.hom[i][j] == q.hom_meet(mu.type, A.types[j],
-                                      [q.left_imp(A.hom[k][j], v)
-                                       for k, v in zip(image, mu.values)])
-            for j in range(len(A))
-        ):
-            return A.objects[i]
-    return None
+    A, q, s = F.cod, F.cod.q, mu.type
+    target = tuple(hom_ix(q, F.dom.types, s, t, col, mu.values)
+                   for t, col in zip(A.types, graph(F).columns))
+    return min((x for x, t, row in zip(A.objects, A.types, A.hom) if t == s and row == target),
+               default=None)
 
 
 def weighted_limit(lam: Copresheaf, F: QFunctor):
@@ -231,16 +218,12 @@ def weighted_limit(lam: Copresheaf, F: QFunctor):
 
 
 def pushforward(F: QFunctor, mu: Presheaf) -> Presheaf:
-    """Transport a presheaf along F by composing with the cograph of F."""
+    """Transport a presheaf along F: ``mu . cograph(F)``, a presheaf on cod(F)."""
     if mu.base != F.dom:
         raise BaseMismatch("presheaf must live on the functor's domain")
-    A, X, q = F.cod, F.dom, F.cod.q
-    values = tuple(
-        q.hom_join(A.types[i], mu.type,
-                   [q.compose(mu.at(x), A.hom_of(A.objects[i], F(x))) for x in X.objects])
-        for i in range(len(A))
-    )
-    return Presheaf(A, mu.type, values)
+    q, types, t = F.cod.q, F.dom.types, mu.type
+    return Presheaf(F.cod, t, tuple(tensor_ix(q, types, p, t, row, mu.values)
+                                    for p, row in zip(F.cod.types, cograph(F).matrix)))
 
 
 # -- pointwise Kan extensions ----------------------------------------------------
@@ -255,17 +238,15 @@ def lan(K: QFunctor, F: QFunctor) -> QFunctor:
     """
     if K.dom != F.dom:
         raise BaseMismatch("Kan extension needs functors with a common domain")
-    B = K.cod
+    B, gK = K.cod, graph(K)
     mapping = {}
-    for b in B.objects:
-        weight = Presheaf(K.dom, B.type_of(b),
-                          tuple(B.hom_of(K(x), b) for x in K.dom.objects))
-        c = weighted_colimit(weight, F)
+    for b, t, weight in zip(B.objects, B.types, gK.columns):
+        c = weighted_colimit(Presheaf(K.dom, t, weight), F)
         if c is None:
             raise ColimitMissing(b, "colimit")
         mapping[b] = c
     G = QFunctor(B, F.cod, mapping, name=f"lan({K.name},{F.name})")
-    if graph(G) != dist_left_imp(graph(F), graph(K)):
+    if graph(G) != dist_left_imp(graph(F), gK):
         raise QfcaError("pointwise left Kan extension violates its graph identity")
     validate_functor(G).require()
     return G

@@ -8,6 +8,12 @@ operations of the calculus are
     left_imp:   (xi <l phi)(y, z)   = meet_x  left_imp(xi(x, z), phi(x, y))
     right_imp:  (psi >r xi)(x, y)   = meet_z  right_imp(psi(y, z), xi(x, z))
 
+Each entry is one of two folds over the quantaloid's index tables:
+``tensor_ix``, a join of composites, carries ``dist_compose``, ``kan_star``
+and ``pushforward``; ``hom_ix``, a meet of left residuals (the presheaf hom),
+carries ``dist_left_imp``, ``presheaf_hom``, ``weighted_colimit``,
+``isbell_up`` and ``kan_lower``.  Their duals reduce to these.
+
 Distributor equality is exact entrywise arrow equality; the theorems this
 package verifies are equalities at this level, not isomorphisms.
 """
@@ -48,6 +54,12 @@ class QDistributor:
     def at(self, x: str, y: str) -> Arrow:
         return self.matrix[self.dom.index(x)][self.cod.index(y)]
 
+    @property
+    def columns(self) -> tuple[tuple[Arrow, ...], ...]:
+        """The matrix by columns, ``columns[j][i] == matrix[i][j]``; kept on first use."""
+        return _kept(self, "columns", lambda phi: tuple(
+            tuple(row[j] for row in phi.matrix) for j in range(len(phi.cod))))
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, QDistributor) and self.dom == other.dom
                 and self.cod == other.cod and self.matrix == other.matrix)
@@ -85,15 +97,35 @@ def identity_dist(A: QCategory) -> QDistributor:
     return QDistributor(A, A, A.hom, name=f"id({A.name})")
 
 
+def hom_ix(q, types, s: str, t: str, ws, us) -> Arrow:
+    """meet_x left_imp(ws[x], us[x]) in hom (s, t), for ``us[x]: types[x] -> s`` and
+    ``ws[x]: types[x] -> t``: the presheaf hom from us to ws; the empty meet is the top."""
+    q.require_lattices()
+    limp, hom = q.limp_table, q.homs[s, t]
+    meets, k = hom.meets, hom.top
+    for p, w, u in zip(types, ws, us):
+        k = meets[k][limp[p, s, t][w.index][u.index]]
+    return q.arrow_table[s, t][k]
+
+
+def tensor_ix(q, types, p: str, r: str, us, vs) -> Arrow:
+    """join_y vs[y] . us[y] in hom (p, r), for ``us[y]: p -> types[y]`` and
+    ``vs[y]: types[y] -> r``; the empty join is the bottom."""
+    q.require_lattices()
+    comp, hom = q.compose_table, q.homs[p, r]
+    joins, k = hom.joins, hom.bottom
+    for t, u, v in zip(types, us, vs):
+        k = joins[k][comp[p, t, r][v.index][u.index]]
+    return q.arrow_table[p, r][k]
+
+
 def dist_compose(psi: QDistributor, phi: QDistributor) -> QDistributor:
     """psi . phi for phi: A -/-> B and psi: B -/-> C."""
     if phi.cod != psi.dom:
         raise TypeMismatch(f"cannot compose {psi} after {phi}")
     A, B, C, q = phi.dom, phi.cod, psi.cod, phi.q
-    matrix = [[q.hom_join(A.types[i], C.types[k],
-                          [q.compose(psi.matrix[j][k], phi.matrix[i][j])
-                           for j in range(len(B))])
-               for k in range(len(C))] for i in range(len(A))]
+    matrix = [[tensor_ix(q, B.types, p, r, row, col) for r, col in zip(C.types, psi.columns)]
+              for p, row in zip(A.types, phi.matrix)]
     return QDistributor(A, C, matrix, name=f"{psi.name}.{phi.name}")
 
 
@@ -102,10 +134,8 @@ def dist_left_imp(xi: QDistributor, phi: QDistributor) -> QDistributor:
     if xi.dom != phi.dom:
         raise TypeMismatch("left implication needs a common domain")
     A, B, C, q = phi.dom, phi.cod, xi.cod, phi.q
-    matrix = [[q.hom_meet(B.types[j], C.types[k],
-                          [q.left_imp(xi.matrix[i][k], phi.matrix[i][j])
-                           for i in range(len(A))])
-               for k in range(len(C))] for j in range(len(B))]
+    matrix = [[hom_ix(q, A.types, s, t, w, u) for t, w in zip(C.types, xi.columns)]
+              for s, u in zip(B.types, phi.columns)]
     return QDistributor(B, C, matrix, name=f"({xi.name})<l({phi.name})")
 
 
@@ -119,7 +149,7 @@ def dist_right_imp(psi: QDistributor, xi: QDistributor) -> QDistributor:
 
 
 def _dual_distributor(phi: QDistributor) -> QDistributor:
-    matrix = [phi.q.dual_arrows([row[j] for row in phi.matrix]) for j in range(len(phi.cod))]
+    matrix = [phi.q.dual_arrows(col) for col in phi.columns]
     return QDistributor(dualize_category(phi.cod), dualize_category(phi.dom), matrix,
                         name=f"{phi.name}^op")
 

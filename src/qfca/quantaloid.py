@@ -389,25 +389,12 @@ class Quantaloid:
             self.require_lattices()
         return self.arrow_table[(p, q)][k]
 
-    # -- index-level kernel --------------------------------------------------
+    # -- the guard of every table fold ---------------------------------------
 
     def require_lattices(self) -> None:
         """Raise unless every hom is a lattice, so that every table entry exists."""
         if self.lattice_issue is not None:
             raise QfcaError(self.lattice_issue)
-
-    def meet_ix(self, p: str, q: str, indices) -> Arrow:
-        """Meet in hom (p, q) of arrows given by index; the empty meet is the top.
-
-        The kernel of the presheaf and concept layers: it reads the tables
-        only, so every hom must be a lattice.
-        """
-        self.require_lattices()
-        hom = self.homs[(p, q)]
-        meets, k = hom.meets, hom.top
-        for i in indices:
-            k = meets[k][i]
-        return self.arrow_table[(p, q)][k]
 
     # -- duality ------------------------------------------------------------
 

@@ -378,9 +378,30 @@ def test_unknown_labels_are_named(capsys, tmp_path):
             (lambda q: q["units"].update(zz="1"), "units name the unknown object 'zz'"),
             (lambda q: q.update(compose=[["*->zz:1", "1", "1"]]),
              "arrow '*->zz:1' names the unknown hom '*->zz'"),
+            (lambda q: q["units"].update({"*": "zz"}),
+             "units '*': unknown arrow label 'zz'"),
+            (lambda q: q.update(compose=[["*->*:zz", "1", "1"]]),
+             "compose triple [*->*:zz,1,1]: unknown arrow label 'zz'"),
             (lambda q: q.pop("units"), "misses the required field 'units'")]:
         bad = json.loads(json.dumps(doc))
         edit(bad["quantaloid"])
+        path.write_text(json.dumps(bad))
+        assert cli.main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    doc = json.loads((CONTEXTS / "fix_2id.json").read_text())
+    for edit, message in [
+            (lambda d: d["categories"]["A"]["hom"].append(["a1", "a1", "zz"]),
+             "error: category 'A': hom entry [a1,a1,zz]: unknown arrow label 'zz'"),
+            (lambda d: d["categories"]["A"]["objects"].append({"label": "a1", "type": "*"}),
+             "error: category 'A': duplicate object labels: ('a1', 'a2', 'a1')"),
+            (lambda d: d["distributors"]["phi"]["entries"].append(["a1", "b1", "zz"]),
+             "error: distributor 'phi': entry [a1,b1,zz]: unknown arrow label 'zz'"),
+            (lambda d: d["distributors"]["phi"]["entries"].append(["zz", "b1", "1"]),
+             "error: distributor 'phi': entry [zz,b1,1]: no object 'zz' in A"),
+            (lambda d: d["functors"]["swapA"]["map"].pop("a2"),
+             "error: functor 'swapA': functor map misses object 'a2'")]:
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
         path.write_text(json.dumps(bad))
         assert cli.main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from _helpers import scan_join, scan_left_imp, scan_meet, scan_right_imp
 from qfca.concept import fca_lattice, rst_lattice
 from qfca.errors import QfcaError
+from qfca.qdist import hom_ix
 from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset, validate_quantaloid
 
 DIAMOND = ["0", "a", "b", "1"]
@@ -52,7 +53,10 @@ def test_tables_agree_with_scans(Q):
             assert Q.hom_join(p, q, [arrows[i], arrows[j]]).index == scan_join(Q, p, q, [i, j])
             assert Q.hom_meet(p, q, [arrows[i], arrows[j]]).index == scan_meet(Q, p, q, [i, j])
             assert hom.joins[i][j] == scan_join(Q, p, q, [i, j])
-            assert Q.meet_ix(p, q, [i, j]).index == scan_meet(Q, p, q, [i, j])
+            # left_imp(w, 1) = w, so hom_ix folds the meet of the ws alone
+            ones = (Q.unit(p),) * 2
+            assert hom_ix(Q, (p, p), p, q, [arrows[i], arrows[j]], ones).index == \
+                scan_meet(Q, p, q, [i, j])
     for p, q, r in itertools.product(Q.objects, repeat=3):
         for u, w in itertools.product(Q.arrows(p, q), Q.arrows(p, r)):
             assert Q.left_imp(w, u).index == scan_left_imp(Q, w, u)
@@ -97,7 +101,7 @@ def test_non_lattice_hom_constructs_and_raises_at_use():
     with pytest.raises(QfcaError, match=r"join missing in hom \(\*,\*\) for indices \[1, 2\]"):
         Q.hom_join("*", "*", [a, b])
     with pytest.raises(QfcaError, match="not a complete lattice"):
-        Q.meet_ix("*", "*", [1, 2])
+        hom_ix(Q, ("*", "*"), "*", "*", [a, b], [Q.unit("*")] * 2)
 
 
 def test_validator_rescans_the_residuation_tables():
