@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+from qfca.cli import load_valid_document
 from qfca.errors import ConditionFailed, NotAdjoint, NotAQuantale
 from qfca.qcat import (
     QCategory,
@@ -38,6 +41,7 @@ from qfca.represent import (
     canonical_fca_data,
     canonical_general_data,
     canonical_rst_data,
+    cod_pairs,
     construct_fix_equivalence,
     dom_pairs,
     fix_points,
@@ -52,6 +56,8 @@ from qfca.represent import (
     verify_type_preserving_representation,
     verify_yoneda,
 )
+
+CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"
 
 
 def test_fix_points_identity(fix2id):
@@ -109,6 +115,16 @@ def test_general_representation_nonsurjective_R(fix2id):
     assert "essential-surjectivity-R" in report.failed_names()
 
 
+def test_construct_fix_equivalence_names_a_collapsed_R(fix2id):
+    d = canonical_general_data(fix2id.phi, "fca")
+    collapse = QFunctor(d.adj.D_space.category, d.X,
+                        {x: d.X.objects[0] for x in d.adj.D_space.category.objects},
+                        name="collapse")
+    with pytest.raises(ConditionFailed) as err:
+        construct_fix_equivalence(d.adj.S, d.adj.T, d.L, collapse, d.X)
+    assert err.value.condition == "essential-surjectivity-R"
+
+
 def test_general_representation_graph_identity_mutation(fix2id):
     d = canonical_general_data(fix2id.phi, "fca")
     # postcompose L with the swap automorphism of the concept square
@@ -131,6 +147,18 @@ def test_type_preserving_representation(fix2id, fixl3):
         report = verify_type_preserving_representation(
             d.adj.S, d.adj.T, dict(d.L.mapping), dict(d.R.mapping), d.X)
         assert report.passed, report.failed_names()
+
+
+def test_type_preserving_representation_stops_at_a_type_mismatch():
+    phi = load_valid_document(str(CONTEXTS / "fix_dl3.json")).distributors["phi"]
+    d = canonical_general_data(phi, "fca")
+    L = dict(d.L.mapping)
+    c = next(iter(L))
+    L[c] = next(y for y in d.X.objects if d.X.type_of(y) != d.X.type_of(L[c]))
+    report = verify_type_preserving_representation(d.adj.S, d.adj.T, L,
+                                                   dict(d.R.mapping), d.X)
+    assert [x.name for x in report.conditions] == ["adjunction", "type-preserving"]
+    assert report.failed_names() == ["type-preserving"]
 
 
 def test_dense_representation_necessity_instance(fix2id):
@@ -295,6 +323,14 @@ def test_quantale_corollary_degenerate_X(fixl3):
     report = quantale_corollary_check(fixl3.phi, X, F, G, "rst", assume_complete=True)
     assert not report.passed
     assert {"hom-identity", "object-oriented-biconditional"} & set(report.failed_names())
+
+
+def test_quantale_corollary_degenerate_X_fca(fixl3):
+    X = singleton_category(fixl3.phi.q, "*")
+    F = {p: "*" for p in dom_pairs(fixl3.A)}
+    G = {p: "*" for p in cod_pairs(fixl3.B)}
+    report = quantale_corollary_check(fixl3.phi, X, F, G, "fca", assume_complete=True)
+    assert "formal-concept-biconditional" in report.failed_names()
 
 
 def test_witnesses_are_adjoints(fix2id, fixl3):

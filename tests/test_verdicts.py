@@ -7,6 +7,10 @@ Each case replaces one entry of the ``limp_table``, ``rimp_table`` or
 outcome names, in report order, the conditions that fail (or the class of the
 exception raised).  A verifier that checks a law on the wrong side, or pairs a
 unit with the wrong counit, changes some of these verdicts.
+
+The same corruptions also pin ``verify_elementary_identities`` and
+``quantale_corollary_check`` on ``canonical_elementary_data`` for both kinds,
+each failed condition with the counterexample its detail names.
 """
 
 import itertools
@@ -17,7 +21,13 @@ from qfca.concept import verify_transpose_identities
 from qfca.qcat import QTypedSet, discrete_category
 from qfca.qdist import QDistributor
 from qfca.quantaloid import build_preset
-from qfca.represent import verify_adjunction_laws, verify_yoneda
+from qfca.represent import (
+    canonical_elementary_data,
+    quantale_corollary_check,
+    verify_adjunction_laws,
+    verify_elementary_identities,
+    verify_yoneda,
+)
 
 SHORT = {"polarity-unit": "pu", "polarity-counit": "pc", "extension-unit": "eu",
          "extension-counit": "ec", "dual-extension-unit": "du", "dual-extension-counit": "dc",
@@ -86,6 +96,137 @@ PINNED = {
     ("compose", 2, 2, 1): "eu dc | fp fc ca ta | -",
 }
 
+# the conditions that the elementary verifiers report failed somewhere below,
+# and the formula that each detail states before its counterexample
+ELEMENTARY = {
+    "polarity-hom": ("ph", "hom(up(tensor(a,u)), cotensor(b,v)) == "
+                           "right_imp(v, left_imp(phi(a,b), u))"),
+    "kan-hom": ("kh", "hom(star(tensor(b,v)), residual(a,u)) == "
+                      "left_imp(left_imp(u, phi(a,b)), v)"),
+    "separated": ("se", ""),
+    "join-dense-F": ("jf", ""),
+    "meet-dense-G": ("mg", ""),
+    "hom-identity": ("hi", "X(F(.), G(.)) equals the double residuation of the entry"),
+    "formal-concept-biconditional": ("fb", "v.u <= phi(a,b)  iff  F(a,u) <= G(b,v)"),
+    "object-oriented-biconditional": ("ob", "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)"),
+}
+
+# (table, row, column, new entry): "elementary identities | fca corollary |
+# rst corollary", each the failed conditions by ELEMENTARY code followed by
+# the counterexample tuple of the detail, "-" for none, or the class of the
+# exception raised
+PINNED_ELEMENTARY = {
+    ("limp", 0, 0, 0):
+        "ph(a2,0,b2,1/2) kh(b1,0,a1,0) | QfcaError | QfcaError",
+    ("limp", 0, 0, 1):
+        "ph(a2,0,b2,1) kh(b1,0,a1,0) | QfcaError | QfcaError",
+    ("limp", 0, 1, 0):
+        "kh(b1,1/2,a1,0) | hi(a1,1/2,b2,1/2) | QfcaError",
+    ("limp", 0, 1, 2):
+        "- | fb(a1,b2,1/2,1) | QfcaError",
+    ("limp", 0, 2, 1):
+        "kh(b1,1,a1,0) | QfcaError | QfcaError",
+    ("limp", 0, 2, 2):
+        "kh(b1,1,a1,0) | QfcaError | QfcaError",
+    ("limp", 1, 0, 0):
+        "ph(a1,0,b2,1/2) kh(b1,0,a1,0) | jf mg hi(a1,0,b1,1/2) fb(a1,b1,0,1) | QfcaError",
+    ("limp", 1, 0, 1):
+        "ph(a1,0,b2,1) kh(b1,0,a1,0) | hi(a1,0,b1,1) fb(a1,b2,0,1) | QfcaError",
+    ("limp", 1, 1, 0):
+        "kh(b1,1/2,a1,0) | QfcaError | QfcaError",
+    ("limp", 1, 1, 1):
+        "kh(b1,1/2,a1,0) | QfcaError | QfcaError",
+    ("limp", 1, 2, 0):
+        "kh(b1,1,a1,0) | hi(a1,1/2,b2,1) | QfcaError",
+    ("limp", 1, 2, 2):
+        "kh(b1,1,a1,0) | QfcaError | se mg hi(b2,1,a2,0) ob(a1,b1,0,1)",
+    ("limp", 2, 0, 0):
+        "ph(a1,0,b1,1/2) kh(b1,0,a1,0) | jf mg hi(a1,0,b1,0) fb(a1,b1,0,0) | QfcaError",
+    ("limp", 2, 0, 1):
+        "ph(a1,0,b1,1) kh(b1,0,a1,0) | jf mg hi(a1,0,b1,0) fb(a1,b1,0,0) | QfcaError",
+    ("limp", 2, 1, 0):
+        "kh(b1,1/2,a1,0) | hi(a1,0,b1,0) fb(a1,b1,0,0) | QfcaError",
+    ("limp", 2, 1, 1):
+        "kh(b1,1/2,a1,0) | hi(a1,0,b1,0) fb(a1,b1,0,0) | QfcaError",
+    ("limp", 2, 2, 0):
+        "kh(b1,1,a1,0) | se jf mg hi(a1,1/2,b1,0) fb(a1,b1,1/2,0) | QfcaError",
+    ("limp", 2, 2, 1):
+        "kh(b2,1,a1,0) | se jf mg hi(a1,1/2,b1,0) fb(a1,b1,1/2,0) | QfcaError",
+    ("rimp", 0, 0, 0):
+        "ph(a1,1,b1,0) | QfcaError | mg ob(a1,b1,0,0)",
+    ("rimp", 0, 0, 1):
+        "ph(a1,1,b1,0) | QfcaError | mg ob(a2,b1,0,0)",
+    ("rimp", 0, 1, 0):
+        "ph(a1,1/2,b1,0) | QfcaError | mg ob(a1,b1,1/2,0)",
+    ("rimp", 0, 1, 1):
+        "ph(a1,1/2,b1,0) | QfcaError | mg ob(a2,b1,1/2,0)",
+    ("rimp", 0, 2, 0):
+        "ph(a1,0,b1,1/2) | QfcaError | mg ob(a1,b1,1,0)",
+    ("rimp", 0, 2, 1):
+        "ph(a1,0,b1,1/2) | QfcaError | mg ob(a2,b1,1,0)",
+    ("rimp", 1, 0, 0):
+        "- | QfcaError | mg ob(a1,b1,0,1/2)",
+    ("rimp", 1, 0, 2):
+        "- | fb(a1,b2,1,1/2) | ob(a2,b1,0,1/2)",
+    ("rimp", 1, 1, 0):
+        "- | QfcaError | mg ob(a1,b1,1/2,1/2)",
+    ("rimp", 1, 1, 1):
+        "- | QfcaError | mg ob(a2,b1,1/2,1/2)",
+    ("rimp", 1, 2, 0):
+        "- | QfcaError | mg ob(a1,b1,1,1/2)",
+    ("rimp", 1, 2, 1):
+        "- | QfcaError | mg ob(a2,b1,1,1/2)",
+    ("rimp", 2, 0, 1):
+        "- | QfcaError | mg ob(a1,b1,0,1)",
+    ("rimp", 2, 0, 2):
+        "- | QfcaError | mg ob(a1,b1,0,1)",
+    ("rimp", 2, 1, 0):
+        "- | QfcaError | mg ob(a1,b1,1/2,1)",
+    ("rimp", 2, 1, 2):
+        "- | QfcaError | mg ob(a2,b1,1/2,1)",
+    ("rimp", 2, 2, 0):
+        "- | QfcaError | mg ob(a1,b1,1,1)",
+    ("rimp", 2, 2, 1):
+        "- | QfcaError | mg ob(a2,b1,1,1)",
+    ("compose", 0, 0, 1):
+        "ph(a1,1,b1,0) kh(b1,1/2,a1,0) | hi(a1,1,b1,0) fb(a1,b2,0,0) | QfcaError",
+    ("compose", 0, 0, 2):
+        "ph(a1,0,b1,0) kh(b1,0,a2,0) | QfcaError | QfcaError",
+    ("compose", 0, 1, 1):
+        "ph(a1,1,b1,1/2) kh(b1,0,a1,0) | QfcaError | hi(b1,0,a2,0) ob(a2,b1,0,0)",
+    ("compose", 0, 1, 2):
+        "ph(a1,1/2,b1,1/2) kh(b1,0,a1,0) | QfcaError | hi(b1,0,a1,0) ob(a1,b1,0,0)",
+    ("compose", 0, 2, 1):
+        "ph(a1,0,b2,1) kh(b1,0,a2,0) | QfcaError | QfcaError",
+    ("compose", 0, 2, 2):
+        "ph(a1,0,b1,1) kh(b1,0,a1,0) | QfcaError | QfcaError",
+    ("compose", 1, 0, 1):
+        "ph(a2,1/2,b2,1) kh(b1,1/2,a1,0) | QfcaError | QfcaError",
+    ("compose", 1, 0, 2):
+        "ph(a2,1/2,b1,1) kh(b2,1/2,a1,0) | QfcaError | QfcaError",
+    ("compose", 1, 1, 1):
+        "kh(b1,1/2,a1,0) | fb(a1,b2,1/2,1/2) | QfcaError",
+    ("compose", 1, 1, 2):
+        "kh(b1,1/2,a1,0) | fb(a1,b1,1/2,1/2) | QfcaError",
+    ("compose", 1, 2, 0):
+        "ph(a1,1/2,b2,1) kh(b1,1/2,a2,0) | hi(a1,1/2,b2,1) fb(a1,b2,1/2,1) | "
+        "hi(b1,1/2,a2,0) ob(a2,b1,0,1/2)",
+    ("compose", 1, 2, 2):
+        "ph(a1,1/2,b1,1) kh(b1,1/2,a1,0) | QfcaError | QfcaError",
+    ("compose", 2, 0, 1):
+        "ph(a1,1,b2,0) kh(b2,1,a1,0) | QfcaError | -",
+    ("compose", 2, 0, 2):
+        "ph(a1,1/2,b2,0) kh(b1,1,a1,0) | QfcaError | QfcaError",
+    ("compose", 2, 1, 0):
+        "ph(a1,1,b2,1/2) kh(b1,1,a1,0) | hi(a1,1,b2,1/2) fb(a1,b2,1/2,1) | QfcaError",
+    ("compose", 2, 1, 2):
+        "ph(a1,1/2,b2,1/2) kh(b1,1,a1,0) | QfcaError | -",
+    ("compose", 2, 2, 0):
+        "ph(a1,1/2,b2,1) kh(b1,1,a1,0) | jf mg hi(a1,1/2,b2,1) fb(a1,b2,1/2,1) | QfcaError",
+    ("compose", 2, 2, 1):
+        "ph(a1,1/2,b2,1) kh(b1,1,a1,0) | jf mg hi(a1,1/2,b2,1) fb(a1,b2,1/2,1) | QfcaError",
+}
+
 
 def _corruptions():
     for table in ("limp", "rimp", "compose"):
@@ -106,8 +247,9 @@ def test_every_single_entry_corruption_is_pinned():
     assert len(PINNED) == 54
 
 
-@pytest.mark.parametrize("case", list(PINNED))
-def test_verdicts_on_corrupted_tables(case):
+def _corrupted(case):
+    """The row category and the fixed context over a copy of
+    ``lukasiewicz-chain n=3`` with one table entry replaced."""
     table, w, x, new = case
     Q = build_preset("lukasiewicz-chain", n=3)
     # corrupt before Q.opposite() is first built, so the opposite quantaloid,
@@ -121,6 +263,12 @@ def test_verdicts_on_corrupted_tables(case):
     B = discrete_category(Q, QTypedSet(("b1", "b2"), ("*", "*")), name="B")
     phi = QDistributor(A, B, [[Q.arrow("*", "*", v) for v in row] for row in CONTEXT],
                        name="phi")
+    return A, phi
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_verdicts_on_corrupted_tables(case):
+    A, phi = _corrupted(case)
     got = " | ".join((_outcome(lambda: verify_adjunction_laws(phi)),
                       _outcome(lambda: verify_transpose_identities(phi)),
                       _outcome(lambda: verify_yoneda(A))))
@@ -130,3 +278,42 @@ def test_verdicts_on_corrupted_tables(case):
 def test_every_condition_fails_somewhere():
     failed = {code for outcome in PINNED.values() for code in outcome.replace("|", " ").split()}
     assert set(SHORT.values()) <= failed
+
+
+def _located_outcome(run) -> str:
+    try:
+        report = run()
+    except Exception as e:
+        return type(e).__name__
+    tokens = []
+    for c in report.conditions:
+        if not c.passed:
+            code, formula = ELEMENTARY[c.name]
+            stated, _, where = c.detail.partition("; differs at ")
+            assert stated == formula, c.detail
+            tokens.append(code + where.replace("'", "").replace(", ", ","))
+    return " ".join(tokens) or "-"
+
+
+def _corollary(phi, kind):
+    d, F, G = canonical_elementary_data(phi, kind)
+    return quantale_corollary_check(phi, d.X, F, G, kind, assume_complete=True)
+
+
+def test_every_elementary_corruption_is_pinned():
+    assert list(PINNED_ELEMENTARY) == list(PINNED)
+
+
+@pytest.mark.parametrize("case", list(PINNED_ELEMENTARY))
+def test_elementary_verdicts_on_corrupted_tables(case):
+    _, phi = _corrupted(case)
+    got = " | ".join((_located_outcome(lambda: verify_elementary_identities(phi)),
+                      _located_outcome(lambda: _corollary(phi, "fca")),
+                      _located_outcome(lambda: _corollary(phi, "rst"))))
+    assert got == PINNED_ELEMENTARY[case]
+
+
+def test_every_elementary_condition_fails_somewhere():
+    failed = {token[:2] for outcome in PINNED_ELEMENTARY.values()
+              for token in outcome.replace("|", " ").split()}
+    assert {code for code, _ in ELEMENTARY.values()} <= failed
