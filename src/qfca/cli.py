@@ -541,6 +541,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"kind must be fca or rst, got {kind!r}")
     if prop not in ("yoneda", "dense-cond", "girard-probe"):
         phi = _pick_distributor(doc, args.dist)
+    elif args.dist is not None:
+        raise UsageError(f"--prop {prop} reads no distributor; got --dist {args.dist}")
 
     if prop in ("yoneda", "dense-cond"):
         verify = verify_yoneda if prop == "yoneda" else verify_density_suite
@@ -571,10 +573,13 @@ def cmd_verify(args) -> int:
                                              assume_complete=True)
     elif prop == "mphi-rep":
         if data:
-            report = verify_fca_representation(
-                phi, _data_ref(doc.categories, data, "X", "category"),
-                _data_ref(doc.functors, data, "F", "functor"),
-                _data_ref(doc.functors, data, "G", "functor"))
+            X = _data_ref(doc.categories, data, "X", "category")
+            F, G = (_data_ref(doc.functors, data, key, "functor") for key in ("F", "G"))
+            for key, f, start in (("F", F, phi.dom), ("G", G, phi.cod)):
+                if f.dom != start or f.cod != X:
+                    raise UsageError(f"--data {key}={data[key]}: functor goes {f.dom.name} -> "
+                                     f"{f.cod.name}; --prop mphi-rep needs {start.name} -> {X.name}")
+            report = verify_fca_representation(phi, X, F, G)
         else:
             d, F, G = canonical_fca_data(phi)
             report = verify_fca_representation(phi, d.X, F, G, assume_complete=True)

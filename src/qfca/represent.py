@@ -10,19 +10,18 @@ The ``canonical_*`` builders construct the witness data used in the
 existence half of each theorem (closure restrictions, Kan extensions of
 Yoneda composites); they are what the command-line ``verify`` subcommand runs
 when the user supplies no data of their own.
+
+``_fix_restriction`` restricts L to fix(TS) and decides whether that is an
+equivalence onto X.  ``_elementary`` describes each kind of the elementary
+theorem; its verifiers, corollary and canonical data read that, not the kind.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import (
-    ConditionFailed,
-    NotAdjoint,
-    NotAQuantale,
-    Report,
-    TypeMismatch,
-)
+from .errors import ConditionFailed, NotAdjoint, NotAQuantale, Report, TypeMismatch
 from .qcat import (
     QCategory,
     QFunctor,
@@ -73,8 +72,6 @@ from .concept import (
     KanPair,
     ResidualCategory,
     closure_pair,
-    isbell_up,
-    kan_star,
     residual_category,
     residual_context,
 )
@@ -96,8 +93,11 @@ def fix_points(F: QFunctor) -> QCategory:
 # -- the general representation theorem ------------------------------------------
 
 
-def _restriction(L: QFunctor, sub: QCategory, X: QCategory) -> QFunctor:
-    return QFunctor(sub, X, {x: L(x) for x in sub.objects}, name=f"{L.name}|fix")
+def _fix_restriction(S: QFunctor, T: QFunctor, L: QFunctor, X: QCategory) -> tuple[QFunctor, bool]:
+    """L restricted to fix(TS), and whether that restriction is an equivalence onto X."""
+    fixed = fix_points(compose_functors(T, S))
+    Lp = QFunctor(fixed, X, {x: L(x) for x in fixed.objects}, name=f"{L.name}|fix")
+    return Lp, is_fully_faithful(Lp) and is_essentially_surjective(Lp)
 
 
 def verify_general_representation(S: QFunctor, T: QFunctor, L: QFunctor,
@@ -112,8 +112,7 @@ def verify_general_representation(S: QFunctor, T: QFunctor, L: QFunctor,
     if L.dom != S.dom or R.dom != T.dom:
         raise TypeMismatch("L must start at dom(S) and R at dom(T)")
     report = Report("general-representation")
-    adj = report.check("adjunction", is_adjoint_functor_pair(S, T),
-                       "graph(S) == cograph(T)")
+    report.check("adjunction", is_adjoint_functor_pair(S, T), "graph(S) == cograph(T)")
     report.check("functor-L", validate_functor(L).ok, "")
     report.check("functor-R", validate_functor(R).ok, "")
     report.check("essential-surjectivity-L", is_essentially_surjective(L), "")
@@ -121,11 +120,8 @@ def verify_general_representation(S: QFunctor, T: QFunctor, L: QFunctor,
     report.check("graph-identity",
                  graph(S) == dist_compose(cograph(R), graph(L)),
                  "graph(S) == cograph(R) . graph(L)")
-    if report.passed and adj:
-        fixed = fix_points(compose_functors(T, S))
-        Lp = _restriction(L, fixed, X)
-        report.check("fix-equivalence",
-                     is_fully_faithful(Lp) and is_essentially_surjective(Lp),
+    if report.passed:
+        report.check("fix-equivalence", _fix_restriction(S, T, L, X)[1],
                      "the restriction of L to the fixed subcategory is an equivalence")
     return report
 
@@ -138,7 +134,7 @@ def construct_fix_equivalence(S: QFunctor, T: QFunctor, L: QFunctor,
         raise NotAdjoint("S and T are not adjoint")
     if not report.passed:
         raise ConditionFailed(report.failed_names()[0])
-    return _restriction(L, fix_points(compose_functors(T, S)), X)
+    return _fix_restriction(S, T, L, X)[0]
 
 
 def verify_type_preserving_representation(S: QFunctor, T: QFunctor,
@@ -153,24 +149,18 @@ def verify_type_preserving_representation(S: QFunctor, T: QFunctor,
     report.check("type-preserving", tp, "")
     if not tp:
         return report
-    order = underlying_order(X)
-    es_l = all(any(order.iso(L[c], y) for c in C.objects) for y in X.objects)
-    es_r = all(any(order.iso(R[d], y) for d in D.objects) for y in X.objects)
-    report.check("essential-surjectivity-L", es_l, "")
-    report.check("essential-surjectivity-R", es_r, "")
+    Lf, Rf = QFunctor(C, X, L, name="L"), QFunctor(D, X, R, name="R")
+    report.check("essential-surjectivity-L", is_essentially_surjective(Lf), "")
+    report.check("essential-surjectivity-R", is_essentially_surjective(Rf), "")
     gS = graph(S)
     bad = [(c, d) for c in C.objects for d in D.objects
            if gS.at(c, d) != X.hom_of(L[c], R[d])]
     report.check_none("hom-identity", bad, "graph(S)(c,d) == X(Lc,Rd)")
     if report.passed:
-        Lf = QFunctor(C, X, L, name="L")
-        Rf = QFunctor(D, X, R, name="R")
         report.check("functoriality-certificate",
                      validate_functor(Lf).ok and validate_functor(Rf).ok,
                      "the raw maps are automatically functors")
-        Lp = _restriction(Lf, fix_points(compose_functors(T, S)), X)
-        report.check("fix-equivalence",
-                     is_fully_faithful(Lp) and is_essentially_surjective(Lp), "")
+        report.check("fix-equivalence", _fix_restriction(S, T, Lf, X)[1], "")
     return report
 
 
@@ -327,8 +317,7 @@ def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
     cod_set = QTypedSet(tuple(cp_labels), tuple(u.src for _, u in cp))
     dom_cat = discrete_category(A.q, dom_set, name="rows-with-arrows")
     cod_cat = discrete_category(A.q, cod_set, name="rows-with-coarrows")
-    pair_of = {lbl: (a, u) for lbl, (a, u) in zip(dp_labels, dp)}
-    pair_of.update({lbl: (a, u) for lbl, (a, u) in zip(cp_labels, cp)})
+    pair_of = dict(zip(dp_labels + cp_labels, dp + cp))
     ut = pa.functor_from(dom_cat,
                          lambda l: presheaf_tensor(A, *pair_of[l]), name="tensors")
     nr = pa.functor_from(dom_cat,
@@ -347,37 +336,67 @@ def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
     return GeneratorMaps(A, dom_set, cod_set, ut, nr, ct, cr, density, pair_of)
 
 
-def verify_elementary_identities(phi: QDistributor) -> Report:
-    """The two arrow-level hom formulas behind the elementary theorems.
+@dataclass(frozen=True)
+class _Elementary:
+    """One kind of the elementary theorem on phi.  F is defined on ``f_pairs``
+    (``dom_pairs(pair.base)``) and G on ``g_pairs``, a G pair naming the
+    (co)presheaf ``named(*g)`` of the space whose hom is ``hom``.  ``context``
+    orders an F and a G pair as (a, u, b, v), row pair first; there ``entry``
+    is X(F f, G g), a double residuation of phi(a,b), and ``below`` is the
+    order side of the quantale biconditional.  ``identity`` and
+    ``biconditional`` are the (name, formula) of those two conditions."""
 
-    For the polarity: the copresheaf hom from isbell_up of a row tensor to a
-    column cotensor collapses to a double residuation of the single context
-    entry; dually for the Kan closure on presheaf residuals.
-    """
+    pair: IsbellPair | KanPair
+    f_pairs: tuple
+    g_pairs: tuple
+    named: Callable
+    hom: Callable
+    context: Callable
+    entry: Callable
+    below: Callable
+    identity: tuple[str, str]
+    biconditional: tuple[str, str]
+
+    def at(self, f: tuple[str, Arrow], g: tuple[str, Arrow]) -> tuple[str, str, str, str]:
+        """An F pair and a G pair as reported: (f object, f arrow, g object, g arrow)."""
+        return f[0], self.pair.phi.q.label(f[1]), g[0], self.pair.phi.q.label(g[1])
+
+
+def _elementary(phi: QDistributor, kind: str) -> _Elementary:
+    """The elementary theorem of ``kind`` on phi; ``closure_pair`` refuses other kinds."""
+    pair, q, A, B = closure_pair(phi, kind), phi.q, phi.dom, phi.cod
+    if pair.kind == "fca":  # F on rows with out-arrows, G on columns with in-arrows
+        return _Elementary(
+            pair, dom_pairs(A), cod_pairs(B), lambda b, v: copresheaf_tensor(B, b, v),
+            copresheaf_hom, lambda f, g: (*f, *g),
+            lambda a, u, b, v: q.right_imp(v, q.left_imp(phi.at(a, b), u)),
+            lambda a, u, b, v: q.leq(q.compose(v, u), phi.at(a, b)),
+            ("polarity-hom", "hom(up(tensor(a,u)), cotensor(b,v)) == "
+                             "right_imp(v, left_imp(phi(a,b), u))"),
+            ("formal-concept-biconditional", "v.u <= phi(a,b)  iff  F(a,u) <= G(b,v)"))
+    # rst: F on columns and G on rows, both with out-arrows
+    return _Elementary(
+        pair, dom_pairs(B), dom_pairs(A), lambda a, u: presheaf_residual(A, a, u),
+        presheaf_hom, lambda f, g: (*g, *f),
+        lambda a, u, b, v: q.left_imp(q.left_imp(u, phi.at(a, b)), v),
+        lambda a, u, b, v: q.leq(phi.at(a, b), q.right_imp(v, u)),
+        ("kan-hom", "hom(star(tensor(b,v)), residual(a,u)) == "
+                    "left_imp(left_imp(u, phi(a,b)), v)"),
+        ("object-oriented-biconditional", "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)"))
+
+
+def verify_elementary_identities(phi: QDistributor) -> Report:
+    """The arrow-level hom formula behind each elementary theorem: the hom from
+    the left map at an F pair's tensor to the (co)presheaf that a G pair names
+    is a double residuation of one context entry."""
     report = Report("elementary-identities")
-    A, B, q = phi.dom, phi.cod, phi.q
-    bad = []
-    cotensors = [(b, v, copresheaf_tensor(B, b, v)) for b, v in cod_pairs(B)]
-    for a, u in dom_pairs(A):
-        up = isbell_up(phi, presheaf_tensor(A, a, u))
-        for b, v, lam in cotensors:
-            lhs = copresheaf_hom(up, lam)
-            rhs = q.right_imp(v, q.left_imp(phi.at(a, b), u))
-            if lhs != rhs:
-                bad.append((a, q.label(u), b, q.label(v)))
-    report.check_none("polarity-hom", bad,
-                      "hom(up(tensor(a,u)), cotensor(b,v)) == right_imp(v, left_imp(phi(a,b), u))")
-    bad = []
-    for b, v in dom_pairs(B):
-        lam = presheaf_tensor(B, b, v)
-        for a, u in dom_pairs(A):
-            mu = presheaf_residual(A, a, u)
-            lhs = presheaf_hom(kan_star(phi, lam), mu)
-            rhs = q.left_imp(q.left_imp(u, phi.at(a, b)), v)
-            if lhs != rhs:
-                bad.append((b, q.label(v), a, q.label(u)))
-    report.check_none("kan-hom", bad,
-                      "hom(star(tensor(b,v)), residual(a,u)) == left_imp(left_imp(u, phi(a,b)), v)")
+    for kind in ("fca", "rst"):
+        d = _elementary(phi, kind)
+        named = [(g, d.named(*g)) for g in d.g_pairs]
+        lefts = [(f, d.pair.left(presheaf_tensor(d.pair.base, *f))) for f in d.f_pairs]
+        bad = [d.at(f, g) for f, left in lefts for g, lam in named
+               if d.hom(left, lam) != d.entry(*d.context(f, g))]
+        report.check_none(d.identity[0], bad, d.identity[1])
     return report
 
 
@@ -392,38 +411,24 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
     with in-arrows; for ``kind="rst"``, F on columns with out-arrows and G on
     rows with out-arrows.
     """
-    f_dom = dom_pairs(closure_pair(phi, kind).base)
+    d = _elementary(phi, kind)
     report = Report(f"elementary-{kind}-representation")
-    q = phi.q
-    A, B = phi.dom, phi.cod
     report.check("separated", is_separated(X), "")
     if assume_complete:
         report.skip("complete", "asserted by caller")
     else:
         report.check("complete", is_complete(X), "")
-    g_dom = cod_pairs(B) if kind == "fca" else dom_pairs(A)
-    tp = all(X.type_of(F[(x, u)]) == u.dst for x, u in f_dom) and \
-        all(X.type_of(G[(y, u)]) == (u.src if kind == "fca" else u.dst) for y, u in g_dom)
+    tp = all(X.type_of(F[f]) == f[1].dst for f in d.f_pairs) and \
+        all(X.type_of(G[g]) == d.named(*g).type for g in d.g_pairs)
     report.check("type-preserving", tp, "")
     if not tp:
         return report
     report.check("join-dense-F",
-                 image_join_dense(X, {F[p] for p in f_dom}, assume_complete=True),
-                 "")
+                 image_join_dense(X, {F[f] for f in d.f_pairs}, assume_complete=True), "")
     report.check("meet-dense-G",
-                 image_meet_dense(X, {G[p] for p in g_dom}, assume_complete=True),
-                 "")
-    bad = []
-    for pf in f_dom:
-        for pg in g_dom:
-            if kind == "fca":
-                (a, u), (b, v) = pf, pg
-                rhs = q.right_imp(v, q.left_imp(phi.at(a, b), u))
-            else:
-                (b, v), (a, u) = pf, pg
-                rhs = q.left_imp(q.left_imp(u, phi.at(a, b)), v)
-            if X.hom_of(F[pf], G[pg]) != rhs:
-                bad.append((pf[0], q.label(pf[1]), pg[0], q.label(pg[1])))
+                 image_meet_dense(X, {G[g] for g in d.g_pairs}, assume_complete=True), "")
+    bad = [d.at(f, g) for f in d.f_pairs for g in d.g_pairs
+           if X.hom_of(F[f], G[g]) != d.entry(*d.context(f, g))]
     report.check_none("hom-identity", bad,
                       "X(F(.), G(.)) equals the double residuation of the entry")
     return report
@@ -443,26 +448,11 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
         raise NotAQuantale("this corollary needs a one-object quantaloid")
     report = verify_elementary_representation(phi, X, F, G, kind, assume_complete)
     report.name = f"quantale-{kind}-representation"
-    order = underlying_order(X)
-    bad = []
-    if kind == "rst":
-        for (b, v) in dom_pairs(phi.cod):
-            for (a, u) in dom_pairs(phi.dom):
-                lhs = q.leq(phi.at(a, b), q.right_imp(v, u))
-                rhs = order.leq(F[(b, v)], G[(a, u)])
-                if lhs != rhs:
-                    bad.append((a, b, q.label(u), q.label(v)))
-        report.check_none("object-oriented-biconditional", bad,
-                          "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)")
-    else:
-        for (a, u) in dom_pairs(phi.dom):
-            for (b, v) in cod_pairs(phi.cod):
-                lhs = q.leq(q.compose(v, u), phi.at(a, b))
-                rhs = order.leq(F[(a, u)], G[(b, v)])
-                if lhs != rhs:
-                    bad.append((a, b, q.label(u), q.label(v)))
-        report.check_none("formal-concept-biconditional", bad,
-                          "v.u <= phi(a,b)  iff  F(a,u) <= G(b,v)")
+    d, order = _elementary(phi, kind), underlying_order(X)
+    cells = [(f, g, *d.context(f, g)) for f in d.f_pairs for g in d.g_pairs]
+    bad = [(a, b, q.label(u), q.label(v)) for f, g, a, u, b, v in cells
+           if d.below(a, u, b, v) != order.leq(F[f], G[g])]
+    report.check_none(d.biconditional[0], bad, d.biconditional[1])
     return report
 
 
@@ -627,14 +617,8 @@ def canonical_dense_data(phi: QDistributor, kind: str):
 
 def canonical_elementary_data(phi: QDistributor, kind: str):
     """Pair-indexed witness maps for the elementary theorems."""
-    data = canonical_general_data(phi, kind)
-    pair, label = closure_pair(phi, kind), data.lattice.label_of
-    F = {(x, u): label(pair.closure(presheaf_tensor(pair.base, x, u)))
-         for x, u in dom_pairs(pair.base)}
-    if kind == "fca":
-        G = {(b, v): label(pair.right(copresheaf_tensor(phi.cod, b, v)))
-             for b, v in cod_pairs(phi.cod)}
-    else:
-        G = {(a, u): label(pair.right(presheaf_residual(phi.dom, a, u)))
-             for a, u in dom_pairs(phi.dom)}
+    data, d = canonical_general_data(phi, kind), _elementary(phi, kind)
+    pair, label = d.pair, data.lattice.label_of
+    F = {f: label(pair.closure(presheaf_tensor(pair.base, *f))) for f in d.f_pairs}
+    G = {g: label(pair.right(d.named(*g))) for g in d.g_pairs}
     return data, F, G

@@ -461,6 +461,21 @@ def test_verify_data_unknown_name_usage_error(capsys, tmp_path):
         assert "nope" in capsys.readouterr().err
 
 
+def test_verify_refuses_what_it_does_not_read(capsys):
+    path = str(CONTEXTS / "fix_2id.json")
+    for data, message in [
+            (["F=swapA", "G=swapB", "X=A"],
+             "error: --data G=swapB: functor goes B -> B; --prop mphi-rep needs B -> A"),
+            (["F=swapB", "G=swapB", "X=B"],
+             "error: --data F=swapB: functor goes B -> B; --prop mphi-rep needs A -> B")]:
+        assert cli.main(["verify", path, "--prop", "mphi-rep", "--data", *data]) == 2, data
+        assert message in capsys.readouterr().err
+    for prop in ("yoneda", "dense-cond", "girard-probe"):
+        assert cli.main(["verify", path, "--prop", prop, "--dist", "zz"]) == 2, prop
+        assert f"error: --prop {prop} reads no distributor; got --dist zz" in \
+            capsys.readouterr().err
+
+
 def test_invalid_inline_quantaloid_is_not_computed_on(capsys, tmp_path):
     doc = json.loads((DATA / "broken_compose.json").read_text())
     doc["categories"] = {
