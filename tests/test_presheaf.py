@@ -13,6 +13,7 @@ from qfca.qcat import (
     identity_functor,
     underlying_order,
 )
+from qfca.qdist import is_adjoint_functor_pair
 from qfca.presheaf import (
     Presheaf,
     coyoneda,
@@ -292,6 +293,33 @@ def test_find_adjoints(fix2id, two):
     assert find_left_adjoint(F) == F
     assert find_right_adjoint(QFunctor(D, X, {"x": "u", "y": "u"})) is None
 
+
+
+def _left_adjoint_by_ran(F):
+    """The mapping of ran(F, 1) when that is a left adjoint of F, else None."""
+    try:
+        G = ran(F, identity_functor(F.dom))
+    except ColimitMissing:
+        return None
+    return G.mapping if is_adjoint_functor_pair(G, F) else None
+
+
+def test_find_left_adjoint_is_ran_when_adjoint(all_contexts, fix2id, two):
+    one, zero = two.arrow("*", "*", "1"), two.arrow("*", "*", "0")
+    X = QCategory(two, ("u", "v"), ("*", "*"), [[one, one], [zero, one]])
+    D = discrete_category(two, QTypedSet(("x", "y"), ("*", "*")))
+    functors = [canonical_general_data(ctx.phi, kind).R
+                for ctx in all_contexts.values() for kind in ("fca", "rst")]
+    functors += [identity_functor(fix2id.A), materialize_presheaves(X).yoneda_functor(),
+                 QFunctor(D, D, {"x": "y", "y": "x"}), QFunctor(D, X, {"x": "u", "y": "u"})]
+    found = []
+    for F in functors:
+        G = find_left_adjoint(F)
+        assert (None if G is None else G.mapping) == _left_adjoint_by_ran(F), F
+        if G is not None:
+            assert (G.dom, G.cod) == (F.cod, F.dom)
+        found.append(G is not None)
+    assert any(found) and not all(found)
 
 def test_coyoneda_adjoint_to_inf(two, luk3):
     # on a complete base, the co-Yoneda embedding has the infimum assignment

@@ -10,7 +10,8 @@ the drawn carriers.  The brute-force enumeration is the oracle for
 the closure-built lattices, the materialized lattice category is the
 oracle for the Hasse covers that serialization reads from down-set codes,
 and the entrywise scans of ``_helpers`` are the oracles for the adjoint
-maps, the (co)presheaf homs and the distributor calculus.
+maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
+distributor calculus.
 """
 
 import functools
@@ -32,6 +33,8 @@ from _helpers import (
     oracle_kan_star,
     oracle_left_imp,
     oracle_presheaf_hom,
+    scan_join,
+    scan_meet,
 )
 from qfca.quantaloid import build_preset
 from qfca.qcat import QTypedSet, discrete_category, underlying_order
@@ -44,6 +47,8 @@ from qfca.presheaf import (
     enumerate_presheaves,
     pointwise_leq,
     presheaf_hom,
+    presheaf_join,
+    presheaf_meet,
 )
 from qfca.concept import (
     IsbellPair,
@@ -204,3 +209,20 @@ def test_presheaf_half_matches_oracle_randomized(data):
         assert [list(r) for r in dist_left_imp(xi, psi).matrix] == oracle_left_imp(xi, psi)
     for psi, chi in ((phi_phi, phi), (back, phi), (phi, back), (phi, identity_dist(A))):
         assert [list(r) for r in dist_compose(psi, chi).matrix] == oracle_compose(psi, chi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_presheaf_bounds_match_scans_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    for C in (phi.dom, phi.cod):
+        for qobj in Q.objects:
+            space = enumerate_presheaves(C, qobj)
+            for parts in ([], *([p] for p in space), list(space)):
+                for bound, scan in ((presheaf_meet, scan_meet), (presheaf_join, scan_join)):
+                    got = bound(C, qobj, parts)
+                    assert got.base is C and got.type == qobj
+                    assert [v.index for v in got.values] == [
+                        scan(Q, t, qobj, [p.values[i].index for p in parts])
+                        for i, t in enumerate(C.types)], (bound.__name__, len(parts))
