@@ -284,9 +284,8 @@ def _meet_closure(base: QCategory, qobj: str, generators):
                 seen.add(m)
                 codes.append(m)
                 if len(codes) > limit:
-                    raise ClosureBudgetExceeded(
-                        f"closure cap of {limit} elements exceeded by the meet closure "
-                        f"at type {qobj!r}; QFCA_BUDGET overrides it")
+                    raise ClosureBudgetExceeded("closure", limit, len(codes),
+                                                f"the meet closure at type {qobj!r}")
     return tuple(map(code.decode, codes))
 
 
@@ -295,7 +294,7 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair, generators) -> ConceptLattice:
 
     ``generators(qobj)`` yields fixed presheaves whose meets, with the top
     presheaf (the empty meet), are all the fixed ones.  Every result is
-    checked to be fixed.
+    checked to be fixed; one that is not shows tables that are not residuated.
     """
     phi, base = pair.phi, pair.base
     phi.q.require_lattices()
@@ -304,7 +303,8 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair, generators) -> ConceptLattice:
         closed = _meet_closure(base, qobj, [top_presheaf(base, qobj), *generators(qobj)])
         for p in closed:
             if pair.closure(p) != p:
-                raise QfcaError(f"closure bug: {presheaf_label(p)} is not fixed")
+                raise QfcaError(f"concept {presheaf_label(p)} is not fixed, so the tables of "
+                                f"{phi.q.name} are not residuated; validate names the broken law")
         concepts.extend(closed)
     return ConceptLattice(pair.kind, phi, tuple(concepts))
 

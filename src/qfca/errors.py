@@ -3,8 +3,9 @@
 Every validator in this package reports law violations as data (an
 :class:`Issue` inside a :class:`ValidationReport`) instead of raising, so a
 single run can show everything that is wrong with a structure.  Exceptions are
-reserved for malformed calls: mismatched hom endpoints, exceeded search
-budgets, missing preconditions.
+reserved for malformed calls: mismatched hom endpoints, missing
+preconditions, and work past a cap, which every cap reports through
+:class:`BudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -41,19 +42,25 @@ class HypothesesNotMet(QfcaError):
     """A probe's standing hypotheses fail, so its verdict is undefined."""
 
 
-class SearchBudgetExceeded(QfcaError):
+class BudgetExceeded(QfcaError):
+    """Work past a cap: ``kind`` (a key of ``_DEFAULT_BUDGETS``), its ``limit``,
+    the ``count`` and ``what`` exceeded it.  ``count`` is the size needed where
+    it is known before any work starts (an enumeration, the family search) and
+    the size reached when the cap tripped for a closure or the equivalence search.
+    """
+
+    def __init__(self, kind: str, limit: int, count: int, what: str):
+        unit = _DEFAULT_BUDGETS[kind][1]
+        super().__init__(f"{kind} cap of {limit} {unit} exceeded by {what} (count {count}); "
+                         "QFCA_BUDGET overrides it")
+        self.kind, self.limit, self.count = kind, limit, count
+
+
+class SearchBudgetExceeded(BudgetExceeded):
     """A backtracking or family search exceeded its node budget."""
 
 
-class BudgetExceeded(QfcaError):
-    """An enumeration would produce more values than the configured cap."""
-
-    def __init__(self, message: str, count: int):
-        super().__init__(f"{message} (candidate count {count})")
-        self.count = count
-
-
-class ClosureBudgetExceeded(QfcaError):
+class ClosureBudgetExceeded(BudgetExceeded):
     """A meet-closure grew past the configured cap."""
 
 
@@ -81,12 +88,12 @@ class ConditionFailed(QfcaError):
         self.condition = condition
 
 
-# Default caps.  The environment variable QFCA_BUDGET, read at each use,
-# replaces all of them at once; it is the only way to change a cap.
+# Default caps and what they count.  The environment variable QFCA_BUDGET,
+# read at each use, replaces all caps at once; it is the only way to change one.
 _DEFAULT_BUDGETS = {
-    "enumeration": 10**5,
-    "search": 10**6,
-    "closure": 10**5,
+    "enumeration": (10**5, "candidates"),
+    "search": (10**6, "nodes"),
+    "closure": (10**5, "elements"),
 }
 
 
@@ -97,7 +104,7 @@ def budget(kind: str) -> int:
             return int(env)
         except ValueError:
             raise InvalidParams(f"QFCA_BUDGET must be an integer, got {env!r}") from None
-    return _DEFAULT_BUDGETS[kind]
+    return _DEFAULT_BUDGETS[kind][0]
 
 
 @dataclass(frozen=True)

@@ -135,31 +135,21 @@ def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
     return Presheaf(A, qobj, tuple(A.q.top(t, qobj) for t in A.types))
 
 
+def _pointwise_bound(A: QCategory, qobj: str, parts, bound) -> Presheaf:
+    """``bound`` (``Quantaloid.hom_meet`` or ``hom_join``) at each position."""
+    parts = list(parts)
+    return Presheaf(A, qobj, tuple(bound(t, qobj, [p.values[i] for p in parts])
+                                   for i, t in enumerate(A.types)))
+
+
 def presheaf_meet(A: QCategory, qobj: str, parts) -> Presheaf:
     """Pointwise meet; the empty meet is the top presheaf."""
-    parts = list(parts)
-    if not parts:
-        return top_presheaf(A, qobj)
-    q = A.q
-    q.require_lattices()
-    values = []  # folded inline: a call per position would double the closure's cost
-    for i, t in enumerate(A.types):
-        hom = q.homs[(t, qobj)]
-        meets, k = hom.meets, hom.top
-        for p in parts:
-            k = meets[k][p.values[i].index]
-        values.append(q.arrow_table[(t, qobj)][k])
-    return Presheaf(A, qobj, tuple(values))
+    return _pointwise_bound(A, qobj, parts, A.q.hom_meet)
 
 
 def presheaf_join(A: QCategory, qobj: str, parts) -> Presheaf:
-    parts = list(parts)
-    q = A.q
-    values = tuple(
-        q.hom_join(A.types[i], qobj, [p.values[i] for p in parts])
-        for i in range(len(A))
-    )
-    return Presheaf(A, qobj, values)
+    """Pointwise join; the empty join is the bottom presheaf."""
+    return _pointwise_bound(A, qobj, parts, A.q.hom_join)
 
 
 # -- Yoneda ---------------------------------------------------------------------
@@ -276,11 +266,11 @@ def find_right_adjoint(F: QFunctor):
 
 
 def find_left_adjoint(F: QFunctor):
-    try:
-        G = ran(F, identity_functor(F.dom))
-    except ColimitMissing:
-        return None
-    return G if is_adjoint_functor_pair(G, F) else None
+    """A left adjoint of F, or ``None``: a right adjoint of F^op read back as a
+    functor from F.cod to F.dom, as ``ran`` reads back ``lan``."""
+    G = find_right_adjoint(dualize_functor(F))
+    return None if G is None else QFunctor(F.cod, F.dom, G.mapping,
+                                           name=f"ran({F.name},1_{F.dom.name})")
 
 
 # -- density ---------------------------------------------------------------------
@@ -308,7 +298,7 @@ def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
         count *= len(q.hom(t, qobj))
     limit = budget("enumeration")
     if count > limit:
-        raise BudgetExceeded(f"{space} at {qobj} exceeds {limit}", count)
+        raise BudgetExceeded("enumeration", limit, count, f"the {space} at type {qobj!r}")
     out = []
     for combo in itertools.product(*(range(len(q.hom(t, qobj))) for t in A.types)):
         p = Presheaf(A, qobj, tuple(Arrow(t, qobj, i) for t, i in zip(A.types, combo)))

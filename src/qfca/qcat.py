@@ -333,7 +333,8 @@ def find_equivalence(A: QCategory, B: QCategory):
                 continue
             nodes += 1
             if nodes > cap:
-                raise SearchBudgetExceeded(f"equivalence search exceeded {cap} nodes")
+                raise SearchBudgetExceeded("search", cap, nodes,
+                                           f"the equivalence search from {A.name} to {B.name}")
             ok = skel.hom_of(x, x) == B.hom_of(y, y)
             for x2, y2 in assign.items():
                 if not ok:

@@ -559,8 +559,7 @@ def find_cyclic_dualizing_family(Q: Quantaloid):
     for s in sizes:
         total *= s
     if total > cap:
-        raise SearchBudgetExceeded(
-            f"{total} candidate families exceed the budget of {cap}")
+        raise SearchBudgetExceeded("search", cap, total, f"the family search on {Q.name}")
     best_cyclic = None
     for combo in itertools.product(*(range(s) for s in sizes)):
         d = {q: Arrow(q, q, i) for q, i in zip(Q.objects, combo)}
@@ -636,8 +635,7 @@ def _quantale_from_table(elements, leq_pairs, products, unit, name) -> Quantaloi
 
 _PRESET_PARAMS = {"two": (), "lukasiewicz-chain": ("n",), "godel-chain": ("n",),
                   "frame-diagonal": ("chain", "boolean"),
-                  "commutative-quantale-from-table": ("elements", "leq", "products", "unit",
-                                                      "name")}
+                  "commutative-quantale-from-table": ("elements", "leq", "products", "unit")}
 
 
 def _int_param(params: dict, key: str, default: int | None = None) -> int:
@@ -649,7 +647,7 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
         raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}") from None
 
 
-def build_preset(name: str, **params) -> Quantaloid:
+def build_preset(name: str, /, **params) -> Quantaloid:
     """Construct and validate one of the named stock quantaloids; InvalidParams if bad."""
     if name not in _PRESET_PARAMS:
         raise InvalidParams(f"unknown preset {name!r}")
@@ -689,7 +687,7 @@ def build_preset(name: str, **params) -> Quantaloid:
         if missing:
             raise InvalidParams(f"missing parameter {missing[0]!r}")
         Q = _quantale_from_table(params["elements"], params["leq"], params["products"],
-                                 params["unit"], params.get("name", "quantale"))
+                                 params["unit"], "quantale")
     report = validate_quantaloid(Q)
     if not report.ok:
         raise InvalidParams(f"preset {name!r} failed validation: {report.issues[:3]}")

@@ -11,6 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfca.cli as cli
+from qfca.concept import fca_lattice
+from qfca.errors import BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded
+from qfca.presheaf import enumerate_presheaves
+from qfca.qcat import find_equivalence
+from qfca.quantaloid import find_cyclic_dualizing_family
 
 HERE = pathlib.Path(__file__).parent
 ROOT = HERE.parent
@@ -325,6 +330,31 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     # enumeration (BudgetExceeded) and family search (SearchBudgetExceeded)
     assert cli.main(["verify", str(CONTEXTS / "fix_2id.json"), "--prop", "yoneda"]) == 4
     assert cli.main(["girard", str(CONTEXTS / "godel3.json")]) == 4
+
+
+CAPS = {  # cap: (QFCA_BUDGET, the call that trips it, its class, the count)
+    "enumeration": (3, lambda ctx, Q: enumerate_presheaves(ctx.A, "*"), BudgetExceeded, 4),
+    "closure": (2, lambda ctx, Q: fca_lattice(ctx.phi), ClosureBudgetExceeded, 3),
+    "family-search": (2, lambda ctx, Q: find_cyclic_dualizing_family(Q), SearchBudgetExceeded, 3),
+    "equivalence-search": (1, lambda ctx, Q: find_equivalence(ctx.A, ctx.A),
+                           SearchBudgetExceeded, 2),
+}
+
+
+@pytest.mark.parametrize("cap", list(CAPS))
+def test_every_cap_names_its_kind_limit_and_count(cap, fix2id, luk3, monkeypatch):
+    limit, trip, cls, count = CAPS[cap]
+    monkeypatch.setenv("QFCA_BUDGET", str(limit))
+    with pytest.raises(BudgetExceeded) as err:
+        trip(fix2id, luk3)
+    e = err.value
+    assert type(e) is cls and issubclass(cls, BudgetExceeded)
+    kind = cap.rpartition("-")[2]
+    assert (e.kind, e.limit, e.count) == (kind, limit, count)
+    message = str(e)
+    assert f"{kind} cap of {limit} " in message and f"(count {count})" in message
+    assert "QFCA_BUDGET overrides it" in message
+    assert next(code for kinds, code in cli._EXIT_CODES if isinstance(e, kinds)) == 4
 
 
 def test_unreadable_paths_are_usage_errors(capsys, tmp_path):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from qfca.errors import BudgetExceeded, ColimitMissing
+from qfca.errors import BudgetExceeded, ColimitMissing, TypeMismatch
 from qfca.qcat import (
     QCategory,
     QFunctor,
@@ -35,6 +35,7 @@ from qfca.presheaf import (
     presheaf_hom,
     copresheaf_hom,
     presheaf_join,
+    presheaf_meet,
     pushforward,
     ran,
     sup,
@@ -293,6 +294,14 @@ def test_find_adjoints(fix2id, two):
     assert find_left_adjoint(F) == F
     assert find_right_adjoint(QFunctor(D, X, {"x": "u", "y": "u"})) is None
 
+
+
+def test_pointwise_bounds_refuse_a_part_of_another_type(diag3):
+    A = discrete_category(diag3, QTypedSet(("x", "y"), ("2", "2")))
+    p = top_presheaf(A, "2")
+    for bound in (presheaf_meet, presheaf_join):
+        with pytest.raises(TypeMismatch):
+            bound(A, "0", [p])
 
 
 def _left_adjoint_by_ran(F):

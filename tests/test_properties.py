@@ -2,8 +2,9 @@
 
 Contexts are drawn over discrete and non-discrete carriers of one or two
 objects (every category structure ``_helpers.enumerate_categories`` yields,
-with every typing) and over one-object quantales as well as the
-three-object ``frame-diagonal chain=3``; over ``two`` carriers have up to
+with every typing) and over one-object quantales, two of them
+noncommutative and not Girard, as well as the three-object
+``frame-diagonal chain=3``; over ``two`` carriers have up to
 three objects, enough for lattices with concepts that are meets of
 generators but not generators.  The distributor is any valid one between
 the drawn carriers.  The brute-force enumeration is the oracle for
@@ -36,7 +37,11 @@ from _helpers import (
     scan_join,
     scan_meet,
 )
-from qfca.quantaloid import build_preset
+from qfca.quantaloid import (
+    build_preset,
+    find_cyclic_dualizing_family,
+    validate_quantaloid,
+)
 from qfca.qcat import QTypedSet, discrete_category, underlying_order
 from qfca.qdist import dist_compose, dist_left_imp, identity_dist
 from qfca.presheaf import (
@@ -71,7 +76,22 @@ TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
 GODEL3 = build_preset("godel-chain", n=3)
 DIAG3 = build_preset("frame-diagonal", chain=3)
-QUANTALOIDS = [TWO, LUK3, GODEL3, DIAG3]
+
+
+def chain4_quantale(ab, ba):
+    """A unital quantale on the chain 0 < a < b < 1 with a.b and b.a given:
+    0 absorbs, 1 is the unit, a.a = 0 and b.b = b."""
+    el = ["0", "a", "b", "1"]
+    table = {("a", "a"): "0", ("b", "b"): "b", ("a", "b"): ab, ("b", "a"): ba}
+    products = [(x, y, "0" if "0" in (x, y) else y if x == "1" else x if y == "1"
+                 else table[x, y]) for x in el for y in el]
+    return build_preset("commutative-quantale-from-table", elements=el,
+                        leq=list(zip(el, el[1:])), products=products, unit="1")
+
+
+# noncommutative and not Girard: only the residual route reaches their RST lattices
+NC_AB, NC_BA = chain4_quantale("0", "a"), chain4_quantale("a", "0")
+QUANTALOIDS = [TWO, LUK3, GODEL3, DIAG3, NC_AB, NC_BA]
 
 
 @functools.cache
@@ -105,7 +125,7 @@ def classical_context(data):
     return data.draw(st.sampled_from(_distributors(A, B)), label="classical-context")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lattices_match_brute_force_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -117,7 +137,7 @@ def test_lattices_match_brute_force_randomized(data):
                 assert {p.key() for p in per_type[qobj]} == expected, (kind, qobj)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rst_is_fca_of_residual_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -125,7 +145,7 @@ def test_rst_is_fca_of_residual_randomized(data):
     assert verify_rst_as_fca(phi).passed
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_laws_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -141,7 +161,7 @@ def test_closure_laws_randomized(data):
             assert kan.closure(kan.closure(lam)) == kan.closure(lam)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mask_covers_match_lattice_category_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -157,7 +177,7 @@ def test_mask_covers_match_lattice_category_randomized(data):
             assert types[qobj]["hasse"] == expected, (lat.kind, qobj)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_copresheaf_half_matches_oracle_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -186,7 +206,7 @@ def test_copresheaf_half_matches_oracle_randomized(data):
                     assert copresheaf_hom(lam, kap) == oracle_copresheaf_hom(lam, kap)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_presheaf_half_matches_oracle_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -211,7 +231,7 @@ def test_presheaf_half_matches_oracle_randomized(data):
         assert [list(r) for r in dist_compose(psi, chi).matrix] == oracle_compose(psi, chi)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_presheaf_bounds_match_scans_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
@@ -226,3 +246,12 @@ def test_presheaf_bounds_match_scans_randomized(data):
                     assert [v.index for v in got.values] == [
                         scan(Q, t, qobj, [p.values[i].index for p in parts])
                         for i, t in enumerate(C.types)], (bound.__name__, len(parts))
+
+
+def test_noncommutative_quantales_are_not_girard():
+    for Q in (NC_AB, NC_BA):
+        a, b = Q.arrow("*", "*", "a"), Q.arrow("*", "*", "b")
+        assert Q.compose(a, b) != Q.compose(b, a)
+        assert validate_quantaloid(Q).ok
+        fam = find_cyclic_dualizing_family(Q)
+        assert fam is not None and fam.cyclic and not fam.dualizing

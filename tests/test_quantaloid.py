@@ -231,6 +231,8 @@ def test_build_preset_checks_parameters():
         build_preset("lukasiewicz-chain", n=3, bogus=1)
     with pytest.raises(InvalidParams, match="takes no parameter 'n'"):
         build_preset("two", n=2)
+    with pytest.raises(InvalidParams, match="takes no parameter 'name'"):
+        build_preset("commutative-quantale-from-table", name="x")
     assert build_preset("godel-chain", n="4").name == "godel-4"
 
 

@@ -18,6 +18,7 @@ import itertools
 import pytest
 
 from qfca.concept import verify_transpose_identities
+from qfca.errors import QfcaError
 from qfca.qcat import QTypedSet, discrete_category
 from qfca.qdist import QDistributor
 from qfca.quantaloid import build_preset
@@ -273,6 +274,17 @@ def test_verdicts_on_corrupted_tables(case):
                       _outcome(lambda: verify_transpose_identities(phi)),
                       _outcome(lambda: verify_yoneda(A))))
     assert got == PINNED[case]
+
+
+def test_fixed_point_recheck_blames_the_tables():
+    # the lattice routines re-check every concept; a corrupted residual shows there
+    _, phi = _corrupted(("limp", 0, 0, 0))
+    with pytest.raises(QfcaError) as err:
+        canonical_elementary_data(phi, "fca")
+    message = str(err.value)
+    assert type(err.value) is QfcaError and "bug" not in message
+    assert "*|a1:0,a2:1/2 is not fixed" in message
+    assert "not residuated" in message and "validate" in message
 
 
 def test_every_condition_fails_somewhere():
