@@ -23,8 +23,8 @@ inline: {"preset": {"name": "lukasiewicz-chain", "n": 3}}.
 
 Exit codes: 0 success/pass, 1 validation failure, 2 usage or precondition
 error, 3 property-verification failure, 4 budget exhausted (an enumeration,
-search or closure cap was reached; the ``BudgetExceeded`` names the cap, its
-limit and the count).  The
+search or closure cap was reached; the ``BudgetExceeded`` message names the
+cap, its limit and the count).  The
 computing subcommands refuse any document that ``validate`` rejects: they
 print the failing validation reports and exit 1 without computing on it.  A
 document of the wrong shape (a field of the wrong JSON type) is a usage

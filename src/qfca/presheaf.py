@@ -266,8 +266,7 @@ def find_right_adjoint(F: QFunctor):
 
 
 def find_left_adjoint(F: QFunctor):
-    """A left adjoint of F, or ``None``: a right adjoint of F^op read back as a
-    functor from F.cod to F.dom, as ``ran`` reads back ``lan``."""
+    """A right adjoint of F^op read back from F.cod to F.dom, or ``None``."""
     G = find_right_adjoint(dualize_functor(F))
     return None if G is None else QFunctor(F.cod, F.dom, G.mapping,
                                            name=f"ran({F.name},1_{F.dom.name})")

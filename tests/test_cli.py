@@ -332,24 +332,27 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     assert cli.main(["girard", str(CONTEXTS / "godel3.json")]) == 4
 
 
-CAPS = {  # cap: (QFCA_BUDGET, the call that trips it, its class, the count)
-    "enumeration": (3, lambda ctx, Q: enumerate_presheaves(ctx.A, "*"), BudgetExceeded, 4),
-    "closure": (2, lambda ctx, Q: fca_lattice(ctx.phi), ClosureBudgetExceeded, 3),
-    "family-search": (2, lambda ctx, Q: find_cyclic_dualizing_family(Q), SearchBudgetExceeded, 3),
-    "equivalence-search": (1, lambda ctx, Q: find_equivalence(ctx.A, ctx.A),
+# each raise site: (its cap, QFCA_BUDGET, the call that trips it, its class,
+# the count: the size needed, or the size reached for the incremental caps)
+CAPS = {
+    "enumeration": ("enumeration", 3, lambda ctx, Q: enumerate_presheaves(ctx.A, "*"),
+                    BudgetExceeded, 4),
+    "closure": ("closure", 2, lambda ctx, Q: fca_lattice(ctx.phi), ClosureBudgetExceeded, 3),
+    "family-search": ("search", 2, lambda ctx, Q: find_cyclic_dualizing_family(Q),
+                      SearchBudgetExceeded, 3),
+    "equivalence-search": ("search", 1, lambda ctx, Q: find_equivalence(ctx.A, ctx.A),
                            SearchBudgetExceeded, 2),
 }
 
 
-@pytest.mark.parametrize("cap", list(CAPS))
-def test_every_cap_names_its_kind_limit_and_count(cap, fix2id, luk3, monkeypatch):
-    limit, trip, cls, count = CAPS[cap]
+@pytest.mark.parametrize("site", list(CAPS))
+def test_every_cap_names_its_kind_limit_and_count(site, fix2id, luk3, monkeypatch):
+    kind, limit, trip, cls, count = CAPS[site]
     monkeypatch.setenv("QFCA_BUDGET", str(limit))
     with pytest.raises(BudgetExceeded) as err:
         trip(fix2id, luk3)
     e = err.value
     assert type(e) is cls and issubclass(cls, BudgetExceeded)
-    kind = cap.rpartition("-")[2]
     assert (e.kind, e.limit, e.count) == (kind, limit, count)
     message = str(e)
     assert f"{kind} cap of {limit} " in message and f"(count {count})" in message
