@@ -79,6 +79,17 @@ def oracle_left_imp(xi, phi):
             for j, s in enumerate(phi.cod.types)]
 
 
+def residual_closed_form_misses(phi, rc, tr):
+    """Each (b, member, a, u) where ``tr(b, member)`` is not ``left_imp(u, phi(a, b))``
+    by scans, over every provenance pair (a, u) of every member of ``rc``."""
+    Q = phi.q
+    return [(b, m, a, u)
+            for m, p in zip(rc.category.objects, rc.members)
+            for a, u in rc.provenance[p.key()]
+            for b, t in zip(phi.cod.objects, phi.cod.types)
+            if tr.at(b, m) != Arrow(t, u.dst, scan_left_imp(Q, u, phi.at(a, b)))]
+
+
 # -- classical powerset FCA / RST -----------------------------------------------------
 
 

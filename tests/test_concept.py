@@ -50,6 +50,8 @@ from qfca.concept import (
 )
 from qfca.quantaloid import find_cyclic_dualizing_family
 
+from _helpers import oracle_left_imp, residual_closed_form_misses
+
 
 def _values(Q, lattice):
     return sorted(Q.label(p.values[0]) for p in lattice.concepts)
@@ -192,10 +194,20 @@ def test_residual_context_fixl3(fixl3, luk3):
 
 
 def test_residual_routes_agree_fixdl3(fixdl3):
-    # the closed form is cross-checked against the residuation route inside
+    # the definition yoneda_graph <l phi, by scans, and the closed form
+    # left_imp(u, phi(a, -)) on every provenance pair (a, u) of each member
     rc = residual_category(fixdl3.A)
     tr = residual_context(fixdl3.phi, rc)
+    assert [list(row) for row in tr.matrix] == oracle_left_imp(rc.yoneda_graph, fixdl3.phi)
+    assert residual_closed_form_misses(fixdl3.phi, rc, tr) == []
     assert validate_distributor(tr).ok
+
+
+def test_residual_context_closed_form_on_every_provenance_pair(all_contexts):
+    for name, ctx in all_contexts.items():
+        rc = residual_category(ctx.A)
+        tr = residual_context(ctx.phi, rc)
+        assert residual_closed_form_misses(ctx.phi, rc, tr) == [], name
 
 
 def test_rst_as_fca(all_contexts):

@@ -9,11 +9,12 @@ from qfca.qcat import (
     QFunctor,
     QTypedSet,
     discrete_category,
+    dualize_functor,
     functor_iso,
     identity_functor,
     underlying_order,
 )
-from qfca.qdist import is_adjoint_functor_pair
+from qfca.qdist import graph, is_adjoint_functor_pair
 from qfca.presheaf import (
     Presheaf,
     coyoneda,
@@ -46,7 +47,19 @@ from qfca.presheaf import (
 )
 from qfca.cli import load_document
 from qfca.concept import residual_category
-from qfca.represent import canonical_fca_data, canonical_general_data
+from qfca.represent import canonical_dense_data, canonical_fca_data, canonical_general_data
+
+from _helpers import oracle_left_imp
+
+
+def assert_lan_identity(L, K, F):
+    """graph(L) == graph(F) <l graph(K), the right side by explicit scans."""
+    assert [list(row) for row in graph(L).matrix] == oracle_left_imp(graph(F), graph(K))
+
+
+def assert_ran_identity(R, H, G):
+    """cograph(R) == cograph(H) >r cograph(G): the graph identity of the duals."""
+    assert_lan_identity(dualize_functor(R), dualize_functor(H), dualize_functor(G))
 
 
 def test_presheaf_hom_reflexive(fixdl3):
@@ -160,8 +173,10 @@ def test_lan_identity(fix2id, two):
     F = QFunctor(A, X, {"a1": "u", "a2": "v"})
     L = lan(identity_functor(A), F)
     assert functor_iso(L, F)
+    assert_lan_identity(L, identity_functor(A), F)
     R = ran(identity_functor(A), F)
     assert functor_iso(R, F)
+    assert_ran_identity(R, identity_functor(A), F)
 
 
 def test_lan_along_yoneda_is_closure(fix2id):
@@ -171,6 +186,15 @@ def test_lan_along_yoneda_is_closure(fix2id):
     y = data.adj.C_space.yoneda_functor()
     L = lan(y, F)
     assert functor_iso(L, data.L)
+    assert_lan_identity(L, y, F)
+
+
+def test_dense_data_kan_extensions_satisfy_their_identities(all_contexts):
+    for ctx in all_contexts.values():
+        for kind in ("fca", "rst"):
+            _, F, K, G, H = canonical_dense_data(ctx.phi, kind)
+            assert_lan_identity(lan(K, F), K, F)
+            assert_ran_identity(ran(H, G), H, G)
 
 
 def test_ran_of_codense_along_itself(fixl3):
@@ -180,6 +204,7 @@ def test_ran_of_codense_along_itself(fixl3):
     assert is_codense(J)
     R = ran(J, J)
     assert functor_iso(R, identity_functor(pa.category))
+    assert_ran_identity(R, J, J)
 
 
 def test_colimit_missing_raises(two):
@@ -310,6 +335,7 @@ def _left_adjoint_by_ran(F):
         G = ran(F, identity_functor(F.dom))
     except ColimitMissing:
         return None
+    assert_ran_identity(G, F, identity_functor(F.dom))
     return G.mapping if is_adjoint_functor_pair(G, F) else None
 
 

@@ -34,6 +34,7 @@ from _helpers import (
     oracle_kan_star,
     oracle_left_imp,
     oracle_presheaf_hom,
+    residual_closed_form_misses,
     scan_join,
     scan_meet,
 )
@@ -68,6 +69,8 @@ from qfca.concept import (
     kan_star,
     lattice_to_dot,
     lattice_to_json,
+    residual_category,
+    residual_context,
     rst_lattice,
     verify_rst_as_fca,
 )
@@ -143,6 +146,8 @@ def test_rst_is_fca_of_residual_randomized(data):
     Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
     phi = random_context(data, Q)
     assert verify_rst_as_fca(phi).passed
+    rc = residual_category(phi.dom)
+    assert residual_closed_form_misses(phi, rc, residual_context(phi, rc)) == []
 
 
 @settings(max_examples=60, deadline=None)
