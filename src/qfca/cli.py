@@ -218,6 +218,16 @@ def _parse_category(Q: Quantaloid, name: str, spec: dict) -> QCategory:
         return QCategory(Q, labels, types, hom, name=name)
 
 
+def _endpoints(categories: dict, what: str, spec: dict) -> tuple:
+    """The categories that ``spec``'s "from" and "to" fields name."""
+    for end in ("from", "to"):
+        if end not in spec:
+            raise UsageError(f"{what} misses the required field {end!r}")
+        if spec[end] not in categories:
+            raise UsageError(f"{what}: unknown category {spec[end]!r}")
+    return categories[spec["from"]], categories[spec["to"]]
+
+
 def parse_document(data: dict) -> ContextDocument:
     Q = _parse_quantaloid(data["quantaloid"])
     if Q.lattice_issue is not None:  # omitted entries below default to bottoms
@@ -228,10 +238,7 @@ def parse_document(data: dict) -> ContextDocument:
     distributors = {}
     for name in sorted(data.get("distributors", {})):
         spec = data["distributors"][name]
-        try:
-            A, B = categories[spec["from"]], categories[spec["to"]]
-        except KeyError as e:
-            raise UsageError(f"distributor {name!r}: unknown category {e.args[0]!r}") from None
+        A, B = _endpoints(categories, f"distributor {name!r}", spec)
         matrix = [[Q.bottom(A.types[i], B.types[j]) for j in range(len(B))]
                   for i in range(len(A))]
         for x, y, ref in spec.get("entries", []):
@@ -242,10 +249,7 @@ def parse_document(data: dict) -> ContextDocument:
     functors = {}
     for name in sorted(data.get("functors", {})):
         spec = data["functors"][name]
-        try:
-            A, B = categories[spec["from"]], categories[spec["to"]]
-        except KeyError as e:
-            raise UsageError(f"functor {name!r}: unknown category {e.args[0]!r}") from None
+        A, B = _endpoints(categories, f"functor {name!r}", spec)
         with _naming(f"functor {name!r}"):
             functors[name] = QFunctor(A, B, dict(spec["map"]), name=name)
     return ContextDocument(Q, data["quantaloid"], categories, distributors, functors)

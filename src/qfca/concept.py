@@ -52,6 +52,7 @@ from .qdist import (
     identity_dist,
     tensor_ix,
     validate_chu,
+    validate_distributor,
 )
 from .presheaf import (
     Copresheaf,
@@ -60,6 +61,7 @@ from .presheaf import (
     PresheafSpace,
     _copresheaf_of,
     _presheaf_of,
+    _require,
     enumerate_presheaves,
     is_codense,
     materialize_copresheaves,
@@ -87,8 +89,7 @@ from .quantaloid import (
 
 def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
     """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
-    if mu.base != phi.dom:
-        raise BaseMismatch("presheaf must live on the context's row category")
+    _require(Presheaf, phi.dom, "the context's row category", mu)
     q, types, s = phi.q, phi.dom.types, mu.type
     return Copresheaf(phi.cod, s, tuple(hom_ix(q, types, s, t, col, mu.values)
                                         for t, col in zip(phi.cod.types, phi.columns)))
@@ -96,15 +97,13 @@ def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
     """isbell_up of the dual context: a copresheaf on B back to a presheaf on A."""
-    if lam.base != phi.cod:
-        raise BaseMismatch("copresheaf must live on the context's column category")
+    _require(Copresheaf, phi.cod, "the context's column category", lam)
     return _presheaf_of(isbell_up(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
 
 
 def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
     """lam . phi, a presheaf on A: ``kan_star(lam)(a) = join_b lam(b) . phi(a, b)``."""
-    if lam.base != phi.cod:
-        raise BaseMismatch("presheaf must live on the context's column category")
+    _require(Presheaf, phi.cod, "the context's column category", lam)
     q, types, t = phi.q, phi.cod.types, lam.type
     return Presheaf(phi.dom, t, tuple(tensor_ix(q, types, p, t, row, lam.values)
                                       for p, row in zip(phi.dom.types, phi.matrix)))
@@ -112,8 +111,7 @@ def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
 
 def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
     """mu <l phi, a presheaf on B: ``kan_lower(mu)(b) = hom(phi(-, b), mu)``."""
-    if mu.base != phi.dom:
-        raise BaseMismatch("presheaf must live on the context's row category")
+    _require(Presheaf, phi.dom, "the context's row category", mu)
     q, types, s = phi.q, phi.dom.types, mu.type
     return Presheaf(phi.cod, s, tuple(hom_ix(q, types, b, s, mu.values, col)
                                       for b, col in zip(phi.cod.types, phi.columns)))
@@ -121,15 +119,13 @@ def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
 
 def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
     """Compose a copresheaf on A with the context: kan_star of the dual context."""
-    if mu.base != phi.dom:
-        raise BaseMismatch("copresheaf must live on the context's row category")
+    _require(Copresheaf, phi.dom, "the context's row category", mu)
     return _copresheaf_of(kan_star(dualize_distributor(phi), _presheaf_of(mu)), phi.cod)
 
 
 def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
     """Left extension of a copresheaf on B along the context: kan_lower of the dual."""
-    if lam.base != phi.cod:
-        raise BaseMismatch("copresheaf must live on the context's column category")
+    _require(Copresheaf, phi.cod, "the context's column category", lam)
     return _copresheaf_of(kan_lower(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
 
 
@@ -389,27 +385,20 @@ def residual_category(base: QCategory) -> ResidualCategory:
 
 
 def residual_context(phi: QDistributor, rc: ResidualCategory | None = None) -> QDistributor:
-    """The relative pseudo-complement of the context: columns are kan_lower values.
+    """The relative pseudo-complement ``yoneda_graph <l phi`` of the context: a
+    distributor from B into the residual category.
 
-    Computed from the closed form ``left_imp(u, phi(a, -))`` on each member's
-    first provenance pair, then cross-checked against the residuation route
-    ``yoneda_graph <l phi``; a mismatch would be an implementation bug.
+    Its entry at (b, m) is ``left_imp(u, phi(a, b))`` for every provenance pair
+    (a, u) of the member m, as a test pins.  phi must be a distributor: one
+    that breaks the bimodule law is refused with the first violation.
     """
+    validate_distributor(phi).require()
     if rc is None:
         rc = residual_category(phi.dom)
     if rc.base != phi.dom:
         raise BaseMismatch("residual category was built on a different base")
-    q = phi.q
-    B = phi.cod
-    cols = []
-    for p in rc.members:
-        a, u = rc.provenance[p.key()][0]
-        i = phi.dom.index(a)
-        cols.append(tuple(q.left_imp(u, phi.matrix[i][j]) for j in range(len(B))))
-    matrix = [[cols[m][j] for m in range(len(rc.members))] for j in range(len(B))]
-    tr = QDistributor(B, rc.category, matrix, name=f"residual({phi.name})")
-    if tr != dist_left_imp(rc.yoneda_graph, phi):
-        raise QfcaError("residual context disagrees with the residuation route")
+    tr = dist_left_imp(rc.yoneda_graph, phi)
+    tr.name = f"residual({phi.name})"
     return tr
 
 

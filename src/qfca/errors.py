@@ -23,7 +23,7 @@ class TypeMismatch(QfcaError):
 
 
 class BaseMismatch(QfcaError):
-    """Presheaf operations applied across different base categories."""
+    """A (co)presheaf argument of the wrong kind or on the wrong base category."""
 
 
 class InvalidParams(QfcaError):

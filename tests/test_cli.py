@@ -440,6 +440,27 @@ def test_unknown_labels_are_named(capsys, tmp_path):
         assert message in capsys.readouterr().err
 
 
+def test_missing_endpoint_is_named_as_missing(capsys, tmp_path):
+    # one lookup serves distributors and functors: a missing field is not
+    # read as the name of an unknown category
+    path = tmp_path / "doc.json"
+    for source, section, name, edit, message in [
+            ("fix_dl3", "distributors", "phi", lambda s: s.pop("from"),
+             "error: distributor 'phi' misses the required field 'from'"),
+            ("fix_dl3", "distributors", "phi", lambda s: s.update(to="Z"),
+             "error: distributor 'phi': unknown category 'Z'"),
+            ("fix_2id", "functors", "swapA", lambda s: s.pop("to"),
+             "error: functor 'swapA' misses the required field 'to'"),
+            ("fix_2id", "functors", "swapA", lambda s: s.update({"from": "Z"}),
+             "error: functor 'swapA': unknown category 'Z'")]:
+        doc = json.loads((CONTEXTS / f"{source}.json").read_text())
+        edit(doc[section][name])
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err, err
+
+
 def test_bad_preset_parameters_are_usage_errors(tmp_path):
     cases = {"n": ({"name": "lukasiewicz-chain", "n": "x"},
                    "parameter 'n' must be an integer, got 'x'"),

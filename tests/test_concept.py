@@ -1,7 +1,7 @@
 
 import pytest
 
-from qfca.errors import ClosureBudgetExceeded, NotGirard, HypothesesNotMet
+from qfca.errors import ClosureBudgetExceeded, NotGirard, HypothesesNotMet, QfcaError
 from qfca.qcat import (
     QCategory,
     QFunctor,
@@ -208,6 +208,19 @@ def test_residual_context_closed_form_on_every_provenance_pair(all_contexts):
         rc = residual_category(ctx.A)
         tr = residual_context(ctx.phi, rc)
         assert residual_closed_form_misses(ctx.phi, rc, tr) == [], name
+
+
+@pytest.mark.parametrize("cell", [("x", "p"), ("y", "q")])
+def test_a_non_distributor_has_no_residual_context(fixdl3, cell):
+    # phi with one entry lowered from 1 to 0 breaks the bimodule law
+    x, y = cell
+    q, A, B = fixdl3.phi.q, fixdl3.A, fixdl3.B
+    matrix = [list(row) for row in fixdl3.phi.matrix]
+    matrix[A.index(x)][B.index(y)] = q.arrow(A.type_of(x), B.type_of(y), "0")
+    phi = QDistributor(A, B, matrix, name="lowered")
+    for call in (residual_context, verify_rst_as_fca):
+        with pytest.raises(QfcaError, match="distributor.bimodule"):
+            call(phi)
 
 
 def test_rst_as_fca(all_contexts):
