@@ -1,6 +1,13 @@
 
+import hashlib
+import json
+import pathlib
+import random
+import sys
+
 import pytest
 
+import qfca
 from qfca.errors import ClosureBudgetExceeded, NotGirard, HypothesesNotMet, QfcaError
 from qfca.qcat import (
     QCategory,
@@ -48,7 +55,7 @@ from qfca.concept import (
     verify_rst_as_fca_complement,
     verify_transpose_identities,
 )
-from qfca.quantaloid import find_cyclic_dualizing_family
+from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 
 from _helpers import oracle_left_imp, residual_closed_form_misses
 
@@ -466,3 +473,39 @@ def test_closure_budget_boundary(all_contexts, monkeypatch):
             assert f"at type {first_full!r}" in message
             assert "QFCA_BUDGET overrides it" in message
 
+
+
+
+# Digests of ``lattice_to_json`` pin the within-type concept order and the
+# covers on inputs large enough to show an order change, which the golden
+# files, at 3x3, are too small to show.  The contexts are the benchmark's own
+# draws: ROADMAP's random 14x14 over ``two`` with seed 3, and one sparse 8x8
+# over the four-object ``frame-diagonal boolean=2``.
+ORDER_DIGESTS = {
+    ("ref-14x14-seed3", "fca"): (230, "45a6a8eb63bc6262"),
+    ("ref-14x14-seed3", "rst"): (118, "11509ba9effb7ab5"),
+    ("bool2-sparse-8x8-seed4", "fca"): (48, "af723afaeeaa79e3"),
+    ("bool2-sparse-8x8-seed4", "rst"): (42, "d09fb035146db191"),
+}
+
+
+@pytest.fixture(scope="module")
+def order_contexts():
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
+    try:
+        import gen
+        import oracle
+    finally:
+        sys.path.pop(0)
+    two, bool2 = build_preset("two"), build_preset("frame-diagonal", boolean=2)
+    ref = gen.discrete(oracle.Tables(two), 14, 14, random.Random(3), name="ref-14x14-seed3")
+    sparse = gen.sparse(oracle.Tables(bool2), 8, 8, random.Random(4), density=0.05, fill=0.3,
+                        name="bool2-sparse-8x8-seed4")
+    return {d.name: gen.build(qfca, Q, d) for Q, d in ((two, ref), (bool2, sparse))}
+
+
+@pytest.mark.parametrize("name, kind", list(ORDER_DIGESTS))
+def test_lattice_order_and_covers_are_pinned(order_contexts, name, kind):
+    lat = (fca_lattice if kind == "fca" else rst_lattice)(order_contexts[name])
+    blob = json.dumps(lattice_to_json(lat), separators=(",", ":"))
+    assert (len(lat), hashlib.sha256(blob.encode()).hexdigest()[:16]) == ORDER_DIGESTS[name, kind]
