@@ -12,6 +12,10 @@ the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
   concept lattice.  On copresheaves, ``kan_dag(mu) = phi . mu`` and
   ``kan_lower_dag(lam) = phi >r lam`` are the Kan maps of the dual context.
 
+The lattices run on int codes: each map of a pair is tabled once per type and
+then costs one AND per position; the tables also give the generators and the
+re-check of every concept.  The ``Arrow`` maps above are the tests' oracle.
+
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
 Yoneda graph) has an FCA lattice exactly equal to the RST lattice of phi.
@@ -69,7 +73,6 @@ from .presheaf import (
     presheaf_label,
     presheaf_residual,
     pushforward,
-    top_presheaf,
     yoneda,
     coyoneda,
 )
@@ -77,7 +80,6 @@ from .quantaloid import (
     Arrow,
     CyclicDualizingFamily,
     Quantaloid,
-    _bits,
     complement_arrow,
     is_cyclic_family,
     is_dualizing_family,
@@ -157,6 +159,13 @@ class IsbellPair:
     def lattice(self) -> ConceptLattice:
         return fca_lattice(self.phi)
 
+    def coded(self, qobj: str):
+        """``_coded`` at qobj: isbell_up tabled to down-set codes of copresheaves
+        on B (presheaves on B^op), isbell_down the same table of the dual."""
+        dual = dualize_distributor(self.phi)
+        code, mid = _SetCode(self.base, qobj), _SetCode(dual.dom, qobj)
+        return _coded(code, _isbell_table(self.phi, code, mid), _isbell_table(dual, mid, code))
+
 
 @dataclass(frozen=True)
 class KanPair:
@@ -185,6 +194,16 @@ class KanPair:
     def lattice(self) -> ConceptLattice:
         return rst_lattice(self.phi)
 
+    def coded(self, qobj: str):
+        """As for :class:`IsbellPair`; kan_star is a join, so its table maps to
+        up-set codes over A, which kan_lower's maps to down-set codes over B."""
+        q, A, B = self.phi.q, self.phi.dom.types, self.phi.cod.types
+        m = [[w.index for w in row] for row in self.phi.matrix]
+        code, mid = _SetCode(self.base, qobj), _SetCode(self.phi.dom, qobj, "up")
+        star = _table(code, mid, lambda j, i, v: q.compose_table[A[i], B[j], qobj][v][m[i][j]])
+        lower = _table(mid, code, lambda i, j, u: q.limp_table[A[i], B[j], qobj][u][m[i][j]])
+        return _coded(code, star, lower)
+
 
 def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
     """The adjunction whose closure's fixed points form the ``kind`` lattice of phi."""
@@ -206,8 +225,8 @@ class ConceptLattice(PresheafFamily):
     therefore produce identical output.
 
     ``category`` (the full subcategory of presheaves on the concepts) is
-    built on first use; serialization reads the order from the concepts'
-    down-set codes instead.
+    built on first use; serialization reads the order from per-position masks
+    of the concepts' values instead.
     """
 
     def __init__(self, kind: str, phi: QDistributor, concepts: tuple[Presheaf, ...]):
@@ -229,50 +248,76 @@ class ConceptLattice(PresheafFamily):
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
 
 
-class _DownSetCode:
-    """Presheaves of one type on a base as ints: their values' down-sets side by side.
-
-    Position i holds ``q.homs[(|x_i|, qobj)].down[v_i]`` at a fixed offset.  In
-    a lattice the down-set of a meet is the intersection of the down-sets, so
-    the pointwise meet of two presheaves is ``&`` of their codes, and
-    ``mu <= nu`` pointwise exactly when ``code(mu) & ~code(nu) == 0``.
+class _SetCode:
+    """Presheaves of one type on a base as ints: their values' down-sets (or
+    up-sets, ``sets="up"``) side by side, ``q.homs[(|x_i|, qobj)].down[v_i]``
+    in ``fields[i]``.  In a lattice the down-set of a meet is the intersection
+    of the down-sets, and the up-set of a join that of the up-sets, so ``&``
+    is the pointwise meet of down-set codes and the join of up-set codes.
+    ``top`` sets every bit: the top presheaf, or the bottom one on up-sets.
     """
 
-    def __init__(self, base: QCategory, qobj: str):
+    def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
         q = base.q
         self.base, self.qobj = base, qobj
-        self._rows, self._fields, self._arrows = [], [], []
-        offset = 0
+        self.rows, self.fields, self._arrows, offset = [], [], [], 0
         for t in base.types:
             hom = q.homs[(t, qobj)]
-            rows = tuple(d << offset for d in hom.down)
-            self._rows.append(rows)
-            self._fields.append(((1 << len(hom)) - 1) << offset)
+            rows = tuple(d << offset for d in getattr(hom, sets))
+            self.rows.append(rows)
+            self.fields.append(((1 << len(hom)) - 1) << offset)
             self._arrows.append(dict(zip(rows, q.arrow_table[(t, qobj)])))
             offset += len(hom)
+        self.top = sum(self.fields)
 
-    def encode(self, p: Presheaf) -> int:
-        return sum(rows[v.index] for rows, v in zip(self._rows, p.values))
+    def pack(self, indices) -> int:
+        return sum(rows[k] for rows, k in zip(self.rows, indices))
 
     def decode(self, code: int) -> Presheaf:
-        return Presheaf(self.base, self.qobj,
-                        tuple(arrows[code & field]
-                              for field, arrows in zip(self._fields, self._arrows)))
+        return Presheaf(self.base, self.qobj, tuple(
+            arrows[code & field] for field, arrows in zip(self.fields, self._arrows)))
 
 
-def _meet_closure(base: QCategory, qobj: str, generators):
-    """Closure of the generators under binary pointwise meets, on down-set codes.
+def _table(src: _SetCode, dst: _SetCode, cell) -> list[tuple[int, dict[int, int]]]:
+    """A map of coded presheaves, per position i of src: its field, and each
+    value there (index u) to the dst code of ``cell(i, j, u)`` over dst's
+    positions j.  The image of a code is the ``&`` of its positions' entries."""
+    js = range(len(dst.rows))
+    return [(field, {row: dst.pack(cell(i, j, u) for j in js) for u, row in enumerate(rows)})
+            for i, (field, rows) in enumerate(zip(src.fields, src.rows))]
+
+
+def _isbell_table(phi: QDistributor, src: _SetCode, dst: _SetCode):
+    """isbell_up as a ``_table``: row a, value u to the code of ``b |-> limp(phi(a, b), u)``."""
+    limp, A, B, s = phi.q.limp_table, phi.dom.types, phi.cod.types, src.qobj
+    return _table(src, dst, lambda i, j, u: limp[A[i], s, B[j]][phi.matrix[i][j].index][u])
+
+
+def _coded(code: _SetCode, left, right):
+    """``code``, the closure ``right . left`` on codes and its generators: the
+    top and the rows of the right map's table.  Each map is one ``&`` and one
+    field decode per position; -1 reads as every field full (an empty AND)."""
+    def through(table, c: int, out: int) -> int:
+        for field, row in table:
+            out &= row[c & field]
+        return out
+    return (code, lambda c: through(right, through(left, c, -1), code.top),
+            [code.top, *(g for _, row in right for g in row.values())])
+
+
+def _meet_closure(code: _SetCode, close, generators) -> tuple[Presheaf, ...]:
+    """Closure of the generator codes under binary pointwise meets, decoded.
 
     Each generator that is not yet present is added, followed by its meet
     with every element present before it.  That keeps the set meet-closed,
     since ``(g & x) & (g & y) == g & (x & y)``, so the closure costs one AND
-    per generator and element.
+    per generator and element.  Every result is re-checked, on its code, to
+    be fixed by ``close``; one that is not shows tables that are not residuated.
     """
     limit = budget("closure")
-    code = _DownSetCode(base, qobj)
     codes: list[int] = []
     seen: set[int] = set()
-    for g in map(code.encode, generators):
+    for g in generators:
         if g in seen:
             continue
         for m in [g] + [g & x for x in codes]:
@@ -281,64 +326,42 @@ def _meet_closure(base: QCategory, qobj: str, generators):
                 codes.append(m)
                 if len(codes) > limit:
                     raise ClosureBudgetExceeded("closure", limit, len(codes),
-                                                f"the meet closure at type {qobj!r}")
+                                                f"the meet closure at type {code.qobj!r}")
+    for c in codes:
+        if close(c) != c:
+            raise QfcaError(f"concept {presheaf_label(code.decode(c))} is not fixed, so the "
+                            f"tables of {code.base.q.name} are not residuated; validate names "
+                            "the broken law")
     return tuple(map(code.decode, codes))
 
 
-def _fixpoint_lattice(pair: IsbellPair | KanPair, generators) -> ConceptLattice:
-    """All fixed presheaves of ``pair.closure`` on ``pair.base``, one meet-closure per type.
+def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
+    """All fixed presheaves of ``pair.closure`` on ``pair.base``, one meet closure per type.
 
-    ``generators(qobj)`` yields fixed presheaves whose meets, with the top
-    presheaf (the empty meet), are all the fixed ones.  Every result is
-    checked to be fixed; one that is not shows tables that are not residuated.
+    Both maps run on int codes (``pair.coded``), built once per type as
+    tables of AND-able codes: over ``two`` this is bitset FCA, over graded
+    lattices the Pollandt / Belohlavek reduction.  The generators, the top
+    and the rows of the right map's table, are the residuals that
+    ``fca_lattice`` and ``rst_lattice`` name.
     """
-    phi, base = pair.phi, pair.base
+    phi = pair.phi
     phi.q.require_lattices()
     concepts: list[Presheaf] = []
     for qobj in phi.q.objects:
-        closed = _meet_closure(base, qobj, [top_presheaf(base, qobj), *generators(qobj)])
-        for p in closed:
-            if pair.closure(p) != p:
-                raise QfcaError(f"concept {presheaf_label(p)} is not fixed, so the tables of "
-                                f"{phi.q.name} are not residuated; validate names the broken law")
-        concepts.extend(closed)
+        concepts.extend(_meet_closure(*pair.coded(qobj)))
     return ConceptLattice(pair.kind, phi, tuple(concepts))
 
 
 def fca_lattice(phi: QDistributor) -> ConceptLattice:
-    """All fixed presheaves of the Isbell closure.
-
-    The generators at type q are the residuals ``right_imp(v, phi(-, b))``
-    over all columns b and arrows v: q -> |b|.
-    """
-    A, q = phi.dom, phi.q
-
-    def generators(qobj):
-        for j, b in enumerate(phi.cod.types):
-            column = [(q.rimp_table[(p, qobj, b)], q.arrows(p, qobj), row[j].index)
-                      for p, row in zip(A.types, phi.matrix)]
-            for v in range(len(q.hom(qobj, b))):
-                yield Presheaf(A, qobj, tuple(arrows[rimp[v][w]] for rimp, arrows, w in column))
-
-    return _fixpoint_lattice(IsbellPair(phi), generators)
+    """All fixed presheaves of the Isbell closure, the meets of the residuals
+    ``right_imp(v, phi(-, b))`` over columns b and arrows v: q -> |b|."""
+    return _fixpoint_lattice(IsbellPair(phi))
 
 
 def rst_lattice(phi: QDistributor) -> ConceptLattice:
-    """All fixed presheaves of the Kan closure.
-
-    Generators at type q are ``left_imp(u, phi(a, -))`` over all rows a and
-    arrows u: |a| -> q.
-    """
-    B, q = phi.cod, phi.q
-
-    def generators(qobj):
-        for p, row in zip(phi.dom.types, phi.matrix):
-            cells = [(q.limp_table[(p, b, qobj)], q.arrows(b, qobj), a.index)
-                     for b, a in zip(B.types, row)]
-            for u in range(len(q.hom(p, qobj))):
-                yield Presheaf(B, qobj, tuple(arrows[limp[u][x]] for limp, arrows, x in cells))
-
-    return _fixpoint_lattice(KanPair(phi), generators)
+    """All fixed presheaves of the Kan closure, the meets of the residuals
+    ``left_imp(u, phi(a, -))`` over rows a and arrows u: |a| -> q."""
+    return _fixpoint_lattice(KanPair(phi))
 
 
 def brute_force_fixed(phi: QDistributor, kind: str, qobj: str) -> tuple[Presheaf, ...]:
@@ -653,23 +676,29 @@ def verify_functoriality_square(c: ChuTransform) -> Report:
 def _hasse_covers(base: QCategory, ps, labels) -> list[tuple[str, str]]:
     """Cover label pairs (lower, upper) among concepts ``ps`` of one type, sorted.
 
-    Read from the down-set codes: a concept's covers are its strict up-set
-    minus the up-sets of the concepts in it.  Distinct concepts have distinct
-    codes, so this is ``Preorder.hasse_edges`` of the lattice category on ps,
-    without building that category.
-    """
+    A concept's up-set is the AND over positions of the mask of concepts whose
+    value there is above its own.  Ranked by the size of their values' down-sets
+    (a linear extension), the least concept left in a strict up-set is a cover;
+    drop it and its up-set, and repeat.  This is ``Preorder.hasse_edges`` of
+    the lattice category on ps, without building that category."""
     if not ps:
         return []
-    code = _DownSetCode(base, ps[0].type)
-    codes = [code.encode(p) for p in ps]
-    ups = [sum(1 << j for j, y in enumerate(codes) if x & ~y == 0) & ~(1 << i)
-           for i, x in enumerate(codes)]
+    homs = [base.q.homs[(t, ps[0].type)] for t in base.types]
+    ranked = sorted(zip(ps, labels), key=lambda pl: sum(
+        hom.down[v.index].bit_count() for hom, v in zip(homs, pl[0].values)))
+    ups = [(1 << len(ps)) - 1 & ~(1 << i) for i in range(len(ps))]
+    for x, hom in enumerate(homs):
+        at, masks = [p.values[x].index for p, _ in ranked], {}
+        for i, v in enumerate(at):
+            masks[v] = masks.get(v, 0) | 1 << i
+        above = {v: sum(m for w, m in masks.items() if hom.up[v] >> w & 1) for v in masks}
+        ups = [u & above[v] for u, v in zip(ups, at)]
     edges = []
-    for i, up in enumerate(ups):
-        above = 0
-        for j in _bits(up):
-            above |= ups[j]
-        edges.extend((labels[i], labels[j]) for j in _bits(up & ~above))
+    for (_, lower), up in zip(ranked, ups):
+        while up:
+            j = (up & -up).bit_length() - 1
+            edges.append((lower, ranked[j][1]))
+            up &= ~(ups[j] | 1 << j)
     return sorted(edges)
 
 

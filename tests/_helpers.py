@@ -251,6 +251,21 @@ def oracle_kan_lower_dag(phi, lam):
         for p, row in zip(phi.dom.types, phi.matrix))
 
 
+def oracle_generators(phi, kind, qobj):
+    """The residuals whose meets are the fixed points, in generation order:
+    ``right_imp(v, phi(-, b))`` over columns b, then arrows v: qobj -> |b|
+    (fca, presheaves on A); ``left_imp(u, phi(a, -))`` over rows a, then
+    arrows u: |a| -> qobj (rst, presheaves on B)."""
+    Q = phi.q
+    if kind == "fca":
+        return [tuple(Arrow(p, qobj, scan_right_imp(Q, Arrow(qobj, t, v), row[j]))
+                      for p, row in zip(phi.dom.types, phi.matrix))
+                for j, t in enumerate(phi.cod.types) for v in range(len(Q.hom(qobj, t)))]
+    return [tuple(Arrow(b, qobj, scan_left_imp(Q, Arrow(p, qobj, u), w))
+                  for b, w in zip(phi.cod.types, row))
+            for p, row in zip(phi.dom.types, phi.matrix) for u in range(len(Q.hom(p, qobj)))]
+
+
 def oracle_copresheaf_hom(lam, kap):
     """hom(lam, kap) = meet_a right_imp(kap(a), lam(a)): type(lam) -> type(kap)."""
     Q, s, t = lam.base.q, lam.type, kap.type

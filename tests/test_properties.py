@@ -8,8 +8,9 @@ noncommutative and not Girard, as well as the three-object
 three objects, enough for lattices with concepts that are meets of
 generators but not generators.  The distributor is any valid one between
 the drawn carriers.  The brute-force enumeration is the oracle for
-the closure-built lattices, the materialized lattice category is the
-oracle for the Hasse covers that serialization reads from down-set codes,
+the closure-built lattices, the ``Arrow`` closures are the oracle for the
+closures on int codes that build them, the materialized lattice category is the
+oracle for the Hasse covers that serialization reads from per-position masks,
 and the entrywise scans of ``_helpers`` are the oracles for the adjoint
 maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
 distributor calculus.
@@ -26,6 +27,7 @@ from _helpers import (
     oracle_copresheaf_hom,
     oracle_compose,
     oracle_copresheaf_law,
+    oracle_generators,
     oracle_isbell_down,
     oracle_isbell_up,
     oracle_kan_dag,
@@ -55,6 +57,7 @@ from qfca.presheaf import (
     presheaf_hom,
     presheaf_join,
     presheaf_meet,
+    top_presheaf,
 )
 from qfca.concept import (
     IsbellPair,
@@ -164,6 +167,23 @@ def test_closure_laws_randomized(data):
         for lam in enumerate_presheaves(phi.cod, qobj):
             assert pointwise_leq(lam, kan.closure(lam))
             assert kan.closure(kan.closure(lam)) == kan.closure(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coded_closures_match_arrow_closures_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    for pair in (IsbellPair(phi), KanPair(phi)):
+        for qobj in Q.objects:
+            code, close, generators = pair.coded(qobj)
+            assert code.decode(generators[0]) == top_presheaf(pair.base, qobj)
+            assert [code.decode(g).values for g in generators[1:]] == \
+                oracle_generators(phi, pair.kind, qobj), (pair.kind, qobj)
+            for mu in enumerate_presheaves(pair.base, qobj):
+                c = code.pack(v.index for v in mu.values)
+                assert code.decode(c) == mu
+                assert code.decode(close(c)) == pair.closure(mu), (pair.kind, mu.values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -276,15 +276,27 @@ def test_verdicts_on_corrupted_tables(case):
     assert got == PINNED[case]
 
 
+# (table, row, column, new entry), kind -> the concept the re-check names.
+# The coded maps read limp (isbell_up, kan_lower), rimp (isbell_down, as the
+# opposite's limp) and compose (kan_star) directly.
+RECHECK = {
+    (("limp", 0, 0, 0), "fca"): "*|a1:0,a2:1/2",
+    (("limp", 0, 0, 0), "rst"): "*|b1:0,b2:1/2",
+    (("rimp", 0, 2, 0), "fca"): "*|a1:1,a2:0",
+    (("compose", 1, 1, 1), "rst"): "*|b1:0,b2:1/2",
+}
+
+
 def test_fixed_point_recheck_blames_the_tables():
-    # the lattice routines re-check every concept; a corrupted residual shows there
-    _, phi = _corrupted(("limp", 0, 0, 0))
-    with pytest.raises(QfcaError) as err:
-        canonical_elementary_data(phi, "fca")
-    message = str(err.value)
-    assert type(err.value) is QfcaError and "bug" not in message
-    assert "*|a1:0,a2:1/2 is not fixed" in message
-    assert "not residuated" in message and "validate" in message
+    # the lattice routines re-check every concept; a corrupted table shows there
+    for (case, kind), label in RECHECK.items():
+        _, phi = _corrupted(case)
+        with pytest.raises(QfcaError) as err:
+            canonical_elementary_data(phi, kind)
+        message = str(err.value)
+        assert type(err.value) is QfcaError and "bug" not in message
+        assert f"{label} is not fixed" in message, (case, kind)
+        assert "not residuated" in message and "validate" in message
 
 
 def test_every_condition_fails_somewhere():
