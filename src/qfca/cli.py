@@ -172,10 +172,14 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
         if "->" not in key:
             raise UsageError(f"hom section {key!r} is not named 'p->q'")
         p, q = key.split("->", 1)
+        for x in (p, q):
+            if x not in objects:
+                raise UsageError(f"hom section {key!r} names the undeclared object {x!r}")
         unknown = [x for pair in h.get("leq", []) for x in pair if x not in h["elements"]]
         if unknown:
             raise UsageError(f"hom section {key!r}: leq names the unknown label {unknown[0]!r}")
-        homs[(p, q)] = HomLattice.from_labels(h["elements"], [tuple(x) for x in h.get("leq", [])])
+        with _naming(f"hom section {key!r}"):
+            homs[(p, q)] = HomLattice.from_labels(h["elements"], h.get("leq", []))
     for p, q in itertools.product(objects, repeat=2):
         if (p, q) not in homs:
             raise UsageError(f"missing hom section '{p}->{q}'")
@@ -455,17 +459,16 @@ def cmd_concepts(args) -> int:
     wanted = list(objects) if args.type == "all" else [args.type]
     lattice = closure_pair(phi, args.mode).lattice()
     if args.oracle:
-        per_type = lattice.per_type()
         for t in wanted:
             fixed = brute_force_fixed(phi, args.mode, t)
             expected = frozenset(p.key() for p in fixed)
-            got = frozenset(p.key() for p in per_type[t])
-            if expected != got:
+            got = {p.key(): lbl for p, lbl in zip(lattice.members, lattice.labels)
+                   if p.type == t}
+            if expected != got.keys():
                 diff = {
                     "type": t,
                     "missing": sorted(presheaf_label(p) for p in fixed if p.key() not in got),
-                    "extra": sorted(lattice.label_of(p) for p in per_type[t]
-                                    if p.key() not in expected),
+                    "extra": sorted(lbl for k, lbl in got.items() if k not in expected),
                 }
                 _dump({"oracle": "mismatch", "diff": diff}, args.output)
                 return 3
@@ -610,16 +613,11 @@ def cmd_tr(args) -> int:
     Q = doc.quantaloid
     rc = residual_category(phi.dom)
     tr = residual_context(phi, rc)
-    members = []
-    for lbl, p in zip(rc.category.objects, rc.members):
-        members.append({
-            "label": lbl,
-            "type": p.type,
-            "values": {x: Q.label(v) for x, v in zip(p.base.objects, p.values)},
-            "provenance": [[a, Q.label(u)] for a, u in rc.provenance[p.key()]],
-        })
+    members = [{"label": lbl, "type": p.type, "values": dict(zip(rc.base.objects, values)),
+                "provenance": [[a, Q.label(u)] for a, u in rc.provenance[p.key()]]}
+               for p, lbl, values in zip(rc.members, rc.labels, rc.value_labels)]
     entries = [[b, m, Q.label(tr.at(b, m))]
-               for b in phi.cod.objects for m in rc.category.objects]
+               for b in phi.cod.objects for m in rc.labels]
     _dump({"distributor": phi.name, "residual_members": members,
            "residual_context": entries}, args.output)
     return 0

@@ -673,20 +673,20 @@ def verify_functoriality_square(c: ChuTransform) -> Report:
 # -- serialization ---------------------------------------------------------------------
 
 
-def _hasse_covers(base: QCategory, ps, labels) -> list[tuple[str, str]]:
-    """Cover label pairs (lower, upper) among concepts ``ps`` of one type, sorted.
+def _hasse_covers(base: QCategory, pairs) -> list[tuple[str, str]]:
+    """Sorted cover label pairs (lower, upper) among one type's (concept, label) pairs.
 
     A concept's up-set is the AND over positions of the mask of concepts whose
     value there is above its own.  Ranked by the size of their values' down-sets
     (a linear extension), the least concept left in a strict up-set is a cover;
     drop it and its up-set, and repeat.  This is ``Preorder.hasse_edges`` of
-    the lattice category on ps, without building that category."""
-    if not ps:
+    the lattice category on them, without building that category."""
+    if not pairs:
         return []
-    homs = [base.q.homs[(t, ps[0].type)] for t in base.types]
-    ranked = sorted(zip(ps, labels), key=lambda pl: sum(
+    homs = [base.q.homs[(t, pairs[0][0].type)] for t in base.types]
+    ranked = sorted(pairs, key=lambda pl: sum(
         hom.down[v.index].bit_count() for hom, v in zip(homs, pl[0].values)))
-    ups = [(1 << len(ps)) - 1 & ~(1 << i) for i in range(len(ps))]
+    ups = [(1 << len(pairs)) - 1 & ~(1 << i) for i in range(len(pairs))]
     for x, hom in enumerate(homs):
         at, masks = [p.values[x].index for p, _ in ranked], {}
         for i, v in enumerate(at):
@@ -703,18 +703,15 @@ def _hasse_covers(base: QCategory, ps, labels) -> list[tuple[str, str]]:
 
 
 def lattice_to_json(lat: ConceptLattice) -> dict:
-    q = lat.phi.q
-    types = {}
-    for qobj, ps in lat.per_type().items():
-        labels = [lat.label_of(p) for p in ps]
-        types[qobj] = {
-            "concepts": [
-                {"label": lbl,
-                 "values": {x: q.label(v) for x, v in zip(p.base.objects, p.values)}}
-                for p, lbl in zip(ps, labels)
-            ],
-            "hasse": [[a, b] for a, b in _hasse_covers(lat.base, ps, labels)],
-        }
+    """Each type's concepts, as the family prints them, and their Hasse covers."""
+    groups = {qobj: ([], []) for qobj in lat.phi.q.objects}
+    for p, lbl, values in zip(lat.members, lat.labels, lat.value_labels):
+        pairs, concepts = groups[p.type]
+        pairs.append((p, lbl))
+        concepts.append({"label": lbl, "values": dict(zip(lat.base.objects, values))})
+    types = {qobj: {"concepts": concepts,
+                    "hasse": [[a, b] for a, b in _hasse_covers(lat.base, pairs)]}
+             for qobj, (pairs, concepts) in groups.items()}
     return {"kind": lat.kind, "context": lat.phi.name, "types": types}
 
 

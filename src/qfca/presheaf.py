@@ -333,28 +333,35 @@ def is_complete(A: QCategory) -> bool:
 # -- materialized (co)presheaf categories ------------------------------------------
 
 
+def _value_labels(p) -> tuple[str, ...]:
+    """The labels of p's values in base order: the printed form of a (co)presheaf."""
+    return tuple(map(p.base.q.label, p.values))
+
+
+def _printed(p, values) -> str:
+    return p.type + "|" + ",".join(f"{x}:{v}" for x, v in zip(p.base.objects, values))
+
+
 def presheaf_label(p) -> str:
     """Deterministic readable label: ``type|x1:v1,x2:v2``."""
-    q = p.base.q
-    cells = ",".join(f"{x}:{q.label(v)}" for x, v in zip(p.base.objects, p.values))
-    return f"{p.type}|{cells}"
+    return _printed(p, _value_labels(p))
 
 
 class PresheafFamily:
     """Labelled (co)presheaves on one base, and the category they span.
 
-    ``members`` keep the order they are given in; ``labels`` are their
-    ``presheaf_label``s.  ``category``, the members with their hom matrix, is
-    built on first use and kept as ``category``.
+    ``members`` keep the order they are given in; their ``value_labels`` and
+    ``labels`` (``presheaf_label``s) are computed here, once per member, for
+    serializers to read by position.  The lookups of ``label_of`` and
+    ``member_of``, and ``category`` (the members' homs), are built on first use.
     """
 
     def __init__(self, base: QCategory, members, name: str):
         self.base = base
         self.members = tuple(members)
-        self.labels = tuple(presheaf_label(m) for m in self.members)
+        self.value_labels = tuple(map(_value_labels, self.members))
+        self.labels = tuple(map(_printed, self.members, self.value_labels))
         self.name = name
-        self._by_key = {m.key(): lbl for m, lbl in zip(self.members, self.labels)}
-        self._by_label = dict(zip(self.labels, self.members))
 
     def _hom(self) -> list:
         return [[presheaf_hom(m, m2) for m2 in self.members] for m in self.members]
@@ -368,13 +375,14 @@ class PresheafFamily:
         return len(self.members)
 
     def label_of(self, m) -> str:
+        by_key = _kept(self, "_by_key", lambda s: dict(zip(map(_Vector.key, s.members), s.labels)))
         try:
-            return self._by_key[m.key()]
+            return by_key[m.key()]
         except KeyError:
             raise QfcaError(f"{presheaf_label(m)} is not a member of {self.name}") from None
 
     def member_of(self, label: str):
-        return self._by_label[label]
+        return _kept(self, "_by_label", lambda s: dict(zip(s.labels, s.members)))[label]
 
     def functor_from(self, dom: QCategory, assignment, name: str = "") -> QFunctor:
         """Build a functor into this family from a member-valued map on dom's objects."""

@@ -206,6 +206,15 @@ def verify_dense_representation(S: QFunctor, T: QFunctor, F: QFunctor, K: QFunct
 # -- concept lattice representation theorems ----------------------------------------
 
 
+def _lattice_hypotheses(report: Report, X: QCategory, assume_complete: bool) -> None:
+    """X is separated, and complete unless the caller asserts it."""
+    report.check("separated", is_separated(X), "")
+    if assume_complete:
+        report.skip("complete", "asserted by caller")
+    else:
+        report.check("complete", is_complete(X), "")
+
+
 def _check_representation(name: str, phi: QDistributor, X: QCategory, F: QFunctor,
                           G: QFunctor, assume_complete: bool, identity: str,
                           formula: str) -> Report:
@@ -213,11 +222,7 @@ def _check_representation(name: str, phi: QDistributor, X: QCategory, F: QFuncto
     if F.dom != phi.dom or G.dom != phi.cod or F.cod != X or G.cod != X:
         raise TypeMismatch("F must map rows into X and G columns into X")
     report = Report(name)
-    report.check("separated", is_separated(X), "")
-    if assume_complete:
-        report.skip("complete", "asserted by caller")
-    else:
-        report.check("complete", is_complete(X), "")
+    _lattice_hypotheses(report, X, assume_complete)
     report.check("dense-F", is_dense(F), "")
     report.check("codense-G", is_codense(G), "")
     bad = [(a, b) for a in phi.dom.objects for b in phi.cod.objects
@@ -413,11 +418,7 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
     """
     d = _elementary(phi, kind)
     report = Report(f"elementary-{kind}-representation")
-    report.check("separated", is_separated(X), "")
-    if assume_complete:
-        report.skip("complete", "asserted by caller")
-    else:
-        report.check("complete", is_complete(X), "")
+    _lattice_hypotheses(report, X, assume_complete)
     tp = all(X.type_of(F[f]) == f[1].dst for f in d.f_pairs) and \
         all(X.type_of(G[g]) == d.named(*g).type for g in d.g_pairs)
     report.check("type-preserving", tp, "")

@@ -9,7 +9,7 @@ import itertools
 
 from qfca.qcat import QCategory, validate_category
 from qfca.qdist import QDistributor, validate_distributor
-from qfca.quantaloid import Arrow
+from qfca.quantaloid import Arrow, build_preset
 
 
 def enumerate_categories(Q, labels):
@@ -57,6 +57,17 @@ def iter_context_stream(Q, limit):
                             return
 
 
+def chain4_quantale(ab, ba):
+    """A unital quantale on the chain 0 < a < b < 1 with a.b and b.a given:
+    0 absorbs, 1 is the unit, a.a = 0 and b.b = b."""
+    el = ["0", "a", "b", "1"]
+    table = {("a", "a"): "0", ("b", "b"): "b", ("a", "b"): ab, ("b", "a"): ba}
+    products = [(x, y, "0" if "0" in (x, y) else y if x == "1" else x if y == "1"
+                 else table[x, y]) for x in el for y in el]
+    return build_preset("commutative-quantale-from-table", elements=el,
+                        leq=list(zip(el, el[1:])), products=products, unit="1")
+
+
 # -- independent entrywise oracles for the distributor calculus --------------------
 
 
@@ -88,6 +99,21 @@ def residual_closed_form_misses(phi, rc, tr):
             for a, u in rc.provenance[p.key()]
             for b, t in zip(phi.cod.objects, phi.cod.types)
             if tr.at(b, m) != Arrow(t, u.dst, scan_left_imp(Q, u, phi.at(a, b)))]
+
+
+# -- the printed form of a (co)presheaf, from its values one by one -----------------
+
+
+def oracle_presheaf_label(p):
+    """``type|x1:v1,x2:v2`` with each value labelled by ``Quantaloid.label``."""
+    q = p.base.q
+    cells = ",".join(f"{x}:{q.label(v)}" for x, v in zip(p.base.objects, p.values))
+    return f"{p.type}|{cells}"
+
+
+def oracle_values(p):
+    """Each base object to the label of p's value there."""
+    return {x: p.base.q.label(v) for x, v in zip(p.base.objects, p.values)}
 
 
 # -- classical powerset FCA / RST -----------------------------------------------------

@@ -397,7 +397,17 @@ def test_unknown_labels_are_named(capsys, tmp_path):
     assert "misses the required field" not in err
     doc["quantaloid"]["homs"]["*->*"]["leq"] = [["0", "1"]]
     square = {f"{p}->{q}": doc["quantaloid"]["homs"]["*->*"] for p in "*o" for q in "*o"}
+    stray = {"elements": ["a"], "leq": []}
     for edit, message in [
+            # a hom on an undeclared object, with a compose triple or a unit on it
+            (lambda q: (q["homs"].update({"z->z": stray}), q["compose"].append(["z->z:a"] * 3)),
+             "hom section 'z->z' names the undeclared object 'z'"),
+            (lambda q: (q["homs"].update({"z->z": stray}), q["units"].update(z="a")),
+             "hom section 'z->z' names the undeclared object 'z'"),
+            (lambda q: q["homs"].update({"z->*": stray}),
+             "hom section 'z->*' names the undeclared object 'z'"),
+            (lambda q: q["homs"]["*->*"].update(elements=["0", "1", "0"]),
+             "hom section '*->*': duplicate element labels in hom: ('0', '1', '0')"),
             (lambda q: q.update(compose=[["zz", "1", "1"]]),
              "no arrow labelled 'zz' in the quantaloid"),
             (lambda q: q.update(objects=["*", "o"], homs=square),

@@ -8,7 +8,13 @@ import sys
 import pytest
 
 import qfca
-from qfca.errors import ClosureBudgetExceeded, NotGirard, HypothesesNotMet, QfcaError
+from qfca.errors import (
+    ClosureBudgetExceeded,
+    HypothesesNotMet,
+    InvalidChu,
+    NotGirard,
+    QfcaError,
+)
 from qfca.qcat import (
     QCategory,
     QFunctor,
@@ -57,7 +63,7 @@ from qfca.concept import (
 )
 from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 
-from _helpers import oracle_left_imp, residual_closed_form_misses
+from _helpers import chain4_quantale, oracle_left_imp, residual_closed_form_misses
 
 
 def _values(Q, lattice):
@@ -275,8 +281,12 @@ def test_codense_probe_hypotheses(two):
         elements=["0", "e", "t"], leq=[("0", "e"), ("e", "t")],
         products=[(a, b, prod(a, b)) for a in ("0", "e", "t") for b in ("0", "e", "t")],
         unit="e")
-    with pytest.raises(HypothesesNotMet):
+    with pytest.raises(HypothesesNotMet, match="some unit arrow is not the top"):
         codense_probe(Q, "*")
+    # units are tops in both noncommutative quantales, but their bottom is not cyclic
+    for Q in (chain4_quantale("0", "a"), chain4_quantale("a", "0")):
+        with pytest.raises(HypothesesNotMet, match="bottom endo-arrows are not a cyclic family"):
+            codense_probe(Q, "*")
 
 
 def test_transposes(fix2id, fixl3, luk3):
@@ -300,6 +310,19 @@ def test_identity_chu_maps(fix2id):
     km = rst_lattice_map(c)
     assert all(fm(lbl) == lbl for lbl in M.category.objects)
     assert all(km(lbl) == lbl for lbl in K.category.objects)
+
+
+def test_a_non_chu_transform_is_refused_or_reported(fix2id):
+    # swapping the rows of the identity context alone breaks the Chu square
+    phi = fix2id.phi
+    swapA = QFunctor(fix2id.A, fix2id.A, {"a1": "a2", "a2": "a1"})
+    c = ChuTransform(phi, phi, swapA, identity_functor(fix2id.B))
+    assert not validate_chu(c).ok
+    with pytest.raises(InvalidChu, match="not a Chu transform: "):
+        fca_lattice_map(c)
+    report = verify_functoriality_square(c)
+    assert [x.name for x in report.conditions] == ["chu-transform"]
+    assert report.failed_names() == ["chu-transform"]
 
 
 def make_chu_transforms(fix2id, fixl3, two, luk3):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from qfca.errors import BudgetExceeded, ColimitMissing, TypeMismatch
+from qfca.errors import BudgetExceeded, ColimitMissing, QfcaError, TypeMismatch
 from qfca.qcat import (
     QCategory,
     QFunctor,
@@ -23,6 +23,7 @@ from qfca.presheaf import (
     find_left_adjoint,
     find_right_adjoint,
     image_join_dense,
+    image_meet_dense,
     inf,
     is_codense,
     is_complete,
@@ -240,6 +241,16 @@ def test_join_dense_identity(two):
     X = QCategory(two, ("u", "v"), ("*", "*"), [[one, one], [zero, one]])
     assert is_join_dense(identity_functor(X))
     assert is_meet_dense(identity_functor(X))
+
+
+def test_order_density_refuses_an_incomplete_target(two):
+    # two incomparable objects have no join (nor meet), so X is not complete;
+    # asserting completeness skips the check, and each object is its own join
+    X = discrete_category(two, QTypedSet(("u", "v"), ("*", "*")), name="anti")
+    for dense, what in ((image_join_dense, "join"), (image_meet_dense, "meet")):
+        with pytest.raises(QfcaError, match=f"anti is not complete; {what}-density is undefined"):
+            dense(X, X.objects)
+        assert dense(X, X.objects, assume_complete=True) is True
 
 
 def test_join_dense_matches_subset_oracle(fixl3, fix2id):

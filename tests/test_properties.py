@@ -13,15 +13,21 @@ closures on int codes that build them, the materialized lattice category is the
 oracle for the Hasse covers that serialization reads from per-position masks,
 and the entrywise scans of ``_helpers`` are the oracles for the adjoint
 maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
-distributor calculus.
+distributor calculus.  Labelling each value by ``Quantaloid.label`` is the
+oracle for the printed form that (co)presheaf families keep and that
+``lattice_to_json`` and ``qfca tr`` read.
 """
 
 import functools
+import json
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from _helpers import (
     all_copresheaf_vectors,
+    chain4_quantale,
     enumerate_categories,
     enumerate_distributors,
     oracle_copresheaf_hom,
@@ -36,6 +42,8 @@ from _helpers import (
     oracle_kan_star,
     oracle_left_imp,
     oracle_presheaf_hom,
+    oracle_presheaf_label,
+    oracle_values,
     residual_closed_form_misses,
     scan_join,
     scan_meet,
@@ -45,14 +53,17 @@ from qfca.quantaloid import (
     find_cyclic_dualizing_family,
     validate_quantaloid,
 )
-from qfca.qcat import QTypedSet, discrete_category, underlying_order
-from qfca.qdist import dist_compose, dist_left_imp, identity_dist
+from qfca.cli import ContextDocument, main, serialize_document
+from qfca.qcat import QCategory, QTypedSet, discrete_category, underlying_order
+from qfca.qdist import QDistributor, dist_compose, dist_left_imp, identity_dist
 from qfca.presheaf import (
     Copresheaf,
     copresheaf_hom,
     copresheaf_law_ok,
     enumerate_copresheaves,
     enumerate_presheaves,
+    materialize_copresheaves,
+    materialize_presheaves,
     pointwise_leq,
     presheaf_hom,
     presheaf_join,
@@ -82,17 +93,6 @@ TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
 GODEL3 = build_preset("godel-chain", n=3)
 DIAG3 = build_preset("frame-diagonal", chain=3)
-
-
-def chain4_quantale(ab, ba):
-    """A unital quantale on the chain 0 < a < b < 1 with a.b and b.a given:
-    0 absorbs, 1 is the unit, a.a = 0 and b.b = b."""
-    el = ["0", "a", "b", "1"]
-    table = {("a", "a"): "0", ("b", "b"): "b", ("a", "b"): ab, ("b", "a"): ba}
-    products = [(x, y, "0" if "0" in (x, y) else y if x == "1" else x if y == "1"
-                 else table[x, y]) for x in el for y in el]
-    return build_preset("commutative-quantale-from-table", elements=el,
-                        leq=list(zip(el, el[1:])), products=products, unit="1")
 
 
 # noncommutative and not Girard: only the residual route reaches their RST lattices
@@ -200,6 +200,51 @@ def test_mask_covers_match_lattice_category_randomized(data):
             sub = lat.category.full_subcategory([lat.label_of(p) for p in ps])
             expected = [list(e) for e in underlying_order(sub).hasse_edges()]
             assert types[qobj]["hasse"] == expected, (lat.kind, qobj)
+
+
+def _oracle_form(members):
+    return [(oracle_presheaf_label(p), oracle_values(p)) for p in members]
+
+
+def _family_form(family):
+    """Each member's label and values, as the family keeps them."""
+    return [(label, dict(zip(family.base.objects, values)))
+            for label, values in zip(family.labels, family.value_labels)]
+
+
+def _tr_members(phi):
+    """The residual members that ``qfca tr`` prints for phi, read from a context file."""
+    A, B = (QCategory(C.q, C.objects, C.types, C.hom, name=name)
+            for C, name in ((phi.dom, "A"), (phi.cod, "B")))
+    doc = ContextDocument(phi.q, {}, {"A": A, "B": B},
+                          {"phi": QDistributor(A, B, phi.matrix, name="phi")}, {})
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "phi.json"), os.path.join(tmp, "tr.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(serialize_document(doc), fh)
+        assert main(["tr", path, "-o", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            return [(m["label"], m["values"]) for m in json.load(fh)["residual_members"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_printed_form_matches_oracle_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    for compute in (fca_lattice, rst_lattice):
+        lat = compute(phi)
+        printed = [(c["label"], c["values"])
+                   for part in lattice_to_json(lat)["types"].values() for c in part["concepts"]]
+        assert printed == _oracle_form(p for ps in lat.per_type().values() for p in ps)
+        assert _family_form(lat) == _oracle_form(lat.members)
+    for space in (materialize_presheaves(phi.dom), materialize_copresheaves(phi.cod)):
+        assert _family_form(space) == _oracle_form(space.members)
+        assert all(space.member_of(space.label_of(m)) is m for m in space.members)
+    rc = residual_category(phi.dom)
+    assert _family_form(rc) == _oracle_form(rc.members)
+    assert list(rc.category.objects) == list(rc.labels)
+    assert _tr_members(phi) == _oracle_form(rc.members)
 
 
 @settings(max_examples=60, deadline=None)

@@ -41,6 +41,17 @@ def test_validate_unit_violation(two):
     assert report.issues[0].code == "category.unit" and report.issues[0].where == ("x",)
 
 
+def test_validate_stops_at_an_unknown_type_or_a_mistyped_entry(two, diag3):
+    # the first typing fault is the whole report: nothing else is checkable
+    report = validate_category(QCategory(two, ("x", "y"), ("*", "zz"), [[None] * 2] * 2))
+    assert [(i.code, i.where) for i in report.issues] == [("type.unknown", ("y",))]
+    a = diag3.arrow
+    hom = [[a("2", "2", "2"), a("1", "2", "1")], [a("1", "2", "0"), a("1", "1", "1")]]
+    report = validate_category(QCategory(diag3, ("x", "y"), ("2", "1"), hom))
+    assert [(i.code, i.where) for i in report.issues] == [("hom.typing", ("x", "y"))]
+    assert "should live in (2,1)" in report.issues[0].detail
+
+
 def test_validate_fixdl3(fixdl3):
     assert validate_category(fixdl3.A).ok
     assert validate_category(fixdl3.B).ok

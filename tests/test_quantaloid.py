@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfca.errors import InvalidParams, NotGirard
+from qfca.errors import InvalidParams, NotGirard, QfcaError
 from qfca.quantaloid import (
     Arrow,
     HomLattice,
@@ -87,6 +87,19 @@ def test_validate_broken_associativity(two):
     assert not report.ok
     hits = [i for i in report.issues if i.code == "compose.associative"]
     assert hits and ("m", "1", "m") in {i.where for i in hits}
+
+
+def test_residuation_refuses_a_hom_that_is_not_a_lattice():
+    # the antichain {a, b} with unit a and everything else b has no bottom,
+    # so the empty join that left_imp(a, b) and right_imp(b, a) need is missing
+    hom = HomLattice.from_labels(("a", "b"), [])
+    Q = Quantaloid(("*",), {("*", "*"): hom}, {("*", "*", "*"): ((0, 1), (1, 1))},
+                   {"*": 0}, name="antichain")
+    a, b = Q.arrows("*", "*")
+    assert Q.left_imp(a, a) == a and Q.right_imp(a, a) == a
+    for residual in (lambda: Q.left_imp(a, b), lambda: Q.right_imp(b, a)):
+        with pytest.raises(QfcaError, match=r"hom \(\*,\*\) is not a complete lattice"):
+            residual()
 
 
 def test_residuation_adjunction_exhaustive(presets):

@@ -179,6 +179,18 @@ def test_dense_representation_generator_instance(all_contexts):
             assert report.passed, (name, kind, report.failed_names())
 
 
+def test_dense_representation_checks_completeness_by_default(fix2id):
+    d, F, K, G, H = canonical_dense_data(fix2id.phi, "fca")
+    checked = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
+    asserted = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X,
+                                           assume_complete=True)
+    assert checked.passed, checked.failed_names()
+    assert checked.condition("completeness").detail == "dom, cod and X are all complete"
+    assert asserted.condition("completeness").detail == "skipped: asserted by caller"
+    assert [c for c in checked.conditions if c.name != "completeness"] == \
+        [c for c in asserted.conditions if c.name != "completeness"]
+
+
 def test_dense_representation_broken_density(fix2id):
     d, F, K, G, H = canonical_dense_data(fix2id.phi, "fca")
     top_label = d.adj.C_space.label_of(
@@ -289,6 +301,16 @@ def test_elementary_representation_canonical(all_contexts):
             report = verify_elementary_representation(ctx.phi, d.X, F, G, kind,
                                                       assume_complete=True)
             assert report.passed, (name, kind, report.failed_names())
+
+
+def test_elementary_representation_stops_at_a_type_mismatch(fixdl3):
+    d, F, G = canonical_elementary_data(fixdl3.phi, "fca")
+    f = next(iter(F))
+    F = {**F, f: next(x for x in d.X.objects if d.X.type_of(x) != f[1].dst)}
+    report = verify_elementary_representation(fixdl3.phi, d.X, F, G, "fca",
+                                              assume_complete=True)
+    assert [c.name for c in report.conditions] == ["separated", "complete", "type-preserving"]
+    assert report.failed_names() == ["type-preserving"]
 
 
 def test_elementary_representation_degenerate_X(fixl3):
