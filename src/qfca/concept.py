@@ -32,6 +32,7 @@ from .errors import (
     ClosureBudgetExceeded,
     HypothesesNotMet,
     InvalidChu,
+    InvalidParams,
     QfcaError,
     Report,
     budget,
@@ -209,7 +210,7 @@ def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
     """The adjunction whose closure's fixed points form the ``kind`` lattice of phi."""
     pairs = {"fca": IsbellPair, "rst": KanPair}
     if kind not in pairs:
-        raise QfcaError(f"unknown kind {kind!r}")
+        raise InvalidParams(f"kind must be fca or rst, got {kind!r}")
     return pairs[kind](phi)
 
 

@@ -27,7 +27,7 @@ class BaseMismatch(QfcaError):
 
 
 class InvalidParams(QfcaError):
-    """Bad preset name or preset parameters."""
+    """A bad argument: a preset or its parameters, a label, a shape, a closure kind or a budget."""
 
 
 class NotGirard(QfcaError):

@@ -22,6 +22,7 @@ whole space (transposes, generator maps, canonical representation data).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, budget
@@ -295,16 +296,14 @@ def is_codense(F: QFunctor) -> bool:
 
 def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
     """All presheaves of one type on A; ``space`` names them in the budget error."""
-    q = A.q
-    count = 1
-    for t in A.types:
-        count *= len(q.hom(t, qobj))
+    pools = [A.q.arrows(t, qobj) for t in A.types]
+    count = math.prod(map(len, pools))
     limit = budget("enumeration")
     if count > limit:
         raise BudgetExceeded("enumeration", limit, count, f"the {space} at type {qobj!r}")
     out = []
-    for combo in itertools.product(*(range(len(q.hom(t, qobj))) for t in A.types)):
-        p = Presheaf(A, qobj, tuple(Arrow(t, qobj, i) for t, i in zip(A.types, combo)))
+    for values in itertools.product(*pools):
+        p = Presheaf(A, qobj, values)
         if presheaf_law_ok(p):
             out.append(p)
     return tuple(out)

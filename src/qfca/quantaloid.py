@@ -39,6 +39,7 @@ function, so concurrent use needs no locking.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,21 +72,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _extremum(mask: int, cone) -> int | None:
-    """The unique k in ``mask`` whose ``cone[k]`` contains all of ``mask``.
-
-    With ``cone`` the up-sets this is the least element of ``mask``, with the
-    down-sets the greatest; ``None`` when there is none or more than one.
-    """
-    found = None
-    for k in _bits(mask):
-        if mask & ~cone[k] == 0:
-            if found is not None:
-                return None
-            found = k
-    return found
-
-
 def _transpose(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*rows))
 
@@ -108,8 +94,8 @@ class HomLattice:
 
     The order is kept as bitmask rows: bit j of ``up[i]`` and bit i of
     ``down[j]`` are set when i <= j.  ``joins[i][j]``/``meets[i][j]``, ``top``
-    and ``bottom`` are computed once, here, as least upper and greatest lower
-    bounds; an entry is ``None`` where that bound does not exist.  ``issues``
+    and ``bottom`` are computed once, here, by ``bound``; an entry is ``None``
+    where that bound does not exist.  ``issues``
     records each broken poset or lattice law as ``(code, element labels,
     detail)``, in the order ``validate_quantaloid`` reports them; it is empty
     exactly when the hom is a complete lattice.
@@ -127,14 +113,14 @@ class HomLattice:
             down[j] |= 1 << i
         self.up, self.down = tuple(up), tuple(down)
         self._all = (1 << n) - 1
-        self.top = self.bound(range(n), self.up)
-        self.bottom = self.bound(range(n), self.down)
+        self.top = self.bound((), self.down)
+        self.bottom = self.bound((), self.up)
         joins = [[None] * n for _ in range(n)]
         meets = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                joins[i][j] = joins[j][i] = _extremum(up[i] & up[j], up)
-                meets[i][j] = meets[j][i] = _extremum(down[i] & down[j], down)
+                joins[i][j] = joins[j][i] = self.bound((i, j), up)
+                meets[i][j] = meets[j][i] = self.bound((i, j), down)
         self.joins = tuple(map(tuple, joins))
         self.meets = tuple(map(tuple, meets))
         issues = [("poset.reflexive", (el[i],), "x <= x fails")
@@ -168,11 +154,21 @@ class HomLattice:
             raise InvalidParams(f"unknown arrow label {label!r}; have {self.elements}") from None
 
     def bound(self, indices, cone) -> int | None:
-        """The join of ``indices`` with ``cone`` the up-sets, their meet with the down-sets."""
+        """The join of ``indices`` with ``cone`` the up-sets, their meet with the down-sets.
+
+        That is the one element of their common cone whose own cone holds all
+        of it, or ``None``; the empty join is the bottom, the empty meet the top.
+        """
         mask = self._all
         for i in indices:
             mask &= cone[i]
-        return _extremum(mask, cone)
+        found = None
+        for k in _bits(mask):
+            if mask & ~cone[k] == 0:
+                if found is not None:
+                    return None
+                found = k
+        return found
 
     @staticmethod
     def from_labels(elements, leq_label_pairs) -> "HomLattice":
@@ -196,28 +192,21 @@ class HomLattice:
 def _residuation_tables(homs, compose_table):
     """``limp[(p,q,r)][w][u]`` and ``rimp[(p,q,r)][v][w]`` by the join formula.
 
-    For u: p -> q, v: q -> r and w: p -> r, the join of the v with v.u <= w is
-    the least element of the intersection of their up-sets, and likewise for
-    the u; one pass over the composition table per w collects both.
+    For u: p -> q, v: q -> r and w: p -> r, left_imp(w, u) is the join in
+    Q(q, r) of the v with v.u <= w, and right_imp(v, w) the join in Q(p, q)
+    of the u with v.u <= w.
     """
     limp, rimp = {}, {}
     for (p, q, r), comp in compose_table.items():
         dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
-        left = []
-        right = [[None] * len(cod) for _ in range(len(mid))]
-        for w in range(len(cod)):
-            below = cod.down[w]
-            left_ub = [mid._all] * len(dom)
-            for v, row in enumerate(comp):
-                up_v, right_ub = mid.up[v], dom._all
-                for u, c in enumerate(row):
-                    if below >> c & 1:
-                        left_ub[u] &= up_v
-                        right_ub &= dom.up[u]
-                right[v][w] = _extremum(right_ub, dom.up)
-            left.append(tuple(_extremum(m, mid.up) for m in left_ub))
-        limp[(p, q, r)] = tuple(left)
-        rimp[(p, q, r)] = tuple(map(tuple, right))
+        limp[(p, q, r)] = tuple(
+            tuple(mid.bound([v for v, row in enumerate(comp) if below >> row[u] & 1], mid.up)
+                  for u in range(len(dom)))
+            for below in cod.down)
+        rimp[(p, q, r)] = tuple(
+            tuple(dom.bound([u for u, c in enumerate(row) if below >> c & 1], dom.up)
+                  for below in cod.down)
+            for row in comp)
     return limp, rimp
 
 
@@ -315,16 +304,10 @@ class Quantaloid:
         return self.arrow_table[(q, q)][self.units[q]]
 
     def top(self, p: str, q: str) -> Arrow:
-        t = self.hom(p, q).top
-        if t is None:
-            raise QfcaError(f"hom ({p},{q}) has no top")
-        return self.arrow_table[(p, q)][t]
+        return self._hom_bound(p, q, (), "meet")
 
     def bottom(self, p: str, q: str) -> Arrow:
-        b = self.hom(p, q).bottom
-        if b is None:
-            raise QfcaError(f"hom ({p},{q}) has no bottom")
-        return self.arrow_table[(p, q)][b]
+        return self._hom_bound(p, q, (), "join")
 
     def leq(self, a: Arrow, b: Arrow) -> bool:
         if (a.src, a.dst) != (b.src, b.dst):
@@ -361,8 +344,6 @@ class Quantaloid:
             if (a.src, a.dst) != (p, q):
                 raise TypeMismatch(f"{a} is not in hom ({p},{q})")
             idx.append(a.index)
-        if not idx:
-            return self.bottom(p, q) if kind == "join" else self.top(p, q)
         hom = self.hom(p, q)
         k = hom.bound(idx, hom.up if kind == "join" else hom.down)
         if k is None:
@@ -551,18 +532,17 @@ def find_cyclic_dualizing_family(Q: Quantaloid):
     """Search all endo-arrow families in lexicographic order.
 
     Returns the first family that is both cyclic and dualizing; otherwise the
-    first cyclic-only family (``dualizing=False``); otherwise ``None``.
+    first cyclic-only family (``dualizing=False``).  The family of tops is
+    always cyclic, so ``None`` comes only from tables off the join formula.
     """
     cap = budget("search")
-    sizes = [len(Q.hom(q, q)) for q in Q.objects]
-    total = 1
-    for s in sizes:
-        total *= s
+    pools = [Q.arrows(q, q) for q in Q.objects]
+    total = math.prod(map(len, pools))
     if total > cap:
         raise SearchBudgetExceeded("search", cap, total, f"the family search on {Q.name}")
     best_cyclic = None
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        d = {q: Arrow(q, q, i) for q, i in zip(Q.objects, combo)}
+    for combo in itertools.product(*pools):
+        d = dict(zip(Q.objects, combo))
         if not is_cyclic_family(Q, d):
             continue
         fam = CyclicDualizingFamily(tuple(sorted(d.items())), True, is_dualizing_family(Q, d))
@@ -639,12 +619,14 @@ _PRESET_PARAMS = {"two": (), "lukasiewicz-chain": ("n",), "godel-chain": ("n",),
 
 
 def _int_param(params: dict, key: str, default: int | None = None) -> int:
-    """An integer parameter, given as an int or a string of digits."""
+    """An integer parameter, given as an int or a string of digits; a bool is neither."""
     value = params.get(key, default)
     try:
-        return int(value) if isinstance(value, str) else operator.index(value)
+        if not isinstance(value, bool):
+            return int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
-        raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}") from None
+        pass
+    raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}")
 
 
 def build_preset(name: str, /, **params) -> Quantaloid:
@@ -665,6 +647,8 @@ def build_preset(name: str, /, **params) -> Quantaloid:
         n = _int_param(params, "n", 3)
         Q = _chain_quantaloid(f"godel-{n}", n, min)
     elif name == "frame-diagonal":
+        if "chain" in params and "boolean" in params:
+            raise InvalidParams("frame-diagonal takes chain=<n> or boolean=<k>, not both")
         if "chain" in params:
             n = _int_param(params, "chain")
             if n < 1:

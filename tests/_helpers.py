@@ -313,3 +313,41 @@ def all_copresheaf_vectors(A, qobj):
     pools = [range(len(Q.hom(qobj, t))) for t in A.types]
     for combo in itertools.product(*pools):
         yield tuple(Arrow(qobj, t, k) for t, k in zip(A.types, combo))
+
+
+# -- the residuation tables by one fused pass over each composition table -----------
+
+
+def _least_in_cone(mask, cone):
+    """The unique k in ``mask`` whose ``cone[k]`` holds all of ``mask``, else ``None``."""
+    found = [k for k in range(mask.bit_length()) if mask >> k & 1 and mask & ~cone[k] == 0]
+    return found[0] if len(found) == 1 else None
+
+
+def oracle_residuation_tables(homs, compose_table):
+    """``(limp, rimp)`` as ``Quantaloid.limp_table`` and ``rimp_table`` hold them.
+
+    One pass over the composition table per w intersects the up-sets of the v
+    (for each u) and of the u (for each v) with v.u <= w; each residual is the
+    least element of its intersection, ``None`` where there is none.
+    """
+    limp, rimp = {}, {}
+    for (p, q, r), comp in compose_table.items():
+        dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
+        all_mid, all_dom = (1 << len(mid)) - 1, (1 << len(dom)) - 1
+        left = []
+        right = [[None] * len(cod) for _ in range(len(mid))]
+        for w in range(len(cod)):
+            below = cod.down[w]
+            left_ub = [all_mid] * len(dom)
+            for v, row in enumerate(comp):
+                up_v, right_ub = mid.up[v], all_dom
+                for u, c in enumerate(row):
+                    if below >> c & 1:
+                        left_ub[u] &= up_v
+                        right_ub &= dom.up[u]
+                right[v][w] = _least_in_cone(right_ub, dom.up)
+            left.append(tuple(_least_in_cone(m, mid.up) for m in left_ub))
+        limp[(p, q, r)] = tuple(left)
+        rimp[(p, q, r)] = tuple(map(tuple, right))
+    return limp, rimp

@@ -489,6 +489,29 @@ def test_bad_preset_parameters_are_usage_errors(tmp_path):
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_refused_presets_are_usage_errors(capsys, tmp_path):
+    # a.a = 1 on the chain 0 < a < 1 with unit 1 fails validation
+    el = ["0", "a", "1"]
+    products = [[x, y, "0" if "0" in (x, y) else y if x == "1" else x if y == "1" else "1"]
+                for x in el for y in el]
+    for preset, message in [
+            ({"name": "frame-diagonal", "chain": True},
+             "parameter 'chain' must be an integer, got True"),
+            ({"name": "frame-diagonal", "boolean": False},
+             "parameter 'boolean' must be an integer, got False"),
+            ({"name": "lukasiewicz-chain", "n": True},
+             "parameter 'n' must be an integer, got True"),
+            ({"name": "frame-diagonal", "chain": 2, "boolean": 3},
+             "frame-diagonal takes chain=<n> or boolean=<k>, not both"),
+            ({"name": "commutative-quantale-from-table", "elements": el,
+              "leq": [["0", "a"], ["a", "1"]], "products": products, "unit": "1"},
+             "preset 'commutative-quantale-from-table' failed validation")]:
+        path = _edited(tmp_path, "fix_2id.json", lambda d: d.update(quantaloid={"preset": preset}))
+        assert cli.main(["validate", str(path)]) == 2, preset
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 def test_document_shape_paths(capsys, tmp_path):
     base = json.loads((CONTEXTS / "fix_2id.json").read_text())
     edits = [

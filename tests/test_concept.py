@@ -12,6 +12,7 @@ from qfca.errors import (
     ClosureBudgetExceeded,
     HypothesesNotMet,
     InvalidChu,
+    InvalidParams,
     NotGirard,
     QfcaError,
 )
@@ -39,6 +40,7 @@ from qfca.concept import (
     IsbellPair,
     KanPair,
     brute_force_fixed,
+    closure_pair,
     codense_probe,
     complement_context,
     fca_lattice,
@@ -131,6 +133,18 @@ def test_brute_force_agreement(all_contexts):
             for qobj in ctx.phi.q.objects:
                 oracle = frozenset(p.key() for p in brute_force_fixed(ctx.phi, kind, qobj))
                 assert frozenset(p.key() for p in lat[qobj]) == oracle
+
+
+def test_closure_pair_refuses_an_unknown_kind(fix2id):
+    phi = fix2id.phi
+    for kind, cls in (("fca", IsbellPair), ("rst", KanPair)):
+        pair = closure_pair(phi, kind)
+        assert type(pair) is cls and pair.kind == kind
+        fixed = brute_force_fixed(phi, kind, "*")
+        assert fixed and all(pair.closure(p) == p for p in fixed)
+    for refused in (lambda: closure_pair(phi, "x"), lambda: brute_force_fixed(phi, "x", "*")):
+        with pytest.raises(InvalidParams, match=r"^kind must be fca or rst, got 'x'$"):
+            refused()
 
 
 def test_empty_context(two):

@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from _helpers import scan_join, scan_left_imp, scan_meet, scan_right_imp
+from _helpers import (
+    chain4_quantale,
+    oracle_residuation_tables,
+    scan_join,
+    scan_left_imp,
+    scan_meet,
+    scan_right_imp,
+)
 from qfca.concept import fca_lattice, rst_lattice
 from qfca.errors import QfcaError
 from qfca.qdist import hom_ix
@@ -46,8 +53,8 @@ def test_tables_agree_with_scans(Q):
     for p, q in itertools.product(Q.objects, repeat=2):
         hom, n = Q.hom(p, q), len(Q.hom(p, q))
         arrows = Q.arrows(p, q)
-        assert Q.hom_join(p, q, []).index == scan_join(Q, p, q, [])
-        assert Q.hom_meet(p, q, []).index == scan_meet(Q, p, q, [])
+        assert Q.hom_join(p, q, []) is arrows[scan_join(Q, p, q, [])] is Q.bottom(p, q)
+        assert Q.hom_meet(p, q, []) is arrows[scan_meet(Q, p, q, [])] is Q.top(p, q)
         for i, j in itertools.product(range(n), repeat=2):
             assert Q.leq(arrows[i], arrows[j]) == ((i, j) in hom.leq_pairs)
             assert Q.hom_join(p, q, [arrows[i], arrows[j]]).index == scan_join(Q, p, q, [i, j])
@@ -87,12 +94,16 @@ def test_computing_leaves_the_quantaloid_unchanged(fixdl3):
     assert _container_sizes(Q) == before
 
 
-def test_non_lattice_hom_constructs_and_raises_at_use():
+def _no_join_hom():
     # a and b have two minimal upper bounds, c and d: no join of {a, b}
-    hom = HomLattice.from_labels(
+    return HomLattice.from_labels(
         ("0", "a", "b", "c", "d", "1"),
         [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"),
          ("c", "1"), ("d", "1")])
+
+
+def test_non_lattice_hom_constructs_and_raises_at_use():
+    hom = _no_join_hom()
     table = {("*", "*", "*"): tuple(tuple(0 for _ in range(6)) for _ in range(6))}
     Q = Quantaloid(("*",), {("*", "*"): hom}, table, {"*": 5}, name="no-join")
     report = validate_quantaloid(Q)
@@ -155,3 +166,50 @@ def test_broken_hom_laws_are_reported_in_order(hom, issues):
     report = validate_quantaloid(Q)
     assert [(i.code, i.where, i.detail) for i in report.issues] == issues
     assert Q.lattice_issue == NOT_A_LATTICE
+
+
+# Every preset at the sizes the benchmark builds it, and the two noncommutative
+# quantales of the property tests.
+BENCHMARK_PRESETS = [("two", {}), *(("lukasiewicz-chain", {"n": n}) for n in (3, 4, 5, 16, 32)),
+                     *(("godel-chain", {"n": n}) for n in (3, 16)),
+                     *(("frame-diagonal", {"chain": n}) for n in (2, 3, 4, 5)),
+                     *(("frame-diagonal", {"boolean": k}) for k in (2, 3))]
+
+
+def _no_join_quantaloid():
+    # v.u is 0 on {0, a, b}^2 and 1 elsewhere, so the residuals at w < 1 are
+    # joins of {0, a, b}, which do not exist
+    table = tuple(tuple(0 if v < 3 and u < 3 else 5 for u in range(6)) for v in range(6))
+    return Quantaloid(("*",), {("*", "*"): _no_join_hom()}, {("*", "*", "*"): table}, {"*": 5},
+                      name="no-join")
+
+
+def _table_cases():
+    for name, params in BENCHMARK_PRESETS:
+        label = "-".join([name, *map(str, params.values())])
+        yield pytest.param(lambda name=name, params=params: build_preset(name, **params), id=label)
+    yield pytest.param(lambda: chain4_quantale("0", "a"), id="NC_AB")
+    yield pytest.param(lambda: chain4_quantale("a", "0"), id="NC_BA")
+    yield pytest.param(_no_join_quantaloid, id="no-join")
+
+
+@pytest.mark.parametrize("make", list(_table_cases()))
+def test_residuation_tables_match_the_fused_pass(make):
+    Q = make()
+    assert (Q.limp_table, Q.rimp_table) == oracle_residuation_tables(Q.homs, Q.compose_table)
+
+
+def test_tables_of_a_hom_that_is_not_a_lattice_miss_joins():
+    # the cases above would not notice a builder that never gives None
+    Q = _no_join_quantaloid()
+    assert Q.lattice_issue is not None
+    for table in (Q.limp_table, Q.rimp_table):
+        assert any(k is None for row in table[("*", "*", "*")] for k in row)
+
+
+def test_empty_bounds_on_a_hom_without_bottom_or_top_raise():
+    Q = _one_object(HomLattice.from_labels(("a", "b"), []))
+    with pytest.raises(QfcaError, match=r"^join missing in hom \(\*,\*\) for indices \[\]$"):
+        Q.hom_join("*", "*", [])
+    with pytest.raises(QfcaError, match=r"^meet missing in hom \(\*,\*\) for indices \[\]$"):
+        Q.hom_meet("*", "*", [])

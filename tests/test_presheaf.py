@@ -306,6 +306,17 @@ def test_enumerate_budget(fix2id, monkeypatch):
         enumerate_presheaves(fix2id.A, "*")
 
 
+def test_enumerated_values_are_the_interned_arrows(all_contexts):
+    for ctx in all_contexts.values():
+        Q = ctx.phi.q
+        for C in (ctx.A, ctx.B):
+            for qobj in Q.objects:
+                space = enumerate_presheaves(C, qobj) + enumerate_copresheaves(C, qobj)
+                assert space
+                for p in space:
+                    assert all(v is Q.arrow_table[(v.src, v.dst)][v.index] for v in p.values)
+
+
 def test_enumerate_lexicographic(fix2id):
     ps = enumerate_presheaves(fix2id.A, "*")
     keys = [tuple(v.index for v in p.values) for p in ps]

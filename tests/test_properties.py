@@ -43,12 +43,14 @@ from _helpers import (
     oracle_left_imp,
     oracle_presheaf_hom,
     oracle_presheaf_label,
+    oracle_residuation_tables,
     oracle_values,
     residual_closed_form_misses,
     scan_join,
     scan_meet,
 )
 from qfca.quantaloid import (
+    Quantaloid,
     build_preset,
     find_cyclic_dualizing_family,
     validate_quantaloid,
@@ -325,3 +327,21 @@ def test_noncommutative_quantales_are_not_girard():
         assert validate_quantaloid(Q).ok
         fam = find_cyclic_dualizing_family(Q)
         assert fam is not None and fam.cyclic and not fam.dualizing
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residuation_tables_match_the_fused_pass_randomized(data):
+    # one drawn composition entry is redrawn, so the tables are also compared
+    # on composition tables that break the quantale laws
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    compose = dict(Q.compose_table)
+    p, q, r = key = data.draw(st.sampled_from(sorted(compose)), label="triple")
+    rows = [list(row) for row in compose[key]]
+    v = data.draw(st.integers(0, len(rows) - 1), label="v")
+    u = data.draw(st.integers(0, len(rows[v]) - 1), label="u")
+    rows[v][u] = data.draw(st.integers(0, len(Q.hom(p, r)) - 1), label="v.u")
+    compose[key] = rows
+    redrawn = Quantaloid(Q.objects, Q.homs, compose, Q.units, name="redrawn")
+    for R in (Q, Q.opposite(), redrawn, redrawn.opposite()):
+        assert (R.limp_table, R.rimp_table) == oracle_residuation_tables(R.homs, R.compose_table)

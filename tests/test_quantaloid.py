@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _helpers import chain4_quantale
 from qfca.errors import InvalidParams, NotGirard, QfcaError
 from qfca.quantaloid import (
     Arrow,
@@ -172,6 +173,30 @@ def test_family_boolean_diagonal_is_girard(diagb4):
     assert fam is not None and fam.dualizing
 
 
+def test_dualizing_fails_on_its_second_clause():
+    # in NC_BA, d = 0 passes both clauses at u = 0 and the first, but not
+    # the second, at u = a, the next arrow the check visits
+    Q = chain4_quantale("a", "0")
+    zero, a = Q.arrows("*", "*")[:2]
+    assert [Q.right_imp(Q.left_imp(zero, u), zero) for u in (zero, a)] == [zero, a]
+    assert [Q.left_imp(zero, Q.right_imp(u, zero)) == u for u in (zero, a)] == [True, False]
+    assert not is_dualizing_family(Q, {"*": zero})
+
+
+def test_found_families_hold_the_interned_arrows(presets):
+    for Q in [*presets.values(), chain4_quantale("0", "a"), chain4_quantale("a", "0")]:
+        fam = find_cyclic_dualizing_family(Q)
+        assert [q for q, _ in fam.d] == sorted(Q.objects)
+        assert all(a is Q.arrows(q, q)[a.index] for q, a in fam.d)
+
+
+def test_the_tops_are_a_cyclic_family(presets):
+    # left_imp(top, u) and right_imp(u, top) are both the top of their hom,
+    # so a valid quantaloid always has a cyclic family
+    for Q in [*presets.values(), chain4_quantale("0", "a"), chain4_quantale("a", "0")]:
+        assert is_cyclic_family(Q, {q: Q.top(q, q) for q in Q.objects})
+
+
 def test_complement(two, luk3):
     fam = find_cyclic_dualizing_family(luk3)
     half, one, zero = (luk3.arrow("*", "*", x) for x in ("1/2", "1", "0"))
@@ -249,6 +274,20 @@ def test_build_preset_checks_parameters():
     assert build_preset("godel-chain", n="4").name == "godel-4"
 
 
+def test_build_preset_refuses_bools_and_two_frames():
+    # a JSON true or false is no integer, although Python counts it as one
+    for name, key, value in [("frame-diagonal", "chain", True),
+                             ("frame-diagonal", "boolean", False),
+                             ("lukasiewicz-chain", "n", True),
+                             ("godel-chain", "n", False)]:
+        with pytest.raises(InvalidParams,
+                           match=f"^parameter '{key}' must be an integer, got {value}$"):
+            build_preset(name, **{key: value})
+    with pytest.raises(InvalidParams, match="^frame-diagonal takes chain=<n> or boolean=<k>, "
+                                            "not both$"):
+        build_preset("frame-diagonal", chain=2, boolean=3)
+
+
 def test_table_preset_names_unknown_labels_and_missing_parameters():
     params = dict(elements=["0", "1"], leq=[("0", "1")], unit="1",
                   products=[("0", "0", "0"), ("0", "1", "0"), ("1", "0", "0"), ("1", "1", "1")])
@@ -258,6 +297,17 @@ def test_table_preset_names_unknown_labels_and_missing_parameters():
         rest = {k: v for k, v in params.items() if k != key}
         with pytest.raises(InvalidParams, match=f"missing parameter '{key}'"):
             build_preset("commutative-quantale-from-table", **rest)
+
+
+def test_table_preset_refuses_a_table_that_fails_validation():
+    # on the chain 0 < a < 1 with unit 1, a.a = 1 is not below a.1 = a
+    el = ["0", "a", "1"]
+    products = [(x, y, "0" if "0" in (x, y) else y if x == "1" else x if y == "1" else "1")
+                for x in el for y in el]
+    with pytest.raises(InvalidParams, match="^preset 'commutative-quantale-from-table' "
+                                            "failed validation: "):
+        build_preset("commutative-quantale-from-table", elements=el,
+                     leq=list(zip(el, el[1:])), products=products, unit="1")
 
 
 def test_quantale_from_table():
@@ -333,3 +383,37 @@ def test_chain_preset_tables_are_pinned():
     for name in ("lukasiewicz-chain", "godel-chain"):
         with pytest.raises(InvalidParams, match=r"chain presets need n >= 2"):
             build_preset(name, n=1)
+
+
+def _luk3_with(v, u, k):
+    """lukasiewicz-chain n=3 with v.u set to the k-th element, rebuilt."""
+    Q = build_preset("lukasiewicz-chain", n=3)
+    rows = [list(row) for row in Q.compose_table[("*", "*", "*")]]
+    rows[v][u] = k
+    return Quantaloid(Q.objects, Q.homs, {("*", "*", "*"): rows}, Q.units, name="corrupted")
+
+
+def _issues(Q, codes):
+    return [(i.code, i.where, i.detail) for i in validate_quantaloid(Q).issues if i.code in codes]
+
+
+def test_validator_reports_units_and_join_preservation():
+    # elements 0, 1/2, 1 by index; the unit is 1
+    assert _issues(_luk3_with(2, 1, 0), {"unit.left"}) == [
+        ("unit.left", ("*", "*", "1/2"), "1.u != u")]
+    assert _issues(_luk3_with(0, 2, 1), {"compose.joins.left", "compose.joins.right"}) == [
+        ("compose.joins.left", ("*", "*", "*", "1"), "bottom.u != bottom")]
+    assert _issues(_luk3_with(1, 0, 1), {"compose.joins.left", "compose.joins.right"}) == [
+        ("compose.joins.left", ("1/2", "1", "0"), "(v1 v v2).u != v1.u v v2.u"),
+        ("compose.joins.right", ("*", "*", "*", "1/2"), "v.bottom != bottom"),
+        ("compose.joins.right", ("1/2", "0", "1/2"), "v.(u1 v u2) != v.u1 v v.u2")]
+
+
+def test_validator_rescans_the_right_residuation_table():
+    Q = build_preset("lukasiewicz-chain", n=3)
+    rows = [list(row) for row in Q.rimp_table[("*", "*", "*")]]
+    rows[1][0] = 2  # right_imp(1/2, 0) is 1/2, not 1
+    Q.rimp_table[("*", "*", "*")] = tuple(map(tuple, rows))
+    assert _issues(Q, {"residuation.table"}) == [
+        ("residuation.table", ("*", "*", "*", "1/2", "0"),
+         "right_imp(v, w) is not the join of the u with v.u <= w")]
