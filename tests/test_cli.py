@@ -512,6 +512,19 @@ def test_refused_presets_are_usage_errors(capsys, tmp_path):
         assert message in err and "Traceback" not in err
 
 
+def test_table_preset_over_a_non_lattice_is_a_usage_error(capsys, tmp_path):
+    el = ["0", "a", "b"]
+    preset = {"name": "commutative-quantale-from-table", "elements": el,
+              "leq": [["0", "a"], ["0", "b"]], "products": [[x, y, "0"] for x in el for y in el],
+              "unit": "a"}
+    path = _edited(tmp_path, "fix_2id.json", lambda d: d.update(quantaloid={"preset": preset}))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: preset 'commutative-quantale-from-table' failed validation: "
+                          "[Issue(code='lattice.top'")
+    assert "Traceback" not in err
+
+
 def test_document_shape_paths(capsys, tmp_path):
     base = json.loads((CONTEXTS / "fix_2id.json").read_text())
     edits = [
@@ -598,6 +611,15 @@ def test_inline_hom_that_is_not_a_lattice_fails_validation(capsys, tmp_path, leq
         assert report["ok"] is False
         assert [code, where] in [[i["code"], i["where"]]
                                  for r in report["reports"] for i in r["issues"]], command
+
+
+def test_refused_quantaloid_output_is_pinned(capsys):
+    # tests/data/not_a_lattice.json is inline_two.json with "leq": []
+    code = cli.main(["validate", str(DATA / "not_a_lattice.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == (DATA / "not_a_lattice.validate.out").read_text(encoding="utf-8")
+    assert captured.err == "error: quantaloid inline-two failed validation; see the report\n"
 
 
 def _edited(tmp_path, name, edit):

@@ -310,6 +310,20 @@ def test_table_preset_refuses_a_table_that_fails_validation():
                      leq=list(zip(el, el[1:])), products=products, unit="1")
 
 
+def test_table_preset_refuses_a_hom_that_is_not_a_lattice():
+    # a and b are both above 0 with no upper bound in common
+    el = ["0", "a", "b"]
+    with pytest.raises(InvalidParams) as caught:
+        build_preset("commutative-quantale-from-table", elements=el,
+                     leq=[("0", "a"), ("0", "b")],
+                     products=[(x, y, "0") for x in el for y in el], unit="a")
+    assert str(caught.value) == (
+        "preset 'commutative-quantale-from-table' failed validation: "
+        "[Issue(code='lattice.top', where=('*', '*'), detail='no greatest element'), "
+        "Issue(code='lattice.join', where=('*', '*', 'a', 'b'), "
+        "detail='pairwise join missing')]")
+
+
 def test_quantale_from_table():
     Q = build_preset(
         "commutative-quantale-from-table",
