@@ -32,6 +32,7 @@ from .errors import (
     Report,
     SearchBudgetExceeded,
     TypeMismatch,
+    ValidationFailed,
     ValidationReport,
 )
 from .quantaloid import (

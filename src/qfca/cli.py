@@ -54,6 +54,7 @@ from .errors import (
     NotGirard,
     QfcaError,
     Report,
+    ValidationFailed,
 )
 from .quantaloid import (
     Arrow,
@@ -100,19 +101,10 @@ class UsageError(QfcaError):
     """Bad command-line data: unknown names, missing sections, bad references."""
 
 
-class InvalidDocument(QfcaError):
-    """Part of a context file failed validation; nothing is computed on it."""
-
-    def __init__(self, reports):
-        super().__init__(f"{', '.join(r.subject for r in reports)} failed validation; "
-                         "see the report")
-        self.reports = reports
-
-
 # The exit code of each error class, the first match winning; the module
 # docstring lists what each code means.
 _EXIT_CODES = (
-    (InvalidDocument, 1),
+    (ValidationFailed, 1),
     ((UsageError, InvalidParams, NotGirard, NotAQuantale, HypothesesNotMet, OSError), 2),
     (BudgetExceeded, 4),
     (QfcaError, 1),
@@ -194,7 +186,7 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
     tables = {}
     for p, q, r in itertools.product(objects, repeat=3):
         dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
-        # a hom without a bottom fails validation before any composite is read
+        # the quantaloid refuses a hom without a bottom before it reads a composite
         tables[(p, q, r)] = [[cod.bottom or 0] * len(dom) for _ in range(len(mid))]
     for v_ref, u_ref, w_ref in spec.get("compose", []):
         with _naming(f"compose triple [{v_ref},{u_ref},{w_ref}]"):
@@ -236,8 +228,6 @@ def _endpoints(categories: dict, what: str, spec: dict) -> tuple:
 
 def parse_document(data: dict) -> ContextDocument:
     Q = _parse_quantaloid(data["quantaloid"])
-    if Q.lattice_issue is not None:  # omitted entries below default to bottoms
-        raise InvalidDocument([validate_quantaloid(Q)])
     categories = {}
     for name in sorted(data.get("categories", {})):
         categories[name] = _parse_category(Q, name, data["categories"][name])
@@ -360,7 +350,7 @@ def load_valid_document(path: str) -> ContextDocument:
     failed = [r for r in _validation_reports(doc, "preset" not in doc.quantaloid_spec)
               if not r.ok]
     if failed:
-        raise InvalidDocument(failed)
+        raise ValidationFailed(failed)
     return doc
 
 
@@ -671,7 +661,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (QfcaError, OSError) as e:  # OSError: an unreadable path
-        if isinstance(e, InvalidDocument):
+        if isinstance(e, ValidationFailed):
             _dump({"ok": False, "reports": [r.to_json() for r in e.reports]}, args.output)
         print(f"error: {e}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(e, kinds))

@@ -346,7 +346,6 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
     ``fca_lattice`` and ``rst_lattice`` name.
     """
     phi = pair.phi
-    phi.q.require_lattices()
     concepts: list[Presheaf] = []
     for qobj in phi.q.objects:
         concepts.extend(_meet_closure(*pair.coded(qobj)))

@@ -2,9 +2,10 @@
 
 Every validator in this package reports law violations as data (an
 :class:`Issue` inside a :class:`ValidationReport`) instead of raising, so a
-single run can show everything that is wrong with a structure.  Exceptions are
-reserved for malformed calls: mismatched hom endpoints, missing
-preconditions, and work past a cap, which every cap reports through
+single run can show everything that is wrong with a structure;
+:class:`ValidationFailed` carries such reports where nothing may be computed.
+Other exceptions are reserved for malformed calls: mismatched hom endpoints,
+missing preconditions, and work past a cap, which every cap reports through
 :class:`BudgetExceeded`.
 """
 
@@ -28,6 +29,15 @@ class BaseMismatch(QfcaError):
 
 class InvalidParams(QfcaError):
     """A bad argument: a preset or its parameters, a label, a shape, a closure kind or a budget."""
+
+
+class ValidationFailed(QfcaError):
+    """A structure failed validation, so nothing is computed on it; ``reports`` says why."""
+
+    def __init__(self, reports):
+        super().__init__(f"{', '.join(r.subject for r in reports)} failed validation; "
+                         "see the report")
+        self.reports = reports
 
 
 class NotGirard(QfcaError):

@@ -100,7 +100,6 @@ def identity_dist(A: QCategory) -> QDistributor:
 def hom_ix(q, types, s: str, t: str, ws, us) -> Arrow:
     """meet_x left_imp(ws[x], us[x]) in hom (s, t), for ``us[x]: types[x] -> s`` and
     ``ws[x]: types[x] -> t``: the presheaf hom from us to ws; the empty meet is the top."""
-    q.require_lattices()
     limp, hom = q.limp_table, q.homs[s, t]
     meets, k = hom.meets, hom.top
     for p, w, u in zip(types, ws, us):
@@ -111,7 +110,6 @@ def hom_ix(q, types, s: str, t: str, ws, us) -> Arrow:
 def tensor_ix(q, types, p: str, r: str, us, vs) -> Arrow:
     """join_y vs[y] . us[y] in hom (p, r), for ``us[y]: p -> types[y]`` and
     ``vs[y]: types[y] -> r``; the empty join is the bottom."""
-    q.require_lattices()
     comp, hom = q.compose_table, q.homs[p, r]
     joins, k = hom.joins, hom.bottom
     for t, u, v in zip(types, us, vs):

@@ -24,13 +24,11 @@ cross-checks the tables exhaustively against an independent scan.  The
 opposite quantaloid, built on first use, shares the hom tables and
 transposes the others.
 
-A quantaloid whose homs are not all lattices still constructs, so that the
-validator can report it: a table entry that would need a missing bound is
-``None``, and the operations that need one raise :class:`QfcaError`.  Each
-hom records the poset and lattice laws it breaks (``HomLattice.issues``);
-``validate_quantaloid`` reports that record and ``require_lattices`` guards
-every table read with it, so the two cannot disagree.  The chain presets are
-product tables, built by the same builder as a custom quantale.
+A quantaloid is built only over complete lattices: the constructor refuses
+a hom that breaks a poset or lattice law (``HomLattice.issues``) with a
+:class:`ValidationFailed` report of every broken law, so every table entry
+exists.  The chain presets are product tables, built by the same builder as
+a custom quantale.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -47,9 +45,9 @@ from fractions import Fraction
 from .errors import (
     InvalidParams,
     NotGirard,
-    QfcaError,
     SearchBudgetExceeded,
     TypeMismatch,
+    ValidationFailed,
     ValidationReport,
     budget,
 )
@@ -95,10 +93,10 @@ class HomLattice:
     The order is kept as bitmask rows: bit j of ``up[i]`` and bit i of
     ``down[j]`` are set when i <= j.  ``joins[i][j]``/``meets[i][j]``, ``top``
     and ``bottom`` are computed once, here, by ``bound``; an entry is ``None``
-    where that bound does not exist.  ``issues``
-    records each broken poset or lattice law as ``(code, element labels,
-    detail)``, in the order ``validate_quantaloid`` reports them; it is empty
-    exactly when the hom is a complete lattice.
+    where that bound does not exist.  ``issues`` records each broken poset or
+    lattice law as ``(code, element labels, detail)``, in the order a
+    ``Quantaloid`` refusing the hom reports them; it is empty exactly when the
+    hom is a complete lattice.
     """
 
     def __init__(self, elements: tuple[str, ...], leq_pairs: frozenset[tuple[int, int]]):
@@ -219,9 +217,10 @@ class Quantaloid:
     ``Q(q, r)`` and ``rimp_table[(p, q, r)][v][w]`` indexes
     ``right_imp(v, w)`` in ``Q(p, q)``, for ``w`` in ``Q(p, r)``.
     ``arrow_table[(p, q)][i]`` is the one interned ``Arrow(p, q, i)``.
-    ``lattice_issue`` names the first hom that is not a lattice, or is
-    ``None``.  Equality of quantaloids is identity; fixtures share one
-    instance.
+    Construction raises :class:`ValidationFailed` when a hom is not a
+    complete lattice, and :class:`InvalidParams` when a compose entry or a
+    unit is not an index of its hom.  Equality of quantaloids is identity;
+    fixtures share one instance.
     """
 
     def __init__(self, objects, homs, compose_table, units, name: str = "quantaloid"):
@@ -235,6 +234,12 @@ class Quantaloid:
                 raise InvalidParams(f"missing hom-lattice for ({p},{q})")
             if len(self.homs[(p, q)]) == 0:
                 raise InvalidParams(f"empty hom ({p},{q}): a complete lattice is nonempty")
+        report = ValidationReport(f"quantaloid {name}")
+        for (p, q), hom in sorted(self.homs.items()):
+            for code, labels, detail in hom.issues:
+                report.add(code, (p, q, *labels), detail)
+        if not report.ok:
+            raise ValidationFailed([report])
         self.compose_table: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
         for p, q, r in itertools.product(self.objects, repeat=3):
             table = compose_table[(p, q, r)]
@@ -252,12 +257,9 @@ class Quantaloid:
         self._finish()
 
     def _finish(self) -> None:
-        """Intern the arrows and find the first hom that is not a lattice."""
+        """Intern one arrow per hom element."""
         self.arrow_table = {(p, q): tuple(Arrow(p, q, i) for i in range(len(hom)))
                             for (p, q), hom in self.homs.items()}
-        self.lattice_issue = next(
-            (f"hom ({p},{q}) is not a complete lattice"
-             for (p, q), hom in sorted(self.homs.items()) if hom.issues), None)
 
     def _transposed(self) -> "Quantaloid":
         """The opposite quantaloid, its tables transposed from this one's."""
@@ -345,37 +347,21 @@ class Quantaloid:
                 raise TypeMismatch(f"{a} is not in hom ({p},{q})")
             idx.append(a.index)
         hom = self.hom(p, q)
-        k = hom.bound(idx, hom.up if kind == "join" else hom.down)
-        if k is None:
-            raise QfcaError(f"{kind} missing in hom ({p},{q}) for indices {sorted(set(idx))}")
-        return self.arrow_table[(p, q)][k]
+        return self.arrow_table[(p, q)][hom.bound(idx, hom.up if kind == "join" else hom.down)]
 
     def left_imp(self, w: Arrow, u: Arrow) -> Arrow:
         """left_imp(w, u) for u: p -> q, w: p -> r, giving q -> r."""
         if w.src != u.src:
             raise TypeMismatch(f"left_imp needs a common source, got {w} and {u}")
         q, r = u.dst, w.dst
-        k = self.limp_table[(u.src, q, r)][w.index][u.index]
-        if k is None:  # only a hom that is not a lattice misses a join
-            self.require_lattices()
-        return self.arrow_table[(q, r)][k]
+        return self.arrow_table[(q, r)][self.limp_table[(u.src, q, r)][w.index][u.index]]
 
     def right_imp(self, v: Arrow, w: Arrow) -> Arrow:
         """right_imp(v, w) for v: q -> r, w: p -> r, giving p -> q."""
         if v.dst != w.dst:
             raise TypeMismatch(f"right_imp needs a common target, got {v} and {w}")
         p, q = w.src, v.src
-        k = self.rimp_table[(p, q, v.dst)][v.index][w.index]
-        if k is None:  # only a hom that is not a lattice misses a join
-            self.require_lattices()
-        return self.arrow_table[(p, q)][k]
-
-    # -- the guard of every table fold ---------------------------------------
-
-    def require_lattices(self) -> None:
-        """Raise unless every hom is a lattice, so that every table entry exists."""
-        if self.lattice_issue is not None:
-            raise QfcaError(self.lattice_issue)
+        return self.arrow_table[(p, q)][self.rimp_table[(p, q, v.dst)][v.index][w.index]]
 
     # -- duality ------------------------------------------------------------
 
@@ -397,13 +383,9 @@ class Quantaloid:
 
 
 def validate_quantaloid(Q: Quantaloid) -> ValidationReport:
-    """Check every quantaloid law on the tables, reporting all violations as data."""
+    """Check the quantaloid laws of the lattice homs on the tables (units, associativity,
+    join preservation, residuation), reporting all violations as data."""
     report = ValidationReport(f"quantaloid {Q.name}")
-    for (p, q), hom in sorted(Q.homs.items()):
-        for code, labels, detail in hom.issues:
-            report.add(code, (p, q, *labels), detail)
-    if not report.ok:
-        return report
 
     def lbl(p, q, i):
         return Q.homs[(p, q)].elements[i]
@@ -670,8 +652,12 @@ def build_preset(name: str, /, **params) -> Quantaloid:
         missing = [k for k in ("elements", "leq", "products", "unit") if k not in params]
         if missing:
             raise InvalidParams(f"missing parameter {missing[0]!r}")
-        Q = _quantale_from_table(params["elements"], params["leq"], params["products"],
-                                 params["unit"], "quantale")
+        try:
+            Q = _quantale_from_table(params["elements"], params["leq"], params["products"],
+                                     params["unit"], "quantale")
+        except ValidationFailed as e:
+            raise InvalidParams(f"preset {name!r} failed validation: "
+                                f"{e.reports[0].issues[:3]}") from None
     report = validate_quantaloid(Q)
     if not report.ok:
         raise InvalidParams(f"preset {name!r} failed validation: {report.issues[:3]}")

@@ -13,7 +13,7 @@ from _helpers import (
     scan_right_imp,
 )
 from qfca.concept import fca_lattice, rst_lattice
-from qfca.errors import QfcaError
+from qfca.errors import ValidationFailed
 from qfca.qdist import hom_ix
 from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset, validate_quantaloid
 
@@ -102,17 +102,14 @@ def _no_join_hom():
          ("c", "1"), ("d", "1")])
 
 
-def test_non_lattice_hom_constructs_and_raises_at_use():
+def test_non_lattice_hom_is_refused_at_construction():
     hom = _no_join_hom()
     table = {("*", "*", "*"): tuple(tuple(0 for _ in range(6)) for _ in range(6))}
-    Q = Quantaloid(("*",), {("*", "*"): hom}, table, {"*": 5}, name="no-join")
-    report = validate_quantaloid(Q)
+    with pytest.raises(ValidationFailed,
+                       match=r"^quantaloid no-join failed validation; see the report$") as caught:
+        Quantaloid(("*",), {("*", "*"): hom}, table, {"*": 5}, name="no-join")
+    (report,) = caught.value.reports
     assert ("*", "*", "a", "b") in {i.where for i in report.issues if i.code == "lattice.join"}
-    a, b = Q.arrow("*", "*", "a"), Q.arrow("*", "*", "b")
-    with pytest.raises(QfcaError, match=r"join missing in hom \(\*,\*\) for indices \[1, 2\]"):
-        Q.hom_join("*", "*", [a, b])
-    with pytest.raises(QfcaError, match="not a complete lattice"):
-        hom_ix(Q, ("*", "*"), "*", "*", [a, b], [Q.unit("*")] * 2)
 
 
 def test_validator_rescans_the_residuation_tables():
@@ -129,7 +126,6 @@ def _one_object(hom):
     return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": 0}, name="broken")
 
 
-NOT_A_LATTICE = "hom (*,*) is not a complete lattice"
 ANTISYMMETRIC = "x <= y and y <= x for distinct elements"
 
 
@@ -162,10 +158,12 @@ ANTISYMMETRIC = "x <= y and y <= x for distinct elements"
     ], id="antichain"),
 ])
 def test_broken_hom_laws_are_reported_in_order(hom, issues):
-    Q = _one_object(hom)
-    report = validate_quantaloid(Q)
+    with pytest.raises(ValidationFailed,
+                       match=r"^quantaloid broken failed validation; see the report$") as caught:
+        _one_object(hom)
+    (report,) = caught.value.reports
+    assert report.subject == "quantaloid broken"
     assert [(i.code, i.where, i.detail) for i in report.issues] == issues
-    assert Q.lattice_issue == NOT_A_LATTICE
 
 
 # Every preset at the sizes the benchmark builds it, and the two noncommutative
@@ -176,21 +174,12 @@ BENCHMARK_PRESETS = [("two", {}), *(("lukasiewicz-chain", {"n": n}) for n in (3,
                      *(("frame-diagonal", {"boolean": k}) for k in (2, 3))]
 
 
-def _no_join_quantaloid():
-    # v.u is 0 on {0, a, b}^2 and 1 elsewhere, so the residuals at w < 1 are
-    # joins of {0, a, b}, which do not exist
-    table = tuple(tuple(0 if v < 3 and u < 3 else 5 for u in range(6)) for v in range(6))
-    return Quantaloid(("*",), {("*", "*"): _no_join_hom()}, {("*", "*", "*"): table}, {"*": 5},
-                      name="no-join")
-
-
 def _table_cases():
     for name, params in BENCHMARK_PRESETS:
         label = "-".join([name, *map(str, params.values())])
         yield pytest.param(lambda name=name, params=params: build_preset(name, **params), id=label)
     yield pytest.param(lambda: chain4_quantale("0", "a"), id="NC_AB")
     yield pytest.param(lambda: chain4_quantale("a", "0"), id="NC_BA")
-    yield pytest.param(_no_join_quantaloid, id="no-join")
 
 
 @pytest.mark.parametrize("make", list(_table_cases()))
@@ -198,18 +187,3 @@ def test_residuation_tables_match_the_fused_pass(make):
     Q = make()
     assert (Q.limp_table, Q.rimp_table) == oracle_residuation_tables(Q.homs, Q.compose_table)
 
-
-def test_tables_of_a_hom_that_is_not_a_lattice_miss_joins():
-    # the cases above would not notice a builder that never gives None
-    Q = _no_join_quantaloid()
-    assert Q.lattice_issue is not None
-    for table in (Q.limp_table, Q.rimp_table):
-        assert any(k is None for row in table[("*", "*", "*")] for k in row)
-
-
-def test_empty_bounds_on_a_hom_without_bottom_or_top_raise():
-    Q = _one_object(HomLattice.from_labels(("a", "b"), []))
-    with pytest.raises(QfcaError, match=r"^join missing in hom \(\*,\*\) for indices \[\]$"):
-        Q.hom_join("*", "*", [])
-    with pytest.raises(QfcaError, match=r"^meet missing in hom \(\*,\*\) for indices \[\]$"):
-        Q.hom_meet("*", "*", [])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import chain4_quantale
-from qfca.errors import InvalidParams, NotGirard, QfcaError
+from qfca.errors import InvalidParams, NotGirard, ValidationFailed
 from qfca.quantaloid import (
     Arrow,
     HomLattice,
@@ -91,16 +91,16 @@ def test_validate_broken_associativity(two):
 
 
 def test_residuation_refuses_a_hom_that_is_not_a_lattice():
-    # the antichain {a, b} with unit a and everything else b has no bottom,
-    # so the empty join that left_imp(a, b) and right_imp(b, a) need is missing
+    # the antichain {a, b} has no bottom, so the empty join that left_imp(a, b)
+    # and right_imp(b, a) would need is missing: no residuation table is built
     hom = HomLattice.from_labels(("a", "b"), [])
-    Q = Quantaloid(("*",), {("*", "*"): hom}, {("*", "*", "*"): ((0, 1), (1, 1))},
+    with pytest.raises(ValidationFailed, match="^quantaloid antichain failed validation") as caught:
+        Quantaloid(("*",), {("*", "*"): hom}, {("*", "*", "*"): ((0, 1), (1, 1))},
                    {"*": 0}, name="antichain")
-    a, b = Q.arrows("*", "*")
-    assert Q.left_imp(a, a) == a and Q.right_imp(a, a) == a
-    for residual in (lambda: Q.left_imp(a, b), lambda: Q.right_imp(b, a)):
-        with pytest.raises(QfcaError, match=r"hom \(\*,\*\) is not a complete lattice"):
-            residual()
+    (report,) = caught.value.reports
+    assert [(i.code, i.where) for i in report.issues] == [
+        ("lattice.top", ("*", "*")), ("lattice.bottom", ("*", "*")),
+        ("lattice.join", ("*", "*", "a", "b")), ("lattice.meet", ("*", "*", "a", "b"))]
 
 
 def test_residuation_adjunction_exhaustive(presets):
