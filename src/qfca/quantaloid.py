@@ -248,11 +248,20 @@ class Quantaloid:
                 len(row) != len(self.homs[(p, q)]) for row in rows
             ):
                 raise InvalidParams(f"compose table for ({p},{q},{r}) has wrong shape")
+            n = len(self.homs[(p, r)])
+            for j, row in enumerate(rows):
+                if min(row) < 0 or max(row) >= n:
+                    i = next(i for i, k in enumerate(row) if not 0 <= k < n)
+                    raise InvalidParams(f"compose table for ({p},{q},{r}) has entry {row[i]!r} "
+                                        f"at [{j}][{i}], not an index of hom ({p},{r})")
             self.compose_table[(p, q, r)] = rows
         self.units: dict[str, int] = dict(units)
         for q in self.objects:
             if q not in self.units:
                 raise InvalidParams(f"missing unit for object {q}")
+            if not 0 <= self.units[q] < len(self.homs[(q, q)]):
+                raise InvalidParams(f"unit {self.units[q]!r} of object {q} "
+                                    f"is not an index of hom ({q},{q})")
         self.limp_table, self.rimp_table = _residuation_tables(self.homs, self.compose_table)
         self._finish()
 
@@ -601,13 +610,15 @@ _PRESET_PARAMS = {"two": (), "lukasiewicz-chain": ("n",), "godel-chain": ("n",),
 
 
 def _int_param(params: dict, key: str, default: int | None = None) -> int:
-    """An integer parameter, given as an int or a string of digits; a bool is neither."""
+    """An integer parameter, given as an int or a string of ASCII digits; a bool is neither."""
     value = params.get(key, default)
-    try:
-        if not isinstance(value, bool):
-            return int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        pass
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if not isinstance(value, (bool, str)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
     raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}")
 
 

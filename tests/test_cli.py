@@ -489,6 +489,16 @@ def test_bad_preset_parameters_are_usage_errors(tmp_path):
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_integer_parameters_that_are_not_ascii_digits_are_usage_errors(capsys, tmp_path):
+    for value in ("1_0", " +4 ", "\u0663"):
+        preset = {"name": "godel-chain", "n": value}
+        path = _edited(tmp_path, "fix_2id.json", lambda d: d.update(quantaloid={"preset": preset}))
+        assert cli.main(["validate", str(path)]) == 2, value
+        err = capsys.readouterr().err
+        assert f"error: parameter 'n' must be an integer, got {value!r}" in err
+        assert "Traceback" not in err
+
+
 def test_refused_presets_are_usage_errors(capsys, tmp_path):
     # a.a = 1 on the chain 0 < a < 1 with unit 1 fails validation
     el = ["0", "a", "1"]

@@ -103,6 +103,19 @@ def test_residuation_refuses_a_hom_that_is_not_a_lattice():
         ("lattice.join", ("*", "*", "a", "b")), ("lattice.meet", ("*", "*", "a", "b"))]
 
 
+def test_compose_entries_and_units_must_index_their_homs(two):
+    with pytest.raises(InvalidParams, match=r"^compose table for \(\*,\*,\*\) has entry 5 at "
+                                            r"\[1\]\[1\], not an index of hom \(\*,\*\)$"):
+        Quantaloid(two.objects, two.homs, {("*", "*", "*"): ((0, 0), (0, 5))}, two.units)
+    with pytest.raises(InvalidParams, match=r"^compose table for \(\*,\*,\*\) has entry -1 at "
+                                            r"\[0\]\[1\], not an index of hom \(\*,\*\)$"):
+        Quantaloid(two.objects, two.homs, {("*", "*", "*"): ((0, -1), (0, 1))}, two.units)
+    for unit in (9, -1):
+        with pytest.raises(InvalidParams, match=rf"^unit {unit} of object \* is not an index "
+                                                r"of hom \(\*,\*\)$"):
+            Quantaloid(two.objects, two.homs, two.compose_table, {"*": unit})
+
+
 def test_residuation_adjunction_exhaustive(presets):
     for Q in presets.values():
         for p, q, r in itertools.product(Q.objects, repeat=3):
@@ -272,6 +285,13 @@ def test_build_preset_checks_parameters():
     with pytest.raises(InvalidParams, match="takes no parameter 'name'"):
         build_preset("commutative-quantale-from-table", name="x")
     assert build_preset("godel-chain", n="4").name == "godel-4"
+
+
+def test_integer_parameters_are_ascii_digit_strings():
+    for value in ("1_0", " +4 ", "\u0663", "-3", ""):
+        with pytest.raises(InvalidParams) as caught:
+            build_preset("godel-chain", n=value)
+        assert str(caught.value) == f"parameter 'n' must be an integer, got {value!r}"
 
 
 def test_build_preset_refuses_bools_and_two_frames():
