@@ -162,7 +162,6 @@ def test_broken_hom_laws_are_reported_in_order(hom, issues):
                        match=r"^quantaloid broken failed validation; see the report$") as caught:
         _one_object(hom)
     (report,) = caught.value.reports
-    assert report.subject == "quantaloid broken"
     assert [(i.code, i.where, i.detail) for i in report.issues] == issues
 
 
@@ -186,4 +185,3 @@ def _table_cases():
 def test_residuation_tables_match_the_fused_pass(make):
     Q = make()
     assert (Q.limp_table, Q.rimp_table) == oracle_residuation_tables(Q.homs, Q.compose_table)
-
