@@ -169,9 +169,6 @@ def _parse_quantaloid(spec: dict) -> Quantaloid:
         for x in (p, q):
             if x not in objects:
                 raise UsageError(f"hom section {key!r} names the undeclared object {x!r}")
-        unknown = [x for pair in h.get("leq", []) for x in pair if x not in h["elements"]]
-        if unknown:
-            raise UsageError(f"hom section {key!r}: leq names the unknown label {unknown[0]!r}")
         with _naming(f"hom section {key!r}"):
             homs[(p, q)] = HomLattice.from_labels(h["elements"], h.get("leq", []))
     for p, q in itertools.product(objects, repeat=2):
@@ -560,8 +557,7 @@ def cmd_verify(args) -> int:
         report = verify_general_representation(d.adj.S, d.adj.T, d.L, d.R, d.X)
     elif prop == "thm51":
         d, F, K, G, H = canonical_dense_data(phi, kind)
-        report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X,
-                                             assume_complete=True)
+        report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
     elif prop == "mphi-rep":
         if data:
             X = _data_ref(doc.categories, data, "X", "category")
@@ -573,14 +569,13 @@ def cmd_verify(args) -> int:
             report = verify_fca_representation(phi, X, F, G)
         else:
             d, F, G = canonical_fca_data(phi)
-            report = verify_fca_representation(phi, d.X, F, G, assume_complete=True)
+            report = verify_fca_representation(phi, d.X, F, G)
     elif prop == "kphi-rep":
         d, F, G, rc = canonical_rst_data(phi)
-        report = verify_rst_representation(phi, d.X, F, G, rc, assume_complete=True)
+        report = verify_rst_representation(phi, d.X, F, G, rc)
     elif prop == "elementary-rep":
         d, F, G = canonical_elementary_data(phi, kind)
-        report = verify_elementary_representation(phi, d.X, F, G, kind,
-                                                  assume_complete=True)
+        report = verify_elementary_representation(phi, d.X, F, G, kind)
     else:  # girard-probe; argparse admits no other property
         Q = doc.quantaloid
         qobj = data.get("object", Q.objects[0])

@@ -321,12 +321,25 @@ def enumerate_copresheaves(A: QCategory, qobj: str) -> tuple[Copresheaf, ...]:
 
 
 def is_complete(A: QCategory) -> bool:
-    """Exhaustive: every presheaf of every type has a supremum; computed on every call."""
-    return all(
-        sup(A, mu) is not None
-        for qobj in A.q.objects
-        for mu in enumerate_presheaves(A, qobj)
-    )
+    """Does every presheaf on A have a supremum?  Decided on A's hom rows, enumerating none.
+
+    A is complete iff tensored and conically cocomplete (Stubbe, *TAC* 14, 2005).  A
+    supremum of mu has the row ``hom <l mu``, which sends joins of presheaves to meets
+    of rows, and every presheaf is a join of tensors ``u . hom(-, a)``.  So for each
+    type s the rows of the objects of type s must hold the top row, each tensor row
+    ``z |-> left_imp(hom(a, z), u)`` for u: |a| -> s, and the meet of any two."""
+    q, types = A.q, A.types
+    for s in q.objects:
+        top = tuple(q.homs[(s, t)].top for t in types)
+        tables = [q.homs[(s, t)].meets for t in types]
+        rows = {tuple(a.index for a in row) for row, t in zip(A.hom, types) if t == s}
+        tensors = (r for row in A.hom
+                   for r in zip(*(q.limp_table[(w.src, s, w.dst)][w.index] for w in row)))
+        meets = (tuple(m[x][y] for m, x, y in zip(tables, r1, r2))
+                 for r1, r2 in itertools.combinations(rows, 2))
+        if not rows.issuperset(itertools.chain([top], tensors, meets)):
+            return False
+    return True
 
 
 # -- materialized (co)presheaf categories ------------------------------------------
@@ -436,18 +449,14 @@ def materialize_copresheaves(base: QCategory) -> PresheafSpace:
 # -- order-level density -----------------------------------------------------------
 
 
-def image_join_dense(X: QCategory, image, assume_complete: bool = False) -> bool:
-    """Is every object of X the underlying join of objects from ``image``?
+def _join_dense(X: QCategory, image) -> bool:
+    """Is every object of X the underlying join of objects from ``image``?  X is not checked.
 
     Uses the canonical witness: the set of all image objects below y.  If any
     subset of the image joins to y then that canonical set does too (joins
     are monotone in the subset), so this decides the subset search exactly.
-    The target must be complete; pass ``assume_complete=True`` to skip the
-    exhaustive check when completeness is known.  The witness join is taken
-    as the supremum of the pointwise join of the representables.
-    """
-    if not assume_complete and not is_complete(X):
-        raise QfcaError(f"{X.name} is not complete; join-density is undefined here")
+    The witness join is the supremum of the pointwise join of the representables;
+    where that is missing, as it may be in an incomplete X, y is not a join."""
     order = underlying_order(X)
     image = sorted(set(image), key=X.index)
     for y in X.objects:
@@ -459,19 +468,24 @@ def image_join_dense(X: QCategory, image, assume_complete: bool = False) -> bool
     return True
 
 
-def image_meet_dense(X: QCategory, image, assume_complete: bool = False) -> bool:
-    """Is every object of X the underlying meet of objects from ``image``?
+def image_join_dense(X: QCategory, image) -> bool:
+    """Is every object of X the underlying join of objects from ``image``?  X must be complete."""
+    if not is_complete(X):
+        raise QfcaError(f"{X.name} is not complete; join-density is undefined here")
+    return _join_dense(X, image)
 
-    Meets in X are joins in X^op, so this is join-density there.
-    """
-    if not assume_complete and not is_complete(X):
+
+def image_meet_dense(X: QCategory, image) -> bool:
+    """Is every object of X the underlying meet of objects from ``image``?  X must be
+    complete; meets in X are joins in X^op, so this is join-density there."""
+    if not is_complete(X):
         raise QfcaError(f"{X.name} is not complete; meet-density is undefined here")
-    return image_join_dense(dualize_category(X), image, assume_complete=True)
+    return _join_dense(dualize_category(X), image)
 
 
-def is_join_dense(F: QFunctor, assume_complete: bool = False) -> bool:
-    return image_join_dense(F.cod, {F(x) for x in F.dom.objects}, assume_complete)
+def is_join_dense(F: QFunctor) -> bool:
+    return image_join_dense(F.cod, {F(x) for x in F.dom.objects})
 
 
-def is_meet_dense(F: QFunctor, assume_complete: bool = False) -> bool:
-    return image_meet_dense(F.cod, {F(x) for x in F.dom.objects}, assume_complete)
+def is_meet_dense(F: QFunctor) -> bool:
+    return image_meet_dense(F.cod, {F(x) for x in F.dom.objects})

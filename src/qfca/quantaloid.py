@@ -219,8 +219,8 @@ class Quantaloid:
     ``arrow_table[(p, q)][i]`` is the one interned ``Arrow(p, q, i)``.
     Construction raises :class:`ValidationFailed` when a hom is not a
     complete lattice, and :class:`InvalidParams` when a compose entry or a
-    unit is not an index of its hom.  Equality of quantaloids is identity;
-    fixtures share one instance.
+    unit is not an index of its hom, an ``int`` that is not a ``bool``.
+    Equality of quantaloids is identity; fixtures share one instance.
     """
 
     def __init__(self, objects, homs, compose_table, units, name: str = "quantaloid"):
@@ -250,8 +250,8 @@ class Quantaloid:
                 raise InvalidParams(f"compose table for ({p},{q},{r}) has wrong shape")
             n = len(self.homs[(p, r)])
             for j, row in enumerate(rows):
-                if min(row) < 0 or max(row) >= n:
-                    i = next(i for i, k in enumerate(row) if not 0 <= k < n)
+                if not {int}.issuperset(map(type, row)) or min(row) < 0 or max(row) >= n:
+                    i = next(i for i, k in enumerate(row) if type(k) is not int or not 0 <= k < n)
                     raise InvalidParams(f"compose table for ({p},{q},{r}) has entry {row[i]!r} "
                                         f"at [{j}][{i}], not an index of hom ({p},{r})")
             self.compose_table[(p, q, r)] = rows
@@ -259,7 +259,7 @@ class Quantaloid:
         for q in self.objects:
             if q not in self.units:
                 raise InvalidParams(f"missing unit for object {q}")
-            if not 0 <= self.units[q] < len(self.homs[(q, q)]):
+            if type(self.units[q]) is not int or not 0 <= self.units[q] < len(self.homs[(q, q)]):
                 raise InvalidParams(f"unit {self.units[q]!r} of object {q} "
                                     f"is not an index of hom ({q},{q})")
         self.limp_table, self.rimp_table = _residuation_tables(self.homs, self.compose_table)

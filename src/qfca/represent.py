@@ -48,15 +48,12 @@ from .presheaf import (
     Presheaf,
     PresheafSpace,
     _copresheaf_of,
+    _join_dense,
     copresheaf_hom,
     enumerate_presheaves,
-    image_join_dense,
-    image_meet_dense,
     is_codense,
     is_complete,
     is_dense,
-    is_join_dense,
-    is_meet_dense,
     lan,
     materialize_copresheaves,
     materialize_presheaves,
@@ -168,9 +165,8 @@ def verify_type_preserving_representation(S: QFunctor, T: QFunctor,
 
 
 def verify_dense_representation(S: QFunctor, T: QFunctor, F: QFunctor, K: QFunctor,
-                                G: QFunctor, H: QFunctor, X: QCategory,
-                                assume_complete: bool = False) -> Report:
-    """Dense F, K and codense G, H with the four-way composite identity.
+                                G: QFunctor, H: QFunctor, X: QCategory) -> Report:
+    """Complete S.dom, T.dom and X; dense F, K; codense G, H; the four-way identity.
 
     When all of that holds, the Kan extensions lan(K, F) and ran(H, G) are
     built pointwise and handed to the general representation verifier,
@@ -182,12 +178,8 @@ def verify_dense_representation(S: QFunctor, T: QFunctor, F: QFunctor, K: QFunct
         raise TypeMismatch("K, H must land in the adjunction; F, G in X")
     report = Report("dense-representation")
     report.check("adjunction", is_adjoint_functor_pair(S, T), "")
-    if assume_complete:
-        report.skip("completeness", "asserted by caller")
-    else:
-        report.check("completeness",
-                     is_complete(S.dom) and is_complete(T.dom) and is_complete(X),
-                     "dom, cod and X are all complete")
+    report.check("completeness", is_complete(S.dom) and is_complete(T.dom) and is_complete(X),
+                 "dom, cod and X are all complete")
     report.check("dense-F", is_dense(F), "")
     report.check("dense-K", is_dense(K), "")
     report.check("codense-G", is_codense(G), "")
@@ -233,7 +225,8 @@ def _check_representation(name: str, phi: QDistributor, X: QCategory, F: QFuncto
 
 def verify_fca_representation(phi: QDistributor, X: QCategory, F: QFunctor,
                               G: QFunctor, assume_complete: bool = False) -> Report:
-    """Dense F: A -> X and codense G: B -> X with phi(a,b) = X(Fa, Gb)."""
+    """Dense F: A -> X and codense G: B -> X with phi(a,b) = X(Fa, Gb), X separated
+    and complete; ``assume_complete=True`` skips checking that X is complete."""
     return _check_representation("fca-representation", phi, X, F, G, assume_complete,
                                  "context-identity", "phi(a,b) == X(Fa,Gb)")
 
@@ -244,7 +237,7 @@ def verify_rst_representation(phi: QDistributor, X: QCategory, F: QFunctor,
     """Dense F: B -> X and codense G from the residual category into X,
     matching the residual context: residual(phi)(b, m) = X(Fb, Gm).
 
-    This is the FCA representation of the residual context.
+    This is the FCA representation of the residual context, ``assume_complete`` too.
     """
     return _check_representation("rst-representation", residual_context(phi, rc), X, F, G,
                                  assume_complete, "residual-identity",
@@ -331,12 +324,13 @@ def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
                           lambda l: copresheaf_tensor(A, *pair_of[l]), name="cotensors")
     cr = pda.functor_from(cod_cat,
                           lambda l: copresheaf_residual(A, *pair_of[l]), name="coresiduals")
-    # materialized (co)presheaf spaces are complete
+    # materialized (co)presheaf spaces are complete; meets are joins in the dual
+    P, Pd = pa.category, pda.category
     density = {
-        "presheaf_tensors:join": is_join_dense(ut, assume_complete=True),
-        "presheaf_residuals:meet": is_meet_dense(nr, assume_complete=True),
-        "copresheaf_tensors:meet": is_meet_dense(ct, assume_complete=True),
-        "copresheaf_residuals:join": is_join_dense(cr, assume_complete=True),
+        "presheaf_tensors:join": _join_dense(P, ut.mapping.values()),
+        "presheaf_residuals:meet": _join_dense(dualize_category(P), nr.mapping.values()),
+        "copresheaf_tensors:meet": _join_dense(dualize_category(Pd), ct.mapping.values()),
+        "copresheaf_residuals:join": _join_dense(Pd, cr.mapping.values()),
     }
     return GeneratorMaps(A, dom_set, cod_set, ut, nr, ct, cr, density, pair_of)
 
@@ -406,8 +400,7 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
 
 
 def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
-                                     G: dict, kind: str,
-                                     assume_complete: bool = False) -> Report:
+                                     G: dict, kind: str) -> Report:
     """The order-theoretic representation: join/meet-dense maps plus the
     entrywise double-residuation identity.
 
@@ -418,16 +411,14 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
     """
     d = _elementary(phi, kind)
     report = Report(f"elementary-{kind}-representation")
-    _lattice_hypotheses(report, X, assume_complete)
+    _lattice_hypotheses(report, X, False)
     tp = all(X.type_of(F[f]) == f[1].dst for f in d.f_pairs) and \
         all(X.type_of(G[g]) == d.named(*g).type for g in d.g_pairs)
     report.check("type-preserving", tp, "")
     if not tp:
         return report
-    report.check("join-dense-F",
-                 image_join_dense(X, {F[f] for f in d.f_pairs}, assume_complete=True), "")
-    report.check("meet-dense-G",
-                 image_meet_dense(X, {G[g] for g in d.g_pairs}, assume_complete=True), "")
+    report.check("join-dense-F", _join_dense(X, {F[f] for f in d.f_pairs}), "")
+    report.check("meet-dense-G", _join_dense(dualize_category(X), {G[g] for g in d.g_pairs}), "")
     bad = [d.at(f, g) for f in d.f_pairs for g in d.g_pairs
            if X.hom_of(F[f], G[g]) != d.entry(*d.context(f, g))]
     report.check_none("hom-identity", bad,
@@ -436,7 +427,7 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
 
 
 def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
-                             kind: str, assume_complete: bool = False) -> Report:
+                             kind: str) -> Report:
     """One-object specialization, plus the order-level biconditional forms.
 
     For the rst kind this includes the classical object-oriented criterion:
@@ -447,7 +438,7 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
     q = phi.q
     if not q.one_object:
         raise NotAQuantale("this corollary needs a one-object quantaloid")
-    report = verify_elementary_representation(phi, X, F, G, kind, assume_complete)
+    report = verify_elementary_representation(phi, X, F, G, kind)
     report.name = f"quantale-{kind}-representation"
     d, order = _elementary(phi, kind), underlying_order(X)
     cells = [(f, g, *d.context(f, g)) for f in d.f_pairs for g in d.g_pairs]

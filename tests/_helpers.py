@@ -7,6 +7,7 @@ oracles, not against themselves.
 
 import itertools
 
+from qfca.presheaf import enumerate_presheaves, sup
 from qfca.qcat import QCategory, validate_category
 from qfca.qdist import QDistributor, validate_distributor
 from qfca.quantaloid import Arrow, build_preset
@@ -25,6 +26,12 @@ def enumerate_categories(Q, labels):
             A = QCategory(Q, labels, types, hom)
             if validate_category(A).ok:
                 yield A
+
+
+def oracle_is_complete(A):
+    """Exhaustive: every enumerated presheaf of every type has a supremum."""
+    return all(sup(A, mu) is not None
+               for qobj in A.q.objects for mu in enumerate_presheaves(A, qobj))
 
 
 def enumerate_distributors(A, B):

@@ -249,7 +249,7 @@ def test_criterion_7_density_suite(two, luk3, fix2id, fixl3):
             failures.append((A.name, report.failed_names()))
     S = discrete_category(luk3, QTypedSet(("a",), ("*",)))
     y = materialize_presheaves(S).yoneda_functor()
-    negative = is_dense(y) and not is_join_dense(y, assume_complete=True)
+    negative = is_dense(y) and not is_join_dense(y)
     ok = verdict(7, not failures and negative,
                  "Yoneda dense, co-Yoneda codense, residual inclusion codense, "
                  "generators join/meet-dense; dense-but-not-join-dense case reproduced")
@@ -264,19 +264,16 @@ def test_criterion_8_theorem_verifiers(all_contexts, two):
             if not verify_general_representation(d.adj.S, d.adj.T, d.L, d.R, d.X).passed:
                 failures.append((name, kind, "general"))
             dd, F, K, G, H = canonical_dense_data(ctx.phi, kind)
-            if not verify_dense_representation(dd.adj.S, dd.adj.T, F, K, G, H, dd.X,
-                                               assume_complete=True).passed:
+            if not verify_dense_representation(dd.adj.S, dd.adj.T, F, K, G, H, dd.X).passed:
                 failures.append((name, kind, "dense"))
             de, Fe, Ge = canonical_elementary_data(ctx.phi, kind)
-            if not verify_elementary_representation(ctx.phi, de.X, Fe, Ge, kind,
-                                                    assume_complete=True).passed:
+            if not verify_elementary_representation(ctx.phi, de.X, Fe, Ge, kind).passed:
                 failures.append((name, kind, "elementary"))
         dm, Fm, Gm = canonical_fca_data(ctx.phi)
-        if not verify_fca_representation(ctx.phi, dm.X, Fm, Gm, assume_complete=True).passed:
+        if not verify_fca_representation(ctx.phi, dm.X, Fm, Gm).passed:
             failures.append((name, "fca-rep"))
         dk, Fk, Gk, rc = canonical_rst_data(ctx.phi)
-        if not verify_rst_representation(ctx.phi, dk.X, Fk, Gk, rc,
-                                         assume_complete=True).passed:
+        if not verify_rst_representation(ctx.phi, dk.X, Fk, Gk, rc).passed:
             failures.append((name, "rst-rep"))
 
     # single-hypothesis mutations fail with the mutated hypothesis named
@@ -289,20 +286,19 @@ def test_criterion_8_theorem_verifiers(all_contexts, two):
         failures.append(("mutation", "essential-surjectivity-R"))
     dd, F, K, G, H = canonical_dense_data(ctx.phi, "fca")
     K_bad = QFunctor(K.dom, K.cod, {x: K.cod.objects[-1] for x in K.dom.objects})
-    rep = verify_dense_representation(dd.adj.S, dd.adj.T, F, K_bad, G, H, dd.X,
-                                      assume_complete=True)
+    rep = verify_dense_representation(dd.adj.S, dd.adj.T, F, K_bad, G, H, dd.X)
     if "dense-K" not in rep.failed_names():
         failures.append(("mutation", "dense-K"))
     dm, Fm, Gm = canonical_fca_data(ctx.phi)
     G_bad = QFunctor(Gm.dom, dm.X, {x: Fm(ctx.A.objects[0]) for x in Gm.dom.objects})
-    rep = verify_fca_representation(ctx.phi, dm.X, Fm, G_bad, assume_complete=True)
+    rep = verify_fca_representation(ctx.phi, dm.X, Fm, G_bad)
     if "codense-G" not in rep.failed_names():
         failures.append(("mutation", "codense-G"))
     fl = all_contexts["fixl3"]
     dk, Fk, Gk, rc = canonical_rst_data(fl.phi)
     Gk_bad = QFunctor(rc.category, dk.X,
                       {x: Gk(rc.category.objects[-1]) for x in rc.category.objects})
-    rep = verify_rst_representation(fl.phi, dk.X, Fk, Gk_bad, rc, assume_complete=True)
+    rep = verify_rst_representation(fl.phi, dk.X, Fk, Gk_bad, rc)
     if "residual-identity" not in rep.failed_names():
         failures.append(("mutation", "residual-identity"))
 
@@ -369,7 +365,7 @@ def test_criterion_10_elementary_identities_and_quantale(all_contexts, luk3):
             failures.append((name, "identities"))
         for kind in ("fca", "rst"):
             d, F, G = canonical_elementary_data(phi, kind)
-            rep = quantale_corollary_check(phi, d.X, F, G, kind, assume_complete=True)
+            rep = quantale_corollary_check(phi, d.X, F, G, kind)
             if not rep.passed:
                 failures.append((name, kind, rep.failed_names()))
     ok = verdict(10, not failures,

@@ -106,8 +106,7 @@ def test_theorem_1_2_dense_form(two, crisp):
     # over the Boolean quantaloid the Yoneda generator is the singleton map
     for a in A.objects:
         assert presheaf_to_subset(two, d.adj.C_space.member_of(K(a))) == {a}
-    report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X,
-                                         assume_complete=True)
+    report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
     assert report.passed, report.failed_names()
     Dord = underlying_order(d.adj.D_space.category)
     Xord = underlying_order(d.X)
@@ -124,8 +123,8 @@ def test_theorem_1_3_fca_fundamental(two, crisp):
     f = {a: lattice.label_of(pair.closure(yoneda(A, a))) for a in A.objects}
     from qfca.presheaf import coyoneda
     g = {b: lattice.label_of(isbell_down(phi, coyoneda(B, b))) for b in B.objects}
-    assert image_join_dense(X, set(f.values()), assume_complete=True)
-    assert image_meet_dense(X, set(g.values()), assume_complete=True)
+    assert image_join_dense(X, set(f.values()))
+    assert image_meet_dense(X, set(g.values()))
     order = underlying_order(X)
     for a in A.objects:
         for b in B.objects:
@@ -144,8 +143,8 @@ def test_theorem_1_4_rst_fundamental(two, crisp):
     f = {b: latK.label_of(pair.closure(yoneda(B, b))) for b in B.objects}
     from qfca.presheaf import coyoneda
     g = {a: latK.label_of(isbell_down(neg, coyoneda(A, a))) for a in A.objects}
-    assert image_join_dense(X, set(f.values()), assume_complete=True)
-    assert image_meet_dense(X, set(g.values()), assume_complete=True)
+    assert image_join_dense(X, set(f.values()))
+    assert image_meet_dense(X, set(g.values()))
     order = underlying_order(X)
     for b in B.objects:
         for a in A.objects:

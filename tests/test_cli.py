@@ -153,7 +153,7 @@ def test_verify_props_pass(capsys):
 
 # sha256 (first 16 hex digits) of the stdouts of test_empty_carrier_documents,
 # joined in run order.
-EMPTY_SIDE_DIGESTS = {"no-rows": "1b5999c1b6701699", "no-columns": "f5d4739cc9811422"}
+EMPTY_SIDE_DIGESTS = {"no-rows": "88793aed0864b4dc", "no-columns": "22ae82065e3b27f7"}
 PROPS = ("k-eq-m-tr", "k-eq-m-neg", "isbell-adjunction", "kan-adjunction", "yoneda",
          "dense-cond", "elementary-identities", "thm33", "thm51", "mphi-rep", "kphi-rep",
          "elementary-rep", "girard-probe")
@@ -227,6 +227,26 @@ def test_verify_user_supplied_data(capsys, tmp_path):
                     "--data", "F=F", "G=G", "X=X")
     assert code == 3
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_user_supplied_incomplete_target(capsys, tmp_path):
+    # two incomparable objects have no join, so X fails the completeness
+    # hypothesis, which the report checks instead of asserting
+    doc = json.loads((CONTEXTS / "fix_2id.json").read_text())
+    doc["categories"]["X"] = {
+        "objects": [{"label": "u", "type": "*"}, {"label": "v", "type": "*"}],
+        "hom": [["u", "u", "1"], ["v", "v", "1"], ["u", "v", "0"], ["v", "u", "0"]],
+    }
+    doc["functors"]["F"] = {"from": "A", "to": "X", "map": {"a1": "u", "a2": "v"}}
+    doc["functors"]["G"] = {"from": "B", "to": "X", "map": {"b1": "u", "b2": "v"}}
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify", str(path), "--prop", "mphi-rep", "--data", "F=F", "G=G", "X=X"])
+    captured = capsys.readouterr()
+    assert code == 3 and "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert "complete" in [c["name"] for c in report["conditions"] if not c["passed"]]
 
 
 def test_tr_output(capsys):
@@ -393,7 +413,7 @@ def test_unknown_labels_are_named(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "hom section '*->*'" in err and "unknown label 'zz'" in err
+    assert "hom section '*->*'" in err and "unknown arrow label 'zz'" in err
     assert "misses the required field" not in err
     doc["quantaloid"]["homs"]["*->*"]["leq"] = [["0", "1"]]
     square = {f"{p}->{q}": doc["quantaloid"]["homs"]["*->*"] for p in "*o" for q in "*o"}

@@ -47,10 +47,10 @@ from qfca.presheaf import (
     yoneda,
 )
 from qfca.cli import load_document
-from qfca.concept import residual_category
+from qfca.concept import fca_lattice, residual_category, rst_lattice
 from qfca.represent import canonical_dense_data, canonical_fca_data, canonical_general_data
 
-from _helpers import oracle_left_imp
+from _helpers import oracle_is_complete, oracle_left_imp
 
 
 def assert_lan_identity(L, K, F):
@@ -233,7 +233,7 @@ def test_join_dense_negative_case(luk3):
     ps = materialize_presheaves(S)
     y = ps.yoneda_functor()
     assert is_dense(y)
-    assert not is_join_dense(y, assume_complete=True)
+    assert not is_join_dense(y)
 
 
 def test_join_dense_identity(two):
@@ -244,13 +244,11 @@ def test_join_dense_identity(two):
 
 
 def test_order_density_refuses_an_incomplete_target(two):
-    # two incomparable objects have no join (nor meet), so X is not complete;
-    # asserting completeness skips the check, and each object is its own join
+    # two incomparable objects have no join (nor meet), so X is not complete
     X = discrete_category(two, QTypedSet(("u", "v"), ("*", "*")), name="anti")
     for dense, what in ((image_join_dense, "join"), (image_meet_dense, "meet")):
         with pytest.raises(QfcaError, match=f"anti is not complete; {what}-density is undefined"):
             dense(X, X.objects)
-        assert dense(X, X.objects, assume_complete=True) is True
 
 
 def test_join_dense_matches_subset_oracle(fixl3, fix2id):
@@ -260,7 +258,7 @@ def test_join_dense_matches_subset_oracle(fixl3, fix2id):
         X = X_space.category
         order = underlying_order(X)
         for image in [set(X.objects[:1]), set(X.objects[1:]), set(X.objects)]:
-            got = image_join_dense(X, image, assume_complete=True)
+            got = image_join_dense(X, image)
             expect = True
             for y in X.objects:
                 candidates = [s for s in sorted(image) if X.type_of(s) == X.type_of(y)]
@@ -397,16 +395,27 @@ def test_coyoneda_adjoint_to_inf(two, luk3):
         assert all(weighted_limit(m, identity_functor(X)) == inf(X, m) for m in space.members)
 
 
-def test_is_complete_obeys_the_budget_on_every_call(monkeypatch):
-    # no verdict is kept, so neither a repeat call nor an equal category
-    # can skip the capped enumeration
+def test_is_complete_decides_beyond_the_enumeration_budget(monkeypatch):
+    # is_complete enumerates nothing, so a cap that the presheaf spaces on A
+    # exceed still leaves it deciding A and the materialized space on A
     path = pathlib.Path(__file__).parent.parent / "contexts" / "fix_dl3.json"
     A = load_document(str(path)).categories["A"]
-    assert not is_complete(A)
+    X = materialize_presheaves(A).category
+    expected = [oracle_is_complete(A), True]
     monkeypatch.setenv("QFCA_BUDGET", "1")
-    for X in (A, QCategory(A.q, A.objects, A.types, A.hom, name=A.name)):
+    for qobj in ("1", "2"):
         with pytest.raises(BudgetExceeded):
-            is_complete(X)
+            enumerate_presheaves(A, qobj)
+    assert [is_complete(A), is_complete(X)] == expected == [False, True]
+
+
+def test_concept_lattices_and_presheaf_spaces_on_the_contexts_are_complete():
+    for path in sorted((pathlib.Path(__file__).parent.parent / "contexts").glob("*.json")):
+        phi = load_document(str(path)).distributors["phi"]
+        cats = [lattice(phi).category for lattice in (fca_lattice, rst_lattice)]
+        cats += [space(C).category for C in (phi.dom, phi.cod)
+                 for space in (materialize_presheaves, materialize_copresheaves)]
+        assert all(map(is_complete, cats)), path.name
 
 
 def test_supremum_least_label_tie_break(two):

@@ -19,6 +19,7 @@ oracle for the printed form that (co)presheaf families keep and that
 """
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -35,6 +36,7 @@ from _helpers import (
     oracle_copresheaf_law,
     oracle_generators,
     oracle_isbell_down,
+    oracle_is_complete,
     oracle_isbell_up,
     oracle_kan_dag,
     oracle_kan_lower,
@@ -56,7 +58,13 @@ from qfca.quantaloid import (
     validate_quantaloid,
 )
 from qfca.cli import ContextDocument, main, serialize_document
-from qfca.qcat import QCategory, QTypedSet, discrete_category, underlying_order
+from qfca.qcat import (
+    QCategory,
+    QTypedSet,
+    discrete_category,
+    underlying_order,
+    validate_category,
+)
 from qfca.qdist import QDistributor, dist_compose, dist_left_imp, identity_dist
 from qfca.presheaf import (
     Copresheaf,
@@ -64,6 +72,7 @@ from qfca.presheaf import (
     copresheaf_law_ok,
     enumerate_copresheaves,
     enumerate_presheaves,
+    is_complete,
     materialize_copresheaves,
     materialize_presheaves,
     pointwise_leq,
@@ -131,6 +140,42 @@ def classical_context(data):
     A, B = (discrete_category(TWO, QTypedSet(tuple(f"{side}{i}" for i in range(3)), ("*",) * 3))
             for side in "ab")
     return data.draw(st.sampled_from(_distributors(A, B)), label="classical-context")
+
+
+def closed_category(data, Q, labels):
+    """A category on ``labels``: drawn types and entries, each entry then raised
+    by its unit and by the composites through every object until the laws hold."""
+    n = len(labels)
+    types = [data.draw(st.sampled_from(Q.objects), label="type") for _ in labels]
+    hom = [[data.draw(st.sampled_from(Q.arrows(s, t)), label="entry") for t in types]
+           for s in types]
+    for x in range(n):
+        hom[x][x] = Q.hom_join(types[x], types[x], [hom[x][x], Q.unit(types[x])])
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in itertools.product(range(n), repeat=3):
+            joined = Q.hom_join(types[x], types[z], [hom[x][z], Q.compose(hom[y][z], hom[x][y])])
+            changed |= joined != hom[x][z]
+            hom[x][z] = joined
+    return QCategory(Q, labels, types, hom)
+
+
+def test_is_complete_matches_the_enumeration_on_small_carriers():
+    # every category on one or two objects over each quantaloid
+    verdicts = [(is_complete(A), oracle_is_complete(A)) for Q in QUANTALOIDS
+                for labels in (("x",), ("x", "y")) for A in _categories(Q, labels)]
+    assert all(got == expected for got, expected in verdicts)
+    assert (len(verdicts), sum(got for got, _ in verdicts)) == (88, 26)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_is_complete_matches_the_enumeration_randomized(data):
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    A = closed_category(data, Q, ("x", "y", "z"))
+    assert validate_category(A).ok
+    assert is_complete(A) == oracle_is_complete(A)
 
 
 @settings(max_examples=60, deadline=None)

@@ -104,14 +104,17 @@ def test_residuation_refuses_a_hom_that_is_not_a_lattice():
 
 
 def test_compose_entries_and_units_must_index_their_homs(two):
-    with pytest.raises(InvalidParams, match=r"^compose table for \(\*,\*,\*\) has entry 5 at "
-                                            r"\[1\]\[1\], not an index of hom \(\*,\*\)$"):
-        Quantaloid(two.objects, two.homs, {("*", "*", "*"): ((0, 0), (0, 5))}, two.units)
+    # an index is an int: a float, a string or a bool is refused even where it equals one
+    for entry in (5, 1.0, "1", True):
+        with pytest.raises(InvalidParams, match=rf"^compose table for \(\*,\*,\*\) has entry "
+                                                rf"{entry!r} at \[1\]\[1\], not an index of "
+                                                r"hom \(\*,\*\)$"):
+            Quantaloid(two.objects, two.homs, {("*", "*", "*"): ((0, 0), (0, entry))}, two.units)
     with pytest.raises(InvalidParams, match=r"^compose table for \(\*,\*,\*\) has entry -1 at "
                                             r"\[0\]\[1\], not an index of hom \(\*,\*\)$"):
         Quantaloid(two.objects, two.homs, {("*", "*", "*"): ((0, -1), (0, 1))}, two.units)
-    for unit in (9, -1):
-        with pytest.raises(InvalidParams, match=rf"^unit {unit} of object \* is not an index "
+    for unit in (9, -1, "1", True, 1.0):
+        with pytest.raises(InvalidParams, match=rf"^unit {unit!r} of object \* is not an index "
                                                 r"of hom \(\*,\*\)$"):
             Quantaloid(two.objects, two.homs, two.compose_table, {"*": unit})
 

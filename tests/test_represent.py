@@ -166,7 +166,7 @@ def test_dense_representation_necessity_instance(fix2id):
     d = canonical_general_data(fix2id.phi, "fca")
     report = verify_dense_representation(
         d.adj.S, d.adj.T, d.L, identity_functor(d.adj.C_space.category),
-        d.R, identity_functor(d.adj.D_space.category), d.X, assume_complete=True)
+        d.R, identity_functor(d.adj.D_space.category), d.X)
     assert report.passed, report.failed_names()
 
 
@@ -174,21 +174,29 @@ def test_dense_representation_generator_instance(all_contexts):
     for name, ctx in all_contexts.items():
         for kind in ("fca", "rst"):
             d, F, K, G, H = canonical_dense_data(ctx.phi, kind)
-            report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X,
-                                                 assume_complete=True)
+            report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
             assert report.passed, (name, kind, report.failed_names())
 
 
 def test_dense_representation_checks_completeness_by_default(fix2id):
     d, F, K, G, H = canonical_dense_data(fix2id.phi, "fca")
     checked = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
-    asserted = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X,
-                                           assume_complete=True)
     assert checked.passed, checked.failed_names()
     assert checked.condition("completeness").detail == "dom, cod and X are all complete"
-    assert asserted.condition("completeness").detail == "skipped: asserted by caller"
-    assert [c for c in checked.conditions if c.name != "completeness"] == \
-        [c for c in asserted.conditions if c.name != "completeness"]
+
+
+def test_lattice_representations_skip_completeness_only_when_asserted(fix2id):
+    # assume_complete stays on these two verifiers alone; it replaces the
+    # check of X by a skip and leaves every other condition as it was
+    d, F, G = canonical_fca_data(fix2id.phi)
+    dk, Fk, Gk, rc = canonical_rst_data(fix2id.phi)
+    for verify, args in ((verify_fca_representation, (fix2id.phi, d.X, F, G)),
+                         (verify_rst_representation, (fix2id.phi, dk.X, Fk, Gk, rc))):
+        checked, asserted = verify(*args), verify(*args, assume_complete=True)
+        assert checked.passed and checked.condition("complete").detail == ""
+        assert asserted.condition("complete").detail == "skipped: asserted by caller"
+        assert [c for c in checked.conditions if c.name != "complete"] == \
+            [c for c in asserted.conditions if c.name != "complete"]
 
 
 def test_dense_representation_broken_density(fix2id):
@@ -196,15 +204,14 @@ def test_dense_representation_broken_density(fix2id):
     top_label = d.adj.C_space.label_of(
         max(d.adj.C_space.members, key=lambda m: sum(v.index for v in m.values)))
     K_bad = QFunctor(K.dom, K.cod, {x: top_label for x in K.dom.objects}, name="const")
-    report = verify_dense_representation(d.adj.S, d.adj.T, F, K_bad, G, H, d.X,
-                                         assume_complete=True)
+    report = verify_dense_representation(d.adj.S, d.adj.T, F, K_bad, G, H, d.X)
     assert not report.passed and "dense-K" in report.failed_names()
 
 
 def test_fca_representation_canonical(all_contexts):
     for name, ctx in all_contexts.items():
         d, F, G = canonical_fca_data(ctx.phi)
-        report = verify_fca_representation(ctx.phi, d.X, F, G, assume_complete=True)
+        report = verify_fca_representation(ctx.phi, d.X, F, G)
         assert report.passed, (name, report.failed_names())
 
 
@@ -222,7 +229,7 @@ def test_fca_representation_macneille_instance(two):
     G = QFunctor(A, X, {a: lat.label_of(isbell_down(phi, coyoneda(A, a)))
                         for a in A.objects})
     assert all(F(a) == G(a) for a in A.objects)  # both are the representables
-    report = verify_fca_representation(phi, X, F, G, assume_complete=True)
+    report = verify_fca_representation(phi, X, F, G)
     assert report.passed, report.failed_names()
     assert dist_compose(cograph(G), graph(F)) == phi
 
@@ -241,7 +248,7 @@ def test_fca_representation_with_concept_removed(fix2id):
 def test_rst_representation_canonical(all_contexts):
     for name, ctx in all_contexts.items():
         d, F, G, rc = canonical_rst_data(ctx.phi)
-        report = verify_rst_representation(ctx.phi, d.X, F, G, rc, assume_complete=True)
+        report = verify_rst_representation(ctx.phi, d.X, F, G, rc)
         assert report.passed, (name, report.failed_names())
 
 
@@ -252,7 +259,7 @@ def test_rst_representation_wrong_G(fixl3):
                         {x: top_member for x in rc.category.objects})
     G_bad = compose_functors(collapse, identity_functor(rc.category))
     G_bad = compose_functors(G, G_bad)
-    report = verify_rst_representation(fixl3.phi, d.X, F, G_bad, rc, assume_complete=True)
+    report = verify_rst_representation(fixl3.phi, d.X, F, G_bad, rc)
     assert not report.passed and "residual-identity" in report.failed_names()
 
 
@@ -298,8 +305,7 @@ def test_elementary_representation_canonical(all_contexts):
     for name, ctx in all_contexts.items():
         for kind in ("fca", "rst"):
             d, F, G = canonical_elementary_data(ctx.phi, kind)
-            report = verify_elementary_representation(ctx.phi, d.X, F, G, kind,
-                                                      assume_complete=True)
+            report = verify_elementary_representation(ctx.phi, d.X, F, G, kind)
             assert report.passed, (name, kind, report.failed_names())
 
 
@@ -307,8 +313,7 @@ def test_elementary_representation_stops_at_a_type_mismatch(fixdl3):
     d, F, G = canonical_elementary_data(fixdl3.phi, "fca")
     f = next(iter(F))
     F = {**F, f: next(x for x in d.X.objects if d.X.type_of(x) != f[1].dst)}
-    report = verify_elementary_representation(fixdl3.phi, d.X, F, G, "fca",
-                                              assume_complete=True)
+    report = verify_elementary_representation(fixdl3.phi, d.X, F, G, "fca")
     assert [c.name for c in report.conditions] == ["separated", "complete", "type-preserving"]
     assert report.failed_names() == ["type-preserving"]
 
@@ -317,8 +322,7 @@ def test_elementary_representation_degenerate_X(fixl3):
     X = singleton_category(fixl3.phi.q, "*")
     F = {p: "*" for p in dom_pairs(fixl3.B)}
     G = {p: "*" for p in dom_pairs(fixl3.A)}
-    report = verify_elementary_representation(fixl3.phi, X, F, G, "rst",
-                                              assume_complete=True)
+    report = verify_elementary_representation(fixl3.phi, X, F, G, "rst")
     assert not report.passed and "hom-identity" in report.failed_names()
 
 
@@ -329,7 +333,7 @@ def test_quantale_corollary(fixl3, luk3):
     phi = QDistributor(A, B, [[half, half], [half, half]], name="allhalf")
     for kind in ("fca", "rst"):
         d, F, G = canonical_elementary_data(phi, kind)
-        report = quantale_corollary_check(phi, d.X, F, G, kind, assume_complete=True)
+        report = quantale_corollary_check(phi, d.X, F, G, kind)
         assert report.passed, report.failed_names()
 
 
@@ -342,7 +346,7 @@ def test_quantale_corollary_degenerate_X(fixl3):
     X = singleton_category(fixl3.phi.q, "*")
     F = {p: "*" for p in dom_pairs(fixl3.B)}
     G = {p: "*" for p in dom_pairs(fixl3.A)}
-    report = quantale_corollary_check(fixl3.phi, X, F, G, "rst", assume_complete=True)
+    report = quantale_corollary_check(fixl3.phi, X, F, G, "rst")
     assert not report.passed
     assert {"hom-identity", "object-oriented-biconditional"} & set(report.failed_names())
 
@@ -351,7 +355,7 @@ def test_quantale_corollary_degenerate_X_fca(fixl3):
     X = singleton_category(fixl3.phi.q, "*")
     F = {p: "*" for p in dom_pairs(fixl3.A)}
     G = {p: "*" for p in cod_pairs(fixl3.B)}
-    report = quantale_corollary_check(fixl3.phi, X, F, G, "fca", assume_complete=True)
+    report = quantale_corollary_check(fixl3.phi, X, F, G, "fca")
     assert "formal-concept-biconditional" in report.failed_names()
 
 
