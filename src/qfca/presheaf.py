@@ -16,7 +16,8 @@ arrow order.  Functions here always state which order they use;
 Presheaf and copresheaf categories are never materialized implicitly;
 ``materialize_presheaves``/``materialize_copresheaves`` build them explicitly
 behind the enumeration cap, for oracle tests and for functors that need the
-whole space (transposes, generator maps, canonical representation data).
+whole space (transposes, generator maps, the adjunction of the general and
+dense canonical representation data).
 """
 
 from __future__ import annotations
@@ -327,17 +328,26 @@ def is_complete(A: QCategory) -> bool:
     supremum of mu has the row ``hom <l mu``, which sends joins of presheaves to meets
     of rows, and every presheaf is a join of tensors ``u . hom(-, a)``.  So for each
     type s the rows of the objects of type s must hold the top row, each tensor row
-    ``z |-> left_imp(hom(a, z), u)`` for u: |a| -> s, and the meet of any two."""
+    ``z |-> left_imp(hom(a, z), u)`` for u: |a| -> s, and the meet of any two.
+
+    A row is coded as its values' down-sets side by side, so the meet of two rows is
+    one ``&`` of their codes and the top row sets every bit."""
     q, types = A.q, A.types
     for s in q.objects:
-        top = tuple(q.homs[(s, t)].top for t in types)
-        tables = [q.homs[(s, t)].meets for t in types]
-        rows = {tuple(a.index for a in row) for row, t in zip(A.hom, types) if t == s}
-        tensors = (r for row in A.hom
+        downs, offset = [], 0
+        for t in types:
+            hom = q.homs[(s, t)]
+            downs.append([d << offset for d in hom.down])
+            offset += len(hom)
+
+        def code(indices) -> int:
+            return sum(d[k] for d, k in zip(downs, indices))
+
+        rows = {code(w.index for w in row) for row, t in zip(A.hom, types) if t == s}
+        tensors = (code(r) for row in A.hom
                    for r in zip(*(q.limp_table[(w.src, s, w.dst)][w.index] for w in row)))
-        meets = (tuple(m[x][y] for m, x, y in zip(tables, r1, r2))
-                 for r1, r2 in itertools.combinations(rows, 2))
-        if not rows.issuperset(itertools.chain([top], tensors, meets)):
+        meets = (r1 & r2 for r1, r2 in itertools.combinations(rows, 2))
+        if not rows.issuperset(itertools.chain([(1 << offset) - 1], tensors, meets)):
             return False
     return True
 

@@ -7,9 +7,12 @@ failing hypothesis is named in the report rather than raised, so negative
 controls can assert exactly which condition died.
 
 The ``canonical_*`` builders construct the witness data used in the
-existence half of each theorem (closure restrictions, Kan extensions of
-Yoneda composites); they are what the command-line ``verify`` subcommand runs
-when the user supplies no data of their own.
+existence half of each theorem; they are what the command-line ``verify``
+subcommand runs when the user supplies no data of their own.  They start
+from the concept lattice: the F and G of the FCA and RST theorems are the
+closed forms of their composites through the (co)presheaf spaces, so those
+spaces, exponential in the carriers, are materialized only for the general
+and dense theorems, which read the adjunction on them.
 
 ``_fix_restriction`` restricts L to fix(TS) and decides whether that is an
 equivalence onto X.  ``_elementary`` describes each kind of the elementary
@@ -50,6 +53,7 @@ from .presheaf import (
     _copresheaf_of,
     _join_dense,
     copresheaf_hom,
+    coyoneda,
     enumerate_presheaves,
     is_codense,
     is_complete,
@@ -72,7 +76,7 @@ from .concept import (
     residual_category,
     residual_context,
 )
-from .quantaloid import Arrow
+from .quantaloid import Arrow, _kept
 
 
 # -- fixed points ---------------------------------------------------------------
@@ -556,55 +560,83 @@ def canonical_adjunction(phi: QDistributor, kind: str) -> CanonicalAdjunction:
     return CanonicalAdjunction(kind, phi, S, T, C, D)
 
 
-@dataclass
 class CanonicalRepresentation:
-    """The proof's witness data for one context: L, R onto the fixed category."""
+    """The proof's witness data for one context: the closure ``pair``, its
+    concept ``lattice`` and X, the lattice's category.
 
-    adj: CanonicalAdjunction
-    L: QFunctor
-    R: QFunctor
-    X: QCategory
-    lattice: ConceptLattice
+    ``adj``, the adjunction on the materialized (co)presheaf spaces, and its
+    restrictions L (the closure) and R (the right map) onto X are built on
+    first use and kept: only the general and dense theorems read them.
+    """
+
+    def __init__(self, pair: IsbellPair | KanPair, lattice: ConceptLattice):
+        self.pair, self.lattice, self.X = pair, lattice, lattice.category
+
+    @property
+    def adj(self) -> CanonicalAdjunction:
+        return _kept(self, "adj", lambda d: canonical_adjunction(d.pair.phi, d.pair.kind))
+
+    @property
+    def L(self) -> QFunctor:
+        return _kept(self, "L", lambda d: d.adj.C_space.functor_to(
+            d.lattice, d.pair.closure, name="closure-restriction"))
+
+    @property
+    def R(self) -> QFunctor:
+        return _kept(self, "R", lambda d: d.adj.D_space.functor_to(
+            d.lattice, d.pair.right, name="right-restriction"))
 
 
 def canonical_general_data(phi: QDistributor, kind: str) -> CanonicalRepresentation:
-    """Closure and right-adjoint restrictions onto the concept category."""
-    adj = canonical_adjunction(phi, kind)
+    """The concept lattice of ``kind``, with the closure and right-adjoint
+    restrictions onto its category."""
     pair = closure_pair(phi, kind)
-    lattice = pair.lattice()
-    L = adj.C_space.functor_to(lattice, pair.closure, name="closure-restriction")
-    R = adj.D_space.functor_to(lattice, pair.right, name="right-restriction")
-    return CanonicalRepresentation(adj, L, R, lattice.category, lattice)
+    return CanonicalRepresentation(pair, pair.lattice())
 
 
-def _dense_data(phi: QDistributor, kind: str):
-    """The general data with the dense K and codense H into the spaces of its
-    adjunction, their composites F = L.K and G = R.H into the concepts, and rc."""
+def _witnesses(phi: QDistributor, kind: str):
+    """The general data, the dense F and codense G into its concepts, and rc.
+
+    F and G are the closed forms of the composites F = L.K and G = R.H, whose
+    names they keep: F is the closure of each representable of the closure's
+    base.  G is the right map at each corepresentable of the columns (fca)
+    or at each residual member of rc, the residual category of the rows (rst).
+    """
     data = canonical_general_data(phi, kind)
-    K = data.adj.C_space.yoneda_functor()
-    if kind == "fca":
-        H, rc = data.adj.D_space.yoneda_functor(), None
-    else:  # the residual members: codense in the presheaves on the rows
+    pair, lattice, base = data.pair, data.lattice, data.pair.base
+    F = lattice.functor_from(base, lambda x: pair.closure(yoneda(base, x)),
+                             name="closure-restriction.yoneda")
+    if pair.kind == "fca":
+        rc, B = None, phi.cod
+        G = lattice.functor_from(B, lambda b: pair.right(coyoneda(B, b)),
+                                 name="right-restriction.coyoneda")
+    else:
         rc = residual_category(phi.dom)
-        H = rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion")
-    return data, compose_functors(data.L, K), K, compose_functors(data.R, H), H, rc
+        G = lattice.functor_from(rc.category, lambda m: pair.right(rc.member_of(m)),
+                                 name="right-restriction.residual-inclusion")
+    return data, F, G, rc
 
 
 def canonical_fca_data(phi: QDistributor):
     """Dense F on rows and codense G on columns, into the FCA concept category."""
-    data, F, _, G, _, _ = _dense_data(phi, "fca")
+    data, F, G, _ = _witnesses(phi, "fca")
     return data, F, G
 
 
 def canonical_rst_data(phi: QDistributor):
     """Dense F on columns and codense G on residual members, into RST concepts."""
-    data, F, _, G, _, rc = _dense_data(phi, "rst")
-    return data, F, G, rc
+    return _witnesses(phi, "rst")
 
 
 def canonical_dense_data(phi: QDistributor, kind: str):
-    """The small-generator data for the dense representation theorem."""
-    return _dense_data(phi, kind)[:5]
+    """The small-generator data for the dense representation theorem: the
+    general data, F, the dense K into the first space of its adjunction, G,
+    and the codense H into the second (for rst, the residual inclusion)."""
+    data, F, G, rc = _witnesses(phi, kind)
+    K = data.adj.C_space.yoneda_functor()
+    H = (data.adj.D_space.yoneda_functor() if rc is None
+         else rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion"))
+    return data, F, K, G, H
 
 
 def canonical_elementary_data(phi: QDistributor, kind: str):

@@ -7,10 +7,18 @@ oracles, not against themselves.
 
 import itertools
 
-from qfca.presheaf import enumerate_presheaves, sup
-from qfca.qcat import QCategory, validate_category
+from qfca.concept import closure_pair, residual_category
+from qfca.presheaf import enumerate_presheaves, presheaf_residual, sup
+from qfca.qcat import QCategory, compose_functors, validate_category
 from qfca.qdist import QDistributor, validate_distributor
 from qfca.quantaloid import Arrow, build_preset
+from qfca.represent import (
+    canonical_adjunction,
+    cod_pairs,
+    copresheaf_tensor,
+    dom_pairs,
+    presheaf_tensor,
+)
 
 
 def enumerate_categories(Q, labels):
@@ -32,6 +40,35 @@ def oracle_is_complete(A):
     """Exhaustive: every enumerated presheaf of every type has a supremum."""
     return all(sup(A, mu) is not None
                for qobj in A.q.objects for mu in enumerate_presheaves(A, qobj))
+
+
+def composite_witnesses(phi, kind):
+    """The witnesses of the ``kind`` representation theorems as composites
+    through the materialized spaces C, D of the closure adjunction.
+
+    L is the closure from C onto the concepts and R the right map from D.
+    Returns the concept lattice; F = L.K with K the Yoneda functor; G = R.H
+    with H the co-Yoneda functor (fca) or the inclusion of rc, the residual
+    category of the rows (rst); rc; and the elementary maps, each tensor of
+    an F pair and each (co)presheaf a G pair names carried through C or D.
+    """
+    adj, pair, A, B = canonical_adjunction(phi, kind), closure_pair(phi, kind), phi.dom, phi.cod
+    C, D, lattice = adj.C_space, adj.D_space, pair.lattice()
+    L = C.functor_to(lattice, pair.closure, name="closure-restriction")
+    R = D.functor_to(lattice, pair.right, name="right-restriction")
+    if kind == "fca":
+        rc, H = None, D.yoneda_functor()
+        f_pairs, g_pairs = dom_pairs(A), cod_pairs(B)
+        named = lambda b, v: copresheaf_tensor(B, b, v)
+    else:
+        rc = residual_category(A)
+        H = rc.functor_to(D, lambda m: m, name="residual-inclusion")
+        f_pairs, g_pairs = dom_pairs(B), dom_pairs(A)
+        named = lambda a, u: presheaf_residual(A, a, u)
+    F = {f: L(C.label_of(presheaf_tensor(pair.base, *f))) for f in f_pairs}
+    G = {g: R(D.label_of(named(*g))) for g in g_pairs}
+    return (lattice, compose_functors(L, C.yoneda_functor()), compose_functors(R, H), rc,
+            F, G)
 
 
 def enumerate_distributors(A, B):

@@ -1,9 +1,12 @@
 import pathlib
+import random
+import sys
 
 import pytest
 
+import qfca
 from qfca.cli import load_valid_document
-from qfca.errors import ConditionFailed, NotAdjoint, NotAQuantale
+from qfca.errors import BudgetExceeded, ConditionFailed, NotAdjoint, NotAQuantale
 from qfca.qcat import (
     QCategory,
     QFunctor,
@@ -56,6 +59,9 @@ from qfca.represent import (
     verify_type_preserving_representation,
     verify_yoneda,
 )
+from qfca.quantaloid import build_preset
+
+from _helpers import composite_witnesses
 
 CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"
 
@@ -378,3 +384,91 @@ def test_adjunction_laws_reports(all_contexts):
 def test_yoneda_report(fixdl3):
     assert verify_yoneda(fixdl3.A).passed
     assert verify_yoneda(fixdl3.B).passed
+
+
+# -- the canonical witnesses against their composites through the spaces -------------
+
+
+def _perfbench(*names):
+    """The benchmark's seeded context generator modules, by name."""
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
+    try:
+        return [__import__(name) for name in names]
+    finally:
+        sys.path.pop(0)
+
+
+def _context_files():
+    for path in sorted(CONTEXTS.glob("*.json")):
+        for name, phi in load_valid_document(str(path)).distributors.items():
+            yield f"{path.stem}/{name}", phi
+
+
+def _verify_shapes():
+    """The verify benchmark's context shapes: per quantaloid, a discrete and a
+    sparse 3x3 context (discrete is diagonal on a multi-object base)."""
+    gen, oracle, workloads = _perfbench("gen", "oracle", "workloads")
+    for spec in workloads.VERIFY_QUANTALOIDS:
+        Q = build_preset(spec["name"], **{k: v for k, v in spec.items() if k != "name"})
+        tables, rnd = oracle.Tables(Q), random.Random(f"witnesses/{Q.name}")
+        disc = (gen.discrete(tables, 3, 3, rnd) if Q.one_object
+                else gen.sparse(tables, 3, 3, rnd, density=0.0))
+        for shape, draw in (("discrete", disc),
+                            ("sparse", gen.sparse(tables, 3, 3, rnd, density=0.3))):
+            yield f"{Q.name}/{shape}", gen.build(qfca, Q, draw)
+
+
+def _assert_witnesses_match_composites(name, phi):
+    for kind in ("fca", "rst"):
+        lattice, F0, G0, rc0, EF0, EG0 = composite_witnesses(phi, kind)
+        X0 = lattice.category
+        if kind == "fca":
+            d, F, G = canonical_fca_data(phi)
+            new = verify_fca_representation(phi, d.X, F, G)
+            old = verify_fca_representation(phi, X0, F0, G0)
+        else:
+            d, F, G, rc = canonical_rst_data(phi)
+            new = verify_rst_representation(phi, d.X, F, G, rc)
+            old = verify_rst_representation(phi, X0, F0, G0, rc0)
+        # QFunctor equality compares dom, cod and mapping
+        assert (F, F.name, G, G.name) == (F0, F0.name, G0, G0.name), (name, kind)
+        assert new.to_json() == old.to_json(), (name, kind)
+        assert "adj" not in d.__dict__, (name, kind)
+        de, EF, EG = canonical_elementary_data(phi, kind)
+        assert (EF, EG) == (EF0, EG0), (name, kind)
+        assert verify_elementary_representation(phi, de.X, EF, EG, kind).to_json() == \
+            verify_elementary_representation(phi, X0, EF0, EG0, kind).to_json(), (name, kind)
+
+
+CONTEXT_FILES = list(_context_files())
+
+
+@pytest.mark.parametrize("name, phi", CONTEXT_FILES, ids=[name for name, _ in CONTEXT_FILES])
+def test_witnesses_match_the_composites_on_context_files(name, phi):
+    _assert_witnesses_match_composites(name, phi)
+
+
+def test_witnesses_match_the_composites_on_the_verify_shapes():
+    shapes = list(_verify_shapes())
+    assert len(shapes) == 12
+    for name, phi in shapes:
+        _assert_witnesses_match_composites(name, phi)
+
+
+def test_witnesses_enumerate_no_presheaf_space(monkeypatch, two):
+    # random 10x10 over two: each presheaf space has 2^10 candidates, above a cap
+    # of 100, and the concept lattices have 49 and 36 members, below it
+    gen, oracle = _perfbench("gen", "oracle")
+    phi = gen.build(qfca, two, gen.discrete(oracle.Tables(two), 10, 10, random.Random(1)))
+    monkeypatch.setenv("QFCA_BUDGET", "100")
+    d, F, G = canonical_fca_data(phi)
+    assert len(d.lattice) == 49
+    assert verify_fca_representation(phi, d.X, F, G).passed
+    d, F, G, rc = canonical_rst_data(phi)
+    assert len(d.lattice) == 36
+    assert verify_rst_representation(phi, d.X, F, G, rc).passed
+    d, F, G = canonical_elementary_data(phi, "fca")
+    assert verify_elementary_representation(phi, d.X, F, G, "fca").passed
+    with pytest.raises(BudgetExceeded) as err:
+        d.adj
+    assert (err.value.kind, err.value.limit, err.value.count) == ("enumeration", 100, 1024)

@@ -191,21 +191,26 @@ PINNED_ELEMENTARY = {
     ("rimp", 2, 2, 1):
         "- | QfcaError | mg ob(a2,b1,1,1)",
     ("compose", 0, 0, 1):
-        "ph(a1,1,b1,0) kh(b1,1/2,a1,0) | hi(a1,1,b1,0) fb(a1,b2,0,0) | QfcaError",
+        "ph(a1,1,b1,0) kh(b1,1/2,a1,0) | hi(a1,1,b1,0) fb(a1,b2,0,0) | "
+        "hi(b2,0,a2,0) ob(a2,b2,0,0)",
     ("compose", 0, 0, 2):
-        "ph(a1,0,b1,0) kh(b1,0,a2,0) | QfcaError | QfcaError",
+        "ph(a1,0,b1,0) kh(b1,0,a2,0) | hi(a1,0,b1,0) fb(a1,b2,0,0) | hi(b1,0,a2,0) ob(a2,b1,0,0)",
     ("compose", 0, 1, 1):
-        "ph(a1,1,b1,1/2) kh(b1,0,a1,0) | QfcaError | hi(b1,0,a2,0) ob(a2,b1,0,0)",
+        "ph(a1,1,b1,1/2) kh(b1,0,a1,0) | hi(a1,1,b1,1/2) fb(a1,b2,1/2,0) | "
+        "hi(b1,0,a2,0) ob(a2,b1,0,0)",
     ("compose", 0, 1, 2):
-        "ph(a1,1/2,b1,1/2) kh(b1,0,a1,0) | QfcaError | hi(b1,0,a1,0) ob(a1,b1,0,0)",
+        "ph(a1,1/2,b1,1/2) kh(b1,0,a1,0) | hi(a1,1/2,b1,1/2) fb(a1,b1,1/2,0) | "
+        "hi(b1,0,a1,0) ob(a1,b1,0,0)",
     ("compose", 0, 2, 1):
-        "ph(a1,0,b2,1) kh(b1,0,a2,0) | QfcaError | QfcaError",
+        "ph(a1,0,b2,1) kh(b1,0,a2,0) | hi(a1,0,b2,1) fb(a1,b2,0,1) | QfcaError",
     ("compose", 0, 2, 2):
-        "ph(a1,0,b1,1) kh(b1,0,a1,0) | QfcaError | QfcaError",
+        "ph(a1,0,b1,1) kh(b1,0,a1,0) | hi(a1,0,b1,1) fb(a1,b1,0,1) | QfcaError",
     ("compose", 1, 0, 1):
-        "ph(a2,1/2,b2,1) kh(b1,1/2,a1,0) | QfcaError | QfcaError",
+        "ph(a2,1/2,b2,1) kh(b1,1/2,a1,0) | hi(a2,1/2,b2,1) fb(a1,b2,0,1/2) | "
+        "hi(b2,1/2,a2,0) ob(a2,b2,0,1/2)",
     ("compose", 1, 0, 2):
-        "ph(a2,1/2,b1,1) kh(b2,1/2,a1,0) | QfcaError | QfcaError",
+        "ph(a2,1/2,b1,1) kh(b2,1/2,a1,0) | hi(a2,1/2,b1,1) fb(a1,b1,0,1/2) | "
+        "hi(b2,1/2,a1,0) ob(a1,b2,0,1/2)",
     ("compose", 1, 1, 1):
         "kh(b1,1/2,a1,0) | fb(a1,b2,1/2,1/2) | QfcaError",
     ("compose", 1, 1, 2):
@@ -214,15 +219,17 @@ PINNED_ELEMENTARY = {
         "ph(a1,1/2,b2,1) kh(b1,1/2,a2,0) | hi(a1,1/2,b2,1) fb(a1,b2,1/2,1) | "
         "hi(b1,1/2,a2,0) ob(a2,b1,0,1/2)",
     ("compose", 1, 2, 2):
-        "ph(a1,1/2,b1,1) kh(b1,1/2,a1,0) | QfcaError | QfcaError",
+        "ph(a1,1/2,b1,1) kh(b1,1/2,a1,0) | hi(a1,1/2,b1,1) fb(a1,b1,1/2,1) | "
+        "hi(b1,1/2,a1,0) ob(a1,b1,0,1/2)",
     ("compose", 2, 0, 1):
-        "ph(a1,1,b2,0) kh(b2,1,a1,0) | QfcaError | -",
+        "ph(a1,1,b2,0) kh(b2,1,a1,0) | hi(a1,1,b2,0) fb(a1,b2,0,1) | -",
     ("compose", 2, 0, 2):
-        "ph(a1,1/2,b2,0) kh(b1,1,a1,0) | QfcaError | QfcaError",
+        "ph(a1,1/2,b2,0) kh(b1,1,a1,0) | hi(a1,1/2,b2,0) fb(a1,b1,0,1) | "
+        "hi(b2,1,a1,0) ob(a1,b2,0,1)",
     ("compose", 2, 1, 0):
         "ph(a1,1,b2,1/2) kh(b1,1,a1,0) | hi(a1,1,b2,1/2) fb(a1,b2,1/2,1) | QfcaError",
     ("compose", 2, 1, 2):
-        "ph(a1,1/2,b2,1/2) kh(b1,1,a1,0) | QfcaError | -",
+        "ph(a1,1/2,b2,1/2) kh(b1,1,a1,0) | hi(a1,1/2,b2,1/2) fb(a1,b1,1/2,1) | -",
     ("compose", 2, 2, 0):
         "ph(a1,1/2,b2,1) kh(b1,1,a1,0) | jf mg hi(a1,1/2,b2,1) fb(a1,b2,1/2,1) | QfcaError",
     ("compose", 2, 2, 1):
