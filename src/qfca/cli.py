@@ -26,10 +26,10 @@ accepts a noncommutative table.
 Exit codes: 0 success/pass, 1 validation failure, 2 usage or precondition
 error, 3 property-verification failure, 4 budget exhausted (an enumeration,
 search or closure cap was reached; the ``BudgetExceeded`` message names the
-cap, its limit and the count).  The
-computing subcommands refuse any document that ``validate`` rejects: they
-print the failing validation reports and exit 1 without computing on it.  A
-document of the wrong shape (a field of the wrong JSON type) is a usage
+cap, its limit and the count).  The computing subcommands refuse any
+document that ``validate`` rejects: they print the failing validation
+reports and exit 1 without computing on it.  A document of the wrong shape
+(a field of the wrong JSON type, or a required field missing) is a usage
 error naming the field's JSON path.  Outputs are deterministic: repeated
 runs on the same input are byte-identical.  An inline quantaloid with a
 hom that is not a complete lattice is refused before its categories are
@@ -44,7 +44,6 @@ import contextlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -55,6 +54,7 @@ from .errors import (
     QfcaError,
     Report,
     ValidationFailed,
+    _Record,
 )
 from .quantaloid import (
     Arrow,
@@ -111,13 +111,12 @@ _EXIT_CODES = (
 )
 
 
-@dataclass
-class ContextDocument:
-    quantaloid: Quantaloid
-    quantaloid_spec: dict
-    categories: dict
-    distributors: dict
-    functors: dict
+class ContextDocument(_Record):
+    _fields = ("quantaloid", "quantaloid_spec", "categories", "distributors", "functors")
+
+    def __init__(self, quantaloid: Quantaloid, quantaloid_spec: dict, categories: dict,
+                 distributors: dict, functors: dict):
+        self._set(quantaloid, quantaloid_spec, categories, distributors, functors)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ContextDocument)
@@ -216,8 +215,6 @@ def _parse_category(Q: Quantaloid, name: str, spec: dict) -> QCategory:
 def _endpoints(categories: dict, what: str, spec: dict) -> tuple:
     """The categories that ``spec``'s "from" and "to" fields name."""
     for end in ("from", "to"):
-        if end not in spec:
-            raise UsageError(f"{what} misses the required field {end!r}")
         if spec[end] not in categories:
             raise UsageError(f"{what}: unknown category {spec[end]!r}")
     return categories[spec["from"]], categories[spec["to"]]
@@ -255,21 +252,28 @@ class _AnyOf(tuple):
 # The shape of a context document.  ``str`` is a JSON string, ``[s]`` a list
 # of s, a tuple a list of exactly those entries, a dict an object whose listed
 # keys have those shapes ("*" for every other key; without "*" other keys are
-# ignored).  Missing fields are reported by the parser.
+# ignored).  Under _REQUIRED, which no JSON key equals, a dict lists the keys
+# the object must have, or an _AnyOf of such lists; the last names a missing key.
+_REQUIRED = object()
 _TRIPLE = (str, str, str)
 _DOCUMENT_SHAPE = {
+    _REQUIRED: ("quantaloid",),
     "quantaloid": {
-        "preset": _AnyOf((str, {"name": str, "elements": [str], "leq": [(str, str)],
-                                "products": [_TRIPLE], "unit": str})),
+        _REQUIRED: _AnyOf((("preset",), ("objects", "homs", "units"))),
+        "preset": _AnyOf((str, {_REQUIRED: ("name",), "name": str, "elements": [str],
+                                "leq": [(str, str)], "products": [_TRIPLE], "unit": str})),
         "objects": [str],
-        "homs": {"*": {"elements": [str], "leq": [(str, str)]}},
+        "homs": {"*": {_REQUIRED: ("elements",), "elements": [str], "leq": [(str, str)]}},
         "compose": [_TRIPLE],
         "units": {"*": str},
         "name": str,
     },
-    "categories": {"*": {"objects": [{"label": str, "type": str}], "hom": [_TRIPLE]}},
-    "distributors": {"*": {"from": str, "to": str, "entries": [_TRIPLE]}},
-    "functors": {"*": {"from": str, "to": str, "map": {"*": str}}},
+    "categories": {"*": {_REQUIRED: ("objects",), "hom": [_TRIPLE],
+                         "objects": [{_REQUIRED: ("label", "type"), "label": str, "type": str}]}},
+    "distributors": {"*": {_REQUIRED: ("from", "to"), "from": str, "to": str,
+                           "entries": [_TRIPLE]}},
+    "functors": {"*": {_REQUIRED: ("from", "to", "map"), "from": str, "to": str,
+                       "map": {"*": str}}},
 }
 
 
@@ -302,6 +306,11 @@ def _check_shape(value, shape, path: str = "$") -> None:
     if isinstance(shape, _AnyOf):
         _check_shape(value, next(alt for alt in shape if _fits(value, alt)), path)
     elif isinstance(shape, dict):
+        required = shape.get(_REQUIRED, ())
+        options = required if isinstance(required, _AnyOf) else (required,)
+        if not any(all(key in value for key in keys) for keys in options):
+            missing = next(key for key in options[-1] if key not in value)
+            raise UsageError(f"{path} misses the required field {missing!r}")
         for key, item in value.items():
             sub = shape.get(key, shape.get("*"))
             if sub is not None:
@@ -322,10 +331,7 @@ def load_document(path: str) -> ContextDocument:
         except ValueError as e:  # undecodable bytes or malformed JSON
             raise UsageError(f"{path} is not valid JSON: {e}") from None
     _check_shape(data, _DOCUMENT_SHAPE)
-    try:
-        return parse_document(data)
-    except KeyError as e:
-        raise UsageError(f"{path} misses the required field {e.args[0]!r}") from None
+    return parse_document(data)
 
 
 def _validation_reports(doc: ContextDocument, quantaloid: bool = True) -> list:

@@ -25,8 +25,6 @@ complement route is also available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BaseMismatch,
     ClosureBudgetExceeded,
@@ -35,6 +33,7 @@ from .errors import (
     InvalidParams,
     QfcaError,
     Report,
+    _Frozen,
     budget,
 )
 from .qcat import (
@@ -131,8 +130,7 @@ def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
     return _copresheaf_of(kan_lower(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
 
 
-@dataclass(frozen=True)
-class IsbellPair:
+class IsbellPair(_Frozen):
     """The polarity adjunction ``left = isbell_up -| right = isbell_down``.
 
     Both closure pairs name the ``kind`` of their lattice, the ``base`` that
@@ -140,9 +138,12 @@ class IsbellPair:
     ``right`` start from, and the fixed-point ``lattice``.
     """
 
-    phi: QDistributor
+    _fields = ("phi",)
     kind = "fca"
     base = property(lambda self: self.phi.dom)
+
+    def __init__(self, phi: QDistributor):
+        self._set(phi)
 
     def left(self, mu: Presheaf) -> Copresheaf:
         return isbell_up(self.phi, mu)
@@ -167,14 +168,16 @@ class IsbellPair:
         return _coded(code, _isbell_table(self.phi, code, mid), _isbell_table(dual, mid, code))
 
 
-@dataclass(frozen=True)
-class KanPair:
+class KanPair(_Frozen):
     """The extension adjunction ``left = kan_star -| right = kan_lower``; see
     :class:`IsbellPair`."""
 
-    phi: QDistributor
+    _fields = ("phi",)
     kind = "rst"
     base = property(lambda self: self.phi.cod)
+
+    def __init__(self, phi: QDistributor):
+        self._set(phi)
 
     def left(self, lam: Presheaf) -> Presheaf:
         return kan_star(self.phi, lam)

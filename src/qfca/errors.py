@@ -12,7 +12,6 @@ missing preconditions, and work past a cap, which every cap reports through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 
 class QfcaError(Exception):
@@ -117,24 +116,60 @@ def budget(kind: str) -> int:
     return _DEFAULT_BUDGETS[kind][0]
 
 
-@dataclass(frozen=True)
-class Issue:
+class _Record:
+    """Equality and repr over the ``_fields`` of a subclass, as a dataclass has
+    them.  A mutable record is unhashable, a :class:`_Frozen` one hashable."""
+
+    __hash__ = None
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record that is hashable and refuses assignment once built."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Issue(_Frozen):
     """One violated law: a machine-readable code, where it happened, and why."""
 
-    code: str
-    where: tuple
-    detail: str
+    _fields = ("code", "where", "detail")
+
+    def __init__(self, code: str, where: tuple, detail: str):
+        self._set(code, where, detail)
 
     def to_json(self) -> dict:
         return {"code": self.code, "where": list(self.where), "detail": self.detail}
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of a structural validator; empty ``issues`` means valid."""
 
-    subject: str
-    issues: list[Issue] = field(default_factory=list)
+    _fields = ("subject", "issues")
+
+    def __init__(self, subject: str, issues: list[Issue] | None = None):
+        self._set(subject, [] if issues is None else issues)
 
     @property
     def ok(self) -> bool:
@@ -159,20 +194,19 @@ class ValidationReport:
         }
 
 
-@dataclass
-class Condition:
+class Condition(_Record):
     """One hypothesis or conclusion checked by a theorem verifier."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set(name, passed, detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Structured outcome of a theorem verifier: named per-condition results.
 
     Verifiers never answer with a bare boolean; a failing report names the
@@ -180,8 +214,10 @@ class Report:
     counterexample.
     """
 
-    name: str
-    conditions: list[Condition] = field(default_factory=list)
+    _fields = ("name", "conditions")
+
+    def __init__(self, name: str, conditions: list[Condition] | None = None):
+        self._set(name, [] if conditions is None else conditions)
 
     def check(self, name: str, passed: bool, detail: str = "") -> bool:
         self.conditions.append(Condition(name, bool(passed), detail))

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, budget
+from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, _Frozen, budget
 from .qcat import (
     QCategory,
     QFunctor,
@@ -48,13 +47,24 @@ from .qdist import (
 from .quantaloid import Arrow, _kept
 
 
-@dataclass(frozen=True)
-class _Vector:
-    """The fields and lookups that presheaves and copresheaves share."""
+class _Vector(_Frozen):
+    """The fields and lookups that presheaves and copresheaves share; a presheaf
+    never equals a copresheaf.  Equality and hashing run in every space lookup."""
 
-    base: QCategory
-    type: str
-    values: tuple[Arrow, ...]
+    _fields = ("base", "type", "values")
+
+    def __init__(self, base: QCategory, type: str, values: tuple[Arrow, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.type, self.values) == (other.base, other.type, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.type, self.values))
 
     def at(self, x: str) -> Arrow:
         return self.values[self.base.index(x)]

@@ -13,30 +13,29 @@ strings and equality of labels is equality of objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     InvalidParams,
     SearchBudgetExceeded,
     TypeMismatch,
     ValidationReport,
+    _Frozen,
     budget,
 )
 from .quantaloid import Arrow, Quantaloid, _kept
 
 
-@dataclass(frozen=True)
-class QTypedSet:
+class QTypedSet(_Frozen):
     """A set of labelled elements, each with a type from the quantaloid."""
 
-    elements: tuple[str, ...]
-    type_of: tuple[str, ...]
+    _fields = ("elements", "type_of")
 
-    def __post_init__(self):
-        if len(self.elements) != len(self.type_of):
+    def __init__(self, elements: tuple[str, ...], type_of: tuple[str, ...]):
+        if len(elements) != len(type_of):
             raise InvalidParams("elements and types differ in length")
-        if len(set(self.elements)) != len(self.elements):
-            raise InvalidParams(f"duplicate element labels: {self.elements}")
+        if len(set(elements)) != len(elements):
+            raise InvalidParams(f"duplicate element labels: {elements}")
+        self._set(elements, type_of)
 
 
 class QCategory:
@@ -134,12 +133,13 @@ def validate_category(A: QCategory) -> ValidationReport:
 # -- the underlying preorder ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(_Frozen):
     """The underlying preorder of a category, with iso-class helpers."""
 
-    elements: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
+    _fields = ("elements", "pairs")
+
+    def __init__(self, elements: tuple[str, ...], pairs: frozenset[tuple[str, str]]):
+        self._set(elements, pairs)
 
     def leq(self, x: str, y: str) -> bool:
         return (x, y) in self.pairs

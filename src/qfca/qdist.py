@@ -21,9 +21,8 @@ package verifies are equalities at this level, not isomorphisms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import TypeMismatch, ValidationReport
+from .errors import TypeMismatch, ValidationReport, _Frozen
 from .qcat import QCategory, QFunctor, dualize_category
 from .quantaloid import Arrow, _kept
 
@@ -201,20 +200,17 @@ def is_adjoint_functor_pair(F: QFunctor, G: QFunctor) -> bool:
 # -- Chu transforms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChuTransform:
+class ChuTransform(_Frozen):
     """A pair of functors relating two contexts: psi(F-, -) = phi(-, G-)."""
 
-    frm: QDistributor
-    to: QDistributor
-    F: QFunctor
-    G: QFunctor
+    _fields = ("frm", "to", "F", "G")
 
-    def __post_init__(self):
-        if self.F.dom != self.frm.dom or self.F.cod != self.to.dom:
+    def __init__(self, frm: QDistributor, to: QDistributor, F: QFunctor, G: QFunctor):
+        if F.dom != frm.dom or F.cod != to.dom:
             raise TypeMismatch("F must map the source rows to the target rows")
-        if self.G.dom != self.to.cod or self.G.cod != self.frm.cod:
+        if G.dom != to.cod or G.cod != frm.cod:
             raise TypeMismatch("G must map the target columns to the source columns")
+        self._set(frm, to, F, G)
 
 
 def validate_chu(c: ChuTransform) -> ValidationReport:

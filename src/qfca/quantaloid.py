@@ -39,8 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InvalidParams,
@@ -49,17 +47,41 @@ from .errors import (
     TypeMismatch,
     ValidationFailed,
     ValidationReport,
+    _Frozen,
     budget,
 )
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
-    """An arrow src -> dst, identified by its ordinal in that hom-lattice."""
+class Arrow(_Frozen):
+    """An arrow src -> dst, identified by its ordinal in that hom-lattice; arrows
+    order as ``(src, dst, index)`` tuples.  Equality and hashing are spelled
+    out: they run in every cached residuation."""
 
-    src: str
-    dst: str
-    index: int
+    _fields = ("src", "dst", "index")
+
+    def __init__(self, src: str, dst: str, index: int):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst, self.index) == (other.src, other.dst, other.index)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.index))
+
+    def _order(op):
+        def compare(self, other):
+            if other.__class__ is self.__class__:
+                return op((self.src, self.dst, self.index), (other.src, other.dst, other.index))
+            return NotImplemented
+        return compare
+
+    __lt__, __le__, __gt__, __ge__ = map(_order, (operator.lt, operator.le, operator.gt,
+                                                  operator.ge))
+    del _order
 
 
 def _bits(mask: int):
@@ -484,13 +506,13 @@ def validate_quantaloid(Q: Quantaloid) -> ValidationReport:
 # -- cyclic dualizing families ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicDualizingFamily:
+class CyclicDualizingFamily(_Frozen):
     """A choice of endo-arrow per object, with its cyclic/dualizing verdicts."""
 
-    d: tuple[tuple[str, Arrow], ...]
-    cyclic: bool
-    dualizing: bool
+    _fields = ("d", "cyclic", "dualizing")
+
+    def __init__(self, d: tuple[tuple[str, Arrow], ...], cyclic: bool, dualizing: bool):
+        self._set(d, cyclic, dualizing)
 
     def arrow(self, q: str) -> Arrow:
         for obj, a in self.d:
@@ -555,12 +577,17 @@ def complement_arrow(Q: Quantaloid, fam: CyclicDualizingFamily, u: Arrow) -> Arr
 
 
 def _chain_quantaloid(name: str, n: int, tensor) -> Quantaloid:
-    """One-object quantaloid on the chain 0 < 1/(n-1) < ... < 1."""
+    """One-object quantaloid on the chain 0 < 1/(n-1) < ... < 1.
+
+    ``tensor`` acts on the numerators 0..n-1; each label is the value in lowest
+    terms, as ``str`` of a ``fractions.Fraction`` writes it: "0", "1/3", "1".
+    """
     if n < 2:
         raise InvalidParams("chain presets need n >= 2")
-    values = [Fraction(i, n - 1) for i in range(n)]
-    labels = [str(v) for v in values]
-    products = [(str(a), str(b), str(tensor(a, b))) for a in values for b in values]
+    d = n - 1  # 0 and d are the ends; i/d for 0 < i < d is reduced by their gcd
+    labels = [f"{i // math.gcd(i, d)}/{d // math.gcd(i, d)}" if i % d else str(i // d)
+              for i in range(n)]
+    products = [(labels[a], labels[b], labels[tensor(a, b)]) for a in range(n) for b in range(n)]
     return _quantale_from_table(labels, zip(labels, labels[1:]), products, "1", name)
 
 
@@ -634,8 +661,7 @@ def build_preset(name: str, /, **params) -> Quantaloid:
         Q = _chain_quantaloid("two", 2, min)
     elif name == "lukasiewicz-chain":
         n = _int_param(params, "n", 3)
-        Q = _chain_quantaloid(f"lukasiewicz-{n}", n,
-                              lambda a, b: max(Fraction(0), a + b - 1))
+        Q = _chain_quantaloid(f"lukasiewicz-{n}", n, lambda a, b: max(0, a + b - n + 1))
     elif name == "godel-chain":
         n = _int_param(params, "n", 3)
         Q = _chain_quantaloid(f"godel-{n}", n, min)

@@ -22,9 +22,16 @@ theorem; its verifiers, corollary and canonical data read that, not the kind.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
-from .errors import ConditionFailed, NotAdjoint, NotAQuantale, Report, TypeMismatch
+from .errors import (
+    ConditionFailed,
+    NotAdjoint,
+    NotAQuantale,
+    Report,
+    TypeMismatch,
+    _Frozen,
+    _Record,
+)
 from .qcat import (
     QCategory,
     QFunctor,
@@ -286,8 +293,7 @@ def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
     return _copresheaf_of(presheaf_residual(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
 
 
-@dataclass
-class GeneratorMaps:
+class GeneratorMaps(_Record):
     """The four type-preserving maps from arrow-tagged carriers into P / P+.
 
     ``presheaf_tensors`` is join-dense and ``presheaf_residuals`` meet-dense
@@ -297,15 +303,16 @@ class GeneratorMaps:
     certificates, computed on the materialized spaces.
     """
 
-    base: QCategory
-    dom_set: QTypedSet
-    cod_set: QTypedSet
-    presheaf_tensors: QFunctor
-    presheaf_residuals: QFunctor
-    copresheaf_tensors: QFunctor
-    copresheaf_residuals: QFunctor
-    density: dict = field(default_factory=dict)
-    pair_of: dict = field(default_factory=dict)
+    _fields = ("base", "dom_set", "cod_set", "presheaf_tensors", "presheaf_residuals",
+               "copresheaf_tensors", "copresheaf_residuals", "density", "pair_of")
+
+    def __init__(self, base: QCategory, dom_set: QTypedSet, cod_set: QTypedSet,
+                 presheaf_tensors: QFunctor, presheaf_residuals: QFunctor,
+                 copresheaf_tensors: QFunctor, copresheaf_residuals: QFunctor,
+                 density: dict | None = None, pair_of: dict | None = None):
+        self._set(base, dom_set, cod_set, presheaf_tensors, presheaf_residuals,
+                  copresheaf_tensors, copresheaf_residuals,
+                  {} if density is None else density, {} if pair_of is None else pair_of)
 
 
 def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
@@ -339,8 +346,7 @@ def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
     return GeneratorMaps(A, dom_set, cod_set, ut, nr, ct, cr, density, pair_of)
 
 
-@dataclass(frozen=True)
-class _Elementary:
+class _Elementary(_Frozen):
     """One kind of the elementary theorem on phi.  F is defined on ``f_pairs``
     (``dom_pairs(pair.base)``) and G on ``g_pairs``, a G pair naming the
     (co)presheaf ``named(*g)`` of the space whose hom is ``hom``.  ``context``
@@ -349,16 +355,14 @@ class _Elementary:
     order side of the quantale biconditional.  ``identity`` and
     ``biconditional`` are the (name, formula) of those two conditions."""
 
-    pair: IsbellPair | KanPair
-    f_pairs: tuple
-    g_pairs: tuple
-    named: Callable
-    hom: Callable
-    context: Callable
-    entry: Callable
-    below: Callable
-    identity: tuple[str, str]
-    biconditional: tuple[str, str]
+    _fields = ("pair", "f_pairs", "g_pairs", "named", "hom", "context", "entry", "below",
+               "identity", "biconditional")
+
+    def __init__(self, pair: IsbellPair | KanPair, f_pairs: tuple, g_pairs: tuple,
+                 named: Callable, hom: Callable, context: Callable, entry: Callable,
+                 below: Callable, identity: tuple[str, str], biconditional: tuple[str, str]):
+        self._set(pair, f_pairs, g_pairs, named, hom, context, entry, below, identity,
+                  biconditional)
 
     def at(self, f: tuple[str, Arrow], g: tuple[str, Arrow]) -> tuple[str, str, str, str]:
         """An F pair and a G pair as reported: (f object, f arrow, g object, g arrow)."""
@@ -539,16 +543,14 @@ def verify_density_suite(A: QCategory) -> Report:
 # -- canonical witness data -----------------------------------------------------------
 
 
-@dataclass
-class CanonicalAdjunction:
+class CanonicalAdjunction(_Record):
     """A context's closure adjunction on materialized (co)presheaf spaces."""
 
-    kind: str
-    phi: QDistributor
-    S: QFunctor
-    T: QFunctor
-    C_space: PresheafSpace
-    D_space: PresheafSpace
+    _fields = ("kind", "phi", "S", "T", "C_space", "D_space")
+
+    def __init__(self, kind: str, phi: QDistributor, S: QFunctor, T: QFunctor,
+                 C_space: PresheafSpace, D_space: PresheafSpace):
+        self._set(kind, phi, S, T, C_space, D_space)
 
 
 def canonical_adjunction(phi: QDistributor, kind: str) -> CanonicalAdjunction:

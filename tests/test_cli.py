@@ -406,6 +406,17 @@ def test_malformed_documents_are_usage_errors(tmp_path):
         assert proc.stdout == ""
 
 
+def test_cold_start_loads_no_dataclasses_fractions_or_inspect():
+    # -S keeps site-packages' .pth files, which may import anything, out of the check
+    probe = ("import sys, qfca.cli\n"
+             "code = qfca.cli.main(['verify', 'contexts/fix_l3.json', '--prop', 'thm51'])\n"
+             "print(code, sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_unknown_labels_are_named(capsys, tmp_path):
     doc = json.loads((DATA / "inline_two.json").read_text())
     doc["quantaloid"]["homs"]["*->*"]["leq"] = [["0", "zz"]]
@@ -445,7 +456,9 @@ def test_unknown_labels_are_named(capsys, tmp_path):
              "units '*': unknown arrow label 'zz'"),
             (lambda q: q.update(compose=[["*->*:zz", "1", "1"]]),
              "compose triple [*->*:zz,1,1]: unknown arrow label 'zz'"),
-            (lambda q: q.pop("units"), "misses the required field 'units'")]:
+            (lambda q: q.pop("units"), "error: $.quantaloid misses the required field 'units'"),
+            (lambda q: q["homs"]["*->*"].pop("elements"),
+             "error: $.quantaloid.homs[\"*->*\"] misses the required field 'elements'")]:
         bad = json.loads(json.dumps(doc))
         edit(bad["quantaloid"])
         path.write_text(json.dumps(bad))
@@ -462,7 +475,21 @@ def test_unknown_labels_are_named(capsys, tmp_path):
             (lambda d: d["distributors"]["phi"]["entries"].append(["zz", "b1", "1"]),
              "error: distributor 'phi': entry [zz,b1,1]: no object 'zz' in A"),
             (lambda d: d["functors"]["swapA"]["map"].pop("a2"),
-             "error: functor 'swapA': functor map misses object 'a2'")]:
+             "error: functor 'swapA': functor map misses object 'a2'"),
+            # a missing field is named by its JSON path; CI runs the first case's file
+            (lambda d: d.update(json.loads((DATA / "missing_type.json").read_text())),
+             "error: $.categories.A.objects[0] misses the required field 'type'"),
+            (lambda d: d.pop("quantaloid"), "error: $ misses the required field 'quantaloid'"),
+            (lambda d: d.update(quantaloid={"preset": {"n": 3}}),
+             "error: $.quantaloid.preset misses the required field 'name'"),
+            (lambda d: d.update(quantaloid={}),
+             "error: $.quantaloid misses the required field 'objects'"),
+            (lambda d: d["categories"]["B"].pop("objects"),
+             "error: $.categories.B misses the required field 'objects'"),
+            (lambda d: d["categories"]["B"]["objects"][1].pop("label"),
+             "error: $.categories.B.objects[1] misses the required field 'label'"),
+            (lambda d: d["functors"]["swapB"].pop("map"),
+             "error: $.functors.swapB misses the required field 'map'")]:
         bad = json.loads(json.dumps(doc))
         edit(bad)
         path.write_text(json.dumps(bad))
@@ -476,11 +503,11 @@ def test_missing_endpoint_is_named_as_missing(capsys, tmp_path):
     path = tmp_path / "doc.json"
     for source, section, name, edit, message in [
             ("fix_dl3", "distributors", "phi", lambda s: s.pop("from"),
-             "error: distributor 'phi' misses the required field 'from'"),
+             "error: $.distributors.phi misses the required field 'from'"),
             ("fix_dl3", "distributors", "phi", lambda s: s.update(to="Z"),
              "error: distributor 'phi': unknown category 'Z'"),
             ("fix_2id", "functors", "swapA", lambda s: s.pop("to"),
-             "error: functor 'swapA' misses the required field 'to'"),
+             "error: $.functors.swapA misses the required field 'to'"),
             ("fix_2id", "functors", "swapA", lambda s: s.update({"from": "Z"}),
              "error: functor 'swapA': unknown category 'Z'")]:
         doc = json.loads((CONTEXTS / f"{source}.json").read_text())

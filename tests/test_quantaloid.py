@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfca.quantaloid as quantaloid
 from _helpers import chain4_quantale
 from qfca.errors import InvalidParams, NotGirard, ValidationFailed
 from qfca.quantaloid import (
@@ -420,6 +421,29 @@ def test_chain_preset_tables_are_pinned():
     for name in ("lukasiewicz-chain", "godel-chain"):
         with pytest.raises(InvalidParams, match=r"chain presets need n >= 2"):
             build_preset(name, n=1)
+
+
+class _Table(Exception):
+    """Carries the table that a chain preset hands to the quantale builder."""
+
+
+def test_chain_presets_match_fraction_arithmetic(monkeypatch):
+    # the labels and products against the fractions i/(n-1) and each tensor on
+    # them; the quantale is not built, so every n up to 64 stays cheap
+    def capture(elements, leq, products, unit, name):
+        raise _Table(list(elements), list(leq), list(products), unit)
+
+    monkeypatch.setattr(quantaloid, "_quantale_from_table", capture)
+    cases = [("two", 2, min)] + [(name, n, tensor) for n in range(2, 65) for name, tensor in
+                                 (("godel-chain", min), ("lukasiewicz-chain", luk_tensor))]
+    for name, n, tensor in cases:
+        with pytest.raises(_Table) as table:
+            build_preset(name, **({} if name == "two" else {"n": n}))
+        values = [Fraction(i, n - 1) for i in range(n)]
+        labels = [str(v) for v in values]
+        products = [(str(a), str(b), str(tensor(a, b))) for a in values for b in values]
+        assert table.value.args == (labels, list(zip(labels, labels[1:])), products, "1"), (
+            name, n)
 
 
 def _luk3_with(v, u, k):
