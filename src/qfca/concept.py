@@ -34,7 +34,6 @@ from .errors import (
     QfcaError,
     Report,
     _Frozen,
-    budget,
 )
 from .qcat import (
     QCategory,
@@ -51,7 +50,7 @@ from .qdist import (
     dist_right_imp,
     dualize_distributor,
     graph,
-    hom_ix,
+    hom_rows,
     identity_dist,
     tensor_ix,
     validate_chu,
@@ -62,6 +61,8 @@ from .presheaf import (
     Presheaf,
     PresheafFamily,
     PresheafSpace,
+    _SetCode,
+    _and_closure,
     _copresheaf_of,
     _presheaf_of,
     _require,
@@ -91,9 +92,9 @@ from .quantaloid import (
 def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
     """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
     _require(Presheaf, phi.dom, "the context's row category", mu)
-    q, types, s = phi.q, phi.dom.types, mu.type
-    return Copresheaf(phi.cod, s, tuple(hom_ix(q, types, s, t, col, mu.values)
-                                        for t, col in zip(phi.cod.types, phi.columns)))
+    s = mu.type
+    return Copresheaf(phi.cod, s, tuple(next(hom_rows(
+        phi.q, phi.dom.types, [(s, mu.values)], zip(phi.cod.types, phi.columns)))))
 
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
@@ -113,9 +114,9 @@ def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
 def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
     """mu <l phi, a presheaf on B: ``kan_lower(mu)(b) = hom(phi(-, b), mu)``."""
     _require(Presheaf, phi.dom, "the context's row category", mu)
-    q, types, s = phi.q, phi.dom.types, mu.type
-    return Presheaf(phi.cod, s, tuple(hom_ix(q, types, b, s, mu.values, col)
-                                      for b, col in zip(phi.cod.types, phi.columns)))
+    s = mu.type
+    return Presheaf(phi.cod, s, tuple(line[0] for line in hom_rows(
+        phi.q, phi.dom.types, zip(phi.cod.types, phi.columns), [(s, mu.values)])))
 
 
 def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
@@ -251,36 +252,6 @@ class ConceptLattice(PresheafFamily):
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
 
 
-class _SetCode:
-    """Presheaves of one type on a base as ints: their values' down-sets (or
-    up-sets, ``sets="up"``) side by side, ``q.homs[(|x_i|, qobj)].down[v_i]``
-    in ``fields[i]``.  In a lattice the down-set of a meet is the intersection
-    of the down-sets, and the up-set of a join that of the up-sets, so ``&``
-    is the pointwise meet of down-set codes and the join of up-set codes.
-    ``top`` sets every bit: the top presheaf, or the bottom one on up-sets.
-    """
-
-    def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
-        q = base.q
-        self.base, self.qobj = base, qobj
-        self.rows, self.fields, self._arrows, offset = [], [], [], 0
-        for t in base.types:
-            hom = q.homs[(t, qobj)]
-            rows = tuple(d << offset for d in getattr(hom, sets))
-            self.rows.append(rows)
-            self.fields.append(((1 << len(hom)) - 1) << offset)
-            self._arrows.append(dict(zip(rows, q.arrow_table[(t, qobj)])))
-            offset += len(hom)
-        self.top = sum(self.fields)
-
-    def pack(self, indices) -> int:
-        return sum(rows[k] for rows, k in zip(self.rows, indices))
-
-    def decode(self, code: int) -> Presheaf:
-        return Presheaf(self.base, self.qobj, tuple(
-            arrows[code & field] for field, arrows in zip(self.fields, self._arrows)))
-
-
 def _table(src: _SetCode, dst: _SetCode, cell) -> list[tuple[int, dict[int, int]]]:
     """A map of coded presheaves, per position i of src: its field, and each
     value there (index u) to the dst code of ``cell(i, j, u)`` over dst's
@@ -311,25 +282,12 @@ def _coded(code: _SetCode, left, right):
 def _meet_closure(code: _SetCode, close, generators) -> tuple[Presheaf, ...]:
     """Closure of the generator codes under binary pointwise meets, decoded.
 
-    Each generator that is not yet present is added, followed by its meet
-    with every element present before it.  That keeps the set meet-closed,
-    since ``(g & x) & (g & y) == g & (x & y)``, so the closure costs one AND
-    per generator and element.  Every result is re-checked, on its code, to
-    be fixed by ``close``; one that is not shows tables that are not residuated.
+    On down-set codes a pointwise meet is an ``&``, so this is ``_and_closure``
+    under the closure cap.  Every result is re-checked, on its code, to be fixed
+    by ``close``; one that is not shows tables that are not residuated.
     """
-    limit = budget("closure")
-    codes: list[int] = []
-    seen: set[int] = set()
-    for g in generators:
-        if g in seen:
-            continue
-        for m in [g] + [g & x for x in codes]:
-            if m not in seen:
-                seen.add(m)
-                codes.append(m)
-                if len(codes) > limit:
-                    raise ClosureBudgetExceeded("closure", limit, len(codes),
-                                                f"the meet closure at type {code.qobj!r}")
+    codes = _and_closure(generators, "closure", ClosureBudgetExceeded,
+                         f"the meet closure at type {code.qobj!r}")
     for c in codes:
         if close(c) != c:
             raise QfcaError(f"concept {presheaf_label(code.decode(c))} is not fixed, so the "

@@ -54,8 +54,9 @@ class HypothesesNotMet(QfcaError):
 class BudgetExceeded(QfcaError):
     """Work past a cap: ``kind`` (a key of ``_DEFAULT_BUDGETS``), its ``limit``,
     the ``count`` and ``what`` exceeded it.  ``count`` is the size needed where
-    it is known before any work starts (an enumeration, the family search) and
-    the size reached when the cap tripped for a closure or the equivalence search.
+    it is known before any work starts (the family search) and the size reached
+    when the cap tripped for an enumeration (the members produced), a closure or
+    the equivalence search.
     """
 
     def __init__(self, kind: str, limit: int, count: int, what: str):
@@ -100,7 +101,7 @@ class ConditionFailed(QfcaError):
 # Default caps and what they count.  The environment variable QFCA_BUDGET,
 # read at each use, replaces all caps at once; it is the only way to change one.
 _DEFAULT_BUDGETS = {
-    "enumeration": (10**5, "candidates"),
+    "enumeration": (10**5, "members"),
     "search": (10**6, "nodes"),
     "closure": (10**5, "elements"),
 }

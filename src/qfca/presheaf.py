@@ -14,16 +14,19 @@ arrow order.  Functions here always state which order they use;
 ``pointwise_leq`` is always the entrywise one.
 
 Presheaf and copresheaf categories are never materialized implicitly;
-``materialize_presheaves``/``materialize_copresheaves`` build them explicitly
-behind the enumeration cap, for oracle tests and for functors that need the
-whole space (transposes, generator maps, the adjunction of the general and
-dense canonical representation data).
+``materialize_presheaves``/``materialize_copresheaves`` build them explicitly,
+for oracle tests and for functors that need the whole space (transposes,
+generator maps, the adjunction of the general and dense canonical
+representation data).  A space is enumerated as the join closure of the
+tensors ``u . hom(-, a)`` on int codes, so it costs what it holds, and the
+enumeration cap bounds the members produced.  Every hom between
+(co)presheaves, one or a whole family's matrix, is a call of the row kernel
+``qdist.hom_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, _Frozen, budget
 from .qcat import (
@@ -37,10 +40,8 @@ from .qcat import (
 )
 from .qdist import (
     cograph,
-    dist_left_imp,
     graph,
-    hom_ix,
-    identity_dist,
+    hom_rows,
     is_adjoint_functor_pair,
     tensor_ix,
 )
@@ -135,10 +136,25 @@ def pointwise_leq(a, b) -> bool:
 # -- homs, joins, meets ---------------------------------------------------------
 
 
+def _hom_grid(rows, cols) -> list[list[Arrow]]:
+    """``hom(rows[i], cols[j])`` for (co)presheaves of one kind on one base, unchecked:
+    one ``hom_rows`` matrix on the base, or for copresheaves the transposed matrix of
+    the presheaf homs on the dual base, read back over the opposite quantaloid."""
+    if not rows or not cols:
+        return [[] for _ in rows]
+    if rows[0].__class__ is Presheaf:
+        base = rows[0].base
+        return list(hom_rows(base.q, base.types, [(m.type, m.values) for m in rows],
+                             [(m.type, m.values) for m in cols]))
+    back = rows[0].base.q.opposite().dual_arrows
+    grid = _hom_grid([_presheaf_of(m) for m in cols], [_presheaf_of(m) for m in rows])
+    return [list(back(col)) for col in zip(*grid)]
+
+
 def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
     """The hom arrow from mu to nu: meet over a of left_imp(nu(a), mu(a))."""
     _require(Presheaf, mu.base, "the first operand's base", mu, nu)
-    return hom_ix(mu.base.q, mu.base.types, mu.type, nu.type, nu.values, mu.values)
+    return _hom_grid([mu], [nu])[0][0]
 
 
 def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
@@ -147,8 +163,7 @@ def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
     It is the presheaf hom from kap to lam on the dual base.
     """
     _require(Copresheaf, lam.base, "the first operand's base", lam, kap)
-    mu = _presheaf_of(kap)
-    return mu.base.q.dual_arrows([presheaf_hom(mu, _presheaf_of(lam))])[0]
+    return _hom_grid([lam], [kap])[0][0]
 
 
 def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
@@ -208,13 +223,20 @@ def inf(A: QCategory, lam: Copresheaf):
     return sup(dualize_category(A), _presheaf_of(lam))
 
 
+def _graph_columns(F: QFunctor) -> list[tuple[str, tuple[Arrow, ...]]]:
+    """Each object y of cod(F) as ``(|y|, graph(F)(-, y))``, the column of hom(F-, y)
+    read off the hom rows of cod(F) at the images."""
+    B = F.cod
+    images = [B.hom[B.index(F(x))] for x in F.dom.objects]
+    return [(t, tuple(row[j] for row in images)) for j, t in enumerate(B.types)]
+
+
 def weighted_colimit(mu: Presheaf, F: QFunctor):
     """Colimit of F weighted by mu, on dom(F): the least-label object whose hom row
     is ``graph(F) <l mu``, or ``None``."""
     _require(Presheaf, F.dom, "the functor's domain", mu)
-    A, q, s = F.cod, F.cod.q, mu.type
-    target = tuple(hom_ix(q, F.dom.types, s, t, col, mu.values)
-                   for t, col in zip(A.types, graph(F).columns))
+    A, s = F.cod, mu.type
+    target = tuple(next(hom_rows(A.q, F.dom.types, [(s, mu.values)], _graph_columns(F))))
     return min((x for x, t, row in zip(A.objects, A.types, A.hom) if t == s and row == target),
                default=None)
 
@@ -292,9 +314,12 @@ def find_left_adjoint(F: QFunctor):
 
 
 def is_dense(F: QFunctor) -> bool:
-    """Exact test: graph(F) <l graph(F) equals the identity distributor."""
-    g = graph(F)
-    return dist_left_imp(g, g) == identity_dist(F.cod)
+    """Exact test: graph(F) <l graph(F) equals the identity distributor.  Its rows are
+    compared with the hom rows of cod(F) as the kernel yields them, up to the first
+    that differs."""
+    B, cols = F.cod, _graph_columns(F)
+    return all(line == list(row)
+               for line, row in zip(hom_rows(B.q, F.dom.types, cols, cols), B.hom))
 
 
 def is_codense(F: QFunctor) -> bool:
@@ -305,19 +330,93 @@ def is_codense(F: QFunctor) -> bool:
 # -- enumeration -----------------------------------------------------------------
 
 
+class _SetCode:
+    """Presheaves of one type on a base as ints: their values' down-sets (or
+    up-sets, ``sets="up"``) side by side, ``q.homs[(|x_i|, qobj)].down[v_i]``
+    in ``fields[i]``.  In a lattice the down-set of a meet is the intersection
+    of the down-sets, and the up-set of a join that of the up-sets, so ``&``
+    is the pointwise meet of down-set codes and the join of up-set codes.
+    ``top`` sets every bit: the top presheaf, or the bottom one on up-sets.
+    """
+
+    def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
+        q = base.q
+        self.base, self.qobj = base, qobj
+        self.rows, self.fields, self._arrows, offset = [], [], [], 0
+        for t in base.types:
+            hom = q.homs[(t, qobj)]
+            rows = tuple(d << offset for d in getattr(hom, sets))
+            self.rows.append(rows)
+            self.fields.append(((1 << len(hom)) - 1) << offset)
+            self._arrows.append(dict(zip(rows, q.arrow_table[(t, qobj)])))
+            offset += len(hom)
+        self.top = sum(self.fields)
+
+    def pack(self, indices) -> int:
+        return sum(rows[k] for rows, k in zip(self.rows, indices))
+
+    def decode(self, code: int) -> Presheaf:
+        return Presheaf(self.base, self.qobj, tuple(
+            arrows[code & field] for field, arrows in zip(self.fields, self._arrows)))
+
+
+def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:
+    """The generator codes closed under ``&``, in insertion order.
+
+    Each generator that is not yet present is added, followed by its ``&`` with
+    every code present before it.  That keeps the set closed, since
+    ``(g & x) & (g & y) == g & (x & y)``, so the closure costs one AND per
+    generator and code.  More codes than the ``kind`` cap raise ``error``
+    (a :class:`BudgetExceeded`) naming ``what`` and the count reached.
+    """
+    limit = budget(kind)
+    codes: list[int] = []
+    seen: set[int] = set()
+    for g in generators:
+        if g in seen:
+            continue
+        for m in [g] + [g & x for x in codes]:
+            if m not in seen:
+                seen.add(m)
+                codes.append(m)
+                if len(codes) > limit:
+                    raise error(kind, limit, len(codes), what)
+    return codes
+
+
 def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
-    """All presheaves of one type on A; ``space`` names them in the budget error."""
-    pools = [A.q.arrows(t, qobj) for t in A.types]
-    count = math.prod(map(len, pools))
-    limit = budget("enumeration")
-    if count > limit:
-        raise BudgetExceeded("enumeration", limit, count, f"the {space} at type {qobj!r}")
-    out = []
-    for values in itertools.product(*pools):
-        p = Presheaf(A, qobj, values)
-        if presheaf_law_ok(p):
-            out.append(p)
-    return tuple(out)
+    """All presheaves of one type on A, in lexicographic value order; ``space`` names
+    them in the budget error.
+
+    By Yoneda every presheaf mu is the join of its tensors ``mu(a) . hom(-, a)``, and
+    every join of tensors is a presheaf.  So the space is the join closure of the
+    tensors ``v . hom(-, a)``, over objects a and arrows v: |a| -> qobj, with the
+    bottom presheaf as the empty join: on up-set codes, the ``&`` closure of their
+    codes and the full code.  The enumeration cap bounds the members produced.
+
+    The closure is exact on any tables, valid or not: where a tensor falls below v
+    at a itself, the vector with v at a and the bottom elsewhere generates instead,
+    and each member is kept only if the join of its own tensors lies below it, which
+    is the presheaf law.
+    """
+    code, comp, types = _SetCode(A, qobj, "up"), A.q.compose_table, A.types
+    tensors = [[code.pack(comp[p, t, qobj][v][row[i].index] for p, row in zip(types, A.hom))
+                for v in range(len(rows))] for i, (t, rows) in enumerate(zip(types, code.rows))]
+    generators = [code.top] + [
+        c if c & field & ~up == 0 else code.top & ~field | up
+        for field, rows, cs in zip(code.fields, code.rows, tensors) for up, c in zip(rows, cs)]
+    codes = _and_closure(generators, "enumeration", BudgetExceeded,
+                         f"the {space} at type {qobj!r}")
+    value_at = [dict(zip(rows, itertools.count())) for rows in code.rows]
+
+    def law_ok(c: int) -> bool:
+        joined = -1
+        for field, at, cs in zip(code.fields, value_at, tensors):
+            joined &= cs[at[c & field]]
+        return c & ~joined == 0
+
+    members = map(code.decode, filter(law_ok, codes))
+    return tuple(sorted(members, key=lambda p: [v.index for v in p.values]))
 
 
 def enumerate_presheaves(A: QCategory, qobj: str) -> tuple[Presheaf, ...]:
@@ -395,13 +494,11 @@ class PresheafFamily:
         self.labels = tuple(map(_printed, self.members, self.value_labels))
         self.name = name
 
-    def _hom(self) -> list:
-        return [[presheaf_hom(m, m2) for m2 in self.members] for m in self.members]
-
     @property
     def category(self) -> QCategory:
         return _kept(self, "category", lambda s: QCategory(
-            s.base.q, s.labels, [m.type for m in s.members], s._hom(), name=s.name))
+            s.base.q, s.labels, [m.type for m in s.members], _hom_grid(s.members, s.members),
+            name=s.name))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -443,14 +540,6 @@ class PresheafSpace(PresheafFamily):
         enumerate_kind = enumerate_presheaves if kind == "presheaf" else enumerate_copresheaves
         members = [m for qobj in base.q.objects for m in enumerate_kind(base, qobj)]
         super().__init__(base, members, f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
-
-    def _hom(self) -> list:
-        if self.kind == "presheaf":
-            return super()._hom()
-        # the opposite of the presheaf category on the dual base
-        duals = [_presheaf_of(m) for m in self.members]
-        hom = [[presheaf_hom(d, d2) for d2 in duals] for d in duals]
-        return [self.base.q.opposite().dual_arrows(col) for col in zip(*hom)]
 
     def yoneda_functor(self) -> QFunctor:
         if self.kind == "presheaf":

@@ -260,9 +260,11 @@ def functor_iso(F: QFunctor, G: QFunctor) -> bool:
 
 
 def is_fully_faithful(F: QFunctor) -> bool:
-    A, B = F.dom, F.cod
-    return all(A.hom_of(x, y) == B.hom_of(F(x), F(y))
-               for x, y in itertools.product(A.objects, repeat=2))
+    """Each hom row of dom(F) equals the row of cod(F) at its image, read at the images."""
+    B = F.cod
+    images = [B.index(F(x)) for x in F.dom.objects]
+    return all(row == tuple(B.hom[i][j] for j in images)
+               for i, row in zip(images, F.dom.hom))
 
 
 def is_essentially_surjective(F: QFunctor) -> bool:

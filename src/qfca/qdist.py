@@ -8,11 +8,13 @@ operations of the calculus are
     left_imp:   (xi <l phi)(y, z)   = meet_x  left_imp(xi(x, z), phi(x, y))
     right_imp:  (psi >r xi)(x, y)   = meet_z  right_imp(psi(y, z), xi(x, z))
 
-Each entry is one of two folds over the quantaloid's index tables:
-``tensor_ix``, a join of composites, carries ``dist_compose``, ``kan_star``
-and ``pushforward``; ``hom_ix``, a meet of left residuals (the presheaf hom),
-carries ``dist_left_imp``, ``presheaf_hom``, ``weighted_colimit``,
-``isbell_up`` and ``kan_lower``.  Their duals reduce to these.
+Each entry is computed on the quantaloid's index tables, by one of two
+kernels: ``tensor_ix``, a fold of one entry's join of composites, carries
+``dist_compose``, ``kan_star`` and ``pushforward``; ``hom_rows``, the row
+kernel of the presheaf hom (a meet of left residuals), computes a whole
+matrix of homs row by row and carries ``dist_left_imp``, every presheaf and
+copresheaf hom, ``weighted_colimit``, ``isbell_up``, ``kan_lower`` and the
+density tests.  Their duals reduce to these.
 
 Distributor equality is exact entrywise arrow equality; the theorems this
 package verifies are equalities at this level, not isomorphisms.
@@ -96,14 +98,34 @@ def identity_dist(A: QCategory) -> QDistributor:
     return QDistributor(A, A, A.hom, name=f"id({A.name})")
 
 
-def hom_ix(q, types, s: str, t: str, ws, us) -> Arrow:
-    """meet_x left_imp(ws[x], us[x]) in hom (s, t), for ``us[x]: types[x] -> s`` and
-    ``ws[x]: types[x] -> t``: the presheaf hom from us to ws; the empty meet is the top."""
-    limp, hom = q.limp_table, q.homs[s, t]
-    meets, k = hom.meets, hom.top
-    for p, w, u in zip(types, ws, us):
-        k = meets[k][limp[p, s, t][w.index][u.index]]
-    return q.arrow_table[s, t][k]
+def hom_rows(q, types, rows, cols):
+    """The presheaf homs ``meet_x left_imp(ws[x], us[x])`` in hom (s, t) from each row
+    ``(s, us)`` to each column ``(t, ws)``, for ``us[x]: types[x] -> s`` and
+    ``ws[x]: types[x] -> t``, yielded as one list over cols per row; the empty meet
+    is the top.
+
+    For each row type s, each column's ``limp_table`` rows at its values and the
+    ``meets``, ``top`` and arrows of its hom are looked up once, so an entry costs one
+    ``meets`` step per position and no call.  A caller may stop after any row.
+    """
+    limp, homs, arrow_table = q.limp_table, q.homs, q.arrow_table
+    cols, hoisted = tuple(cols), {}
+    for s, us in rows:
+        at_s = hoisted.get(s)
+        if at_s is None:
+            at_s = hoisted[s] = []
+            for t, ws in cols:
+                hom, residuals = homs[s, t], []
+                for p, w in zip(types, ws):
+                    residuals.append(limp[p, s, t][w.index])
+                at_s.append((hom.meets, hom.top, arrow_table[s, t], residuals))
+        indices = [u.index for u in us]
+        line = []
+        for meets, k, arrows, residuals in at_s:
+            for row, u in zip(residuals, indices):
+                k = meets[k][row[u]]
+            line.append(arrows[k])
+        yield line
 
 
 def tensor_ix(q, types, p: str, r: str, us, vs) -> Arrow:
@@ -130,9 +152,8 @@ def dist_left_imp(xi: QDistributor, phi: QDistributor) -> QDistributor:
     """xi <l phi: B -/-> C for xi: A -/-> C and phi: A -/-> B."""
     if xi.dom != phi.dom:
         raise TypeMismatch("left implication needs a common domain")
-    A, B, C, q = phi.dom, phi.cod, xi.cod, phi.q
-    matrix = [[hom_ix(q, A.types, s, t, w, u) for t, w in zip(C.types, xi.columns)]
-              for s, u in zip(B.types, phi.columns)]
+    A, B, C = phi.dom, phi.cod, xi.cod
+    matrix = hom_rows(phi.q, A.types, zip(B.types, phi.columns), zip(C.types, xi.columns))
     return QDistributor(B, C, matrix, name=f"({xi.name})<l({phi.name})")
 
 
@@ -162,15 +183,16 @@ def dualize_distributor(phi: QDistributor) -> QDistributor:
 def graph(F: QFunctor) -> QDistributor:
     """F_graph(x, y) = hom(Fx, y): dom(F) -/-> cod(F)."""
     A, B = F.dom, F.cod
-    matrix = [[B.hom_of(F(x), y) for y in B.objects] for x in A.objects]
-    return QDistributor(A, B, matrix, name=f"graph({F.name})")
+    return QDistributor(A, B, [B.hom[B.index(F(x))] for x in A.objects],
+                        name=f"graph({F.name})")
 
 
 def cograph(F: QFunctor) -> QDistributor:
     """F_cograph(y, x) = hom(y, Fx): cod(F) -/-> dom(F)."""
     A, B = F.dom, F.cod
-    matrix = [[B.hom_of(y, F(x)) for x in A.objects] for y in B.objects]
-    return QDistributor(B, A, matrix, name=f"cograph({F.name})")
+    images = [B.index(F(x)) for x in A.objects]
+    return QDistributor(B, A, [[row[i] for i in images] for row in B.hom],
+                        name=f"cograph({F.name})")
 
 
 def restrict_distributor(phi: QDistributor, F: QFunctor, G: QFunctor) -> QDistributor:

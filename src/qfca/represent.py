@@ -58,8 +58,8 @@ from .presheaf import (
     Presheaf,
     PresheafSpace,
     _copresheaf_of,
+    _hom_grid,
     _join_dense,
-    copresheaf_hom,
     coyoneda,
     enumerate_presheaves,
     is_codense,
@@ -69,7 +69,6 @@ from .presheaf import (
     materialize_copresheaves,
     materialize_presheaves,
     pointwise_leq,
-    presheaf_hom,
     presheaf_residual,
     ran,
     yoneda,
@@ -349,19 +348,19 @@ def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
 class _Elementary(_Frozen):
     """One kind of the elementary theorem on phi.  F is defined on ``f_pairs``
     (``dom_pairs(pair.base)``) and G on ``g_pairs``, a G pair naming the
-    (co)presheaf ``named(*g)`` of the space whose hom is ``hom``.  ``context``
-    orders an F and a G pair as (a, u, b, v), row pair first; there ``entry``
-    is X(F f, G g), a double residuation of phi(a,b), and ``below`` is the
-    order side of the quantale biconditional.  ``identity`` and
-    ``biconditional`` are the (name, formula) of those two conditions."""
+    (co)presheaf ``named(*g)``.  ``context`` orders an F and a G pair as
+    (a, u, b, v), row pair first; there ``entry`` is X(F f, G g), a double
+    residuation of phi(a,b), and ``below`` is the order side of the quantale
+    biconditional.  ``identity`` and ``biconditional`` are the (name, formula)
+    of those two conditions."""
 
-    _fields = ("pair", "f_pairs", "g_pairs", "named", "hom", "context", "entry", "below",
+    _fields = ("pair", "f_pairs", "g_pairs", "named", "context", "entry", "below",
                "identity", "biconditional")
 
     def __init__(self, pair: IsbellPair | KanPair, f_pairs: tuple, g_pairs: tuple,
-                 named: Callable, hom: Callable, context: Callable, entry: Callable,
-                 below: Callable, identity: tuple[str, str], biconditional: tuple[str, str]):
-        self._set(pair, f_pairs, g_pairs, named, hom, context, entry, below, identity,
+                 named: Callable, context: Callable, entry: Callable, below: Callable,
+                 identity: tuple[str, str], biconditional: tuple[str, str]):
+        self._set(pair, f_pairs, g_pairs, named, context, entry, below, identity,
                   biconditional)
 
     def at(self, f: tuple[str, Arrow], g: tuple[str, Arrow]) -> tuple[str, str, str, str]:
@@ -375,7 +374,7 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     if pair.kind == "fca":  # F on rows with out-arrows, G on columns with in-arrows
         return _Elementary(
             pair, dom_pairs(A), cod_pairs(B), lambda b, v: copresheaf_tensor(B, b, v),
-            copresheaf_hom, lambda f, g: (*f, *g),
+            lambda f, g: (*f, *g),
             lambda a, u, b, v: q.right_imp(v, q.left_imp(phi.at(a, b), u)),
             lambda a, u, b, v: q.leq(q.compose(v, u), phi.at(a, b)),
             ("polarity-hom", "hom(up(tensor(a,u)), cotensor(b,v)) == "
@@ -384,7 +383,7 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     # rst: F on columns and G on rows, both with out-arrows
     return _Elementary(
         pair, dom_pairs(B), dom_pairs(A), lambda a, u: presheaf_residual(A, a, u),
-        presheaf_hom, lambda f, g: (*g, *f),
+        lambda f, g: (*g, *f),
         lambda a, u, b, v: q.left_imp(q.left_imp(u, phi.at(a, b)), v),
         lambda a, u, b, v: q.leq(phi.at(a, b), q.right_imp(v, u)),
         ("kan-hom", "hom(star(tensor(b,v)), residual(a,u)) == "
@@ -399,10 +398,10 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
     report = Report("elementary-identities")
     for kind in ("fca", "rst"):
         d = _elementary(phi, kind)
-        named = [(g, d.named(*g)) for g in d.g_pairs]
-        lefts = [(f, d.pair.left(presheaf_tensor(d.pair.base, *f))) for f in d.f_pairs]
-        bad = [d.at(f, g) for f, left in lefts for g, lam in named
-               if d.hom(left, lam) != d.entry(*d.context(f, g))]
+        lefts = [d.pair.left(presheaf_tensor(d.pair.base, *f)) for f in d.f_pairs]
+        homs = _hom_grid(lefts, [d.named(*g) for g in d.g_pairs])
+        bad = [d.at(f, g) for f, line in zip(d.f_pairs, homs) for g, h in zip(d.g_pairs, line)
+               if h != d.entry(*d.context(f, g))]
         report.check_none(d.identity[0], bad, d.identity[1])
     return report
 
@@ -461,8 +460,13 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
 
 def _yoneda_misses(A: QCategory) -> list[tuple[str, str]]:
     """The (type, object) pairs where some presheaf mu has mu(a) != hom(yoneda(a), mu)."""
-    return [(qobj, a) for qobj in A.q.objects for mu in enumerate_presheaves(A, qobj)
-            for a in A.objects if presheaf_hom(yoneda(A, a), mu) != mu.at(a)]
+    representables = [yoneda(A, a) for a in A.objects]
+    misses = []
+    for qobj in A.q.objects:
+        space = enumerate_presheaves(A, qobj)
+        for mu, col in zip(space, zip(*_hom_grid(representables, space))):
+            misses += [(qobj, a) for a, h, v in zip(A.objects, col, mu.values) if h != v]
+    return misses
 
 
 def verify_yoneda(A: QCategory) -> Report:

@@ -343,6 +343,18 @@ def oracle_copresheaf_hom(lam, kap):
                                            for v, w in zip(kap.values, lam.values)]))
 
 
+def oracle_enumerate(A, qobj):
+    """Every presheaf of type qobj on A as its value vector, in lexicographic order:
+    the product of the homs |x_i| -> qobj filtered by the presheaf law
+    ``values[i] . hom(x_j, x_i) <= values[j]`` for all i, j."""
+    Q, n = A.q, len(A)
+    pools = [Q.arrows(t, qobj) for t in A.types]
+    return [values for values in itertools.product(*pools)
+            if all(scan_leq(Q, Arrow(A.types[j], qobj, scan_compose(Q, values[i], A.hom[j][i])),
+                            values[j])
+                   for i in range(n) for j in range(n))]
+
+
 def oracle_copresheaf_law(A, values):
     """hom(x_i, x_j) . values[i] <= values[j] for all i, j."""
     Q, n = A.q, len(A)

@@ -14,7 +14,7 @@ from _helpers import (
 )
 from qfca.concept import fca_lattice, rst_lattice
 from qfca.errors import ValidationFailed
-from qfca.qdist import hom_ix
+from qfca.qdist import hom_rows
 from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset, validate_quantaloid
 
 DIAMOND = ["0", "a", "b", "1"]
@@ -60,10 +60,10 @@ def test_tables_agree_with_scans(Q):
             assert Q.hom_join(p, q, [arrows[i], arrows[j]]).index == scan_join(Q, p, q, [i, j])
             assert Q.hom_meet(p, q, [arrows[i], arrows[j]]).index == scan_meet(Q, p, q, [i, j])
             assert hom.joins[i][j] == scan_join(Q, p, q, [i, j])
-            # left_imp(w, 1) = w, so hom_ix folds the meet of the ws alone
+            # left_imp(w, 1) = w, so hom_rows folds the meet of the ws alone
             ones = (Q.unit(p),) * 2
-            assert hom_ix(Q, (p, p), p, q, [arrows[i], arrows[j]], ones).index == \
-                scan_meet(Q, p, q, [i, j])
+            assert next(hom_rows(Q, (p, p), [(p, ones)], [(q, [arrows[i], arrows[j]])]))[0] \
+                .index == scan_meet(Q, p, q, [i, j])
     for p, q, r in itertools.product(Q.objects, repeat=3):
         for u, w in itertools.product(Q.arrows(p, q), Q.arrows(p, r)):
             assert Q.left_imp(w, u).index == scan_left_imp(Q, w, u)

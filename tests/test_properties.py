@@ -8,8 +8,12 @@ noncommutative and not Girard, as well as the three-object
 three objects, enough for lattices with concepts that are meets of
 generators but not generators.  The distributor is any valid one between
 the drawn carriers.  The brute-force enumeration is the oracle for
-the closure-built lattices, the ``Arrow`` closures are the oracle for the
-closures on int codes that build them, the materialized lattice category is the
+the closure-built lattices, and a scan of the product of the homs, filtered
+by the presheaf law, is the oracle for that enumeration, a join closure.
+The enumeration and the row kernel behind every hom matrix are also tested
+on closed non-discrete three-object carriers.  The ``Arrow`` closures are
+the oracle for the closures on int codes that build them, the materialized
+lattice category is the
 oracle for the Hasse covers that serialization reads from per-position masks,
 and the entrywise scans of ``_helpers`` are the oracles for the adjoint
 maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
@@ -34,6 +38,7 @@ from _helpers import (
     oracle_copresheaf_hom,
     oracle_compose,
     oracle_copresheaf_law,
+    oracle_enumerate,
     oracle_generators,
     oracle_isbell_down,
     oracle_is_complete,
@@ -62,10 +67,11 @@ from qfca.qcat import (
     QCategory,
     QTypedSet,
     discrete_category,
+    is_fully_faithful,
     underlying_order,
     validate_category,
 )
-from qfca.qdist import QDistributor, dist_compose, dist_left_imp, identity_dist
+from qfca.qdist import QDistributor, dist_compose, dist_left_imp, graph, identity_dist
 from qfca.presheaf import (
     Copresheaf,
     copresheaf_hom,
@@ -73,6 +79,7 @@ from qfca.presheaf import (
     enumerate_copresheaves,
     enumerate_presheaves,
     is_complete,
+    is_dense,
     materialize_copresheaves,
     materialize_presheaves,
     pointwise_leq,
@@ -159,6 +166,54 @@ def closed_category(data, Q, labels):
             changed |= joined != hom[x][z]
             hom[x][z] = joined
     return QCategory(Q, labels, types, hom)
+
+
+def random_carrier(data, Q):
+    """A category over Q: any structure ``enumerate_categories`` yields on one or
+    two objects (three over ``two``), or a ``closed_category`` on three."""
+    if data.draw(st.booleans(), label="closed"):
+        return closed_category(data, Q, ("x", "y", "z"))
+    n = data.draw(st.integers(1, 3 if Q is TWO else 2), label="size")
+    labels = tuple(f"x{i}" for i in range(n))
+    return data.draw(st.sampled_from(_categories(Q, labels)), label="category")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_the_product_scan_randomized(data):
+    # the join closure of the tensors gives every vector that passes the law, in
+    # the scan's order; copresheaves are the presheaves of the dual
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    A = random_carrier(data, Q)
+    for qobj in Q.objects:
+        assert [mu.values for mu in enumerate_presheaves(A, qobj)] == oracle_enumerate(A, qobj)
+        expected = [v for v in all_copresheaf_vectors(A, qobj) if oracle_copresheaf_law(A, v)]
+        assert [lam.values for lam in enumerate_copresheaves(A, qobj)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hom_kernel_matches_the_scans_randomized(data):
+    # every hom of both materialized spaces; then graph(F) <l graph(F), density and
+    # full faithfulness of the (co)Yoneda functor and of a few drawn members
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    A = random_carrier(data, Q)
+    for space, oracle in ((materialize_presheaves(A), oracle_presheaf_hom),
+                          (materialize_copresheaves(A), oracle_copresheaf_hom)):
+        X, members = space.category, space.members
+        assert [list(row) for row in X.hom] == [[oracle(m, n) for n in members] for m in members]
+        picked = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4),
+                           label="members")
+        D = discrete_category(Q, QTypedSet(tuple(f"d{i}" for i in range(len(picked))),
+                                           tuple(m.type for m in picked)))
+        for F in (space.yoneda_functor(), space.functor_from(D, lambda d: picked[D.index(d)])):
+            g = graph(F)
+            expected = oracle_left_imp(g, g)
+            assert [list(row) for row in dist_left_imp(g, g).matrix] == expected
+            assert is_dense(F) == (expected == [list(row) for row in X.hom])
+            assert is_fully_faithful(F) == all(
+                F.dom.hom_of(x, y) == X.hom_of(F(x), F(y))
+                for x, y in itertools.product(F.dom.objects, repeat=2))
 
 
 def test_is_complete_matches_the_enumeration_on_small_carriers():
