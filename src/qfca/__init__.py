@@ -68,7 +68,6 @@ from .qcat import (
 from .qdist import (
     ChuTransform,
     QDistributor,
-    adjoint_arrow_identities_suite,
     cograph,
     dist_adjoint_pair,
     dist_compose,

@@ -33,8 +33,8 @@ reports and exit 1 without computing on it.  A document of the wrong shape
 error naming the field's JSON path.  Outputs are deterministic: repeated
 runs on the same input are byte-identical.  An inline quantaloid with a
 hom that is not a complete lattice is refused before its categories are
-read, by ``validate`` too.  The environment variable QFCA_BUDGET replaces
-all enumeration, search and closure caps at once.
+read, by ``validate`` too.  The environment variable QFCA_BUDGET, in ASCII
+digits, replaces all enumeration, search and closure caps at once.
 """
 
 from __future__ import annotations
@@ -240,6 +240,9 @@ def parse_document(data: dict) -> ContextDocument:
     for name in sorted(data.get("functors", {})):
         spec = data["functors"][name]
         A, B = _endpoints(categories, f"functor {name!r}", spec)
+        for x in spec["map"]:
+            with _naming(f"functor {name!r}: map key {x!r}"):
+                A.index(x)
         with _naming(f"functor {name!r}"):
             functors[name] = QFunctor(A, B, dict(spec["map"]), name=name)
     return ContextDocument(Q, data["quantaloid"], categories, distributors, functors)
@@ -513,27 +516,34 @@ def _data_ref(named: dict, data: dict, key: str, what: str):
                          f"choices: {sorted(named)}") from None
 
 
-# The --data keys that each property reads; mphi-rep reads all three or none.
-_DATA_KEYS = {"thm33": ["kind"], "thm51": ["kind"], "elementary-rep": ["kind"],
-              "yoneda": ["category"], "dense-cond": ["category"],
-              "mphi-rep": ["F", "G", "X"], "girard-probe": ["object"]}
+# Each ``verify --prop``, in the order ``--help`` lists them: the --data keys
+# it reads (all of them or none) and whether it reads a distributor.
+PROPERTIES = {
+    "k-eq-m-tr": ([], True), "k-eq-m-neg": ([], True),
+    "isbell-adjunction": ([], True), "kan-adjunction": ([], True),
+    "yoneda": (["category"], False), "dense-cond": (["category"], False),
+    "elementary-identities": ([], True), "thm33": (["kind"], True),
+    "thm51": (["kind"], True), "mphi-rep": (["F", "G", "X"], True),
+    "kphi-rep": ([], True), "elementary-rep": (["kind"], True),
+    "girard-probe": (["object"], False),
+}
 
 
 def cmd_verify(args) -> int:
     doc = load_valid_document(args.path)
     data = _parse_data_tokens(args.data)
     prop = args.prop
-    accepted = _DATA_KEYS.get(prop, [])
+    accepted, reads_dist = PROPERTIES[prop]
     for key in data:
         if key not in accepted:
             raise UsageError(f"--prop {prop} reads no --data key {key!r}; "
                              f"it accepts {accepted}")
-    if prop == "mphi-rep" and data and len(data) < len(accepted):
+    if data and len(data) < len(accepted):
         missing = [key for key in accepted if key not in data]
-        raise UsageError(f"--prop mphi-rep reads all of the --data keys {accepted} or none; "
+        raise UsageError(f"--prop {prop} reads all of the --data keys {accepted} or none; "
                          f"{missing[0]!r} is missing")
     kind = data.get("kind", "fca")
-    if prop not in ("yoneda", "dense-cond", "girard-probe"):
+    if reads_dist:
         phi = _pick_distributor(doc, args.dist)
     elif args.dist is not None:
         raise UsageError(f"--prop {prop} reads no distributor; got --dist {args.dist}")
@@ -639,10 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property or theorem verifier")
     p.add_argument("path")
-    p.add_argument("--prop", required=True, choices=[
-        "k-eq-m-tr", "k-eq-m-neg", "isbell-adjunction", "kan-adjunction",
-        "yoneda", "dense-cond", "elementary-identities", "thm33", "thm51",
-        "mphi-rep", "kphi-rep", "elementary-rep", "girard-probe"])
+    p.add_argument("--prop", required=True, choices=list(PROPERTIES))
     p.add_argument("--dist")
     p.add_argument("--data", nargs="*", metavar="KEY=VALUE")
     p.add_argument("-o", "--output")

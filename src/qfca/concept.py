@@ -44,12 +44,9 @@ from .qcat import (
 from .qdist import (
     ChuTransform,
     QDistributor,
-    cograph,
-    dist_compose,
     dist_left_imp,
     dist_right_imp,
     dualize_distributor,
-    graph,
     hom_rows,
     identity_dist,
     tensor_ix,
@@ -73,8 +70,6 @@ from .presheaf import (
     presheaf_label,
     presheaf_residual,
     pushforward,
-    yoneda,
-    coyoneda,
 )
 from .quantaloid import (
     Arrow,
@@ -493,57 +488,6 @@ def codense_probe(Q: Quantaloid, qobj: str) -> Report:
                  + f"; bottom family dualizing at {qobj}: {dual_here}")
     report.check("global-verdict-recorded", True,
                  f"bottom family dualizing globally: {is_dualizing_family(Q, bottoms)}")
-    return report
-
-
-# -- transposes of a context ---------------------------------------------------------
-
-
-def _column(phi: QDistributor, y: str) -> Presheaf:
-    j = phi.cod.index(y)
-    return Presheaf(phi.dom, phi.cod.types[j], phi.columns[j])
-
-
-def presheaf_transpose(phi: QDistributor, pa: PresheafSpace) -> QFunctor:
-    """Columns as presheaves: a functor from the column category into P(A)."""
-    if pa.base != phi.dom or pa.kind != "presheaf":
-        raise BaseMismatch("need the presheaf space of the context's row category")
-    return pa.functor_from(phi.cod, lambda y: _column(phi, y), name=f"transpose({phi.name})")
-
-
-def _transpose_identities(phi: QDistributor) -> tuple[bool, bool]:
-    """Whether the transpose factors phi through the Yoneda embedding, and
-    whether the columns are isbell_down of coyoneda and kan_star of yoneda."""
-    B = phi.cod
-    pa = materialize_presheaves(phi.dom)
-    pt = presheaf_transpose(phi, pa)
-    factor = phi == dist_compose(cograph(pt), graph(pa.yoneda_functor()))
-    down_route = all(
-        isbell_down(phi, coyoneda(B, b)).key() == pa.member_of(pt(b)).key()
-        for b in B.objects)
-    star_route = all(
-        kan_star(phi, yoneda(B, b)).key() == pa.member_of(pt(b)).key()
-        for b in B.objects)
-    return factor, down_route and star_route
-
-
-def verify_transpose_identities(phi: QDistributor) -> Report:
-    """The exact identities tying transposes to Yoneda and the adjunctions.
-
-    The rows of phi as copresheaves are the columns of phi^op as presheaves,
-    so the copresheaf-side identities are the presheaf-side ones of phi^op.
-    """
-    report = Report("transpose-identities")
-    factor, via = _transpose_identities(phi)
-    cofactor, covia = _transpose_identities(dualize_distributor(phi))
-    report.check("factor-through-presheaves", factor,
-                 "phi == cograph(transpose) . graph(yoneda)")
-    report.check("factor-through-copresheaves", cofactor,
-                 "phi == cograph(coyoneda) . graph(cotranspose)")
-    report.check("cotranspose-via-adjunctions", covia,
-                 "rows equal isbell_up of yoneda and kan_dag of coyoneda")
-    report.check("transpose-via-adjunctions", via,
-                 "columns equal isbell_down of coyoneda and kan_star of yoneda")
     return report
 
 

@@ -110,10 +110,10 @@ _DEFAULT_BUDGETS = {
 def budget(kind: str) -> int:
     env = os.environ.get("QFCA_BUDGET")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParams(f"QFCA_BUDGET must be an integer, got {env!r}") from None
+        if not (env.isascii() and env.isdigit()):  # as quantaloid._int_param reads a string
+            raise InvalidParams(f"QFCA_BUDGET must be an integer, got {env!r}; "
+                                "a cap is written in ASCII digits")
+        return int(env)
     return _DEFAULT_BUDGETS[kind][0]
 
 

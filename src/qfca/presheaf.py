@@ -15,9 +15,9 @@ arrow order.  Functions here always state which order they use;
 
 Presheaf and copresheaf categories are never materialized implicitly;
 ``materialize_presheaves``/``materialize_copresheaves`` build them explicitly,
-for oracle tests and for functors that need the whole space (transposes,
-generator maps, the adjunction of the general and dense canonical
-representation data).  A space is enumerated as the join closure of the
+for oracle tests and for functors that need the whole space (generator
+maps, the adjunction of the general and dense canonical representation
+data).  A space is enumerated as the join closure of the
 tensors ``u . hom(-, a)`` on int codes, so it costs what it holds, and the
 enumeration cap bounds the members produced.  Every hom between
 (co)presheaves, one or a whole family's matrix, is a call of the row kernel

@@ -247,47 +247,3 @@ def validate_chu(c: ChuTransform) -> ValidationReport:
                            f"psi(F{x},{y}) = {psi.q.label(lhs)} but "
                            f"phi({x},G{y}) = {phi.q.label(rhs)}")
     return report
-
-
-# -- the eight adjoint-arrow identities -----------------------------------------
-
-
-def adjoint_arrow_identities_suite(F: QFunctor, phi: QDistributor,
-                                   psi: QDistributor) -> ValidationReport:
-    """Exact checks of the eight graph/cograph residuation identities.
-
-    Shapes: for F: A -> B, ``phi`` must run B -/-> C and ``psi`` must run
-    C -/-> B.  Identities with a free third distributor are instantiated with
-    composites of phi, psi and the graphs, which keeps every check closed
-    under the two supplied inputs.
-    """
-    if phi.dom != F.cod or psi.cod != F.cod or phi.cod != psi.dom:
-        raise TypeMismatch("need phi: cod(F) -/-> C and psi: C -/-> cod(F)")
-    gF, cF = graph(F), cograph(F)
-    report = ValidationReport("adjoint arrow identities")
-
-    def check(code: str, lhs: QDistributor, rhs: QDistributor):
-        if lhs != rhs:
-            report.add(code, (F.name, phi.name, psi.name), "sides differ")
-
-    chi = dist_compose(cF, psi)
-    rho = dist_compose(phi, gF)
-    # (1) composing with a graph is residuating by the cograph, and dually
-    check("compose-graph.left", dist_compose(phi, gF), dist_left_imp(phi, cF))
-    check("compose-graph.right", dist_compose(cF, psi), dist_right_imp(gF, psi))
-    # (2) graphs slide through residuals of composites
-    check("slide.right", dist_right_imp(dist_compose(gF, chi), psi),
-          dist_right_imp(chi, dist_compose(cF, psi)))
-    check("slide.left", dist_left_imp(dist_compose(phi, gF), rho),
-          dist_left_imp(phi, dist_compose(rho, cF)))
-    # (3) graphs move in and out of one side of a residual
-    check("shift.right", dist_compose(dist_right_imp(phi, phi), gF),
-          dist_right_imp(phi, dist_compose(phi, gF)))
-    check("shift.left", dist_compose(cF, dist_left_imp(psi, psi)),
-          dist_left_imp(dist_compose(cF, psi), psi))
-    # (4) a cograph factor trades places with a graph inside a residual
-    check("trade.right", dist_compose(cF, dist_right_imp(phi, rho)),
-          dist_right_imp(dist_compose(phi, gF), rho))
-    check("trade.left", dist_compose(dist_left_imp(psi, psi), gF),
-          dist_left_imp(psi, dist_compose(cF, psi)))
-    return report

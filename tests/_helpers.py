@@ -1,16 +1,37 @@
 """Shared brute-force machinery for the law and acceptance tests.
 
-Everything here recomputes results from first principles (explicit scans over
-finite carriers) so that library outputs are checked against independent
-oracles, not against themselves.
+Most of what is here recomputes results from first principles (explicit
+scans over finite carriers) so that library outputs are checked against
+independent oracles, not against themselves.  The last section holds lemma
+checks that run on library maps: the transpose identities and the eight
+adjoint-arrow identities, exact equalities of distributors that no
+representation theorem reports on.
 """
 
 import itertools
 
-from qfca.concept import closure_pair, residual_category
-from qfca.presheaf import enumerate_presheaves, presheaf_residual, sup
+from qfca.concept import closure_pair, isbell_down, kan_star, residual_category
+from qfca.errors import Report, TypeMismatch, ValidationReport
+from qfca.presheaf import (
+    Presheaf,
+    coyoneda,
+    enumerate_presheaves,
+    materialize_presheaves,
+    presheaf_residual,
+    sup,
+    yoneda,
+)
 from qfca.qcat import QCategory, compose_functors, validate_category
-from qfca.qdist import QDistributor, validate_distributor
+from qfca.qdist import (
+    QDistributor,
+    cograph,
+    dist_compose,
+    dist_left_imp,
+    dist_right_imp,
+    dualize_distributor,
+    graph,
+    validate_distributor,
+)
 from qfca.quantaloid import Arrow, build_preset
 from qfca.represent import (
     canonical_adjunction,
@@ -407,3 +428,91 @@ def oracle_residuation_tables(homs, compose_table):
         limp[(p, q, r)] = tuple(left)
         rimp[(p, q, r)] = tuple(map(tuple, right))
     return limp, rimp
+
+
+# -- lemma checks on library maps ------------------------------------------------
+
+
+def presheaf_transpose(phi, pa):
+    """Columns as presheaves: a functor from the column category into the
+    presheaf space ``pa`` of the row category."""
+    def column(y):
+        j = phi.cod.index(y)
+        return Presheaf(phi.dom, phi.cod.types[j], phi.columns[j])
+    return pa.functor_from(phi.cod, column, name=f"transpose({phi.name})")
+
+
+def _transpose_identities(phi):
+    """Whether the transpose factors phi through the Yoneda embedding, and
+    whether the columns are isbell_down of coyoneda and kan_star of yoneda."""
+    B = phi.cod
+    pa = materialize_presheaves(phi.dom)
+    pt = presheaf_transpose(phi, pa)
+    factor = phi == dist_compose(cograph(pt), graph(pa.yoneda_functor()))
+    down_route = all(
+        isbell_down(phi, coyoneda(B, b)).key() == pa.member_of(pt(b)).key()
+        for b in B.objects)
+    star_route = all(
+        kan_star(phi, yoneda(B, b)).key() == pa.member_of(pt(b)).key()
+        for b in B.objects)
+    return factor, down_route and star_route
+
+
+def verify_transpose_identities(phi):
+    """The exact identities tying transposes to Yoneda and the adjunctions.
+
+    The rows of phi as copresheaves are the columns of phi^op as presheaves,
+    so the copresheaf-side identities are the presheaf-side ones of phi^op.
+    """
+    report = Report("transpose-identities")
+    factor, via = _transpose_identities(phi)
+    cofactor, covia = _transpose_identities(dualize_distributor(phi))
+    report.check("factor-through-presheaves", factor,
+                 "phi == cograph(transpose) . graph(yoneda)")
+    report.check("factor-through-copresheaves", cofactor,
+                 "phi == cograph(coyoneda) . graph(cotranspose)")
+    report.check("cotranspose-via-adjunctions", covia,
+                 "rows equal isbell_up of yoneda and kan_dag of coyoneda")
+    report.check("transpose-via-adjunctions", via,
+                 "columns equal isbell_down of coyoneda and kan_star of yoneda")
+    return report
+
+
+def adjoint_arrow_identities_suite(F, phi, psi):
+    """Exact checks of the eight graph/cograph residuation identities.
+
+    Shapes: for F: A -> B, ``phi`` must run B -/-> C and ``psi`` must run
+    C -/-> B.  Identities with a free third distributor are instantiated with
+    composites of phi, psi and the graphs, which keeps every check closed
+    under the two supplied inputs.
+    """
+    if phi.dom != F.cod or psi.cod != F.cod or phi.cod != psi.dom:
+        raise TypeMismatch("need phi: cod(F) -/-> C and psi: C -/-> cod(F)")
+    gF, cF = graph(F), cograph(F)
+    report = ValidationReport("adjoint arrow identities")
+
+    def check(code, lhs, rhs):
+        if lhs != rhs:
+            report.add(code, (F.name, phi.name, psi.name), "sides differ")
+
+    chi = dist_compose(cF, psi)
+    rho = dist_compose(phi, gF)
+    # (1) composing with a graph is residuating by the cograph, and dually
+    check("compose-graph.left", dist_compose(phi, gF), dist_left_imp(phi, cF))
+    check("compose-graph.right", dist_compose(cF, psi), dist_right_imp(gF, psi))
+    # (2) graphs slide through residuals of composites
+    check("slide.right", dist_right_imp(dist_compose(gF, chi), psi),
+          dist_right_imp(chi, dist_compose(cF, psi)))
+    check("slide.left", dist_left_imp(dist_compose(phi, gF), rho),
+          dist_left_imp(phi, dist_compose(rho, cF)))
+    # (3) graphs move in and out of one side of a residual
+    check("shift.right", dist_compose(dist_right_imp(phi, phi), gF),
+          dist_right_imp(phi, dist_compose(phi, gF)))
+    check("shift.left", dist_compose(cF, dist_left_imp(psi, psi)),
+          dist_left_imp(dist_compose(cF, psi), psi))
+    # (4) a cograph factor trades places with a graph inside a residual
+    check("trade.right", dist_compose(cF, dist_right_imp(phi, rho)),
+          dist_right_imp(dist_compose(phi, gF), rho))
+    check("trade.left", dist_compose(dist_left_imp(psi, psi), gF),
+          dist_left_imp(psi, dist_compose(cF, psi)))
+    return report

@@ -6,10 +6,7 @@ to see the per-criterion lines.
 """
 
 import itertools
-import json
 import pathlib
-
-import pytest
 
 import qfca.cli as cli
 from qfca.qcat import (
@@ -17,31 +14,24 @@ from qfca.qcat import (
     QFunctor,
     QTypedSet,
     discrete_category,
-    underlying_order,
 )
-from qfca.qdist import ChuTransform, QDistributor, identity_dist, validate_chu
+from qfca.qdist import QDistributor, validate_chu
 from qfca.presheaf import (
     coyoneda,
     copresheaf_hom,
     enumerate_copresheaves,
     enumerate_presheaves,
-    is_codense,
     is_dense,
     is_join_dense,
-    materialize_copresheaves,
     materialize_presheaves,
     presheaf_hom,
     yoneda,
 )
 from qfca.concept import (
-    IsbellPair,
-    KanPair,
     brute_force_fixed,
     codense_probe,
     complement_context,
     fca_lattice,
-    isbell_down,
-    residual_category,
     rst_lattice,
     verify_functoriality_square,
     verify_rst_as_fca,
@@ -53,7 +43,6 @@ from qfca.represent import (
     canonical_fca_data,
     canonical_general_data,
     canonical_rst_data,
-    dom_pairs,
     quantale_corollary_check,
     verify_adjunction_laws,
     verify_dense_representation,

@@ -10,7 +10,7 @@ end against independent powerset computations.
 
 import pytest
 
-from qfca.qcat import QFunctor, QTypedSet, discrete_category, underlying_order
+from qfca.qcat import QTypedSet, discrete_category, underlying_order
 from qfca.qdist import QDistributor
 from qfca.presheaf import (
     image_join_dense,
@@ -31,7 +31,6 @@ from qfca.represent import (
     canonical_dense_data,
     canonical_general_data,
     verify_dense_representation,
-    verify_general_representation,
     verify_type_preserving_representation,
 )
 from qfca.quantaloid import find_cyclic_dualizing_family

@@ -154,9 +154,7 @@ def test_verify_props_pass(capsys):
 # sha256 (first 16 hex digits) of the stdouts of test_empty_carrier_documents,
 # joined in run order.
 EMPTY_SIDE_DIGESTS = {"no-rows": "88793aed0864b4dc", "no-columns": "22ae82065e3b27f7"}
-PROPS = ("k-eq-m-tr", "k-eq-m-neg", "isbell-adjunction", "kan-adjunction", "yoneda",
-         "dense-cond", "elementary-identities", "thm33", "thm51", "mphi-rep", "kphi-rep",
-         "elementary-rep", "girard-probe")
+PROPS = tuple(cli.PROPERTIES)
 
 
 def test_empty_carrier_documents(capsys, tmp_path):
@@ -337,6 +335,12 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QFCA_BUDGET", "abc")
     assert cli.main(["concepts", str(CONTEXTS / "fix_2id.json")]) == 2
     assert "QFCA_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+    # only ASCII digits, as for a preset's integer parameters: a negative value,
+    # another script's digit or surrounding spaces would pass int()
+    for value in ("-1", "\u0665", " 5"):
+        monkeypatch.setenv("QFCA_BUDGET", value)
+        assert cli.main(["verify", str(CONTEXTS / "fix_l3.json"), "--prop", "yoneda"]) == 2
+        assert f"QFCA_BUDGET must be an integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):
@@ -476,6 +480,9 @@ def test_unknown_labels_are_named(capsys, tmp_path):
              "error: distributor 'phi': entry [zz,b1,1]: no object 'zz' in A"),
             (lambda d: d["functors"]["swapA"]["map"].pop("a2"),
              "error: functor 'swapA': functor map misses object 'a2'"),
+            # a map key that names no object of the domain is refused, not dropped
+            (lambda d: d["functors"]["swapA"]["map"].update(q="a1"),
+             "error: functor 'swapA': map key 'q': no object 'q' in A"),
             # a missing field is named by its JSON path; CI runs the first case's file
             (lambda d: d.update(json.loads((DATA / "missing_type.json").read_text())),
              "error: $.categories.A.objects[0] misses the required field 'type'"),
@@ -627,7 +634,7 @@ def test_verify_refuses_what_it_does_not_read(capsys):
              "error: --data F=swapB: functor goes B -> B; --prop mphi-rep needs A -> B")]:
         assert cli.main(["verify", path, "--prop", "mphi-rep", "--data", *data]) == 2, data
         assert message in capsys.readouterr().err
-    for prop in ("yoneda", "dense-cond", "girard-probe"):
+    for prop in [p for p, (_, reads_dist) in cli.PROPERTIES.items() if not reads_dist]:
         assert cli.main(["verify", path, "--prop", prop, "--dist", "zz"]) == 2, prop
         assert f"error: --prop {prop} reads no distributor; got --dist zz" in \
             capsys.readouterr().err

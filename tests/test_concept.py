@@ -31,9 +31,6 @@ from qfca.presheaf import (
     enumerate_presheaves,
     materialize_presheaves,
     pointwise_leq,
-    presheaf_label,
-    pushforward,
-    sup,
     yoneda,
 )
 from qfca.concept import (
@@ -52,7 +49,6 @@ from qfca.concept import (
     lattice_to_dot,
     lattice_to_json,
     macneille_completion,
-    presheaf_transpose,
     residual_category,
     residual_chu,
     residual_context,
@@ -61,11 +57,16 @@ from qfca.concept import (
     verify_functoriality_square,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
-    verify_transpose_identities,
 )
 from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 
-from _helpers import chain4_quantale, oracle_left_imp, residual_closed_form_misses
+from _helpers import (
+    chain4_quantale,
+    oracle_left_imp,
+    presheaf_transpose,
+    residual_closed_form_misses,
+    verify_transpose_identities,
+)
 
 
 def _values(Q, lattice):

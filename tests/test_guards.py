@@ -16,7 +16,6 @@ from qfca.presheaf import (
     coyoneda,
     inf,
     lan,
-    materialize_presheaves,
     pointwise_leq,
     presheaf_hom,
     pushforward,
@@ -32,7 +31,6 @@ from qfca.concept import (
     kan_lower,
     kan_lower_dag,
     kan_star,
-    presheaf_transpose,
     residual_category,
     residual_context,
     residual_map_functor,
@@ -55,7 +53,6 @@ ON_ANOTHER_BASE = {
     "kan_dag": lambda A, B, phi: kan_dag(phi, coyoneda(B, "p")),
     "kan_lower_dag": lambda A, B, phi: kan_lower_dag(phi, coyoneda(A, "x")),
     "residual_context": lambda A, B, phi: residual_context(phi, residual_category(B)),
-    "presheaf_transpose": lambda A, B, phi: presheaf_transpose(phi, materialize_presheaves(B)),
     "residual_map_functor": lambda A, B, phi: residual_map_functor(
         identity_functor(A), residual_category(B), residual_category(A)),
 }

@@ -6,7 +6,6 @@ from qfca.qcat import QFunctor, QTypedSet, discrete_category, identity_functor
 from qfca.qdist import (
     ChuTransform,
     QDistributor,
-    adjoint_arrow_identities_suite,
     cograph,
     dist_adjoint_pair,
     dist_compose,
@@ -23,7 +22,7 @@ from qfca.presheaf import materialize_presheaves, sup, top_presheaf
 from qfca.concept import complement_context, fca_lattice, rst_lattice
 from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 
-from _helpers import enumerate_categories, enumerate_distributors, oracle_compose
+from _helpers import adjoint_arrow_identities_suite, enumerate_distributors, oracle_compose
 
 
 def test_compose_unit_law(fix2id):

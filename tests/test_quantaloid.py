@@ -8,7 +8,6 @@ import qfca.quantaloid as quantaloid
 from _helpers import chain4_quantale
 from qfca.errors import InvalidParams, NotGirard, ValidationFailed
 from qfca.quantaloid import (
-    Arrow,
     HomLattice,
     Quantaloid,
     build_preset,

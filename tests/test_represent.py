@@ -23,19 +23,10 @@ from qfca.qdist import QDistributor, dist_compose, cograph, graph, identity_dist
 from qfca.presheaf import (
     find_left_adjoint,
     find_right_adjoint,
-    is_codense,
-    is_dense,
-    materialize_copresheaves,
     materialize_presheaves,
     yoneda,
 )
-from qfca.concept import (
-    IsbellPair,
-    fca_lattice,
-    isbell_down,
-    residual_category,
-    rst_lattice,
-)
+from qfca.concept import fca_lattice, isbell_down, residual_category
 from qfca.represent import (
     build_generator_maps,
     canonical_adjunction,

@@ -2,11 +2,12 @@
 
 Each case replaces one entry of the ``limp_table``, ``rimp_table`` or
 ``compose_table`` of ``lukasiewicz-chain n=3`` by another element, then runs
-``verify_adjunction_laws`` and ``verify_transpose_identities`` on a fixed
-2x2 discrete context and ``verify_yoneda`` on its row category.  The pinned
-outcome names, in report order, the conditions that fail (or the class of the
-exception raised).  A verifier that checks a law on the wrong side, or pairs a
-unit with the wrong counit, changes some of these verdicts.
+``verify_adjunction_laws`` and the lemma check ``verify_transpose_identities``
+of ``_helpers`` on a fixed 2x2 discrete context and ``verify_yoneda`` on its
+row category.  The pinned outcome names, in report order, the conditions
+that fail (or the class of the exception raised).  A verifier that checks a
+law on the wrong side, or pairs a unit with the wrong counit, changes some of
+these verdicts.
 
 The same corruptions also pin ``verify_elementary_identities`` and
 ``quantale_corollary_check`` on ``canonical_elementary_data`` for both kinds,
@@ -17,7 +18,6 @@ import itertools
 
 import pytest
 
-from qfca.concept import verify_transpose_identities
 from qfca.errors import QfcaError
 from qfca.qcat import QTypedSet, discrete_category
 from qfca.qdist import QDistributor
@@ -29,6 +29,8 @@ from qfca.represent import (
     verify_elementary_identities,
     verify_yoneda,
 )
+
+from _helpers import verify_transpose_identities
 
 SHORT = {"polarity-unit": "pu", "polarity-counit": "pc", "extension-unit": "eu",
          "extension-counit": "ec", "dual-extension-unit": "du", "dual-extension-counit": "dc",
