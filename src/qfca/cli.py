@@ -301,6 +301,38 @@ def _fits(value, shape) -> bool:
     return isinstance(value, list) and (isinstance(shape, list) or len(value) == len(shape))
 
 
+def _step(key: str) -> str:
+    """The JSON path step to an object's field."""
+    return f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
+
+
+class _Repeats(dict):
+    """A JSON object that held a key twice; ``key`` is the first one repeated."""
+
+
+def _object(pairs) -> dict:
+    """A JSON object from its pairs, marked if a key comes twice: ``json``
+    itself would keep the last value and drop the others unseen."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        seen = set()
+        value = _Repeats(value)
+        value.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return value
+
+
+def _refuse_repeats(value, path: str = "$") -> None:
+    """Raise a UsageError naming the first object, by JSON path, that repeats a key."""
+    if isinstance(value, _Repeats):
+        raise UsageError(f"{path} repeats the key {value.key!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_repeats(item, path + _step(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _refuse_repeats(item, f"{path}[{i}]")
+
+
 def _check_shape(value, shape, path: str = "$") -> None:
     """Raise a UsageError naming the JSON path of the first misshapen field."""
     if not _fits(value, shape):
@@ -317,8 +349,7 @@ def _check_shape(value, shape, path: str = "$") -> None:
         for key, item in value.items():
             sub = shape.get(key, shape.get("*"))
             if sub is not None:
-                step = f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
-                _check_shape(item, sub, path + step)
+                _check_shape(item, sub, path + _step(key))
     elif isinstance(shape, list):
         for i, item in enumerate(value):
             _check_shape(item, shape[0], f"{path}[{i}]")
@@ -330,9 +361,10 @@ def _check_shape(value, shape, path: str = "$") -> None:
 def load_document(path: str) -> ContextDocument:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_object)
         except ValueError as e:  # undecodable bytes or malformed JSON
             raise UsageError(f"{path} is not valid JSON: {e}") from None
+    _refuse_repeats(data)
     _check_shape(data, _DOCUMENT_SHAPE)
     return parse_document(data)
 

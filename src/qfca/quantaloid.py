@@ -9,8 +9,9 @@ Lattice operations and both residuations read integer tables, built once
 when a quantaloid is constructed and never changed afterwards:
 
 * per hom (``HomLattice``): the order as bitmask rows, binary join and meet
-  tables, top and bottom; the quantaloid adds one interned ``Arrow`` per
-  element;
+  tables, top and bottom; on a poset the join of i and j is read off a dict
+  as the element whose up-set is up[i] & up[j].  The quantaloid adds one
+  interned ``Arrow`` per element;
 * per object triple (p, q, r), beside ``compose_table[(p, q, r)]``: the
   residuations ``limp_table`` and ``rimp_table``, derived from the
   composition table by the join formula
@@ -18,11 +19,15 @@ when a quantaloid is constructed and never changed afterwards:
     left_imp(w, u)  = join { v | v . u <= w }
     right_imp(v, w) = join { u | v . u <= w }
 
-so the adjunction  v.u <= w  iff  v <= left_imp(w,u)  iff  u <= right_imp(v,w)
-holds by construction on valid input; ``validate_quantaloid`` still
-cross-checks the tables exhaustively against an independent scan.  The
-opposite quantaloid, built on first use, shares the hom tables and
-transposes the others.
+Each set on the right is flagged, one byte per element, by a single
+``bytes.translate`` of a row or column of the composition table.  On valid
+tables it is a principal down-set, whose top is one dict lookup; any other
+set is folded by binary joins.  So the adjunction
+v.u <= w  iff  v <= left_imp(w,u)  iff  u <= right_imp(v,w)  holds by
+construction on valid input.  ``validate_quantaloid`` decides the laws on
+``bytes`` too, comparing translated rows, and scans the tables entry by
+entry only when a law fails, to write the report.  The opposite quantaloid,
+built on first use, shares the hom tables and transposes the others.
 
 A quantaloid is built only over complete lattices: the constructor refuses
 a hom that breaks a poset or lattice law (``HomLattice.issues``) with a
@@ -114,8 +119,8 @@ class HomLattice:
 
     The order is kept as bitmask rows: bit j of ``up[i]`` and bit i of
     ``down[j]`` are set when i <= j.  ``joins[i][j]``/``meets[i][j]``, ``top``
-    and ``bottom`` are computed once, here, by ``bound``; an entry is ``None``
-    where that bound does not exist.  ``issues`` records each broken poset or
+    and ``bottom`` are computed once, here, equal to what ``bound`` gives; an
+    entry is ``None`` where that bound does not exist.  ``issues`` records each broken poset or
     lattice law as ``(code, element labels, detail)``, in the order a
     ``Quantaloid`` refusing the hom reports them; it is empty exactly when the
     hom is a complete lattice.
@@ -133,16 +138,6 @@ class HomLattice:
             down[j] |= 1 << i
         self.up, self.down = tuple(up), tuple(down)
         self._all = (1 << n) - 1
-        self.top = self.bound((), self.down)
-        self.bottom = self.bound((), self.up)
-        joins = [[None] * n for _ in range(n)]
-        meets = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                joins[i][j] = joins[j][i] = self.bound((i, j), up)
-                meets[i][j] = meets[j][i] = self.bound((i, j), down)
-        self.joins = tuple(map(tuple, joins))
-        self.meets = tuple(map(tuple, meets))
         issues = [("poset.reflexive", (el[i],), "x <= x fails")
                   for i in range(n) if not up[i] >> i & 1]
         issues += [("poset.antisymmetric", (el[i], el[j]),
@@ -150,6 +145,23 @@ class HomLattice:
                    for i in range(n) for j in _bits(up[i] & down[i] & ~(1 << i))]
         issues += [("poset.transitive", (el[i], el[j], el[k]), "x <= y <= z but not x <= z")
                    for i in range(n) for j in _bits(up[i]) for k in _bits(up[j] & ~up[i])]
+        self.top = self.bound((), self.down)
+        self.bottom = self.bound((), self.up)
+        if issues:
+            def pair(i, j, cone, _):
+                return self.bound((i, j), cone)
+        else:  # on a poset, i v j is the element whose up-set is up[i] & up[j], if one is
+            def pair(i, j, cone, principal):
+                return principal.get(cone[i] & cone[j])
+        ups, downs = {m: k for k, m in enumerate(up)}, {m: k for k, m in enumerate(down)}
+        joins = [[None] * n for _ in range(n)]
+        meets = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                joins[i][j] = joins[j][i] = pair(i, j, up, ups)
+                meets[i][j] = meets[j][i] = pair(i, j, down, downs)
+        self.joins = tuple(map(tuple, joins))
+        self.meets = tuple(map(tuple, meets))
         if self.top is None:
             issues.append(("lattice.top", (), "no greatest element"))
         if self.bottom is None:
@@ -209,24 +221,63 @@ class HomLattice:
         return HomLattice(elements, frozenset((i, j) for i in range(n) for j in _bits(up[i])))
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(masks, n: int) -> list[bytes]:
+    """Each bitmask as one byte per position 0..n-1, 1 where its bit is set,
+    padded with zeros to 256 bytes: a ``bytes.translate`` table when n <= 256."""
+    return [f"{m:0{n}b}"[::-1].encode().translate(_BITS).ljust(256, b"\0") for m in masks]
+
+
+def _below(hom: HomLattice):
+    """``(below, principal)``: ``below[w]`` flags the x <= w, and ``principal``
+    maps the flags of each principal down-set to its top; kept on the hom."""
+    def build(hom):
+        n = len(hom)
+        below = _flags(hom.down, n)
+        return below, {row[:n]: m for m, row in enumerate(below)}
+    return _kept(hom, "_below_tables", build)
+
+
+def _join_of(hom: HomLattice, principal, flags: bytes) -> int:
+    """The join of the elements of ``hom`` flagged 1: read off when they form a
+    principal down-set, else folded from the bottom by binary joins."""
+    m = principal.get(flags)
+    if m is None:
+        m, joins = hom.bottom, hom.joins
+        for i in itertools.compress(range(len(flags)), flags):
+            m = joins[m][i]
+    return m
+
+
 def _residuation_tables(homs, compose_table):
     """``limp[(p,q,r)][w][u]`` and ``rimp[(p,q,r)][v][w]`` by the join formula.
 
     For u: p -> q, v: q -> r and w: p -> r, left_imp(w, u) is the join in
     Q(q, r) of the v with v.u <= w, and right_imp(v, w) the join in Q(p, q)
-    of the u with v.u <= w.
+    of the u with v.u <= w.  The v with v.u <= w are flagged by translating
+    the column of u through the flags of the x <= w; on valid tables they are
+    the down-set of left_imp(w, u), whose top is one lookup.
     """
     limp, rimp = {}, {}
+    tables = {pq: _below(hom) for pq, hom in homs.items()}
     for (p, q, r), comp in compose_table.items():
-        dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
+        dom, mid = homs[(p, q)], homs[(q, r)]
+        below = tables[(p, r)][0]
+        if len(below) <= 256:
+            rows, flagged = list(map(bytes, comp)), bytes.translate
+            cols = list(map(bytes, zip(*rows)))
+        else:  # entries do not fit in a byte: flag them one by one
+            rows, flagged = comp, lambda seq, table: bytes(map(table.__getitem__, seq))
+            cols = list(zip(*rows))
+        mid_principal, dom_principal = tables[(q, r)][1], tables[(p, q)][1]
         limp[(p, q, r)] = tuple(
-            tuple(mid.bound([v for v, row in enumerate(comp) if below >> row[u] & 1], mid.up)
-                  for u in range(len(dom)))
-            for below in cod.down)
+            tuple([_join_of(mid, mid_principal, flagged(col, table)) for col in cols])
+            for table in below)
         rimp[(p, q, r)] = tuple(
-            tuple(dom.bound([u for u, c in enumerate(row) if below >> c & 1], dom.up)
-                  for below in cod.down)
-            for row in comp)
+            tuple([_join_of(dom, dom_principal, flagged(row, table)) for table in below])
+            for row in rows)
     return limp, rimp
 
 
@@ -413,9 +464,92 @@ class Quantaloid:
 # -- validation --------------------------------------------------------------
 
 
+def _byte_rows(rows, height: int, width: int, size: int):
+    """``rows`` as ``bytes``, or ``None`` unless they are ``height`` rows of
+    ``width`` indices into a hom of ``size`` elements."""
+    try:
+        rows = list(map(bytes, rows))
+    except (TypeError, ValueError):
+        return None
+    if list(map(len, rows)) != [width] * height or max(map(max, rows)) >= size:
+        return None
+    return rows
+
+
+def _laws_hold(Q: Quantaloid) -> bool:
+    """Whether ``_law_report`` would find nothing, decided on ``bytes``.
+
+    Each law compares ``bytes`` strings built by ``translate`` and ``join``
+    from the tables of one object triple: the units, the adjunction
+    v.u <= w iff v <= left_imp(w, u) iff u <= right_imp(v, w), and
+    associativity.  The rest follows over lattice homs: the adjunction makes
+    each residuation table the join formula, and makes v.- and -.u left
+    adjoints, which preserve joins.  False also when a table cannot be read
+    this way: a hom of more than 256 elements, a table of the wrong shape or
+    an entry out of range.
+    """
+    homs, objects = Q.homs, Q.objects
+    if max(map(len, homs.values()), default=0) > 256:
+        return False
+    tables = {}  # per hom: flags of the x <= w as translate tables, of each down-set, of the x >= u
+    for pq, hom in homs.items():
+        below = _below(hom)[0]
+        tables[pq] = below, [row[:len(hom)] for row in below], _flags(hom.up, len(hom))
+    rows_of, flat_of = {}, {}
+    for p, q, r in itertools.product(objects, repeat=3):
+        nd, nm, nc = len(homs[(p, q)]), len(homs[(q, r)]), len(homs[(p, r)])
+        rows = _byte_rows(Q.compose_table[(p, q, r)], nm, nd, nc)
+        limp = _byte_rows(Q.limp_table[(p, q, r)], nc, nd, nm)
+        rimp = _byte_rows(Q.rimp_table[(p, q, r)], nm, nc, nd)
+        if rows is None or limp is None or rimp is None:
+            return False
+        cols = list(map(bytes, zip(*rows)))
+        if q == r and rows[Q.units[q]] != bytes(range(nd)):
+            return False
+        if p == q and cols[Q.units[q]] != bytes(range(nm)):
+            return False
+        # the adjunction over (u, w, v)
+        flags = b"".join([col.translate(below) for col in cols for below in tables[(p, r)][0]])
+        lefts = b"".join(map(tables[(q, r)][1].__getitem__, b"".join(map(bytes, zip(*limp)))))
+        rights = b"".join(map(b"".join(map(bytes, zip(*rimp))).translate, tables[(p, q)][2][:nd]))
+        if flags != lefts or flags != rights:
+            return False
+        rows_of[(p, q, r)], flat_of[(p, q, r)] = rows, b"".join(rows)
+    # w.(v.u) == (w.v).u for u: p -> q, v: q -> r and w: r -> s, over (s, w, v, u)
+    # for each (p, q, r): composing after w translates, composing before u
+    # indexes the rows of (p, q, s) for all s, laid end to end
+    pairs = list(itertools.product(objects, repeat=2))
+    after = {(p, r): [row.ljust(256, b"\0") for s in objects for row in rows_of[(p, r, s)]]
+             for p, r in pairs}
+    before = {(p, q): [row for s in objects for row in rows_of[(p, q, s)]] for p, q in pairs}
+    start = {}
+    for q in objects:
+        offset = 0
+        for s in objects:
+            start[(q, s)], offset = offset, offset + len(homs[(q, s)])
+    composite = {(q, r): [start[(q, s)] + x for s in objects for x in flat_of[(q, r, s)]]
+                 for q, r in pairs}
+    return all(
+        b"".join(map(flat.translate, after[(p, r)]))
+        == b"".join(map(before[(p, q)].__getitem__, composite[(q, r)]))
+        for (p, q, r), flat in flat_of.items())
+
+
 def validate_quantaloid(Q: Quantaloid) -> ValidationReport:
     """Check the quantaloid laws of the lattice homs on the tables (units, associativity,
-    join preservation, residuation), reporting all violations as data."""
+    join preservation, residuation), reporting all violations as data.
+
+    The laws are decided on ``bytes``; only when one fails, or the tables
+    cannot be read that way, does ``_law_report`` scan them entry by entry
+    to write the report.
+    """
+    if _laws_hold(Q):
+        return ValidationReport(f"quantaloid {Q.name}")
+    return _law_report(Q)
+
+
+def _law_report(Q: Quantaloid) -> ValidationReport:
+    """Every violation of a quantaloid law, found by a scan of all entry triples."""
     report = ValidationReport(f"quantaloid {Q.name}")
 
     def lbl(p, q, i):
@@ -619,15 +753,20 @@ def _frame_diagonal(L: HomLattice, name: str) -> Quantaloid:
 
 def _quantale_from_table(elements, leq_pairs, products, unit, name) -> Quantaloid:
     hom = HomLattice.from_labels(tuple(elements), leq_pairs)
-    n = len(hom)
     prod = {(a, b): c for a, b, c in products}
     missing = [(v, u) for v in hom.elements for u in hom.elements if (v, u) not in prod]
     if missing:
         raise InvalidParams(f"product table misses pairs: {missing[:5]}")
+    position = {label: i for i, label in enumerate(hom.elements)}
+
+    def index(label):
+        try:
+            return position[label]
+        except (KeyError, TypeError):
+            return hom.index(label)  # raises, naming the label
+
     table = {("*", "*", "*"): tuple(
-        tuple(hom.index(prod[(hom.elements[j], hom.elements[i])]) for i in range(n))
-        for j in range(n)
-    )}
+        tuple([index(prod[(v, u)]) for u in hom.elements]) for v in hom.elements)}
     return Quantaloid(("*",), {("*", "*"): hom}, table, {"*": hom.index(unit)}, name=name)
 
 

@@ -686,6 +686,41 @@ def test_refused_quantaloid_output_is_pinned(capsys):
     assert captured.err == "error: quantaloid inline-two failed validation; see the report\n"
 
 
+def test_broken_compose_report_is_pinned(capsys):
+    # the report of a quantaloid that fails its laws comes from the entrywise
+    # scan; tests/data/broken_compose.validate.out was written before the laws
+    # were decided on bytes
+    code = cli.main(["validate", str(DATA / "broken_compose.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == (DATA / "broken_compose.validate.out").read_text(encoding="utf-8")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # a second "phi" before the original: JSON alone keeps the last one unseen
+    pytest.param('"phi": {',
+                 '"phi": {"from": "A", "to": "B", "entries": [["a", "b", "0"]]},\n    "phi": {',
+                 "error: $.distributors repeats the key 'phi'", id="distributor"),
+    pytest.param('"objects": [{"label": "a", "type": "*"}]',
+                 '"objects": [{"label": "a", "label": "c", "type": "*"}]',
+                 "error: $.categories.A.objects[0] repeats the key 'label'", id="object-field"),
+    pytest.param('{"preset": {"name": "lukasiewicz-chain", "n": 3}}',
+                 '{"preset": {"name": "lukasiewicz-chain", "n": 3, "n": 4}}',
+                 "error: $.quantaloid.preset repeats the key 'n'", id="preset-parameter"),
+    pytest.param('"categories": {', '"categories": {"A": {}, "A": {},',
+                 "error: $.categories repeats the key 'A'", id="category"),
+])
+def test_a_repeated_key_is_refused(capsys, tmp_path, old, new, message):
+    text = (CONTEXTS / "fix_l3.json").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new))
+    assert cli.main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
 def _edited(tmp_path, name, edit):
     """A copy of ``contexts/<name>`` changed in place by ``edit``."""
     doc = json.loads((CONTEXTS / name).read_text())

@@ -1,6 +1,8 @@
 """The integer tables under the quantaloid against brute-force scans."""
 
+import copy
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +17,16 @@ from _helpers import (
 from qfca.concept import fca_lattice, rst_lattice
 from qfca.errors import ValidationFailed
 from qfca.qdist import hom_rows
-from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset, validate_quantaloid
+from qfca.quantaloid import (
+    Arrow,
+    HomLattice,
+    Quantaloid,
+    _law_report,
+    _laws_hold,
+    _residuation_tables,
+    build_preset,
+    validate_quantaloid,
+)
 
 DIAMOND = ["0", "a", "b", "1"]
 DIAMOND_LEQ = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
@@ -185,3 +196,94 @@ def _table_cases():
 def test_residuation_tables_match_the_fused_pass(make):
     Q = make()
     assert (Q.limp_table, Q.rimp_table) == oracle_residuation_tables(Q.homs, Q.compose_table)
+
+
+# The six quantaloids of the property tests, and two larger presets.
+DECISION_CASES = [("two", {}), ("lukasiewicz-chain", {"n": 3}), ("godel-chain", {"n": 3}),
+                  ("frame-diagonal", {"chain": 3}), ("lukasiewicz-chain", {"n": 16}),
+                  ("frame-diagonal", {"boolean": 2})]
+
+# the hom of each table's entries, by the triple's positions
+ENTRY_HOM = {"compose_table": (0, 2), "limp_table": (1, 2), "rimp_table": (0, 1)}
+
+
+def _decision_cases():
+    for name, params in DECISION_CASES:
+        label = "-".join([name, *map(str, params.values())])
+        yield pytest.param(lambda name=name, params=params: build_preset(name, **params), id=label)
+    yield pytest.param(lambda: chain4_quantale("0", "a"), id="NC_AB")
+    yield pytest.param(lambda: chain4_quantale("a", "0"), id="NC_BA")
+
+
+def _with_entry(Q, rnd, attr, rebuild=False):
+    """``Q`` with one drawn entry of one table redrawn: in place, so the other
+    tables stay as they were, or for the composition table also rebuilt, so
+    the residuation tables follow it.  A residuation entry may be drawn one
+    past the end of its hom, which the scan reports as a wrong table entry."""
+    table = dict(getattr(Q, attr))
+    key = rnd.choice(sorted(table))
+    rows = [list(row) for row in table[key]]
+    row = rnd.choice(rows)
+    size = len(Q.hom(*(key[i] for i in ENTRY_HOM[attr])))
+    row[rnd.randrange(len(row))] = rnd.randrange(size if attr == "compose_table" else size + 1)
+    table[key] = tuple(map(tuple, rows))
+    if rebuild:
+        return Quantaloid(Q.objects, Q.homs, table, Q.units, name="redrawn")
+    R = copy.copy(Q)
+    R.__dict__.pop("_opposite", None)
+    setattr(R, attr, table)
+    return R
+
+
+@pytest.mark.parametrize("make", list(_decision_cases()))
+def test_the_table_decision_matches_the_scan(make):
+    # the decision on bytes against the entrywise scan that writes the report,
+    # on single-entry corruptions of each table
+    Q, rnd, verdicts = make(), random.Random(22), set()
+    assert _laws_hold(Q) and _law_report(Q).ok
+    for attr, rebuild in [("compose_table", False), ("compose_table", True),
+                          ("limp_table", False), ("rimp_table", False)]:
+        for _ in range(12):
+            R = _with_entry(Q, rnd, attr, rebuild)
+            for S in (R, R.opposite()) if rebuild else (R,):
+                scan = _law_report(S)
+                assert _laws_hold(S) == scan.ok, (attr, rebuild)
+                assert validate_quantaloid(S).to_json() == scan.to_json()
+                verdicts.add(scan.ok)
+    assert False in verdicts
+
+
+def test_residuation_tables_read_homs_wider_than_a_byte():
+    # entries of a 300-element chain do not fit in a byte, nor do the flags of
+    # its down-sets fit a translate table
+    wide = HomLattice.from_labels([str(i) for i in range(300)],
+                                  [(str(i), str(i + 1)) for i in range(299)])
+    small = HomLattice.from_labels(["0", "a", "b", "1"],
+                                   [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    homs = {("a", "b"): small, ("b", "c"): small, ("a", "c"): wide, ("c", "d"): wide,
+            ("b", "d"): small}
+    rnd = random.Random(5)
+    for _ in range(20):
+        compose = {
+            ("a", "b", "c"): [[rnd.randrange(300) for _ in range(4)] for _ in range(4)],
+            ("b", "c", "d"): [[rnd.randrange(4) for _ in range(4)] for _ in range(300)],
+        }
+        assert _residuation_tables(homs, compose) == oracle_residuation_tables(homs, compose)
+
+
+def test_pairwise_bounds_match_the_cone_search():
+    # joins and meets by the principal cone on a poset, by the cone search on
+    # anything else: both against HomLattice.bound
+    rnd = random.Random(7)
+    for _ in range(300):
+        n = rnd.randint(1, 6)
+        labels = [str(i) for i in range(n)]
+        pairs = {(i, j) for i in range(n) for j in range(n) if rnd.random() < 0.4}
+        homs = [HomLattice(labels, frozenset(pairs)),
+                HomLattice.from_labels(labels, [(labels[i], labels[j]) for i, j in pairs]),
+                HomLattice.from_labels(labels, [(labels[i], labels[j]) for i, j in pairs if i < j])]
+        for hom in homs:
+            for i, j in itertools.product(range(n), repeat=2):
+                assert hom.joins[i][j] == hom.bound((i, j), hom.up)
+                assert hom.meets[i][j] == hom.bound((i, j), hom.down)
+        assert not homs[2].issues or homs[2].issues[0][0].startswith("lattice.")

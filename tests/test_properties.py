@@ -429,19 +429,24 @@ def test_noncommutative_quantales_are_not_girard():
         assert fam is not None and fam.cyclic and not fam.dualizing
 
 
+LUK16 = build_preset("lukasiewicz-chain", n=16)
+DIAG_B2 = build_preset("frame-diagonal", boolean=2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_residuation_tables_match_the_fused_pass_randomized(data):
-    # one drawn composition entry is redrawn, so the tables are also compared
-    # on composition tables that break the quantale laws
-    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
-    compose = dict(Q.compose_table)
-    p, q, r = key = data.draw(st.sampled_from(sorted(compose)), label="triple")
-    rows = [list(row) for row in compose[key]]
-    v = data.draw(st.integers(0, len(rows) - 1), label="v")
-    u = data.draw(st.integers(0, len(rows[v]) - 1), label="u")
-    rows[v][u] = data.draw(st.integers(0, len(Q.hom(p, r)) - 1), label="v.u")
-    compose[key] = rows
+    # up to four drawn composition entries are redrawn, so the tables are also
+    # compared on composition tables that break the quantale laws, where the
+    # v with v.u <= w need not form a principal down-set
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [LUK16, DIAG_B2]), label="quantaloid")
+    compose = {key: [list(row) for row in rows] for key, rows in Q.compose_table.items()}
+    for _ in range(data.draw(st.integers(1, 4), label="redrawn entries")):
+        p, q, r = key = data.draw(st.sampled_from(sorted(compose)), label="triple")
+        rows = compose[key]
+        v = data.draw(st.integers(0, len(rows) - 1), label="v")
+        u = data.draw(st.integers(0, len(rows[v]) - 1), label="u")
+        rows[v][u] = data.draw(st.integers(0, len(Q.hom(p, r)) - 1), label="v.u")
     redrawn = Quantaloid(Q.objects, Q.homs, compose, Q.units, name="redrawn")
     for R in (Q, Q.opposite(), redrawn, redrawn.opposite()):
         assert (R.limp_table, R.rimp_table) == oracle_residuation_tables(R.homs, R.compose_table)
