@@ -14,7 +14,9 @@ the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
 
 The lattices run on int codes: each map of a pair is tabled once per type and
 then costs one AND per position; the tables also give the generators and the
-re-check of every concept.  The ``Arrow`` maps above are the tests' oracle.
+re-check of every concept.  A lattice keeps the codes, and its JSON and DOT
+forms (labels, values, Hasse covers) are read off them; concepts become
+presheaves only when asked for.  The ``Arrow`` maps above are the tests' oracle.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -75,6 +77,7 @@ from .quantaloid import (
     Arrow,
     CyclicDualizingFamily,
     Quantaloid,
+    _kept,
     complement_arrow,
     is_cyclic_family,
     is_dualizing_family,
@@ -196,11 +199,13 @@ class KanPair(_Frozen):
     def coded(self, qobj: str):
         """As for :class:`IsbellPair`; kan_star is a join, so its table maps to
         up-set codes over A, which kan_lower's maps to down-set codes over B."""
-        q, A, B = self.phi.q, self.phi.dom.types, self.phi.cod.types
+        # v |-> v . phi(a, b) and u |-> left_imp(u, phi(a, b)) are columns of the
+        # tables, so rows of the opposite's: compose, and rimp for limp
+        op, A, B = self.phi.q.opposite(), self.phi.dom.types, self.phi.cod.types
         m = [[w.index for w in row] for row in self.phi.matrix]
         code, mid = _SetCode(self.base, qobj), _SetCode(self.phi.dom, qobj, "up")
-        star = _table(code, mid, lambda j, i, v: q.compose_table[A[i], B[j], qobj][v][m[i][j]])
-        lower = _table(mid, code, lambda i, j, u: q.limp_table[A[i], B[j], qobj][u][m[i][j]])
+        star = _table(code, mid, lambda j, i: op.compose_table[qobj, B[j], A[i]][m[i][j]])
+        lower = _table(mid, code, lambda i, j: op.rimp_table[qobj, B[j], A[i]][m[i][j]])
         return _coded(code, star, lower)
 
 
@@ -218,21 +223,45 @@ def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
 class ConceptLattice(PresheafFamily):
     """Fixed presheaves of one of the two closures, with their category.
 
-    Concepts are grouped by type in quantaloid object order.  Within a type
-    the order is the closure's insertion order: each generator in turn, then
-    the new meets it makes with the concepts before it.  Repeated runs
-    therefore produce identical output.
+    ``coded`` holds, per type in quantaloid object order, the ``_SetCode`` of
+    that type and its concepts' codes in the closure's insertion order: each
+    generator in turn, then the new meets it makes with the concepts before
+    it.  Repeated runs therefore produce identical output.
 
-    ``category`` (the full subcategory of presheaves on the concepts) is
-    built on first use; serialization reads the order from per-position masks
-    of the concepts' values instead.
+    ``members`` (alias ``concepts``), decoded into presheaves, and ``labels``
+    and ``value_labels``, read off the codes, follow that order and are built
+    on first use; so is ``category`` (the full subcategory of presheaves on
+    the concepts).  ``lattice_to_json`` reads the codes and builds none of them.
     """
 
-    def __init__(self, kind: str, phi: QDistributor, concepts: tuple[Presheaf, ...]):
-        super().__init__(closure_pair(phi, kind).base, concepts, f"{kind}({phi.name})")
-        self.kind = kind
-        self.phi = phi
-        self.concepts = self.members
+    def __init__(self, kind: str, phi: QDistributor, coded):
+        self.kind, self.phi, self.coded = kind, phi, tuple(coded)
+        self.base, self.name = closure_pair(phi, kind).base, f"{kind}({phi.name})"
+
+    @property
+    def members(self) -> tuple[Presheaf, ...]:
+        return _kept(self, "_members", lambda s: tuple(
+            code.decode(c) for code, codes in s.coded for c in codes))
+
+    concepts = members
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._printed_forms()[0]
+
+    @property
+    def value_labels(self) -> tuple[tuple[str, ...], ...]:
+        return self._printed_forms()[1]
+
+    def _printed_forms(self) -> tuple[tuple, tuple]:
+        """``(labels, value_labels)``, read off the codes on first use."""
+        def build(s):
+            forms = [form for code, codes in s.coded for form in code.printed(codes)]
+            return tuple(label for label, _ in forms), tuple(values for _, values in forms)
+        return _kept(self, "_printed", build)
+
+    def __len__(self) -> int:
+        return sum(len(codes) for _, codes in self.coded)
 
     def per_type(self) -> dict[str, tuple[Presheaf, ...]]:
         out: dict[str, list[Presheaf]] = {q: [] for q in self.phi.q.objects}
@@ -247,19 +276,24 @@ class ConceptLattice(PresheafFamily):
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
 
 
-def _table(src: _SetCode, dst: _SetCode, cell) -> list[tuple[int, dict[int, int]]]:
+def _table(src: _SetCode, dst: _SetCode, column) -> list[tuple[int, dict[int, int]]]:
     """A map of coded presheaves, per position i of src: its field, and each
-    value there (index u) to the dst code of ``cell(i, j, u)`` over dst's
-    positions j.  The image of a code is the ``&`` of its positions' entries."""
-    js = range(len(dst.rows))
-    return [(field, {row: dst.pack(cell(i, j, u) for j in js) for u, row in enumerate(rows)})
-            for i, (field, rows) in enumerate(zip(src.fields, src.rows))]
+    value there (index u) to the dst code with value ``column(i, j)[u]`` at
+    each position j of dst.  The image of a code is the ``&`` of its
+    positions' entries."""
+    table = []
+    for i, (field, rows) in enumerate(zip(src.fields, src.rows)):
+        # one list of dst codes per position j, and zeros for an empty dst
+        parts = [[0] * len(rows)] + [[at[k] for k in column(i, j)]
+                                     for j, at in enumerate(dst.rows)]
+        table.append((field, dict(zip(rows, map(sum, zip(*parts))))))
+    return table
 
 
 def _isbell_table(phi: QDistributor, src: _SetCode, dst: _SetCode):
     """isbell_up as a ``_table``: row a, value u to the code of ``b |-> limp(phi(a, b), u)``."""
     limp, A, B, s = phi.q.limp_table, phi.dom.types, phi.cod.types, src.qobj
-    return _table(src, dst, lambda i, j, u: limp[A[i], s, B[j]][phi.matrix[i][j].index][u])
+    return _table(src, dst, lambda i, j: limp[A[i], s, B[j]][phi.matrix[i][j].index])
 
 
 def _coded(code: _SetCode, left, right):
@@ -274,8 +308,8 @@ def _coded(code: _SetCode, left, right):
             [code.top, *(g for _, row in right for g in row.values())])
 
 
-def _meet_closure(code: _SetCode, close, generators) -> tuple[Presheaf, ...]:
-    """Closure of the generator codes under binary pointwise meets, decoded.
+def _meet_closure(code: _SetCode, close, generators) -> list[int]:
+    """Closure of the generator codes under binary pointwise meets.
 
     On down-set codes a pointwise meet is an ``&``, so this is ``_and_closure``
     under the closure cap.  Every result is re-checked, on its code, to be fixed
@@ -288,7 +322,7 @@ def _meet_closure(code: _SetCode, close, generators) -> tuple[Presheaf, ...]:
             raise QfcaError(f"concept {presheaf_label(code.decode(c))} is not fixed, so the "
                             f"tables of {code.base.q.name} are not residuated; validate names "
                             "the broken law")
-    return tuple(map(code.decode, codes))
+    return codes
 
 
 def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
@@ -298,13 +332,13 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
     tables of AND-able codes: over ``two`` this is bitset FCA, over graded
     lattices the Pollandt / Belohlavek reduction.  The generators, the top
     and the rows of the right map's table, are the residuals that
-    ``fca_lattice`` and ``rst_lattice`` name.
+    ``fca_lattice`` and ``rst_lattice`` name.  The lattice keeps the codes.
     """
-    phi = pair.phi
-    concepts: list[Presheaf] = []
-    for qobj in phi.q.objects:
-        concepts.extend(_meet_closure(*pair.coded(qobj)))
-    return ConceptLattice(pair.kind, phi, tuple(concepts))
+    coded = []
+    for qobj in pair.phi.q.objects:
+        code, close, generators = pair.coded(qobj)
+        coded.append((code, _meet_closure(code, close, generators)))
+    return ConceptLattice(pair.kind, pair.phi, coded)
 
 
 def fca_lattice(phi: QDistributor) -> ConceptLattice:
@@ -577,25 +611,22 @@ def verify_functoriality_square(c: ChuTransform) -> Report:
 # -- serialization ---------------------------------------------------------------------
 
 
-def _hasse_covers(base: QCategory, pairs) -> list[tuple[str, str]]:
-    """Sorted cover label pairs (lower, upper) among one type's (concept, label) pairs.
+def _hasse_covers(code: _SetCode, codes, labels) -> list[tuple[str, str]]:
+    """Sorted cover label pairs (lower, upper) among one type's concept codes.
 
     A concept's up-set is the AND over positions of the mask of concepts whose
-    value there is above its own.  Ranked by the size of their values' down-sets
-    (a linear extension), the least concept left in a strict up-set is a cover;
+    value there, the bits ``c & field`` of a down-set code, holds its own.
+    Ranked by ``bit_count`` (the summed sizes of their values' down-sets, a
+    linear extension), the least concept left in a strict up-set is a cover;
     drop it and its up-set, and repeat.  This is ``Preorder.hasse_edges`` of
     the lattice category on them, without building that category."""
-    if not pairs:
-        return []
-    homs = [base.q.homs[(t, pairs[0][0].type)] for t in base.types]
-    ranked = sorted(pairs, key=lambda pl: sum(
-        hom.down[v.index].bit_count() for hom, v in zip(homs, pl[0].values)))
-    ups = [(1 << len(pairs)) - 1 & ~(1 << i) for i in range(len(pairs))]
-    for x, hom in enumerate(homs):
-        at, masks = [p.values[x].index for p, _ in ranked], {}
+    ranked = sorted(zip(codes, labels), key=lambda cl: cl[0].bit_count())
+    ups = [(1 << len(ranked)) - 1 & ~(1 << i) for i in range(len(ranked))]
+    for field in code.fields:
+        at, masks = [c & field for c, _ in ranked], {}
         for i, v in enumerate(at):
             masks[v] = masks.get(v, 0) | 1 << i
-        above = {v: sum(m for w, m in masks.items() if hom.up[v] >> w & 1) for v in masks}
+        above = {v: sum(m for w, m in masks.items() if v & ~w == 0) for v in masks}
         ups = [u & above[v] for u, v in zip(ups, at)]
     edges = []
     for (_, lower), up in zip(ranked, ups):
@@ -607,15 +638,16 @@ def _hasse_covers(base: QCategory, pairs) -> list[tuple[str, str]]:
 
 
 def lattice_to_json(lat: ConceptLattice) -> dict:
-    """Each type's concepts, as the family prints them, and their Hasse covers."""
-    groups = {qobj: ([], []) for qobj in lat.phi.q.objects}
-    for p, lbl, values in zip(lat.members, lat.labels, lat.value_labels):
-        pairs, concepts = groups[p.type]
-        pairs.append((p, lbl))
-        concepts.append({"label": lbl, "values": dict(zip(lat.base.objects, values))})
-    types = {qobj: {"concepts": concepts,
-                    "hasse": [[a, b] for a, b in _hasse_covers(lat.base, pairs)]}
-             for qobj, (pairs, concepts) in groups.items()}
+    """Each type's concepts, as the family prints them, and their Hasse covers,
+    read off the codes."""
+    objects, types = lat.base.objects, {}
+    for code, codes in lat.coded:
+        forms = list(code.printed(codes))
+        labels = [label for label, _ in forms]
+        types[code.qobj] = {
+            "concepts": [{"label": label, "values": dict(zip(objects, values))}
+                         for label, values in forms],
+            "hasse": [[a, b] for a, b in _hasse_covers(code, codes, labels)]}
     return {"kind": lat.kind, "context": lat.phi.name, "types": types}
 
 

@@ -337,27 +337,43 @@ class _SetCode:
     of the down-sets, and the up-set of a join that of the up-sets, so ``&``
     is the pointwise meet of down-set codes and the join of up-set codes.
     ``top`` sets every bit: the top presheaf, or the bottom one on up-sets.
+    A code is read back one position at a time, through a table from the
+    bits of its field to the value there: its ``Arrow`` for ``decode``, built
+    on first use, or its label for ``printed``.
     """
 
     def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
         q = base.q
         self.base, self.qobj = base, qobj
-        self.rows, self.fields, self._arrows, offset = [], [], [], 0
+        self.rows, self.fields, offset = [], [], 0
         for t in base.types:
             hom = q.homs[(t, qobj)]
-            rows = tuple(d << offset for d in getattr(hom, sets))
-            self.rows.append(rows)
+            self.rows.append(tuple(d << offset for d in getattr(hom, sets)))
             self.fields.append(((1 << len(hom)) - 1) << offset)
-            self._arrows.append(dict(zip(rows, q.arrow_table[(t, qobj)])))
             offset += len(hom)
         self.top = sum(self.fields)
 
     def pack(self, indices) -> int:
         return sum(rows[k] for rows, k in zip(self.rows, indices))
 
+    def _read(self, values) -> list[dict]:
+        """Per position i, the bits of its field to ``values((|x_i|, qobj))`` by
+        value index."""
+        return [dict(zip(rows, values((t, self.qobj))))
+                for t, rows in zip(self.base.types, self.rows)]
+
     def decode(self, code: int) -> Presheaf:
+        arrows = _kept(self, "_arrows", lambda s: s._read(s.base.q.arrow_table.__getitem__))
         return Presheaf(self.base, self.qobj, tuple(
-            arrows[code & field] for field, arrows in zip(self.fields, self._arrows)))
+            at[code & field] for field, at in zip(self.fields, arrows)))
+
+    def printed(self, codes):
+        """Each code's ``presheaf_label`` and value labels, decoding nothing."""
+        labels = self._read(lambda pq: self.base.q.homs[pq].elements)
+        objects, fields = self.base.objects, self.fields
+        for c in codes:
+            values = tuple([at[c & field] for field, at in zip(fields, labels)])
+            yield _printed(objects, self.qobj, values), values
 
 
 def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:
@@ -469,13 +485,13 @@ def _value_labels(p) -> tuple[str, ...]:
     return tuple(map(p.base.q.label, p.values))
 
 
-def _printed(p, values) -> str:
-    return p.type + "|" + ",".join(f"{x}:{v}" for x, v in zip(p.base.objects, values))
+def _printed(objects, type: str, values) -> str:
+    return type + "|" + ",".join(f"{x}:{v}" for x, v in zip(objects, values))
 
 
 def presheaf_label(p) -> str:
     """Deterministic readable label: ``type|x1:v1,x2:v2``."""
-    return _printed(p, _value_labels(p))
+    return _printed(p.base.objects, p.type, _value_labels(p))
 
 
 class PresheafFamily:
@@ -491,7 +507,8 @@ class PresheafFamily:
         self.base = base
         self.members = tuple(members)
         self.value_labels = tuple(map(_value_labels, self.members))
-        self.labels = tuple(map(_printed, self.members, self.value_labels))
+        self.labels = tuple(_printed(m.base.objects, m.type, values)
+                            for m, values in zip(self.members, self.value_labels))
         self.name = name
 
     @property

@@ -659,9 +659,13 @@ class CyclicDualizingFamily(_Frozen):
 
 
 def is_cyclic_family(Q: Quantaloid, d: dict[str, Arrow]) -> bool:
+    """Is ``left_imp(d_p, u) == right_imp(u, d_q)`` for every u: p -> q?  One
+    comparison per object pair: the row of ``limp_table[(p, q, p)]`` at d_p
+    against the column of ``rimp_table[(q, p, q)]`` at d_q."""
     return all(
-        Q.left_imp(d[u.src], u) == Q.right_imp(u, d[u.dst])
-        for u in Q.all_arrows()
+        Q.limp_table[(p, q, p)][d[p].index]
+        == tuple([row[d[q].index] for row in Q.rimp_table[(q, p, q)]])
+        for p, q in itertools.product(Q.objects, repeat=2)
     )
 
 

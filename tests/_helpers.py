@@ -281,6 +281,11 @@ def scan_leq(Q, a, b):
     return (a.index, b.index) in Q.hom(a.src, a.dst).leq_pairs
 
 
+def oracle_is_cyclic_family(Q, d):
+    """The cyclic test one arrow at a time, through the ``Arrow`` residuations."""
+    return all(Q.left_imp(d[u.src], u) == Q.right_imp(u, d[u.dst]) for u in Q.all_arrows())
+
+
 def oracle_presheaf_hom(mu, nu):
     """hom(mu, nu) = meet_a left_imp(nu(a), mu(a)): type(mu) -> type(nu)."""
     Q, s, t = mu.base.q, mu.type, nu.type

@@ -118,8 +118,8 @@ def test_concepts_oracle_mismatch_fault_injection(capsys, monkeypatch):
     real = concept.fca_lattice
 
     def broken(phi):
-        lattice = real(phi)
-        return concept.ConceptLattice("fca", phi, lattice.concepts[:-1])
+        *kept, (code, codes) = real(phi).coded
+        return concept.ConceptLattice("fca", phi, [*kept, (code, codes[:-1])])
 
     monkeypatch.setattr(concept, "fca_lattice", broken)
     code, out = run(capsys, "concepts", CONTEXTS / "fix_2id.json",

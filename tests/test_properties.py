@@ -42,6 +42,7 @@ from _helpers import (
     oracle_generators,
     oracle_isbell_down,
     oracle_is_complete,
+    oracle_is_cyclic_family,
     oracle_isbell_up,
     oracle_kan_dag,
     oracle_kan_lower,
@@ -60,6 +61,7 @@ from qfca.quantaloid import (
     Quantaloid,
     build_preset,
     find_cyclic_dualizing_family,
+    is_cyclic_family,
     validate_quantaloid,
 )
 from qfca.cli import ContextDocument, main, serialize_document
@@ -85,12 +87,14 @@ from qfca.presheaf import (
     pointwise_leq,
     presheaf_hom,
     presheaf_join,
+    presheaf_label,
     presheaf_meet,
     top_presheaf,
 )
 from qfca.concept import (
     IsbellPair,
     KanPair,
+    _json_to_dot,
     brute_force_fixed,
     fca_lattice,
     isbell_down,
@@ -224,6 +228,17 @@ def test_is_complete_matches_the_enumeration_on_small_carriers():
     assert (len(verdicts), sum(got for got, _ in verdicts)) == (88, 26)
 
 
+def test_cyclic_verdicts_match_the_arrow_loop():
+    # every endo-family of each quantaloid, and of the frame-diagonal chain=5 preset
+    # that the benchmark searches
+    verdicts = [(is_cyclic_family(Q, d), oracle_is_cyclic_family(Q, d))
+                for Q in QUANTALOIDS + [build_preset("frame-diagonal", chain=5)]
+                for d in (dict(zip(Q.objects, combo)) for combo in
+                          itertools.product(*(Q.arrows(q, q) for q in Q.objects)))]
+    assert all(got == expected for got, expected in verdicts)
+    assert (len(verdicts), sum(got for got, _ in verdicts)) == (142, 22)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_is_complete_matches_the_enumeration_randomized(data):
@@ -302,6 +317,31 @@ def test_mask_covers_match_lattice_category_randomized(data):
             sub = lat.category.full_subcategory([lat.label_of(p) for p in ps])
             expected = [list(e) for e in underlying_order(sub).hasse_edges()]
             assert types[qobj]["hasse"] == expected, (lat.kind, qobj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coded_print_path_matches_decoded_oracle_randomized(data):
+    # lattice_to_json and lattice_to_dot read the concepts' codes and decode none;
+    # the oracle decodes each member, labels it with presheaf_label and reads the
+    # covers off the materialized lattice category
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    phi = random_context(data, Q)
+    for compute in (fca_lattice, rst_lattice):
+        lat = compute(phi)
+        printed, dot = lattice_to_json(lat), lattice_to_dot(lat)
+        assert not {"_members", "_printed", "category"} & lat.__dict__.keys()
+        types = {}
+        for qobj, members in lat.per_type().items():
+            labels = [presheaf_label(p) for p in members]
+            order = underlying_order(lat.category.full_subcategory(labels))
+            types[qobj] = {"concepts": [{"label": label, "values": oracle_values(p)}
+                                        for label, p in zip(labels, members)],
+                           "hasse": [list(e) for e in order.hasse_edges()]}
+        expected = {"kind": lat.kind, "context": phi.name, "types": types}
+        assert printed == expected, lat.kind
+        assert dot == _json_to_dot(expected), lat.kind
+        assert list(lat.labels) == list(map(presheaf_label, lat.members))
 
 
 def _oracle_form(members):
