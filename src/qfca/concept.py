@@ -206,7 +206,9 @@ class KanPair(_Frozen):
         code, mid = _SetCode(self.base, qobj), _SetCode(self.phi.dom, qobj, "up")
         star = _table(code, mid, lambda j, i: op.compose_table[qobj, B[j], A[i]][m[i][j]])
         lower = _table(mid, code, lambda i, j: op.rimp_table[qobj, B[j], A[i]][m[i][j]])
-        return _coded(code, star, lower)
+        coded = _coded(code, star, lower)
+        coded.interior = lambda u: _through(star, _through(lower, u, -1), mid.top)
+        return coded
 
 
 def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
@@ -296,16 +298,24 @@ def _isbell_table(phi: QDistributor, src: _SetCode, dst: _SetCode):
     return _table(src, dst, lambda i, j: limp[A[i], s, B[j]][phi.matrix[i][j].index])
 
 
-def _coded(code: _SetCode, left, right):
+def _through(table, c: int, out: int) -> int:
+    """The image of code c under a ``_table``, ANDed into ``out``: one ``&`` and
+    one field decode per position; -1 reads as every field full (an empty AND)."""
+    for field, row in table:
+        out &= row[c & field]
+    return out
+
+
+class _Coded(tuple):
+    """``_coded``'s triple; a :class:`KanPair`'s has ``interior``, ``left . right``
+    on the up-set codes over A."""
+
+
+def _coded(code: _SetCode, left, right) -> _Coded:
     """``code``, the closure ``right . left`` on codes and its generators: the
-    top and the rows of the right map's table.  Each map is one ``&`` and one
-    field decode per position; -1 reads as every field full (an empty AND)."""
-    def through(table, c: int, out: int) -> int:
-        for field, row in table:
-            out &= row[c & field]
-        return out
-    return (code, lambda c: through(right, through(left, c, -1), code.top),
-            [code.top, *(g for _, row in right for g in row.values())])
+    top and the rows of the right map's table."""
+    return _Coded((code, lambda c: _through(right, _through(left, c, -1), code.top),
+                   [code.top, *(g for _, row in right for g in row.values())]))
 
 
 def _meet_closure(code: _SetCode, close, generators) -> list[int]:

@@ -347,14 +347,21 @@ class _SetCode:
         self.base, self.qobj = base, qobj
         self.rows, self.fields, offset = [], [], 0
         for t in base.types:
-            hom = q.homs[(t, qobj)]
-            self.rows.append(tuple(d << offset for d in getattr(hom, sets)))
-            self.fields.append(((1 << len(hom)) - 1) << offset)
-            offset += len(hom)
+            sets_at = getattr(q.homs[(t, qobj)], sets)
+            self.rows.append(tuple(d << offset for d in sets_at))
+            self.fields.append(((1 << len(sets_at)) - 1) << offset)
+            offset += len(sets_at)
         self.top = sum(self.fields)
 
     def pack(self, indices) -> int:
         return sum(rows[k] for rows, k in zip(self.rows, indices))
+
+    def recode(self, other: "_SetCode"):
+        """Codes to ``other``'s codes of the same presheaves (same base and type,
+        up-sets for down-sets or back), through one table per position."""
+        tables = [(field, dict(zip(mine, theirs)))
+                  for field, mine, theirs in zip(self.fields, self.rows, other.rows)]
+        return lambda c: sum(at[c & field] for field, at in tables)
 
     def _read(self, values) -> list[dict]:
         """Per position i, the bits of its field to ``values((|x_i|, qobj))`` by
@@ -400,9 +407,9 @@ def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:
     return codes
 
 
-def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
-    """All presheaves of one type on A, in lexicographic value order; ``space`` names
-    them in the budget error.
+def _member_codes(A: QCategory, qobj: str, space: str) -> tuple[_SetCode, list[int]]:
+    """All presheaves of one type on A as up-set codes: the ``_SetCode`` and the
+    codes, in closure order; ``space`` names them in the budget error.
 
     By Yoneda every presheaf mu is the join of its tensors ``mu(a) . hom(-, a)``, and
     every join of tensors is a presheaf.  So the space is the join closure of the
@@ -431,8 +438,13 @@ def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
             joined &= cs[at[c & field]]
         return c & ~joined == 0
 
-    members = map(code.decode, filter(law_ok, codes))
-    return tuple(sorted(members, key=lambda p: [v.index for v in p.values]))
+    return code, list(filter(law_ok, codes))
+
+
+def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
+    """``_member_codes`` decoded, in lexicographic value order."""
+    code, codes = _member_codes(A, qobj, space)
+    return tuple(sorted(map(code.decode, codes), key=lambda p: [v.index for v in p.values]))
 
 
 def enumerate_presheaves(A: QCategory, qobj: str) -> tuple[Presheaf, ...]:

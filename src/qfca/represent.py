@@ -60,6 +60,7 @@ from .presheaf import (
     _copresheaf_of,
     _hom_grid,
     _join_dense,
+    _member_codes,
     coyoneda,
     enumerate_presheaves,
     is_codense,
@@ -68,7 +69,6 @@ from .presheaf import (
     lan,
     materialize_copresheaves,
     materialize_presheaves,
-    pointwise_leq,
     presheaf_residual,
     ran,
     yoneda,
@@ -483,25 +483,34 @@ def verify_yoneda(A: QCategory) -> Report:
 
 
 def _presheaf_side_laws(phi: QDistributor) -> tuple[bool, bool, bool]:
-    """Polarity unit, extension unit and extension counit, entrywise over all
-    presheaves on the rows and columns of a context."""
-    isb, kan = IsbellPair(phi), KanPair(phi)
-    rows = [mu for qobj in phi.q.objects for mu in enumerate_presheaves(phi.dom, qobj)]
-    cols = [lam for qobj in phi.q.objects for lam in enumerate_presheaves(phi.cod, qobj)]
-    return (all(pointwise_leq(mu, isb.closure(mu)) for mu in rows),
-            all(pointwise_leq(lam, kan.closure(lam)) for lam in cols),
-            all(pointwise_leq(kan.interior(mu), mu) for mu in rows))
+    """Polarity unit, extension unit and extension counit over all presheaves
+    on the rows and columns of a context, decided on member codes.  As v <= w
+    iff down(v) is in down(w), iff up(w) is in up(v), the entrywise order is
+    ``c & ~d == 0`` on down-set codes and reversed on up-set codes: a unit is
+    one AND of a member's down-set code with its closure, the counit one AND
+    of its up-set code with its interior."""
+    objects = phi.q.objects
+    spaces = [_member_codes(A, qobj, f"presheaf space on {A.name}")
+              for A in (phi.dom, phi.cod) for qobj in objects]
+    unit = ext_unit = ext_counit = True
+    for qobj, (code, rows), (col_code, cols) in zip(objects, spaces, spaces[len(objects):]):
+        (down, close, _), kan = IsbellPair(phi).coded(qobj), KanPair(phi).coded(qobj)
+        unit &= all(d & ~close(d) == 0 for d in map(code.recode(down), rows))
+        ext_unit &= all(d & ~kan[1](d) == 0 for d in map(col_code.recode(kan[0]), cols))
+        ext_counit &= all(u & ~kan.interior(u) == 0 for u in rows)
+    return unit, ext_unit, ext_counit
 
 
 def verify_adjunction_laws(phi: QDistributor) -> Report:
     """Pointwise unit/counit laws for the polarity, extension and dual
     extension adjunctions induced by a context.
 
-    All comparisons are entrywise arrow inequalities.  The copresheaf-side
-    laws are the presheaf-side ones of the dual context phi^op: its polarity
-    unit is the polarity counit of phi, and its extension counit and unit are
-    the dual-extension unit and counit of phi.  They come out reversed
-    because the copresheaf underlying order is the reverse of the entrywise one.
+    All comparisons are entrywise arrow inequalities, decided on codes (see
+    ``_presheaf_side_laws``).  The copresheaf-side laws are the presheaf-side
+    ones of the dual context phi^op: its polarity unit is the polarity counit
+    of phi, and its extension counit and unit are the dual-extension unit and
+    counit of phi.  They come out reversed because the copresheaf underlying
+    order is the reverse of the entrywise one.
     """
     report = Report(f"adjunction-laws@{phi.name}")
     unit, ext_unit, ext_counit = _presheaf_side_laws(phi)

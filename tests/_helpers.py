@@ -10,13 +10,21 @@ representation theorem reports on.
 
 import itertools
 
-from qfca.concept import closure_pair, isbell_down, kan_star, residual_category
+from qfca.concept import (
+    IsbellPair,
+    KanPair,
+    closure_pair,
+    isbell_down,
+    kan_star,
+    residual_category,
+)
 from qfca.errors import Report, TypeMismatch, ValidationReport
 from qfca.presheaf import (
     Presheaf,
     coyoneda,
     enumerate_presheaves,
     materialize_presheaves,
+    pointwise_leq,
     presheaf_residual,
     sup,
     yoneda,
@@ -360,6 +368,18 @@ def oracle_generators(phi, kind, qobj):
     return [tuple(Arrow(b, qobj, scan_left_imp(Q, Arrow(p, qobj, u), w))
                   for b, w in zip(phi.cod.types, row))
             for p, row in zip(phi.dom.types, phi.matrix) for u in range(len(Q.hom(p, qobj)))]
+
+
+def oracle_side_laws(phi):
+    """Polarity unit, extension unit and extension counit of a context, each
+    ``pointwise_leq`` on the ``Arrow`` maps, one enumerated presheaf at a time:
+    the oracle for ``represent._presheaf_side_laws``, which decides them on codes."""
+    isb, kan = IsbellPair(phi), KanPair(phi)
+    rows = [mu for qobj in phi.q.objects for mu in enumerate_presheaves(phi.dom, qobj)]
+    cols = [lam for qobj in phi.q.objects for lam in enumerate_presheaves(phi.cod, qobj)]
+    return (all(pointwise_leq(mu, isb.closure(mu)) for mu in rows),
+            all(pointwise_leq(lam, kan.closure(lam)) for lam in cols),
+            all(pointwise_leq(kan.interior(mu), mu) for mu in rows))
 
 
 def oracle_copresheaf_hom(lam, kap):

@@ -16,6 +16,7 @@ from qfca.errors import BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExcee
 from qfca.presheaf import enumerate_presheaves
 from qfca.qcat import find_equivalence
 from qfca.quantaloid import find_cyclic_dualizing_family
+from qfca.represent import verify_adjunction_laws
 
 HERE = pathlib.Path(__file__).parent
 ROOT = HERE.parent
@@ -361,6 +362,8 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
 CAPS = {
     "enumeration": ("enumeration", 3, lambda ctx, Q: enumerate_presheaves(ctx.A, "*"),
                     BudgetExceeded, 4),
+    "adjunction-laws": ("enumeration", 3, lambda ctx, Q: verify_adjunction_laws(ctx.phi),
+                        BudgetExceeded, 4),
     "closure": ("closure", 2, lambda ctx, Q: fca_lattice(ctx.phi), ClosureBudgetExceeded, 3),
     "family-search": ("search", 2, lambda ctx, Q: find_cyclic_dualizing_family(Q),
                       SearchBudgetExceeded, 3),
@@ -382,6 +385,14 @@ def test_every_cap_names_its_kind_limit_and_count(site, fix2id, luk3, monkeypatc
     assert f"{kind} cap of {limit} " in message and f"(count {count})" in message
     assert "QFCA_BUDGET overrides it" in message
     assert next(code for kinds, code in cli._EXIT_CODES if isinstance(e, kinds)) == 4
+
+
+def test_adjunction_laws_cap_names_the_presheaf_space(fix2id, monkeypatch):
+    # the laws enumerate member codes, not presheaves, under the same cap and name
+    monkeypatch.setenv("QFCA_BUDGET", "3")
+    with pytest.raises(BudgetExceeded) as err:
+        verify_adjunction_laws(fix2id.phi)
+    assert "exceeded by the presheaf space on A2 at type '*' (count 4)" in str(err.value)
 
 
 def test_unreadable_paths_are_usage_errors(capsys, tmp_path):

@@ -27,6 +27,7 @@ import itertools
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +53,7 @@ from _helpers import (
     oracle_presheaf_hom,
     oracle_presheaf_label,
     oracle_residuation_tables,
+    oracle_side_laws,
     oracle_values,
     residual_closed_form_misses,
     scan_join,
@@ -76,6 +78,8 @@ from qfca.qcat import (
 from qfca.qdist import QDistributor, dist_compose, dist_left_imp, graph, identity_dist
 from qfca.presheaf import (
     Copresheaf,
+    _SetCode,
+    _member_codes,
     copresheaf_hom,
     copresheaf_law_ok,
     enumerate_copresheaves,
@@ -110,6 +114,8 @@ from qfca.concept import (
     rst_lattice,
     verify_rst_as_fca,
 )
+from qfca import represent
+from qfca.represent import verify_adjunction_laws
 
 TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
@@ -301,6 +307,53 @@ def test_coded_closures_match_arrow_closures_randomized(data):
                 c = code.pack(v.index for v in mu.values)
                 assert code.decode(c) == mu
                 assert code.decode(close(c)) == pair.closure(mu), (pair.kind, mu.values)
+    # the Kan interior on up-set codes over A, and the member codes of each space
+    kan = KanPair(phi)
+    for qobj in Q.objects:
+        interior = kan.coded(qobj).interior
+        for A in (phi.dom, phi.cod):
+            up, codes = _member_codes(A, qobj, f"presheaf space on {A.name}")
+            members = enumerate_presheaves(A, qobj)
+            assert len(set(codes)) == len(codes) == len(members)
+            assert set(map(up.decode, codes)) == set(members), (A.name, qobj)
+        up = _SetCode(phi.dom, qobj, "up")
+        for mu in enumerate_presheaves(phi.dom, qobj):
+            u = up.pack(v.index for v in mu.values)
+            assert up.decode(interior(u)) == kan.interior(mu), (qobj, mu.values)
+
+
+def corrupted_context(data):
+    """A context over ``lukasiewicz-chain n=3`` with one drawn table entry
+    replaced, on discrete carriers of one or two objects with drawn entries;
+    the opposite quantaloid is first built from the corrupted tables."""
+    Q = build_preset("lukasiewicz-chain", n=3)
+    tables = getattr(Q, data.draw(st.sampled_from(["limp_table", "rimp_table", "compose_table"]),
+                                  label="table"))
+    rows = [list(row) for row in tables["*", "*", "*"]]
+    w, x = data.draw(st.integers(0, 2), label="row"), data.draw(st.integers(0, 2), label="col")
+    rows[w][x] = data.draw(st.integers(0, 2), label="entry")
+    tables["*", "*", "*"] = tuple(map(tuple, rows))
+    A, B = (discrete_category(Q, QTypedSet(tuple(f"{side}{i}" for i in range(n)), ("*",) * n),
+                              name=side.upper())
+            for side, n in (("a", data.draw(st.integers(1, 2), label="a-size")),
+                            ("b", data.draw(st.integers(1, 2), label="b-size"))))
+    values = st.sampled_from(Q.arrows("*", "*"))
+    matrix = [[data.draw(values, label="value") for _ in B.objects] for _ in A.objects]
+    return QDistributor(A, B, matrix, name="phi")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_adjunction_laws_match_the_member_scan_randomized(data):
+    # valid tables satisfy every law, so corrupted ones draw the failing verdicts;
+    # the report is built once from the codes and once from the Arrow-map oracle
+    if data.draw(st.booleans(), label="corrupted"):
+        phi = corrupted_context(data)
+    else:
+        phi = random_context(data, data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid"))
+    got = verify_adjunction_laws(phi).to_json()
+    with mock.patch.object(represent, "_presheaf_side_laws", oracle_side_laws):
+        assert got == verify_adjunction_laws(phi).to_json()
 
 
 @settings(max_examples=60, deadline=None)
