@@ -14,9 +14,14 @@ the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
 
 The lattices run on int codes: each map of a pair is tabled once per type and
 then costs one AND per position; the tables also give the generators and the
-re-check of every concept.  A lattice keeps the codes, and its JSON and DOT
-forms (labels, values, Hasse covers) are read off them; concepts become
-presheaves only when asked for.  The ``Arrow`` maps above are the tests' oracle.
+re-check of every concept.  A table entry is a line of the context, written
+once per call as a key string of one char per (type, entry), run through one
+``str.translate`` into the binary digits of its image's code.  The
+translation tables depend only on the quantaloid, so it keeps them, as it
+keeps its opposite, and a context keeps nothing.  A lattice keeps the codes,
+and its JSON and DOT forms (labels, values, Hasse covers) are read off them;
+concepts become presheaves only when asked for.  The ``Arrow`` maps above are
+the tests' oracle.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -26,6 +31,8 @@ complement route is also available.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import (
     BaseMismatch,
@@ -159,12 +166,15 @@ class IsbellPair(_Frozen):
     def lattice(self) -> ConceptLattice:
         return fca_lattice(self.phi)
 
-    def coded(self, qobj: str):
-        """``_coded`` at qobj: isbell_up tabled to down-set codes of copresheaves
-        on B (presheaves on B^op), isbell_down the same table of the dual."""
+    def coded(self, qobj: str, keys=None):
+        """``_coded`` at qobj: isbell_up tabled from the rows to down-set codes of
+        copresheaves on B (presheaves on B^op), isbell_down the same table of the
+        dual, from the columns; ``keys`` are ``_keys(phi)``, built if not given."""
+        rows, columns = keys or _keys(self.phi)
         dual = dualize_distributor(self.phi)
         code, mid = _SetCode(self.base, qobj), _SetCode(dual.dom, qobj)
-        return _coded(code, _isbell_table(self.phi, code, mid), _isbell_table(dual, mid, code))
+        return _coded(code, _table(code, rows, self.phi.q, "isbell"),
+                      _table(mid, columns, dual.q, "isbell"))
 
 
 class KanPair(_Frozen):
@@ -196,16 +206,14 @@ class KanPair(_Frozen):
     def lattice(self) -> ConceptLattice:
         return rst_lattice(self.phi)
 
-    def coded(self, qobj: str):
-        """As for :class:`IsbellPair`; kan_star is a join, so its table maps to
-        up-set codes over A, which kan_lower's maps to down-set codes over B."""
-        # v |-> v . phi(a, b) and u |-> left_imp(u, phi(a, b)) are columns of the
-        # tables, so rows of the opposite's: compose, and rimp for limp
-        op, A, B = self.phi.q.opposite(), self.phi.dom.types, self.phi.cod.types
-        m = [[w.index for w in row] for row in self.phi.matrix]
+    def coded(self, qobj: str, keys=None):
+        """As for :class:`IsbellPair`; kan_star is a join, so its table maps the
+        columns to up-set codes over A, which kan_lower's maps the rows to
+        down-set codes over B."""
+        rows, columns = keys or _keys(self.phi)
+        q = self.phi.q
         code, mid = _SetCode(self.base, qobj), _SetCode(self.phi.dom, qobj, "up")
-        star = _table(code, mid, lambda j, i: op.compose_table[qobj, B[j], A[i]][m[i][j]])
-        lower = _table(mid, code, lambda i, j: op.rimp_table[qobj, B[j], A[i]][m[i][j]])
+        star, lower = _table(code, columns, q, "star"), _table(mid, rows, q, "lower")
         coded = _coded(code, star, lower)
         coded.interior = lambda u: _through(star, _through(lower, u, -1), mid.top)
         return coded
@@ -278,24 +286,62 @@ class ConceptLattice(PresheafFamily):
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
 
 
-def _table(src: _SetCode, dst: _SetCode, column) -> list[tuple[int, dict[int, int]]]:
+def _keys(phi: QDistributor) -> tuple[list[str], list[str]]:
+    """The context's rows and columns as key strings: line i is one char per
+    position of the other side, last position first, the char numbering that
+    position's type and the entry's index in its hom.  Every map and type of
+    a lattice call reads them."""
+    n, at = len(phi.q.objects), {t: k for k, t in enumerate(phi.q.objects)}
+    m = [[n * w.index for w in row] for row in phi.matrix]
+
+    def keys(across, lines):
+        ks = [at[t] for t in across.types]
+        return ["".join(map(chr, map(operator.add, ks, line)))[::-1] for line in lines]
+    return keys(phi.cod, m), keys(phi.dom, zip(*m) if m else [()] * len(phi.cod))
+
+
+# per map, at value type s, line type p and type t across: the dst value by
+# [line value u][entry w], and the sets of the dst hom that code it
+_MAPS = {
+    "isbell": lambda q, s, p, t: (tuple(zip(*q.limp_table[p, s, t])), q.homs[s, t].down),
+    "star": lambda q, s, p, t: (q.compose_table[t, p, s], q.homs[t, s].up),
+    "lower": lambda q, s, p, t: (q.limp_table[p, t, s], q.homs[t, s].down),
+}
+
+
+def _translations(q: Quantaloid, kept: dict, key: tuple) -> list[list[str]]:
+    """Per value u of a line of type p, the ``str.translate`` table from each
+    key char (type t, entry w) to the binary digits of the dst value's set, at
+    ``key = (map, s, p)``; built on first use into ``kept``, which lives on q.
+    A table is a list by char, which translates faster than a dict."""
+    trs = kept.get(key)
+    if trs is None:
+        map_, s, p = key
+        n, trs = len(q.objects), [{} for _ in q.homs[p, s].elements]
+        for k, t in enumerate(q.objects):
+            values, sets = _MAPS[map_](q, s, p, t)
+            digits = [format(d, f"0{len(sets)}b") for d in sets]
+            for tr, row in zip(trs, values):
+                tr.update({k + n * w: digits[v] for w, v in enumerate(row)})
+        trs = kept.setdefault(key, [[tr.get(c) for c in range(max(tr) + 1)] for tr in trs])
+    return trs
+
+
+def _table(src: _SetCode, keys, q: Quantaloid, map_: str) -> list[tuple[int, dict[int, int]]]:
     """A map of coded presheaves, per position i of src: its field, and each
-    value there (index u) to the dst code with value ``column(i, j)[u]`` at
-    each position j of dst.  The image of a code is the ``&`` of its
-    positions' entries."""
-    table = []
-    for i, (field, rows) in enumerate(zip(src.fields, src.rows)):
-        # one list of dst codes per position j, and zeros for an empty dst
-        parts = [[0] * len(rows)] + [[at[k] for k in column(i, j)]
-                                     for j, at in enumerate(dst.rows)]
-        table.append((field, dict(zip(rows, map(sum, zip(*parts))))))
-    return table
+    value there to the dst code of its image.  The image of a code is the
+    ``&`` of its positions' entries.
 
-
-def _isbell_table(phi: QDistributor, src: _SetCode, dst: _SetCode):
-    """isbell_up as a ``_table``: row a, value u to the code of ``b |-> limp(phi(a, b), u)``."""
-    limp, A, B, s = phi.q.limp_table, phi.dom.types, phi.cod.types, src.qobj
-    return _table(src, dst, lambda i, j: limp[A[i], s, B[j]][phi.matrix[i][j].index])
+    An entry is ``keys[i]`` translated, each char to the digits of the dst
+    value's set at that position, and read as one binary int: one
+    ``str.translate`` per position and value, none per context cell.  The
+    translation tables depend only on the quantaloid, the map, the type and
+    the line's type and value, so q keeps them across calls, as it keeps its
+    opposite; a context keeps nothing.  An empty dst side gives code 0."""
+    kept, s = _kept(q, "_translations", lambda _: {}), src.qobj
+    return [(field, dict(zip(rows, [int(key.translate(tr) or "0", 2)
+                                    for tr in _translations(q, kept, (map_, s, p))])))
+            for p, field, rows, key in zip(src.base.types, src.fields, src.rows, keys)]
 
 
 def _through(table, c: int, out: int) -> int:
@@ -307,15 +353,17 @@ def _through(table, c: int, out: int) -> int:
 
 
 class _Coded(tuple):
-    """``_coded``'s triple; a :class:`KanPair`'s has ``interior``, ``left . right``
-    on the up-set codes over A."""
+    """``_coded``'s triple, with the ``tables`` (left, right) it reads; a
+    :class:`KanPair`'s has ``interior``, ``left . right`` on the up-set codes over A."""
 
 
 def _coded(code: _SetCode, left, right) -> _Coded:
     """``code``, the closure ``right . left`` on codes and its generators: the
     top and the rows of the right map's table."""
-    return _Coded((code, lambda c: _through(right, _through(left, c, -1), code.top),
-                   [code.top, *(g for _, row in right for g in row.values())]))
+    coded = _Coded((code, lambda c: _through(right, _through(left, c, -1), code.top),
+                    [code.top, *(g for _, row in right for g in row.values())]))
+    coded.tables = left, right
+    return coded
 
 
 def _meet_closure(code: _SetCode, close, generators) -> list[int]:
@@ -344,9 +392,9 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
     and the rows of the right map's table, are the residuals that
     ``fca_lattice`` and ``rst_lattice`` name.  The lattice keeps the codes.
     """
-    coded = []
+    coded, keys = [], _keys(pair.phi)
     for qobj in pair.phi.q.objects:
-        code, close, generators = pair.coded(qobj)
+        code, close, generators = pair.coded(qobj, keys)
         coded.append((code, _meet_closure(code, close, generators)))
     return ConceptLattice(pair.kind, pair.phi, coded)
 
@@ -628,12 +676,15 @@ def _hasse_covers(code: _SetCode, codes, labels) -> list[tuple[str, str]]:
     value there, the bits ``c & field`` of a down-set code, holds its own.
     Ranked by ``bit_count`` (the summed sizes of their values' down-sets, a
     linear extension), the least concept left in a strict up-set is a cover;
-    drop it and its up-set, and repeat.  This is ``Preorder.hasse_edges`` of
+    drop it and its up-set, and repeat.  A field where every concept has one
+    value masks nothing and is skipped.  This is ``Preorder.hasse_edges`` of
     the lattice category on them, without building that category."""
     ranked = sorted(zip(codes, labels), key=lambda cl: cl[0].bit_count())
     ups = [(1 << len(ranked)) - 1 & ~(1 << i) for i in range(len(ranked))]
     for field in code.fields:
         at, masks = [c & field for c, _ in ranked], {}
+        if not at or at.count(at[0]) == len(at):  # one value: it keeps every up-set
+            continue
         for i, v in enumerate(at):
             masks[v] = masks.get(v, 0) | 1 << i
         above = {v: sum(m for w, m in masks.items() if v & ~w == 0) for v in masks}

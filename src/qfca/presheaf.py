@@ -343,15 +343,15 @@ class _SetCode:
     """
 
     def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
-        q = base.q
+        homs = base.q.homs
         self.base, self.qobj = base, qobj
         self.rows, self.fields, offset = [], [], 0
         for t in base.types:
-            sets_at = getattr(q.homs[(t, qobj)], sets)
-            self.rows.append(tuple(d << offset for d in sets_at))
+            sets_at = getattr(homs[t, qobj], sets)
+            self.rows.append([d << offset for d in sets_at])
             self.fields.append(((1 << len(sets_at)) - 1) << offset)
             offset += len(sets_at)
-        self.top = sum(self.fields)
+        self.top = (1 << offset) - 1
 
     def pack(self, indices) -> int:
         return sum(rows[k] for rows, k in zip(self.rows, indices))
@@ -375,12 +375,15 @@ class _SetCode:
             at[code & field] for field, at in zip(self.fields, arrows)))
 
     def printed(self, codes):
-        """Each code's ``presheaf_label`` and value labels, decoding nothing."""
+        """Each code's ``presheaf_label`` and value labels, decoding nothing: a
+        label joins each position's ``x:v``, read through a second table."""
         labels = self._read(lambda pq: self.base.q.homs[pq].elements)
-        objects, fields = self.base.objects, self.fields
+        pairs = [{bits: f"{x}:{v}" for bits, v in at.items()}
+                 for x, at in zip(self.base.objects, labels)]
+        head, fields = self.qobj + "|", self.fields
         for c in codes:
-            values = tuple([at[c & field] for field, at in zip(fields, labels)])
-            yield _printed(objects, self.qobj, values), values
+            yield (head + ",".join([at[c & field] for field, at in zip(fields, pairs)]),
+                   tuple([at[c & field] for field, at in zip(fields, labels)]))
 
 
 def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:

@@ -78,6 +78,7 @@ from .concept import (
     IsbellPair,
     KanPair,
     ResidualCategory,
+    _keys,
     closure_pair,
     residual_category,
     residual_context,
@@ -489,12 +490,12 @@ def _presheaf_side_laws(phi: QDistributor) -> tuple[bool, bool, bool]:
     ``c & ~d == 0`` on down-set codes and reversed on up-set codes: a unit is
     one AND of a member's down-set code with its closure, the counit one AND
     of its up-set code with its interior."""
-    objects = phi.q.objects
+    objects, isbell, kan_pair, keys = phi.q.objects, IsbellPair(phi), KanPair(phi), _keys(phi)
     spaces = [_member_codes(A, qobj, f"presheaf space on {A.name}")
               for A in (phi.dom, phi.cod) for qobj in objects]
     unit = ext_unit = ext_counit = True
     for qobj, (code, rows), (col_code, cols) in zip(objects, spaces, spaces[len(objects):]):
-        (down, close, _), kan = IsbellPair(phi).coded(qobj), KanPair(phi).coded(qobj)
+        (down, close, _), kan = isbell.coded(qobj, keys), kan_pair.coded(qobj, keys)
         unit &= all(d & ~close(d) == 0 for d in map(code.recode(down), rows))
         ext_unit &= all(d & ~kan[1](d) == 0 for d in map(col_code.recode(kan[0]), cols))
         ext_counit &= all(u & ~kan.interior(u) == 0 for u in rows)

@@ -21,6 +21,7 @@ from qfca.concept import (
 from qfca.errors import Report, TypeMismatch, ValidationReport
 from qfca.presheaf import (
     Presheaf,
+    _SetCode,
     coyoneda,
     enumerate_presheaves,
     materialize_presheaves,
@@ -368,6 +369,40 @@ def oracle_generators(phi, kind, qobj):
     return [tuple(Arrow(b, qobj, scan_left_imp(Q, Arrow(p, qobj, u), w))
                   for b, w in zip(phi.cod.types, row))
             for p, row in zip(phi.dom.types, phi.matrix) for u in range(len(Q.hom(p, qobj)))]
+
+
+def oracle_table(src, dst, column):
+    """A map of coded presheaves built one context cell at a time: per position i
+    of src, its field and each value there (index u) to the dst code with value
+    ``column(i, j)[u]`` at each position j of dst.  The oracle for
+    ``concept._table``, which translates whole lines."""
+    table = []
+    for i, (field, rows) in enumerate(zip(src.fields, src.rows)):
+        # one list of dst codes per position j, and zeros for an empty dst
+        parts = [[0] * len(rows)] + [[at[k] for k in column(i, j)]
+                                     for j, at in enumerate(dst.rows)]
+        table.append((field, dict(zip(rows, map(sum, zip(*parts))))))
+    return table
+
+
+def oracle_tables(pair, qobj):
+    """The (left, right) tables of ``pair.coded(qobj)`` by ``oracle_table``:
+    isbell_up cell (a, b) at u is ``limp(phi(a, b), u)`` and isbell_down the
+    same of the dual; kan_star's and kan_lower's are ``v . phi(a, b)`` and
+    ``left_imp(u, phi(a, b))``, read as rows of the opposite's tables."""
+    phi = pair.phi
+    if pair.kind == "fca":
+        def isbell(psi, src, dst):
+            limp, X, Y, m = psi.q.limp_table, psi.dom.types, psi.cod.types, psi.matrix
+            return oracle_table(src, dst, lambda i, j: limp[X[i], qobj, Y[j]][m[i][j].index])
+        dual = dualize_distributor(phi)
+        code, mid = _SetCode(phi.dom, qobj), _SetCode(dual.dom, qobj)
+        return isbell(phi, code, mid), isbell(dual, mid, code)
+    op, A, B = phi.q.opposite(), phi.dom.types, phi.cod.types
+    m = [[w.index for w in row] for row in phi.matrix]
+    code, mid = _SetCode(phi.cod, qobj), _SetCode(phi.dom, qobj, "up")
+    return (oracle_table(code, mid, lambda j, i: op.compose_table[qobj, B[j], A[i]][m[i][j]]),
+            oracle_table(mid, code, lambda i, j: op.rimp_table[qobj, B[j], A[i]][m[i][j]]))
 
 
 def oracle_side_laws(phi):

@@ -1,9 +1,11 @@
 
+import gc
 import hashlib
 import json
 import pathlib
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -36,6 +38,7 @@ from qfca.presheaf import (
 from qfca.concept import (
     IsbellPair,
     KanPair,
+    _translations,
     brute_force_fixed,
     closure_pair,
     codense_probe,
@@ -63,6 +66,7 @@ from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 from _helpers import (
     chain4_quantale,
     oracle_left_imp,
+    oracle_tables,
     presheaf_transpose,
     residual_closed_form_misses,
     verify_transpose_identities,
@@ -547,3 +551,42 @@ def test_lattice_order_and_covers_are_pinned(order_contexts, name, kind):
     lat = (fca_lattice if kind == "fca" else rst_lattice)(order_contexts[name])
     blob = json.dumps(lattice_to_json(lat), separators=(",", ":"))
     assert (len(lat), hashlib.sha256(blob.encode()).hexdigest()[:16]) == ORDER_DIGESTS[name, kind]
+
+
+def _square_context(Q, entries):
+    """A context on two-object discrete carriers over Q, its entries by index."""
+    A, B = (discrete_category(Q, QTypedSet((f"{side}1", f"{side}2"), ("*", "*")), name=side)
+            for side in "AB")
+    return QDistributor(A, B, [[Q.arrow_table["*", "*"][k] for k in row] for row in entries])
+
+
+def test_kept_tables_hold_no_context():
+    # the translation tables are kept on the quantaloid, and the key strings of
+    # the context live only for a call: the context is freed once printed
+    Q = build_preset("lukasiewicz-chain", n=3)
+    for kind in ("fca", "rst"):
+        phi = _square_context(Q, [[0, 1], [2, 1]])
+        ref = weakref.ref(phi)
+        lattice_to_json((fca_lattice if kind == "fca" else rst_lattice)(phi))
+        del phi
+        gc.collect()
+        assert ref() is None, kind
+    assert Q.__dict__["_translations"]
+
+
+def test_quantaloids_with_the_same_object_names_keep_their_own_tables():
+    # tables built first over one quantaloid are never read for another with the
+    # same object names: each kept table equals one built afresh from its own
+    # quantaloid, and every coded table equals the per-cell oracle's
+    two = build_preset("two")
+    luk3, godel3 = build_preset("lukasiewicz-chain", n=3), build_preset("godel-chain", n=3)
+    luk3b, godel3b = build_preset("lukasiewicz-chain", n=3), build_preset("godel-chain", n=3)
+    for first, second in [(two, two.opposite()), (luk3, godel3), (godel3b, luk3b)]:
+        for Q in (first, second):
+            phi = _square_context(Q, [[0, 1], [len(Q.homs["*", "*"]) - 1, 0]])
+            for pair in (IsbellPair(phi), KanPair(phi)):
+                for qobj in Q.objects:
+                    assert pair.coded(qobj).tables == oracle_tables(pair, qobj), Q.name
+            kept = Q.__dict__["_translations"]
+            assert all(trs == _translations(Q, {}, key) for key, trs in kept.items()), Q.name
+        assert first.__dict__["_translations"] is not second.__dict__["_translations"]

@@ -54,6 +54,7 @@ from _helpers import (
     oracle_presheaf_label,
     oracle_residuation_tables,
     oracle_side_laws,
+    oracle_tables,
     oracle_values,
     residual_closed_form_misses,
     scan_join,
@@ -121,6 +122,7 @@ TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
 GODEL3 = build_preset("godel-chain", n=3)
 DIAG3 = build_preset("frame-diagonal", chain=3)
+DIAG4, BOOL2 = build_preset("frame-diagonal", chain=4), build_preset("frame-diagonal", boolean=2)
 
 
 # noncommutative and not Girard: only the residual route reaches their RST lattices
@@ -320,6 +322,23 @@ def test_coded_closures_match_arrow_closures_randomized(data):
         for mu in enumerate_presheaves(phi.dom, qobj):
             u = up.pack(v.index for v in mu.values)
             assert up.decode(interior(u)) == kan.interior(mu), (qobj, mu.values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_coded_tables_match_the_per_cell_tables_randomized(data):
+    # a table reads the matrix entry by entry, so any typed matrix will do; the
+    # frame-diagonal presets have a bottom type whose homs have one element
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2]), label="quantaloid")
+    empty = discrete_category(Q, QTypedSet((), ()))
+    side = data.draw(st.sampled_from(["none"] * 4 + ["dom", "cod"]), label="empty side")
+    A = empty if side == "dom" else random_carrier(data, Q)
+    B = empty if side == "cod" else random_carrier(data, Q)
+    phi = QDistributor(A, B, [[data.draw(st.sampled_from(Q.arrows(s, t)), label="entry")
+                               for t in B.types] for s in A.types])
+    for pair in (IsbellPair(phi), KanPair(phi)):
+        for qobj in Q.objects:
+            assert pair.coded(qobj).tables == oracle_tables(pair, qobj), (pair.kind, qobj)
 
 
 def corrupted_context(data):
