@@ -12,7 +12,8 @@ the closure-built lattices, and a scan of the product of the homs, filtered
 by the presheaf law, is the oracle for that enumeration, a join closure.
 The enumeration and the row kernel behind every hom matrix are also tested
 on closed non-discrete three-object carriers.  The ``Arrow`` closures are
-the oracle for the closures on int codes that build them, the materialized
+the oracle for the closures on int codes that build them, the per-cell table
+builder for the tables those codes are read through, the materialized
 lattice category is the
 oracle for the Hasse covers that serialization reads from per-position masks,
 and the entrywise scans of ``_helpers`` are the oracles for the adjoint
