@@ -67,6 +67,7 @@ from .presheaf import (
     Presheaf,
     PresheafFamily,
     PresheafSpace,
+    _CodedFamily,
     _SetCode,
     _and_closure,
     _copresheaf_of,
@@ -230,7 +231,7 @@ def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
 # -- concept lattices -------------------------------------------------------------
 
 
-class ConceptLattice(PresheafFamily):
+class ConceptLattice(_CodedFamily):
     """Fixed presheaves of one of the two closures, with their category.
 
     ``coded`` holds, per type in quantaloid object order, the ``_SetCode`` of
@@ -248,30 +249,7 @@ class ConceptLattice(PresheafFamily):
         self.kind, self.phi, self.coded = kind, phi, tuple(coded)
         self.base, self.name = closure_pair(phi, kind).base, f"{kind}({phi.name})"
 
-    @property
-    def members(self) -> tuple[Presheaf, ...]:
-        return _kept(self, "_members", lambda s: tuple(
-            code.decode(c) for code, codes in s.coded for c in codes))
-
-    concepts = members
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._printed_forms()[0]
-
-    @property
-    def value_labels(self) -> tuple[tuple[str, ...], ...]:
-        return self._printed_forms()[1]
-
-    def _printed_forms(self) -> tuple[tuple, tuple]:
-        """``(labels, value_labels)``, read off the codes on first use."""
-        def build(s):
-            forms = [form for code, codes in s.coded for form in code.printed(codes)]
-            return tuple(label for label, _ in forms), tuple(values for _, values in forms)
-        return _kept(self, "_printed", build)
-
-    def __len__(self) -> int:
-        return sum(len(codes) for _, codes in self.coded)
+    concepts = _CodedFamily.members
 
     def per_type(self) -> dict[str, tuple[Presheaf, ...]]:
         out: dict[str, list[Presheaf]] = {q: [] for q in self.phi.q.objects}
@@ -432,22 +410,30 @@ class ResidualCategory(PresheafFamily):
     copresheaves; they form a meet-dense and codense subcategory of the
     presheaf category.  Provenance (which pairs (a, u) produced each member)
     is retained per member.  ``yoneda_graph`` is the distributor from the base
-    into this category whose column at a member is the member itself.
+    into this category whose column at a member is the member itself.  The
+    members' values and provenance, their labels and the category are kept on
+    the base.
     """
 
+    _tag = "residuals"
+
     def __init__(self, base: QCategory):
-        q = base.q
-        found: dict[tuple, tuple[Presheaf, list[tuple[str, Arrow]]]] = {}
-        for a, t in zip(base.objects, base.types):
-            for qobj in q.objects:
-                for u in q.arrows(t, qobj):
-                    p = presheaf_residual(base, a, u)
-                    found.setdefault(p.key(), (p, []))[1].append((a, u))
-        super().__init__(base, [p for p, _ in found.values()], f"residuals({base.name})")
-        self.provenance = {k: tuple(pairs) for k, (_, pairs) in found.items()}
+        keys, self.provenance = _kept(base, "_residuals", _residuals)
+        super().__init__(base, [Presheaf(base, *key) for key in keys], f"residuals({base.name})")
         matrix = [[p.values[i] for p in self.members] for i in range(len(base))]
         self.yoneda_graph = QDistributor(base, self.category, matrix,
                                          name=f"yoneda-graph({base.name})")
+
+
+def _residuals(base: QCategory) -> tuple[tuple, dict]:
+    """The residual members' keys and their provenance."""
+    found: dict[tuple, tuple[Presheaf, list[tuple[str, Arrow]]]] = {}
+    for a, t in zip(base.objects, base.types):
+        for qobj in base.q.objects:
+            for u in base.q.arrows(t, qobj):
+                p = presheaf_residual(base, a, u)
+                found.setdefault(p.key(), (p, []))[1].append((a, u))
+    return tuple(found), {k: tuple(pairs) for k, (_, pairs) in found.items()}
 
 
 def residual_category(base: QCategory) -> ResidualCategory:

@@ -13,15 +13,17 @@ category on A^op, so its underlying order is the *reverse* of the entrywise
 arrow order.  Functions here always state which order they use;
 ``pointwise_leq`` is always the entrywise one.
 
-Presheaf and copresheaf categories are never materialized implicitly;
-``materialize_presheaves``/``materialize_copresheaves`` build them explicitly,
-for oracle tests and for functors that need the whole space (generator
-maps, the adjunction of the general and dense canonical representation
-data).  A space is enumerated as the join closure of the
+``materialize_presheaves``/``materialize_copresheaves`` build the presheaf and
+copresheaf categories, for oracle tests and for functors that need the whole
+space (generator maps, the adjunction of the general and dense canonical
+representation data).  A space is enumerated as the join closure of the
 tensors ``u . hom(-, a)`` on int codes, so it costs what it holds, and the
-enumeration cap bounds the members produced.  Every hom between
-(co)presheaves, one or a whole family's matrix, is a call of the row kernel
-``qdist.hom_rows``.
+enumeration cap bounds the members produced.  What depends on the base alone
+is built once and kept on the base: the code layouts, the member codes and
+their order, and each space's category.  A space itself is a thin wrapper
+that decodes its members on demand, and the cap is checked on every call.
+Every hom between (co)presheaves, one or a whole family's matrix, is a call
+of the row kernel ``qdist.hom_rows``.
 """
 
 from __future__ import annotations
@@ -343,15 +345,9 @@ class _SetCode:
     """
 
     def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
-        homs = base.q.homs
         self.base, self.qobj = base, qobj
-        self.rows, self.fields, offset = [], [], 0
-        for t in base.types:
-            sets_at = getattr(homs[t, qobj], sets)
-            self.rows.append([d << offset for d in sets_at])
-            self.fields.append(((1 << len(sets_at)) - 1) << offset)
-            offset += len(sets_at)
-        self.top = (1 << offset) - 1
+        self.rows, self.fields, self.top = _kept(base, f"_{sets}-sets {qobj}",
+                                                 lambda A: _layout(A, qobj, sets))
 
     def pack(self, indices) -> int:
         return sum(rows[k] for rows, k in zip(self.rows, indices))
@@ -386,6 +382,17 @@ class _SetCode:
                    tuple([at[c & field] for field, at in zip(fields, labels)]))
 
 
+def _layout(A: QCategory, qobj: str, sets: str) -> tuple[tuple, tuple, int]:
+    """A ``_SetCode``'s rows, fields and top, kept on A: ints only."""
+    rows, fields, offset = [], [], 0
+    for t in A.types:
+        sets_at = getattr(A.q.homs[t, qobj], sets)
+        rows.append(tuple(d << offset for d in sets_at))
+        fields.append(((1 << len(sets_at)) - 1) << offset)
+        offset += len(sets_at)
+    return tuple(rows), tuple(fields), (1 << offset) - 1
+
+
 def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:
     """The generator codes closed under ``&``, in insertion order.
 
@@ -410,9 +417,23 @@ def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:
     return codes
 
 
-def _member_codes(A: QCategory, qobj: str, space: str) -> tuple[_SetCode, list[int]]:
-    """All presheaves of one type on A as up-set codes: the ``_SetCode`` and the
-    codes, in closure order; ``space`` names them in the budget error.
+def _member_codes(A: QCategory, qobj: str, space: str) -> tuple[_SetCode, tuple[int, ...]]:
+    """All presheaves of one type on A as up-set codes, in lexicographic value
+    order: the ``_SetCode`` and the codes; ``space`` names them in the budget error.
+
+    The codes are kept on A with the size of the closure that produced them, so
+    a kept space trips a lower cap set later exactly as a fresh enumeration would.
+    """
+    what = f"the {space} at type {qobj!r}"
+    closed, codes = _kept(A, f"_members {qobj}", lambda A: _closed_members(A, qobj, what))
+    limit = budget("enumeration")
+    if closed > limit:  # the closure raises on reaching limit + 1 codes
+        raise BudgetExceeded("enumeration", limit, limit + 1, what)
+    return _SetCode(A, qobj, "up"), codes
+
+
+def _closed_members(A: QCategory, qobj: str, what: str) -> tuple[int, tuple[int, ...]]:
+    """The size of the closure below and the member codes it leaves, sorted.
 
     By Yoneda every presheaf mu is the join of its tensors ``mu(a) . hom(-, a)``, and
     every join of tensors is a presheaf.  So the space is the join closure of the
@@ -431,23 +452,25 @@ def _member_codes(A: QCategory, qobj: str, space: str) -> tuple[_SetCode, list[i
     generators = [code.top] + [
         c if c & field & ~up == 0 else code.top & ~field | up
         for field, rows, cs in zip(code.fields, code.rows, tensors) for up, c in zip(rows, cs)]
-    codes = _and_closure(generators, "enumeration", BudgetExceeded,
-                         f"the {space} at type {qobj!r}")
+    codes = _and_closure(generators, "enumeration", BudgetExceeded, what)
     value_at = [dict(zip(rows, itertools.count())) for rows in code.rows]
+
+    def indices(c: int) -> list[int]:
+        return [at[c & field] for field, at in zip(code.fields, value_at)]
 
     def law_ok(c: int) -> bool:
         joined = -1
-        for field, at, cs in zip(code.fields, value_at, tensors):
-            joined &= cs[at[c & field]]
+        for v, cs in zip(indices(c), tensors):
+            joined &= cs[v]
         return c & ~joined == 0
 
-    return code, list(filter(law_ok, codes))
+    return len(codes), tuple(sorted(filter(law_ok, codes), key=indices))
 
 
 def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
-    """``_member_codes`` decoded, in lexicographic value order."""
+    """``_member_codes`` decoded."""
     code, codes = _member_codes(A, qobj, space)
-    return tuple(sorted(map(code.decode, codes), key=lambda p: [v.index for v in p.values]))
+    return tuple(map(code.decode, codes))
 
 
 def enumerate_presheaves(A: QCategory, qobj: str) -> tuple[Presheaf, ...]:
@@ -512,31 +535,53 @@ def presheaf_label(p) -> str:
 class PresheafFamily:
     """Labelled (co)presheaves on one base, and the category they span.
 
-    ``members`` keep the order they are given in; their ``value_labels`` and
-    ``labels`` (``presheaf_label``s) are computed here, once per member, for
-    serializers to read by position.  The lookups of ``label_of`` and
-    ``member_of``, and ``category`` (the members' homs), are built on first use.
+    ``members`` keep the order they are given in.  Their ``value_labels`` and
+    ``labels`` (``presheaf_label``s), for serializers to read by position, the
+    lookups of ``label_of`` and ``member_of``, and ``category`` (the members'
+    homs) are built on first use.
     """
 
+    _tag = None  # set on a family that its base alone determines
+
     def __init__(self, base: QCategory, members, name: str):
-        self.base = base
-        self.members = tuple(members)
-        self.value_labels = tuple(map(_value_labels, self.members))
-        self.labels = tuple(_printed(m.base.objects, m.type, values)
-                            for m, values in zip(self.members, self.value_labels))
-        self.name = name
+        self.base, self.members, self.name = base, tuple(members), name
+
+    def _keep(self, attr: str, build):
+        """``build(self)``, kept on the family; with a ``_tag``, kept on the base under
+        ``attr`` and the tag, so every family built on that base reads it."""
+        if self._tag is None:
+            return _kept(self, attr, build)
+        return _kept(self.base, f"{attr} {self._tag}", lambda _: build(self))
+
+    labels = property(lambda self: self._printed_forms()[0])
+    value_labels = property(lambda self: self._printed_forms()[1])
+
+    def _printed_forms(self) -> tuple[tuple, tuple]:
+        """``(labels, value_labels)``, built on first use from ``_forms``."""
+        def build(s):
+            forms = list(s._forms())
+            return tuple(label for label, _ in forms), tuple(values for _, values in forms)
+        return self._keep("_printed", build)
+
+    def _forms(self):
+        """Each member's label and value labels."""
+        for m in self.members:
+            values = _value_labels(m)
+            yield _printed(m.base.objects, m.type, values), values
 
     @property
     def category(self) -> QCategory:
-        return _kept(self, "category", lambda s: QCategory(
-            s.base.q, s.labels, [m.type for m in s.members], _hom_grid(s.members, s.members),
-            name=s.name))
+        return self._keep("category", PresheafFamily._span)
+
+    def _span(self) -> QCategory:
+        return QCategory(self.base.q, self.labels, [m.type for m in self.members],
+                         _hom_grid(self.members, self.members), name=self.name)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def label_of(self, m) -> str:
-        by_key = _kept(self, "_by_key", lambda s: dict(zip(map(_Vector.key, s.members), s.labels)))
+        by_key = self._keep("_by_key", lambda s: dict(zip(map(_Vector.key, s.members), s.labels)))
         try:
             return by_key[m.key()]
         except KeyError:
@@ -556,22 +601,48 @@ class PresheafFamily:
         return QFunctor(self.category, other.category, mapping, name=name or "between-spaces")
 
 
-class PresheafSpace(PresheafFamily):
+class _CodedFamily(PresheafFamily):
+    """A family held as ``coded``: per type, in quantaloid object order, its
+    ``_SetCode`` and its members' codes.  ``members``, decoded by ``_member``,
+    and ``labels`` and ``value_labels``, read off the codes, follow that order."""
+
+    def _member(self, mu: Presheaf):
+        return mu
+
+    @property
+    def members(self) -> tuple:
+        return _kept(self, "_members", lambda s: tuple(
+            s._member(code.decode(c)) for code, codes in s.coded for c in codes))
+
+    def _forms(self):
+        return (form for code, codes in self.coded for form in code.printed(codes))
+
+    def __len__(self) -> int:
+        return sum(len(codes) for _, codes in self.coded)
+
+
+class PresheafSpace(_CodedFamily):
     """The category of all (co)presheaves on a base, with value lookups.
 
     Members are enumerated per type in quantaloid object order, lexicographic
     within a type, so labels and hom matrices are reproducible.  The
     copresheaf flavour is the opposite of the presheaf category on the dual
-    base, which makes its underlying order the correct (reversed) one.
+    base, which makes its underlying order the correct (reversed) one.  Its
+    codes are those of the presheaves on the dual base.  The codes, the labels
+    and the category are kept on the base.
     """
 
     def __init__(self, base: QCategory, kind: str = "presheaf"):
         if kind not in ("presheaf", "copresheaf"):
             raise QfcaError(f"unknown flavour {kind!r}")
-        self.kind = kind
-        enumerate_kind = enumerate_presheaves if kind == "presheaf" else enumerate_copresheaves
-        members = [m for qobj in base.q.objects for m in enumerate_kind(base, qobj)]
-        super().__init__(base, members, f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
+        self.base, self.kind, self._tag = base, kind, kind
+        self.name = f"{'P' if kind == 'presheaf' else 'P+'}({base.name})"
+        on = base if kind == "presheaf" else dualize_category(base)
+        self.coded = tuple(_member_codes(on, qobj, f"{kind} space on {base.name}")
+                           for qobj in base.q.objects)
+
+    def _member(self, mu: Presheaf):
+        return mu if self.kind == "presheaf" else _copresheaf_of(mu, self.base)
 
     def yoneda_functor(self) -> QFunctor:
         if self.kind == "presheaf":
@@ -596,14 +667,25 @@ def _join_dense(X: QCategory, image) -> bool:
     Uses the canonical witness: the set of all image objects below y.  If any
     subset of the image joins to y then that canonical set does too (joins
     are monotone in the subset), so this decides the subset search exactly.
-    The witness join is the supremum of the pointwise join of the representables;
-    where that is missing, as it may be in an incomplete X, y is not a join."""
+    The witness join is the supremum of the pointwise join of the representables,
+    found as ``sup`` finds it, with the identity's graph columns and the lookup
+    from a hom row to its least-label object built once; where that supremum is
+    missing, as it may be in an incomplete X, y is not a join."""
     order = underlying_order(X)
     image = sorted(set(image), key=X.index)
-    for y in X.objects:
-        below = [s for s in image if X.type_of(s) == X.type_of(y) and order.leq(s, y)]
-        mu = presheaf_join(X, X.type_of(y), [yoneda(X, s) for s in below])
-        j = sup(X, mu)
+    least: dict[tuple, str] = {}
+    for x, t, row in zip(X.objects, X.types, X.hom):
+        if least.setdefault((t, row), x) > x:
+            least[t, row] = x
+
+    def witnesses():
+        for y, t in zip(X.objects, X.types):
+            below = [s for s in image if X.type_of(s) == t and order.leq(s, y)]
+            yield t, presheaf_join(X, t, [yoneda(X, s) for s in below]).values
+
+    rows = hom_rows(X.q, X.types, witnesses(), _graph_columns(identity_functor(X)))
+    for y, t, row in zip(X.objects, X.types, rows):
+        j = least.get((t, tuple(row)))
         if j is None or not order.iso(j, y):
             return False
     return True

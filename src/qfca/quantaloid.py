@@ -107,6 +107,13 @@ def _kept(owner, attr: str, build):
     Every lazily built value is kept this way, on the object it belongs to;
     there is no module-level cache.  ``dict.setdefault`` publishes the value
     atomically: callers racing here all get the one value stored.
+
+    A base category keeps its dual and what the presheaf verifiers compute from
+    it alone: the ``_SetCode`` layouts, the member codes and their order, and
+    the categories, labels and label lookups of its (co)presheaf spaces and
+    residual category, with the residual members' values and provenance.  These
+    hold only ints, strings, arrows and categories over the quantaloid, so none
+    refers back to the base, which reference counting alone still frees.
     """
     value = owner.__dict__.get(attr)
     if value is None:

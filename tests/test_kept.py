@@ -1,0 +1,172 @@
+"""What a base keeps cannot change a result.
+
+A base category keeps its code layouts, its presheaf spaces' member codes and
+categories, and its residual category (``quantaloid._kept``).  Every verifier
+that reads them gives the same report on a first call, a second call and a
+fresh but equal base; a kept space trips a cap set later exactly as a fresh
+enumeration does; and a base that keeps them is still freed by reference
+counting alone.
+"""
+
+import gc
+import itertools
+import weakref
+
+import pytest
+
+from qfca.concept import (
+    brute_force_fixed,
+    residual_category,
+    verify_rst_as_fca,
+    verify_rst_as_fca_complement,
+)
+from qfca.errors import BudgetExceeded
+from qfca.presheaf import (
+    enumerate_copresheaves,
+    enumerate_presheaves,
+    materialize_copresheaves,
+    materialize_presheaves,
+)
+from qfca.qcat import QCategory, dualize_category
+from qfca.qdist import QDistributor, identity_dist
+from qfca.quantaloid import find_cyclic_dualizing_family
+from qfca.represent import (
+    canonical_dense_data,
+    canonical_fca_data,
+    canonical_general_data,
+    canonical_rst_data,
+    verify_adjunction_as_functors,
+    verify_adjunction_laws,
+    verify_dense_representation,
+    verify_density_suite,
+    verify_fca_representation,
+    verify_general_representation,
+    verify_rst_representation,
+    verify_yoneda,
+)
+
+from _helpers import enumerate_categories, enumerate_distributors
+
+
+def fresh(A: QCategory) -> QCategory:
+    """A base equal to A that keeps nothing yet."""
+    return QCategory(A.q, A.objects, A.types, A.hom, name=A.name)
+
+
+def fresh_context(phi: QDistributor) -> QDistributor:
+    return QDistributor(fresh(phi.dom), fresh(phi.cod), phi.matrix, name=phi.name)
+
+
+def context_reports(phi: QDistributor) -> dict:
+    """Every verifier that reads what phi's bases keep, as JSON, and the brute
+    force fixed points as keys."""
+    reports = {"rst-as-fca": verify_rst_as_fca(phi),
+               "adjunction-laws": verify_adjunction_laws(phi)}
+    fam = find_cyclic_dualizing_family(phi.q)
+    if fam is not None and fam.dualizing:
+        reports["complement"] = verify_rst_as_fca_complement(phi, fam)
+    for kind in ("fca", "rst"):
+        reports[f"functors-{kind}"] = verify_adjunction_as_functors(phi, kind)
+        d = canonical_general_data(phi, kind)
+        reports[f"general-{kind}"] = verify_general_representation(d.adj.S, d.adj.T, d.L, d.R,
+                                                                   d.X)
+        d, F, K, G, H = canonical_dense_data(phi, kind)
+        reports[f"dense-{kind}"] = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
+    d, F, G = canonical_fca_data(phi)
+    reports["fca-representation"] = verify_fca_representation(phi, d.X, F, G)
+    d, F, G, rc = canonical_rst_data(phi)
+    reports["rst-representation"] = verify_rst_representation(phi, d.X, F, G, rc)
+    out = {name: report.to_json() for name, report in reports.items()}
+    for kind, qobj in itertools.product(("fca", "rst"), phi.q.objects):
+        out[f"brute-{kind}@{qobj}"] = [p.key() for p in brute_force_fixed(phi, kind, qobj)]
+    return out
+
+
+def base_reports(A: QCategory) -> dict:
+    return {"density": verify_density_suite(A).to_json(), "yoneda": verify_yoneda(A).to_json()}
+
+
+def assert_kept_changes_nothing(phi: QDistributor) -> None:
+    """The reports on a fresh copy of phi, called twice, equal those on a
+    second fresh copy and on phi itself, whatever phi's bases keep already."""
+    copy = fresh_context(phi)
+    first = context_reports(copy), base_reports(copy.dom), base_reports(copy.cod)
+    second = context_reports(copy), base_reports(copy.dom), base_reports(copy.cod)
+    other = fresh_context(phi)
+    third = context_reports(other), base_reports(other.dom), base_reports(other.cod)
+    given = context_reports(phi), base_reports(phi.dom), base_reports(phi.cod)
+    assert first == second == third == given
+
+
+@pytest.mark.parametrize("name", ["fix2id", "fixl3", "fixdl3", "fixg3"])
+def test_kept_spaces_change_no_report_on_the_fixtures(name, request):
+    assert_kept_changes_nothing(request.getfixturevalue(name).phi)
+
+
+@pytest.mark.parametrize("qname,labels", [("two", ("x", "y")), ("luk3", ("x", "y")),
+                                          ("diag3", ("x",)), ("diagb4", ("x",))])
+def test_kept_spaces_change_no_report_on_enumerated_carriers(qname, labels, presets):
+    # per carrier: its identity context and its second enumerated context, if any
+    for A in enumerate_categories(presets[qname], labels):
+        for phi in [identity_dist(A), *itertools.islice(enumerate_distributors(A, A), 1, 2)]:
+            assert_kept_changes_nothing(phi)
+
+
+# each call that enumerates a space of fix2id.A under the enumeration cap; the
+# last reads the codes that the copresheaf enumeration keeps on the dual base,
+# under the name of a presheaf space on that dual
+SPACES = {
+    "presheaves": lambda A: enumerate_presheaves(A, "*"),
+    "copresheaves": lambda A: enumerate_copresheaves(A, "*"),
+    "presheaf space": materialize_presheaves,
+    "copresheaf space": materialize_copresheaves,
+    "presheaves on the dual": lambda A: enumerate_presheaves(dualize_category(A), "*"),
+}
+
+
+def _outcome(call, *args):
+    """call's report or the size of its result, or what it raised: class, kind,
+    limit, count and message."""
+    try:
+        result = call(*args)
+    except BudgetExceeded as e:
+        return type(e), e.kind, e.limit, e.count, str(e)
+    return result.to_json() if hasattr(result, "to_json") else len(result)
+
+
+@pytest.mark.parametrize("limit", range(6))
+def test_a_kept_space_trips_a_later_cap_as_a_fresh_enumeration(limit, fix2id, monkeypatch):
+    kept, kept_phi = fresh(fix2id.A), fresh_context(fix2id.phi)
+    for call in SPACES.values():
+        call(kept)
+    verify_adjunction_laws(kept_phi)
+    monkeypatch.setenv("QFCA_BUDGET", str(limit))
+    for name, call in SPACES.items():
+        assert _outcome(call, kept) == _outcome(call, fresh(fix2id.A)), name
+    laws = _outcome(verify_adjunction_laws, kept_phi)
+    assert laws == _outcome(verify_adjunction_laws, fresh_context(fix2id.phi))
+    if limit < 4:  # each space of fix2id.A holds 4 members, and its closure 4 codes
+        assert laws[3] == limit + 1
+        message = _outcome(SPACES["presheaves on the dual"], kept)[4]
+        assert f"exceeded by the presheaf space on A2^op at type '*' (count {limit + 1})" in message
+
+
+def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
+    phi = fresh_context(fixdl3.phi)
+    A = phi.dom
+    verify_adjunction_laws(phi)
+    verify_adjunction_as_functors(phi, "rst")
+    verify_density_suite(A)
+    rc = residual_category(A)
+    rc.functor_to(materialize_presheaves(A), lambda m: m)
+    rc.member_of(rc.labels[0])
+    kept = [k for k in vars(A) if k.startswith(("_members", "_order", "_up-sets", "category"))]
+    assert len(kept) >= 4 and "_residuals" in vars(A)
+    assert any(k.startswith("_members") for k in vars(dualize_category(A)))
+    refs = [weakref.ref(A), weakref.ref(dualize_category(A))]
+    gc.disable()
+    try:
+        del phi, A, rc  # freed by reference counting alone: nothing kept refers back
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
