@@ -5,7 +5,7 @@ The package computes, on finite data and without any floating point:
 * quantaloids (finite hom-lattices with join-preserving composition),
   their residuations and cyclic dualizing families;
 * categories, functors and distributors enriched in a quantaloid;
-* presheaves, Yoneda embeddings, weighted (co)limits, pointwise Kan
+* presheaves, Yoneda embeddings, weighted colimits, pointwise Kan
   extensions and density predicates;
 * the FCA and RST concept lattices of a distributor-valued context, the
   residual context that turns one into the other, and Girard complements;
@@ -21,11 +21,8 @@ from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
     ColimitMissing,
-    ConditionFailed,
     HypothesesNotMet,
-    InvalidChu,
     InvalidParams,
-    NotAdjoint,
     NotAQuantale,
     NotGirard,
     QfcaError,
@@ -53,23 +50,18 @@ from .qcat import (
     discrete_category,
     dualize_category,
     dualize_functor,
-    find_equivalence,
-    functor_leq,
     identity_functor,
     is_essentially_surjective,
     is_fully_faithful,
     is_separated,
     singleton_category,
-    skeletal_quotient,
     underlying_order,
     validate_category,
     validate_functor,
 )
 from .qdist import (
-    ChuTransform,
     QDistributor,
     cograph,
-    dist_adjoint_pair,
     dist_compose,
     dist_left_imp,
     dist_right_imp,
@@ -77,8 +69,6 @@ from .qdist import (
     graph,
     identity_dist,
     is_adjoint_functor_pair,
-    restrict_distributor,
-    validate_chu,
     validate_distributor,
 )
 from .presheaf import (
@@ -89,23 +79,15 @@ from .presheaf import (
     coyoneda,
     enumerate_copresheaves,
     enumerate_presheaves,
-    find_left_adjoint,
-    find_right_adjoint,
-    inf,
     is_codense,
     is_complete,
     is_dense,
-    is_join_dense,
-    is_meet_dense,
     lan,
     materialize_copresheaves,
     materialize_presheaves,
     presheaf_hom,
-    pushforward,
     ran,
-    sup,
     weighted_colimit,
-    weighted_limit,
     yoneda,
 )
 from .concept import (
@@ -117,29 +99,21 @@ from .concept import (
     codense_probe,
     complement_context,
     fca_lattice,
-    fca_lattice_map,
     isbell_down,
     isbell_up,
-    kan_dag,
     kan_lower,
-    kan_lower_dag,
     kan_star,
     lattice_to_dot,
     lattice_to_json,
-    macneille_completion,
     residual_category,
-    residual_chu,
     residual_context,
     rst_lattice,
-    rst_lattice_map,
-    verify_functoriality_square,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
 )
 from .represent import (
     GeneratorMaps,
     build_generator_maps,
-    construct_fix_equivalence,
     fix_points,
     quantale_corollary_check,
     verify_dense_representation,

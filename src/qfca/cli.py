@@ -84,6 +84,7 @@ from .represent import (
     canonical_fca_data,
     canonical_general_data,
     canonical_rst_data,
+    quantale_corollary_check,
     verify_adjunction_as_functors,
     verify_adjunction_laws,
     verify_dense_representation,
@@ -93,6 +94,7 @@ from .represent import (
     verify_fca_representation,
     verify_general_representation,
     verify_rst_representation,
+    verify_type_preserving_representation,
     verify_yoneda,
 )
 
@@ -555,8 +557,9 @@ PROPERTIES = {
     "isbell-adjunction": ([], True), "kan-adjunction": ([], True),
     "yoneda": (["category"], False), "dense-cond": (["category"], False),
     "elementary-identities": ([], True), "thm33": (["kind"], True),
-    "thm51": (["kind"], True), "mphi-rep": (["F", "G", "X"], True),
-    "kphi-rep": ([], True), "elementary-rep": (["kind"], True),
+    "type-preserving-rep": (["kind"], True), "thm51": (["kind"], True),
+    "mphi-rep": (["F", "G", "X"], True), "kphi-rep": ([], True),
+    "elementary-rep": (["kind"], True), "quantale-rep": (["kind"], True),
     "girard-probe": (["object"], False),
 }
 
@@ -603,6 +606,10 @@ def cmd_verify(args) -> int:
     elif prop == "thm33":
         d = canonical_general_data(phi, kind)
         report = verify_general_representation(d.adj.S, d.adj.T, d.L, d.R, d.X)
+    elif prop == "type-preserving-rep":
+        d = canonical_general_data(phi, kind)
+        report = verify_type_preserving_representation(d.adj.S, d.adj.T, d.L.mapping,
+                                                       d.R.mapping, d.X)
     elif prop == "thm51":
         d, F, K, G, H = canonical_dense_data(phi, kind)
         report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
@@ -621,9 +628,11 @@ def cmd_verify(args) -> int:
     elif prop == "kphi-rep":
         d, F, G, rc = canonical_rst_data(phi)
         report = verify_rst_representation(phi, d.X, F, G, rc)
-    elif prop == "elementary-rep":
+    elif prop in ("elementary-rep", "quantale-rep"):
         d, F, G = canonical_elementary_data(phi, kind)
-        report = verify_elementary_representation(phi, d.X, F, G, kind)
+        verify = (verify_elementary_representation if prop == "elementary-rep"
+                  else quantale_corollary_check)
+        report = verify(phi, d.X, F, G, kind)
     else:  # girard-probe; argparse admits no other property
         Q = doc.quantaloid
         qobj = data.get("object", Q.objects[0])

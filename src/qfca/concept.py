@@ -9,8 +9,7 @@ the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
   FCA concept lattice of the context;
 * the Kan adjunction ``kan_star(lam) = lam . phi`` -| ``kan_lower(mu) =
   mu <l phi``; its fixed presheaves on B form the RST (object-oriented)
-  concept lattice.  On copresheaves, ``kan_dag(mu) = phi . mu`` and
-  ``kan_lower_dag(lam) = phi >r lam`` are the Kan maps of the dual context.
+  concept lattice.
 
 The lattices run on int codes: each map of a pair is tabled once per type and
 then costs one AND per position; the tables also give the generators and the
@@ -38,7 +37,6 @@ from .errors import (
     BaseMismatch,
     ClosureBudgetExceeded,
     HypothesesNotMet,
-    InvalidChu,
     InvalidParams,
     QfcaError,
     Report,
@@ -46,12 +44,10 @@ from .errors import (
 )
 from .qcat import (
     QCategory,
-    QFunctor,
     is_fully_faithful,
     singleton_category,
 )
 from .qdist import (
-    ChuTransform,
     QDistributor,
     dist_left_imp,
     dist_right_imp,
@@ -59,7 +55,6 @@ from .qdist import (
     hom_rows,
     identity_dist,
     tensor_ix,
-    validate_chu,
     validate_distributor,
 )
 from .presheaf import (
@@ -70,7 +65,6 @@ from .presheaf import (
     _CodedFamily,
     _SetCode,
     _and_closure,
-    _copresheaf_of,
     _presheaf_of,
     _require,
     enumerate_presheaves,
@@ -79,7 +73,6 @@ from .presheaf import (
     materialize_presheaves,
     presheaf_label,
     presheaf_residual,
-    pushforward,
 )
 from .quantaloid import (
     Arrow,
@@ -123,18 +116,6 @@ def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
     s = mu.type
     return Presheaf(phi.cod, s, tuple(line[0] for line in hom_rows(
         phi.q, phi.dom.types, zip(phi.cod.types, phi.columns), [(s, mu.values)])))
-
-
-def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
-    """Compose a copresheaf on A with the context: kan_star of the dual context."""
-    _require(Copresheaf, phi.dom, "the context's row category", mu)
-    return _copresheaf_of(kan_star(dualize_distributor(phi), _presheaf_of(mu)), phi.cod)
-
-
-def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
-    """Left extension of a copresheaf on B along the context: kan_lower of the dual."""
-    _require(Copresheaf, phi.cod, "the context's column category", lam)
-    return _copresheaf_of(kan_lower(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
 
 
 class IsbellPair(_Frozen):
@@ -395,11 +376,6 @@ def brute_force_fixed(phi: QDistributor, kind: str, qobj: str) -> tuple[Presheaf
     return tuple(p for p in enumerate_presheaves(pair.base, qobj) if pair.closure(p) == p)
 
 
-def macneille_completion(A: QCategory) -> ConceptLattice:
-    """The FCA lattice of the identity context: the smallest completion of A."""
-    return fca_lattice(identity_dist(A))
-
-
 # -- the residual category and residual contexts -----------------------------------
 
 
@@ -566,89 +542,6 @@ def codense_probe(Q: Quantaloid, qobj: str) -> Report:
                  + f"; bottom family dualizing at {qobj}: {dual_here}")
     report.check("global-verdict-recorded", True,
                  f"bottom family dualizing globally: {is_dualizing_family(Q, bottoms)}")
-    return report
-
-
-# -- functoriality along Chu transforms ----------------------------------------------
-
-
-def _require_chu(c: ChuTransform) -> None:
-    rep = validate_chu(c)
-    if not rep.ok:
-        raise InvalidChu(f"not a Chu transform: {rep.issues[0].detail}")
-
-
-def _lattice_map(src: ConceptLattice, dst: ConceptLattice, F: QFunctor, closure,
-                 name: str) -> QFunctor:
-    """Each concept of src pushed forward along F and closed in dst."""
-    return src.functor_to(dst, lambda p: closure(pushforward(F, p)), name=name)
-
-
-def fca_lattice_map(c: ChuTransform) -> QFunctor:
-    """The FCA lattice map of a Chu transform, from frm's concepts to to's."""
-    _require_chu(c)
-    return _lattice_map(fca_lattice(c.frm), fca_lattice(c.to), c.F, IsbellPair(c.to).closure,
-                        "fca-map")
-
-
-def rst_lattice_map(c: ChuTransform) -> QFunctor:
-    """The RST lattice map of a Chu transform; contravariant: to's concepts to frm's."""
-    _require_chu(c)
-    return _lattice_map(rst_lattice(c.to), rst_lattice(c.frm), c.G, KanPair(c.frm).closure,
-                        "rst-map")
-
-
-def residual_map_functor(F: QFunctor, src: ResidualCategory,
-                         dst: ResidualCategory) -> QFunctor:
-    """The induced map between residual categories along a row functor."""
-    if src.base != F.dom or dst.base != F.cod:
-        raise BaseMismatch("residual categories must sit on the functor endpoints")
-
-    def image(p):
-        a, u = src.provenance[p.key()][0]
-        return presheaf_residual(F.cod, F(a), u)
-
-    return src.functor_to(dst, image, name="residual-map")
-
-
-def residual_chu(c: ChuTransform) -> ChuTransform:
-    """Transport a Chu transform to the residual contexts (direction reverses)."""
-    _require_chu(c)
-    src = residual_category(c.frm.dom)
-    dst = residual_category(c.to.dom)
-    out = ChuTransform(
-        frm=residual_context(c.to, dst),
-        to=residual_context(c.frm, src),
-        F=c.G,
-        G=residual_map_functor(c.F, src, dst),
-    )
-    rep = validate_chu(out)
-    if not rep.ok:
-        raise InvalidChu(f"residual transport failed: {rep.issues[0].detail}")
-    return out
-
-
-def verify_functoriality_square(c: ChuTransform) -> Report:
-    """The RST map of a Chu transform equals the FCA map of its residual transport."""
-    report = Report("functoriality-square")
-    chu_ok = validate_chu(c).ok
-    report.check("chu-transform", chu_ok, "the square commutes entrywise")
-    if not chu_ok:
-        return report
-    phi, psi = c.frm, c.to
-    report.check("sides-are-residual-fca",
-                 verify_rst_as_fca(phi).passed and verify_rst_as_fca(psi).passed,
-                 "both lattices equal their residual-context FCA lattices")
-    tr_phi = residual_context(phi)
-    k_psi = rst_lattice(psi)
-    kan = KanPair(phi)
-    isb = IsbellPair(tr_phi)
-    bad = []
-    for p in k_psi.concepts:
-        moved = pushforward(c.G, p)
-        if kan.closure(moved) != isb.closure(moved):
-            bad.append(presheaf_label(p))
-    report.check_none("square-commutes", bad, "rst map equals residual fca map pointwise")
     return report
 
 

@@ -55,8 +55,7 @@ class BudgetExceeded(QfcaError):
     """Work past a cap: ``kind`` (a key of ``_DEFAULT_BUDGETS``), its ``limit``,
     the ``count`` and ``what`` exceeded it.  ``count`` is the size needed where
     it is known before any work starts (the family search) and the size reached
-    when the cap tripped for an enumeration (the members produced), a closure or
-    the equivalence search.
+    when the cap tripped for an enumeration (the members produced) or a closure.
     """
 
     def __init__(self, kind: str, limit: int, count: int, what: str):
@@ -67,7 +66,7 @@ class BudgetExceeded(QfcaError):
 
 
 class SearchBudgetExceeded(BudgetExceeded):
-    """A backtracking or family search exceeded its node budget."""
+    """The family search exceeded its node budget."""
 
 
 class ClosureBudgetExceeded(BudgetExceeded):
@@ -80,22 +79,6 @@ class ColimitMissing(QfcaError):
     def __init__(self, point: str, kind: str = "colimit"):
         super().__init__(f"no {kind} exists at point {point!r}")
         self.point = point
-
-
-class InvalidChu(QfcaError):
-    """The pair of functors is not a Chu transform."""
-
-
-class NotAdjoint(QfcaError):
-    """The supplied functor pair is not an adjunction."""
-
-
-class ConditionFailed(QfcaError):
-    """A construction's prerequisite condition failed; carries its name."""
-
-    def __init__(self, condition: str, detail: str = ""):
-        super().__init__(f"condition {condition!r} failed" + (f": {detail}" if detail else ""))
-        self.condition = condition
 
 
 # Default caps and what they count.  The environment variable QFCA_BUDGET,

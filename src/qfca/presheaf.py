@@ -10,8 +10,7 @@ copresheaf operation here is its presheaf twin applied to that dual.
 
 Order warning: the copresheaf category on A is the opposite of the presheaf
 category on A^op, so its underlying order is the *reverse* of the entrywise
-arrow order.  Functions here always state which order they use;
-``pointwise_leq`` is always the entrywise one.
+arrow order.  Functions here always state which order they use.
 
 ``materialize_presheaves``/``materialize_copresheaves`` build the presheaf and
 copresheaf categories, for oracle tests and for functors that need the whole
@@ -40,13 +39,7 @@ from .qcat import (
     underlying_order,
     validate_functor,
 )
-from .qdist import (
-    cograph,
-    graph,
-    hom_rows,
-    is_adjoint_functor_pair,
-    tensor_ix,
-)
+from .qdist import graph, hom_rows
 from .quantaloid import Arrow, _kept
 
 
@@ -115,26 +108,6 @@ def _require(kind: type, base: QCategory, where: str, v, w=None) -> None:
                        f"got a {got.__class__.__name__.lower()}{on}")
 
 
-def presheaf_law_ok(p: Presheaf) -> bool:
-    A, q = p.base, p.base.q
-    n = len(A)
-    return all(
-        q.leq(q.compose(p.values[i], A.hom[j][i]), p.values[j])
-        for i in range(n) for j in range(n)
-    )
-
-
-def copresheaf_law_ok(lam: Copresheaf) -> bool:
-    return presheaf_law_ok(_presheaf_of(lam))
-
-
-def pointwise_leq(a, b) -> bool:
-    """Entrywise arrow order (the distributor-calculus order)."""
-    _require(a.__class__, a.base, "the first operand's base", a, b)
-    q = a.base.q
-    return all(q.leq(x, y) for x, y in zip(a.values, b.values))
-
-
 # -- homs, joins, meets ---------------------------------------------------------
 
 
@@ -166,10 +139,6 @@ def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
     """
     _require(Copresheaf, lam.base, "the first operand's base", lam, kap)
     return _hom_grid([lam], [kap])[0][0]
-
-
-def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
-    return Presheaf(A, qobj, tuple(A.q.top(t, qobj) for t in A.types))
 
 
 def _pointwise_bound(A: QCategory, qobj: str, parts, bound) -> Presheaf:
@@ -210,19 +179,7 @@ def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
     return Presheaf(A, u.dst, tuple(q.left_imp(u, A.hom[i][j]) for j in range(len(A))))
 
 
-# -- suprema, infima, weighted (co)limits ----------------------------------------
-
-
-def sup(A: QCategory, mu: Presheaf):
-    """The least-label object x with hom(x, -) = hom <l mu, or ``None``: colim(mu, 1_A)."""
-    _require(Presheaf, A, "the category", mu)
-    return weighted_colimit(mu, identity_functor(A))
-
-
-def inf(A: QCategory, lam: Copresheaf):
-    """The least-label object x with hom(-, x) = lam >r hom, or ``None``."""
-    _require(Copresheaf, A, "the category", lam)
-    return sup(dualize_category(A), _presheaf_of(lam))
+# -- weighted colimits ------------------------------------------------------------
 
 
 def _graph_columns(F: QFunctor) -> list[tuple[str, tuple[Arrow, ...]]]:
@@ -241,20 +198,6 @@ def weighted_colimit(mu: Presheaf, F: QFunctor):
     target = tuple(next(hom_rows(A.q, F.dom.types, [(s, mu.values)], _graph_columns(F))))
     return min((x for x, t, row in zip(A.objects, A.types, A.hom) if t == s and row == target),
                default=None)
-
-
-def weighted_limit(lam: Copresheaf, F: QFunctor):
-    """Limit of F weighted by lam: the colimit of F^op weighted by lam^op."""
-    _require(Copresheaf, F.dom, "the functor's domain", lam)
-    return weighted_colimit(_presheaf_of(lam), dualize_functor(F))
-
-
-def pushforward(F: QFunctor, mu: Presheaf) -> Presheaf:
-    """Transport a presheaf along F: ``mu . cograph(F)``, a presheaf on cod(F)."""
-    _require(Presheaf, F.dom, "the functor's domain", mu)
-    q, types, t = F.cod.q, F.dom.types, mu.type
-    return Presheaf(F.cod, t, tuple(tensor_ix(q, types, p, t, row, mu.values)
-                                    for p, row in zip(F.cod.types, cograph(F).matrix)))
 
 
 # -- pointwise Kan extensions ----------------------------------------------------
@@ -294,22 +237,6 @@ def ran(H: QFunctor, G: QFunctor) -> QFunctor:
     except ColimitMissing as e:
         raise ColimitMissing(e.point, "limit") from None
     return QFunctor(H.cod, G.cod, L.mapping, name=f"ran({H.name},{G.name})")
-
-
-def find_right_adjoint(F: QFunctor):
-    """Try lan(F, identity); adjointness is then tested, not assumed."""
-    try:
-        G = lan(F, identity_functor(F.dom))
-    except ColimitMissing:
-        return None
-    return G if is_adjoint_functor_pair(F, G) else None
-
-
-def find_left_adjoint(F: QFunctor):
-    """A right adjoint of F^op read back from F.cod to F.dom, or ``None``."""
-    G = find_right_adjoint(dualize_functor(F))
-    return None if G is None else QFunctor(F.cod, F.dom, G.mapping,
-                                           name=f"ran({F.name},1_{F.dom.name})")
 
 
 # -- density ---------------------------------------------------------------------
@@ -668,9 +595,9 @@ def _join_dense(X: QCategory, image) -> bool:
     subset of the image joins to y then that canonical set does too (joins
     are monotone in the subset), so this decides the subset search exactly.
     The witness join is the supremum of the pointwise join of the representables,
-    found as ``sup`` finds it, with the identity's graph columns and the lookup
-    from a hom row to its least-label object built once; where that supremum is
-    missing, as it may be in an incomplete X, y is not a join."""
+    found as ``weighted_colimit`` finds a colimit along the identity, with its graph
+    columns and the lookup from a hom row to its least-label object built once;
+    where that supremum is missing, as it may be in an incomplete X, y is not a join."""
     order = underlying_order(X)
     image = sorted(set(image), key=X.index)
     least: dict[tuple, str] = {}
@@ -689,26 +616,3 @@ def _join_dense(X: QCategory, image) -> bool:
         if j is None or not order.iso(j, y):
             return False
     return True
-
-
-def image_join_dense(X: QCategory, image) -> bool:
-    """Is every object of X the underlying join of objects from ``image``?  X must be complete."""
-    if not is_complete(X):
-        raise QfcaError(f"{X.name} is not complete; join-density is undefined here")
-    return _join_dense(X, image)
-
-
-def image_meet_dense(X: QCategory, image) -> bool:
-    """Is every object of X the underlying meet of objects from ``image``?  X must be
-    complete; meets in X are joins in X^op, so this is join-density there."""
-    if not is_complete(X):
-        raise QfcaError(f"{X.name} is not complete; meet-density is undefined here")
-    return _join_dense(dualize_category(X), image)
-
-
-def is_join_dense(F: QFunctor) -> bool:
-    return image_join_dense(F.cod, {F(x) for x in F.dom.objects})
-
-
-def is_meet_dense(F: QFunctor) -> bool:
-    return image_meet_dense(F.cod, {F(x) for x in F.dom.objects})

@@ -3,8 +3,8 @@
 Objects carry a type drawn from the quantaloid's objects; the hom entry
 between two objects is an arrow between their types.  The underlying order of
 a category is the preorder  x <= y  iff  |x| = |y| and  1 <= hom(x, y); it is
-a preorder, not a partial order, and separation (skeletality) is opt-in via
-``skeletal_quotient``.
+a preorder, not a partial order; ``is_separated`` tells whether it is a
+partial order (whether the category is skeletal).
 
 Hom matrices are dense tuples indexed by carrier ordinals; object labels are
 strings and equality of labels is equality of objects.
@@ -16,11 +16,9 @@ import itertools
 
 from .errors import (
     InvalidParams,
-    SearchBudgetExceeded,
     TypeMismatch,
     ValidationReport,
     _Frozen,
-    budget,
 )
 from .quantaloid import Arrow, Quantaloid, _kept
 
@@ -244,21 +242,6 @@ def validate_functor(F: QFunctor) -> ValidationReport:
     return report
 
 
-def functor_leq(F: QFunctor, G: QFunctor) -> bool:
-    """The pointwise order: F <= G iff 1 <= hom(Fx, Gx) for every x."""
-    if F.dom != G.dom or F.cod != G.cod:
-        raise TypeMismatch("functor order needs equal endpoints")
-    B = F.cod
-    return all(
-        B.q.leq(B.q.unit(B.type_of(F(x))), B.hom_of(F(x), G(x)))
-        for x in F.dom.objects
-    )
-
-
-def functor_iso(F: QFunctor, G: QFunctor) -> bool:
-    return functor_leq(F, G) and functor_leq(G, F)
-
-
 def is_fully_faithful(F: QFunctor) -> bool:
     """Each hom row of dom(F) equals the row of cod(F) at its image, read at the images."""
     B = F.cod
@@ -271,22 +254,6 @@ def is_essentially_surjective(F: QFunctor) -> bool:
     order = underlying_order(F.cod)
     image = {F(x) for x in F.dom.objects}
     return all(any(order.iso(fx, y) for fx in image) for y in F.cod.objects)
-
-
-# -- separation ---------------------------------------------------------------
-
-
-def skeletal_quotient(A: QCategory) -> tuple[QCategory, QFunctor]:
-    """Identify isomorphic objects, keeping the least label of each class."""
-    order = underlying_order(A)
-    rep = {}
-    for cls in order.iso_classes():
-        r = min(cls)
-        for x in cls:
-            rep[x] = r
-    reps = sorted(set(rep.values()), key=A.index)
-    B = A.full_subcategory(reps, name=f"skeleton({A.name})")
-    return B, QFunctor(A, B, rep, name="skeletal-projection")
 
 
 # -- duality ------------------------------------------------------------------
@@ -305,52 +272,3 @@ def dualize_category(A: QCategory) -> QCategory:
 def dualize_functor(F: QFunctor) -> QFunctor:
     return QFunctor(dualize_category(F.dom), dualize_category(F.cod),
                     dict(F.mapping), name=f"{F.name}^op")
-
-
-# -- equivalence search --------------------------------------------------------
-
-
-def find_equivalence(A: QCategory, B: QCategory):
-    """Search for an equivalence A -> B; ``None`` if there is none.
-
-    Backtracks over type-preserving assignments from a skeleton of A into B,
-    pruning with the fully-faithfulness equations, in label order for
-    reproducibility.  Worst case is exponential; a node budget guards it.
-    """
-    cap = budget("search")
-    skel, proj = skeletal_quotient(A)
-    xs = sorted(skel.objects)
-    nodes = 0
-
-    def extend(assign: dict[str, str]):
-        nonlocal nodes
-        if len(assign) == len(xs):
-            F0 = QFunctor(skel, B, dict(assign))
-            if is_essentially_surjective(F0):
-                return F0
-            return None
-        x = xs[len(assign)]
-        for y in sorted(B.objects):
-            if B.type_of(y) != skel.type_of(x):
-                continue
-            nodes += 1
-            if nodes > cap:
-                raise SearchBudgetExceeded("search", cap, nodes,
-                                           f"the equivalence search from {A.name} to {B.name}")
-            ok = skel.hom_of(x, x) == B.hom_of(y, y)
-            for x2, y2 in assign.items():
-                if not ok:
-                    break
-                ok = (skel.hom_of(x, x2) == B.hom_of(y, y2)
-                      and skel.hom_of(x2, x) == B.hom_of(y2, y))
-            if ok:
-                found = extend({**assign, x: y})
-                if found is not None:
-                    return found
-        return None
-
-    F0 = extend({})
-    if F0 is None:
-        return None
-    return QFunctor(A, B, {x: F0(proj(x)) for x in A.objects},
-                    name=f"equivalence({A.name},{B.name})")

@@ -10,7 +10,7 @@ operations of the calculus are
 
 Each entry is computed on the quantaloid's index tables, by one of two
 kernels: ``tensor_ix``, a fold of one entry's join of composites, carries
-``dist_compose``, ``kan_star`` and ``pushforward``; ``hom_rows``, the row
+``dist_compose`` and ``kan_star``; ``hom_rows``, the row
 kernel of the presheaf hom (a meet of left residuals), computes a whole
 matrix of homs row by row and carries ``dist_left_imp``, every presheaf and
 copresheaf hom, ``weighted_colimit``, ``isbell_up``, ``kan_lower`` and the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import TypeMismatch, ValidationReport, _Frozen
+from .errors import TypeMismatch, ValidationReport
 from .qcat import QCategory, QFunctor, dualize_category
 from .quantaloid import Arrow, _kept
 
@@ -195,55 +195,8 @@ def cograph(F: QFunctor) -> QDistributor:
                         name=f"cograph({F.name})")
 
 
-def restrict_distributor(phi: QDistributor, F: QFunctor, G: QFunctor) -> QDistributor:
-    """phi(F-, G-): dom(F) -/-> dom(G), equal to cograph(G).phi.graph(F)."""
-    if F.cod != phi.dom or G.cod != phi.cod:
-        raise TypeMismatch("restriction functors must target the distributor endpoints")
-    matrix = [[phi.at(F(x), G(y)) for y in G.dom.objects] for x in F.dom.objects]
-    return QDistributor(F.dom, G.dom, matrix, name=f"{phi.name}(F-,G-)")
-
-
-def dist_adjoint_pair(phi: QDistributor, psi: QDistributor) -> bool:
-    """Test phi -| psi in the distributor calculus: unit and counit inequalities."""
-    if phi.dom != psi.cod or phi.cod != psi.dom:
-        raise TypeMismatch("an adjoint candidate pair must have opposite endpoints")
-    A, B = phi.dom, phi.cod
-    return (identity_dist(A).leq(dist_compose(psi, phi))
-            and dist_compose(phi, psi).leq(identity_dist(B)))
-
-
 def is_adjoint_functor_pair(F: QFunctor, G: QFunctor) -> bool:
     """F -| G holds exactly when the graph of F equals the cograph of G."""
     if F.dom != G.cod or F.cod != G.dom:
         raise TypeMismatch("adjoint functors must go in opposite directions")
     return graph(F) == cograph(G)
-
-
-# -- Chu transforms -------------------------------------------------------------
-
-
-class ChuTransform(_Frozen):
-    """A pair of functors relating two contexts: psi(F-, -) = phi(-, G-)."""
-
-    _fields = ("frm", "to", "F", "G")
-
-    def __init__(self, frm: QDistributor, to: QDistributor, F: QFunctor, G: QFunctor):
-        if F.dom != frm.dom or F.cod != to.dom:
-            raise TypeMismatch("F must map the source rows to the target rows")
-        if G.dom != to.cod or G.cod != frm.cod:
-            raise TypeMismatch("G must map the target columns to the source columns")
-        self._set(frm, to, F, G)
-
-
-def validate_chu(c: ChuTransform) -> ValidationReport:
-    report = ValidationReport("chu transform")
-    phi, psi = c.frm, c.to
-    for x in phi.dom.objects:
-        for y in psi.cod.objects:
-            lhs = psi.at(c.F(x), y)
-            rhs = phi.at(x, c.G(y))
-            if lhs != rhs:
-                report.add("chu.square", (x, y),
-                           f"psi(F{x},{y}) = {psi.q.label(lhs)} but "
-                           f"phi({x},G{y}) = {phi.q.label(rhs)}")
-    return report

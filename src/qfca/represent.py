@@ -24,8 +24,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import (
-    ConditionFailed,
-    NotAdjoint,
     NotAQuantale,
     Report,
     TypeMismatch,
@@ -132,17 +130,6 @@ def verify_general_representation(S: QFunctor, T: QFunctor, L: QFunctor,
         report.check("fix-equivalence", _fix_restriction(S, T, L, X)[1],
                      "the restriction of L to the fixed subcategory is an equivalence")
     return report
-
-
-def construct_fix_equivalence(S: QFunctor, T: QFunctor, L: QFunctor,
-                              R: QFunctor, X: QCategory) -> QFunctor:
-    """The equivalence fix(TS) -> X, raising on any failed hypothesis."""
-    report = verify_general_representation(S, T, L, R, X)
-    if not report.condition("adjunction").passed:
-        raise NotAdjoint("S and T are not adjoint")
-    if not report.passed:
-        raise ConditionFailed(report.failed_names()[0])
-    return _fix_restriction(S, T, L, X)[0]
 
 
 def verify_type_preserving_representation(S: QFunctor, T: QFunctor,

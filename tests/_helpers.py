@@ -2,35 +2,73 @@
 
 Most of what is here recomputes results from first principles (explicit
 scans over finite carriers) so that library outputs are checked against
-independent oracles, not against themselves.  The last section holds lemma
+independent oracles, not against themselves.  A later section holds lemma
 checks that run on library maps: the transpose identities and the eight
 adjoint-arrow identities, exact equalities of distributors that no
-representation theorem reports on.
+representation theorem reports on.  The last two sections hold maps that no
+``qfca`` command reaches and that the tests use to check the library or to
+build its inputs: suprema and infima, adjoint search, order-level density,
+the copresheaf Kan maps, the functor order and the equivalence search; and
+Chu transforms with the functorial action of the concept lattices on them.
 """
 
 import itertools
 
 from qfca.concept import (
+    ConceptLattice,
     IsbellPair,
     KanPair,
+    ResidualCategory,
     closure_pair,
+    fca_lattice,
     isbell_down,
+    kan_lower,
     kan_star,
     residual_category,
+    residual_context,
+    rst_lattice,
+    verify_rst_as_fca,
 )
-from qfca.errors import Report, TypeMismatch, ValidationReport
+from qfca.errors import (
+    BaseMismatch,
+    ColimitMissing,
+    QfcaError,
+    Report,
+    SearchBudgetExceeded,
+    TypeMismatch,
+    ValidationReport,
+    _Frozen,
+    budget,
+)
 from qfca.presheaf import (
+    Copresheaf,
     Presheaf,
     _SetCode,
+    _copresheaf_of,
+    _join_dense,
+    _presheaf_of,
+    _require,
     coyoneda,
     enumerate_presheaves,
+    is_complete,
+    lan,
     materialize_presheaves,
-    pointwise_leq,
+    presheaf_label,
     presheaf_residual,
-    sup,
+    weighted_colimit,
     yoneda,
 )
-from qfca.qcat import QCategory, compose_functors, validate_category
+from qfca.qcat import (
+    QCategory,
+    QFunctor,
+    compose_functors,
+    dualize_category,
+    dualize_functor,
+    identity_functor,
+    is_essentially_surjective,
+    underlying_order,
+    validate_category,
+)
 from qfca.qdist import (
     QDistributor,
     cograph,
@@ -39,6 +77,8 @@ from qfca.qdist import (
     dist_right_imp,
     dualize_distributor,
     graph,
+    is_adjoint_functor_pair,
+    tensor_ix,
     validate_distributor,
 )
 from qfca.quantaloid import Arrow, build_preset
@@ -575,4 +615,281 @@ def adjoint_arrow_identities_suite(F, phi, psi):
           dist_right_imp(dist_compose(phi, gF), rho))
     check("trade.left", dist_compose(dist_left_imp(psi, psi), gF),
           dist_left_imp(psi, dist_compose(cF, psi)))
+    return report
+
+
+# -- order, suprema, adjoints, density and equivalence on whole categories -----------
+
+
+def pointwise_leq(a, b) -> bool:
+    """Entrywise arrow order (the distributor-calculus order)."""
+    _require(a.__class__, a.base, "the first operand's base", a, b)
+    q = a.base.q
+    return all(q.leq(x, y) for x, y in zip(a.values, b.values))
+
+
+def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
+    return Presheaf(A, qobj, tuple(A.q.top(t, qobj) for t in A.types))
+
+
+def sup(A: QCategory, mu: Presheaf):
+    """The least-label object x with hom(x, -) = hom <l mu, or ``None``: colim(mu, 1_A)."""
+    _require(Presheaf, A, "the category", mu)
+    return weighted_colimit(mu, identity_functor(A))
+
+
+def inf(A: QCategory, lam: Copresheaf):
+    """The least-label object x with hom(-, x) = lam >r hom, or ``None``."""
+    _require(Copresheaf, A, "the category", lam)
+    return sup(dualize_category(A), _presheaf_of(lam))
+
+
+def weighted_limit(lam: Copresheaf, F: QFunctor):
+    """Limit of F weighted by lam: the colimit of F^op weighted by lam^op."""
+    _require(Copresheaf, F.dom, "the functor's domain", lam)
+    return weighted_colimit(_presheaf_of(lam), dualize_functor(F))
+
+
+def find_right_adjoint(F: QFunctor):
+    """Try lan(F, identity); adjointness is then tested, not assumed."""
+    try:
+        G = lan(F, identity_functor(F.dom))
+    except ColimitMissing:
+        return None
+    return G if is_adjoint_functor_pair(F, G) else None
+
+
+def find_left_adjoint(F: QFunctor):
+    """A right adjoint of F^op read back from F.cod to F.dom, or ``None``."""
+    G = find_right_adjoint(dualize_functor(F))
+    return None if G is None else QFunctor(F.cod, F.dom, G.mapping,
+                                           name=f"ran({F.name},1_{F.dom.name})")
+
+
+def image_join_dense(X: QCategory, image) -> bool:
+    """Is every object of X the underlying join of objects from ``image``?  X must be complete."""
+    if not is_complete(X):
+        raise QfcaError(f"{X.name} is not complete; join-density is undefined here")
+    return _join_dense(X, image)
+
+
+def image_meet_dense(X: QCategory, image) -> bool:
+    """Is every object of X the underlying meet of objects from ``image``?  X must be
+    complete; meets in X are joins in X^op, so this is join-density there."""
+    if not is_complete(X):
+        raise QfcaError(f"{X.name} is not complete; meet-density is undefined here")
+    return _join_dense(dualize_category(X), image)
+
+
+def is_join_dense(F: QFunctor) -> bool:
+    return image_join_dense(F.cod, {F(x) for x in F.dom.objects})
+
+
+def is_meet_dense(F: QFunctor) -> bool:
+    return image_meet_dense(F.cod, {F(x) for x in F.dom.objects})
+def pushforward(F: QFunctor, mu: Presheaf) -> Presheaf:
+    """Transport a presheaf along F: ``mu . cograph(F)``, a presheaf on cod(F)."""
+    _require(Presheaf, F.dom, "the functor's domain", mu)
+    q, types, t = F.cod.q, F.dom.types, mu.type
+    return Presheaf(F.cod, t, tuple(tensor_ix(q, types, p, t, row, mu.values)
+                                    for p, row in zip(F.cod.types, cograph(F).matrix)))
+
+
+def kan_dag(phi: QDistributor, mu: Copresheaf) -> Copresheaf:
+    """Compose a copresheaf on A with the context: kan_star of the dual context."""
+    _require(Copresheaf, phi.dom, "the context's row category", mu)
+    return _copresheaf_of(kan_star(dualize_distributor(phi), _presheaf_of(mu)), phi.cod)
+
+
+def kan_lower_dag(phi: QDistributor, lam: Copresheaf) -> Copresheaf:
+    """Left extension of a copresheaf on B along the context: kan_lower of the dual."""
+    _require(Copresheaf, phi.cod, "the context's column category", lam)
+    return _copresheaf_of(kan_lower(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
+
+
+def functor_leq(F: QFunctor, G: QFunctor) -> bool:
+    """The pointwise order: F <= G iff 1 <= hom(Fx, Gx) for every x."""
+    if F.dom != G.dom or F.cod != G.cod:
+        raise TypeMismatch("functor order needs equal endpoints")
+    B = F.cod
+    return all(
+        B.q.leq(B.q.unit(B.type_of(F(x))), B.hom_of(F(x), G(x)))
+        for x in F.dom.objects
+    )
+
+
+def functor_iso(F: QFunctor, G: QFunctor) -> bool:
+    return functor_leq(F, G) and functor_leq(G, F)
+
+
+def skeletal_quotient(A: QCategory) -> tuple[QCategory, QFunctor]:
+    """Identify isomorphic objects, keeping the least label of each class."""
+    order = underlying_order(A)
+    rep = {}
+    for cls in order.iso_classes():
+        r = min(cls)
+        for x in cls:
+            rep[x] = r
+    reps = sorted(set(rep.values()), key=A.index)
+    B = A.full_subcategory(reps, name=f"skeleton({A.name})")
+    return B, QFunctor(A, B, rep, name="skeletal-projection")
+
+
+def find_equivalence(A: QCategory, B: QCategory):
+    """Search for an equivalence A -> B; ``None`` if there is none.
+
+    Backtracks over type-preserving assignments from a skeleton of A into B,
+    pruning with the fully-faithfulness equations, in label order for
+    reproducibility.  Worst case is exponential; a node budget guards it.
+    """
+    cap = budget("search")
+    skel, proj = skeletal_quotient(A)
+    xs = sorted(skel.objects)
+    nodes = 0
+
+    def extend(assign: dict[str, str]):
+        nonlocal nodes
+        if len(assign) == len(xs):
+            F0 = QFunctor(skel, B, dict(assign))
+            if is_essentially_surjective(F0):
+                return F0
+            return None
+        x = xs[len(assign)]
+        for y in sorted(B.objects):
+            if B.type_of(y) != skel.type_of(x):
+                continue
+            nodes += 1
+            if nodes > cap:
+                raise SearchBudgetExceeded("search", cap, nodes,
+                                           f"the equivalence search from {A.name} to {B.name}")
+            ok = skel.hom_of(x, x) == B.hom_of(y, y)
+            for x2, y2 in assign.items():
+                if not ok:
+                    break
+                ok = (skel.hom_of(x, x2) == B.hom_of(y, y2)
+                      and skel.hom_of(x2, x) == B.hom_of(y2, y))
+            if ok:
+                found = extend({**assign, x: y})
+                if found is not None:
+                    return found
+        return None
+
+    F0 = extend({})
+    if F0 is None:
+        return None
+    return QFunctor(A, B, {x: F0(proj(x)) for x in A.objects},
+                    name=f"equivalence({A.name},{B.name})")
+
+
+# -- Chu transforms and the functorial action of the concept lattices ----------------
+
+
+class InvalidChu(QfcaError):
+    """The pair of functors is not a Chu transform."""
+
+
+class ChuTransform(_Frozen):
+    """A pair of functors relating two contexts: psi(F-, -) = phi(-, G-)."""
+
+    _fields = ("frm", "to", "F", "G")
+
+    def __init__(self, frm: QDistributor, to: QDistributor, F: QFunctor, G: QFunctor):
+        if F.dom != frm.dom or F.cod != to.dom:
+            raise TypeMismatch("F must map the source rows to the target rows")
+        if G.dom != to.cod or G.cod != frm.cod:
+            raise TypeMismatch("G must map the target columns to the source columns")
+        self._set(frm, to, F, G)
+
+
+def validate_chu(c: ChuTransform) -> ValidationReport:
+    report = ValidationReport("chu transform")
+    phi, psi = c.frm, c.to
+    for x in phi.dom.objects:
+        for y in psi.cod.objects:
+            lhs = psi.at(c.F(x), y)
+            rhs = phi.at(x, c.G(y))
+            if lhs != rhs:
+                report.add("chu.square", (x, y),
+                           f"psi(F{x},{y}) = {psi.q.label(lhs)} but "
+                           f"phi({x},G{y}) = {phi.q.label(rhs)}")
+    return report
+
+
+def _require_chu(c: ChuTransform) -> None:
+    rep = validate_chu(c)
+    if not rep.ok:
+        raise InvalidChu(f"not a Chu transform: {rep.issues[0].detail}")
+
+
+def _lattice_map(src: ConceptLattice, dst: ConceptLattice, F: QFunctor, closure,
+                 name: str) -> QFunctor:
+    """Each concept of src pushed forward along F and closed in dst."""
+    return src.functor_to(dst, lambda p: closure(pushforward(F, p)), name=name)
+
+
+def fca_lattice_map(c: ChuTransform) -> QFunctor:
+    """The FCA lattice map of a Chu transform, from frm's concepts to to's."""
+    _require_chu(c)
+    return _lattice_map(fca_lattice(c.frm), fca_lattice(c.to), c.F, IsbellPair(c.to).closure,
+                        "fca-map")
+
+
+def rst_lattice_map(c: ChuTransform) -> QFunctor:
+    """The RST lattice map of a Chu transform; contravariant: to's concepts to frm's."""
+    _require_chu(c)
+    return _lattice_map(rst_lattice(c.to), rst_lattice(c.frm), c.G, KanPair(c.frm).closure,
+                        "rst-map")
+
+
+def residual_map_functor(F: QFunctor, src: ResidualCategory,
+                         dst: ResidualCategory) -> QFunctor:
+    """The induced map between residual categories along a row functor."""
+    if src.base != F.dom or dst.base != F.cod:
+        raise BaseMismatch("residual categories must sit on the functor endpoints")
+
+    def image(p):
+        a, u = src.provenance[p.key()][0]
+        return presheaf_residual(F.cod, F(a), u)
+
+    return src.functor_to(dst, image, name="residual-map")
+
+
+def residual_chu(c: ChuTransform) -> ChuTransform:
+    """Transport a Chu transform to the residual contexts (direction reverses)."""
+    _require_chu(c)
+    src = residual_category(c.frm.dom)
+    dst = residual_category(c.to.dom)
+    out = ChuTransform(
+        frm=residual_context(c.to, dst),
+        to=residual_context(c.frm, src),
+        F=c.G,
+        G=residual_map_functor(c.F, src, dst),
+    )
+    rep = validate_chu(out)
+    if not rep.ok:
+        raise InvalidChu(f"residual transport failed: {rep.issues[0].detail}")
+    return out
+
+
+def verify_functoriality_square(c: ChuTransform) -> Report:
+    """The RST map of a Chu transform equals the FCA map of its residual transport."""
+    report = Report("functoriality-square")
+    chu_ok = validate_chu(c).ok
+    report.check("chu-transform", chu_ok, "the square commutes entrywise")
+    if not chu_ok:
+        return report
+    phi, psi = c.frm, c.to
+    report.check("sides-are-residual-fca",
+                 verify_rst_as_fca(phi).passed and verify_rst_as_fca(psi).passed,
+                 "both lattices equal their residual-context FCA lattices")
+    tr_phi = residual_context(phi)
+    k_psi = rst_lattice(psi)
+    kan = KanPair(phi)
+    isb = IsbellPair(tr_phi)
+    bad = []
+    for p in k_psi.concepts:
+        moved = pushforward(c.G, p)
+        if kan.closure(moved) != isb.closure(moved):
+            bad.append(presheaf_label(p))
+    report.check_none("square-commutes", bad, "rst map equals residual fca map pointwise")
     return report

@@ -15,14 +15,13 @@ from qfca.qcat import (
     QTypedSet,
     discrete_category,
 )
-from qfca.qdist import QDistributor, validate_chu
+from qfca.qdist import QDistributor
 from qfca.presheaf import (
     coyoneda,
     copresheaf_hom,
     enumerate_copresheaves,
     enumerate_presheaves,
     is_dense,
-    is_join_dense,
     materialize_presheaves,
     presheaf_hom,
     yoneda,
@@ -33,7 +32,6 @@ from qfca.concept import (
     complement_context,
     fca_lattice,
     rst_lattice,
-    verify_functoriality_square,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
 )
@@ -59,8 +57,11 @@ from qfca.errors import NotGirard
 from _helpers import (
     classical_fca_extents,
     classical_rst_fixed,
+    is_join_dense,
     iter_context_stream,
     presheaf_to_subset,
+    validate_chu,
+    verify_functoriality_square,
 )
 
 CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"

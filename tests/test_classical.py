@@ -12,13 +12,7 @@ import pytest
 
 from qfca.qcat import QTypedSet, discrete_category, underlying_order
 from qfca.qdist import QDistributor
-from qfca.presheaf import (
-    image_join_dense,
-    image_meet_dense,
-    materialize_copresheaves,
-    materialize_presheaves,
-    yoneda,
-)
+from qfca.presheaf import materialize_copresheaves, materialize_presheaves, yoneda
 from qfca.concept import (
     IsbellPair,
     KanPair,
@@ -38,6 +32,8 @@ from qfca.quantaloid import find_cyclic_dualizing_family
 from _helpers import (
     classical_fca_extents,
     classical_rst_fixed,
+    image_join_dense,
+    image_meet_dense,
     presheaf_to_subset,
 )
 

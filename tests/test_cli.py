@@ -14,7 +14,6 @@ import qfca.cli as cli
 from qfca.concept import fca_lattice
 from qfca.errors import BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded
 from qfca.presheaf import enumerate_presheaves
-from qfca.qcat import find_equivalence
 from qfca.quantaloid import find_cyclic_dualizing_family
 from qfca.represent import verify_adjunction_laws
 
@@ -154,7 +153,7 @@ def test_verify_props_pass(capsys):
 
 # sha256 (first 16 hex digits) of the stdouts of test_empty_carrier_documents,
 # joined in run order.
-EMPTY_SIDE_DIGESTS = {"no-rows": "88793aed0864b4dc", "no-columns": "22ae82065e3b27f7"}
+EMPTY_SIDE_DIGESTS = {"no-rows": "5483d251d81379f0", "no-columns": "1a219501676531a1"}
 PROPS = tuple(cli.PROPERTIES)
 
 
@@ -165,7 +164,7 @@ def test_empty_carrier_documents(capsys, tmp_path):
     empty = {"objects": []}
     runs = [("concepts", "--mode", mode, *oracle)
             for mode in ("fca", "rst") for oracle in ((), ("--oracle",))]
-    runs += [("tr",)] + [("verify", "--prop", prop) for prop in PROPS]
+    runs += [("tr",)] + [("verify", "--prop", prop) for prop in PROPS if prop != "quantale-rep"]
     for name, (rows, cols) in {"no-rows": (empty, side), "no-columns": (side, empty)}.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({
@@ -182,6 +181,9 @@ def test_empty_carrier_documents(capsys, tmp_path):
         assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
         digest = hashlib.sha256("".join(outputs).encode()).hexdigest()[:16]
         assert digest == EMPTY_SIDE_DIGESTS[name], name
+        # the quantale corollary refuses a two-object quantaloid, empty carriers or not
+        assert cli.main(["verify", str(path), "--prop", "quantale-rep"]) == 2
+        assert "needs a one-object quantaloid" in capsys.readouterr().err
 
 
 def test_verify_multi_typed_central_identity(capsys):
@@ -209,6 +211,18 @@ def test_verify_rst_kind(capsys):
     code, out = run(capsys, "verify", CONTEXTS / "fix_2id.json", "--prop", "thm33",
                     "--data", "kind=rst")
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("stem, prop, data, message", [
+    ("fix_dl3", "quantale-rep", [], "error: this corollary needs a one-object quantaloid"),
+    ("fix_l3", "quantale-rep", ["kind=xyz"], "error: kind must be fca or rst, got 'xyz'"),
+    ("fix_l3", "type-preserving-rep", ["kind=xyz"], "error: kind must be fca or rst, got 'xyz'"),
+])
+def test_refused_representation_props_print_nothing(capsys, stem, prop, data, message):
+    code = cli.main(["verify", str(CONTEXTS / f"{stem}.json"), "--prop", prop, "--data", *data])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_user_supplied_data(capsys, tmp_path):
@@ -367,8 +381,6 @@ CAPS = {
     "closure": ("closure", 2, lambda ctx, Q: fca_lattice(ctx.phi), ClosureBudgetExceeded, 3),
     "family-search": ("search", 2, lambda ctx, Q: find_cyclic_dualizing_family(Q),
                       SearchBudgetExceeded, 3),
-    "equivalence-search": ("search", 1, lambda ctx, Q: find_equivalence(ctx.A, ctx.A),
-                           SearchBudgetExceeded, 2),
 }
 
 

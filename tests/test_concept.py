@@ -13,7 +13,6 @@ import qfca
 from qfca.errors import (
     ClosureBudgetExceeded,
     HypothesesNotMet,
-    InvalidChu,
     InvalidParams,
     NotGirard,
     QfcaError,
@@ -23,18 +22,11 @@ from qfca.qcat import (
     QFunctor,
     QTypedSet,
     discrete_category,
-    find_equivalence,
     identity_functor,
     underlying_order,
 )
-from qfca.qdist import ChuTransform, QDistributor, identity_dist, validate_chu, validate_distributor
-from qfca.presheaf import (
-    Presheaf,
-    enumerate_presheaves,
-    materialize_presheaves,
-    pointwise_leq,
-    yoneda,
-)
+from qfca.qdist import QDistributor, identity_dist, validate_distributor
+from qfca.presheaf import Presheaf, enumerate_presheaves, materialize_presheaves, yoneda
 from qfca.concept import (
     IsbellPair,
     KanPair,
@@ -44,31 +36,35 @@ from qfca.concept import (
     codense_probe,
     complement_context,
     fca_lattice,
-    fca_lattice_map,
     isbell_down,
     isbell_up,
     kan_lower,
     kan_star,
     lattice_to_dot,
     lattice_to_json,
-    macneille_completion,
     residual_category,
-    residual_chu,
     residual_context,
     rst_lattice,
-    rst_lattice_map,
-    verify_functoriality_square,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
 )
 from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
 
 from _helpers import (
+    ChuTransform,
+    InvalidChu,
     chain4_quantale,
+    fca_lattice_map,
+    find_equivalence,
     oracle_left_imp,
     oracle_tables,
+    pointwise_leq,
     presheaf_transpose,
+    residual_chu,
     residual_closed_form_misses,
+    rst_lattice_map,
+    validate_chu,
+    verify_functoriality_square,
     verify_transpose_identities,
 )
 
@@ -160,18 +156,19 @@ def test_empty_context(two):
 
 
 def test_macneille_counts(two):
+    # the MacNeille completion of A is the FCA lattice of its identity context
     anti = discrete_category(two, QTypedSet(("x", "y"), ("*", "*")))
-    assert len(macneille_completion(anti)) == 4
+    assert len(fca_lattice(identity_dist(anti))) == 4
     one, zero = two.arrow("*", "*", "1"), two.arrow("*", "*", "0")
     chain = QCategory(two, ("x", "y"), ("*", "*"), [[one, one], [zero, one]])
-    assert len(macneille_completion(chain)) == 2
+    assert len(fca_lattice(identity_dist(chain))) == 2
 
 
 def test_macneille_of_complete_is_itself(luk3):
     # a separated complete category: the presheaves on a singleton
     S = discrete_category(luk3, QTypedSet(("a",), ("*",)))
     X = materialize_presheaves(S).category
-    lat = macneille_completion(X)
+    lat = fca_lattice(identity_dist(X))
     # the completion is the image of the representables, equivalent to X
     assert find_equivalence(lat.category, X) is not None
     reps = {yoneda(X, x).key() for x in X.objects}

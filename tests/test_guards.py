@@ -11,29 +11,25 @@ import pytest
 
 from qfca.errors import BaseMismatch
 from qfca.qcat import identity_functor
-from qfca.presheaf import (
-    copresheaf_hom,
-    coyoneda,
-    inf,
-    lan,
-    pointwise_leq,
-    presheaf_hom,
-    pushforward,
-    sup,
-    weighted_colimit,
-    weighted_limit,
-    yoneda,
-)
+from qfca.presheaf import copresheaf_hom, coyoneda, lan, presheaf_hom, weighted_colimit, yoneda
 from qfca.concept import (
     isbell_down,
     isbell_up,
-    kan_dag,
     kan_lower,
-    kan_lower_dag,
     kan_star,
     residual_category,
     residual_context,
+)
+
+from _helpers import (
+    inf,
+    kan_dag,
+    kan_lower_dag,
+    pointwise_leq,
+    pushforward,
     residual_map_functor,
+    sup,
+    weighted_limit,
 )
 
 ON_ANOTHER_BASE = {

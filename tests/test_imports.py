@@ -1,12 +1,18 @@
-"""Every module-level import is read in its module.
+"""Every module-level import is read in its module, and every public
+definition of the library is read in the library.
 
 No linter ships with the package, so this parses ``src/qfca/*.py`` and
 ``tests/*.py`` with ``ast`` and fails on a name that a module-level import
-binds and the module never reads.  ``__init__.py`` is skipped: its imports
-are the package's exports.
+binds and the module never reads.  It also fails on a public module-level
+``def`` or ``class`` of ``src/qfca`` that no other statement there reads, by
+name or as an attribute: such a definition serves no command, so it belongs
+in the tests or nowhere.  The functions that ``perfbench/tracing.py`` wraps
+are exempt, since the benchmark reads them by name.  ``__init__.py`` is
+skipped: its imports are the package's exports.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -37,3 +43,34 @@ def test_no_module_imports_an_unused_name():
     found = {str(path.relative_to(ROOT)): names for path in FILES
              if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def unread_definitions(sources: dict) -> list:
+    """The public module-level definitions in ``sources`` (module name to source)
+    that no top-level statement of any module reads, their own excepted, as
+    (module, name) pairs."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    reads = [(node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+              | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+             for _, node in statements]
+    return [(module, node.name) for module, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and not any(node.name in names for other, names in reads if other is not node)]
+
+
+def test_the_scan_finds_unread_definitions():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    return b.h\n\nclass C:\n    pass\n",
+               "b": "def h():\n    pass\n\ndef _k():\n    return a.g()\n"}
+    assert unread_definitions(sources) == [("a", "f"), ("a", "C")]
+
+
+def test_every_public_definition_is_read_in_the_library(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    traced = {name for names in tracing.SPAN_TARGETS.values() for name in names}
+    traced |= set(tracing.HOT_TARGETS)
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in FILES if path.parent.name == "qfca"}
+    assert [(module, name) for module, name in unread_definitions(sources)
+            if name not in traced] == []

@@ -10,7 +10,6 @@ from qfca.qcat import (
     QTypedSet,
     discrete_category,
     dualize_functor,
-    functor_iso,
     identity_functor,
     underlying_order,
 )
@@ -20,37 +19,41 @@ from qfca.presheaf import (
     coyoneda,
     enumerate_copresheaves,
     enumerate_presheaves,
-    find_left_adjoint,
-    find_right_adjoint,
-    image_join_dense,
-    image_meet_dense,
-    inf,
     is_codense,
     is_complete,
     is_dense,
-    is_join_dense,
-    is_meet_dense,
     lan,
     materialize_copresheaves,
     materialize_presheaves,
-    pointwise_leq,
     presheaf_hom,
     copresheaf_hom,
     presheaf_join,
     presheaf_meet,
-    pushforward,
     ran,
-    sup,
-    top_presheaf,
     weighted_colimit,
-    weighted_limit,
     yoneda,
 )
 from qfca.cli import load_document
 from qfca.concept import fca_lattice, residual_category, rst_lattice
 from qfca.represent import canonical_dense_data, canonical_fca_data, canonical_general_data
 
-from _helpers import oracle_is_complete, oracle_left_imp
+from _helpers import (
+    find_left_adjoint,
+    find_right_adjoint,
+    functor_iso,
+    image_join_dense,
+    image_meet_dense,
+    inf,
+    is_join_dense,
+    is_meet_dense,
+    oracle_is_complete,
+    oracle_left_imp,
+    pointwise_leq,
+    pushforward,
+    sup,
+    top_presheaf,
+    weighted_limit,
+)
 
 
 def assert_lan_identity(L, K, F):

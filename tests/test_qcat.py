@@ -12,20 +12,19 @@ from qfca.qcat import (
     discrete_category,
     dualize_category,
     dualize_functor,
-    find_equivalence,
-    functor_leq,
     identity_functor,
     is_essentially_surjective,
     is_fully_faithful,
     is_separated,
     singleton_category,
-    skeletal_quotient,
     underlying_order,
     validate_category,
     validate_functor,
 )
 from qfca.qdist import dualize_distributor
 from qfca.presheaf import materialize_presheaves
+
+from _helpers import find_equivalence, functor_leq, skeletal_quotient
 
 
 def test_validate_discrete(two):

@@ -4,25 +4,30 @@ import pytest
 from qfca.errors import TypeMismatch
 from qfca.qcat import QFunctor, QTypedSet, discrete_category, identity_functor
 from qfca.qdist import (
-    ChuTransform,
     QDistributor,
     cograph,
-    dist_adjoint_pair,
     dist_compose,
     dist_left_imp,
     dist_right_imp,
     graph,
     identity_dist,
     is_adjoint_functor_pair,
-    restrict_distributor,
-    validate_chu,
     validate_distributor,
 )
-from qfca.presheaf import materialize_presheaves, sup, top_presheaf
-from qfca.concept import complement_context, fca_lattice, rst_lattice
-from qfca.quantaloid import build_preset, find_cyclic_dualizing_family
+from qfca.presheaf import materialize_presheaves
+from qfca.concept import fca_lattice, rst_lattice
+from qfca.quantaloid import build_preset
 
-from _helpers import adjoint_arrow_identities_suite, enumerate_distributors, oracle_compose
+from _helpers import (
+    ChuTransform,
+    adjoint_arrow_identities_suite,
+    enumerate_distributors,
+    functor_leq,
+    oracle_compose,
+    sup,
+    top_presheaf,
+    validate_chu,
+)
 
 
 def test_compose_unit_law(fix2id):
@@ -120,7 +125,7 @@ def test_graph_cograph(fix2id):
 def test_graph_monotonicity(two):
     one = two.arrow("*", "*", "1")
     zero = two.arrow("*", "*", "0")
-    from qfca.qcat import QCategory, functor_leq
+    from qfca.qcat import QCategory
     X = QCategory(two, ("u", "v"), ("*", "*"), [[one, one], [zero, one]])
     A = discrete_category(two, QTypedSet(("x",), ("*",)))
     F = QFunctor(A, X, {"x": "u"})
@@ -128,34 +133,6 @@ def test_graph_monotonicity(two):
     assert functor_leq(F, G)
     assert graph(G).leq(graph(F)) and not graph(F).leq(graph(G))
     assert cograph(F).leq(cograph(G)) and not cograph(G).leq(cograph(F))
-
-
-def test_restrict_distributor(fixl3, fixdl3):
-    phi = fixdl3.phi
-    i, j = identity_functor(fixdl3.A), identity_functor(fixdl3.B)
-    assert restrict_distributor(phi, i, j) == phi
-    # equality with the composite formula cograph(G) . phi . graph(F)
-    X = discrete_category(fixdl3.A.q, QTypedSet(("s",), ("1",)))
-    F = QFunctor(X, fixdl3.A, {"s": "y"})
-    G = QFunctor(X, fixdl3.B, {"s": "p"})
-    left = restrict_distributor(phi, F, G)
-    right = dist_compose(cograph(G), dist_compose(phi, graph(F)))
-    assert left == right
-    assert left.at("s", "s") == phi.at("y", "p")
-
-
-def test_dist_adjoint_pair(fix2id):
-    A, B, phi = fix2id.A, fix2id.B, fix2id.phi
-    space = materialize_presheaves(A)
-    y = space.yoneda_functor()
-    assert dist_adjoint_pair(graph(y), cograph(y))
-    assert dist_adjoint_pair(identity_dist(A), identity_dist(A))
-    fam = find_cyclic_dualizing_family(A.q)
-    neg = complement_context(phi, fam)
-    assert not dist_adjoint_pair(phi, neg)
-    # the unit inequality is what fails, at a1
-    unit = dist_compose(neg, phi)
-    assert not A.q.leq(identity_dist(A).at("a1", "a1"), unit.at("a1", "a1"))
 
 
 def test_adjoint_functor_pair(two):

@@ -20,7 +20,6 @@ from qfca.errors import (
 )
 from qfca.presheaf import Copresheaf, Presheaf
 from qfca.qcat import Preorder, QFunctor, QTypedSet, discrete_category, identity_functor
-from qfca.qdist import ChuTransform
 from qfca.quantaloid import Arrow, CyclicDualizingFamily, find_cyclic_dualizing_family
 from qfca.represent import (
     CanonicalAdjunction,
@@ -29,6 +28,8 @@ from qfca.represent import (
     build_generator_maps,
     canonical_adjunction,
 )
+
+from _helpers import ChuTransform
 
 
 CONTEXTS = pathlib.Path(__file__).resolve().parent.parent / "contexts"
