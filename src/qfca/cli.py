@@ -629,6 +629,8 @@ def cmd_verify(args) -> int:
         d, F, G, rc = canonical_rst_data(phi)
         report = verify_rst_representation(phi, d.X, F, G, rc)
     elif prop in ("elementary-rep", "quantale-rep"):
+        if prop == "quantale-rep" and not phi.q.one_object:  # refuse before building
+            raise NotAQuantale("this corollary needs a one-object quantaloid")
         d, F, G = canonical_elementary_data(phi, kind)
         verify = (verify_elementary_representation if prop == "elementary-rep"
                   else quantale_corollary_check)

@@ -218,7 +218,9 @@ class ConceptLattice(_CodedFamily):
     ``coded`` holds, per type in quantaloid object order, the ``_SetCode`` of
     that type and its concepts' codes in the closure's insertion order: each
     generator in turn, then the new meets it makes with the concepts before
-    it.  Repeated runs therefore produce identical output.
+    it.  Repeated runs therefore produce identical output.  ``generators``
+    holds, per type in the same order, the distinct generator codes that the
+    closure started from; ``lattice_to_json`` reads the covers off them.
 
     ``members`` (alias ``concepts``), decoded into presheaves, and ``labels``
     and ``value_labels``, read off the codes, follow that order and are built
@@ -226,8 +228,9 @@ class ConceptLattice(_CodedFamily):
     the concepts).  ``lattice_to_json`` reads the codes and builds none of them.
     """
 
-    def __init__(self, kind: str, phi: QDistributor, coded):
+    def __init__(self, kind: str, phi: QDistributor, coded, generators):
         self.kind, self.phi, self.coded = kind, phi, tuple(coded)
+        self.generators = tuple(generators)
         self.base, self.name = closure_pair(phi, kind).base, f"{kind}({phi.name})"
 
     concepts = _CodedFamily.members
@@ -349,13 +352,15 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
     tables of AND-able codes: over ``two`` this is bitset FCA, over graded
     lattices the Pollandt / Belohlavek reduction.  The generators, the top
     and the rows of the right map's table, are the residuals that
-    ``fca_lattice`` and ``rst_lattice`` name.  The lattice keeps the codes.
+    ``fca_lattice`` and ``rst_lattice`` name.  The lattice keeps the codes and
+    the distinct generators.
     """
-    coded, keys = [], _keys(pair.phi)
+    coded, kept, keys = [], [], _keys(pair.phi)
     for qobj in pair.phi.q.objects:
         code, close, generators = pair.coded(qobj, keys)
         coded.append((code, _meet_closure(code, close, generators)))
-    return ConceptLattice(pair.kind, pair.phi, coded)
+        kept.append(tuple(dict.fromkeys(generators)))
+    return ConceptLattice(pair.kind, pair.phi, coded, kept)
 
 
 def fca_lattice(phi: QDistributor) -> ConceptLattice:
@@ -548,46 +553,45 @@ def codense_probe(Q: Quantaloid, qobj: str) -> Report:
 # -- serialization ---------------------------------------------------------------------
 
 
-def _hasse_covers(code: _SetCode, codes, labels) -> list[tuple[str, str]]:
+def _hasse_covers(codes, generators, labels) -> list[tuple[str, str]]:
     """Sorted cover label pairs (lower, upper) among one type's concept codes.
 
-    A concept's up-set is the AND over positions of the mask of concepts whose
-    value there, the bits ``c & field`` of a down-set code, holds its own.
-    Ranked by ``bit_count`` (the summed sizes of their values' down-sets, a
-    linear extension), the least concept left in a strict up-set is a cover;
-    drop it and its up-set, and repeat.  A field where every concept has one
-    value masks nothing and is skipped.  This is ``Preorder.hasse_edges`` of
-    the lattice category on them, without building that category."""
-    ranked = sorted(zip(codes, labels), key=lambda cl: cl[0].bit_count())
-    ups = [(1 << len(ranked)) - 1 & ~(1 << i) for i in range(len(ranked))]
-    for field in code.fields:
-        at, masks = [c & field for c, _ in ranked], {}
-        if not at or at.count(at[0]) == len(at):  # one value: it keeps every up-set
-            continue
-        for i, v in enumerate(at):
-            masks[v] = masks.get(v, 0) | 1 << i
-        above = {v: sum(m for w, m in masks.items() if v & ~w == 0) for v in masks}
-        ups = [u & above[v] for u, v in zip(ups, at)]
-    edges = []
-    for (_, lower), up in zip(ranked, ups):
-        while up:
-            j = (up & -up).bit_length() - 1
-            edges.append((lower, ranked[j][1]))
-            up &= ~(ups[j] | 1 << j)
+    The concepts are the ``&`` closure of the ``generators``, which are among
+    them, so every concept d is the meet of the generators above it.  The
+    lower covers of c are the maximal codes among ``c & g != c`` over the
+    generators g.  Each is a concept below c.  A lower cover d is one of them:
+    some generator g above d is not above c (else c <= d), so
+    d <= c & g < c and d = c & g.  A maximal x is a cover: were x < y < c,
+    a lower cover of c above y would be a larger candidate.  On down-set codes
+    x <= m is ``x & ~m == 0``, and a strictly larger code has more bits, so a
+    scan by descending ``bit_count`` meets every larger code first.  This is
+    ``Preorder.hasse_edges`` of the lattice category on them, at |generators|
+    ANDs per concept and without building that category."""
+    label, edges = dict(zip(codes, labels)), []
+    for c, upper in zip(codes, labels):
+        below = {c & g for g in generators}
+        below.discard(c)
+        maxima: list[int] = []
+        for x in sorted(below, key=int.bit_count, reverse=True):
+            for m in maxima:
+                if not x & ~m:
+                    break
+            else:
+                maxima.append(x)
+                edges.append((label[x], upper))
     return sorted(edges)
 
 
 def lattice_to_json(lat: ConceptLattice) -> dict:
     """Each type's concepts, as the family prints them, and their Hasse covers,
-    read off the codes."""
+    read off the codes and the generators (see ``_hasse_covers``)."""
     objects, types = lat.base.objects, {}
-    for code, codes in lat.coded:
-        forms = list(code.printed(codes))
-        labels = [label for label, _ in forms]
+    for (code, codes), generators in zip(lat.coded, lat.generators):
+        labels, values = code.printed(codes)
         types[code.qobj] = {
-            "concepts": [{"label": label, "values": dict(zip(objects, values))}
-                         for label, values in forms],
-            "hasse": [[a, b] for a, b in _hasse_covers(code, codes, labels)]}
+            "concepts": [{"label": label, "values": dict(zip(objects, vs))}
+                         for label, vs in zip(labels, values)],
+            "hasse": [[a, b] for a, b in _hasse_covers(codes, generators, labels)]}
     return {"kind": lat.kind, "context": lat.phi.name, "types": types}
 
 

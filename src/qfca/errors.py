@@ -218,15 +218,6 @@ class Report(_Record):
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
 
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.conditions if not c.passed]
-
-    def condition(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def extend(self, other: "Report", prefix: str = "") -> None:
         for c in other.conditions:
             self.conditions.append(Condition(prefix + c.name, c.passed, c.detail))

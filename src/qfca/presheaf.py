@@ -297,16 +297,20 @@ class _SetCode:
         return Presheaf(self.base, self.qobj, tuple(
             at[code & field] for field, at in zip(self.fields, arrows)))
 
-    def printed(self, codes):
-        """Each code's ``presheaf_label`` and value labels, decoding nothing: a
-        label joins each position's ``x:v``, read through a second table."""
+    def printed(self, codes) -> tuple[list[str], list[tuple]]:
+        """The codes' ``presheaf_label``s and value labels, decoding nothing: each
+        position's value labels and ``x:v`` strings are read for all codes at
+        once, through two tables, and zipped into one tuple and label per code."""
+        codes, head = list(codes), self.qobj + "|"
         labels = self._read(lambda pq: self.base.q.homs[pq].elements)
         pairs = [{bits: f"{x}:{v}" for bits, v in at.items()}
                  for x, at in zip(self.base.objects, labels)]
-        head, fields = self.qobj + "|", self.fields
-        for c in codes:
-            yield (head + ",".join([at[c & field] for field, at in zip(fields, pairs)]),
-                   tuple([at[c & field] for field, at in zip(fields, labels)]))
+        values, shown = [()] * len(codes), [()] * len(codes)
+        if self.fields:  # a base with no objects prints ``qobj|`` and ``()``
+            bits = [list(map(field.__and__, codes)) for field in self.fields]
+            values = list(zip(*[map(at.__getitem__, bs) for at, bs in zip(labels, bits)]))
+            shown = zip(*[map(at.__getitem__, bs) for at, bs in zip(pairs, bits)])
+        return [head + ",".join(xs) for xs in shown], values
 
 
 def _layout(A: QCategory, qobj: str, sets: str) -> tuple[tuple, tuple, int]:
@@ -542,7 +546,7 @@ class _CodedFamily(PresheafFamily):
             s._member(code.decode(c)) for code, codes in s.coded for c in codes))
 
     def _forms(self):
-        return (form for code, codes in self.coded for form in code.printed(codes))
+        return (form for code, codes in self.coded for form in zip(*code.printed(codes)))
 
     def __len__(self) -> int:
         return sum(len(codes) for _, codes in self.coded)

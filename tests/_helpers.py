@@ -230,6 +230,52 @@ def oracle_values(p):
     return {x: p.base.q.label(v) for x, v in zip(p.base.objects, p.values)}
 
 
+# -- reading verifier reports ------------------------------------------------------
+
+
+def failed_names(report: Report) -> list[str]:
+    return [c.name for c in report.conditions if not c.passed]
+
+
+def condition(report: Report, name: str):
+    for c in report.conditions:
+        if c.name == name:
+            return c
+    raise KeyError(name)
+
+
+# -- Hasse covers by per-position masks ---------------------------------------------
+
+
+def oracle_mask_covers(code: _SetCode, codes, labels) -> list[tuple[str, str]]:
+    """Sorted cover label pairs (lower, upper) among one type's concept codes.
+
+    A concept's up-set is the AND over positions of the mask of concepts whose
+    value there, the bits ``c & field`` of a down-set code, holds its own.
+    Ranked by ``bit_count`` (the summed sizes of their values' down-sets, a
+    linear extension), the least concept left in a strict up-set is a cover;
+    drop it and its up-set, and repeat.  A field where every concept has one
+    value masks nothing and is skipped.  This is ``Preorder.hasse_edges`` of
+    the lattice category on them, without building that category."""
+    ranked = sorted(zip(codes, labels), key=lambda cl: cl[0].bit_count())
+    ups = [(1 << len(ranked)) - 1 & ~(1 << i) for i in range(len(ranked))]
+    for field in code.fields:
+        at, masks = [c & field for c, _ in ranked], {}
+        if not at or at.count(at[0]) == len(at):  # one value: it keeps every up-set
+            continue
+        for i, v in enumerate(at):
+            masks[v] = masks.get(v, 0) | 1 << i
+        above = {v: sum(m for w, m in masks.items() if v & ~w == 0) for v in masks}
+        ups = [u & above[v] for u, v in zip(ups, at)]
+    edges = []
+    for (_, lower), up in zip(ranked, ups):
+        while up:
+            j = (up & -up).bit_length() - 1
+            edges.append((lower, ranked[j][1]))
+            up &= ~(ups[j] | 1 << j)
+    return sorted(edges)
+
+
 # -- classical powerset FCA / RST -----------------------------------------------------
 
 

@@ -57,6 +57,7 @@ from qfca.errors import NotGirard
 from _helpers import (
     classical_fca_extents,
     classical_rst_fixed,
+    failed_names,
     is_join_dense,
     iter_context_stream,
     presheaf_to_subset,
@@ -159,7 +160,7 @@ def test_criterion_3_adjunction_laws_enumerated(presets):
             n += 1
             report = verify_adjunction_laws(phi)
             if not report.passed:
-                failures.append((name, n, report.failed_names()))
+                failures.append((name, n, failed_names(report)))
         counts[name] = n
     enough = all(n >= 100 for n in counts.values())
     ok = verdict(3, not failures and enough,
@@ -203,7 +204,7 @@ def test_criterion_5_rst_equals_fca_of_residual(all_contexts, two, luk3):
     cases["l3-allhalf"] = type("C", (), {"phi": extra})
     for name, ctx in cases.items():
         reports[name] = verify_rst_as_fca(ctx.phi)
-    bad = {n: r.failed_names() for n, r in reports.items() if not r.passed}
+    bad = {n: failed_names(r) for n, r in reports.items() if not r.passed}
     ok = verdict(5, not bad,
                  "rst lattice equals fca lattice of the residual context, per type, "
                  "with the pseudo-complement identity exact (incl. multi-typed)")
@@ -226,7 +227,7 @@ def test_criterion_6_girard_route(fix2id, fixl3, fixg3, two, luk3, godel3):
     ok = verdict(6, r1.passed and r2.passed and raised and probe_negative,
                  "complement route exact on Girard presets; Goedel-3 refused and "
                  "probe confirms no codense singleton functor")
-    assert ok, (r1.failed_names(), r2.failed_names(), raised, probe_negative)
+    assert ok, (failed_names(r1), failed_names(r2), raised, probe_negative)
 
 
 def test_criterion_7_density_suite(two, luk3, fix2id, fixl3):
@@ -236,7 +237,7 @@ def test_criterion_7_density_suite(two, luk3, fix2id, fixl3):
     for A in bases:
         report = verify_density_suite(A)
         if not report.passed:
-            failures.append((A.name, report.failed_names()))
+            failures.append((A.name, failed_names(report)))
     S = discrete_category(luk3, QTypedSet(("a",), ("*",)))
     y = materialize_presheaves(S).yoneda_functor()
     negative = is_dense(y) and not is_join_dense(y)
@@ -272,24 +273,24 @@ def test_criterion_8_theorem_verifiers(all_contexts, two):
     collapse = QFunctor(d.adj.D_space.category, d.X,
                         {x: d.X.objects[0] for x in d.adj.D_space.category.objects})
     rep = verify_general_representation(d.adj.S, d.adj.T, d.L, collapse, d.X)
-    if "essential-surjectivity-R" not in rep.failed_names():
+    if "essential-surjectivity-R" not in failed_names(rep):
         failures.append(("mutation", "essential-surjectivity-R"))
     dd, F, K, G, H = canonical_dense_data(ctx.phi, "fca")
     K_bad = QFunctor(K.dom, K.cod, {x: K.cod.objects[-1] for x in K.dom.objects})
     rep = verify_dense_representation(dd.adj.S, dd.adj.T, F, K_bad, G, H, dd.X)
-    if "dense-K" not in rep.failed_names():
+    if "dense-K" not in failed_names(rep):
         failures.append(("mutation", "dense-K"))
     dm, Fm, Gm = canonical_fca_data(ctx.phi)
     G_bad = QFunctor(Gm.dom, dm.X, {x: Fm(ctx.A.objects[0]) for x in Gm.dom.objects})
     rep = verify_fca_representation(ctx.phi, dm.X, Fm, G_bad)
-    if "codense-G" not in rep.failed_names():
+    if "codense-G" not in failed_names(rep):
         failures.append(("mutation", "codense-G"))
     fl = all_contexts["fixl3"]
     dk, Fk, Gk, rc = canonical_rst_data(fl.phi)
     Gk_bad = QFunctor(rc.category, dk.X,
                       {x: Gk(rc.category.objects[-1]) for x in rc.category.objects})
     rep = verify_rst_representation(fl.phi, dk.X, Fk, Gk_bad, rc)
-    if "residual-identity" not in rep.failed_names():
+    if "residual-identity" not in failed_names(rep):
         failures.append(("mutation", "residual-identity"))
 
     # classical reproduction on a 3x3 crisp context
@@ -332,7 +333,7 @@ def test_criterion_9_functoriality_square(fix2id, fixl3, two, luk3):
             continue
         report = verify_functoriality_square(c)
         if not report.passed:
-            failures.append((i, report.failed_names()))
+            failures.append((i, failed_names(report)))
     ok = verdict(9, len(nonidentity) >= 5 and not failures,
                  f"rst map equals residual fca map on {len(nonidentity)} "
                  "nonidentity Chu transforms")
@@ -357,7 +358,7 @@ def test_criterion_10_elementary_identities_and_quantale(all_contexts, luk3):
             d, F, G = canonical_elementary_data(phi, kind)
             rep = quantale_corollary_check(phi, d.X, F, G, kind)
             if not rep.passed:
-                failures.append((name, kind, rep.failed_names()))
+                failures.append((name, kind, failed_names(rep)))
     ok = verdict(10, not failures,
                  "elementary hom identities on all pairs; quantale corollary with "
                  "both order-level biconditionals on three-valued contexts")

@@ -32,6 +32,7 @@ from qfca.quantaloid import find_cyclic_dualizing_family
 from _helpers import (
     classical_fca_extents,
     classical_rst_fixed,
+    failed_names,
     image_join_dense,
     image_meet_dense,
     presheaf_to_subset,
@@ -82,7 +83,7 @@ def test_theorem_1_1_galois_connection(two, crisp):
     d = canonical_general_data(phi, "fca")
     report = verify_type_preserving_representation(
         d.adj.S, d.adj.T, dict(d.L.mapping), dict(d.R.mapping), d.X)
-    assert report.passed, report.failed_names()
+    assert report.passed, failed_names(report)
     # the hom identity over the Boolean quantaloid is exactly the classical
     # biconditional, checked here independently on the underlying orders
     Dord = underlying_order(d.adj.D_space.category)
@@ -102,7 +103,7 @@ def test_theorem_1_2_dense_form(two, crisp):
     for a in A.objects:
         assert presheaf_to_subset(two, d.adj.C_space.member_of(K(a))) == {a}
     report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
-    assert report.passed, report.failed_names()
+    assert report.passed, failed_names(report)
     Dord = underlying_order(d.adj.D_space.category)
     Xord = underlying_order(d.X)
     for a in A.objects:

@@ -118,8 +118,10 @@ def test_concepts_oracle_mismatch_fault_injection(capsys, monkeypatch):
     real = concept.fca_lattice
 
     def broken(phi):
-        *kept, (code, codes) = real(phi).coded
-        return concept.ConceptLattice("fca", phi, [*kept, (code, codes[:-1])])
+        lattice = real(phi)
+        *kept, (code, codes) = lattice.coded
+        return concept.ConceptLattice("fca", phi, [*kept, (code, codes[:-1])],
+                                      lattice.generators)
 
     monkeypatch.setattr(concept, "fca_lattice", broken)
     code, out = run(capsys, "concepts", CONTEXTS / "fix_2id.json",

@@ -30,7 +30,7 @@ from qfca.represent import (
     verify_yoneda,
 )
 
-from _helpers import verify_transpose_identities
+from _helpers import failed_names, verify_transpose_identities
 
 SHORT = {"polarity-unit": "pu", "polarity-counit": "pc", "extension-unit": "eu",
          "extension-counit": "ec", "dual-extension-unit": "du", "dual-extension-counit": "dc",
@@ -248,7 +248,7 @@ def _corruptions():
 
 def _outcome(run) -> str:
     try:
-        return " ".join(SHORT[name] for name in run().failed_names()) or "-"
+        return " ".join(SHORT[name] for name in failed_names(run())) or "-"
     except Exception as e:
         return type(e).__name__
 
