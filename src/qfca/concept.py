@@ -17,10 +17,12 @@ re-check of every concept.  A table entry is a line of the context, written
 once per call as a key string of one char per (type, entry), run through one
 ``str.translate`` into the binary digits of its image's code.  The
 translation tables depend only on the quantaloid, so it keeps them, as it
-keeps its opposite, and a context keeps nothing.  A lattice keeps the codes,
-and its JSON and DOT forms (labels, values, Hasse covers) are read off them;
-concepts become presheaves only when asked for.  The ``Arrow`` maps above are
-the tests' oracle.
+keeps its opposite, and a context keeps nothing.  A lattice keeps the codes
+and the generators, and its JSON and DOT forms (labels, values, Hasse covers)
+are read off them: the concepts are the ``&`` closure of the generators, so
+the lower covers of a concept c are the maximal codes among ``c & g != c``
+(proof at ``_hasse_covers``).  Concepts become presheaves only when asked
+for.  The ``Arrow`` maps above are the tests' oracle.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted

@@ -301,7 +301,7 @@ class _SetCode:
         """The codes' ``presheaf_label``s and value labels, decoding nothing: each
         position's value labels and ``x:v`` strings are read for all codes at
         once, through two tables, and zipped into one tuple and label per code."""
-        codes, head = list(codes), self.qobj + "|"
+        head = self.qobj + "|"
         labels = self._read(lambda pq: self.base.q.homs[pq].elements)
         pairs = [{bits: f"{x}:{v}" for bits, v in at.items()}
                  for x, at in zip(self.base.objects, labels)]

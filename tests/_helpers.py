@@ -2,7 +2,10 @@
 
 Most of what is here recomputes results from first principles (explicit
 scans over finite carriers) so that library outputs are checked against
-independent oracles, not against themselves.  A later section holds lemma
+independent oracles, not against themselves.  Among them is the
+per-position mask method for Hasse covers, which the library used before it
+read covers off the generators.  Two readers pick out a verifier report's
+failed conditions or one condition by name.  A later section holds lemma
 checks that run on library maps: the transpose identities and the eight
 adjoint-arrow identities, exact equalities of distributors that no
 representation theorem reports on.  The last two sections hold maps that no

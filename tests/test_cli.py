@@ -227,6 +227,20 @@ def test_refused_representation_props_print_nothing(capsys, stem, prop, data, me
     assert message in captured.err
 
 
+def test_quantale_rep_refuses_before_building(capsys, monkeypatch):
+    # the one-object check comes first, so the elementary data are never built
+    def unreachable(phi, kind):
+        raise AssertionError("canonical_elementary_data was called")
+
+    monkeypatch.setattr(cli, "canonical_elementary_data", unreachable)
+    for data in ([], ["--data", "kind=rst"]):
+        code = cli.main(["verify", str(CONTEXTS / "fix_dl3.json"), "--prop", "quantale-rep",
+                         *data])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: this corollary needs a one-object quantaloid" in captured.err
+
+
 def test_verify_user_supplied_data(capsys, tmp_path):
     # an explicitly wrong user representation is rejected with exit 3
     doc = json.loads((CONTEXTS / "fix_2id.json").read_text())

@@ -26,7 +26,13 @@ from qfca.qcat import (
     underlying_order,
 )
 from qfca.qdist import QDistributor, identity_dist, validate_distributor
-from qfca.presheaf import Presheaf, enumerate_presheaves, materialize_presheaves, yoneda
+from qfca.presheaf import (
+    Presheaf,
+    enumerate_presheaves,
+    materialize_presheaves,
+    presheaf_label,
+    yoneda,
+)
 from qfca.concept import (
     IsbellPair,
     KanPair,
@@ -58,6 +64,7 @@ from _helpers import (
     fca_lattice_map,
     find_equivalence,
     oracle_left_imp,
+    oracle_mask_covers,
     oracle_tables,
     pointwise_leq,
     presheaf_transpose,
@@ -529,14 +536,20 @@ ORDER_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def order_contexts():
+def _perfbench():
+    """The benchmark's context generator and its integer tables."""
     sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "perfbench"))
     try:
         import gen
         import oracle
     finally:
         sys.path.pop(0)
+    return gen, oracle
+
+
+@pytest.fixture(scope="module")
+def order_contexts():
+    gen, oracle = _perfbench()
     two, bool2 = build_preset("two"), build_preset("frame-diagonal", boolean=2)
     ref = gen.discrete(oracle.Tables(two), 14, 14, random.Random(3), name="ref-14x14-seed3")
     sparse = gen.sparse(oracle.Tables(bool2), 8, 8, random.Random(4), density=0.05, fill=0.3,
@@ -549,6 +562,46 @@ def test_lattice_order_and_covers_are_pinned(order_contexts, name, kind):
     lat = (fca_lattice if kind == "fca" else rst_lattice)(order_contexts[name])
     blob = json.dumps(lattice_to_json(lat), separators=(",", ":"))
     assert (len(lat), hashlib.sha256(blob.encode()).hexdigest()[:16]) == ORDER_DIGESTS[name, kind]
+
+
+# The covers that ``lattice_to_json`` reads off the generators, against the
+# per-position mask method, on seeded benchmark draws up to 825 concepts: the
+# discrete ones over ``two`` and the Lukasiewicz chain, and sparse multi-typed
+# ones over two frame diagonals, drawn as the ``lattice`` workload draws them.
+COVER_DRAWS = {
+    "two-10x10-seed1": ("two", {}, "discrete", 10, 1),
+    "two-22x22-seed1": ("two", {}, "discrete", 22, 1),
+    "luk5-6x6-seed1": ("lukasiewicz-chain", {"n": 5}, "discrete", 6, 1),
+    "chain4-sparse-8x8-seed1": ("frame-diagonal", {"chain": 4}, "sparse", 8, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def cover_contexts(order_contexts):
+    gen, oracle = _perfbench()
+    out = dict(order_contexts)
+    for name, (preset, params, shape, n, seed) in COVER_DRAWS.items():
+        Q, rnd = build_preset(preset, **params), random.Random(seed)
+        draw = (gen.discrete(oracle.Tables(Q), n, n, rnd, name=name) if shape == "discrete" else
+                gen.sparse(oracle.Tables(Q), n, n, rnd, density=0.05, fill=0.3, name=name))
+        out[name] = gen.build(qfca, Q, draw)
+    return out
+
+
+@pytest.mark.parametrize("name", [*COVER_DRAWS, "ref-14x14-seed3", "bool2-sparse-8x8-seed4"])
+def test_covers_match_the_mask_oracle_at_size(cover_contexts, name):
+    sizes = {}
+    for compute in (fca_lattice, rst_lattice):
+        lat = compute(cover_contexts[name])
+        types = lattice_to_json(lat)["types"]
+        for (code, codes), generators in zip(lat.coded, lat.generators):
+            assert set(generators) <= set(codes), (lat.kind, code.qobj)
+            labels = [presheaf_label(code.decode(c)) for c in codes]
+            expected = [list(e) for e in oracle_mask_covers(code, codes, labels)]
+            assert types[code.qobj]["hasse"] == expected, (lat.kind, code.qobj)
+        sizes[lat.kind] = len(lat)
+    if name == "two-22x22-seed1":
+        assert sizes == {"fca": 825, "rst": 903}
 
 
 def _square_context(Q, entries):

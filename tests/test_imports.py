@@ -6,9 +6,11 @@ No linter ships with the package, so this parses ``src/qfca/*.py`` and
 binds and the module never reads.  It also fails on a public module-level
 ``def`` or ``class`` of ``src/qfca`` that no other statement there reads, by
 name or as an attribute: such a definition serves no command, so it belongs
-in the tests or nowhere.  The functions that ``perfbench/tracing.py`` wraps
-are exempt, since the benchmark reads them by name.  ``__init__.py`` is
-skipped: its imports are the package's exports.
+in the tests or nowhere.  The same holds for a public method of a class
+there that no attribute read elsewhere in ``src/qfca`` names.  The functions
+and methods that ``perfbench/tracing.py`` wraps are exempt, since the
+benchmark reads them by name.  ``__init__.py`` is skipped: its imports are the
+package's exports.
 """
 
 import ast
@@ -65,6 +67,31 @@ def test_the_scan_finds_unread_definitions():
     assert unread_definitions(sources) == [("a", "f"), ("a", "C")]
 
 
+def unread_methods(sources: dict) -> list:
+    """The public methods of the module-level classes in ``sources`` that no
+    attribute read outside the method itself names, as (module,
+    ``Class.method``) pairs."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    methods = [(module, cls.name, node) for module, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    attributes = [n for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)]
+    unread = []
+    for module, cls, node in methods:
+        own = set(map(id, ast.walk(node)))
+        if not any(n.attr == node.name and id(n) not in own for n in attributes):
+            unread.append((module, f"{cls}.{node.name}"))
+    return unread
+
+
+def test_the_scan_finds_unread_methods():
+    sources = {"a": "class C:\n    def f(self):\n        return self.f()\n\n"
+                    "    def g(self):\n        pass\n\n    def _h(self):\n        pass\n",
+               "b": "def k(c):\n    return c.g()\n"}
+    assert unread_methods(sources) == [("a", "C.f")]
+
+
 def test_every_public_definition_is_read_in_the_library(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
@@ -73,4 +100,6 @@ def test_every_public_definition_is_read_in_the_library(monkeypatch):
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in FILES if path.parent.name == "qfca"}
     assert [(module, name) for module, name in unread_definitions(sources)
+            if name not in traced] == []
+    assert [(module, name) for module, name in unread_methods(sources)
             if name not in traced] == []

@@ -15,7 +15,7 @@ on closed non-discrete three-object carriers.  The ``Arrow`` closures are
 the oracle for the closures on int codes that build them, the per-cell table
 builder for the tables those codes are read through, the materialized
 lattice category is the
-oracle for the Hasse covers that serialization reads from per-position masks,
+oracle for the Hasse covers that serialization reads off the generators,
 and the entrywise scans of ``_helpers`` are the oracles for the adjoint
 maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
 distributor calculus.  Labelling each value by ``Quantaloid.label`` is the
