@@ -112,8 +112,6 @@ from .concept import (
     verify_rst_as_fca_complement,
 )
 from .represent import (
-    GeneratorMaps,
-    build_generator_maps,
     fix_points,
     quantale_corollary_check,
     verify_dense_representation,

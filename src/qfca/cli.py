@@ -120,10 +120,6 @@ class ContextDocument(_Record):
                  distributors: dict, functors: dict):
         self._set(quantaloid, quantaloid_spec, categories, distributors, functors)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ContextDocument)
-                and serialize_document(self) == serialize_document(other))
-
 
 # -- parsing ---------------------------------------------------------------------
 
@@ -392,55 +388,6 @@ def load_valid_document(path: str) -> ContextDocument:
     if failed:
         raise ValidationFailed(failed)
     return doc
-
-
-def serialize_document(doc: ContextDocument) -> dict:
-    Q = doc.quantaloid
-    if "preset" in doc.quantaloid_spec:
-        qspec = {"preset": doc.quantaloid_spec["preset"]}
-    else:
-        homs = {}
-        for p, q in itertools.product(Q.objects, repeat=2):
-            hom = Q.hom(p, q)
-            homs[f"{p}->{q}"] = {
-                "elements": list(hom.elements),
-                "leq": sorted([hom.elements[i], hom.elements[j]] for i, j in hom.leq_pairs),
-            }
-        compose = []
-        for p, q, r in itertools.product(Q.objects, repeat=3):
-            for v in Q.arrows(q, r):
-                for u in Q.arrows(p, q):
-                    w = Q.compose(v, u)
-                    compose.append([f"{q}->{r}:{Q.label(v)}", f"{p}->{q}:{Q.label(u)}",
-                                    f"{p}->{r}:{Q.label(w)}"])
-        qspec = {
-            "objects": list(Q.objects),
-            "homs": homs,
-            "compose": compose,
-            "units": {q: Q.label(Q.unit(q)) for q in Q.objects},
-            "name": Q.name,
-        }
-    out = {"quantaloid": qspec, "categories": {}, "distributors": {}, "functors": {}}
-    for name in sorted(doc.categories):
-        A = doc.categories[name]
-        out["categories"][name] = {
-            "objects": [{"label": x, "type": t} for x, t in zip(A.objects, A.types)],
-            "hom": [[x, y, Q.label(A.hom_of(x, y))]
-                    for x in A.objects for y in A.objects],
-        }
-    for name in sorted(doc.distributors):
-        phi = doc.distributors[name]
-        out["distributors"][name] = {
-            "from": phi.dom.name,
-            "to": phi.cod.name,
-            "entries": [[x, y, Q.label(phi.at(x, y))]
-                        for x in phi.dom.objects for y in phi.cod.objects],
-        }
-    for name in sorted(doc.functors):
-        F = doc.functors[name]
-        out["functors"][name] = {"from": F.dom.name, "to": F.cod.name,
-                                 "map": {x: F(x) for x in F.dom.objects}}
-    return out
 
 
 # -- output helpers -----------------------------------------------------------------

@@ -13,8 +13,8 @@ category on A^op, so its underlying order is the *reverse* of the entrywise
 arrow order.  Functions here always state which order they use.
 
 ``materialize_presheaves``/``materialize_copresheaves`` build the presheaf and
-copresheaf categories, for oracle tests and for functors that need the whole
-space (generator maps, the adjunction of the general and dense canonical
+copresheaf categories, for oracle tests and for what needs the whole space
+(the density suite, the adjunction of the general and dense canonical
 representation data).  A space is enumerated as the join closure of the
 tensors ``u . hom(-, a)`` on int codes, so it costs what it holds, and the
 enumeration cap bounds the members produced.  What depends on the base alone

@@ -102,7 +102,7 @@ def discrete_category(q: Quantaloid, typed: QTypedSet, name: str = "") -> QCateg
 
 def singleton_category(q: Quantaloid, obj: str) -> QCategory:
     """The one-object category on a quantaloid object, hom the unit arrow."""
-    return QCategory(q, (obj,), (obj,), ((q.unit(obj),),), name=f"{{{obj}}}")
+    return discrete_category(q, QTypedSet((obj,), (obj,)), name=f"{{{obj}}}")
 
 
 def validate_category(A: QCategory) -> ValidationReport:

@@ -430,13 +430,14 @@ class Quantaloid:
         return self._hom_bound(p, q, arrows, "meet")
 
     def _hom_bound(self, p: str, q: str, arrows, kind: str) -> Arrow:
-        idx = []
+        """Fold the hom's pairwise table from its empty bound; every hom is a lattice."""
+        hom = self.hom(p, q)
+        table, k = (hom.joins, hom.bottom) if kind == "join" else (hom.meets, hom.top)
         for a in arrows:
             if (a.src, a.dst) != (p, q):
                 raise TypeMismatch(f"{a} is not in hom ({p},{q})")
-            idx.append(a.index)
-        hom = self.hom(p, q)
-        return self.arrow_table[(p, q)][hom.bound(idx, hom.up if kind == "join" else hom.down)]
+            k = table[k][a.index]
+        return self.arrow_table[(p, q)][k]
 
     def left_imp(self, w: Arrow, u: Arrow) -> Arrow:
         """left_imp(w, u) for u: p -> q, w: p -> r, giving q -> r."""

@@ -1,4 +1,4 @@
-"""Executable verifiers for the representation theorems, plus generator maps.
+"""Executable verifiers for the representation theorems.
 
 Each verifier checks the hypotheses and the defining equality of one
 representation theorem on concrete finite data and returns a structured
@@ -33,9 +33,7 @@ from .errors import (
 from .qcat import (
     QCategory,
     QFunctor,
-    QTypedSet,
     compose_functors,
-    discrete_category,
     dualize_category,
     is_essentially_surjective,
     is_fully_faithful,
@@ -242,7 +240,7 @@ def verify_rst_representation(phi: QDistributor, X: QCategory, F: QFunctor,
                                  "residual(phi)(b,m) == X(Fb,Gm)")
 
 
-# -- generator maps and elementary theorems ------------------------------------------
+# -- generators and elementary theorems ---------------------------------------------
 
 
 def dom_pairs(A: QCategory) -> tuple[tuple[str, Arrow], ...]:
@@ -257,10 +255,6 @@ def cod_pairs(A: QCategory) -> tuple[tuple[str, Arrow], ...]:
     q = A.q
     return tuple((a, u) for a in A.objects
                  for t in q.objects for u in q.arrows(t, A.type_of(a)))
-
-
-def _pair_label(A: QCategory, a: str, u: Arrow) -> str:
-    return f"({a};{A.q.label(u)}:{u.src}->{u.dst})"
 
 
 def presheaf_tensor(A: QCategory, a: str, u: Arrow) -> Presheaf:
@@ -278,59 +272,6 @@ def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
 def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
     """The representable at a residuated into u; type dom(u): presheaf_residual in A^op."""
     return _copresheaf_of(presheaf_residual(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
-
-
-class GeneratorMaps(_Record):
-    """The four type-preserving maps from arrow-tagged carriers into P / P+.
-
-    ``presheaf_tensors`` is join-dense and ``presheaf_residuals`` meet-dense
-    in the presheaf category; ``copresheaf_residuals`` is join-dense and
-    ``copresheaf_tensors`` meet-dense in the copresheaf category (whose
-    underlying order is the reversed one).  ``density`` records the four
-    certificates, computed on the materialized spaces.
-    """
-
-    _fields = ("base", "dom_set", "cod_set", "presheaf_tensors", "presheaf_residuals",
-               "copresheaf_tensors", "copresheaf_residuals", "density", "pair_of")
-
-    def __init__(self, base: QCategory, dom_set: QTypedSet, cod_set: QTypedSet,
-                 presheaf_tensors: QFunctor, presheaf_residuals: QFunctor,
-                 copresheaf_tensors: QFunctor, copresheaf_residuals: QFunctor,
-                 density: dict | None = None, pair_of: dict | None = None):
-        self._set(base, dom_set, cod_set, presheaf_tensors, presheaf_residuals,
-                  copresheaf_tensors, copresheaf_residuals,
-                  {} if density is None else density, {} if pair_of is None else pair_of)
-
-
-def build_generator_maps(A: QCategory, pa: PresheafSpace | None = None,
-                         pda: PresheafSpace | None = None) -> GeneratorMaps:
-    pa = pa if pa is not None else materialize_presheaves(A)
-    pda = pda if pda is not None else materialize_copresheaves(A)
-    dp, cp = dom_pairs(A), cod_pairs(A)
-    dp_labels = [_pair_label(A, a, u) for a, u in dp]
-    cp_labels = [_pair_label(A, a, u) for a, u in cp]
-    dom_set = QTypedSet(tuple(dp_labels), tuple(u.dst for _, u in dp))
-    cod_set = QTypedSet(tuple(cp_labels), tuple(u.src for _, u in cp))
-    dom_cat = discrete_category(A.q, dom_set, name="rows-with-arrows")
-    cod_cat = discrete_category(A.q, cod_set, name="rows-with-coarrows")
-    pair_of = dict(zip(dp_labels + cp_labels, dp + cp))
-    ut = pa.functor_from(dom_cat,
-                         lambda l: presheaf_tensor(A, *pair_of[l]), name="tensors")
-    nr = pa.functor_from(dom_cat,
-                         lambda l: presheaf_residual(A, *pair_of[l]), name="residuals")
-    ct = pda.functor_from(cod_cat,
-                          lambda l: copresheaf_tensor(A, *pair_of[l]), name="cotensors")
-    cr = pda.functor_from(cod_cat,
-                          lambda l: copresheaf_residual(A, *pair_of[l]), name="coresiduals")
-    # materialized (co)presheaf spaces are complete; meets are joins in the dual
-    P, Pd = pa.category, pda.category
-    density = {
-        "presheaf_tensors:join": _join_dense(P, ut.mapping.values()),
-        "presheaf_residuals:meet": _join_dense(dualize_category(P), nr.mapping.values()),
-        "copresheaf_tensors:meet": _join_dense(dualize_category(Pd), ct.mapping.values()),
-        "copresheaf_residuals:join": _join_dense(Pd, cr.mapping.values()),
-    }
-    return GeneratorMaps(A, dom_set, cod_set, ut, nr, ct, cr, density, pair_of)
 
 
 class _Elementary(_Frozen):
@@ -526,7 +467,10 @@ def verify_adjunction_as_functors(phi: QDistributor, kind: str) -> Report:
 
 def verify_density_suite(A: QCategory) -> Report:
     """Yoneda dense, co-Yoneda codense, residual inclusion codense, and the
-    four generator maps join/meet-dense, all on materialized spaces."""
+    four generator images dense, all on materialized spaces: the tensors
+    ``u . hom(-, a)`` join-dense and the residuals ``left_imp(u, hom(a, -))``
+    meet-dense in P(A), the cotensors meet-dense and the coresiduals join-dense
+    in P+(A), whose order is reversed.  A meet is a join in the (complete) dual."""
     report = Report(f"density@{A.name}")
     pa = materialize_presheaves(A)
     pda = materialize_copresheaves(A)
@@ -535,9 +479,14 @@ def verify_density_suite(A: QCategory) -> Report:
     rc = residual_category(A)
     report.check("residual-inclusion-codense",
                  is_codense(rc.functor_to(pa, lambda m: m, name="residual-inclusion")), "")
-    gm = build_generator_maps(A, pa, pda)
-    for name, ok in gm.density.items():
-        report.check(name, ok, "")
+    P, Pd = pa.category, pda.category
+    for name, X, space, pairs, make in (
+            ("presheaf_tensors:join", P, pa, dom_pairs, presheaf_tensor),
+            ("presheaf_residuals:meet", dualize_category(P), pa, dom_pairs, presheaf_residual),
+            ("copresheaf_tensors:meet", dualize_category(Pd), pda, cod_pairs, copresheaf_tensor),
+            ("copresheaf_residuals:join", Pd, pda, cod_pairs, copresheaf_residual)):
+        image = {space.label_of(make(A, a, u)) for a, u in pairs(A)}
+        report.check(name, _join_dense(X, image), "")
     return report
 
 

@@ -8,15 +8,18 @@ read covers off the generators.  Two readers pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
 checks that run on library maps: the transpose identities and the eight
 adjoint-arrow identities, exact equalities of distributors that no
-representation theorem reports on.  The last two sections hold maps that no
+representation theorem reports on.  The last four sections hold maps that no
 ``qfca`` command reaches and that the tests use to check the library or to
 build its inputs: suprema and infima, adjoint search, order-level density,
-the copresheaf Kan maps, the functor order and the equivalence search; and
-Chu transforms with the functorial action of the concept lattices on them.
+the copresheaf Kan maps, the functor order and the equivalence search; the
+four generator maps as functors with their density; a context document
+written back as JSON; and Chu transforms with the functorial action of the
+concept lattices on them.
 """
 
 import itertools
 
+from qfca.cli import ContextDocument
 from qfca.concept import (
     ConceptLattice,
     IsbellPair,
@@ -64,7 +67,9 @@ from qfca.presheaf import (
 from qfca.qcat import (
     QCategory,
     QFunctor,
+    QTypedSet,
     compose_functors,
+    discrete_category,
     dualize_category,
     dualize_functor,
     identity_functor,
@@ -88,6 +93,7 @@ from qfca.quantaloid import Arrow, build_preset
 from qfca.represent import (
     canonical_adjunction,
     cod_pairs,
+    copresheaf_residual,
     copresheaf_tensor,
     dom_pairs,
     presheaf_tensor,
@@ -828,6 +834,99 @@ def find_equivalence(A: QCategory, B: QCategory):
         return None
     return QFunctor(A, B, {x: F0(proj(x)) for x in A.objects},
                     name=f"equivalence({A.name},{B.name})")
+
+
+# -- the four generator maps as functors --------------------------------------------
+
+
+def generator_functors(A: QCategory, pa, pda) -> tuple[dict, dict]:
+    """The generator maps of ``verify_density_suite`` as functors into the
+    materialized spaces ``pa`` (P(A)) and ``pda`` (P+(A)), and their density.
+
+    Tensors and residuals go from the discrete category on the (object, arrow
+    out of its type) pairs, cotensors and coresiduals from the one on the
+    (object, arrow into its type) pairs; a pair is labelled ``(a;u:src->dst)``
+    and typed as the generator it names.  Both dicts are keyed by the names of
+    the four density conditions, in the report's order; the density is
+    ``_join_dense`` over each functor's image, in the space or its dual.
+    """
+    dp, cp = dom_pairs(A), cod_pairs(A)
+    dp_labels, cp_labels = ([f"({a};{A.q.label(u)}:{u.src}->{u.dst})" for a, u in pairs]
+                            for pairs in (dp, cp))
+    dom_cat = discrete_category(A.q, QTypedSet(tuple(dp_labels), tuple(u.dst for _, u in dp)),
+                                name="rows-with-arrows")
+    cod_cat = discrete_category(A.q, QTypedSet(tuple(cp_labels), tuple(u.src for _, u in cp)),
+                                name="rows-with-coarrows")
+    pair_of = dict(zip(dp_labels + cp_labels, dp + cp))
+    functors = {
+        "presheaf_tensors:join": pa.functor_from(
+            dom_cat, lambda l: presheaf_tensor(A, *pair_of[l]), name="tensors"),
+        "presheaf_residuals:meet": pa.functor_from(
+            dom_cat, lambda l: presheaf_residual(A, *pair_of[l]), name="residuals"),
+        "copresheaf_tensors:meet": pda.functor_from(
+            cod_cat, lambda l: copresheaf_tensor(A, *pair_of[l]), name="cotensors"),
+        "copresheaf_residuals:join": pda.functor_from(
+            cod_cat, lambda l: copresheaf_residual(A, *pair_of[l]), name="coresiduals"),
+    }
+    P, Pd = pa.category, pda.category
+    spaces = (P, dualize_category(P), dualize_category(Pd), Pd)
+    density = {name: _join_dense(X, F.mapping.values())
+               for (name, F), X in zip(functors.items(), spaces)}
+    return functors, density
+
+
+# -- a context document written back as a context file --------------------------------
+
+
+def serialize_document(doc: ContextDocument) -> dict:
+    """The JSON form of ``doc`` that ``parse_document`` reads back: a preset by
+    its spec, any other quantaloid by its homs and composition table."""
+    Q = doc.quantaloid
+    if "preset" in doc.quantaloid_spec:
+        qspec = {"preset": doc.quantaloid_spec["preset"]}
+    else:
+        homs = {}
+        for p, q in itertools.product(Q.objects, repeat=2):
+            hom = Q.hom(p, q)
+            homs[f"{p}->{q}"] = {
+                "elements": list(hom.elements),
+                "leq": sorted([hom.elements[i], hom.elements[j]] for i, j in hom.leq_pairs),
+            }
+        compose = []
+        for p, q, r in itertools.product(Q.objects, repeat=3):
+            for v in Q.arrows(q, r):
+                for u in Q.arrows(p, q):
+                    w = Q.compose(v, u)
+                    compose.append([f"{q}->{r}:{Q.label(v)}", f"{p}->{q}:{Q.label(u)}",
+                                    f"{p}->{r}:{Q.label(w)}"])
+        qspec = {
+            "objects": list(Q.objects),
+            "homs": homs,
+            "compose": compose,
+            "units": {q: Q.label(Q.unit(q)) for q in Q.objects},
+            "name": Q.name,
+        }
+    out = {"quantaloid": qspec, "categories": {}, "distributors": {}, "functors": {}}
+    for name in sorted(doc.categories):
+        A = doc.categories[name]
+        out["categories"][name] = {
+            "objects": [{"label": x, "type": t} for x, t in zip(A.objects, A.types)],
+            "hom": [[x, y, Q.label(A.hom_of(x, y))]
+                    for x in A.objects for y in A.objects],
+        }
+    for name in sorted(doc.distributors):
+        phi = doc.distributors[name]
+        out["distributors"][name] = {
+            "from": phi.dom.name,
+            "to": phi.cod.name,
+            "entries": [[x, y, Q.label(phi.at(x, y))]
+                        for x in phi.dom.objects for y in phi.cod.objects],
+        }
+    for name in sorted(doc.functors):
+        F = doc.functors[name]
+        out["functors"][name] = {"from": F.dom.name, "to": F.cod.name,
+                                 "map": {x: F(x) for x in F.dom.objects}}
+    return out
 
 
 # -- Chu transforms and the functorial action of the concept lattices ----------------

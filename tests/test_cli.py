@@ -289,15 +289,6 @@ def test_tr_output(capsys):
         assert m["provenance"]
 
 
-def test_round_trip(capsys):
-    for path in ALL_CONTEXT_FILES:
-        doc = cli.load_document(str(path))
-        once = cli.serialize_document(doc)
-        again = cli.serialize_document(cli.parse_document(once))
-        assert once == again
-        assert cli.parse_document(once) == doc
-
-
 def test_byte_identical_outputs(capsys, tmp_path):
     fixtures = [
         ("concepts", CONTEXTS / "fix_dl3.json", "--mode", "rst", "--out", "dot"),

@@ -9,7 +9,9 @@ name or as an attribute: such a definition serves no command, so it belongs
 in the tests or nowhere.  The same holds for a public method of a class
 there that no attribute read elsewhere in ``src/qfca`` names.  The functions
 and methods that ``perfbench/tracing.py`` wraps are exempt, since the
-benchmark reads them by name.  ``__init__.py`` is skipped: its imports are the
+benchmark reads them by name.  A definition that only a dunder method such as
+``__eq__`` reads passes the scan, since the method reads it by name; such a
+method needs its own reason to be in the library.  ``__init__.py`` is skipped: its imports are the
 package's exports.
 """
 

@@ -15,7 +15,7 @@ from _helpers import (
     scan_right_imp,
 )
 from qfca.concept import fca_lattice, rst_lattice
-from qfca.errors import ValidationFailed
+from qfca.errors import TypeMismatch, ValidationFailed
 from qfca.qdist import hom_rows
 from qfca.quantaloid import (
     Arrow,
@@ -64,12 +64,19 @@ def test_tables_agree_with_scans(Q):
     for p, q in itertools.product(Q.objects, repeat=2):
         hom, n = Q.hom(p, q), len(Q.hom(p, q))
         arrows = Q.arrows(p, q)
-        assert Q.hom_join(p, q, []) is arrows[scan_join(Q, p, q, [])] is Q.bottom(p, q)
-        assert Q.hom_meet(p, q, []) is arrows[scan_meet(Q, p, q, [])] is Q.top(p, q)
+        assert Q.bottom(p, q) is arrows[scan_join(Q, p, q, [])]
+        assert Q.top(p, q) is arrows[scan_meet(Q, p, q, [])]
+        # the bounds of every list of up to three arrows, the empty list included
+        for r in range(4):
+            for idx in itertools.product(range(n), repeat=r):
+                picked = [arrows[i] for i in idx]
+                assert Q.hom_join(p, q, picked) is arrows[scan_join(Q, p, q, idx)]
+                assert Q.hom_meet(p, q, picked) is arrows[scan_meet(Q, p, q, idx)]
+        for bound in (Q.hom_join, Q.hom_meet):
+            with pytest.raises(TypeMismatch):
+                bound(p, q, [arrows[0], Arrow(p, "elsewhere", 0)])
         for i, j in itertools.product(range(n), repeat=2):
             assert Q.leq(arrows[i], arrows[j]) == ((i, j) in hom.leq_pairs)
-            assert Q.hom_join(p, q, [arrows[i], arrows[j]]).index == scan_join(Q, p, q, [i, j])
-            assert Q.hom_meet(p, q, [arrows[i], arrows[j]]).index == scan_meet(Q, p, q, [i, j])
             assert hom.joins[i][j] == scan_join(Q, p, q, [i, j])
             # left_imp(w, 1) = w, so hom_rows folds the meet of the ws alone
             ones = (Q.unit(p),) * 2

@@ -41,6 +41,7 @@ from _helpers import (
     find_left_adjoint,
     find_right_adjoint,
     functor_iso,
+    generator_functors,
     image_join_dense,
     image_meet_dense,
     inf,
@@ -284,13 +285,11 @@ def test_join_dense_matches_subset_oracle(fixl3, fix2id):
 def test_join_dense_implies_dense(fix2id, luk3):
     # bridge: join-density into a complete target forces density
     A = fix2id.A
-    pa = materialize_presheaves(A)
-    from qfca.represent import build_generator_maps
-    gm = build_generator_maps(A, pa, materialize_copresheaves(A))
-    assert gm.density["presheaf_tensors:join"]
-    assert is_dense(gm.presheaf_tensors)
-    assert gm.density["presheaf_residuals:meet"]
-    assert is_codense(gm.presheaf_residuals)
+    maps, density = generator_functors(A, materialize_presheaves(A), materialize_copresheaves(A))
+    assert density["presheaf_tensors:join"]
+    assert is_dense(maps["presheaf_tensors:join"])
+    assert density["presheaf_residuals:meet"]
+    assert is_codense(maps["presheaf_residuals:meet"])
 
 
 def test_enumerate_counts(two, luk3, fix2id):

@@ -20,7 +20,9 @@ and the entrywise scans of ``_helpers`` are the oracles for the adjoint
 maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
 distributor calculus.  Labelling each value by ``Quantaloid.label`` is the
 oracle for the printed form that (co)presheaf families keep and that
-``lattice_to_json`` and ``qfca tr`` read.
+``lattice_to_json`` and ``qfca tr`` read.  The generator maps as functors
+from discrete categories of arrow-tagged objects, ``_helpers.generator_functors``,
+are the oracle for the four generator verdicts of the density suite.
 """
 
 import functools
@@ -37,6 +39,7 @@ from _helpers import (
     chain4_quantale,
     enumerate_categories,
     enumerate_distributors,
+    generator_functors,
     kan_dag,
     kan_lower_dag,
     oracle_copresheaf_hom,
@@ -63,6 +66,7 @@ from _helpers import (
     residual_closed_form_misses,
     scan_join,
     scan_meet,
+    serialize_document,
     top_presheaf,
 )
 from qfca.quantaloid import (
@@ -72,11 +76,12 @@ from qfca.quantaloid import (
     is_cyclic_family,
     validate_quantaloid,
 )
-from qfca.cli import ContextDocument, main, serialize_document
+from qfca.cli import ContextDocument, main
 from qfca.qcat import (
     QCategory,
     QTypedSet,
     discrete_category,
+    dualize_category,
     is_fully_faithful,
     underlying_order,
     validate_category,
@@ -84,6 +89,7 @@ from qfca.qcat import (
 from qfca.qdist import QDistributor, dist_compose, dist_left_imp, graph, identity_dist
 from qfca.presheaf import (
     _SetCode,
+    _join_dense,
     _member_codes,
     copresheaf_hom,
     enumerate_copresheaves,
@@ -115,7 +121,7 @@ from qfca.concept import (
     verify_rst_as_fca,
 )
 from qfca import represent
-from qfca.represent import verify_adjunction_laws
+from qfca.represent import verify_adjunction_laws, verify_density_suite
 
 TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
@@ -372,6 +378,33 @@ def test_adjunction_laws_match_the_member_scan_randomized(data):
     got = verify_adjunction_laws(phi).to_json()
     with mock.patch.object(represent, "_presheaf_side_laws", oracle_side_laws):
         assert got == verify_adjunction_laws(phi).to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_density_suite_matches_the_generator_functors_randomized(data):
+    # the four generator verdicts, read off the images, against the functors
+    # from the discrete categories of arrow-tagged objects.  Each verdict holds
+    # on every carrier (a theorem), so the space and the image that the suite
+    # hands to _join_dense are compared too
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    n = data.draw(st.integers(1, 3 if Q is TWO else 2), label="size")
+    labels = tuple(f"x{i}" for i in range(n))
+    A = data.draw(st.sampled_from(_categories(Q, labels)), label="category")
+    seen = []
+
+    def recording(X, image):
+        seen.append((X, set(image)))
+        return _join_dense(X, image)
+
+    with mock.patch.object(represent, "_join_dense", recording):
+        report = verify_density_suite(A)
+    pa, pda = materialize_presheaves(A), materialize_copresheaves(A)
+    functors, density = generator_functors(A, pa, pda)
+    P, Pd = pa.category, pda.category
+    spaces = (P, dualize_category(P), dualize_category(Pd), Pd)
+    assert seen == [(X, set(F.mapping.values())) for X, F in zip(spaces, functors.values())]
+    assert [(c.name, c.passed) for c in report.conditions[3:]] == list(density.items())
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,10 +17,9 @@ from qfca.qcat import (
     singleton_category,
 )
 from qfca.qdist import QDistributor, dist_compose, cograph, graph, identity_dist
-from qfca.presheaf import materialize_presheaves, yoneda
+from qfca.presheaf import materialize_copresheaves, materialize_presheaves, yoneda
 from qfca.concept import fca_lattice, isbell_down, residual_category
 from qfca.represent import (
-    build_generator_maps,
     canonical_adjunction,
     canonical_dense_data,
     canonical_elementary_data,
@@ -50,6 +49,7 @@ from _helpers import (
     find_equivalence,
     find_left_adjoint,
     find_right_adjoint,
+    generator_functors,
 )
 
 CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"
@@ -245,20 +245,21 @@ def test_rst_representation_wrong_G(fixl3):
 def test_generator_maps(fixl3, fix2id):
     for ctx in (fixl3, fix2id):
         A = ctx.A
-        gm = build_generator_maps(A)
-        assert all(gm.density.values())
+        pa = materialize_presheaves(A)
+        maps, density = generator_functors(A, pa, materialize_copresheaves(A))
+        assert all(density.values())
         # the residual map's image is exactly the residual category
         rc = residual_category(A)
-        image = {gm.presheaf_residuals(x) for x in gm.presheaf_residuals.dom.objects}
+        residuals = maps["presheaf_residuals:meet"]
+        image = {residuals(x) for x in residuals.dom.objects}
         space_labels = set()
-        pa = materialize_presheaves(A)
         for p in rc.members:
             space_labels.add(pa.label_of(p))
         assert image == space_labels
         # type law: |(a,u)| = cod u
-        for lbl in gm.dom_set.elements:
-            a, u = gm.pair_of[lbl]
-            assert gm.presheaf_tensors.dom.type_of(lbl) == u.dst
+        tensors = maps["presheaf_tensors:join"]
+        for lbl, (_, u) in zip(tensors.dom.objects, dom_pairs(A), strict=True):
+            assert tensors.dom.type_of(lbl) == u.dst
 
 
 def test_elementary_identities(all_contexts):
