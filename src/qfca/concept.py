@@ -17,7 +17,8 @@ re-check of every concept.  A table entry is a line of the context, written
 once per call as a key string of one char per (type, entry), run through one
 ``str.translate`` into the binary digits of its image's code.  The
 translation tables depend only on the quantaloid, so it keeps them, as it
-keeps its opposite, and a context keeps nothing.  A lattice keeps the codes
+keeps its opposite; a context keeps no table of the lattices, only the
+columns ``isbell_up`` reads, hoisted per value type.  A lattice keeps the codes
 and the generators, and its JSON and DOT forms (labels, values, Hasse covers)
 are read off them: the concepts are the ``&`` closure of the generators, so
 the lower covers of a concept c are the maximal codes among ``c & g != c``
@@ -51,6 +52,8 @@ from .qcat import (
 )
 from .qdist import (
     QDistributor,
+    _hoist_columns,
+    _hom_row,
     dist_left_imp,
     dist_right_imp,
     dualize_distributor,
@@ -91,11 +94,13 @@ from .quantaloid import (
 
 
 def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
-    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
+    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``; phi keeps
+    its columns hoisted for mu's type, so a call is one ``hom_rows`` row of steps."""
     _require(Presheaf, phi.dom, "the context's row category", mu)
     s = mu.type
-    return Copresheaf(phi.cod, s, tuple(next(hom_rows(
-        phi.q, phi.dom.types, [(s, mu.values)], zip(phi.cod.types, phi.columns)))))
+    columns = _kept(phi, f"_isbell {s}", lambda phi: _hoist_columns(
+        phi.q, phi.dom.types, s, zip(phi.cod.types, phi.columns)))
+    return Copresheaf(phi.cod, s, tuple(_hom_row(columns, mu.values)))
 
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
@@ -301,7 +306,7 @@ def _table(src: _SetCode, keys, q: Quantaloid, map_: str) -> list[tuple[int, dic
     ``str.translate`` per position and value, none per context cell.  The
     translation tables depend only on the quantaloid, the map, the type and
     the line's type and value, so q keeps them across calls, as it keeps its
-    opposite; a context keeps nothing.  An empty dst side gives code 0."""
+    opposite; a context keeps no table.  An empty dst side gives code 0."""
     kept, s = _kept(q, "_translations", lambda _: {}), src.qobj
     return [(field, dict(zip(rows, [int(key.translate(tr) or "0", 2)
                                     for tr in _translations(q, kept, (map_, s, p))])))

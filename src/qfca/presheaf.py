@@ -22,14 +22,16 @@ is built once and kept on the base: the code layouts, the member codes and
 their order, and each space's category.  A space itself is a thin wrapper
 that decodes its members on demand, and the cap is checked on every call.
 Every hom between (co)presheaves, one or a whole family's matrix, is a call
-of the row kernel ``qdist.hom_rows``.
+of the row kernel ``qdist.hom_rows``.  A join-density witness is a fold of
+join tables over hom indices; no ``Arrow`` operation of the quantaloid runs there.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, _Frozen, budget
+from .errors import (BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, TypeMismatch,
+                     _Frozen, budget)
 from .qcat import (
     QCategory,
     QFunctor,
@@ -141,21 +143,11 @@ def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
     return _hom_grid([lam], [kap])[0][0]
 
 
-def _pointwise_bound(A: QCategory, qobj: str, parts, bound) -> Presheaf:
-    """``bound`` (``Quantaloid.hom_meet`` or ``hom_join``) at each position."""
-    parts = list(parts)
-    return Presheaf(A, qobj, tuple(bound(t, qobj, [p.values[i] for p in parts])
-                                   for i, t in enumerate(A.types)))
-
-
 def presheaf_meet(A: QCategory, qobj: str, parts) -> Presheaf:
     """Pointwise meet; the empty meet is the top presheaf."""
-    return _pointwise_bound(A, qobj, parts, A.q.hom_meet)
-
-
-def presheaf_join(A: QCategory, qobj: str, parts) -> Presheaf:
-    """Pointwise join; the empty join is the bottom presheaf."""
-    return _pointwise_bound(A, qobj, parts, A.q.hom_join)
+    parts = list(parts)
+    return Presheaf(A, qobj, tuple(A.q.hom_meet(t, qobj, [p.values[i] for p in parts])
+                                   for i, t in enumerate(A.types)))
 
 
 # -- Yoneda ---------------------------------------------------------------------
@@ -173,10 +165,13 @@ def coyoneda(A: QCategory, a: str) -> Copresheaf:
 
 
 def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
-    """u residuated by the corepresentable at a: ``left_imp(u, hom(a, -))``, type cod(u)."""
-    q = A.q
-    i = A.index(a)
-    return Presheaf(A, u.dst, tuple(q.left_imp(u, A.hom[i][j]) for j in range(len(A))))
+    """u residuated by the corepresentable at a: ``left_imp(u, hom(a, -))``, type cod(u).
+    Read off ``limp_table``."""
+    q, i, t = A.q, A.index(a), u.dst
+    if u.src != A.types[i]:
+        raise TypeMismatch(f"{u} does not start at the type of {a}")
+    return Presheaf(A, t, tuple(q.arrow_table[p, t][q.limp_table[u.src, p, t][u.index][h.index]]
+                                for p, h in zip(A.types, A.hom[i])))
 
 
 # -- weighted colimits ------------------------------------------------------------
@@ -598,23 +593,31 @@ def _join_dense(X: QCategory, image) -> bool:
     Uses the canonical witness: the set of all image objects below y.  If any
     subset of the image joins to y then that canonical set does too (joins
     are monotone in the subset), so this decides the subset search exactly.
-    The witness join is the supremum of the pointwise join of the representables,
-    found as ``weighted_colimit`` finds a colimit along the identity, with its graph
+    The witness, the pointwise join of their representables, is at each position x
+    a fold of the ``joins`` table over the indices ``X.hom[x][s]``.  Its supremum is found
+    as ``weighted_colimit`` finds a colimit along the identity, with its graph
     columns and the lookup from a hom row to its least-label object built once;
     where that supremum is missing, as it may be in an incomplete X, y is not a join."""
-    order = underlying_order(X)
-    image = sorted(set(image), key=X.index)
+    order, q = underlying_order(X), X.q
+    image = [(s, X.index(s)) for s in sorted(set(image), key=X.index)]
     least: dict[tuple, str] = {}
     for x, t, row in zip(X.objects, X.types, X.hom):
         if least.setdefault((t, row), x) > x:
             least[t, row] = x
+    folds = {t: [(q.homs[p, t].joins, q.homs[p, t].bottom, q.arrow_table[p, t]) for p in X.types]
+             for t in set(X.types)}
 
     def witnesses():
         for y, t in zip(X.objects, X.types):
-            below = [s for s in image if X.type_of(s) == t and order.leq(s, y)]
-            yield t, presheaf_join(X, t, [yoneda(X, s) for s in below]).values
+            below = [i for s, i in image if X.types[i] == t and order.leq(s, y)]
+            values = []
+            for (joins, k, arrows), row in zip(folds[t], X.hom):
+                for i in below:
+                    k = joins[k][row[i].index]
+                values.append(arrows[k])
+            yield t, values
 
-    rows = hom_rows(X.q, X.types, witnesses(), _graph_columns(identity_functor(X)))
+    rows = hom_rows(q, X.types, witnesses(), _graph_columns(identity_functor(X)))
     for y, t, row in zip(X.objects, X.types, rows):
         j = least.get((t, tuple(row)))
         if j is None or not order.iso(j, y):

@@ -13,8 +13,11 @@ kernels: ``tensor_ix``, a fold of one entry's join of composites, carries
 ``dist_compose`` and ``kan_star``; ``hom_rows``, the row
 kernel of the presheaf hom (a meet of left residuals), computes a whole
 matrix of homs row by row and carries ``dist_left_imp``, every presheaf and
-copresheaf hom, ``weighted_colimit``, ``isbell_up``, ``kan_lower`` and the
-density tests.  Their duals reduce to these.
+copresheaf hom, ``weighted_colimit``, ``isbell_up`` (through its two steps,
+so that the context keeps the hoisted columns), ``kan_lower`` and the density
+tests.  Their duals reduce to these, and the bimodule law is decided on the
+compose table.  A context keeps (``quantaloid._kept``) its ``columns``, its
+dual, and per value type the columns ``isbell_up`` reads; none refers back.
 
 Distributor equality is exact entrywise arrow equality; the theorems this
 package verifies are equalities at this level, not isomorphisms.
@@ -71,26 +74,26 @@ class QDistributor:
     def __repr__(self) -> str:
         return f"QDistributor({self.name!r}: {self.dom.name} -/-> {self.cod.name})"
 
-    def leq(self, other: "QDistributor") -> bool:
-        """The local (entrywise) order of distributors."""
-        if self.dom != other.dom or self.cod != other.cod:
-            raise TypeMismatch("cannot order distributors with different endpoints")
-        q = self.q
-        return all(q.leq(a, b) for ra, rb in zip(self.matrix, other.matrix)
-                   for a, b in zip(ra, rb))
-
 
 def validate_distributor(phi: QDistributor) -> ValidationReport:
-    """Check the bimodule law on all quadruples; O(|A|^2 |B|^2) accepted."""
+    """Check the bimodule law on all quadruples, O(|A|^2 |B|^2), on the compose
+    table's indices and the hom orders' ``up`` bits: per row type p, the rows
+    ``hom(y, y') . -`` out of p are looked up once."""
     report = ValidationReport(f"distributor {phi.name}")
     A, B, q = phi.dom, phi.cod, phi.q
-    for xp, x in itertools.product(range(len(A)), repeat=2):
-        for y, yp in itertools.product(range(len(B)), repeat=2):
-            lhs = q.compose(B.hom[y][yp], q.compose(phi.matrix[x][y], A.hom[xp][x]))
-            if not q.leq(lhs, phi.matrix[xp][yp]):
-                report.add("distributor.bimodule",
-                           (A.objects[xp], A.objects[x], B.objects[y], B.objects[yp]),
-                           "hom(y,y').phi(x,y).hom(x',x) <= phi(x',y') fails")
+    comp, homs = q.compose_table, q.homs
+    after = {p: [[comp[p, s, t][h.index] for h, t in zip(b_row, B.types)]
+                 for s, b_row in zip(B.types, B.hom)] for p in set(A.types)}
+    for xp, p, a_row, target in zip(A.objects, A.types, A.hom, phi.matrix):
+        rows = after[p]
+        checks = [(homs[p, t].up, e.index, yp) for yp, t, e in zip(B.objects, B.types, target)]
+        for x, r, a, entries in zip(A.objects, A.types, a_row, phi.matrix):
+            for y, s, e, row in zip(B.objects, B.types, entries, rows):
+                k = comp[p, r, s][e.index][a.index]
+                for after_k, (up, bound, yp) in zip(row, checks):
+                    if not up[after_k[k]] >> bound & 1:
+                        report.add("distributor.bimodule", (xp, x, y, yp),
+                                   "hom(y,y').phi(x,y).hom(x',x) <= phi(x',y') fails")
     return report
 
 
@@ -104,28 +107,36 @@ def hom_rows(q, types, rows, cols):
     ``ws[x]: types[x] -> t``, yielded as one list over cols per row; the empty meet
     is the top.
 
-    For each row type s, each column's ``limp_table`` rows at its values and the
-    ``meets``, ``top`` and arrows of its hom are looked up once, so an entry costs one
-    ``meets`` step per position and no call.  A caller may stop after any row.
+    The columns are hoisted once per row type s (``_hoist_columns``), so an entry
+    costs one ``meets`` step per position and no call.  A caller may stop after any
+    row.
     """
-    limp, homs, arrow_table = q.limp_table, q.homs, q.arrow_table
     cols, hoisted = tuple(cols), {}
     for s, us in rows:
         at_s = hoisted.get(s)
         if at_s is None:
-            at_s = hoisted[s] = []
-            for t, ws in cols:
-                hom, residuals = homs[s, t], []
-                for p, w in zip(types, ws):
-                    residuals.append(limp[p, s, t][w.index])
-                at_s.append((hom.meets, hom.top, arrow_table[s, t], residuals))
-        indices = [u.index for u in us]
-        line = []
-        for meets, k, arrows, residuals in at_s:
-            for row, u in zip(residuals, indices):
-                k = meets[k][row[u]]
-            line.append(arrows[k])
-        yield line
+            at_s = hoisted[s] = _hoist_columns(q, types, s, cols)
+        yield _hom_row(at_s, us)
+
+
+def _hoist_columns(q, types, s: str, cols) -> list:
+    """For rows of type s, each column's ``limp_table`` rows at its values and the
+    ``meets``, ``top`` and arrows of its hom, as ``_hom_row`` reads them: ints,
+    tuples and arrows of q only."""
+    limp, homs = q.limp_table, q.homs
+    return [(homs[s, t].meets, homs[s, t].top, q.arrow_table[s, t],
+             [limp[p, s, t][w.index] for p, w in zip(types, ws)]) for t, ws in cols]
+
+
+def _hom_row(hoisted, us) -> list[Arrow]:
+    """One row of ``hom_rows`` from the row's values and its type's hoisted columns."""
+    indices = [u.index for u in us]
+    line = []
+    for meets, k, arrows, residuals in hoisted:
+        for row, u in zip(residuals, indices):
+            k = meets[k][row[u]]
+        line.append(arrows[k])
+    return line
 
 
 def tensor_ix(q, types, p: str, r: str, us, vs) -> Arrow:

@@ -17,6 +17,9 @@ and dense theorems, which read the adjunction on them.
 ``_fix_restriction`` restricts L to fix(TS) and decides whether that is an
 equivalence onto X.  ``_elementary`` describes each kind of the elementary
 theorem; its verifiers, corollary and canonical data read that, not the kind.
+The elementary entries are one grid of hom indices per kind, read off the
+residuation tables; the homs they are compared with come from ``hom_rows``.
+A verifier keeps nothing; its bases and context do (``qfca.presheaf``, ``qfca.qdist``).
 """
 
 from __future__ import annotations
@@ -258,10 +261,12 @@ def cod_pairs(A: QCategory) -> tuple[tuple[str, Arrow], ...]:
 
 
 def presheaf_tensor(A: QCategory, a: str, u: Arrow) -> Presheaf:
-    """u composed with the representable at a; type cod(u)."""
-    q = A.q
-    i = A.index(a)
-    return Presheaf(A, u.dst, tuple(q.compose(u, A.hom[j][i]) for j in range(len(A))))
+    """u composed with the representable at a; type cod(u).  Read off ``compose_table``."""
+    q, i, t = A.q, A.index(a), u.dst
+    if u.src != A.types[i]:
+        raise TypeMismatch(f"{u} does not start at the type of {a}")
+    return Presheaf(A, t, tuple(q.arrow_table[p, t][q.compose_table[p, u.src, t][u.index][h.index]]
+                                for p, h in zip(A.types, (row[i] for row in A.hom))))
 
 
 def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
@@ -278,23 +283,56 @@ class _Elementary(_Frozen):
     """One kind of the elementary theorem on phi.  F is defined on ``f_pairs``
     (``dom_pairs(pair.base)``) and G on ``g_pairs``, a G pair naming the
     (co)presheaf ``named(*g)``.  ``context`` orders an F and a G pair as
-    (a, u, b, v), row pair first; there ``entry`` is X(F f, G g), a double
-    residuation of phi(a,b), and ``below`` is the order side of the quantale
-    biconditional.  ``identity`` and ``biconditional`` are the (name, formula)
-    of those two conditions."""
+    (a, u, b, v), row pair first; there ``below`` is the order side of the quantale
+    biconditional.  ``grid(phi, f_pairs, g_pairs)`` is the index of X(F f, G g)
+    in its hom, a double residuation of phi(a,b), per F pair (row) and G pair
+    (column).  ``identity`` and ``biconditional`` are the (name, formula) of
+    those two conditions."""
 
-    _fields = ("pair", "f_pairs", "g_pairs", "named", "context", "entry", "below",
+    _fields = ("pair", "f_pairs", "g_pairs", "named", "context", "grid", "below",
                "identity", "biconditional")
 
     def __init__(self, pair: IsbellPair | KanPair, f_pairs: tuple, g_pairs: tuple,
-                 named: Callable, context: Callable, entry: Callable, below: Callable,
+                 named: Callable, context: Callable, grid: Callable, below: Callable,
                  identity: tuple[str, str], biconditional: tuple[str, str]):
-        self._set(pair, f_pairs, g_pairs, named, context, entry, below, identity,
+        self._set(pair, f_pairs, g_pairs, named, context, grid, below, identity,
                   biconditional)
 
-    def at(self, f: tuple[str, Arrow], g: tuple[str, Arrow]) -> tuple[str, str, str, str]:
-        """An F pair and a G pair as reported: (f object, f arrow, g object, g arrow)."""
-        return f[0], self.pair.phi.q.label(f[1]), g[0], self.pair.phi.q.label(g[1])
+    def misses(self, homs) -> list[tuple[str, str, str, str]]:
+        """The cells where ``homs`` (by F pair, then G pair) miss ``grid``, as reported:
+        (f object, f arrow, g object, g arrow)."""
+        label, grid = self.pair.phi.q.label, self.grid(self.pair.phi, self.f_pairs, self.g_pairs)
+        return [(f[0], label(f[1]), g[0], label(g[1]))
+                for f, line, want in zip(self.f_pairs, homs, grid)
+                for g, h, k in zip(self.g_pairs, line, want) if h.index != k]
+
+
+def _polarity_grid(phi: QDistributor, f_pairs, g_pairs) -> list[list[int]]:
+    """right_imp(v, left_imp(phi(a,b), u)) for F pairs (a, u) and G pairs (b, v): the
+    ``rimp_table`` rows at each v, per type of u, read at each F pair's left residuals."""
+    q, A, B = phi.q, phi.dom, phi.cod
+    columns = [B.index(b) for b, _ in g_pairs]
+    rows = {t: [q.rimp_table[t, v.src, v.dst][v.index] for _, v in g_pairs] for t in q.objects}
+    grid = []
+    for a, u in f_pairs:
+        lefts = [q.limp_table[u.src, u.dst, s][e.index][u.index]
+                 for s, e in zip(B.types, phi.matrix[A.index(a)])]
+        grid.append([row[lefts[j]] for row, j in zip(rows[u.dst], columns)])
+    return grid
+
+
+def _kan_grid(phi: QDistributor, f_pairs, g_pairs) -> list[list[int]]:
+    """left_imp(left_imp(u, phi(a,b)), v) for F pairs (b, v) and G pairs (a, u): the
+    ``limp_table`` columns at each v, per type of u, read at each G pair's residuals."""
+    q, A, B, limp = phi.q, phi.dom, phi.cod, phi.q.limp_table
+    inner = [(u.dst, [limp[u.src, s, u.dst][u.index][e.index]
+                      for s, e in zip(B.types, phi.matrix[A.index(a)])]) for a, u in g_pairs]
+    grid = []
+    for b, v in f_pairs:
+        j = B.index(b)
+        columns = {r: [row[v.index] for row in limp[v.src, v.dst, r]] for r in q.objects}
+        grid.append([columns[r][ws[j]] for r, ws in inner])
+    return grid
 
 
 def _elementary(phi: QDistributor, kind: str) -> _Elementary:
@@ -303,8 +341,7 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     if pair.kind == "fca":  # F on rows with out-arrows, G on columns with in-arrows
         return _Elementary(
             pair, dom_pairs(A), cod_pairs(B), lambda b, v: copresheaf_tensor(B, b, v),
-            lambda f, g: (*f, *g),
-            lambda a, u, b, v: q.right_imp(v, q.left_imp(phi.at(a, b), u)),
+            lambda f, g: (*f, *g), _polarity_grid,
             lambda a, u, b, v: q.leq(q.compose(v, u), phi.at(a, b)),
             ("polarity-hom", "hom(up(tensor(a,u)), cotensor(b,v)) == "
                              "right_imp(v, left_imp(phi(a,b), u))"),
@@ -312,8 +349,7 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     # rst: F on columns and G on rows, both with out-arrows
     return _Elementary(
         pair, dom_pairs(B), dom_pairs(A), lambda a, u: presheaf_residual(A, a, u),
-        lambda f, g: (*g, *f),
-        lambda a, u, b, v: q.left_imp(q.left_imp(u, phi.at(a, b)), v),
+        lambda f, g: (*g, *f), _kan_grid,
         lambda a, u, b, v: q.leq(phi.at(a, b), q.right_imp(v, u)),
         ("kan-hom", "hom(star(tensor(b,v)), residual(a,u)) == "
                     "left_imp(left_imp(u, phi(a,b)), v)"),
@@ -329,9 +365,7 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
         d = _elementary(phi, kind)
         lefts = [d.pair.left(presheaf_tensor(d.pair.base, *f)) for f in d.f_pairs]
         homs = _hom_grid(lefts, [d.named(*g) for g in d.g_pairs])
-        bad = [d.at(f, g) for f, line in zip(d.f_pairs, homs) for g, h in zip(d.g_pairs, line)
-               if h != d.entry(*d.context(f, g))]
-        report.check_none(d.identity[0], bad, d.identity[1])
+        report.check_none(d.identity[0], d.misses(homs), d.identity[1])
     return report
 
 
@@ -355,9 +389,9 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
         return report
     report.check("join-dense-F", _join_dense(X, {F[f] for f in d.f_pairs}), "")
     report.check("meet-dense-G", _join_dense(dualize_category(X), {G[g] for g in d.g_pairs}), "")
-    bad = [d.at(f, g) for f in d.f_pairs for g in d.g_pairs
-           if X.hom_of(F[f], G[g]) != d.entry(*d.context(f, g))]
-    report.check_none("hom-identity", bad,
+    columns = [X.index(G[g]) for g in d.g_pairs]
+    homs = ([row[j] for j in columns] for row in (X.hom[X.index(F[f])] for f in d.f_pairs))
+    report.check_none("hom-identity", d.misses(homs),
                       "X(F(.), G(.)) equals the double residuation of the entry")
     return report
 

@@ -2,7 +2,11 @@
 
 Most of what is here recomputes results from first principles (explicit
 scans over finite carriers) so that library outputs are checked against
-independent oracles, not against themselves.  Among them is the
+independent oracles, not against themselves.  Among the entrywise oracles
+are the bimodule law's quadruple scan, the distributor order and the
+``Arrow``-level entries of the elementary theorems, which the library reads
+as grids of table indices; ``presheaf_join`` and the witness-based
+join-density test are the oracles of the density tests' join folds.  Among them is the
 per-position mask method for Hasse covers, which the library used before it
 read covers off the generators.  Two readers pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
@@ -91,6 +95,7 @@ from qfca.qdist import (
 )
 from qfca.quantaloid import Arrow, build_preset
 from qfca.represent import (
+    _elementary,
     canonical_adjunction,
     cod_pairs,
     copresheaf_residual,
@@ -222,6 +227,48 @@ def residual_closed_form_misses(phi, rc, tr):
             for a, u in rc.provenance[p.key()]
             for b, t in zip(phi.cod.objects, phi.cod.types)
             if tr.at(b, m) != Arrow(t, u.dst, scan_left_imp(Q, u, phi.at(a, b)))]
+
+
+def distributor_leq(phi, psi) -> bool:
+    """The local (entrywise) order of distributors with the same endpoints."""
+    if phi.dom != psi.dom or phi.cod != psi.cod:
+        raise TypeMismatch("cannot order distributors with different endpoints")
+    return all(phi.q.leq(a, b) for ra, rb in zip(phi.matrix, psi.matrix) for a, b in zip(ra, rb))
+
+
+def oracle_bimodule_report(phi) -> ValidationReport:
+    """The bimodule law's violations, by a scan of all quadruples (x', x, y, y')
+    on the composition table and ``leq_pairs`` alone, reported as
+    ``validate_distributor`` reports them."""
+    report = ValidationReport(f"distributor {phi.name}")
+    Q, A, B = phi.q, phi.dom, phi.cod
+    for xp, x in itertools.product(range(len(A)), repeat=2):
+        for y, yp in itertools.product(range(len(B)), repeat=2):
+            inner = Arrow(A.types[xp], B.types[y],
+                          scan_compose(Q, phi.matrix[x][y], A.hom[xp][x]))
+            lhs = Arrow(A.types[xp], B.types[yp], scan_compose(Q, B.hom[y][yp], inner))
+            if not scan_leq(Q, lhs, phi.matrix[xp][yp]):
+                report.add("distributor.bimodule",
+                           (A.objects[xp], A.objects[x], B.objects[y], B.objects[yp]),
+                           "hom(y,y').phi(x,y).hom(x',x) <= phi(x',y') fails")
+    return report
+
+
+def elementary_entry(phi, kind):
+    """X(F f, G g) of the elementary theorem of ``kind`` at the cell (a, u, b, v),
+    row pair first, through the ``Arrow`` residuations: the oracle of the
+    elementary grids."""
+    q = phi.q
+    if kind == "fca":
+        return lambda a, u, b, v: q.right_imp(v, q.left_imp(phi.at(a, b), u))
+    return lambda a, u, b, v: q.left_imp(q.left_imp(u, phi.at(a, b)), v)
+
+
+def elementary_oracle_grid(phi, kind):
+    """The grid of the elementary theorem of ``kind`` cell by cell from
+    ``elementary_entry``: each entry's index, by F pair and then G pair."""
+    d, entry = _elementary(phi, kind), elementary_entry(phi, kind)
+    return [[entry(*d.context(f, g)).index for g in d.g_pairs] for f in d.f_pairs]
 
 
 # -- the printed form of a (co)presheaf, from its values one by one -----------------
@@ -719,6 +766,26 @@ def find_left_adjoint(F: QFunctor):
     G = find_right_adjoint(dualize_functor(F))
     return None if G is None else QFunctor(F.cod, F.dom, G.mapping,
                                            name=f"ran({F.name},1_{F.dom.name})")
+
+
+def presheaf_join(A: QCategory, qobj: str, parts) -> Presheaf:
+    """Pointwise join through ``Quantaloid.hom_join``; the empty join is the bottom presheaf."""
+    parts = list(parts)
+    return Presheaf(A, qobj, tuple(A.q.hom_join(t, qobj, [p.values[i] for p in parts])
+                                   for i, t in enumerate(A.types)))
+
+
+def oracle_join_dense(X: QCategory, image) -> bool:
+    """``_join_dense`` from library maps: the witness at y is the ``presheaf_join`` of
+    the representables at the image objects below y, and y is a join when the
+    witness has a supremum isomorphic to y."""
+    order = underlying_order(X)
+    for y, t in zip(X.objects, X.types):
+        below = [s for s in image if X.type_of(s) == t and order.leq(s, y)]
+        j = sup(X, presheaf_join(X, t, [yoneda(X, s) for s in below]))
+        if j is None or not order.iso(j, y):
+            return False
+    return True
 
 
 def image_join_dense(X: QCategory, image) -> bool:

@@ -1,11 +1,12 @@
 """What a base keeps cannot change a result.
 
 A base category keeps its code layouts, its presheaf spaces' member codes and
-categories, and its residual category (``quantaloid._kept``).  Every verifier
+categories, and its residual category (``quantaloid._kept``); a context keeps
+its columns hoisted for ``isbell_up``, per value type.  Every verifier
 that reads them gives the same report on a first call, a second call and a
 fresh but equal base; a kept space trips a cap set later exactly as a fresh
-enumeration does; and a base that keeps them is still freed by reference
-counting alone.
+enumeration does; and a base or context that keeps them is still freed by
+reference counting alone.
 """
 
 import gc
@@ -16,6 +17,8 @@ import pytest
 
 from qfca.concept import (
     brute_force_fixed,
+    isbell_down,
+    isbell_up,
     residual_category,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
@@ -28,7 +31,7 @@ from qfca.presheaf import (
     materialize_presheaves,
 )
 from qfca.qcat import QCategory, dualize_category
-from qfca.qdist import QDistributor, identity_dist
+from qfca.qdist import QDistributor, dualize_distributor, identity_dist
 from qfca.quantaloid import find_cyclic_dualizing_family
 from qfca.represent import (
     canonical_dense_data,
@@ -167,6 +170,24 @@ def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
     gc.disable()
     try:
         del phi, A, rc  # freed by reference counting alone: nothing kept refers back
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_context_with_kept_isbell_columns_is_freed_without_the_collector(fixdl3):
+    phi = fresh_context(fixdl3.phi)
+    for qobj in phi.q.objects:
+        for mu in enumerate_presheaves(phi.dom, qobj):
+            isbell_up(phi, mu)
+        for lam in enumerate_copresheaves(phi.cod, qobj):
+            isbell_down(phi, lam)
+    columns = {f"_isbell {qobj}" for qobj in phi.q.objects}
+    assert columns <= set(vars(phi)) and columns <= set(vars(dualize_distributor(phi)))
+    refs = [weakref.ref(phi), weakref.ref(dualize_distributor(phi))]
+    gc.disable()
+    try:
+        del phi  # freed by reference counting alone: the columns hold no reference back
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()

@@ -16,7 +16,8 @@ from _helpers import (
 )
 from qfca.concept import fca_lattice, rst_lattice
 from qfca.errors import TypeMismatch, ValidationFailed
-from qfca.qdist import hom_rows
+from qfca.qcat import QCategory
+from qfca.qdist import QDistributor, hom_rows
 from qfca.quantaloid import (
     Arrow,
     HomLattice,
@@ -104,12 +105,27 @@ def _container_sizes(Q):
 
 
 def test_computing_leaves_the_quantaloid_unchanged(fixdl3):
+    # warmed first: the first computation on a quantaloid adds its kept translations
     Q = fixdl3.phi.q
+    fca_lattice(fixdl3.phi)
+    rst_lattice(fixdl3.phi)
     before = _container_sizes(Q)
     for _ in range(2):
         fca_lattice(fixdl3.phi)
         rst_lattice(fixdl3.phi)
     assert _container_sizes(Q) == before
+
+
+def test_a_first_computation_keeps_only_the_translations(fixdl3):
+    Q = build_preset("frame-diagonal", chain=3)  # a new instance, unlike the shared fixture
+    A, B = (QCategory(Q, C.objects, C.types, C.hom, name=C.name) for C in (fixdl3.A, fixdl3.B))
+    phi = QDistributor(A, B, fixdl3.phi.matrix, name="fresh")
+    owners = [Q, Q.opposite(), *Q.homs.values()]
+    before = [set(vars(o)) for o in owners]
+    fca_lattice(phi)
+    rst_lattice(phi)
+    added = [set(vars(o)) - names for o, names in zip(owners, before)]
+    assert added == [{"_translations"}] * 2 + [set()] * len(Q.homs)
 
 
 def _no_join_hom():

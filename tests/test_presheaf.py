@@ -27,7 +27,6 @@ from qfca.presheaf import (
     materialize_presheaves,
     presheaf_hom,
     copresheaf_hom,
-    presheaf_join,
     presheaf_meet,
     ran,
     weighted_colimit,
@@ -50,6 +49,7 @@ from _helpers import (
     oracle_is_complete,
     oracle_left_imp,
     pointwise_leq,
+    presheaf_join,
     pushforward,
     sup,
     top_presheaf,

@@ -37,11 +37,13 @@ from hypothesis import given, settings, strategies as st
 from _helpers import (
     all_copresheaf_vectors,
     chain4_quantale,
+    elementary_oracle_grid,
     enumerate_categories,
     enumerate_distributors,
     generator_functors,
     kan_dag,
     kan_lower_dag,
+    oracle_bimodule_report,
     oracle_copresheaf_hom,
     oracle_compose,
     oracle_copresheaf_law,
@@ -50,6 +52,7 @@ from _helpers import (
     oracle_isbell_down,
     oracle_is_complete,
     oracle_is_cyclic_family,
+    oracle_join_dense,
     oracle_isbell_up,
     oracle_kan_dag,
     oracle_kan_lower,
@@ -63,6 +66,7 @@ from _helpers import (
     oracle_tables,
     oracle_values,
     pointwise_leq,
+    presheaf_join,
     residual_closed_form_misses,
     scan_join,
     scan_meet,
@@ -86,7 +90,14 @@ from qfca.qcat import (
     underlying_order,
     validate_category,
 )
-from qfca.qdist import QDistributor, dist_compose, dist_left_imp, graph, identity_dist
+from qfca.qdist import (
+    QDistributor,
+    dist_compose,
+    dist_left_imp,
+    graph,
+    identity_dist,
+    validate_distributor,
+)
 from qfca.presheaf import (
     _SetCode,
     _join_dense,
@@ -99,7 +110,6 @@ from qfca.presheaf import (
     materialize_copresheaves,
     materialize_presheaves,
     presheaf_hom,
-    presheaf_join,
     presheaf_label,
     presheaf_meet,
 )
@@ -121,7 +131,7 @@ from qfca.concept import (
     verify_rst_as_fca,
 )
 from qfca import represent
-from qfca.represent import verify_adjunction_laws, verify_density_suite
+from qfca.represent import _elementary, verify_adjunction_laws, verify_density_suite
 
 TWO = build_preset("two")
 LUK3 = build_preset("lukasiewicz-chain", n=3)
@@ -405,6 +415,43 @@ def test_density_suite_matches_the_generator_functors_randomized(data):
     spaces = (P, dualize_category(P), dualize_category(Pd), Pd)
     assert seen == [(X, set(F.mapping.values())) for X, F in zip(spaces, functors.values())]
     assert [(c.name, c.passed) for c in report.conditions[3:]] == list(density.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_join_dense_matches_the_presheaf_join_witness_randomized(data):
+    # on a carrier, which may be incomplete, and on its presheaf space and the dual
+    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    n = data.draw(st.integers(1, 3 if Q is TWO else 2), label="size")
+    A = data.draw(st.sampled_from(_categories(Q, tuple(f"x{i}" for i in range(n)))),
+                  label="category")
+    P = materialize_presheaves(A).category
+    for X in (A, P, dualize_category(P)):
+        image = data.draw(st.sets(st.sampled_from(X.objects)), label="image")
+        assert _join_dense(X, image) == oracle_join_dense(X, image), X.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_elementary_grids_match_the_arrow_entries_randomized(data):
+    phi = random_context(data, data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid"))
+    for kind in ("fca", "rst"):
+        d = _elementary(phi, kind)
+        assert d.grid(phi, d.f_pairs, d.g_pairs) == elementary_oracle_grid(phi, kind), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bimodule_law_matches_the_quadruple_scan_randomized(data):
+    # a valid context and the same context with one entry replaced
+    phi = random_context(data, data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid"))
+    i = data.draw(st.integers(0, len(phi.dom) - 1), label="row")
+    j = data.draw(st.integers(0, len(phi.cod) - 1), label="column")
+    matrix = [list(row) for row in phi.matrix]
+    matrix[i][j] = data.draw(st.sampled_from(phi.q.arrows(phi.dom.types[i], phi.cod.types[j])),
+                             label="entry")
+    for psi in (phi, QDistributor(phi.dom, phi.cod, matrix, name="changed")):
+        assert validate_distributor(psi).to_json() == oracle_bimodule_report(psi).to_json()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+
 
 import pytest
 
@@ -21,8 +23,11 @@ from qfca.quantaloid import build_preset
 from _helpers import (
     ChuTransform,
     adjoint_arrow_identities_suite,
+    distributor_leq,
+    enumerate_categories,
     enumerate_distributors,
     functor_leq,
+    oracle_bimodule_report,
     oracle_compose,
     sup,
     top_presheaf,
@@ -79,7 +84,7 @@ def test_residuation_adjunction_small(two, luk3):
                 limp = dist_left_imp(xi, phi)
                 assert validate_distributor(limp).ok
                 for psi in enumerate_distributors(B, C):
-                    assert dist_compose(psi, phi).leq(xi) == psi.leq(limp)
+                    assert distributor_leq(dist_compose(psi, phi), xi) == distributor_leq(psi, limp)
 
 
 def test_right_imp_outputs_valid(fixdl3):
@@ -99,7 +104,24 @@ def test_right_imp_residuation_small(two, luk3):
                 rimp = dist_right_imp(psi, xi)
                 assert validate_distributor(rimp).ok
                 for phi in enumerate_distributors(A, B):
-                    assert dist_compose(psi, phi).leq(xi) == phi.leq(rimp)
+                    assert distributor_leq(dist_compose(psi, phi), xi) == distributor_leq(phi, rimp)
+
+
+def test_bimodule_law_matches_the_quadruple_scan_on_single_entry_changes(fixdl3, luk3):
+    # every replacement of one entry of a context over three objects, and of the
+    # identity distributor of each two-object category over lukasiewicz-chain n=3
+    failing = 0
+    identities = [identity_dist(A) for A in enumerate_categories(luk3, ("x", "y"))]
+    for phi in (fixdl3.phi, *identities):
+        for i, j in itertools.product(range(len(phi.dom)), range(len(phi.cod))):
+            for a in phi.q.arrows(phi.dom.types[i], phi.cod.types[j]):
+                matrix = [list(row) for row in phi.matrix]
+                matrix[i][j] = a
+                psi = QDistributor(phi.dom, phi.cod, matrix, name="changed")
+                got = validate_distributor(psi)
+                assert got.to_json() == oracle_bimodule_report(psi).to_json(), (i, j, a)
+                failing += not got.ok
+    assert failing == 29  # 3 on fixdl3, 26 on the identities
 
 
 def test_identity_dist(fix2id, fixdl3):
@@ -116,10 +138,10 @@ def test_graph_cograph(fix2id):
     space = materialize_presheaves(A)
     y = space.yoneda_functor()
     gy, cy = graph(y), cograph(y)
-    assert identity_dist(A).leq(dist_compose(cy, gy))
+    assert distributor_leq(identity_dist(A), dist_compose(cy, gy))
     # fully faithful: the unit inequality is an equality
     assert dist_compose(cy, gy) == identity_dist(A)
-    assert dist_compose(gy, cy).leq(identity_dist(space.category))
+    assert distributor_leq(dist_compose(gy, cy), identity_dist(space.category))
 
 
 def test_graph_monotonicity(two):
@@ -131,8 +153,8 @@ def test_graph_monotonicity(two):
     F = QFunctor(A, X, {"x": "u"})
     G = QFunctor(A, X, {"x": "v"})
     assert functor_leq(F, G)
-    assert graph(G).leq(graph(F)) and not graph(F).leq(graph(G))
-    assert cograph(F).leq(cograph(G)) and not cograph(G).leq(cograph(F))
+    assert distributor_leq(graph(G), graph(F)) and not distributor_leq(graph(F), graph(G))
+    assert distributor_leq(cograph(F), cograph(G)) and not distributor_leq(cograph(G), cograph(F))
 
 
 def test_adjoint_functor_pair(two):
@@ -197,7 +219,7 @@ def test_shape_errors(fix2id, fixl3):
     with pytest.raises(TypeMismatch):
         dist_compose(fix2id.phi, fix2id.phi)
     with pytest.raises(TypeMismatch):
-        fix2id.phi.leq(fixl3.phi)
+        distributor_leq(fix2id.phi, fixl3.phi)
 
 
 def test_empty_carriers():

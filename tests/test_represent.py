@@ -13,11 +13,19 @@ from qfca.qcat import (
     QTypedSet,
     compose_functors,
     discrete_category,
+    dualize_category,
     identity_functor,
     singleton_category,
 )
-from qfca.qdist import QDistributor, dist_compose, cograph, graph, identity_dist
-from qfca.presheaf import materialize_copresheaves, materialize_presheaves, yoneda
+from qfca.qdist import (
+    QDistributor,
+    cograph,
+    dist_compose,
+    graph,
+    identity_dist,
+    validate_distributor,
+)
+from qfca.presheaf import _join_dense, materialize_copresheaves, materialize_presheaves, yoneda
 from qfca.concept import fca_lattice, isbell_down, residual_category
 from qfca.represent import (
     canonical_adjunction,
@@ -40,7 +48,7 @@ from qfca.represent import (
     verify_type_preserving_representation,
     verify_yoneda,
 )
-from qfca.quantaloid import build_preset
+from qfca.quantaloid import Quantaloid, build_preset
 
 from _helpers import (
     composite_witnesses,
@@ -266,6 +274,22 @@ def test_elementary_identities(all_contexts):
     for name, ctx in all_contexts.items():
         report = verify_elementary_identities(ctx.phi)
         assert report.passed, (name, failed_names(report))
+
+
+ARROW_CALLS = ("left_imp", "right_imp", "compose", "leq", "hom_join")
+
+
+def test_table_paths_make_no_arrow_level_call(all_contexts, monkeypatch):
+    # the elementary grids, the density witnesses and the bimodule law of a valid
+    # distributor read the index tables only
+    spaces = {name: materialize_presheaves(ctx.A).category for name, ctx in all_contexts.items()}
+    for method in ARROW_CALLS:
+        monkeypatch.setattr(Quantaloid, method, lambda *args, method=method: pytest.fail(method))
+    for name, ctx in all_contexts.items():
+        assert verify_elementary_identities(ctx.phi).passed, name
+        assert validate_distributor(ctx.phi).ok, name
+        P = spaces[name]
+        assert _join_dense(P, P.objects) and _join_dense(dualize_category(P), P.objects)
 
 
 def test_elementary_identity_at_units(fix2id, fixl3):

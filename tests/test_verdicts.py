@@ -23,6 +23,7 @@ from qfca.qcat import QTypedSet, discrete_category
 from qfca.qdist import QDistributor
 from qfca.quantaloid import build_preset
 from qfca.represent import (
+    _elementary,
     canonical_elementary_data,
     quantale_corollary_check,
     verify_adjunction_laws,
@@ -30,7 +31,7 @@ from qfca.represent import (
     verify_yoneda,
 )
 
-from _helpers import failed_names, verify_transpose_identities
+from _helpers import elementary_oracle_grid, failed_names, verify_transpose_identities
 
 SHORT = {"polarity-unit": "pu", "polarity-counit": "pc", "extension-unit": "eu",
          "extension-counit": "ec", "dual-extension-unit": "du", "dual-extension-counit": "dc",
@@ -351,3 +352,12 @@ def test_every_elementary_condition_fails_somewhere():
     failed = {token[:2] for outcome in PINNED_ELEMENTARY.values()
               for token in outcome.replace("|", " ").split()}
     assert {code for code, _ in ELEMENTARY.values()} <= failed
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_elementary_grids_match_the_arrow_entries_on_corrupted_tables(case):
+    # the grids read the tables as the Arrow residuations do, corrupted or not
+    _, phi = _corrupted(case)
+    for kind in ("fca", "rst"):
+        d = _elementary(phi, kind)
+        assert d.grid(phi, d.f_pairs, d.g_pairs) == elementary_oracle_grid(phi, kind), kind
