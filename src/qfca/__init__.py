@@ -87,7 +87,6 @@ from .presheaf import (
     materialize_presheaves,
     presheaf_hom,
     ran,
-    weighted_colimit,
     yoneda,
 )
 from .concept import (

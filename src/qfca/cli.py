@@ -533,6 +533,8 @@ def cmd_verify(args) -> int:
     if prop in ("yoneda", "dense-cond"):
         verify = verify_yoneda if prop == "yoneda" else verify_density_suite
         report = Report(prop)
+        if not doc.categories:
+            raise UsageError("the context file declares no categories")
         cats = ([_data_ref(doc.categories, data, "category", "category")] if "category" in data
                 else list(doc.categories.values()))
         for A in cats:

@@ -12,9 +12,11 @@ the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
   concept lattice.
 
 The lattices run on int codes: each map of a pair is tabled once per type and
-then costs one AND per position; the tables also give the generators and the
-re-check of every concept.  A table entry is a line of the context, written
-once per call as a key string of one char per (type, entry), run through one
+then costs one AND per position.  The two pairs share one base class, which
+holds the context and builds the closure on codes from the tables each pair
+supplies; the tables also give the generators and the re-check of every
+concept.  A table entry is a line of the context, written once per call as a
+key string of one char per (type, entry), run through one
 ``str.translate`` into the binary digits of its image's code.  The
 translation tables depend only on the quantaloid, so it keeps them, as it
 keeps its opposite; a context keeps no table of the lattices, only the
@@ -28,12 +30,14 @@ for.  The ``Arrow`` maps above are the tests' oracle.
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
 Yoneda graph) has an FCA lattice exactly equal to the RST lattice of phi.
-When the quantaloid carries a cyclic dualizing family the classical
-complement route is also available.
+The residual members are read off ``limp_table`` as down-set codes and
+deduplicated on them.  When the quantaloid carries a cyclic dualizing family
+the classical complement route is also available.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 from .errors import (
@@ -67,7 +71,6 @@ from .presheaf import (
     Presheaf,
     PresheafFamily,
     PresheafSpace,
-    _CodedFamily,
     _SetCode,
     _and_closure,
     _presheaf_of,
@@ -77,10 +80,8 @@ from .presheaf import (
     materialize_copresheaves,
     materialize_presheaves,
     presheaf_label,
-    presheaf_residual,
 )
 from .quantaloid import (
-    Arrow,
     CyclicDualizingFamily,
     Quantaloid,
     _kept,
@@ -125,20 +126,37 @@ def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
         phi.q, phi.dom.types, zip(phi.cod.types, phi.columns), [(s, mu.values)])))
 
 
-class IsbellPair(_Frozen):
-    """The polarity adjunction ``left = isbell_up -| right = isbell_down``.
+class _ClosurePair(_Frozen):
+    """What the two closure pairs share: the context ``phi`` and ``coded``.
 
-    Both closure pairs name the ``kind`` of their lattice, the ``base`` that
-    their ``closure`` acts on, the materialized ``spaces`` that ``left`` and
-    ``right`` start from, and the fixed-point ``lattice``.
+    Both pairs name the ``kind`` of their lattice, the ``base`` that their
+    ``closure`` acts on, the materialized ``spaces`` that ``left`` and
+    ``right`` start from, and the fixed-point ``lattice``; each supplies the
+    ``_tables`` of its two maps on int codes.
     """
 
     _fields = ("phi",)
-    kind = "fca"
-    base = property(lambda self: self.phi.dom)
 
     def __init__(self, phi: QDistributor):
         self._set(phi)
+
+    def coded(self, qobj: str, keys=None) -> tuple:
+        """At qobj: the ``_SetCode`` of the presheaves on the base, the closure
+        ``right . left`` on their codes, its generators (the top and the rows of
+        the right map's table) and ``(left, mid, right)``: the two maps' tables
+        and the ``_SetCode`` of the codes between them.  ``keys`` are
+        ``_keys(phi)``, built if not given."""
+        code = _SetCode(self.base, qobj)
+        left, mid, right = self._tables(code, *(keys or _keys(self.phi)))
+        return (code, lambda c: _through(right, _through(left, c, -1), code.top),
+                [code.top, *(g for _, row in right for g in row.values())], (left, mid, right))
+
+
+class IsbellPair(_ClosurePair):
+    """The polarity adjunction ``left = isbell_up -| right = isbell_down``."""
+
+    kind = "fca"
+    base = property(lambda self: self.phi.dom)
 
     def left(self, mu: Presheaf) -> Copresheaf:
         return isbell_up(self.phi, mu)
@@ -155,27 +173,20 @@ class IsbellPair(_Frozen):
     def lattice(self) -> ConceptLattice:
         return fca_lattice(self.phi)
 
-    def coded(self, qobj: str, keys=None):
-        """``_coded`` at qobj: isbell_up tabled from the rows to down-set codes of
-        copresheaves on B (presheaves on B^op), isbell_down the same table of the
-        dual, from the columns; ``keys`` are ``_keys(phi)``, built if not given."""
-        rows, columns = keys or _keys(self.phi)
+    def _tables(self, code: _SetCode, rows, columns):
+        """isbell_up tabled from the rows to down-set codes of copresheaves on B
+        (presheaves on B^op), isbell_down the same table of the dual, from the columns."""
         dual = dualize_distributor(self.phi)
-        code, mid = _SetCode(self.base, qobj), _SetCode(dual.dom, qobj)
-        return _coded(code, _table(code, rows, self.phi.q, "isbell"),
-                      _table(mid, columns, dual.q, "isbell"))
+        mid = _SetCode(dual.dom, code.qobj)
+        return (_table(code, rows, self.phi.q, "isbell"), mid,
+                _table(mid, columns, dual.q, "isbell"))
 
 
-class KanPair(_Frozen):
-    """The extension adjunction ``left = kan_star -| right = kan_lower``; see
-    :class:`IsbellPair`."""
+class KanPair(_ClosurePair):
+    """The extension adjunction ``left = kan_star -| right = kan_lower``."""
 
-    _fields = ("phi",)
     kind = "rst"
     base = property(lambda self: self.phi.cod)
-
-    def __init__(self, phi: QDistributor):
-        self._set(phi)
 
     def left(self, lam: Presheaf) -> Presheaf:
         return kan_star(self.phi, lam)
@@ -186,26 +197,17 @@ class KanPair(_Frozen):
     def closure(self, lam: Presheaf) -> Presheaf:
         return self.right(self.left(lam))
 
-    def interior(self, mu: Presheaf) -> Presheaf:
-        return self.left(self.right(mu))
-
     def spaces(self) -> tuple[PresheafSpace, PresheafSpace]:
         return materialize_presheaves(self.base), materialize_presheaves(self.phi.dom)
 
     def lattice(self) -> ConceptLattice:
         return rst_lattice(self.phi)
 
-    def coded(self, qobj: str, keys=None):
-        """As for :class:`IsbellPair`; kan_star is a join, so its table maps the
-        columns to up-set codes over A, which kan_lower's maps the rows to
-        down-set codes over B."""
-        rows, columns = keys or _keys(self.phi)
-        q = self.phi.q
-        code, mid = _SetCode(self.base, qobj), _SetCode(self.phi.dom, qobj, "up")
-        star, lower = _table(code, columns, q, "star"), _table(mid, rows, q, "lower")
-        coded = _coded(code, star, lower)
-        coded.interior = lambda u: _through(star, _through(lower, u, -1), mid.top)
-        return coded
+    def _tables(self, code: _SetCode, rows, columns):
+        """kan_star is a join, so its table maps the columns to up-set codes over A,
+        which kan_lower's maps, from the rows, to down-set codes over B."""
+        mid, q = _SetCode(self.phi.dom, code.qobj, "up"), self.phi.q
+        return _table(code, columns, q, "star"), mid, _table(mid, rows, q, "lower")
 
 
 def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
@@ -219,7 +221,7 @@ def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
 # -- concept lattices -------------------------------------------------------------
 
 
-class ConceptLattice(_CodedFamily):
+class ConceptLattice(PresheafFamily):
     """Fixed presheaves of one of the two closures, with their category.
 
     ``coded`` holds, per type in quantaloid object order, the ``_SetCode`` of
@@ -236,20 +238,16 @@ class ConceptLattice(_CodedFamily):
     """
 
     def __init__(self, kind: str, phi: QDistributor, coded, generators):
-        self.kind, self.phi, self.coded = kind, phi, tuple(coded)
-        self.generators = tuple(generators)
-        self.base, self.name = closure_pair(phi, kind).base, f"{kind}({phi.name})"
+        super().__init__(closure_pair(phi, kind).base, coded, f"{kind}({phi.name})")
+        self.kind, self.phi, self.generators = kind, phi, tuple(generators)
 
-    concepts = _CodedFamily.members
+    concepts = PresheafFamily.members
 
     def per_type(self) -> dict[str, tuple[Presheaf, ...]]:
         out: dict[str, list[Presheaf]] = {q: [] for q in self.phi.q.objects}
         for p in self.concepts:
             out[p.type].append(p)
         return {q: tuple(ps) for q, ps in out.items()}
-
-    def keys(self) -> frozenset:
-        return frozenset(p.key() for p in self.concepts)
 
     def __repr__(self) -> str:
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
@@ -321,20 +319,6 @@ def _through(table, c: int, out: int) -> int:
     return out
 
 
-class _Coded(tuple):
-    """``_coded``'s triple, with the ``tables`` (left, right) it reads; a
-    :class:`KanPair`'s has ``interior``, ``left . right`` on the up-set codes over A."""
-
-
-def _coded(code: _SetCode, left, right) -> _Coded:
-    """``code``, the closure ``right . left`` on codes and its generators: the
-    top and the rows of the right map's table."""
-    coded = _Coded((code, lambda c: _through(right, _through(left, c, -1), code.top),
-                    [code.top, *(g for _, row in right for g in row.values())]))
-    coded.tables = left, right
-    return coded
-
-
 def _meet_closure(code: _SetCode, close, generators) -> list[int]:
     """Closure of the generator codes under binary pointwise meets.
 
@@ -364,7 +348,7 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
     """
     coded, kept, keys = [], [], _keys(pair.phi)
     for qobj in pair.phi.q.objects:
-        code, close, generators = pair.coded(qobj, keys)
+        code, close, generators, _ = pair.coded(qobj, keys)
         coded.append((code, _meet_closure(code, close, generators)))
         kept.append(tuple(dict.fromkeys(generators)))
     return ConceptLattice(pair.kind, pair.phi, coded, kept)
@@ -397,31 +381,40 @@ class ResidualCategory(PresheafFamily):
     These are the relative pseudo-complements of the representable
     copresheaves; they form a meet-dense and codense subcategory of the
     presheaf category.  Provenance (which pairs (a, u) produced each member)
-    is retained per member.  ``yoneda_graph`` is the distributor from the base
-    into this category whose column at a member is the member itself.  The
-    members' values and provenance, their labels and the category are kept on
-    the base.
+    is retained per member key.  ``yoneda_graph`` is the distributor from the
+    base into this category whose column at a member is the member itself.
+    The members' codes and provenance, their labels and the category are kept
+    on the base.
     """
 
     _tag = "residuals"
 
     def __init__(self, base: QCategory):
-        keys, self.provenance = _kept(base, "_residuals", _residuals)
-        super().__init__(base, [Presheaf(base, *key) for key in keys], f"residuals({base.name})")
+        runs, pairs = _kept(base, "_residuals", _residuals)
+        super().__init__(base, [(_SetCode(base, t), codes) for t, codes in runs],
+                         f"residuals({base.name})")
+        self.provenance = {p.key(): found for p, found in zip(self.members, pairs)}
         matrix = [[p.values[i] for p in self.members] for i in range(len(base))]
         self.yoneda_graph = QDistributor(base, self.category, matrix,
                                          name=f"yoneda-graph({base.name})")
 
 
-def _residuals(base: QCategory) -> tuple[tuple, dict]:
-    """The residual members' keys and their provenance."""
-    found: dict[tuple, tuple[Presheaf, list[tuple[str, Arrow]]]] = {}
-    for a, t in zip(base.objects, base.types):
-        for qobj in base.q.objects:
-            for u in base.q.arrows(t, qobj):
-                p = presheaf_residual(base, a, u)
-                found.setdefault(p.key(), (p, []))[1].append((a, u))
-    return tuple(found), {k: tuple(pairs) for k, (_, pairs) in found.items()}
+def _residuals(base: QCategory) -> tuple[tuple, tuple]:
+    """The residual members as runs of ``(type, down-set codes)`` in order of first
+    appearance, over objects a, then types, then arrows u, and per member the pairs
+    (a, u) that produce it.  Each residual is read off ``limp_table`` as
+    ``presheaf_residual`` reads it, and is the same member as another exactly when
+    its type and code are the same."""
+    q, found = base.q, {}
+    for a, t, row in zip(base.objects, base.types, base.hom):
+        for s in q.objects:
+            code = _SetCode(base, s)
+            for u, arrow in enumerate(q.arrows(t, s)):
+                c = code.pack(q.limp_table[t, p, s][u][h.index] for p, h in zip(base.types, row))
+                found.setdefault((s, c), []).append((a, arrow))
+    runs = itertools.groupby(found, key=operator.itemgetter(0))
+    return (tuple((s, tuple(c for _, c in run)) for s, run in runs),
+            tuple(map(tuple, found.values())))
 
 
 def residual_category(base: QCategory) -> ResidualCategory:

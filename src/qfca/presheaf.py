@@ -19,11 +19,15 @@ representation data).  A space is enumerated as the join closure of the
 tensors ``u . hom(-, a)`` on int codes, so it costs what it holds, and the
 enumeration cap bounds the members produced.  What depends on the base alone
 is built once and kept on the base: the code layouts, the member codes and
-their order, and each space's category.  A space itself is a thin wrapper
-that decodes its members on demand, and the cap is checked on every call.
+their order, and each space's category.  ``PresheafFamily`` is the one family
+class: every family holds its members as runs of a ``_SetCode`` and codes and
+decodes them on demand, and a space checks the cap on every call.  The same
+code lays out the hom rows that ``is_complete`` compares, as presheaves on A^op.
 Every hom between (co)presheaves, one or a whole family's matrix, is a call
-of the row kernel ``qdist.hom_rows``.  A join-density witness is a fold of
-join tables over hom indices; no ``Arrow`` operation of the quantaloid runs there.
+of the row kernel ``qdist.hom_rows``.  A weighted colimit is one lookup,
+``_suprema``, from a hom row to its least-label object; ``lan`` and the
+join-density test read it.  A join-density witness is a fold of join tables
+over hom indices; no ``Arrow`` operation of the quantaloid runs there.
 """
 
 from __future__ import annotations
@@ -63,9 +67,6 @@ class _Vector(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.base, self.type, self.values))
-
-    def at(self, x: str) -> Arrow:
-        return self.values[self.base.index(x)]
 
     def key(self):
         return (self.type, self.values)
@@ -185,14 +186,19 @@ def _graph_columns(F: QFunctor) -> list[tuple[str, tuple[Arrow, ...]]]:
     return [(t, tuple(row[j] for row in images)) for j, t in enumerate(B.types)]
 
 
-def weighted_colimit(mu: Presheaf, F: QFunctor):
-    """Colimit of F weighted by mu, on dom(F): the least-label object whose hom row
-    is ``graph(F) <l mu``, or ``None``."""
-    _require(Presheaf, F.dom, "the functor's domain", mu)
-    A, s = F.cod, mu.type
-    target = tuple(next(hom_rows(A.q, F.dom.types, [(s, mu.values)], _graph_columns(F))))
-    return min((x for x, t, row in zip(A.objects, A.types, A.hom) if t == s and row == target),
-               default=None)
+def _suprema(F: QFunctor, weights):
+    """Per weight ``(s, values)`` on dom(F), in order: its colimit along F, the
+    least-label object of cod(F) whose hom row is ``graph(F) <l weight``, or ``None``.
+
+    One ``hom_rows`` call runs over all the weights, and each row is looked up in
+    one dict from a hom row of cod(F) to its least-label object.  The arrows of a
+    row start at its object's type, so the row alone fixes that type.  The lookups
+    are yielded as the rows are, so a caller may stop after any weight."""
+    B, least = F.cod, {}
+    for x, row in zip(B.objects, B.hom):
+        if least.setdefault(row, x) > x:
+            least[row] = x
+    return map(least.get, map(tuple, hom_rows(B.q, F.dom.types, weights, _graph_columns(F))))
 
 
 # -- pointwise Kan extensions ----------------------------------------------------
@@ -208,13 +214,11 @@ def lan(K: QFunctor, F: QFunctor) -> QFunctor:
     """
     if K.dom != F.dom:
         raise BaseMismatch("Kan extension needs functors with a common domain")
-    B, gK = K.cod, graph(K)
-    mapping = {}
-    for b, t, weight in zip(B.objects, B.types, gK.columns):
-        c = weighted_colimit(Presheaf(K.dom, t, weight), F)
+    B = K.cod
+    mapping = dict(zip(B.objects, _suprema(F, zip(B.types, graph(K).columns))))
+    for b, c in mapping.items():
         if c is None:
             raise ColimitMissing(b, "colimit")
-        mapping[b] = c
     G = QFunctor(B, F.cod, mapping, name=f"lan({K.name},{F.name})")
     validate_functor(G).require()
     return G
@@ -419,24 +423,17 @@ def is_complete(A: QCategory) -> bool:
     type s the rows of the objects of type s must hold the top row, each tensor row
     ``z |-> left_imp(hom(a, z), u)`` for u: |a| -> s, and the meet of any two.
 
-    A row is coded as its values' down-sets side by side, so the meet of two rows is
-    one ``&`` of their codes and the top row sets every bit."""
-    q, types = A.q, A.types
+    A row is coded as a presheaf on A^op of type s, ``hom(x, -)``, by its values'
+    down-sets side by side (a ``_SetCode``), so the meet of two rows is one ``&`` of
+    their codes and the top row sets every bit."""
+    q, types, dual = A.q, A.types, dualize_category(A)
     for s in q.objects:
-        downs, offset = [], 0
-        for t in types:
-            hom = q.homs[(s, t)]
-            downs.append([d << offset for d in hom.down])
-            offset += len(hom)
-
-        def code(indices) -> int:
-            return sum(d[k] for d, k in zip(downs, indices))
-
-        rows = {code(w.index for w in row) for row, t in zip(A.hom, types) if t == s}
-        tensors = (code(r) for row in A.hom
+        code = _SetCode(dual, s)
+        rows = {code.pack(w.index for w in row) for row, t in zip(A.hom, types) if t == s}
+        tensors = (code.pack(r) for row in A.hom
                    for r in zip(*(q.limp_table[(w.src, s, w.dst)][w.index] for w in row)))
         meets = (r1 & r2 for r1, r2 in itertools.combinations(rows, 2))
-        if not rows.issuperset(itertools.chain([(1 << offset) - 1], tensors, meets)):
+        if not rows.issuperset(itertools.chain([code.top], tensors, meets)):
             return False
     return True
 
@@ -444,33 +441,29 @@ def is_complete(A: QCategory) -> bool:
 # -- materialized (co)presheaf categories ------------------------------------------
 
 
-def _value_labels(p) -> tuple[str, ...]:
-    """The labels of p's values in base order: the printed form of a (co)presheaf."""
-    return tuple(map(p.base.q.label, p.values))
-
-
-def _printed(objects, type: str, values) -> str:
-    return type + "|" + ",".join(f"{x}:{v}" for x, v in zip(objects, values))
-
-
 def presheaf_label(p) -> str:
     """Deterministic readable label: ``type|x1:v1,x2:v2``."""
-    return _printed(p.base.objects, p.type, _value_labels(p))
+    label = p.base.q.label
+    return p.type + "|" + ",".join(f"{x}:{label(v)}" for x, v in zip(p.base.objects, p.values))
 
 
 class PresheafFamily:
-    """Labelled (co)presheaves on one base, and the category they span.
+    """Labelled (co)presheaves on one base, held as codes, and the category they span.
 
-    ``members`` keep the order they are given in.  Their ``value_labels`` and
-    ``labels`` (``presheaf_label``s), for serializers to read by position, the
-    lookups of ``label_of`` and ``member_of``, and ``category`` (the members'
-    homs) are built on first use.
+    ``coded`` holds runs of a ``_SetCode`` and its members' codes, in member
+    order.  ``members``, decoded by ``_member``, their ``value_labels`` and
+    ``labels`` (``presheaf_label``s), read off the codes for serializers to read
+    by position, the lookups of ``label_of`` and ``member_of``, and ``category``
+    (the members' homs) are built on first use.
     """
 
     _tag = None  # set on a family that its base alone determines
 
-    def __init__(self, base: QCategory, members, name: str):
-        self.base, self.members, self.name = base, tuple(members), name
+    def __init__(self, base: QCategory, coded, name: str):
+        self.base, self.coded, self.name = base, tuple(coded), name
+
+    def _member(self, mu: Presheaf):
+        return mu
 
     def _keep(self, attr: str, build):
         """``build(self)``, kept on the family; with a ``_tag``, kept on the base under
@@ -479,21 +472,21 @@ class PresheafFamily:
             return _kept(self, attr, build)
         return _kept(self.base, f"{attr} {self._tag}", lambda _: build(self))
 
+    @property
+    def members(self) -> tuple:
+        return _kept(self, "_members", lambda s: tuple(
+            s._member(code.decode(c)) for code, codes in s.coded for c in codes))
+
     labels = property(lambda self: self._printed_forms()[0])
     value_labels = property(lambda self: self._printed_forms()[1])
 
     def _printed_forms(self) -> tuple[tuple, tuple]:
-        """``(labels, value_labels)``, built on first use from ``_forms``."""
+        """``(labels, value_labels)``, read off each run's codes on first use."""
         def build(s):
-            forms = list(s._forms())
-            return tuple(label for label, _ in forms), tuple(values for _, values in forms)
-        return self._keep("_printed", build)
-
-    def _forms(self):
-        """Each member's label and value labels."""
-        for m in self.members:
-            values = _value_labels(m)
-            yield _printed(m.base.objects, m.type, values), values
+            runs = [code.printed(codes) for code, codes in s.coded]
+            return (tuple(label for labels, _ in runs for label in labels),
+                    tuple(vs for _, values in runs for vs in values))
+        return self._keep("_labels", build)
 
     @property
     def category(self) -> QCategory:
@@ -504,7 +497,7 @@ class PresheafFamily:
                          _hom_grid(self.members, self.members), name=self.name)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(len(codes) for _, codes in self.coded)
 
     def label_of(self, m) -> str:
         by_key = self._keep("_by_key", lambda s: dict(zip(map(_Vector.key, s.members), s.labels)))
@@ -527,27 +520,7 @@ class PresheafFamily:
         return QFunctor(self.category, other.category, mapping, name=name or "between-spaces")
 
 
-class _CodedFamily(PresheafFamily):
-    """A family held as ``coded``: per type, in quantaloid object order, its
-    ``_SetCode`` and its members' codes.  ``members``, decoded by ``_member``,
-    and ``labels`` and ``value_labels``, read off the codes, follow that order."""
-
-    def _member(self, mu: Presheaf):
-        return mu
-
-    @property
-    def members(self) -> tuple:
-        return _kept(self, "_members", lambda s: tuple(
-            s._member(code.decode(c)) for code, codes in s.coded for c in codes))
-
-    def _forms(self):
-        return (form for code, codes in self.coded for form in zip(*code.printed(codes)))
-
-    def __len__(self) -> int:
-        return sum(len(codes) for _, codes in self.coded)
-
-
-class PresheafSpace(_CodedFamily):
+class PresheafSpace(PresheafFamily):
     """The category of all (co)presheaves on a base, with value lookups.
 
     Members are enumerated per type in quantaloid object order, lexicographic
@@ -561,11 +534,11 @@ class PresheafSpace(_CodedFamily):
     def __init__(self, base: QCategory, kind: str = "presheaf"):
         if kind not in ("presheaf", "copresheaf"):
             raise QfcaError(f"unknown flavour {kind!r}")
-        self.base, self.kind, self._tag = base, kind, kind
-        self.name = f"{'P' if kind == 'presheaf' else 'P+'}({base.name})"
+        self.kind, self._tag = kind, kind
         on = base if kind == "presheaf" else dualize_category(base)
-        self.coded = tuple(_member_codes(on, qobj, f"{kind} space on {base.name}")
-                           for qobj in base.q.objects)
+        super().__init__(base, [_member_codes(on, qobj, f"{kind} space on {base.name}")
+                                for qobj in base.q.objects],
+                         f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
 
     def _member(self, mu: Presheaf):
         return mu if self.kind == "presheaf" else _copresheaf_of(mu, self.base)
@@ -594,16 +567,11 @@ def _join_dense(X: QCategory, image) -> bool:
     subset of the image joins to y then that canonical set does too (joins
     are monotone in the subset), so this decides the subset search exactly.
     The witness, the pointwise join of their representables, is at each position x
-    a fold of the ``joins`` table over the indices ``X.hom[x][s]``.  Its supremum is found
-    as ``weighted_colimit`` finds a colimit along the identity, with its graph
-    columns and the lookup from a hom row to its least-label object built once;
-    where that supremum is missing, as it may be in an incomplete X, y is not a join."""
+    a fold of the ``joins`` table over the indices ``X.hom[x][s]``.  Its supremum is
+    its colimit along the identity (``_suprema``); where that is missing, as it may
+    be in an incomplete X, y is not a join."""
     order, q = underlying_order(X), X.q
     image = [(s, X.index(s)) for s in sorted(set(image), key=X.index)]
-    least: dict[tuple, str] = {}
-    for x, t, row in zip(X.objects, X.types, X.hom):
-        if least.setdefault((t, row), x) > x:
-            least[t, row] = x
     folds = {t: [(q.homs[p, t].joins, q.homs[p, t].bottom, q.arrow_table[p, t]) for p in X.types]
              for t in set(X.types)}
 
@@ -617,9 +585,5 @@ def _join_dense(X: QCategory, image) -> bool:
                 values.append(arrows[k])
             yield t, values
 
-    rows = hom_rows(q, X.types, witnesses(), _graph_columns(identity_functor(X)))
-    for y, t, row in zip(X.objects, X.types, rows):
-        j = least.get((t, tuple(row)))
-        if j is None or not order.iso(j, y):
-            return False
-    return True
+    return all(j is not None and order.iso(j, y)
+               for y, j in zip(X.objects, _suprema(identity_functor(X), witnesses())))

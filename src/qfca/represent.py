@@ -78,6 +78,7 @@ from .concept import (
     KanPair,
     ResidualCategory,
     _keys,
+    _through,
     closure_pair,
     residual_category,
     residual_context,
@@ -451,16 +452,19 @@ def _presheaf_side_laws(phi: QDistributor) -> tuple[bool, bool, bool]:
     iff down(v) is in down(w), iff up(w) is in up(v), the entrywise order is
     ``c & ~d == 0`` on down-set codes and reversed on up-set codes: a unit is
     one AND of a member's down-set code with its closure, the counit one AND
-    of its up-set code with its interior."""
+    of its up-set code with its interior ``star . lower``, read off the Kan
+    pair's tables."""
     objects, isbell, kan_pair, keys = phi.q.objects, IsbellPair(phi), KanPair(phi), _keys(phi)
     spaces = [_member_codes(A, qobj, f"presheaf space on {A.name}")
               for A in (phi.dom, phi.cod) for qobj in objects]
     unit = ext_unit = ext_counit = True
     for qobj, (code, rows), (col_code, cols) in zip(objects, spaces, spaces[len(objects):]):
-        (down, close, _), kan = isbell.coded(qobj, keys), kan_pair.coded(qobj, keys)
+        down, close, _, _ = isbell.coded(qobj, keys)
+        kan_code, kan_close, _, (star, mid, lower) = kan_pair.coded(qobj, keys)
         unit &= all(d & ~close(d) == 0 for d in map(code.recode(down), rows))
-        ext_unit &= all(d & ~kan[1](d) == 0 for d in map(col_code.recode(kan[0]), cols))
-        ext_counit &= all(u & ~kan.interior(u) == 0 for u in rows)
+        ext_unit &= all(d & ~kan_close(d) == 0 for d in map(col_code.recode(kan_code), cols))
+        ext_counit &= all(u & ~_through(star, _through(lower, u, -1), mid.top) == 0
+                          for u in rows)
     return unit, ext_unit, ext_counit
 
 

@@ -8,7 +8,11 @@ are the bimodule law's quadruple scan, the distributor order and the
 as grids of table indices; ``presheaf_join`` and the witness-based
 join-density test are the oracles of the density tests' join folds.  Among them is the
 per-position mask method for Hasse covers, which the library used before it
-read covers off the generators.  Two readers pick out a verifier report's
+read covers off the generators; the scan of ``weighted_colimit``, before the
+library looked suprema up in one dict; and ``oracle_residuals``, the residual
+members built one ``Arrow`` vector at a time, before the library read them as
+codes.  ``ordinal_quantaloid`` has two homs (0, 1) and (1, 0) that differ, as
+no preset's do.  Two readers pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
 checks that run on library maps: the transpose identities and the eight
 adjoint-arrow identities, exact equalities of distributors that no
@@ -55,6 +59,7 @@ from qfca.presheaf import (
     Presheaf,
     _SetCode,
     _copresheaf_of,
+    _graph_columns,
     _join_dense,
     _presheaf_of,
     _require,
@@ -65,7 +70,6 @@ from qfca.presheaf import (
     materialize_presheaves,
     presheaf_label,
     presheaf_residual,
-    weighted_colimit,
     yoneda,
 )
 from qfca.qcat import (
@@ -89,11 +93,12 @@ from qfca.qdist import (
     dist_right_imp,
     dualize_distributor,
     graph,
+    hom_rows,
     is_adjoint_functor_pair,
     tensor_ix,
     validate_distributor,
 )
-from qfca.quantaloid import Arrow, build_preset
+from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset
 from qfca.represent import (
     _elementary,
     canonical_adjunction,
@@ -196,6 +201,19 @@ def chain4_quantale(ab, ba):
                         leq=list(zip(el, el[1:])), products=products, unit="1")
 
 
+def ordinal_quantaloid():
+    """The quantaloid on the objects 0 < 1 whose hom (p, q) is the chain 0 < 1 where
+    p <= q and the one-element lattice {0} where not; a composite is 1 when both
+    arrows are.  Its homs (0, 1) and (1, 0) differ, as no preset's do."""
+    objects = ("0", "1")
+    homs = {(p, q): HomLattice(("0", "1"), {(0, 0), (0, 1), (1, 1)}) if p <= q
+            else HomLattice(("0",), {(0, 0)}) for p in objects for q in objects}
+    table = {(p, q, r): [[int(u == v == 1) for u in range(len(homs[p, q]))]
+                         for v in range(len(homs[q, r]))]
+             for p in objects for q in objects for r in objects}
+    return Quantaloid(objects, homs, table, {p: 1 for p in objects}, name="ordinal-2")
+
+
 # -- independent entrywise oracles for the distributor calculus --------------------
 
 
@@ -227,6 +245,19 @@ def residual_closed_form_misses(phi, rc, tr):
             for a, u in rc.provenance[p.key()]
             for b, t in zip(phi.cod.objects, phi.cod.types)
             if tr.at(b, m) != Arrow(t, u.dst, scan_left_imp(Q, u, phi.at(a, b)))]
+
+
+def oracle_residuals(base: QCategory):
+    """The residual members built one ``Arrow`` vector at a time: ``presheaf_residual``
+    at each (a, u), over objects a, then types, then arrows u, deduplicated by key in
+    order of first appearance.  Returns the members and each key's provenance pairs."""
+    found = {}
+    for a, t in zip(base.objects, base.types):
+        for qobj in base.q.objects:
+            for u in base.q.arrows(t, qobj):
+                p = presheaf_residual(base, a, u)
+                found.setdefault(p.key(), (p, []))[1].append((a, u))
+    return [p for p, _ in found.values()], {k: tuple(pairs) for k, (_, pairs) in found.items()}
 
 
 def distributor_leq(phi, psi) -> bool:
@@ -556,7 +587,7 @@ def oracle_side_laws(phi):
     cols = [lam for qobj in phi.q.objects for lam in enumerate_presheaves(phi.cod, qobj)]
     return (all(pointwise_leq(mu, isb.closure(mu)) for mu in rows),
             all(pointwise_leq(lam, kan.closure(lam)) for lam in cols),
-            all(pointwise_leq(kan.interior(mu), mu) for mu in rows))
+            all(pointwise_leq(kan.left(kan.right(mu)), mu) for mu in rows))
 
 
 def oracle_copresheaf_hom(lam, kap):
@@ -730,8 +761,24 @@ def pointwise_leq(a, b) -> bool:
     return all(q.leq(x, y) for x, y in zip(a.values, b.values))
 
 
+def value_at(p, x: str) -> Arrow:
+    """The value of a (co)presheaf p at the object x of its base."""
+    return p.values[p.base.index(x)]
+
+
 def top_presheaf(A: QCategory, qobj: str) -> Presheaf:
     return Presheaf(A, qobj, tuple(A.q.top(t, qobj) for t in A.types))
+
+
+def weighted_colimit(mu: Presheaf, F: QFunctor):
+    """Colimit of F weighted by mu, on dom(F), by a scan of cod(F): the least-label
+    object whose hom row is ``graph(F) <l mu``, or ``None``.  The oracle of the
+    library's one supremum lookup, ``presheaf._suprema``."""
+    _require(Presheaf, F.dom, "the functor's domain", mu)
+    A, s = F.cod, mu.type
+    target = tuple(next(hom_rows(A.q, F.dom.types, [(s, mu.values)], _graph_columns(F))))
+    return min((x for x, t, row in zip(A.objects, A.types, A.hom) if t == s and row == target),
+               default=None)
 
 
 def sup(A: QCategory, mu: Presheaf):

@@ -62,6 +62,7 @@ from _helpers import (
     iter_context_stream,
     presheaf_to_subset,
     validate_chu,
+    value_at,
     verify_functoriality_square,
 )
 
@@ -141,11 +142,11 @@ def test_criterion_2_yoneda_lemma(presets, all_contexts):
         for qobj in A.q.objects:
             for mu in enumerate_presheaves(A, qobj):
                 for x in A.objects:
-                    if presheaf_hom(yoneda(A, x), mu) != mu.at(x):
+                    if presheaf_hom(yoneda(A, x), mu) != value_at(mu, x):
                         failures.append((A.name, qobj, x, "presheaf"))
             for lam in enumerate_copresheaves(A, qobj):
                 for x in A.objects:
-                    if copresheaf_hom(lam, coyoneda(A, x)) != lam.at(x):
+                    if copresheaf_hom(lam, coyoneda(A, x)) != value_at(lam, x):
                         failures.append((A.name, qobj, x, "copresheaf"))
     ok = verdict(2, not failures, "Yoneda lemma, both halves, exact, <=3-object bases")
     assert ok, failures[:3]

@@ -133,7 +133,7 @@ def test_theorem_1_4_rst_fundamental(two, crisp):
     neg = complement_context(phi, fam)
     latK = rst_lattice(phi)
     latM = fca_lattice(neg)
-    assert latK.keys() == latM.keys()
+    assert {p.key() for p in latK.concepts} == {p.key() for p in latM.concepts}
     X = latK.category
     pair = KanPair(phi)
     f = {b: latK.label_of(pair.closure(yoneda(B, b))) for b in B.objects}

@@ -318,6 +318,19 @@ def test_dist_choice_is_required_and_checked(capsys, tmp_path):
     assert cli.main(["concepts", str(path), "--dist", "psi"]) == 0
 
 
+def test_a_property_without_its_inputs_is_a_usage_error(capsys, tmp_path):
+    # a document that declares no categories gives yoneda and dense-cond nothing
+    # to check: that is refused as a missing distributor is, not a vacuous pass
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"quantaloid": {"preset": "two"}}))
+    for prop, missing in [("yoneda", "categories"), ("dense-cond", "categories"),
+                          ("k-eq-m-tr", "distributors")]:
+        assert cli.main(["verify", str(path), "--prop", prop]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the context file declares no {missing}" in captured.err, prop
+
+
 def test_verify_data_keys_are_checked(capsys):
     path = str(CONTEXTS / "fix_dl3.json")
     for prop, data, message in [

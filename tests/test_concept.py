@@ -72,6 +72,7 @@ from _helpers import (
     residual_closed_form_misses,
     rst_lattice_map,
     validate_chu,
+    value_at,
     verify_functoriality_square,
     verify_transpose_identities,
 )
@@ -110,7 +111,7 @@ def test_closure_laws(fix2id, fixl3):
             for mu in enumerate_presheaves(ctx.A, qobj):
                 assert pointwise_leq(mu, isb.closure(mu))
                 assert isb.closure(isb.closure(mu)) == isb.closure(mu)
-                assert pointwise_leq(kan.interior(mu), mu)
+                assert pointwise_leq(kan.left(kan.right(mu)), mu)
             for lam in enumerate_presheaves(ctx.B, qobj):
                 assert pointwise_leq(lam, kan.closure(lam))
                 assert kan.closure(kan.closure(lam)) == kan.closure(lam)
@@ -180,7 +181,7 @@ def test_macneille_of_complete_is_itself(luk3):
     # the completion is the image of the representables, equivalent to X
     assert find_equivalence(lat.category, X) is not None
     reps = {yoneda(X, x).key() for x in X.objects}
-    assert reps == lat.keys()
+    assert reps == {p.key() for p in lat.concepts}
 
 
 def test_residual_category_two(two):
@@ -197,7 +198,7 @@ def test_residual_yoneda_graph_law(all_contexts):
         rc = residual_category(ctx.A)
         for lbl, p in zip(rc.category.objects, rc.members):
             for x in ctx.A.objects:
-                assert rc.yoneda_graph.at(x, lbl) == p.at(x)
+                assert rc.yoneda_graph.at(x, lbl) == value_at(p, x)
 
 
 def test_residual_context_identity(fix2id):
@@ -507,9 +508,9 @@ def test_closure_budget_boundary(all_contexts, monkeypatch):
         for compute in (fca_lattice, rst_lattice):
             lat = compute(ctx.phi)
             sizes = {t: len(ps) for t, ps in lat.per_type().items()}
-            n = max(sizes.values())
+            n, keys = max(sizes.values()), {p.key() for p in lat.concepts}
             monkeypatch.setenv("QFCA_BUDGET", str(n))
-            assert compute(ctx.phi).keys() == lat.keys()
+            assert {p.key() for p in compute(ctx.phi).concepts} == keys
             monkeypatch.setenv("QFCA_BUDGET", str(n - 1))
             with pytest.raises(ClosureBudgetExceeded) as err:
                 compute(ctx.phi)
@@ -637,7 +638,8 @@ def test_quantaloids_with_the_same_object_names_keep_their_own_tables():
             phi = _square_context(Q, [[0, 1], [len(Q.homs["*", "*"]) - 1, 0]])
             for pair in (IsbellPair(phi), KanPair(phi)):
                 for qobj in Q.objects:
-                    assert pair.coded(qobj).tables == oracle_tables(pair, qobj), Q.name
+                    left, _, right = pair.coded(qobj)[3]
+                    assert (left, right) == oracle_tables(pair, qobj), Q.name
             kept = Q.__dict__["_translations"]
             assert all(trs == _translations(Q, {}, key) for key, trs in kept.items()), Q.name
         assert first.__dict__["_translations"] is not second.__dict__["_translations"]

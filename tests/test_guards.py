@@ -11,7 +11,7 @@ import pytest
 
 from qfca.errors import BaseMismatch
 from qfca.qcat import identity_functor
-from qfca.presheaf import copresheaf_hom, coyoneda, lan, presheaf_hom, weighted_colimit, yoneda
+from qfca.presheaf import copresheaf_hom, coyoneda, lan, presheaf_hom, yoneda
 from qfca.concept import (
     isbell_down,
     isbell_up,
@@ -29,6 +29,7 @@ from _helpers import (
     pushforward,
     residual_map_functor,
     sup,
+    weighted_colimit,
     weighted_limit,
 )
 

@@ -29,7 +29,6 @@ from qfca.presheaf import (
     copresheaf_hom,
     presheaf_meet,
     ran,
-    weighted_colimit,
     yoneda,
 )
 from qfca.cli import load_document
@@ -53,6 +52,8 @@ from _helpers import (
     pushforward,
     sup,
     top_presheaf,
+    value_at,
+    weighted_colimit,
     weighted_limit,
 )
 
@@ -87,10 +88,10 @@ def test_yoneda_lemma(all_contexts):
             for qobj in A.q.objects:
                 for mu in enumerate_presheaves(A, qobj):
                     for a in A.objects:
-                        assert presheaf_hom(yoneda(A, a), mu) == mu.at(a)
+                        assert presheaf_hom(yoneda(A, a), mu) == value_at(mu, a)
                 for lam in enumerate_copresheaves(A, qobj):
                     for a in A.objects:
-                        assert copresheaf_hom(lam, coyoneda(A, a)) == lam.at(a)
+                        assert copresheaf_hom(lam, coyoneda(A, a)) == value_at(lam, a)
 
 
 def test_yoneda_fully_faithful_fixdl3(fixdl3):
@@ -98,13 +99,13 @@ def test_yoneda_fully_faithful_fixdl3(fixdl3):
     for a, b in itertools.product(A.objects, repeat=2):
         assert presheaf_hom(yoneda(A, a), yoneda(A, b)) == A.hom_of(a, b)
     for a in A.objects:
-        assert yoneda(A, a).at(a) == A.hom_of(a, a)
+        assert value_at(yoneda(A, a), a) == A.hom_of(a, a)
 
 
 def test_yoneda_discrete_unit_vector(two):
     A = discrete_category(two, QTypedSet(("x", "y"), ("*", "*")))
     mu = yoneda(A, "x")
-    assert mu.at("x") == two.unit("*") and mu.at("y") == two.bottom("*", "*")
+    assert value_at(mu, "x") == two.unit("*") and value_at(mu, "y") == two.bottom("*", "*")
 
 
 def test_sup_examples(two, fix2id):
@@ -168,7 +169,7 @@ def test_pushforward(fix2id):
     assert out.type == mu.type
     q = A.q
     for i, x in enumerate(A.objects):
-        assert out.at(x) == q.compose(mu.at("s"), A.hom_of(x, "a1"))
+        assert value_at(out, x) == q.compose(value_at(mu, "s"), A.hom_of(x, "a1"))
 
 
 def test_lan_identity(fix2id, two):

@@ -20,7 +20,9 @@ and the entrywise scans of ``_helpers`` are the oracles for the adjoint
 maps, the (co)presheaf homs, the pointwise presheaf meets and joins and the
 distributor calculus.  Labelling each value by ``Quantaloid.label`` is the
 oracle for the printed form that (co)presheaf families keep and that
-``lattice_to_json`` and ``qfca tr`` read.  The generator maps as functors
+``lattice_to_json`` and ``qfca tr`` read.  The scan of ``weighted_colimit`` is
+the oracle for the one supremum lookup, and ``presheaf_residual`` at each
+(a, u) for the residual members read as codes.  The generator maps as functors
 from discrete categories of arrow-tagged objects, ``_helpers.generator_functors``,
 are the oracle for the four generator verdicts of the density suite.
 """
@@ -32,6 +34,7 @@ import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import (
@@ -61,10 +64,12 @@ from _helpers import (
     oracle_left_imp,
     oracle_presheaf_hom,
     oracle_presheaf_label,
+    oracle_residuals,
     oracle_residuation_tables,
     oracle_side_laws,
     oracle_tables,
     oracle_values,
+    ordinal_quantaloid,
     pointwise_leq,
     presheaf_join,
     residual_closed_form_misses,
@@ -72,6 +77,7 @@ from _helpers import (
     scan_meet,
     serialize_document,
     top_presheaf,
+    weighted_colimit,
 )
 from qfca.quantaloid import (
     Quantaloid,
@@ -81,8 +87,10 @@ from qfca.quantaloid import (
     validate_quantaloid,
 )
 from qfca.cli import ContextDocument, main
+from qfca.errors import ColimitMissing
 from qfca.qcat import (
     QCategory,
+    QFunctor,
     QTypedSet,
     discrete_category,
     dualize_category,
@@ -99,14 +107,17 @@ from qfca.qdist import (
     validate_distributor,
 )
 from qfca.presheaf import (
+    Presheaf,
     _SetCode,
     _join_dense,
     _member_codes,
+    _suprema,
     copresheaf_hom,
     enumerate_copresheaves,
     enumerate_presheaves,
     is_complete,
     is_dense,
+    lan,
     materialize_copresheaves,
     materialize_presheaves,
     presheaf_hom,
@@ -117,6 +128,7 @@ from qfca.concept import (
     IsbellPair,
     KanPair,
     _json_to_dot,
+    _through,
     brute_force_fixed,
     fca_lattice,
     isbell_down,
@@ -138,6 +150,7 @@ LUK3 = build_preset("lukasiewicz-chain", n=3)
 GODEL3 = build_preset("godel-chain", n=3)
 DIAG3 = build_preset("frame-diagonal", chain=3)
 DIAG4, BOOL2 = build_preset("frame-diagonal", chain=4), build_preset("frame-diagonal", boolean=2)
+ORD2 = ordinal_quantaloid()
 
 
 # noncommutative and not Girard: only the residual route reaches their RST lattices
@@ -271,6 +284,91 @@ def test_is_complete_matches_the_enumeration_randomized(data):
     assert is_complete(A) == oracle_is_complete(A)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_complete_matches_the_enumeration_on_multi_object_carriers_randomized(data):
+    # rows coded over A^op, whose homs run from the row's type: over the
+    # multi-object quantaloids a carrier, its (co)presheaf spaces, which are
+    # complete, and each with one object dropped
+    Q = data.draw(st.sampled_from([DIAG3, DIAG4, BOOL2, ORD2]), label="quantaloid")
+    labels = ("x",) if data.draw(st.booleans(), label="one object") else ("x", "y")
+    A = data.draw(st.sampled_from(_categories(Q, labels)), label="carrier")
+    for X in (A, materialize_presheaves(A).category, materialize_copresheaves(A).category):
+        drop = data.draw(st.sampled_from(X.objects), label="dropped")
+        for Y in (X, X.full_subcategory([x for x in X.objects if x != drop])):
+            assert is_complete(Y) == oracle_is_complete(Y), (Q.name, Y.objects)
+
+
+def test_is_complete_matches_the_enumeration_over_asymmetric_homs():
+    # the homs (0, 1) and (1, 0) of the ordinal quantaloid differ, as no preset's do,
+    # so rows coded over A instead of A^op would read the wrong homs here
+    verdicts = [(is_complete(X), oracle_is_complete(X)) for labels in (("x",), ("x", "y"))
+                for A in _categories(ORD2, labels)
+                for X in (A, materialize_presheaves(A).category,
+                          materialize_copresheaves(A).category)]
+    assert all(got == expected for got, expected in verdicts)
+    assert (len(verdicts), sum(got for got, _ in verdicts)) == (42, 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_supremum_lookup_matches_the_colimit_scan_randomized(data):
+    # every presheaf on a discrete domain as one batch of weights through
+    # _suprema, against the scan per weight; colimits along F are often missing
+    # there.  lan raises at the first point whose colimit the scan misses, and
+    # otherwise sends each point where the scan does
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2]), label="quantaloid")
+    X = random_carrier(data, Q)
+    images = data.draw(st.lists(st.sampled_from(X.objects), min_size=1, max_size=3),
+                       label="images")
+    D = discrete_category(Q, QTypedSet(tuple(f"d{i}" for i in range(len(images))),
+                                       tuple(map(X.type_of, images))))
+    F = QFunctor(D, X, dict(zip(D.objects, images)))
+    K = QFunctor(D, X, {d: data.draw(st.sampled_from(
+        [x for x in X.objects if X.type_of(x) == D.type_of(d)]), label="K") for d in D.objects})
+    weights = [mu for qobj in Q.objects for mu in enumerate_presheaves(D, qobj)]
+    assert list(_suprema(F, [(mu.type, mu.values) for mu in weights])) == \
+        [weighted_colimit(mu, F) for mu in weights]
+    expected = {b: weighted_colimit(Presheaf(D, t, column), F)
+                for b, t, column in zip(X.objects, X.types, graph(K).columns)}
+    missing = [b for b, c in expected.items() if c is None]
+    if missing:
+        with pytest.raises(ColimitMissing) as err:
+            lan(K, F)
+        assert err.value.point == missing[0]
+    else:
+        assert lan(K, F).mapping == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residual_category_matches_the_arrow_construction_randomized(data):
+    # the residuals read off limp_table as codes, in runs of one type, against
+    # presheaf_residual at each (a, u): members in the same order, their labels and
+    # values, provenance and the Yoneda graph.  Over the frame-diagonal presets the
+    # runs of different types interleave on most two-object carriers
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2]), label="quantaloid")
+    labels = ("x",) if data.draw(st.booleans(), label="one object") else ("x", "y")
+    A = data.draw(st.sampled_from(_categories(Q, labels)), label="carrier")
+    members, provenance = oracle_residuals(A)
+    rc = residual_category(A)
+    assert [p.key() for p in rc.members] == [p.key() for p in members]
+    assert list(rc.labels) == [oracle_presheaf_label(p) for p in members]
+    assert [dict(zip(A.objects, vs)) for vs in rc.value_labels] == \
+        list(map(oracle_values, members))
+    assert rc.provenance == provenance
+    assert [list(row) for row in rc.yoneda_graph.matrix] == \
+        [[p.values[i] for p in members] for i in range(len(A))]
+
+
+def test_residual_runs_interleave_types_on_multi_object_carriers():
+    # a run holds consecutive members of one type; on a two-object carrier over
+    # frame-diagonal chain=4 a type's members come in more than one run
+    carriers = _categories(DIAG4, ("x", "y"))
+    runs = [[code.qobj for code, _ in residual_category(A).coded] for A in carriers]
+    assert sum(len(set(types)) < len(types) for types in runs) == 56
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lattices_match_brute_force_randomized(data):
@@ -303,7 +401,7 @@ def test_closure_laws_randomized(data):
         for mu in enumerate_presheaves(phi.dom, qobj):
             assert pointwise_leq(mu, isb.closure(mu))
             assert isb.closure(isb.closure(mu)) == isb.closure(mu)
-            assert pointwise_leq(kan.interior(mu), mu)
+            assert pointwise_leq(kan.left(kan.right(mu)), mu)
         for lam in enumerate_presheaves(phi.cod, qobj):
             assert pointwise_leq(lam, kan.closure(lam))
             assert kan.closure(kan.closure(lam)) == kan.closure(lam)
@@ -316,7 +414,7 @@ def test_coded_closures_match_arrow_closures_randomized(data):
     phi = random_context(data, Q)
     for pair in (IsbellPair(phi), KanPair(phi)):
         for qobj in Q.objects:
-            code, close, generators = pair.coded(qobj)
+            code, close, generators, _ = pair.coded(qobj)
             assert code.decode(generators[0]) == top_presheaf(pair.base, qobj)
             assert [code.decode(g).values for g in generators[1:]] == \
                 oracle_generators(phi, pair.kind, qobj), (pair.kind, qobj)
@@ -324,10 +422,11 @@ def test_coded_closures_match_arrow_closures_randomized(data):
                 c = code.pack(v.index for v in mu.values)
                 assert code.decode(c) == mu
                 assert code.decode(close(c)) == pair.closure(mu), (pair.kind, mu.values)
-    # the Kan interior on up-set codes over A, and the member codes of each space
+    # the Kan interior star . lower on up-set codes over A, read off the pair's
+    # tables, and the member codes of each space
     kan = KanPair(phi)
     for qobj in Q.objects:
-        interior = kan.coded(qobj).interior
+        star, mid, lower = kan.coded(qobj)[3]
         for A in (phi.dom, phi.cod):
             up, codes = _member_codes(A, qobj, f"presheaf space on {A.name}")
             members = enumerate_presheaves(A, qobj)
@@ -336,7 +435,8 @@ def test_coded_closures_match_arrow_closures_randomized(data):
         up = _SetCode(phi.dom, qobj, "up")
         for mu in enumerate_presheaves(phi.dom, qobj):
             u = up.pack(v.index for v in mu.values)
-            assert up.decode(interior(u)) == kan.interior(mu), (qobj, mu.values)
+            assert up.decode(_through(star, _through(lower, u, -1), mid.top)) == \
+                kan.left(kan.right(mu)), (qobj, mu.values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,7 +453,8 @@ def test_coded_tables_match_the_per_cell_tables_randomized(data):
                                for t in B.types] for s in A.types])
     for pair in (IsbellPair(phi), KanPair(phi)):
         for qobj in Q.objects:
-            assert pair.coded(qobj).tables == oracle_tables(pair, qobj), (pair.kind, qobj)
+            left, _, right = pair.coded(qobj)[3]
+            assert (left, right) == oracle_tables(pair, qobj), (pair.kind, qobj)
 
 
 def corrupted_context(data):
@@ -481,7 +582,7 @@ def test_coded_print_path_matches_decoded_oracle_randomized(data):
     for compute in (fca_lattice, rst_lattice):
         lat = compute(phi)
         printed, dot = lattice_to_json(lat), lattice_to_dot(lat)
-        assert not {"_members", "_printed", "category"} & lat.__dict__.keys()
+        assert not {"_members", "_labels", "category"} & lat.__dict__.keys()
         types = {}
         for qobj, members in lat.per_type().items():
             labels = [presheaf_label(p) for p in members]

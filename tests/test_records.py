@@ -23,7 +23,7 @@ from qfca.qcat import Preorder, QFunctor, QTypedSet, identity_functor
 from qfca.quantaloid import Arrow, CyclicDualizingFamily, find_cyclic_dualizing_family
 from qfca.represent import CanonicalAdjunction, _elementary, canonical_adjunction
 
-from _helpers import ChuTransform, serialize_document
+from _helpers import ChuTransform, serialize_document, value_at
 
 
 CONTEXTS = pathlib.Path(__file__).resolve().parent.parent / "contexts"
@@ -153,7 +153,7 @@ def test_presheaf_and_copresheaf(fix2id):
     assert repr(p) == f"Presheaf(base={A!r}, type='*', values={v!r})"
     assert repr(Copresheaf(A, "*", v)) == f"Copresheaf(base={A!r}, type='*', values={v!r})"
     _frozen(p, "base", "type", "values")
-    assert p.at("a2") == v[1] and p.key() == ("*", v)
+    assert value_at(p, "a2") == v[1] and p.key() == ("*", v)
 
 
 def test_closure_pairs(fix2id, fixl3):
