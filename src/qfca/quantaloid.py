@@ -5,8 +5,8 @@ lattices and whose composition preserves joins in each variable.  Everything
 is exact and symbolic: an arrow is an index into an explicit element list, and
 no floating point is used anywhere.
 
-Lattice operations and both residuations read integer tables, built once
-when a quantaloid is constructed and never changed afterwards:
+Lattice operations and both residuations read integer tables, built when a
+quantaloid is constructed and never changed afterwards:
 
 * per hom (``HomLattice``): the order as bitmask rows, binary join and meet
   tables, top and bottom; on a poset the join of i and j is read off a dict
@@ -29,6 +29,13 @@ construction on valid input.  ``validate_quantaloid`` decides the laws on
 entry only when a law fails, to write the report.  The opposite quantaloid,
 built on first use, shares the hom tables and transposes the others.
 
+Tables are built once per distinct hom and table, not per object triple.
+Triples whose three homs and composition table are the same objects share
+the checked rows, both residuation tables and the validator's decision of
+the adjunction, and the opposite transposes each distinct table once; only
+the unit laws and associativity are decided per triple.  The frame-diagonal
+presets build their homs and tables this way (``_frame_diagonal``).
+
 A quantaloid is built only over complete lattices: the constructor refuses
 a hom that breaks a poset or lattice law (``HomLattice.issues``) with a
 :class:`ValidationFailed` report of every broken law, so every table entry
@@ -41,6 +48,7 @@ function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -265,26 +273,28 @@ def _residuation_tables(homs, compose_table):
     Q(q, r) of the v with v.u <= w, and right_imp(v, w) the join in Q(p, q)
     of the u with v.u <= w.  The v with v.u <= w are flagged by translating
     the column of u through the flags of the x <= w; on valid tables they are
-    the down-set of left_imp(w, u), whose top is one lookup.
+    the down-set of left_imp(w, u), whose top is one lookup.  Triples with the
+    same three homs and the same table object share one pair of results.
     """
-    limp, rimp = {}, {}
-    tables = {pq: _below(hom) for pq, hom in homs.items()}
+    limp, rimp, done = {}, {}, {}
     for (p, q, r), comp in compose_table.items():
-        dom, mid = homs[(p, q)], homs[(q, r)]
-        below = tables[(p, r)][0]
-        if len(below) <= 256:
-            rows, flagged = list(map(bytes, comp)), bytes.translate
-            cols = list(map(bytes, zip(*rows)))
-        else:  # entries do not fit in a byte: flag them one by one
-            rows, flagged = comp, lambda seq, table: bytes(map(table.__getitem__, seq))
-            cols = list(zip(*rows))
-        mid_principal, dom_principal = tables[(q, r)][1], tables[(p, q)][1]
-        limp[(p, q, r)] = tuple(
-            tuple([_join_of(mid, mid_principal, flagged(col, table)) for col in cols])
-            for table in below)
-        rimp[(p, q, r)] = tuple(
-            tuple([_join_of(dom, dom_principal, flagged(row, table)) for table in below])
-            for row in rows)
+        dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
+        key = id(comp), id(dom), id(mid), id(cod)
+        if key not in done:
+            below = _below(cod)[0]
+            if len(below) <= 256:
+                rows, flagged = list(map(bytes, comp)), bytes.translate
+                cols = list(map(bytes, zip(*rows)))
+            else:  # entries do not fit in a byte: flag them one by one
+                rows, flagged = comp, lambda seq, table: bytes(map(table.__getitem__, seq))
+                cols = list(zip(*rows))
+            mid_principal, dom_principal = _below(mid)[1], _below(dom)[1]
+            done[key] = (
+                tuple(tuple([_join_of(mid, mid_principal, flagged(col, table)) for col in cols])
+                      for table in below),
+                tuple(tuple([_join_of(dom, dom_principal, flagged(row, table)) for table in below])
+                      for row in rows))
+        limp[(p, q, r)], rimp[(p, q, r)] = done[key]
     return limp, rimp
 
 
@@ -321,20 +331,28 @@ class Quantaloid:
         if not report.ok:
             raise ValidationFailed([report])
         self.compose_table: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
-        for p, q, r in itertools.product(self.objects, repeat=3):
-            table = compose_table[(p, q, r)]
-            rows = tuple(tuple(row) for row in table)
-            if len(rows) != len(self.homs[(q, r)]) or any(
-                len(row) != len(self.homs[(p, q)]) for row in rows
-            ):
-                raise InvalidParams(f"compose table for ({p},{q},{r}) has wrong shape")
-            n = len(self.homs[(p, r)])
-            for j, row in enumerate(rows):
-                if not {int}.issuperset(map(type, row)) or min(row) < 0 or max(row) >= n:
-                    i = next(i for i, k in enumerate(row) if type(k) is not int or not 0 <= k < n)
-                    raise InvalidParams(f"compose table for ({p},{q},{r}) has entry {row[i]!r} "
-                                        f"at [{j}][{i}], not an index of hom ({p},{r})")
-            self.compose_table[(p, q, r)] = rows
+        # a table object given to several triples with the same homs is checked
+        # once; the value keeps the table alive, so its id names only it
+        checked, homs = {}, self.homs
+        for pqr in itertools.product(self.objects, repeat=3):
+            p, q, r = pqr
+            table = compose_table[pqr]
+            dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
+            key = id(table), id(dom), id(mid), id(cod)
+            if key not in checked:
+                rows = tuple(tuple(row) for row in table)
+                if len(rows) != len(mid) or any(len(row) != len(dom) for row in rows):
+                    raise InvalidParams(f"compose table for ({p},{q},{r}) has wrong shape")
+                n = len(cod)
+                for j, row in enumerate(rows):
+                    if not {int}.issuperset(map(type, row)) or min(row) < 0 or max(row) >= n:
+                        i = next(i for i, k in enumerate(row)
+                                 if type(k) is not int or not 0 <= k < n)
+                        raise InvalidParams(f"compose table for ({p},{q},{r}) has entry "
+                                            f"{row[i]!r} at [{j}][{i}], not an index of hom "
+                                            f"({p},{r})")
+                checked[key] = table, rows
+            self.compose_table[pqr] = checked[key][1]
         self.units: dict[str, int] = dict(units)
         for q in self.objects:
             if q not in self.units:
@@ -358,11 +376,21 @@ class Quantaloid:
         triples = list(itertools.product(self.objects, repeat=3))
         op.homs = {(p, q): self.homs[(q, p)] for p, q in itertools.product(self.objects, repeat=2)}
         # v .op u = u . v, and each residuation of the opposite is the other
-        # residuation of this quantaloid with its arguments swapped.
-        op.compose_table = {(p, q, r): _transpose(self.compose_table[(r, q, p)])
+        # residuation of this quantaloid with its arguments swapped.  Each
+        # distinct table is transposed once: this quantaloid keeps every source
+        # alive, so an id names one table throughout.
+        done = {}
+
+        def transposed(table):
+            key = id(table)
+            if key not in done:
+                done[key] = _transpose(table)
+            return done[key]
+
+        op.compose_table = {(p, q, r): transposed(self.compose_table[(r, q, p)])
                             for p, q, r in triples}
-        op.limp_table = {(p, q, r): _transpose(self.rimp_table[(r, q, p)]) for p, q, r in triples}
-        op.rimp_table = {(p, q, r): _transpose(self.limp_table[(r, q, p)]) for p, q, r in triples}
+        op.limp_table = {(p, q, r): transposed(self.rimp_table[(r, q, p)]) for p, q, r in triples}
+        op.rimp_table = {(p, q, r): transposed(self.limp_table[(r, q, p)]) for p, q, r in triples}
         op._finish()
         op._opposite = self
         return op
@@ -484,6 +512,28 @@ def _byte_rows(rows, height: int, width: int, size: int):
     return rows
 
 
+def _adjunction_rows(comp, limp, rimp, dom, mid, cod):
+    """``(rows, cols, flat)`` of one triple's composition table as
+    ``bytes``, or ``None`` when one of its three tables cannot be read that way
+    or they break the adjunction v.u <= w iff v <= left_imp(w, u) iff
+    u <= right_imp(v, w).  ``dom``, ``mid`` and ``cod`` are the flag tables
+    ``_laws_hold`` keeps per hom."""
+    nd, nm, nc = len(dom[1]), len(mid[1]), len(cod[1])
+    rows = _byte_rows(comp, nm, nd, nc)
+    limp = _byte_rows(limp, nc, nd, nm)
+    rimp = _byte_rows(rimp, nm, nc, nd)
+    if rows is None or limp is None or rimp is None:
+        return None
+    cols = list(map(bytes, zip(*rows)))
+    # the adjunction over (u, w, v)
+    flags = b"".join([col.translate(below) for col in cols for below in cod[0]])
+    lefts = b"".join(map(mid[1].__getitem__, b"".join(map(bytes, zip(*limp)))))
+    rights = b"".join(map(b"".join(map(bytes, zip(*rimp))).translate, dom[2][:nd]))
+    if flags != lefts or flags != rights:
+        return None
+    return rows, cols, b"".join(rows)
+
+
 def _laws_hold(Q: Quantaloid) -> bool:
     """Whether ``_law_report`` would find nothing, decided on ``bytes``.
 
@@ -500,34 +550,38 @@ def _laws_hold(Q: Quantaloid) -> bool:
     if max(map(len, homs.values()), default=0) > 256:
         return False
     tables = {}  # per hom: flags of the x <= w as translate tables, of each down-set, of the x >= u
-    for pq, hom in homs.items():
+    for hom in {id(hom): hom for hom in homs.values()}.values():
         below = _below(hom)[0]
-        tables[pq] = below, [row[:len(hom)] for row in below], _flags(hom.up, len(hom))
+        tables[id(hom)] = below, [row[:len(hom)] for row in below], _flags(hom.up, len(hom))
+    # Triples with the same homs and the same three table objects share one
+    # decision of the adjunction, and one copy of the composition rows: ``Q``
+    # keeps every table alive, so an id names one table throughout.
+    decided = {}
     rows_of, flat_of = {}, {}
-    for p, q, r in itertools.product(objects, repeat=3):
-        nd, nm, nc = len(homs[(p, q)]), len(homs[(q, r)]), len(homs[(p, r)])
-        rows = _byte_rows(Q.compose_table[(p, q, r)], nm, nd, nc)
-        limp = _byte_rows(Q.limp_table[(p, q, r)], nc, nd, nm)
-        rimp = _byte_rows(Q.rimp_table[(p, q, r)], nm, nc, nd)
-        if rows is None or limp is None or rimp is None:
+    compose, limps, rimps = Q.compose_table, Q.limp_table, Q.rimp_table
+    for pqr in itertools.product(objects, repeat=3):
+        p, q, r = pqr
+        dom, mid, cod = homs[(p, q)], homs[(q, r)], homs[(p, r)]
+        comp, limp, rimp = compose[pqr], limps[pqr], rimps[pqr]
+        key = id(comp), id(limp), id(rimp), id(dom), id(mid), id(cod)
+        if key not in decided:
+            decided[key] = _adjunction_rows(comp, limp, rimp, tables[id(dom)], tables[id(mid)],
+                                            tables[id(cod)])
+        if decided[key] is None:
             return False
-        cols = list(map(bytes, zip(*rows)))
-        if q == r and rows[Q.units[q]] != bytes(range(nd)):
+        rows, cols, flat = decided[key]
+        rows_of[pqr], flat_of[pqr] = rows, flat
+        # the unit laws, per triple: of the triples sharing a table, only some carry them
+        if q == r and rows[Q.units[q]] != bytes(range(len(dom))):
             return False
-        if p == q and cols[Q.units[q]] != bytes(range(nm)):
+        if p == q and cols[Q.units[q]] != bytes(range(len(mid))):
             return False
-        # the adjunction over (u, w, v)
-        flags = b"".join([col.translate(below) for col in cols for below in tables[(p, r)][0]])
-        lefts = b"".join(map(tables[(q, r)][1].__getitem__, b"".join(map(bytes, zip(*limp)))))
-        rights = b"".join(map(b"".join(map(bytes, zip(*rimp))).translate, tables[(p, q)][2][:nd]))
-        if flags != lefts or flags != rights:
-            return False
-        rows_of[(p, q, r)], flat_of[(p, q, r)] = rows, b"".join(rows)
     # w.(v.u) == (w.v).u for u: p -> q, v: q -> r and w: r -> s, over (s, w, v, u)
     # for each (p, q, r): composing after w translates, composing before u
     # indexes the rows of (p, q, s) for all s, laid end to end
     pairs = list(itertools.product(objects, repeat=2))
-    after = {(p, r): [row.ljust(256, b"\0") for s in objects for row in rows_of[(p, r, s)]]
+    padded = {id(rows): [row.ljust(256, b"\0") for row in rows] for rows, _, _ in decided.values()}
+    after = {(p, r): [row for s in objects for row in padded[id(rows_of[(p, r, s)])]]
              for p, r in pairs}
     before = {(p, q): [row for s in objects for row in rows_of[(p, q, s)]] for p, q in pairs}
     start = {}
@@ -693,18 +747,45 @@ def find_cyclic_dualizing_family(Q: Quantaloid):
     Returns the first family that is both cyclic and dualizing; otherwise the
     first cyclic-only family (``dualizing=False``).  The family of tops is
     always cyclic, so ``None`` comes only from tables off the join formula.
+
+    Both verdicts are conjunctions over object pairs (p, q) of a condition on
+    d_p and d_q alone, as ``is_cyclic_family`` and ``is_dualizing_family``
+    check them.  So each pair is decided once per (d_p, d_q), and the search
+    extends a family object by object, dropping every prefix with a pair that
+    is not cyclic; the families it reaches come in the same order.
     """
     cap = budget("search")
-    pools = [Q.arrows(q, q) for q in Q.objects]
+    objects = Q.objects
+    pools = [Q.arrows(q, q) for q in objects]
     total = math.prod(map(len, pools))
     if total > cap:
         raise SearchBudgetExceeded("search", cap, total, f"the family search on {Q.name}")
-    best_cyclic = None
-    for combo in itertools.product(*pools):
-        d = dict(zip(Q.objects, combo))
-        if not is_cyclic_family(Q, d):
+
+    @functools.cache
+    def cyclic(p, q, a, b):  # left_imp(d_p, u) == right_imp(u, d_q) for every u: p -> q
+        return Q.limp_table[(p, q, p)][a] == tuple([row[b] for row in Q.rimp_table[(q, p, q)]])
+
+    @functools.cache
+    def dualizing(p, q, a, b):  # both round trips through d_p and d_q give back every u: p -> q
+        left_p, right_p = Q.limp_table[(p, q, p)][a], Q.rimp_table[(p, q, p)]
+        left_q, right_q = Q.limp_table[(q, p, q)][b], Q.rimp_table[(q, p, q)]
+        return all(right_p[left_p[u]][a] == u and left_q[right_q[u][b]] == u
+                   for u in range(len(Q.homs[(p, q)])))
+
+    # family prefixes, the least on top: families complete in lexicographic order
+    best_cyclic, stack = None, [()]
+    while stack:
+        combo = stack.pop()
+        if len(combo) < len(objects):
+            q = objects[len(combo)]
+            stack += [(*combo, b) for b in reversed(range(len(pools[len(combo)])))
+                      if cyclic(q, q, b, b) and all(cyclic(p, q, a, b) and cyclic(q, p, b, a)
+                                                    for p, a in zip(objects, combo))]
             continue
-        fam = CyclicDualizingFamily(tuple(sorted(d.items())), True, is_dualizing_family(Q, d))
+        fam = CyclicDualizingFamily(
+            tuple(sorted((q, pool[a]) for q, pool, a in zip(objects, pools, combo))), True,
+            all(dualizing(p, q, a, b) for (p, a), (q, b) in
+                itertools.product(zip(objects, combo), repeat=2)))
         if fam.dualizing:
             return fam
         if best_cyclic is None:
@@ -747,19 +828,26 @@ def _frame_diagonal(L: HomLattice, name: str) -> Quantaloid:
 
     Objects are the elements of L; the hom at (p, q) is the downset of
     p meet q; composition is the meet of L; the identity at q is q itself.
+    A hom depends only on p meet q, and a compose table only on the meets
+    (p^q, q^r, p^r), so one hom is built per element of L and one table per
+    distinct meet triple, each shared by every pair or triple with those
+    meets: at boolean=3, 8 homs for 64 pairs and 125 tables for 512 triples.
     """
-    el, n = L.elements, len(L)
-    homs, below = {}, {}  # below[p, q]: the indices in L of the hom's elements
-    for p, q in itertools.product(range(n), repeat=2):
-        xs = below[p, q] = list(_bits(L.down[L.meets[p][q]]))
-        homs[(el[p], el[q])] = HomLattice.from_labels(
-            [el[x] for x in xs], [(el[x], el[y]) for x in xs for y in xs if L.leq(x, y)])
-    table = {}
+    el, n, meets = L.elements, len(L), L.meets
+    below = [list(_bits(L.down[m])) for m in range(n)]  # the indices in L of the down-set of m
+    position = [{x: i for i, x in enumerate(xs)} for xs in below]  # x in L -> its index in hom m
+    hom_of = [HomLattice.from_labels([el[x] for x in xs],
+                                     [(el[x], el[y]) for x in xs for y in xs if L.leq(x, y)])
+              for xs in below]
+    homs = {(el[p], el[q]): hom_of[meets[p][q]] for p, q in itertools.product(range(n), repeat=2)}
+    table, built = {}, {}
     for p, q, r in itertools.product(range(n), repeat=3):
-        dom, mid, cod = below[p, q], below[q, r], below[p, r]
-        table[(el[p], el[q], el[r])] = tuple(
-            tuple(cod.index(L.meets[v][u]) for u in dom) for v in mid)
-    units = {el[q]: below[q, q].index(q) for q in range(n)}
+        key = meets[p][q], meets[q][r], meets[p][r]
+        if key not in built:
+            dom, mid, cod = below[key[0]], below[key[1]], position[key[2]]
+            built[key] = tuple(tuple(cod[meets[v][u]] for u in dom) for v in mid)
+        table[(el[p], el[q], el[r])] = built[key]
+    units = {el[q]: position[q][q] for q in range(n)}
     return Quantaloid(el, homs, table, units, name=name)
 
 

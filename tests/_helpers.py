@@ -9,10 +9,12 @@ as grids of table indices; ``presheaf_join`` and the witness-based
 join-density test are the oracles of the density tests' join folds.  Among them is the
 per-position mask method for Hasse covers, which the library used before it
 read covers off the generators; the scan of ``weighted_colimit``, before the
-library looked suprema up in one dict; and ``oracle_residuals``, the residual
+library looked suprema up in one dict; ``oracle_residuals``, the residual
 members built one ``Arrow`` vector at a time, before the library read them as
-codes.  ``ordinal_quantaloid`` has two homs (0, 1) and (1, 0) that differ, as
-no preset's do.  Two readers pick out a verifier report's
+codes; and the family search that decided each endo-arrow family whole,
+before the library decided each object pair once.  ``ordinal_quantaloid``
+has two homs (0, 1) and (1, 0) that differ, as no preset's do.  Two readers
+pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
 checks that run on library maps: the transpose identities and the eight
 adjoint-arrow identities, exact equalities of distributors that no
@@ -98,7 +100,15 @@ from qfca.qdist import (
     tensor_ix,
     validate_distributor,
 )
-from qfca.quantaloid import Arrow, HomLattice, Quantaloid, build_preset
+from qfca.quantaloid import (
+    Arrow,
+    CyclicDualizingFamily,
+    HomLattice,
+    Quantaloid,
+    build_preset,
+    is_cyclic_family,
+    is_dualizing_family,
+)
 from qfca.represent import (
     _elementary,
     canonical_adjunction,
@@ -466,6 +476,22 @@ def scan_leq(Q, a, b):
 def oracle_is_cyclic_family(Q, d):
     """The cyclic test one arrow at a time, through the ``Arrow`` residuations."""
     return all(Q.left_imp(d[u.src], u) == Q.right_imp(u, d[u.dst]) for u in Q.all_arrows())
+
+
+def oracle_find_cyclic_dualizing_family(Q):
+    """The family search one family at a time, in lexicographic order, each
+    family decided whole by ``is_cyclic_family`` and ``is_dualizing_family``."""
+    best_cyclic = None
+    for combo in itertools.product(*(Q.arrows(q, q) for q in Q.objects)):
+        d = dict(zip(Q.objects, combo))
+        if not is_cyclic_family(Q, d):
+            continue
+        fam = CyclicDualizingFamily(tuple(sorted(d.items())), True, is_dualizing_family(Q, d))
+        if fam.dualizing:
+            return fam
+        if best_cyclic is None:
+            best_cyclic = fam
+    return best_cyclic
 
 
 def oracle_presheaf_hom(mu, nu):

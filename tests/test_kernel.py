@@ -15,7 +15,7 @@ from _helpers import (
     scan_right_imp,
 )
 from qfca.concept import fca_lattice, rst_lattice
-from qfca.errors import TypeMismatch, ValidationFailed
+from qfca.errors import InvalidParams, TypeMismatch, ValidationFailed
 from qfca.qcat import QCategory
 from qfca.qdist import QDistributor, hom_rows
 from qfca.quantaloid import (
@@ -310,3 +310,90 @@ def test_pairwise_bounds_match_the_cone_search():
                 assert hom.joins[i][j] == hom.bound((i, j), hom.up)
                 assert hom.meets[i][j] == hom.bound((i, j), hom.down)
         assert not homs[2].issues or homs[2].issues[0][0].startswith("lattice.")
+
+
+def test_a_shared_table_keeps_the_unit_law_of_each_triple():
+    # one table object serves (x, z, x), which carries no unit law, and the
+    # later (x, z, z), whose left unit law it breaks; the unit index is 0, so a
+    # memo key holding ``q == r and unit`` would read 0 there and False at
+    # (x, z, x), which are equal keys.  Every other law holds: (z, x, z) gets
+    # an equal table of its own, every other triple the meet.
+    top_first = HomLattice.from_labels(("1", "0"), [("0", "1")])
+    meet, bottom = ((0, 1), (1, 1)), ((1, 1), (1, 1))
+    objects = ("x", "z")
+    compose = {t: meet for t in itertools.product(objects, repeat=3)}
+    compose[("x", "z", "x")] = compose[("x", "z", "z")] = bottom
+    compose[("z", "x", "z")] = tuple(map(tuple, bottom))
+    Q = Quantaloid(objects, {pq: top_first for pq in itertools.product(objects, repeat=2)},
+                   compose, {"x": 0, "z": 0}, name="shared")
+    assert Q.compose_table[("x", "z", "x")] is Q.compose_table[("x", "z", "z")]
+    # the opposite shares the transposed table between (x, z, x) and (z, z, x)
+    for R, issue in ((Q, ("unit.left", ("x", "z", "1"))),
+                     (Q.opposite(), ("unit.right", ("z", "x", "1")))):
+        scan = _law_report(R)
+        assert [(i.code, i.where) for i in scan.issues] == [issue]
+        assert not _laws_hold(R)
+        assert validate_quantaloid(R).to_json() == scan.to_json()
+
+
+@pytest.mark.parametrize("params, homs, tables", [
+    pytest.param({"boolean": 3}, 8, 125, id="boolean-3"),
+    pytest.param({"chain": 5}, 5, 35, id="chain-5"),
+])
+def test_frame_diagonal_builds_each_distinct_hom_and_table_once(params, homs, tables):
+    # one hom per element of the frame and one table per distinct meet triple;
+    # the residuations and the opposite's transposes follow the tables
+    Q = build_preset("frame-diagonal", **params)
+
+    def distinct(values):
+        return len({id(value) for value in values})
+
+    for R in (Q, Q.opposite()):
+        assert distinct(R.homs.values()) == homs
+        assert [distinct(R.compose_table.values()), distinct(R.limp_table.values()),
+                distinct(R.rimp_table.values())] == [tables] * 3
+
+
+def test_one_table_object_over_different_homs_is_read_per_homs():
+    # the memo keys name the homs as well as the table: the same rows are
+    # residuated against each triple's own homs, and checked against each
+    # triple's own codomain
+    diamond = HomLattice.from_labels(DIAMOND, DIAMOND_LEQ)
+    chain = HomLattice.from_labels("0123", [("0", "1"), ("1", "2"), ("2", "3")])
+    homs = {("a", "b"): diamond, ("b", "c"): diamond, ("a", "c"): diamond,
+            ("c", "d"): chain, ("b", "d"): chain}
+    rnd = random.Random(9)
+    for _ in range(20):
+        table = [[rnd.randrange(4) for _ in range(4)] for _ in range(4)]
+        compose = {("a", "b", "c"): table, ("b", "c", "d"): table}
+        assert _residuation_tables(homs, compose) == oracle_residuation_tables(homs, compose)
+    two = HomLattice.from_labels("01", [("0", "1")])
+    three = HomLattice.from_labels("012", [("0", "1"), ("1", "2")])
+    objects = ("x", "y")
+    homs = {pq: two for pq in itertools.product(objects, repeat=2)}
+    homs[("x", "x")] = three
+    compose = {(p, q, r): [[0] * len(homs[(p, q)])] * len(homs[(q, r)])
+               for p, q, r in itertools.product(objects, repeat=3)}
+    # an index of hom (x, x) at (x, y, x), out of range in hom (y, y) at (y, y, y)
+    compose[("x", "y", "x")] = compose[("y", "y", "y")] = [[0, 2], [0, 0]]
+    with pytest.raises(InvalidParams,
+                       match=r"^compose table for \(y,y,y\) has entry 2 at \[0\]\[1\]"):
+        Quantaloid(objects, homs, compose, {"x": 2, "y": 1})
+
+
+def test_the_decision_reads_each_triples_own_homs():
+    # every triple of a two-object quantaloid holds the same three table
+    # objects; the copy reorders hom (y, y) so that they break the adjunction
+    # there, which only a decision keyed by the homs as well can see
+    chain = HomLattice.from_labels("01", [("0", "1")])
+    objects = ("x", "y")
+    Q = Quantaloid(objects, {pq: chain for pq in itertools.product(objects, repeat=2)},
+                   {t: ((0, 0), (0, 1)) for t in itertools.product(objects, repeat=3)},
+                   {"x": 1, "y": 1}, name="shared")
+    assert len({id(t) for t in Q.limp_table.values()}) == 1
+    assert _laws_hold(Q)
+    R = copy.copy(Q)
+    R.homs = {**Q.homs, ("y", "y"): HomLattice.from_labels("10", [("0", "1")])}
+    scan = _law_report(R)
+    assert not scan.ok and not _laws_hold(R)
+    assert validate_quantaloid(R).to_json() == scan.to_json()

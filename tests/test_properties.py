@@ -27,10 +27,12 @@ from discrete categories of arrow-tagged objects, ``_helpers.generator_functors`
 are the oracle for the four generator verdicts of the density suite.
 """
 
+import copy
 import functools
 import itertools
 import json
 import os
+import random
 import tempfile
 from unittest import mock
 
@@ -51,6 +53,7 @@ from _helpers import (
     oracle_compose,
     oracle_copresheaf_law,
     oracle_enumerate,
+    oracle_find_cyclic_dualizing_family,
     oracle_generators,
     oracle_isbell_down,
     oracle_is_complete,
@@ -273,6 +276,56 @@ def test_cyclic_verdicts_match_the_arrow_loop():
                           itertools.product(*(Q.arrows(q, q) for q in Q.objects)))]
     assert all(got == expected for got, expected in verdicts)
     assert (len(verdicts), sum(got for got, _ in verdicts)) == (142, 22)
+
+
+def _redrawn_residuations(Q, rnd):
+    """A copy of ``Q`` with one to three entries of its residuation tables at
+    endo-triples (p, q, p) redrawn within their homs: off the join formula, so
+    the first cyclic family need not be the first family, nor exist."""
+    R = copy.copy(Q)
+    R.__dict__.pop("_opposite", None)
+    R.limp_table, R.rimp_table = dict(Q.limp_table), dict(Q.rimp_table)
+    for _ in range(rnd.randint(1, 3)):
+        p, q = rnd.choice(Q.objects), rnd.choice(Q.objects)
+        attr, size = rnd.choice([("limp_table", len(Q.hom(q, p))),
+                                 ("rimp_table", len(Q.hom(p, q)))])
+        rows = [list(row) for row in getattr(R, attr)[(p, q, p)]]
+        rnd.choice(rows)[rnd.randrange(len(rows[0]))] = rnd.randrange(size)
+        getattr(R, attr)[(p, q, p)] = tuple(map(tuple, rows))
+    return R
+
+
+def _listed_top_first(Q):
+    """One-object ``Q`` with its elements listed in reverse: its first family
+    is the top, which is cyclic but not dualizing."""
+    hom, arrows = Q.hom("*", "*"), Q.arrows("*", "*")
+    return build_preset(
+        "commutative-quantale-from-table", elements=hom.elements[::-1],
+        leq=[(hom.elements[i], hom.elements[j]) for i, j in hom.leq_pairs],
+        products=[(Q.label(v), Q.label(u), Q.label(Q.compose(v, u)))
+                  for v in arrows for u in arrows],
+        unit=Q.label(Q.unit("*")))
+
+
+FAMILY_CASES = QUANTALOIDS + [_listed_top_first(TWO), _listed_top_first(LUK3)] + [
+    build_preset("frame-diagonal", **params)
+    for params in ({"chain": 4}, {"chain": 5}, {"boolean": 2}, {"boolean": 3})]
+
+
+def test_family_search_matches_the_per_family_search():
+    # the search that decides each object pair once against the one that
+    # decides each family whole: on each quantaloid, its opposite, and copies
+    # with redrawn residuation entries
+    rnd, kinds = random.Random(32), []
+    for Q in FAMILY_CASES:
+        for R in (Q, Q.opposite(), *(_redrawn_residuations(Q, rnd) for _ in range(16))):
+            fam = find_cyclic_dualizing_family(R)
+            assert fam == oracle_find_cyclic_dualizing_family(R), R.name
+            first = fam is not None and all(a.index == 0 for _, a in fam.d)
+            kinds.append("none" if fam is None else (fam.dualizing, first))
+    # (dualizing, the first family): every outcome of the search occurs
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "none": 4, (True, True): 56, (True, False): 25, (False, True): 63, (False, False): 68}
 
 
 @settings(max_examples=100, deadline=None)
