@@ -20,12 +20,20 @@ key string of one char per (type, entry), run through one
 ``str.translate`` into the binary digits of its image's code.  The
 translation tables depend only on the quantaloid, so it keeps them, as it
 keeps its opposite; a context keeps no table of the lattices, only the
-columns ``isbell_up`` reads, hoisted per value type.  A lattice keeps the codes
+columns the Isbell maps read, hoisted per value type.  A lattice keeps the codes
 and the generators, and its JSON and DOT forms (labels, values, Hasse covers)
 are read off them: the concepts are the ``&`` closure of the generators, so
 the lower covers of a concept c are the maximal codes among ``c & g != c``
 (proof at ``_hasse_covers``).  Concepts become presheaves only when asked
-for.  The ``Arrow`` maps above are the tests' oracle.
+for.  Beside the tables, each map has one body on ``Arrow`` rows: a pair's
+``lefts`` and ``rights`` take a family of value rows of one type and return
+its image rows, read on hom indices, so a whole space or set of generators
+costs one kernel pass and no (co)presheaf or dual conversion per member.  The
+four maps above and a pair's ``left``, ``right`` and ``closure`` are their
+one-row calls.  ``brute_force_fixed`` filters an enumeration by the bodies and
+checks the tables, in the tests and behind ``qfca concepts --oracle``; the
+tests check the bodies against maps read off ``Arrow`` scans one (co)presheaf
+at a time.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -73,7 +81,6 @@ from .presheaf import (
     PresheafSpace,
     _SetCode,
     _and_closure,
-    _presheaf_of,
     _require,
     enumerate_presheaves,
     is_codense,
@@ -82,6 +89,7 @@ from .presheaf import (
     presheaf_label,
 )
 from .quantaloid import (
+    Arrow,
     CyclicDualizingFamily,
     Quantaloid,
     _kept,
@@ -94,51 +102,63 @@ from .quantaloid import (
 # -- the two adjunctions ---------------------------------------------------------
 
 
+def _one_row(body, v, kind: type, base: QCategory, where: str, out: type, out_base: QCategory):
+    """A family map's ``body`` on the one row of v, which must be a ``kind`` on
+    ``base`` (``where`` describes it), as an ``out`` on ``out_base``."""
+    _require(kind, base, where, v)
+    return out(out_base, v.type, tuple(body(v.type, [v.values])[0]))
+
+
 def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
-    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``; phi keeps
-    its columns hoisted for mu's type, so a call is one ``hom_rows`` row of steps."""
-    _require(Presheaf, phi.dom, "the context's row category", mu)
-    s = mu.type
-    columns = _kept(phi, f"_isbell {s}", lambda phi: _hoist_columns(
-        phi.q, phi.dom.types, s, zip(phi.cod.types, phi.columns)))
-    return Copresheaf(phi.cod, s, tuple(_hom_row(columns, mu.values)))
+    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
+    return _one_row(IsbellPair(phi).lefts, mu, Presheaf, phi.dom, "the context's row category",
+                    Copresheaf, phi.cod)
 
 
 def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
     """isbell_up of the dual context: a copresheaf on B back to a presheaf on A."""
-    _require(Copresheaf, phi.cod, "the context's column category", lam)
-    return _presheaf_of(isbell_up(dualize_distributor(phi), _presheaf_of(lam)), phi.dom)
+    return _one_row(IsbellPair(phi).rights, lam, Copresheaf, phi.cod,
+                    "the context's column category", Presheaf, phi.dom)
 
 
 def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
     """lam . phi, a presheaf on A: ``kan_star(lam)(a) = join_b lam(b) . phi(a, b)``."""
-    _require(Presheaf, phi.cod, "the context's column category", lam)
-    q, types, t = phi.q, phi.cod.types, lam.type
-    return Presheaf(phi.dom, t, tuple(tensor_ix(q, types, p, t, row, lam.values)
-                                      for p, row in zip(phi.dom.types, phi.matrix)))
+    return _one_row(KanPair(phi).lefts, lam, Presheaf, phi.cod, "the context's column category",
+                    Presheaf, phi.dom)
 
 
 def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
     """mu <l phi, a presheaf on B: ``kan_lower(mu)(b) = hom(phi(-, b), mu)``."""
-    _require(Presheaf, phi.dom, "the context's row category", mu)
-    s = mu.type
-    return Presheaf(phi.cod, s, tuple(line[0] for line in hom_rows(
-        phi.q, phi.dom.types, zip(phi.cod.types, phi.columns), [(s, mu.values)])))
+    return _one_row(KanPair(phi).rights, mu, Presheaf, phi.dom, "the context's row category",
+                    Presheaf, phi.cod)
+
+
+def _isbell_columns(phi: QDistributor, s: str) -> list:
+    """phi's columns hoisted for rows of type s, as ``_hom_row`` reads them; kept on phi."""
+    return _kept(phi, f"_isbell {s}", lambda phi: _hoist_columns(
+        phi.q, phi.dom.types, s, zip(phi.cod.types, phi.columns)))
 
 
 class _ClosurePair(_Frozen):
-    """What the two closure pairs share: the context ``phi`` and ``coded``.
+    """What the two closure pairs share: the context ``phi``, ``closures`` and ``coded``.
 
     Both pairs name the ``kind`` of their lattice, the ``base`` that their
     ``closure`` acts on, the materialized ``spaces`` that ``left`` and
     ``right`` start from, and the fixed-point ``lattice``; each supplies the
-    ``_tables`` of its two maps on int codes.
+    ``_tables`` of its two maps on int codes.  Each map has one body, on a
+    family: ``lefts`` and ``rights`` take value rows of one type s and return
+    their image rows, reading only the rows' hom indices.  ``left`` and
+    ``right`` are their one-row calls, the module's four maps.
     """
 
     _fields = ("phi",)
 
     def __init__(self, phi: QDistributor):
         self._set(phi)
+
+    def closures(self, s: str, rows) -> list:
+        """The closure ``right . left`` of each row of values of type s on the base."""
+        return self.rights(s, self.lefts(s, rows))
 
     def coded(self, qobj: str, keys=None) -> tuple:
         """At qobj: the ``_SetCode`` of the presheaves on the base, the closure
@@ -157,6 +177,23 @@ class IsbellPair(_ClosurePair):
 
     kind = "fca"
     base = property(lambda self: self.phi.dom)
+
+    def lefts(self, s: str, rows) -> list[list[Arrow]]:
+        """isbell_up of each row of values |a| -> s: the values s -> |b| of
+        ``hom(mu, phi(-, b))``, one ``_hom_row`` per row on phi's kept columns."""
+        columns = _isbell_columns(self.phi, s)
+        return [_hom_row(columns, us) for us in rows]
+
+    def rights(self, s: str, rows) -> list[list[Arrow]]:
+        """isbell_down of each row of values s -> |b|: one ``_hom_row`` per row on
+        the dual context's kept columns, which read a value's index as its dual
+        has it, read back through ``q.arrow_table`` into values |a| -> s."""
+        def read_back(phi):
+            dual = _isbell_columns(dualize_distributor(phi), s)
+            return [(meets, top, phi.q.arrow_table[p, s], residuals)
+                    for p, (meets, top, _, residuals) in zip(phi.dom.types, dual)]
+        columns = _kept(self.phi, f"_isbell_down {s}", read_back)
+        return [_hom_row(columns, vs) for vs in rows]
 
     def left(self, mu: Presheaf) -> Copresheaf:
         return isbell_up(self.phi, mu)
@@ -187,6 +224,21 @@ class KanPair(_ClosurePair):
 
     kind = "rst"
     base = property(lambda self: self.phi.cod)
+
+    def lefts(self, t: str, rows) -> list[list[Arrow]]:
+        """kan_star of each row of values |b| -> t: one ``tensor_ix`` per row of phi."""
+        phi = self.phi
+        q, types = phi.q, phi.cod.types
+        return [[tensor_ix(q, types, p, t, row, vs) for p, row in zip(phi.dom.types, phi.matrix)]
+                for vs in rows]
+
+    def rights(self, s: str, rows) -> list[list[Arrow]]:
+        """kan_lower of each row of values |a| -> s: one ``hom_rows`` call with phi's
+        columns as its rows and the family as its columns, read by member."""
+        phi = self.phi
+        lines = list(hom_rows(phi.q, phi.dom.types, zip(phi.cod.types, phi.columns),
+                              [(s, us) for us in rows]))
+        return [[line[j] for line in lines] for j in range(len(rows))]
 
     def left(self, lam: Presheaf) -> Presheaf:
         return kan_star(self.phi, lam)
@@ -367,9 +419,12 @@ def rst_lattice(phi: QDistributor) -> ConceptLattice:
 
 
 def brute_force_fixed(phi: QDistributor, kind: str, qobj: str) -> tuple[Presheaf, ...]:
-    """Independent oracle: filter the full presheaf enumeration by fixedness."""
+    """Independent oracle: the full presheaf enumeration filtered by fixedness, in
+    one ``closures`` pass: a member stays when its closure's row is its own."""
     pair = closure_pair(phi, kind)
-    return tuple(p for p in enumerate_presheaves(pair.base, qobj) if pair.closure(p) == p)
+    members = enumerate_presheaves(pair.base, qobj)
+    closed = pair.closures(qobj, [mu.values for mu in members])
+    return tuple(mu for mu, row in zip(members, closed) if tuple(row) == mu.values)
 
 
 # -- the residual category and residual contexts -----------------------------------
@@ -480,12 +535,6 @@ def complement_context(phi: QDistributor, fam: CyclicDualizingFamily) -> QDistri
     return QDistributor(B, A, matrix, name=f"not({phi.name})")
 
 
-def complement_presheaf(fam: CyclicDualizingFamily, mu: Presheaf) -> Copresheaf:
-    q = mu.base.q
-    return Copresheaf(mu.base, mu.type,
-                      tuple(complement_arrow(q, fam, v) for v in mu.values))
-
-
 def verify_rst_as_fca_complement(phi: QDistributor, fam: CyclicDualizingFamily) -> Report:
     """Over a Girard quantaloid: RST lattice equals FCA lattice of the complement.
 
@@ -503,7 +552,8 @@ def verify_rst_as_fca_complement(phi: QDistributor, fam: CyclicDualizingFamily) 
     _check_rst_is_fca(report, phi, neg, "complement-fca")
     pa = materialize_presheaves(phi.dom)
     pda = materialize_copresheaves(phi.dom)
-    negf = pa.functor_to(pda, lambda mu: complement_presheaf(fam, mu), name="complement")
+    negf = pa.functor_to(pda, lambda s, rows: [[complement_arrow(phi.q, fam, v) for v in vs]
+                                                    for vs in rows], name="complement")
     bijective = len(set(negf.mapping.values())) == len(pda.category.objects)
     report.check("complement-is-iso",
                  bijective and is_fully_faithful(negf),
@@ -531,7 +581,7 @@ def codense_probe(Q: Quantaloid, qobj: str) -> Report:
     ps = materialize_presheaves(S)
     witness = None
     for w in Q.arrows(qobj, qobj):
-        F = ps.functor_from(S, lambda _: Presheaf(S, qobj, (w,)), name=f"target-{Q.label(w)}")
+        F = ps.functor_from(S, [(qobj, (w,))], name=f"target-{Q.label(w)}")
         if is_codense(F):
             witness = Q.label(w)
             break

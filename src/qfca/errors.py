@@ -53,9 +53,9 @@ class HypothesesNotMet(QfcaError):
 
 class BudgetExceeded(QfcaError):
     """Work past a cap: ``kind`` (a key of ``_DEFAULT_BUDGETS``), its ``limit``,
-    the ``count`` and ``what`` exceeded it.  ``count`` is the size needed where
-    it is known before any work starts (the family search) and the size reached
-    when the cap tripped for an enumeration (the members produced) or a closure.
+    the ``count`` and ``what`` exceeded it.  ``count`` is the size reached when
+    the cap tripped: the members an enumeration produced, the codes of a
+    closure, or the prefixes a family search pushed.
     """
 
     def __init__(self, kind: str, limit: int, count: int, what: str):

@@ -24,7 +24,11 @@ class: every family holds its members as runs of a ``_SetCode`` and codes and
 decodes them on demand, and a space checks the cap on every call.  The same
 code lays out the hom rows that ``is_complete`` compares, as presheaves on A^op.
 Every hom between (co)presheaves, one or a whole family's matrix, is a call
-of the row kernel ``qdist.hom_rows``.  A weighted colimit is one lookup,
+of the row kernel ``qdist.hom_rows`` on the members' own value rows.  The
+kernel reads only hom indices, and a copresheaf's value has the index of its
+dual, so a copresheaf hom runs on the dual base with no operand converted.  A
+functor into a family takes value rows, and a family map of them
+(``_per_type``), and looks each image up once.  A weighted colimit is one lookup,
 ``_suprema``, from a hom row to its least-label object; ``lan`` and the
 join-density test read it.  A join-density witness is a fold of join tables
 over hom indices; no ``Arrow`` operation of the quantaloid runs there.
@@ -80,23 +84,9 @@ class Copresheaf(_Vector):
     """A vector ``values[i]: type -> |x_i|`` over the base carrier."""
 
 
-def _presheaf_of(lam: Copresheaf, base: QCategory | None = None) -> Presheaf:
-    """lam as a presheaf over the opposite quantaloid on ``base``, the dual of
-    lam's base (by default ``dualize_category(lam.base)``).
-
-    Kept on lam, so each copresheaf is converted at most once; one made by
-    ``_copresheaf_of`` starts out with it.
-    """
-    return _kept(lam, "_dual", lambda lam: Presheaf(
-        dualize_category(lam.base) if base is None else base, lam.type,
-        lam.base.q.dual_arrows(lam.values)))
-
-
 def _copresheaf_of(mu: Presheaf, base: QCategory) -> Copresheaf:
     """mu, a presheaf on the dual of ``base``, as a copresheaf on ``base``."""
-    lam = Copresheaf(base, mu.type, mu.base.q.dual_arrows(mu.values))
-    lam.__dict__["_dual"] = mu
-    return lam
+    return Copresheaf(base, mu.type, mu.base.q.dual_arrows(mu.values))
 
 
 def _require(kind: type, base: QCategory, where: str, v, w=None) -> None:
@@ -117,16 +107,17 @@ def _require(kind: type, base: QCategory, where: str, v, w=None) -> None:
 def _hom_grid(rows, cols) -> list[list[Arrow]]:
     """``hom(rows[i], cols[j])`` for (co)presheaves of one kind on one base, unchecked:
     one ``hom_rows`` matrix on the base, or for copresheaves the transposed matrix of
-    the presheaf homs on the dual base, read back over the opposite quantaloid."""
+    the presheaf homs from cols to rows on the dual base, read back over the opposite
+    quantaloid.  The kernel reads the members' own rows: a value and its dual share
+    their index."""
     if not rows or not cols:
         return [[] for _ in rows]
-    if rows[0].__class__ is Presheaf:
-        base = rows[0].base
-        return list(hom_rows(base.q, base.types, [(m.type, m.values) for m in rows],
-                             [(m.type, m.values) for m in cols]))
-    back = rows[0].base.q.opposite().dual_arrows
-    grid = _hom_grid([_presheaf_of(m) for m in cols], [_presheaf_of(m) for m in rows])
-    return [list(back(col)) for col in zip(*grid)]
+    base, dual = rows[0].base, rows[0].__class__ is Copresheaf
+    if dual:
+        base, rows, cols = dualize_category(base), cols, rows
+    grid = hom_rows(base.q, base.types, [(m.type, m.values) for m in rows],
+                    [(m.type, m.values) for m in cols])
+    return [list(base.q.dual_arrows(col)) for col in zip(*grid)] if dual else list(grid)
 
 
 def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
@@ -453,8 +444,11 @@ class PresheafFamily:
     ``coded`` holds runs of a ``_SetCode`` and its members' codes, in member
     order.  ``members``, decoded by ``_member``, their ``value_labels`` and
     ``labels`` (``presheaf_label``s), read off the codes for serializers to read
-    by position, the lookups of ``label_of`` and ``member_of``, and ``category``
-    (the members' homs) are built on first use.
+    by position, the lookup of ``labels_of``, and ``category`` (the members'
+    homs) are built on first use.  A functor into a family is given by value
+    rows, each sent to its member directly or through a family map f: a map
+    ``f(s, rows)`` from value rows of one type s to their image rows, such as
+    a closure pair's ``lefts``, ``rights`` and ``closures``.
     """
 
     _tag = None  # set on a family that its base alone determines
@@ -499,25 +493,45 @@ class PresheafFamily:
     def __len__(self) -> int:
         return sum(len(codes) for _, codes in self.coded)
 
-    def label_of(self, m) -> str:
+    def labels_of(self, rows, f=None) -> list[str]:
+        """The labels of the members whose value rows are ``rows``, pairs (type, values),
+        or, given a family map f, their images ``_per_type(f, rows)``."""
         by_key = self._keep("_by_key", lambda s: dict(zip(map(_Vector.key, s.members), s.labels)))
+        if f is not None:
+            rows = zip([s for s, _ in rows], _per_type(f, rows))
         try:
-            return by_key[m.key()]
-        except KeyError:
-            raise QfcaError(f"{presheaf_label(m)} is not a member of {self.name}") from None
+            return [by_key[s, tuple(values)] for s, values in rows]
+        except KeyError as missing:
+            shown = presheaf_label(Presheaf(self.base, *missing.args[0]))
+            raise QfcaError(f"{shown} is not a member of {self.name}") from None
 
-    def member_of(self, label: str):
-        return _kept(self, "_by_label", lambda s: dict(zip(s.labels, s.members)))[label]
+    def label_of(self, m) -> str:
+        return self.labels_of([m.key()])[0]
 
-    def functor_from(self, dom: QCategory, assignment, name: str = "") -> QFunctor:
-        """Build a functor into this family from a member-valued map on dom's objects."""
-        mapping = {x: self.label_of(assignment(x)) for x in dom.objects}
-        return QFunctor(dom, self.category, mapping, name=name or "into-presheaves")
+    def functor_from(self, dom: QCategory, rows, f=None, name: str = "") -> QFunctor:
+        """The functor into this family that sends each object of dom, whose value row
+        ``rows`` holds in dom's order, to its member (``labels_of``)."""
+        return QFunctor(dom, self.category, dict(zip(dom.objects, self.labels_of(rows, f))),
+                        name=name or "into-presheaves")
 
-    def functor_to(self, other: "PresheafFamily", f, name: str = "") -> QFunctor:
-        """Build a functor into another family that sends each member m to f(m)."""
-        mapping = {lbl: other.label_of(f(m)) for lbl, m in zip(self.labels, self.members)}
-        return QFunctor(self.category, other.category, mapping, name=name or "between-spaces")
+    def functor_to(self, other: "PresheafFamily", f=None, name: str = "") -> QFunctor:
+        """The functor into another family that sends each member, as its value row, to
+        its image under the family map f, or to itself (``functor_from``)."""
+        return other.functor_from(self.category, [m.key() for m in self.members], f,
+                                  name=name or "between-spaces")
+
+
+def _per_type(f, rows) -> list:
+    """A family map f on ``rows``, pairs (type, values): one call ``f(s, the values of
+    type s)`` per type s, whose image rows come back in the order of ``rows``."""
+    runs: dict[str, list[int]] = {}
+    for k, (s, _) in enumerate(rows):
+        runs.setdefault(s, []).append(k)
+    images = [None] * len(rows)
+    for s, ks in runs.items():
+        for k, image in zip(ks, f(s, [rows[k][1] for k in ks])):
+            images[k] = image
+    return images
 
 
 class PresheafSpace(PresheafFamily):
@@ -544,9 +558,10 @@ class PresheafSpace(PresheafFamily):
         return mu if self.kind == "presheaf" else _copresheaf_of(mu, self.base)
 
     def yoneda_functor(self) -> QFunctor:
+        A = self.base
         if self.kind == "presheaf":
-            return self.functor_from(self.base, lambda a: yoneda(self.base, a), name="yoneda")
-        return self.functor_from(self.base, lambda a: coyoneda(self.base, a), name="coyoneda")
+            return self.functor_from(A, [yoneda(A, a).key() for a in A.objects], name="yoneda")
+        return self.functor_from(A, [coyoneda(A, a).key() for a in A.objects], name="coyoneda")
 
 
 def materialize_presheaves(base: QCategory) -> PresheafSpace:

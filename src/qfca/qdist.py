@@ -13,12 +13,13 @@ kernels: ``tensor_ix``, a fold of one entry's join of composites, carries
 ``dist_compose`` and ``kan_star``; ``hom_rows``, the row
 kernel of the presheaf hom (a meet of left residuals), computes a whole
 matrix of homs row by row and carries ``dist_left_imp``, every presheaf and
-copresheaf hom, the supremum lookup ``presheaf._suprema``, ``isbell_up``
-(through its two steps, so that the context keeps the hoisted columns),
-``kan_lower`` and the density tests.  Their duals reduce to these, and the
-bimodule law is decided on the compose table.  A context keeps
-(``quantaloid._kept``) its ``columns``, its dual, and per value type the
-columns ``isbell_up`` reads; none refers back.
+copresheaf hom, the supremum lookup ``presheaf._suprema``, the Isbell maps
+(``_hom_row`` per member on columns hoisted once, so that the context keeps
+them), ``kan_lower`` and the density tests.  Both read only the indices of
+the arrows they are given, which an arrow and its dual share.  Their duals
+reduce to these, and the bimodule law is decided on the compose table.  A
+context keeps (``quantaloid._kept``) its ``columns``, its dual, and per value
+type the columns the Isbell maps read; none refers back.
 
 Distributor equality is exact entrywise arrow equality; the theorems this
 package verifies are equalities at this level, not isomorphisms.

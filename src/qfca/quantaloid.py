@@ -752,14 +752,12 @@ def find_cyclic_dualizing_family(Q: Quantaloid):
     d_p and d_q alone, as ``is_cyclic_family`` and ``is_dualizing_family``
     check them.  So each pair is decided once per (d_p, d_q), and the search
     extends a family object by object, dropping every prefix with a pair that
-    is not cyclic; the families it reaches come in the same order.
+    is not cyclic; the families it reaches come in the same order.  The search
+    cap bounds the prefixes it pushes.
     """
-    cap = budget("search")
+    cap, nodes = budget("search"), 0
     objects = Q.objects
     pools = [Q.arrows(q, q) for q in objects]
-    total = math.prod(map(len, pools))
-    if total > cap:
-        raise SearchBudgetExceeded("search", cap, total, f"the family search on {Q.name}")
 
     @functools.cache
     def cyclic(p, q, a, b):  # left_imp(d_p, u) == right_imp(u, d_q) for every u: p -> q
@@ -778,9 +776,13 @@ def find_cyclic_dualizing_family(Q: Quantaloid):
         combo = stack.pop()
         if len(combo) < len(objects):
             q = objects[len(combo)]
-            stack += [(*combo, b) for b in reversed(range(len(pools[len(combo)])))
+            pushed = [(*combo, b) for b in reversed(range(len(pools[len(combo)])))
                       if cyclic(q, q, b, b) and all(cyclic(p, q, a, b) and cyclic(q, p, b, a)
                                                     for p, a in zip(objects, combo))]
+            nodes += len(pushed)
+            if nodes > cap:
+                raise SearchBudgetExceeded("search", cap, nodes, f"the family search on {Q.name}")
+            stack += pushed
             continue
         fam = CyclicDualizingFamily(
             tuple(sorted((q, pool[a]) for q, pool, a in zip(objects, pools, combo))), True,

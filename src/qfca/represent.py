@@ -50,6 +50,7 @@ from .qdist import (
     dist_compose,
     dualize_distributor,
     graph,
+    hom_rows,
     is_adjoint_functor_pair,
 )
 from .presheaf import (
@@ -60,7 +61,7 @@ from .presheaf import (
     _hom_grid,
     _join_dense,
     _member_codes,
-    coyoneda,
+    _per_type,
     enumerate_presheaves,
     is_codense,
     is_complete,
@@ -283,20 +284,24 @@ def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
 class _Elementary(_Frozen):
     """One kind of the elementary theorem on phi.  F is defined on ``f_pairs``
     (``dom_pairs(pair.base)``) and G on ``g_pairs``, a G pair naming the
-    (co)presheaf ``named(*g)``.  ``context`` orders an F and a G pair as
-    (a, u, b, v), row pair first; there ``below`` is the order side of the quantale
-    biconditional.  ``grid(phi, f_pairs, g_pairs)`` is the index of X(F f, G g)
-    in its hom, a double residuation of phi(a,b), per F pair (row) and G pair
-    (column).  ``identity`` and ``biconditional`` are the (name, formula) of
-    those two conditions."""
+    (co)presheaf whose value row ``named(*g)`` holds: for fca a copresheaf on B,
+    named by its dual presheaf on B^op, whose values have the same indices.
+    ``homs(lefts, named)`` is the grid of homs from the left map's images to the
+    named members, both as pairs (type, values), by F pair, then G pair.
+    ``context`` orders an F and a G pair as (a, u, b, v), row pair first; there
+    ``below`` is the order side of the quantale biconditional.
+    ``grid(phi, f_pairs, g_pairs)`` is the index of X(F f, G g) in its hom, a
+    double residuation of phi(a,b), per F pair (row) and G pair (column).
+    ``identity`` and ``biconditional`` are the (name, formula) of those two
+    conditions."""
 
-    _fields = ("pair", "f_pairs", "g_pairs", "named", "context", "grid", "below",
+    _fields = ("pair", "f_pairs", "g_pairs", "named", "homs", "context", "grid", "below",
                "identity", "biconditional")
 
     def __init__(self, pair: IsbellPair | KanPair, f_pairs: tuple, g_pairs: tuple,
-                 named: Callable, context: Callable, grid: Callable, below: Callable,
-                 identity: tuple[str, str], biconditional: tuple[str, str]):
-        self._set(pair, f_pairs, g_pairs, named, context, grid, below, identity,
+                 named: Callable, homs: Callable, context: Callable, grid: Callable,
+                 below: Callable, identity: tuple[str, str], biconditional: tuple[str, str]):
+        self._set(pair, f_pairs, g_pairs, named, homs, context, grid, below, identity,
                   biconditional)
 
     def misses(self, homs) -> list[tuple[str, str, str, str]]:
@@ -340,8 +345,11 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     """The elementary theorem of ``kind`` on phi; ``closure_pair`` refuses other kinds."""
     pair, q, A, B = closure_pair(phi, kind), phi.q, phi.dom, phi.cod
     if pair.kind == "fca":  # F on rows with out-arrows, G on columns with in-arrows
+        dual = dualize_category(B)  # a copresheaf hom is the dual presheaf hom, reversed
         return _Elementary(
-            pair, dom_pairs(A), cod_pairs(B), lambda b, v: copresheaf_tensor(B, b, v),
+            pair, dom_pairs(A), cod_pairs(B),
+            lambda b, v: presheaf_tensor(dual, b, q.dual_arrows((v,))[0]),
+            lambda lefts, named: zip(*hom_rows(dual.q, dual.types, named, lefts)),
             lambda f, g: (*f, *g), _polarity_grid,
             lambda a, u, b, v: q.leq(q.compose(v, u), phi.at(a, b)),
             ("polarity-hom", "hom(up(tensor(a,u)), cotensor(b,v)) == "
@@ -350,6 +358,7 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     # rst: F on columns and G on rows, both with out-arrows
     return _Elementary(
         pair, dom_pairs(B), dom_pairs(A), lambda a, u: presheaf_residual(A, a, u),
+        lambda lefts, named: hom_rows(q, A.types, lefts, named),
         lambda f, g: (*g, *f), _kan_grid,
         lambda a, u, b, v: q.leq(phi.at(a, b), q.right_imp(v, u)),
         ("kan-hom", "hom(star(tensor(b,v)), residual(a,u)) == "
@@ -357,15 +366,22 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
         ("object-oriented-biconditional", "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)"))
 
 
+def _tensors(d: _Elementary) -> list[tuple]:
+    """The F pairs' tensors on the base of ``d``'s pair, as pairs (type, values)."""
+    return [presheaf_tensor(d.pair.base, *f).key() for f in d.f_pairs]
+
+
 def verify_elementary_identities(phi: QDistributor) -> Report:
     """The arrow-level hom formula behind each elementary theorem: the hom from
     the left map at an F pair's tensor to the (co)presheaf that a G pair names
-    is a double residuation of one context entry."""
+    is a double residuation of one context entry.  The left images of all the
+    tensors come from one ``lefts`` call per type."""
     report = Report("elementary-identities")
     for kind in ("fca", "rst"):
         d = _elementary(phi, kind)
-        lefts = [d.pair.left(presheaf_tensor(d.pair.base, *f)) for f in d.f_pairs]
-        homs = _hom_grid(lefts, [d.named(*g) for g in d.g_pairs])
+        tensors = _tensors(d)
+        lefts = zip([s for s, _ in tensors], _per_type(d.pair.lefts, tensors))
+        homs = d.homs(list(lefts), [d.named(*g).key() for g in d.g_pairs])
         report.check_none(d.identity[0], d.misses(homs), d.identity[1])
     return report
 
@@ -516,7 +532,7 @@ def verify_density_suite(A: QCategory) -> Report:
     report.check("coyoneda-codense", is_codense(pda.yoneda_functor()), "")
     rc = residual_category(A)
     report.check("residual-inclusion-codense",
-                 is_codense(rc.functor_to(pa, lambda m: m, name="residual-inclusion")), "")
+                 is_codense(rc.functor_to(pa, name="residual-inclusion")), "")
     P, Pd = pa.category, pda.category
     for name, X, space, pairs, make in (
             ("presheaf_tensors:join", P, pa, dom_pairs, presheaf_tensor),
@@ -545,8 +561,8 @@ def canonical_adjunction(phi: QDistributor, kind: str) -> CanonicalAdjunction:
     """The closure pair of ``kind`` as functors S -| T between its materialized spaces."""
     pair = closure_pair(phi, kind)
     C, D = pair.spaces()
-    S = C.functor_to(D, pair.left, name=f"{kind}-left")
-    T = D.functor_to(C, pair.right, name=f"{kind}-right")
+    S = C.functor_to(D, pair.lefts, name=f"{kind}-left")
+    T = D.functor_to(C, pair.rights, name=f"{kind}-right")
     return CanonicalAdjunction(kind, phi, S, T, C, D)
 
 
@@ -569,12 +585,12 @@ class CanonicalRepresentation:
     @property
     def L(self) -> QFunctor:
         return _kept(self, "L", lambda d: d.adj.C_space.functor_to(
-            d.lattice, d.pair.closure, name="closure-restriction"))
+            d.lattice, d.pair.closures, name="closure-restriction"))
 
     @property
     def R(self) -> QFunctor:
         return _kept(self, "R", lambda d: d.adj.D_space.functor_to(
-            d.lattice, d.pair.right, name="right-restriction"))
+            d.lattice, d.pair.rights, name="right-restriction"))
 
 
 def canonical_general_data(phi: QDistributor, kind: str) -> CanonicalRepresentation:
@@ -588,22 +604,23 @@ def _witnesses(phi: QDistributor, kind: str):
     """The general data, the dense F and codense G into its concepts, and rc.
 
     F and G are the closed forms of the composites F = L.K and G = R.H, whose
-    names they keep: F is the closure of each representable of the closure's
-    base.  G is the right map at each corepresentable of the columns (fca)
-    or at each residual member of rc, the residual category of the rows (rst).
+    names they keep: F is the closure of each representable ``hom(-, x)`` of
+    the closure's base.  G is the right map at each corepresentable ``hom(b, -)``
+    of the columns (fca) or at each residual member of rc, the residual
+    category of the rows (rst).  Each is one family call per type, on the
+    value rows read off the hom matrices or the residual members.
     """
     data = canonical_general_data(phi, kind)
     pair, lattice, base = data.pair, data.lattice, data.pair.base
-    F = lattice.functor_from(base, lambda x: pair.closure(yoneda(base, x)),
+    F = lattice.functor_from(base, list(zip(base.types, zip(*base.hom))), pair.closures,
                              name="closure-restriction.yoneda")
     if pair.kind == "fca":
         rc, B = None, phi.cod
-        G = lattice.functor_from(B, lambda b: pair.right(coyoneda(B, b)),
+        G = lattice.functor_from(B, list(zip(B.types, B.hom)), pair.rights,
                                  name="right-restriction.coyoneda")
     else:
         rc = residual_category(phi.dom)
-        G = lattice.functor_from(rc.category, lambda m: pair.right(rc.member_of(m)),
-                                 name="right-restriction.residual-inclusion")
+        G = rc.functor_to(lattice, pair.rights, name="right-restriction.residual-inclusion")
     return data, F, G, rc
 
 
@@ -625,14 +642,16 @@ def canonical_dense_data(phi: QDistributor, kind: str):
     data, F, G, rc = _witnesses(phi, kind)
     K = data.adj.C_space.yoneda_functor()
     H = (data.adj.D_space.yoneda_functor() if rc is None
-         else rc.functor_to(data.adj.D_space, lambda m: m, name="residual-inclusion"))
+         else rc.functor_to(data.adj.D_space, name="residual-inclusion"))
     return data, F, K, G, H
 
 
 def canonical_elementary_data(phi: QDistributor, kind: str):
-    """Pair-indexed witness maps for the elementary theorems."""
+    """Pair-indexed witness maps for the elementary theorems: the closures of the
+    F pairs' tensors and the right map at the G pairs' members, one family call
+    per type each."""
     data, d = canonical_general_data(phi, kind), _elementary(phi, kind)
-    pair, label = d.pair, data.lattice.label_of
-    F = {f: label(pair.closure(presheaf_tensor(pair.base, *f))) for f in d.f_pairs}
-    G = {g: label(pair.right(d.named(*g))) for g in d.g_pairs}
+    labels_of = data.lattice.labels_of
+    F = dict(zip(d.f_pairs, labels_of(_tensors(d), d.pair.closures)))
+    G = dict(zip(d.g_pairs, labels_of([d.named(*g).key() for g in d.g_pairs], d.pair.rights)))
     return data, F, G

@@ -11,8 +11,12 @@ per-position mask method for Hasse covers, which the library used before it
 read covers off the generators; the scan of ``weighted_colimit``, before the
 library looked suprema up in one dict; ``oracle_residuals``, the residual
 members built one ``Arrow`` vector at a time, before the library read them as
-codes; and the family search that decided each endo-arrow family whole,
-before the library decided each object pair once.  ``ordinal_quantaloid``
+codes; the family search that decided each endo-arrow family whole,
+before the library decided each object pair once; and the closure pairs'
+maps one (co)presheaf at a time, the Isbell maps and ``kan_lower`` as homs
+by ``oracle_presheaf_hom`` and its copresheaf twin, with the fixed-point
+filter ``oracle_brute_force_fixed`` on them, before the library mapped
+whole families.  ``ordinal_quantaloid``
 has two homs (0, 1) and (1, 0) that differ, as no preset's do.  Two readers
 pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
@@ -63,7 +67,6 @@ from qfca.presheaf import (
     _copresheaf_of,
     _graph_columns,
     _join_dense,
-    _presheaf_of,
     _require,
     coyoneda,
     enumerate_presheaves,
@@ -153,15 +156,15 @@ def composite_witnesses(phi, kind):
     """
     adj, pair, A, B = canonical_adjunction(phi, kind), closure_pair(phi, kind), phi.dom, phi.cod
     C, D, lattice = adj.C_space, adj.D_space, pair.lattice()
-    L = C.functor_to(lattice, pair.closure, name="closure-restriction")
-    R = D.functor_to(lattice, pair.right, name="right-restriction")
+    L = C.functor_to(lattice, pair.closures, name="closure-restriction")
+    R = D.functor_to(lattice, pair.rights, name="right-restriction")
     if kind == "fca":
         rc, H = None, D.yoneda_functor()
         f_pairs, g_pairs = dom_pairs(A), cod_pairs(B)
         named = lambda b, v: copresheaf_tensor(B, b, v)
     else:
         rc = residual_category(A)
-        H = rc.functor_to(D, lambda m: m, name="residual-inclusion")
+        H = rc.functor_to(D, name="residual-inclusion")
         f_pairs, g_pairs = dom_pairs(B), dom_pairs(A)
         named = lambda a, u: presheaf_residual(A, a, u)
     F = {f: L(C.label_of(presheaf_tensor(pair.base, *f))) for f in f_pairs}
@@ -502,12 +505,9 @@ def oracle_presheaf_hom(mu, nu):
 
 
 def oracle_isbell_up(phi, mu):
-    """up(mu)(b) = meet_a left_imp(phi(a, b), mu(a)): type -> |b|."""
-    Q, s = phi.q, mu.type
-    return tuple(
-        Arrow(s, t, scan_meet(Q, s, t, [scan_left_imp(Q, row[j], u)
-                                        for row, u in zip(phi.matrix, mu.values)]))
-        for j, t in enumerate(phi.cod.types))
+    """up(mu)(b) = hom(mu, phi(-, b)): type -> |b|."""
+    return tuple(oracle_presheaf_hom(mu, Presheaf(phi.dom, t, col))
+                 for t, col in zip(phi.cod.types, phi.columns))
 
 
 def oracle_kan_star(phi, lam):
@@ -520,21 +520,39 @@ def oracle_kan_star(phi, lam):
 
 
 def oracle_kan_lower(phi, mu):
-    """lower(mu)(b) = meet_a left_imp(mu(a), phi(a, b)): |b| -> type."""
-    Q, s = phi.q, mu.type
-    return tuple(
-        Arrow(b, s, scan_meet(Q, b, s, [scan_left_imp(Q, w, row[j])
-                                        for row, w in zip(phi.matrix, mu.values)]))
-        for j, b in enumerate(phi.cod.types))
+    """lower(mu)(b) = hom(phi(-, b), mu): |b| -> type."""
+    return tuple(oracle_presheaf_hom(Presheaf(phi.dom, t, col), mu)
+                 for t, col in zip(phi.cod.types, phi.columns))
 
 
 def oracle_isbell_down(phi, lam):
-    """down(lam)(a) = meet_b right_imp(lam(b), phi(a, b)): |a| -> type."""
-    Q, t = phi.q, lam.type
-    return tuple(
-        Arrow(p, t, scan_meet(Q, p, t, [scan_right_imp(Q, v, w)
-                                        for v, w in zip(lam.values, row)]))
-        for p, row in zip(phi.dom.types, phi.matrix))
+    """down(lam)(a) = hom(phi(a, -), lam) of copresheaves on B: |a| -> type."""
+    return tuple(oracle_copresheaf_hom(Copresheaf(phi.cod, p, row), lam)
+                 for p, row in zip(phi.dom.types, phi.matrix))
+
+
+def oracle_left(pair, v):
+    """The left map of a closure pair on one (co)presheaf, by the oracle maps above."""
+    phi = pair.phi
+    if pair.kind == "fca":
+        return Copresheaf(phi.cod, v.type, oracle_isbell_up(phi, v))
+    return Presheaf(phi.dom, v.type, oracle_kan_star(phi, v))
+
+
+def oracle_right(pair, v):
+    """The right map of a closure pair on one (co)presheaf, by the oracle maps above."""
+    phi = pair.phi
+    if pair.kind == "fca":
+        return Presheaf(phi.dom, v.type, oracle_isbell_down(phi, v))
+    return Presheaf(phi.cod, v.type, oracle_kan_lower(phi, v))
+
+
+def oracle_brute_force_fixed(phi, kind, qobj):
+    """``brute_force_fixed`` one presheaf at a time, as the library ran it before
+    its maps took whole families: the enumeration filtered by the oracle closure."""
+    pair = closure_pair(phi, kind)
+    return tuple(mu for mu in enumerate_presheaves(pair.base, qobj)
+                 if oracle_right(pair, oracle_left(pair, mu)) == mu)
 
 
 def oracle_kan_dag(phi, mu):
@@ -695,10 +713,8 @@ def oracle_residuation_tables(homs, compose_table):
 def presheaf_transpose(phi, pa):
     """Columns as presheaves: a functor from the column category into the
     presheaf space ``pa`` of the row category."""
-    def column(y):
-        j = phi.cod.index(y)
-        return Presheaf(phi.dom, phi.cod.types[j], phi.columns[j])
-    return pa.functor_from(phi.cod, column, name=f"transpose({phi.name})")
+    return pa.functor_from(phi.cod, list(zip(phi.cod.types, phi.columns)),
+                           name=f"transpose({phi.name})")
 
 
 def _transpose_identities(phi):
@@ -709,10 +725,10 @@ def _transpose_identities(phi):
     pt = presheaf_transpose(phi, pa)
     factor = phi == dist_compose(cograph(pt), graph(pa.yoneda_functor()))
     down_route = all(
-        isbell_down(phi, coyoneda(B, b)).key() == pa.member_of(pt(b)).key()
+        isbell_down(phi, coyoneda(B, b)).key() == member_of(pa, pt(b)).key()
         for b in B.objects)
     star_route = all(
-        kan_star(phi, yoneda(B, b)).key() == pa.member_of(pt(b)).key()
+        kan_star(phi, yoneda(B, b)).key() == member_of(pa, pt(b)).key()
         for b in B.objects)
     return factor, down_route and star_route
 
@@ -805,6 +821,21 @@ def weighted_colimit(mu: Presheaf, F: QFunctor):
     target = tuple(next(hom_rows(A.q, F.dom.types, [(s, mu.values)], _graph_columns(F))))
     return min((x for x, t, row in zip(A.objects, A.types, A.hom) if t == s and row == target),
                default=None)
+
+
+def _presheaf_of(lam: Copresheaf) -> Presheaf:
+    """lam as a presheaf over the opposite quantaloid on the dual of its base."""
+    return Presheaf(dualize_category(lam.base), lam.type, lam.base.q.dual_arrows(lam.values))
+
+
+def member_of(family, label: str):
+    """The member of a (co)presheaf family with that label."""
+    return family.members[family.labels.index(label)]
+
+
+def per_member(base: QCategory, f):
+    """A map f of presheaves on base, one at a time, as a family map on value rows."""
+    return lambda s, rows: [f(Presheaf(base, s, tuple(vs))).values for vs in rows]
 
 
 def sup(A: QCategory, mu: Presheaf):
@@ -998,15 +1029,18 @@ def generator_functors(A: QCategory, pa, pda) -> tuple[dict, dict]:
     cod_cat = discrete_category(A.q, QTypedSet(tuple(cp_labels), tuple(u.src for _, u in cp)),
                                 name="rows-with-coarrows")
     pair_of = dict(zip(dp_labels + cp_labels, dp + cp))
+
+    def rows(make, dom):
+        return [make(A, *pair_of[label]).key() for label in dom.objects]
     functors = {
         "presheaf_tensors:join": pa.functor_from(
-            dom_cat, lambda l: presheaf_tensor(A, *pair_of[l]), name="tensors"),
+            dom_cat, rows(presheaf_tensor, dom_cat), name="tensors"),
         "presheaf_residuals:meet": pa.functor_from(
-            dom_cat, lambda l: presheaf_residual(A, *pair_of[l]), name="residuals"),
+            dom_cat, rows(presheaf_residual, dom_cat), name="residuals"),
         "copresheaf_tensors:meet": pda.functor_from(
-            cod_cat, lambda l: copresheaf_tensor(A, *pair_of[l]), name="cotensors"),
+            cod_cat, rows(copresheaf_tensor, cod_cat), name="cotensors"),
         "copresheaf_residuals:join": pda.functor_from(
-            cod_cat, lambda l: copresheaf_residual(A, *pair_of[l]), name="coresiduals"),
+            cod_cat, rows(copresheaf_residual, cod_cat), name="coresiduals"),
     }
     P, Pd = pa.category, pda.category
     spaces = (P, dualize_category(P), dualize_category(Pd), Pd)
@@ -1112,7 +1146,8 @@ def _require_chu(c: ChuTransform) -> None:
 def _lattice_map(src: ConceptLattice, dst: ConceptLattice, F: QFunctor, closure,
                  name: str) -> QFunctor:
     """Each concept of src pushed forward along F and closed in dst."""
-    return src.functor_to(dst, lambda p: closure(pushforward(F, p)), name=name)
+    return src.functor_to(dst, per_member(src.base, lambda p: closure(pushforward(F, p))),
+                          name=name)
 
 
 def fca_lattice_map(c: ChuTransform) -> QFunctor:
@@ -1139,7 +1174,7 @@ def residual_map_functor(F: QFunctor, src: ResidualCategory,
         a, u = src.provenance[p.key()][0]
         return presheaf_residual(F.cod, F(a), u)
 
-    return src.functor_to(dst, image, name="residual-map")
+    return src.functor_to(dst, per_member(src.base, image), name="residual-map")
 
 
 def residual_chu(c: ChuTransform) -> ChuTransform:

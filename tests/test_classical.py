@@ -35,6 +35,7 @@ from _helpers import (
     failed_names,
     image_join_dense,
     image_meet_dense,
+    member_of,
     presheaf_to_subset,
 )
 
@@ -101,7 +102,7 @@ def test_theorem_1_2_dense_form(two, crisp):
     d, F, K, G, H = canonical_dense_data(phi, "fca")
     # over the Boolean quantaloid the Yoneda generator is the singleton map
     for a in A.objects:
-        assert presheaf_to_subset(two, d.adj.C_space.member_of(K(a))) == {a}
+        assert presheaf_to_subset(two, member_of(d.adj.C_space, K(a))) == {a}
     report = verify_dense_representation(d.adj.S, d.adj.T, F, K, G, H, d.X)
     assert report.passed, failed_names(report)
     Dord = underlying_order(d.adj.D_space.category)

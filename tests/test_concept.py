@@ -63,6 +63,7 @@ from _helpers import (
     failed_names,
     fca_lattice_map,
     find_equivalence,
+    member_of,
     oracle_left_imp,
     oracle_mask_covers,
     oracle_tables,
@@ -321,7 +322,7 @@ def test_transposes(fix2id, fixl3, luk3):
     assert all(ident(x) == y(x) for x in fix2id.A.objects)
     pal3 = materialize_presheaves(fixl3.A)
     tr = presheaf_transpose(fixl3.phi, pal3)
-    assert luk3.label(pal3.member_of(tr("b")).values[0]) == "1/2"
+    assert luk3.label(member_of(pal3, tr("b")).values[0]) == "1/2"
     assert verify_transpose_identities(fix2id.phi).passed
     assert verify_transpose_identities(fixl3.phi).passed
 

@@ -2,7 +2,7 @@
 
 A base category keeps its code layouts, its presheaf spaces' member codes and
 categories, and its residual category (``quantaloid._kept``); a context keeps
-its columns hoisted for ``isbell_up``, per value type.  Every verifier
+its columns hoisted for the Isbell maps, per value type.  Every verifier
 that reads them gives the same report on a first call, a second call and a
 fresh but equal base; a kept space trips a cap set later exactly as a fresh
 enumeration does; and a base or context that keeps them is still freed by
@@ -48,7 +48,7 @@ from qfca.represent import (
     verify_yoneda,
 )
 
-from _helpers import enumerate_categories, enumerate_distributors
+from _helpers import enumerate_categories, enumerate_distributors, member_of
 
 
 def fresh(A: QCategory) -> QCategory:
@@ -161,8 +161,8 @@ def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
     verify_adjunction_as_functors(phi, "rst")
     verify_density_suite(A)
     rc = residual_category(A)
-    rc.functor_to(materialize_presheaves(A), lambda m: m)
-    rc.member_of(rc.labels[0])
+    rc.functor_to(materialize_presheaves(A))
+    member_of(rc, rc.labels[0])
     kept = [k for k in vars(A) if k.startswith(("_members", "_order", "_up-sets", "category"))]
     assert len(kept) >= 4 and "_residuals" in vars(A)
     assert any(k.startswith("_members") for k in vars(dualize_category(A)))
@@ -184,6 +184,7 @@ def test_a_context_with_kept_isbell_columns_is_freed_without_the_collector(fixdl
             isbell_down(phi, lam)
     columns = {f"_isbell {qobj}" for qobj in phi.q.objects}
     assert columns <= set(vars(phi)) and columns <= set(vars(dualize_distributor(phi)))
+    assert {f"_isbell_down {qobj}" for qobj in phi.q.objects} <= set(vars(phi))
     refs = [weakref.ref(phi), weakref.ref(dualize_distributor(phi))]
     gc.disable()
     try:

@@ -206,7 +206,7 @@ def test_dense_data_kan_extensions_satisfy_their_identities(all_contexts):
 def test_ran_of_codense_along_itself(fixl3):
     A = fixl3.A
     pa = materialize_presheaves(A)
-    J = residual_category(A).functor_to(pa, lambda m: m)
+    J = residual_category(A).functor_to(pa)
     assert is_codense(J)
     R = ran(J, J)
     assert functor_iso(R, identity_functor(pa.category))
@@ -228,7 +228,7 @@ def test_density_predicates(fix2id, fixl3):
         pda = materialize_copresheaves(ctx.A)
         assert is_dense(pa.yoneda_functor())
         assert is_codense(pda.yoneda_functor())
-        assert is_codense(residual_category(ctx.A).functor_to(pa, lambda m: m))
+        assert is_codense(residual_category(ctx.A).functor_to(pa))
 
 
 def test_join_dense_negative_case(luk3):

@@ -48,7 +48,9 @@ from _helpers import (
     generator_functors,
     kan_dag,
     kan_lower_dag,
+    member_of,
     oracle_bimodule_report,
+    oracle_brute_force_fixed,
     oracle_copresheaf_hom,
     oracle_compose,
     oracle_copresheaf_law,
@@ -64,11 +66,13 @@ from _helpers import (
     oracle_kan_lower,
     oracle_kan_lower_dag,
     oracle_kan_star,
+    oracle_left,
     oracle_left_imp,
     oracle_presheaf_hom,
     oracle_presheaf_label,
     oracle_residuals,
     oracle_residuation_tables,
+    oracle_right,
     oracle_side_laws,
     oracle_tables,
     oracle_values,
@@ -249,7 +253,7 @@ def test_hom_kernel_matches_the_scans_randomized(data):
                            label="members")
         D = discrete_category(Q, QTypedSet(tuple(f"d{i}" for i in range(len(picked))),
                                            tuple(m.type for m in picked)))
-        for F in (space.yoneda_functor(), space.functor_from(D, lambda d: picked[D.index(d)])):
+        for F in (space.yoneda_functor(), space.functor_from(D, [m.key() for m in picked])):
             g = graph(F)
             expected = oracle_left_imp(g, g)
             assert [list(row) for row in dist_left_imp(g, g).matrix] == expected
@@ -432,6 +436,48 @@ def test_lattices_match_brute_force_randomized(data):
             for qobj in phi.q.objects:
                 expected = {p.key() for p in brute_force_fixed(phi, kind, qobj)}
                 assert {p.key() for p in per_type[qobj]} == expected, (kind, qobj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_family_maps_match_the_per_member_maps_randomized(data):
+    # each pair's lefts, rights and closures on a whole space at once, and its one-row
+    # left, right and closure, against the oracle maps one (co)presheaf at a time; the
+    # Isbell right map reads a copresheaf's row and its dual presheaf's alike.  The
+    # ordinal quantaloid's homs (0, 1) and (1, 0) differ, so a dual read from the
+    # wrong hom shows there; the entries are drawn, since the maps are formulas
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2, ORD2]), label="quantaloid")
+
+    def carrier(side):
+        n = data.draw(st.integers(1, 2), label=f"{side}-size")
+        labels = tuple(f"{side}{i}" for i in range(n))
+        return data.draw(st.sampled_from(_categories(Q, labels)), label=f"{side}-carrier")
+
+    A, B = carrier("a"), carrier("b")
+    phi = QDistributor(A, B, [[data.draw(st.sampled_from(Q.arrows(s, t)), label="entry")
+                               for t in B.types] for s in A.types])
+    for pair in (IsbellPair(phi), KanPair(phi)):
+        for s in Q.objects:
+            members = enumerate_presheaves(pair.base, s)
+            if pair.kind == "fca":
+                middle = enumerate_copresheaves(B, s)
+                dual_rows = [mu.values for mu in enumerate_presheaves(dualize_category(B), s)]
+            else:
+                middle = enumerate_presheaves(A, s)
+                dual_rows = [v.values for v in middle]
+            lefts = [oracle_left(pair, mu) for mu in members]
+            rights = [oracle_right(pair, v) for v in middle]
+            closed = [oracle_right(pair, v).values for v in lefts]
+            rows = [mu.values for mu in members]
+            assert [tuple(r) for r in pair.lefts(s, rows)] == [v.values for v in lefts]
+            assert [tuple(r) for r in pair.rights(s, [v.values for v in middle])] == \
+                [tuple(r) for r in pair.rights(s, dual_rows)] == [v.values for v in rights]
+            assert [tuple(r) for r in pair.closures(s, rows)] == closed
+            assert list(map(pair.left, members)) == lefts
+            assert list(map(pair.right, middle)) == rights
+            assert [pair.closure(mu).values for mu in members] == closed
+            assert brute_force_fixed(phi, pair.kind, s) == \
+                oracle_brute_force_fixed(phi, pair.kind, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -687,7 +733,7 @@ def test_printed_form_matches_oracle_randomized(data):
         assert _family_form(lat) == _oracle_form(lat.members)
     for space in (materialize_presheaves(phi.dom), materialize_copresheaves(phi.cod)):
         assert _family_form(space) == _oracle_form(space.members)
-        assert all(space.member_of(space.label_of(m)) is m for m in space.members)
+        assert all(member_of(space, space.label_of(m)) is m for m in space.members)
     rc = residual_category(phi.dom)
     assert _family_form(rc) == _oracle_form(rc.members)
     assert list(rc.category.objects) == list(rc.labels)

@@ -243,6 +243,16 @@ def test_family_search_budget(luk3, monkeypatch):
         find_cyclic_dualizing_family(luk3)
 
 
+def test_family_search_is_charged_by_the_prefixes_it_pushes(monkeypatch):
+    # 16 objects with 2**32 families in all: the first prefixes it pushes lead to the
+    # bottoms, so the search answers under the default cap of 10**6 nodes
+    Q = build_preset("frame-diagonal", boolean=4)
+    monkeypatch.delenv("QFCA_BUDGET", raising=False)
+    fam = find_cyclic_dualizing_family(Q)
+    assert fam.cyclic and fam.dualizing
+    assert dict(fam.d) == {q: Q.bottom(q, q) for q in Q.objects}
+
+
 def test_build_preset_two():
     Q = build_preset("two")
     assert len(Q.objects) == 1 and len(Q.hom("*", "*")) == 2

@@ -26,7 +26,7 @@ from qfca.qdist import (
     validate_distributor,
 )
 from qfca.presheaf import _join_dense, materialize_copresheaves, materialize_presheaves, yoneda
-from qfca.concept import fca_lattice, isbell_down, residual_category
+from qfca.concept import brute_force_fixed, fca_lattice, isbell_down, residual_category
 from qfca.represent import (
     canonical_adjunction,
     canonical_dense_data,
@@ -290,6 +290,30 @@ def test_table_paths_make_no_arrow_level_call(all_contexts, monkeypatch):
         assert validate_distributor(ctx.phi).ok, name
         P = spaces[name]
         assert _join_dense(P, P.objects) and _join_dense(dualize_category(P), P.objects)
+
+
+def test_family_callers_make_no_per_member_call(monkeypatch):
+    # the fixed-point oracle, the elementary identities and the canonical witnesses
+    # map each family in one call: no one-(co)presheaf map and no conversion of a
+    # presheaf on a dual base to a copresheaf runs
+    contexts = {path.name: load_valid_document(str(path)).distributors["phi"]
+                for path in sorted(CONTEXTS.glob("*.json"))}
+    assert len(contexts) == 4
+    for module in (qfca.presheaf, qfca.represent):
+        monkeypatch.setattr(module, "_copresheaf_of",
+                            lambda *args: pytest.fail("_copresheaf_of"))
+    for name in ("isbell_up", "isbell_down", "kan_star", "kan_lower"):
+        monkeypatch.setattr(qfca.concept, name, lambda *args, name=name: pytest.fail(name))
+    for cls in (qfca.IsbellPair, qfca.KanPair):
+        for name in ("left", "right", "closure"):
+            monkeypatch.setattr(cls, name, lambda *args, name=name: pytest.fail(name))
+    for file, phi in contexts.items():
+        fixed = [brute_force_fixed(phi, kind, qobj) for kind in ("fca", "rst")
+                 for qobj in phi.q.objects]
+        assert all(fixed), file
+        assert verify_elementary_identities(phi).passed, file
+        canonical_fca_data(phi)
+        canonical_rst_data(phi)
 
 
 def test_elementary_identity_at_units(fix2id, fixl3):
