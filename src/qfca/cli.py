@@ -438,11 +438,11 @@ def cmd_concepts(args) -> int:
     wanted = list(objects) if args.type == "all" else [args.type]
     lattice = closure_pair(phi, args.mode).lattice()
     if args.oracle:
+        per_type = lattice.per_type()
         for t in wanted:
             fixed = brute_force_fixed(phi, args.mode, t)
             expected = frozenset(p.key() for p in fixed)
-            got = {p.key(): lbl for p, lbl in zip(lattice.members, lattice.labels)
-                   if p.type == t}
+            got = {p.key(): lattice.label_of(p) for p in per_type[t]}
             if expected != got.keys():
                 diff = {
                     "type": t,
@@ -601,9 +601,9 @@ def cmd_tr(args) -> int:
     Q = doc.quantaloid
     rc = residual_category(phi.dom)
     tr = residual_context(phi, rc)
-    members = [{"label": lbl, "type": p.type, "values": dict(zip(rc.base.objects, values)),
-                "provenance": [[a, Q.label(u)] for a, u in rc.provenance[p.key()]]}
-               for p, lbl, values in zip(rc.members, rc.labels, rc.value_labels)]
+    members = [{"label": lbl, "type": row[0], "values": dict(zip(rc.base.objects, values)),
+                "provenance": [[a, Q.label(u)] for a, u in rc.provenance[row]]}
+               for row, lbl, values in zip(rc.value_rows, rc.labels, rc.value_labels)]
     entries = [[b, m, Q.label(tr.at(b, m))]
                for b in phi.cod.objects for m in rc.labels]
     _dump({"distributor": phi.name, "residual_members": members,

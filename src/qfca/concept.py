@@ -81,8 +81,8 @@ from .presheaf import (
     PresheafSpace,
     _SetCode,
     _and_closure,
+    _member_rows,
     _require,
-    enumerate_presheaves,
     is_codense,
     materialize_copresheaves,
     materialize_presheaves,
@@ -283,10 +283,12 @@ class ConceptLattice(PresheafFamily):
     holds, per type in the same order, the distinct generator codes that the
     closure started from; ``lattice_to_json`` reads the covers off them.
 
-    ``members`` (alias ``concepts``), decoded into presheaves, and ``labels``
-    and ``value_labels``, read off the codes, follow that order and are built
-    on first use; so is ``category`` (the full subcategory of presheaves on
-    the concepts).  ``lattice_to_json`` reads the codes and builds none of them.
+    ``value_rows``, decoded in one batch per type, ``members`` (alias
+    ``concepts``), the presheaves on them, and ``labels`` and
+    ``value_labels``, read off the codes, follow that order and are built on
+    first use; so is ``category`` (the full subcategory of presheaves on the
+    concepts).  ``lattice_to_json`` reads the codes and builds none of them,
+    and ``verify_rst_as_fca`` compares two lattices on their codes.
     """
 
     def __init__(self, kind: str, phi: QDistributor, coded, generators):
@@ -420,11 +422,13 @@ def rst_lattice(phi: QDistributor) -> ConceptLattice:
 
 def brute_force_fixed(phi: QDistributor, kind: str, qobj: str) -> tuple[Presheaf, ...]:
     """Independent oracle: the full presheaf enumeration filtered by fixedness, in
-    one ``closures`` pass: a member stays when its closure's row is its own."""
+    one ``closures`` pass over the kept value rows: a member stays when its
+    closure's row is its own, and only those become presheaves."""
     pair = closure_pair(phi, kind)
-    members = enumerate_presheaves(pair.base, qobj)
-    closed = pair.closures(qobj, [mu.values for mu in members])
-    return tuple(mu for mu, row in zip(members, closed) if tuple(row) == mu.values)
+    base = pair.base
+    rows = _member_rows(base, qobj, f"presheaf space on {base.name}")
+    return tuple(Presheaf(base, qobj, values)
+                 for values, row in zip(rows, pair.closures(qobj, rows)) if tuple(row) == values)
 
 
 # -- the residual category and residual contexts -----------------------------------
@@ -438,8 +442,8 @@ class ResidualCategory(PresheafFamily):
     presheaf category.  Provenance (which pairs (a, u) produced each member)
     is retained per member key.  ``yoneda_graph`` is the distributor from the
     base into this category whose column at a member is the member itself.
-    The members' codes and provenance, their labels and the category are kept
-    on the base.
+    Both read the value rows.  The members' codes, value rows and provenance,
+    their labels and the category are kept on the base.
     """
 
     _tag = "residuals"
@@ -448,8 +452,8 @@ class ResidualCategory(PresheafFamily):
         runs, pairs = _kept(base, "_residuals", _residuals)
         super().__init__(base, [(_SetCode(base, t), codes) for t, codes in runs],
                          f"residuals({base.name})")
-        self.provenance = {p.key(): found for p, found in zip(self.members, pairs)}
-        matrix = [[p.values[i] for p in self.members] for i in range(len(base))]
+        self.provenance = dict(zip(self.value_rows, pairs))
+        matrix = [[values[i] for _, values in self.value_rows] for i in range(len(base))]
         self.yoneda_graph = QDistributor(base, self.category, matrix,
                                          name=f"yoneda-graph({base.name})")
 
@@ -513,13 +517,15 @@ def verify_rst_as_fca(phi: QDistributor) -> Report:
 
 def _check_rst_is_fca(report: Report, phi: QDistributor, other: QDistributor,
                       other_name: str) -> None:
-    """One ``lattice-equality@q`` condition per type: rst(phi) against fca(other)."""
-    k_types = rst_lattice(phi).per_type()
-    m_types = fca_lattice(other).per_type()
-    for qobj in phi.q.objects:
-        ks = frozenset(p.key() for p in k_types[qobj])
-        ms = frozenset(p.key() for p in m_types[qobj])
-        report.check_none(f"lattice-equality@{qobj}", sorted(ks ^ ms),
+    """One ``lattice-equality@q`` condition per type: rst(phi) against fca(other).
+
+    Both lattices sit on phi.cod, other's rows, with one ``_SetCode`` layout per
+    type, so they are compared as sets of codes.  Only the symmetric difference is
+    decoded, into the sorted pairs (type, values) that the report names."""
+    for (code, ks), (_, ms) in zip(rst_lattice(phi).coded, fca_lattice(other).coded):
+        ks, ms = set(ks), set(ms)
+        diff = sorted((code.qobj, values) for values in code.value_rows(list(ks ^ ms)))
+        report.check_none(f"lattice-equality@{code.qobj}", diff,
                           f"rst has {len(ks)}, {other_name} has {len(ms)}")
 
 

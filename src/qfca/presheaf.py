@@ -19,10 +19,12 @@ representation data).  A space is enumerated as the join closure of the
 tensors ``u . hom(-, a)`` on int codes, so it costs what it holds, and the
 enumeration cap bounds the members produced.  What depends on the base alone
 is built once and kept on the base: the code layouts, the member codes and
-their order, and each space's category.  ``PresheafFamily`` is the one family
-class: every family holds its members as runs of a ``_SetCode`` and codes and
-decodes them on demand, and a space checks the cap on every call.  The same
-code lays out the hom rows that ``is_complete`` compares, as presheaves on A^op.
+their order, their value rows and down-set codes, and each space's rows and
+category.  ``PresheafFamily`` is the one family class: every family holds its
+members as runs of a ``_SetCode`` and codes, decodes each run once, in one
+batch, into value rows, and builds its members on those rows; a space checks
+the cap on every call.  The same code lays out the hom rows that
+``is_complete`` compares, as presheaves on A^op.
 Every hom between (co)presheaves, one or a whole family's matrix, is a call
 of the row kernel ``qdist.hom_rows`` on the members' own value rows.  The
 kernel reads only hom indices, and a copresheaf's value has the index of its
@@ -256,9 +258,10 @@ class _SetCode:
     of the down-sets, and the up-set of a join that of the up-sets, so ``&``
     is the pointwise meet of down-set codes and the join of up-set codes.
     ``top`` sets every bit: the top presheaf, or the bottom one on up-sets.
-    A code is read back one position at a time, through a table from the
-    bits of its field to the value there: its ``Arrow`` for ``decode``, built
-    on first use, or its label for ``printed``.
+    Codes are read back a batch at a time, one position at a time for all of
+    them, through a table from the bits of its field to the value there: its
+    ``Arrow`` for ``value_rows``, built on first use, or its label for
+    ``printed``.  ``decode`` is the one-code call of ``value_rows``.
     """
 
     def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
@@ -269,23 +272,31 @@ class _SetCode:
     def pack(self, indices) -> int:
         return sum(rows[k] for rows, k in zip(self.rows, indices))
 
-    def recode(self, other: "_SetCode"):
-        """Codes to ``other``'s codes of the same presheaves (same base and type,
-        up-sets for down-sets or back), through one table per position."""
-        tables = [(field, dict(zip(mine, theirs)))
-                  for field, mine, theirs in zip(self.fields, self.rows, other.rows)]
-        return lambda c: sum(at[c & field] for field, at in tables)
-
     def _read(self, values) -> list[dict]:
         """Per position i, the bits of its field to ``values((|x_i|, qobj))`` by
         value index."""
         return [dict(zip(rows, values((t, self.qobj))))
                 for t, rows in zip(self.base.types, self.rows)]
 
+    def value_rows(self, codes, dual: bool = False) -> list[tuple[Arrow, ...]]:
+        """The value rows of ``codes``, decoded in one batch: each position's values
+        are read for all the codes at once, by one ``map`` through a table from the
+        bits of its field to the value's ``Arrow``, and zipped into one tuple per
+        code.  With ``dual`` each value is read as its dual, the arrow of the
+        opposite quantaloid with the same index."""
+        def tables(s):
+            q = s.base.q
+            if dual:
+                return s._read(lambda pq: q.opposite().arrow_table[pq[::-1]])
+            return s._read(q.arrow_table.__getitem__)
+        if not self.fields or not codes:  # no objects: one empty row per code
+            return [()] * len(codes)
+        at = _kept(self, "_duals" if dual else "_arrows", tables)
+        return list(zip(*[map(values.__getitem__, map(field.__and__, codes))
+                          for field, values in zip(self.fields, at)]))
+
     def decode(self, code: int) -> Presheaf:
-        arrows = _kept(self, "_arrows", lambda s: s._read(s.base.q.arrow_table.__getitem__))
-        return Presheaf(self.base, self.qobj, tuple(
-            at[code & field] for field, at in zip(self.fields, arrows)))
+        return Presheaf(self.base, self.qobj, self.value_rows([code])[0])
 
     def printed(self, codes) -> tuple[list[str], list[tuple]]:
         """The codes' ``presheaf_label``s and value labels, decoding nothing: each
@@ -338,19 +349,37 @@ def _and_closure(generators, kind: str, error: type, what: str) -> list[int]:
     return codes
 
 
-def _member_codes(A: QCategory, qobj: str, space: str) -> tuple[_SetCode, tuple[int, ...]]:
-    """All presheaves of one type on A as up-set codes, in lexicographic value
-    order: the ``_SetCode`` and the codes; ``space`` names them in the budget error.
+def _member_codes(A: QCategory, qobj: str, space: str,
+                  sets: str = "up") -> tuple[_SetCode, tuple[int, ...]]:
+    """All presheaves of one type on A as codes of ``_SetCode(A, qobj, sets)``, in
+    lexicographic value order: the ``_SetCode`` and the codes; ``space`` names
+    them in the budget error.
 
-    The codes are kept on A with the size of the closure that produced them, so
-    a kept space trips a lower cap set later exactly as a fresh enumeration would.
+    The up-set codes are kept on A with the size of the closure that produced
+    them, so a kept space trips a lower cap set later exactly as a fresh
+    enumeration would.  The down-set codes are packed from ``_member_rows`` on
+    first use and kept beside them, under their layout's name.
     """
     what = f"the {space} at type {qobj!r}"
     closed, codes = _kept(A, f"_members {qobj}", lambda A: _closed_members(A, qobj, what))
     limit = budget("enumeration")
     if closed > limit:  # the closure raises on reaching limit + 1 codes
         raise BudgetExceeded("enumeration", limit, limit + 1, what)
-    return _SetCode(A, qobj, "up"), codes
+    code = _SetCode(A, qobj, sets)
+    if sets == "down":
+        codes = _kept(A, f"_members {qobj} down", lambda A: tuple(
+            code.pack(v.index for v in values) for values in _member_rows(A, qobj, space)))
+    return code, codes
+
+
+def _member_rows(A: QCategory, qobj: str, space: str,
+                 dual: bool = False) -> tuple[tuple[Arrow, ...], ...]:
+    """The value rows of ``_member_codes``, decoded in one batch and kept on A
+    beside the codes; with ``dual``, in the arrows of the opposite of A's
+    quantaloid, as a copresheaf on the dual of A holds them."""
+    code, codes = _member_codes(A, qobj, space)
+    return _kept(A, f"_rows {qobj}{' dual' if dual else ''}",
+                 lambda A: tuple(code.value_rows(codes, dual)))
 
 
 def _closed_members(A: QCategory, qobj: str, what: str) -> tuple[int, tuple[int, ...]]:
@@ -389,9 +418,8 @@ def _closed_members(A: QCategory, qobj: str, what: str) -> tuple[int, tuple[int,
 
 
 def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
-    """``_member_codes`` decoded."""
-    code, codes = _member_codes(A, qobj, space)
-    return tuple(map(code.decode, codes))
+    """``_member_rows`` as presheaves."""
+    return tuple(Presheaf(A, qobj, values) for values in _member_rows(A, qobj, space))
 
 
 def enumerate_presheaves(A: QCategory, qobj: str) -> tuple[Presheaf, ...]:
@@ -442,22 +470,23 @@ class PresheafFamily:
     """Labelled (co)presheaves on one base, held as codes, and the category they span.
 
     ``coded`` holds runs of a ``_SetCode`` and its members' codes, in member
-    order.  ``members``, decoded by ``_member``, their ``value_labels`` and
-    ``labels`` (``presheaf_label``s), read off the codes for serializers to read
-    by position, the lookup of ``labels_of``, and ``category`` (the members'
-    homs) are built on first use.  A functor into a family is given by value
-    rows, each sent to its member directly or through a family map f: a map
-    ``f(s, rows)`` from value rows of one type s to their image rows, such as
-    a closure pair's ``lefts``, ``rights`` and ``closures``.
+    order.  ``value_rows``, the members' pairs (type, values), are decoded in
+    one batch per run on first use; every reader of the members' values reads
+    them.  ``members``, the ``_vector``s built on those rows, their
+    ``value_labels`` and ``labels`` (``presheaf_label``s), read off the codes
+    for serializers to read by position, the lookup of ``labels_of``, and
+    ``category`` (the members' homs) are built on first use.  A functor into
+    a family is given by value rows, each sent to its member directly or
+    through a family map f: a map ``f(s, rows)`` from value rows of one type s
+    to their image rows, such as a closure pair's ``lefts``, ``rights`` and
+    ``closures``.
     """
 
     _tag = None  # set on a family that its base alone determines
+    _vector = Presheaf  # the class of the members
 
     def __init__(self, base: QCategory, coded, name: str):
         self.base, self.coded, self.name = base, tuple(coded), name
-
-    def _member(self, mu: Presheaf):
-        return mu
 
     def _keep(self, attr: str, build):
         """``build(self)``, kept on the family; with a ``_tag``, kept on the base under
@@ -467,9 +496,21 @@ class PresheafFamily:
         return _kept(self.base, f"{attr} {self._tag}", lambda _: build(self))
 
     @property
+    def value_rows(self) -> tuple:
+        """The members' pairs (type, values) in member order; kept by ``_keep``, so a
+        family that its base determines keeps them on the base.  They hold only
+        strings and interned arrows."""
+        return self._keep("_value_rows", lambda s: s._read_rows())
+
+    def _read_rows(self) -> tuple:
+        return tuple((code.qobj, values) for code, codes in self.coded
+                     for values in code.value_rows(codes))
+
+    @property
     def members(self) -> tuple:
+        """The ``_vector``s on ``value_rows``, kept on the family: they refer to the base."""
         return _kept(self, "_members", lambda s: tuple(
-            s._member(code.decode(c)) for code, codes in s.coded for c in codes))
+            s._vector(s.base, t, values) for t, values in s.value_rows))
 
     labels = property(lambda self: self._printed_forms()[0])
     value_labels = property(lambda self: self._printed_forms()[1])
@@ -487,7 +528,7 @@ class PresheafFamily:
         return self._keep("category", PresheafFamily._span)
 
     def _span(self) -> QCategory:
-        return QCategory(self.base.q, self.labels, [m.type for m in self.members],
+        return QCategory(self.base.q, self.labels, [t for t, _ in self.value_rows],
                          _hom_grid(self.members, self.members), name=self.name)
 
     def __len__(self) -> int:
@@ -496,7 +537,7 @@ class PresheafFamily:
     def labels_of(self, rows, f=None) -> list[str]:
         """The labels of the members whose value rows are ``rows``, pairs (type, values),
         or, given a family map f, their images ``_per_type(f, rows)``."""
-        by_key = self._keep("_by_key", lambda s: dict(zip(map(_Vector.key, s.members), s.labels)))
+        by_key = self._keep("_by_key", lambda s: dict(zip(s.value_rows, s.labels)))
         if f is not None:
             rows = zip([s for s, _ in rows], _per_type(f, rows))
         try:
@@ -517,7 +558,7 @@ class PresheafFamily:
     def functor_to(self, other: "PresheafFamily", f=None, name: str = "") -> QFunctor:
         """The functor into another family that sends each member, as its value row, to
         its image under the family map f, or to itself (``functor_from``)."""
-        return other.functor_from(self.category, [m.key() for m in self.members], f,
+        return other.functor_from(self.category, self.value_rows, f,
                                   name=name or "between-spaces")
 
 
@@ -541,21 +582,27 @@ class PresheafSpace(PresheafFamily):
     within a type, so labels and hom matrices are reproducible.  The
     copresheaf flavour is the opposite of the presheaf category on the dual
     base, which makes its underlying order the correct (reversed) one.  Its
-    codes are those of the presheaves on the dual base.  The codes, the labels
-    and the category are kept on the base.
+    codes are those of the presheaves on the dual base, and its value rows
+    are read off them straight into its own arrows.  The codes and value rows
+    are kept on the base the space enumerates (``_member_rows``); the space's
+    rows, labels and category on its own base.
     """
 
     def __init__(self, base: QCategory, kind: str = "presheaf"):
         if kind not in ("presheaf", "copresheaf"):
             raise QfcaError(f"unknown flavour {kind!r}")
         self.kind, self._tag = kind, kind
-        on = base if kind == "presheaf" else dualize_category(base)
-        super().__init__(base, [_member_codes(on, qobj, f"{kind} space on {base.name}")
+        self._vector = Presheaf if kind == "presheaf" else Copresheaf
+        self._on = base if kind == "presheaf" else dualize_category(base)
+        self._what = f"{kind} space on {base.name}"
+        super().__init__(base, [_member_codes(self._on, qobj, self._what)
                                 for qobj in base.q.objects],
                          f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
 
-    def _member(self, mu: Presheaf):
-        return mu if self.kind == "presheaf" else _copresheaf_of(mu, self.base)
+    def _read_rows(self) -> tuple:
+        dual = self.kind == "copresheaf"
+        return tuple((qobj, values) for qobj in self.base.q.objects
+                     for values in _member_rows(self._on, qobj, self._what, dual))
 
     def yoneda_functor(self) -> QFunctor:
         A = self.base

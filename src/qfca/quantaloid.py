@@ -117,9 +117,10 @@ def _kept(owner, attr: str, build):
     atomically: callers racing here all get the one value stored.
 
     A base category keeps its dual and what the presheaf verifiers compute from
-    it alone: the ``_SetCode`` layouts, the member codes and their order, and
-    the categories, labels and label lookups of its (co)presheaf spaces and
-    residual category, with the residual members' values and provenance.  These
+    it alone: the ``_SetCode`` layouts, the member codes and their order, their
+    value rows and down-set codes, and the value rows, categories, labels and
+    label lookups of its (co)presheaf spaces and residual category, with the
+    residual members' provenance.  These
     hold only ints, strings, arrows and categories over the quantaloid, so none
     refers back to the base, which reference counting alone still frees.
     """

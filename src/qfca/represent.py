@@ -262,13 +262,20 @@ def cod_pairs(A: QCategory) -> tuple[tuple[str, Arrow], ...]:
                  for t in q.objects for u in q.arrows(t, A.type_of(a)))
 
 
+def _tensor_rows(A: QCategory, pairs) -> list[tuple]:
+    """The tensors ``u . hom(-, a)`` at pairs (a, u), unchecked, as value rows (cod(u),
+    values): per pair, one ``compose_table`` read per position."""
+    q, at = A.q, {a: i for i, a in enumerate(A.objects)}
+    return [(t, tuple([q.arrow_table[p, t][q.compose_table[p, s, t][k][row[i].index]]
+                       for p, row in zip(A.types, A.hom)]))
+            for i, s, t, k in ((at[a], u.src, u.dst, u.index) for a, u in pairs)]
+
+
 def presheaf_tensor(A: QCategory, a: str, u: Arrow) -> Presheaf:
-    """u composed with the representable at a; type cod(u).  Read off ``compose_table``."""
-    q, i, t = A.q, A.index(a), u.dst
-    if u.src != A.types[i]:
+    """u composed with the representable at a; type cod(u): the one-pair ``_tensor_rows``."""
+    if u.src != A.types[A.index(a)]:
         raise TypeMismatch(f"{u} does not start at the type of {a}")
-    return Presheaf(A, t, tuple(q.arrow_table[p, t][q.compose_table[p, u.src, t][u.index][h.index]]
-                                for p, h in zip(A.types, (row[i] for row in A.hom))))
+    return Presheaf(A, *_tensor_rows(A, [(a, u)])[0])
 
 
 def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
@@ -283,9 +290,11 @@ def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
 
 class _Elementary(_Frozen):
     """One kind of the elementary theorem on phi.  F is defined on ``f_pairs``
-    (``dom_pairs(pair.base)``) and G on ``g_pairs``, a G pair naming the
-    (co)presheaf whose value row ``named(*g)`` holds: for fca a copresheaf on B,
-    named by its dual presheaf on B^op, whose values have the same indices.
+    (``dom_pairs(pair.base)``), each naming its tensor (``tensors()``), and G on
+    ``g_pairs``, each naming the (co)presheaf whose value row ``named()`` holds,
+    in the order of the pairs: for fca a copresheaf on B, named by its dual
+    presheaf on B^op, whose values have the same indices.  The tensors and the
+    fca G rows are read off ``compose_table`` (``_tensor_rows``).
     ``homs(lefts, named)`` is the grid of homs from the left map's images to the
     named members, both as pairs (type, values), by F pair, then G pair.
     ``context`` orders an F and a G pair as (a, u, b, v), row pair first; there
@@ -303,6 +312,10 @@ class _Elementary(_Frozen):
                  below: Callable, identity: tuple[str, str], biconditional: tuple[str, str]):
         self._set(pair, f_pairs, g_pairs, named, homs, context, grid, below, identity,
                   biconditional)
+
+    def tensors(self) -> list[tuple]:
+        """The F pairs' tensors on the base of the pair, as value rows."""
+        return _tensor_rows(self.pair.base, self.f_pairs)
 
     def misses(self, homs) -> list[tuple[str, str, str, str]]:
         """The cells where ``homs`` (by F pair, then G pair) miss ``grid``, as reported:
@@ -346,9 +359,9 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     pair, q, A, B = closure_pair(phi, kind), phi.q, phi.dom, phi.cod
     if pair.kind == "fca":  # F on rows with out-arrows, G on columns with in-arrows
         dual = dualize_category(B)  # a copresheaf hom is the dual presheaf hom, reversed
+        # cod_pairs(B) are dom_pairs(B^op) in the opposite, in the same order
         return _Elementary(
-            pair, dom_pairs(A), cod_pairs(B),
-            lambda b, v: presheaf_tensor(dual, b, q.dual_arrows((v,))[0]),
+            pair, dom_pairs(A), cod_pairs(B), lambda: _tensor_rows(dual, dom_pairs(dual)),
             lambda lefts, named: zip(*hom_rows(dual.q, dual.types, named, lefts)),
             lambda f, g: (*f, *g), _polarity_grid,
             lambda a, u, b, v: q.leq(q.compose(v, u), phi.at(a, b)),
@@ -357,18 +370,14 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
             ("formal-concept-biconditional", "v.u <= phi(a,b)  iff  F(a,u) <= G(b,v)"))
     # rst: F on columns and G on rows, both with out-arrows
     return _Elementary(
-        pair, dom_pairs(B), dom_pairs(A), lambda a, u: presheaf_residual(A, a, u),
+        pair, dom_pairs(B), dom_pairs(A),
+        lambda: [presheaf_residual(A, a, u).key() for a, u in dom_pairs(A)],
         lambda lefts, named: hom_rows(q, A.types, lefts, named),
         lambda f, g: (*g, *f), _kan_grid,
         lambda a, u, b, v: q.leq(phi.at(a, b), q.right_imp(v, u)),
         ("kan-hom", "hom(star(tensor(b,v)), residual(a,u)) == "
                     "left_imp(left_imp(u, phi(a,b)), v)"),
         ("object-oriented-biconditional", "phi(a,b) <= v>r u  iff  F(b,v) <= G(a,u)"))
-
-
-def _tensors(d: _Elementary) -> list[tuple]:
-    """The F pairs' tensors on the base of ``d``'s pair, as pairs (type, values)."""
-    return [presheaf_tensor(d.pair.base, *f).key() for f in d.f_pairs]
 
 
 def verify_elementary_identities(phi: QDistributor) -> Report:
@@ -379,9 +388,9 @@ def verify_elementary_identities(phi: QDistributor) -> Report:
     report = Report("elementary-identities")
     for kind in ("fca", "rst"):
         d = _elementary(phi, kind)
-        tensors = _tensors(d)
+        tensors = d.tensors()
         lefts = zip([s for s, _ in tensors], _per_type(d.pair.lefts, tensors))
-        homs = d.homs(list(lefts), [d.named(*g).key() for g in d.g_pairs])
+        homs = d.homs(list(lefts), d.named())
         report.check_none(d.identity[0], d.misses(homs), d.identity[1])
     return report
 
@@ -400,7 +409,7 @@ def verify_elementary_representation(phi: QDistributor, X: QCategory, F: dict,
     report = Report(f"elementary-{kind}-representation")
     _lattice_hypotheses(report, X, False)
     tp = all(X.type_of(F[f]) == f[1].dst for f in d.f_pairs) and \
-        all(X.type_of(G[g]) == d.named(*g).type for g in d.g_pairs)
+        all(X.type_of(G[g]) == s for g, (s, _) in zip(d.g_pairs, d.named()))
     report.check("type-preserving", tp, "")
     if not tp:
         return report
@@ -467,20 +476,22 @@ def _presheaf_side_laws(phi: QDistributor) -> tuple[bool, bool, bool]:
     on the rows and columns of a context, decided on member codes.  As v <= w
     iff down(v) is in down(w), iff up(w) is in up(v), the entrywise order is
     ``c & ~d == 0`` on down-set codes and reversed on up-set codes: a unit is
-    one AND of a member's down-set code with its closure, the counit one AND
-    of its up-set code with its interior ``star . lower``, read off the Kan
-    pair's tables."""
+    one AND of a member's down-set code, kept on its base, with its closure,
+    the counit one AND of its up-set code with its interior ``star . lower``,
+    read off the Kan pair's tables."""
     objects, isbell, kan_pair, keys = phi.q.objects, IsbellPair(phi), KanPair(phi), _keys(phi)
-    spaces = [_member_codes(A, qobj, f"presheaf space on {A.name}")
-              for A in (phi.dom, phi.cod) for qobj in objects]
+
+    def spaces(A: QCategory, sets: str) -> list[tuple[int, ...]]:
+        return [_member_codes(A, qobj, f"presheaf space on {A.name}", sets)[1] for qobj in objects]
+    rows, downs, col_downs = spaces(phi.dom, "up"), spaces(phi.dom, "down"), spaces(phi.cod, "down")
     unit = ext_unit = ext_counit = True
-    for qobj, (code, rows), (col_code, cols) in zip(objects, spaces, spaces[len(objects):]):
-        down, close, _, _ = isbell.coded(qobj, keys)
-        kan_code, kan_close, _, (star, mid, lower) = kan_pair.coded(qobj, keys)
-        unit &= all(d & ~close(d) == 0 for d in map(code.recode(down), rows))
-        ext_unit &= all(d & ~kan_close(d) == 0 for d in map(col_code.recode(kan_code), cols))
+    for qobj, ups, down, cols in zip(objects, rows, downs, col_downs):
+        _, close, _, _ = isbell.coded(qobj, keys)
+        _, kan_close, _, (star, mid, lower) = kan_pair.coded(qobj, keys)
+        unit &= all(d & ~close(d) == 0 for d in down)
+        ext_unit &= all(d & ~kan_close(d) == 0 for d in cols)
         ext_counit &= all(u & ~_through(star, _through(lower, u, -1), mid.top) == 0
-                          for u in rows)
+                          for u in ups)
     return unit, ext_unit, ext_counit
 
 
@@ -652,6 +663,6 @@ def canonical_elementary_data(phi: QDistributor, kind: str):
     per type each."""
     data, d = canonical_general_data(phi, kind), _elementary(phi, kind)
     labels_of = data.lattice.labels_of
-    F = dict(zip(d.f_pairs, labels_of(_tensors(d), d.pair.closures)))
-    G = dict(zip(d.g_pairs, labels_of([d.named(*g).key() for g in d.g_pairs], d.pair.rights)))
+    F = dict(zip(d.f_pairs, labels_of(d.tensors(), d.pair.closures)))
+    G = dict(zip(d.g_pairs, labels_of(d.named(), d.pair.rights)))
     return data, F, G

@@ -16,7 +16,9 @@ before the library decided each object pair once; and the closure pairs'
 maps one (co)presheaf at a time, the Isbell maps and ``kan_lower`` as homs
 by ``oracle_presheaf_hom`` and its copresheaf twin, with the fixed-point
 filter ``oracle_brute_force_fixed`` on them, before the library mapped
-whole families.  ``ordinal_quantaloid``
+whole families; and ``oracle_lattice_equality``, the two lattices of the
+RST-as-FCA check compared as sets of concept keys, before the library
+compared their codes.  ``ordinal_quantaloid``
 has two homs (0, 1) and (1, 0) that differ, as no preset's do.  Two readers
 pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
@@ -553,6 +555,19 @@ def oracle_brute_force_fixed(phi, kind, qobj):
     pair = closure_pair(phi, kind)
     return tuple(mu for mu in enumerate_presheaves(pair.base, qobj)
                  if oracle_right(pair, oracle_left(pair, mu)) == mu)
+
+
+def oracle_lattice_equality(report, phi, other, other_name) -> None:
+    """``concept._check_rst_is_fca`` as the library ran it before it compared the
+    lattices on their codes: per type, the sorted symmetric difference of the
+    concepts' keys, read off ``per_type()``."""
+    k_types = rst_lattice(phi).per_type()
+    m_types = fca_lattice(other).per_type()
+    for qobj in phi.q.objects:
+        ks = frozenset(p.key() for p in k_types[qobj])
+        ms = frozenset(p.key() for p in m_types[qobj])
+        report.check_none(f"lattice-equality@{qobj}", sorted(ks ^ ms),
+                          f"rst has {len(ks)}, {other_name} has {len(ms)}")
 
 
 def oracle_kan_dag(phi, mu):

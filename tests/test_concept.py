@@ -16,6 +16,7 @@ from qfca.errors import (
     InvalidParams,
     NotGirard,
     QfcaError,
+    Report,
 )
 from qfca.qcat import (
     QCategory,
@@ -36,6 +37,7 @@ from qfca.presheaf import (
 from qfca.concept import (
     IsbellPair,
     KanPair,
+    _check_rst_is_fca,
     _translations,
     brute_force_fixed,
     closure_pair,
@@ -60,10 +62,12 @@ from _helpers import (
     ChuTransform,
     InvalidChu,
     chain4_quantale,
+    enumerate_distributors,
     failed_names,
     fca_lattice_map,
     find_equivalence,
     member_of,
+    oracle_lattice_equality,
     oracle_left_imp,
     oracle_mask_covers,
     oracle_tables,
@@ -644,3 +648,35 @@ def test_quantaloids_with_the_same_object_names_keep_their_own_tables():
             kept = Q.__dict__["_translations"]
             assert all(trs == _translations(Q, {}, key) for key, trs in kept.items()), Q.name
         assert first.__dict__["_translations"] is not second.__dict__["_translations"]
+
+
+def _lattice_equality(phi, other):
+    report = Report("lattice-equality")
+    _check_rst_is_fca(report, phi, other, "other-fca")
+    oracle = Report("lattice-equality")
+    oracle_lattice_equality(oracle, phi, other, "other-fca")
+    return report.to_json(), oracle.to_json()
+
+
+@pytest.mark.parametrize("name,same_size", [("fix2id", False), ("fixdl3", True)])
+def test_lattice_equality_reports_a_mismatch_as_the_key_scan(name, same_size, request):
+    # rst(phi) against the fca lattice of the first context on phi's columns whose
+    # lattice differs from it at some type: in size on fix2id, and in its concepts
+    # only, at equal sizes, on fixdl3; the codes' symmetric difference is reported
+    # as the sorted keys the oracle reads off per_type()
+    phi = request.getfixturevalue(name).phi
+    wanted = rst_lattice(phi).per_type()
+    for other in enumerate_distributors(phi.cod, phi.cod):
+        got = fca_lattice(other).per_type()
+        differ = [q for q in phi.q.objects
+                  if {p.key() for p in got[q]} != {p.key() for p in wanted[q]}
+                  and (len(got[q]) == len(wanted[q])) == same_size]
+        if differ:
+            break
+    else:
+        pytest.fail("no context with a differing lattice")
+    report, oracle = _lattice_equality(phi, other)
+    assert report == oracle
+    assert not report["passed"]
+    failed = {c["name"] for c in report["conditions"] if not c["passed"]}
+    assert {f"lattice-equality@{q}" for q in differ} <= failed

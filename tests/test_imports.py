@@ -105,6 +105,8 @@ SHARED_READS = {
     "Report.to_json": "cli.cmd_verify",
     "_Vector.key": "cli.cmd_concepts",
     "_SetCode.decode": "concept._meet_closure",
+    "_SetCode.value_rows": "presheaf._member_rows",
+    "PresheafFamily.value_rows": "presheaf.PresheafFamily.functor_to",
     "QCategory.index": "presheaf.yoneda",
     "Preorder.leq": "presheaf._join_dense",
     "QDistributor.q": "concept.KanPair.lefts",

@@ -163,9 +163,15 @@ def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
     rc = residual_category(A)
     rc.functor_to(materialize_presheaves(A))
     member_of(rc, rc.labels[0])
+    brute_force_fixed(phi, "fca", "1")
     kept = [k for k in vars(A) if k.startswith(("_members", "_order", "_up-sets", "category"))]
     assert len(kept) >= 4 and "_residuals" in vars(A)
     assert any(k.startswith("_members") for k in vars(dualize_category(A)))
+    # the value rows and down-set codes beside the member codes, and the spaces' rows
+    objects = phi.q.objects
+    assert {f"_rows {q}" for q in objects} | {f"_members {q} down" for q in objects} <= set(vars(A))
+    assert {f"_rows {q} dual" for q in objects} <= set(vars(dualize_category(A)))
+    assert {"_value_rows presheaf", "_value_rows copresheaf", "_value_rows residuals"} <= set(vars(A))
     refs = [weakref.ref(A), weakref.ref(dualize_category(A))]
     gc.disable()
     try:

@@ -434,3 +434,21 @@ def test_copresheaf_order_reversed(fixl3, luk3):
     for m1 in pda.members:
         for m2 in pda.members:
             assert order.leq(pda.label_of(m1), pda.label_of(m2)) == pointwise_leq(m2, m1)
+
+
+@pytest.mark.parametrize("materialize", [materialize_presheaves, materialize_copresheaves])
+def test_a_second_space_reads_the_same_rows_members_and_labels(materialize, all_contexts):
+    # a space is a new wrapper on every call; its rows, kept on the base, are the
+    # first call's, its members are rebuilt on them equal to the first call's, and
+    # a copresheaf's rows hold the arrows of the base's own quantaloid
+    for ctx in all_contexts.values():
+        A = ctx.phi.dom
+        first, second = materialize(A), materialize(A)
+        assert first is not second and second.value_rows is first.value_rows
+        assert second.members == first.members and second.members is not first.members
+        assert second.labels == first.labels and second.value_labels == first.value_labels
+        assert [m.key() for m in second.members] == list(second.value_rows)
+        for t, values in second.value_rows:
+            for p, v in zip(A.types, values):
+                assert (v.src, v.dst) == ((p, t) if second.kind == "presheaf" else (t, p))
+                assert v is A.q.arrow_table[v.src, v.dst][v.index]

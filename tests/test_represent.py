@@ -26,7 +26,14 @@ from qfca.qdist import (
     validate_distributor,
 )
 from qfca.presheaf import _join_dense, materialize_copresheaves, materialize_presheaves, yoneda
-from qfca.concept import brute_force_fixed, fca_lattice, isbell_down, residual_category
+from qfca.concept import (
+    brute_force_fixed,
+    fca_lattice,
+    isbell_down,
+    residual_category,
+    verify_rst_as_fca,
+    verify_rst_as_fca_complement,
+)
 from qfca.represent import (
     canonical_adjunction,
     canonical_dense_data,
@@ -48,7 +55,7 @@ from qfca.represent import (
     verify_type_preserving_representation,
     verify_yoneda,
 )
-from qfca.quantaloid import Quantaloid, build_preset
+from qfca.quantaloid import Quantaloid, build_preset, find_cyclic_dualizing_family
 
 from _helpers import (
     composite_witnesses,
@@ -314,6 +321,32 @@ def test_family_callers_make_no_per_member_call(monkeypatch):
         assert verify_elementary_identities(phi).passed, file
         canonical_fca_data(phi)
         canonical_rst_data(phi)
+
+
+def test_verifiers_decode_no_code_one_at_a_time(monkeypatch):
+    # the RST-as-FCA checks compare lattices on codes, the adjunction laws read the
+    # kept down-set codes, the elementary identities read the tensors as value rows
+    # and the fixed-point oracle filters the kept value rows: on fresh documents, no
+    # code is decoded on its own and no tensor is built as a presheaf
+    contexts = {path.name: load_valid_document(str(path)).distributors["phi"]
+                for path in sorted(CONTEXTS.glob("*.json"))}
+    assert len(contexts) == 4
+    monkeypatch.setattr(qfca.presheaf._SetCode, "decode",
+                        lambda *args: pytest.fail("_SetCode.decode"))
+    monkeypatch.setattr(qfca.represent, "presheaf_tensor",
+                        lambda *args: pytest.fail("presheaf_tensor"))
+    complements = 0
+    for file, phi in contexts.items():
+        assert verify_rst_as_fca(phi).passed, file
+        fam = find_cyclic_dualizing_family(phi.q)
+        if fam.dualizing:
+            complements += 1
+            assert verify_rst_as_fca_complement(phi, fam).passed, file
+        assert verify_adjunction_laws(phi).passed, file
+        assert verify_elementary_identities(phi).passed, file
+        assert all(brute_force_fixed(phi, kind, qobj) for kind in ("fca", "rst")
+                   for qobj in phi.q.objects), file
+    assert complements == 2
 
 
 def test_elementary_identity_at_units(fix2id, fixl3):
