@@ -15,25 +15,22 @@ The lattices run on int codes: each map of a pair is tabled once per type and
 then costs one AND per position.  The two pairs share one base class, which
 holds the context and builds the closure on codes from the tables each pair
 supplies; the tables also give the generators and the re-check of every
-concept.  A table entry is a line of the context, written once per call as a
-key string of one char per (type, entry), run through one
-``str.translate`` into the binary digits of its image's code.  The
-translation tables depend only on the quantaloid, so it keeps them, as it
-keeps its opposite; a context keeps no table of the lattices, only the
-columns the Isbell maps read, hoisted per value type.  A lattice keeps the codes
+concept.  A table entry is a line of the context, written as a key string of
+one char per (type, entry), run through one ``str.translate`` into the binary
+digits of its image's code.  The translation tables depend only on the
+quantaloid, so it keeps them, as it keeps its opposite; a context keeps its
+key strings and, per kind and type, the two maps' tables.  The table is each
+map's one implementation: a pair's ``lefts`` and ``rights`` pack a family of
+value rows of one type by hom index, run the codes through it and decode the
+images in one batch, and the four maps above and a pair's ``left``,
+``right`` and ``closure`` are their one-row calls.  A lattice keeps the codes
 and the generators, and its JSON and DOT forms (labels, values, Hasse covers)
 are read off them: the concepts are the ``&`` closure of the generators, so
 the lower covers of a concept c are the maximal codes among ``c & g != c``
 (proof at ``_hasse_covers``).  Concepts become presheaves only when asked
-for.  Beside the tables, each map has one body on ``Arrow`` rows: a pair's
-``lefts`` and ``rights`` take a family of value rows of one type and return
-its image rows, read on hom indices, so a whole space or set of generators
-costs one kernel pass and no (co)presheaf or dual conversion per member.  The
-four maps above and a pair's ``left``, ``right`` and ``closure`` are their
-one-row calls.  ``brute_force_fixed`` filters an enumeration by the bodies and
-checks the tables, in the tests and behind ``qfca concepts --oracle``; the
-tests check the bodies against maps read off ``Arrow`` scans one (co)presheaf
-at a time.
+for.  ``brute_force_fixed`` filters an enumeration by the closure, in the
+tests and behind ``qfca concepts --oracle``; the tests check the tables
+against maps read off ``Arrow`` scans one (co)presheaf at a time.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -64,14 +61,10 @@ from .qcat import (
 )
 from .qdist import (
     QDistributor,
-    _hoist_columns,
-    _hom_row,
     dist_left_imp,
     dist_right_imp,
     dualize_distributor,
-    hom_rows,
     identity_dist,
-    tensor_ix,
     validate_distributor,
 )
 from .presheaf import (
@@ -133,21 +126,16 @@ def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
                     Presheaf, phi.cod)
 
 
-def _isbell_columns(phi: QDistributor, s: str) -> list:
-    """phi's columns hoisted for rows of type s, as ``_hom_row`` reads them; kept on phi."""
-    return _kept(phi, f"_isbell {s}", lambda phi: _hoist_columns(
-        phi.q, phi.dom.types, s, zip(phi.cod.types, phi.columns)))
-
-
 class _ClosurePair(_Frozen):
-    """What the two closure pairs share: the context ``phi``, ``closures`` and ``coded``.
+    """What the two closure pairs share: the context ``phi`` and every map's body.
 
     Both pairs name the ``kind`` of their lattice, the ``base`` that their
-    ``closure`` acts on, the materialized ``spaces`` that ``left`` and
-    ``right`` start from, and the fixed-point ``lattice``; each supplies the
-    ``_tables`` of its two maps on int codes.  Each map has one body, on a
-    family: ``lefts`` and ``rights`` take value rows of one type s and return
-    their image rows, reading only the rows' hom indices.  ``left`` and
+    ``closure`` acts on, whether their middle codes read back ``dual``, the
+    materialized ``spaces`` that ``left`` and ``right`` start from, and the
+    fixed-point ``lattice``; each supplies the ``_tables`` of its two maps on
+    int codes.  Each map has one body, its table (``coded``): ``lefts`` and
+    ``rights`` take value rows of one type s, pack them by hom index, run them
+    through the table and decode the images in one batch.  ``left`` and
     ``right`` are their one-row calls, the module's four maps.
     """
 
@@ -156,44 +144,44 @@ class _ClosurePair(_Frozen):
     def __init__(self, phi: QDistributor):
         self._set(phi)
 
+    def lefts(self, s: str, rows) -> list[tuple[Arrow, ...]]:
+        """The left map of each row of values of type s on the base: packed on the base's
+        layout, run through the left table, decoded in one batch (as duals if ``dual``)."""
+        code, _, _, (left, mid, _) = self.coded(s)
+        return mid.value_rows([_through(left, code.pack(v.index for v in vs), mid.top)
+                               for vs in rows], self.dual)
+
+    def rights(self, s: str, rows) -> list[tuple[Arrow, ...]]:
+        """The right map of each row of values of type s between the maps: packed on the
+        middle layout, run through the right table, decoded in one batch on the base."""
+        code, _, _, (_, mid, right) = self.coded(s)
+        return code.value_rows([_through(right, mid.pack(v.index for v in vs), code.top)
+                                for vs in rows])
+
     def closures(self, s: str, rows) -> list:
         """The closure ``right . left`` of each row of values of type s on the base."""
         return self.rights(s, self.lefts(s, rows))
 
-    def coded(self, qobj: str, keys=None) -> tuple:
+    def coded(self, qobj: str) -> tuple:
         """At qobj: the ``_SetCode`` of the presheaves on the base, the closure
         ``right . left`` on their codes, its generators (the top and the rows of
         the right map's table) and ``(left, mid, right)``: the two maps' tables
-        and the ``_SetCode`` of the codes between them.  ``keys`` are
-        ``_keys(phi)``, built if not given."""
-        code = _SetCode(self.base, qobj)
-        left, mid, right = self._tables(code, *(keys or _keys(self.phi)))
-        return (code, lambda c: _through(right, _through(left, c, -1), code.top),
-                [code.top, *(g for _, row in right for g in row.values())], (left, mid, right))
+        and the ``_SetCode`` of the codes between them.  Kept on phi per kind and
+        type; nothing in it refers back to phi."""
+        def build(phi):
+            code = _SetCode(self.base, qobj)
+            left, mid, right = self._tables(code, *_kept(phi, "_keys", _keys))
+            return (code, lambda c: _through(right, _through(left, c, -1), code.top),
+                    (code.top, *(g for _, row in right for g in row.values())),
+                    (left, mid, right))
+        return _kept(self.phi, f"_coded {self.kind} {qobj}", build)
 
 
 class IsbellPair(_ClosurePair):
     """The polarity adjunction ``left = isbell_up -| right = isbell_down``."""
 
-    kind = "fca"
+    kind, dual = "fca", True
     base = property(lambda self: self.phi.dom)
-
-    def lefts(self, s: str, rows) -> list[list[Arrow]]:
-        """isbell_up of each row of values |a| -> s: the values s -> |b| of
-        ``hom(mu, phi(-, b))``, one ``_hom_row`` per row on phi's kept columns."""
-        columns = _isbell_columns(self.phi, s)
-        return [_hom_row(columns, us) for us in rows]
-
-    def rights(self, s: str, rows) -> list[list[Arrow]]:
-        """isbell_down of each row of values s -> |b|: one ``_hom_row`` per row on
-        the dual context's kept columns, which read a value's index as its dual
-        has it, read back through ``q.arrow_table`` into values |a| -> s."""
-        def read_back(phi):
-            dual = _isbell_columns(dualize_distributor(phi), s)
-            return [(meets, top, phi.q.arrow_table[p, s], residuals)
-                    for p, (meets, top, _, residuals) in zip(phi.dom.types, dual)]
-        columns = _kept(self.phi, f"_isbell_down {s}", read_back)
-        return [_hom_row(columns, vs) for vs in rows]
 
     def left(self, mu: Presheaf) -> Copresheaf:
         return isbell_up(self.phi, mu)
@@ -222,23 +210,8 @@ class IsbellPair(_ClosurePair):
 class KanPair(_ClosurePair):
     """The extension adjunction ``left = kan_star -| right = kan_lower``."""
 
-    kind = "rst"
+    kind, dual = "rst", False
     base = property(lambda self: self.phi.cod)
-
-    def lefts(self, t: str, rows) -> list[list[Arrow]]:
-        """kan_star of each row of values |b| -> t: one ``tensor_ix`` per row of phi."""
-        phi = self.phi
-        q, types = phi.q, phi.cod.types
-        return [[tensor_ix(q, types, p, t, row, vs) for p, row in zip(phi.dom.types, phi.matrix)]
-                for vs in rows]
-
-    def rights(self, s: str, rows) -> list[list[Arrow]]:
-        """kan_lower of each row of values |a| -> s: one ``hom_rows`` call with phi's
-        columns as its rows and the family as its columns, read by member."""
-        phi = self.phi
-        lines = list(hom_rows(phi.q, phi.dom.types, zip(phi.cod.types, phi.columns),
-                              [(s, us) for us in rows]))
-        return [[line[j] for line in lines] for j in range(len(rows))]
 
     def left(self, lam: Presheaf) -> Presheaf:
         return kan_star(self.phi, lam)
@@ -310,8 +283,8 @@ class ConceptLattice(PresheafFamily):
 def _keys(phi: QDistributor) -> tuple[list[str], list[str]]:
     """The context's rows and columns as key strings: line i is one char per
     position of the other side, last position first, the char numbering that
-    position's type and the entry's index in its hom.  Every map and type of
-    a lattice call reads them."""
+    position's type and the entry's index in its hom.  Kept on phi: every map
+    and type reads them."""
     n, at = len(phi.q.objects), {t: k for k, t in enumerate(phi.q.objects)}
     m = [[n * w.index for w in row] for row in phi.matrix]
 
@@ -358,7 +331,8 @@ def _table(src: _SetCode, keys, q: Quantaloid, map_: str) -> list[tuple[int, dic
     ``str.translate`` per position and value, none per context cell.  The
     translation tables depend only on the quantaloid, the map, the type and
     the line's type and value, so q keeps them across calls, as it keeps its
-    opposite; a context keeps no table.  An empty dst side gives code 0."""
+    opposite; phi keeps the tables (``_ClosurePair.coded``).  An empty dst side
+    gives code 0."""
     kept, s = _kept(q, "_translations", lambda _: {}), src.qobj
     return [(field, dict(zip(rows, [int(key.translate(tr) or "0", 2)
                                     for tr in _translations(q, kept, (map_, s, p))])))
@@ -400,9 +374,9 @@ def _fixpoint_lattice(pair: IsbellPair | KanPair) -> ConceptLattice:
     ``fca_lattice`` and ``rst_lattice`` name.  The lattice keeps the codes and
     the distinct generators.
     """
-    coded, kept, keys = [], [], _keys(pair.phi)
+    coded, kept = [], []
     for qobj in pair.phi.q.objects:
-        code, close, generators, _ = pair.coded(qobj, keys)
+        code, close, generators, _ = pair.coded(qobj)
         coded.append((code, _meet_closure(code, close, generators)))
         kept.append(tuple(dict.fromkeys(generators)))
     return ConceptLattice(pair.kind, pair.phi, coded, kept)

@@ -10,16 +10,15 @@ operations of the calculus are
 
 Each entry is computed on the quantaloid's index tables, by one of two
 kernels: ``tensor_ix``, a fold of one entry's join of composites, carries
-``dist_compose`` and ``kan_star``; ``hom_rows``, the row
-kernel of the presheaf hom (a meet of left residuals), computes a whole
-matrix of homs row by row and carries ``dist_left_imp``, every presheaf and
-copresheaf hom, the supremum lookup ``presheaf._suprema``, the Isbell maps
-(``_hom_row`` per member on columns hoisted once, so that the context keeps
-them), ``kan_lower`` and the density tests.  Both read only the indices of
+``dist_compose``; ``hom_rows``, the row kernel of the presheaf hom (a meet
+of left residuals), computes a whole matrix of homs row by row and carries
+``dist_left_imp``, every presheaf and copresheaf hom, the supremum lookup
+``presheaf._suprema`` and the density tests.  Both read only the indices of
 the arrows they are given, which an arrow and its dual share.  Their duals
-reduce to these, and the bimodule law is decided on the compose table.  A
-context keeps (``quantaloid._kept``) its ``columns``, its dual, and per value
-type the columns the Isbell maps read; none refers back.
+reduce to these, and the bimodule law is decided on the compose table.  The
+closure maps of a context run on its code tables (``concept``), not on these
+kernels.  A context keeps (``quantaloid._kept``) its ``columns`` and its
+dual; neither refers back.
 
 Distributor equality is exact entrywise arrow equality; the theorems this
 package verifies are equalities at this level, not isomorphisms.
@@ -109,36 +108,23 @@ def hom_rows(q, types, rows, cols):
     ``ws[x]: types[x] -> t``, yielded as one list over cols per row; the empty meet
     is the top.
 
-    The columns are hoisted once per row type s (``_hoist_columns``), so an entry
-    costs one ``meets`` step per position and no call.  A caller may stop after any
-    row.
+    The columns are hoisted once per row type s, each to its ``limp_table`` rows at
+    its values and the ``meets``, ``top`` and arrows of its hom, so an entry costs
+    one ``meets`` step per position and no call.  A caller may stop after any row.
     """
-    cols, hoisted = tuple(cols), {}
+    cols, hoisted, limp, homs = tuple(cols), {}, q.limp_table, q.homs
     for s, us in rows:
         at_s = hoisted.get(s)
         if at_s is None:
-            at_s = hoisted[s] = _hoist_columns(q, types, s, cols)
-        yield _hom_row(at_s, us)
-
-
-def _hoist_columns(q, types, s: str, cols) -> list:
-    """For rows of type s, each column's ``limp_table`` rows at its values and the
-    ``meets``, ``top`` and arrows of its hom, as ``_hom_row`` reads them: ints,
-    tuples and arrows of q only."""
-    limp, homs = q.limp_table, q.homs
-    return [(homs[s, t].meets, homs[s, t].top, q.arrow_table[s, t],
-             [limp[p, s, t][w.index] for p, w in zip(types, ws)]) for t, ws in cols]
-
-
-def _hom_row(hoisted, us) -> list[Arrow]:
-    """One row of ``hom_rows`` from the row's values and its type's hoisted columns."""
-    indices = [u.index for u in us]
-    line = []
-    for meets, k, arrows, residuals in hoisted:
-        for row, u in zip(residuals, indices):
-            k = meets[k][row[u]]
-        line.append(arrows[k])
-    return line
+            at_s = hoisted[s] = [(homs[s, t].meets, homs[s, t].top, q.arrow_table[s, t],
+                                  [limp[p, s, t][w.index] for p, w in zip(types, ws)])
+                                 for t, ws in cols]
+        indices, line = [u.index for u in us], []
+        for meets, k, arrows, residuals in at_s:
+            for row, u in zip(residuals, indices):
+                k = meets[k][row[u]]
+            line.append(arrows[k])
+        yield line
 
 
 def tensor_ix(q, types, p: str, r: str, us, vs) -> Arrow:

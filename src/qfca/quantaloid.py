@@ -120,9 +120,11 @@ def _kept(owner, attr: str, build):
     it alone: the ``_SetCode`` layouts, the member codes and their order, their
     value rows and down-set codes, and the value rows, categories, labels and
     label lookups of its (co)presheaf spaces and residual category, with the
-    residual members' provenance.  These
-    hold only ints, strings, arrows and categories over the quantaloid, so none
-    refers back to the base, which reference counting alone still frees.
+    residual members' provenance.  A context keeps its columns, its dual, its
+    key strings and, per kind and type, its closure pairs' code tables with
+    their ``_SetCode`` layouts and closure.  These hold only ints, strings,
+    arrows, functions of them and categories over the quantaloid, so none
+    refers back to its owner, which reference counting alone still frees.
     """
     value = owner.__dict__.get(attr)
     if value is None:

@@ -19,7 +19,7 @@ equivalence onto X.  ``_elementary`` describes each kind of the elementary
 theorem; its verifiers, corollary and canonical data read that, not the kind.
 The elementary entries are one grid of hom indices per kind, read off the
 residuation tables; the homs they are compared with come from ``hom_rows``.
-A verifier keeps nothing; its bases and context do (``qfca.presheaf``, ``qfca.qdist``).
+A verifier keeps nothing; its bases and context do (see ``quantaloid._kept``).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .concept import (
     IsbellPair,
     KanPair,
     ResidualCategory,
-    _keys,
     _through,
     closure_pair,
     residual_category,
@@ -479,15 +478,15 @@ def _presheaf_side_laws(phi: QDistributor) -> tuple[bool, bool, bool]:
     one AND of a member's down-set code, kept on its base, with its closure,
     the counit one AND of its up-set code with its interior ``star . lower``,
     read off the Kan pair's tables."""
-    objects, isbell, kan_pair, keys = phi.q.objects, IsbellPair(phi), KanPair(phi), _keys(phi)
+    objects, isbell, kan_pair = phi.q.objects, IsbellPair(phi), KanPair(phi)
 
     def spaces(A: QCategory, sets: str) -> list[tuple[int, ...]]:
         return [_member_codes(A, qobj, f"presheaf space on {A.name}", sets)[1] for qobj in objects]
     rows, downs, col_downs = spaces(phi.dom, "up"), spaces(phi.dom, "down"), spaces(phi.cod, "down")
     unit = ext_unit = ext_counit = True
     for qobj, ups, down, cols in zip(objects, rows, downs, col_downs):
-        _, close, _, _ = isbell.coded(qobj, keys)
-        _, kan_close, _, (star, mid, lower) = kan_pair.coded(qobj, keys)
+        _, close, _, _ = isbell.coded(qobj)
+        _, kan_close, _, (star, mid, lower) = kan_pair.coded(qobj)
         unit &= all(d & ~close(d) == 0 for d in down)
         ext_unit &= all(d & ~kan_close(d) == 0 for d in cols)
         ext_counit &= all(u & ~_through(star, _through(lower, u, -1), mid.top) == 0

@@ -618,8 +618,8 @@ def _square_context(Q, entries):
 
 
 def test_kept_tables_hold_no_context():
-    # the translation tables are kept on the quantaloid, and the key strings of
-    # the context live only for a call: the context is freed once printed
+    # the translation tables are kept on the quantaloid, and the key strings and
+    # code tables on the context refer to no context: it is freed once printed
     Q = build_preset("lukasiewicz-chain", n=3)
     for kind in ("fca", "rst"):
         phi = _square_context(Q, [[0, 1], [2, 1]])

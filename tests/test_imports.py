@@ -85,14 +85,10 @@ BUILTIN_METHODS = {name for kind in vars(builtins).values() if isinstance(kind, 
 # only for the method pinned here.
 SHARED_READS = {
     "_ClosurePair.coded": "concept._fixpoint_lattice",
-    "IsbellPair.lefts": "concept._ClosurePair.closures",
-    "IsbellPair.rights": "concept._ClosurePair.closures",
     "IsbellPair.left": "concept.IsbellPair.closure",
     "IsbellPair.right": "concept.IsbellPair.closure",
     "IsbellPair.spaces": "represent.canonical_adjunction",
     "IsbellPair.lattice": "cli.cmd_concepts",
-    "KanPair.lefts": "concept._ClosurePair.closures",
-    "KanPair.rights": "concept._ClosurePair.closures",
     "KanPair.left": "concept.KanPair.closure",
     "KanPair.right": "concept.KanPair.closure",
     "KanPair.spaces": "represent.canonical_adjunction",
@@ -109,7 +105,7 @@ SHARED_READS = {
     "PresheafFamily.value_rows": "presheaf.PresheafFamily.functor_to",
     "QCategory.index": "presheaf.yoneda",
     "Preorder.leq": "presheaf._join_dense",
-    "QDistributor.q": "concept.KanPair.lefts",
+    "QDistributor.q": "concept._keys",
     "HomLattice.leq": "quantaloid.Quantaloid.leq",
     "HomLattice.index": "quantaloid.Quantaloid.arrow",
     "Quantaloid.hom": "quantaloid.Quantaloid.label",

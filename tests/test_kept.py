@@ -2,7 +2,7 @@
 
 A base category keeps its code layouts, its presheaf spaces' member codes and
 categories, and its residual category (``quantaloid._kept``); a context keeps
-its columns hoisted for the Isbell maps, per value type.  Every verifier
+its closure pairs' code tables, per kind and value type.  Every verifier
 that reads them gives the same report on a first call, a second call and a
 fresh but equal base; a kept space trips a cap set later exactly as a fresh
 enumeration does; and a base or context that keeps them is still freed by
@@ -11,15 +11,22 @@ reference counting alone.
 
 import gc
 import itertools
+import pathlib
 import weakref
 
 import pytest
 
+from qfca import concept
+from qfca.cli import load_document
 from qfca.concept import (
     brute_force_fixed,
+    fca_lattice,
     isbell_down,
     isbell_up,
+    kan_lower,
+    kan_star,
     residual_category,
+    rst_lattice,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
 )
@@ -49,6 +56,8 @@ from qfca.represent import (
 )
 
 from _helpers import enumerate_categories, enumerate_distributors, member_of
+
+CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"
 
 
 def fresh(A: QCategory) -> QCategory:
@@ -181,20 +190,45 @@ def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
         gc.enable()
 
 
-def test_a_context_with_kept_isbell_columns_is_freed_without_the_collector(fixdl3):
-    phi = fresh_context(fixdl3.phi)
+def closure_pair_calls(phi: QDistributor) -> None:
+    """Every caller of the closure pairs' code tables, once: the four one-row maps
+    on every (co)presheaf, both lattices, the brute force fixed points of every
+    kind and type, and the adjunction laws (which also read those of the dual)."""
     for qobj in phi.q.objects:
         for mu in enumerate_presheaves(phi.dom, qobj):
             isbell_up(phi, mu)
+            kan_lower(phi, mu)
         for lam in enumerate_copresheaves(phi.cod, qobj):
             isbell_down(phi, lam)
-    columns = {f"_isbell {qobj}" for qobj in phi.q.objects}
-    assert columns <= set(vars(phi)) and columns <= set(vars(dualize_distributor(phi)))
-    assert {f"_isbell_down {qobj}" for qobj in phi.q.objects} <= set(vars(phi))
+        for lam in enumerate_presheaves(phi.cod, qobj):
+            kan_star(phi, lam)
+    fca_lattice(phi)
+    rst_lattice(phi)
+    for kind, qobj in itertools.product(("fca", "rst"), phi.q.objects):
+        brute_force_fixed(phi, kind, qobj)
+    verify_adjunction_laws(phi)
+
+
+def test_a_context_with_kept_code_tables_is_freed_without_the_collector(fixdl3):
+    phi = fresh_context(fixdl3.phi)
+    closure_pair_calls(phi)
+    coded = {f"_coded {kind} {qobj}" for kind in ("fca", "rst") for qobj in phi.q.objects}
+    assert coded <= set(vars(phi)) and coded <= set(vars(dualize_distributor(phi)))
     refs = [weakref.ref(phi), weakref.ref(dualize_distributor(phi))]
     gc.disable()
     try:
-        del phi  # freed by reference counting alone: the columns hold no reference back
+        del phi  # freed by reference counting alone: the tables hold no reference back
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_each_code_table_is_built_once_per_context(monkeypatch):
+    phi = load_document(str(CONTEXTS / "fix_dl3.json")).distributors["phi"]
+    built, table = [], concept._table
+    monkeypatch.setattr(concept, "_table", lambda *args: built.append(args[3]) or table(*args))
+    closure_pair_calls(phi)
+    # two maps per kind and type of the three, on phi and on its dual
+    assert len(built) == 24
+    closure_pair_calls(phi)
+    assert len(built) == 24

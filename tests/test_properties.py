@@ -436,6 +436,9 @@ def test_lattices_match_brute_force_randomized(data):
             for qobj in phi.q.objects:
                 expected = {p.key() for p in brute_force_fixed(phi, kind, qobj)}
                 assert {p.key() for p in per_type[qobj]} == expected, (kind, qobj)
+                # the oracle closure reads no code table, which the two above share
+                oracle = {p.key() for p in oracle_brute_force_fixed(phi, kind, qobj)}
+                assert oracle == expected, (kind, qobj)
 
 
 @settings(max_examples=80, deadline=None)
