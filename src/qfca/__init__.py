@@ -98,10 +98,6 @@ from .concept import (
     codense_probe,
     complement_context,
     fca_lattice,
-    isbell_down,
-    isbell_up,
-    kan_lower,
-    kan_star,
     lattice_to_dot,
     lattice_to_json,
     residual_category,

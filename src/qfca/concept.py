@@ -4,11 +4,11 @@ A distributor phi: A -/-> B plays the role of a formal context.  It induces
 two adjunctions between (co)presheaf categories, each map one operation of
 the distributor calculus on a (co)presheaf mu or lam seen as a distributor:
 
-* the Isbell adjunction ``isbell_up(mu) = phi <l mu`` -| ``isbell_down(lam)
-  = lam >r phi`` (the enriched polarity); its fixed presheaves on A form the
+* the Isbell adjunction ``up(mu) = phi <l mu`` -| ``down(lam) = lam >r phi``
+  (the enriched polarity, ``IsbellPair``); its fixed presheaves on A form the
   FCA concept lattice of the context;
-* the Kan adjunction ``kan_star(lam) = lam . phi`` -| ``kan_lower(mu) =
-  mu <l phi``; its fixed presheaves on B form the RST (object-oriented)
+* the Kan adjunction ``star(lam) = lam . phi`` -| ``lower(mu) = mu <l phi``
+  (``KanPair``); its fixed presheaves on B form the RST (object-oriented)
   concept lattice.
 
 The lattices run on int codes: each map of a pair is tabled once per type and
@@ -19,18 +19,19 @@ concept.  A table entry is a line of the context, written as a key string of
 one char per (type, entry), run through one ``str.translate`` into the binary
 digits of its image's code.  The translation tables depend only on the
 quantaloid, so it keeps them, as it keeps its opposite; a context keeps its
-key strings and, per kind and type, the two maps' tables.  The table is each
-map's one implementation: a pair's ``lefts`` and ``rights`` pack a family of
-value rows of one type by hom index, run the codes through it and decode the
-images in one batch, and the four maps above and a pair's ``left``,
-``right`` and ``closure`` are their one-row calls.  A lattice keeps the codes
-and the generators, and its JSON and DOT forms (labels, values, Hasse covers)
-are read off them: the concepts are the ``&`` closure of the generators, so
-the lower covers of a concept c are the maximal codes among ``c & g != c``
-(proof at ``_hasse_covers``).  Concepts become presheaves only when asked
-for.  ``brute_force_fixed`` filters an enumeration by the closure, in the
-tests and behind ``qfca concepts --oracle``; the tests check the tables
-against maps read off ``Arrow`` scans one (co)presheaf at a time.
+key strings and, per kind and type, the two maps' tables and their closure.
+The tables are each map's one implementation, and the kept code closure the
+closure's: a pair's ``lefts``, ``rights`` and ``closures`` pack a family of
+value rows of one type by hom index, run the codes through and decode the
+images in one batch, and a pair's ``closure`` is the one-row call of
+``closures``.  A lattice keeps the codes and the generators, and its JSON and
+DOT forms (labels, values, Hasse covers) are read off them: the concepts are
+the ``&`` closure of the generators, so the lower covers of a concept c are
+the maximal codes among ``c & g != c`` (proof at ``_hasse_covers``).
+Concepts become presheaves only when asked for.  ``brute_force_fixed``
+filters the kept member codes by the closure, in the tests and behind ``qfca
+concepts --oracle``; the tests check the tables against maps read off
+``Arrow`` scans one (co)presheaf at a time.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -68,13 +69,12 @@ from .qdist import (
     validate_distributor,
 )
 from .presheaf import (
-    Copresheaf,
     Presheaf,
     PresheafFamily,
     PresheafSpace,
     _SetCode,
     _and_closure,
-    _member_rows,
+    _member_codes,
     _require,
     is_codense,
     materialize_copresheaves,
@@ -95,48 +95,18 @@ from .quantaloid import (
 # -- the two adjunctions ---------------------------------------------------------
 
 
-def _one_row(body, v, kind: type, base: QCategory, where: str, out: type, out_base: QCategory):
-    """A family map's ``body`` on the one row of v, which must be a ``kind`` on
-    ``base`` (``where`` describes it), as an ``out`` on ``out_base``."""
-    _require(kind, base, where, v)
-    return out(out_base, v.type, tuple(body(v.type, [v.values])[0]))
-
-
-def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
-    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
-    return _one_row(IsbellPair(phi).lefts, mu, Presheaf, phi.dom, "the context's row category",
-                    Copresheaf, phi.cod)
-
-
-def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
-    """isbell_up of the dual context: a copresheaf on B back to a presheaf on A."""
-    return _one_row(IsbellPair(phi).rights, lam, Copresheaf, phi.cod,
-                    "the context's column category", Presheaf, phi.dom)
-
-
-def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
-    """lam . phi, a presheaf on A: ``kan_star(lam)(a) = join_b lam(b) . phi(a, b)``."""
-    return _one_row(KanPair(phi).lefts, lam, Presheaf, phi.cod, "the context's column category",
-                    Presheaf, phi.dom)
-
-
-def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
-    """mu <l phi, a presheaf on B: ``kan_lower(mu)(b) = hom(phi(-, b), mu)``."""
-    return _one_row(KanPair(phi).rights, mu, Presheaf, phi.dom, "the context's row category",
-                    Presheaf, phi.cod)
-
-
 class _ClosurePair(_Frozen):
     """What the two closure pairs share: the context ``phi`` and every map's body.
 
     Both pairs name the ``kind`` of their lattice, the ``base`` that their
-    ``closure`` acts on, whether their middle codes read back ``dual``, the
-    materialized ``spaces`` that ``left`` and ``right`` start from, and the
-    fixed-point ``lattice``; each supplies the ``_tables`` of its two maps on
-    int codes.  Each map has one body, its table (``coded``): ``lefts`` and
-    ``rights`` take value rows of one type s, pack them by hom index, run them
-    through the table and decode the images in one batch.  ``left`` and
-    ``right`` are their one-row calls, the module's four maps.
+    closure acts on, whether their middle codes read back ``dual``, the
+    materialized ``spaces`` of their two maps, and the fixed-point ``lattice``;
+    each supplies the ``_tables`` of its two maps on int codes.  Each map has
+    one body, its table, and the closure ``right . left`` one, the two tables
+    read in turn (``coded``): ``lefts``, ``rights`` and ``closures`` take value
+    rows of one type s, pack them by hom index, run the codes through and
+    decode the images in one batch.  A pair's ``closure`` is the one-row call
+    of ``closures``.
     """
 
     _fields = ("phi",)
@@ -158,9 +128,17 @@ class _ClosurePair(_Frozen):
         return code.value_rows([_through(right, mid.pack(v.index for v in vs), code.top)
                                 for vs in rows])
 
-    def closures(self, s: str, rows) -> list:
-        """The closure ``right . left`` of each row of values of type s on the base."""
-        return self.rights(s, self.lefts(s, rows))
+    def closures(self, s: str, rows) -> list[tuple[Arrow, ...]]:
+        """The closure ``right . left`` of each row of values of type s on the base:
+        packed on the base's layout, closed on codes, decoded in one batch."""
+        code, close, _, _ = self.coded(s)
+        return code.value_rows([close(code.pack(v.index for v in vs)) for vs in rows])
+
+    def _closure(self, mu: Presheaf, where: str) -> Presheaf:
+        """``closures`` on the one row of mu, which must be a presheaf on the base
+        (``where`` describes it)."""
+        _require(Presheaf, self.base, where, mu)
+        return Presheaf(self.base, mu.type, self.closures(mu.type, [mu.values])[0])
 
     def coded(self, qobj: str) -> tuple:
         """At qobj: the ``_SetCode`` of the presheaves on the base, the closure
@@ -178,19 +156,15 @@ class _ClosurePair(_Frozen):
 
 
 class IsbellPair(_ClosurePair):
-    """The polarity adjunction ``left = isbell_up -| right = isbell_down``."""
+    """The polarity adjunction: left ``phi <l mu``, a copresheaf on B with
+    ``left(mu)(b) = hom(mu, phi(-, b))``, and right the same map of the dual
+    context, a copresheaf on B back to a presheaf on A."""
 
     kind, dual = "fca", True
     base = property(lambda self: self.phi.dom)
 
-    def left(self, mu: Presheaf) -> Copresheaf:
-        return isbell_up(self.phi, mu)
-
-    def right(self, lam: Copresheaf) -> Presheaf:
-        return isbell_down(self.phi, lam)
-
     def closure(self, mu: Presheaf) -> Presheaf:
-        return self.right(self.left(mu))
+        return self._closure(mu, "the context's row category")
 
     def spaces(self) -> tuple[PresheafSpace, PresheafSpace]:
         return materialize_presheaves(self.base), materialize_copresheaves(self.phi.cod)
@@ -199,8 +173,8 @@ class IsbellPair(_ClosurePair):
         return fca_lattice(self.phi)
 
     def _tables(self, code: _SetCode, rows, columns):
-        """isbell_up tabled from the rows to down-set codes of copresheaves on B
-        (presheaves on B^op), isbell_down the same table of the dual, from the columns."""
+        """The left map tabled from the rows to down-set codes of copresheaves on B
+        (presheaves on B^op), the right map the same table of the dual, from the columns."""
         dual = dualize_distributor(self.phi)
         mid = _SetCode(dual.dom, code.qobj)
         return (_table(code, rows, self.phi.q, "isbell"), mid,
@@ -208,19 +182,15 @@ class IsbellPair(_ClosurePair):
 
 
 class KanPair(_ClosurePair):
-    """The extension adjunction ``left = kan_star -| right = kan_lower``."""
+    """The extension adjunction: left ``lam . phi``, a presheaf on A with
+    ``left(lam)(a) = join_b lam(b) . phi(a, b)``, and right ``mu <l phi``, a
+    presheaf on B with ``right(mu)(b) = hom(phi(-, b), mu)``."""
 
     kind, dual = "rst", False
     base = property(lambda self: self.phi.cod)
 
-    def left(self, lam: Presheaf) -> Presheaf:
-        return kan_star(self.phi, lam)
-
-    def right(self, mu: Presheaf) -> Presheaf:
-        return kan_lower(self.phi, mu)
-
     def closure(self, lam: Presheaf) -> Presheaf:
-        return self.right(self.left(lam))
+        return self._closure(lam, "the context's column category")
 
     def spaces(self) -> tuple[PresheafSpace, PresheafSpace]:
         return materialize_presheaves(self.base), materialize_presheaves(self.phi.dom)
@@ -229,8 +199,8 @@ class KanPair(_ClosurePair):
         return rst_lattice(self.phi)
 
     def _tables(self, code: _SetCode, rows, columns):
-        """kan_star is a join, so its table maps the columns to up-set codes over A,
-        which kan_lower's maps, from the rows, to down-set codes over B."""
+        """The left map is a join, so its table maps the columns to up-set codes over A;
+        the right map's table maps those, from the rows, to down-set codes over B."""
         mid, q = _SetCode(self.phi.dom, code.qobj, "up"), self.phi.q
         return _table(code, columns, q, "star"), mid, _table(mid, rows, q, "lower")
 
@@ -395,14 +365,16 @@ def rst_lattice(phi: QDistributor) -> ConceptLattice:
 
 
 def brute_force_fixed(phi: QDistributor, kind: str, qobj: str) -> tuple[Presheaf, ...]:
-    """Independent oracle: the full presheaf enumeration filtered by fixedness, in
-    one ``closures`` pass over the kept value rows: a member stays when its
-    closure's row is its own, and only those become presheaves."""
+    """The full presheaf enumeration filtered by fixedness: a member of the base's
+    kept down-set member codes stays when the kept closure fixes its code, and only
+    those are decoded, in one batch.  It shares the lattice's tables, not its meet
+    closure; ``tests/_helpers.oracle_brute_force_fixed`` reads no table."""
     pair = closure_pair(phi, kind)
     base = pair.base
-    rows = _member_rows(base, qobj, f"presheaf space on {base.name}")
+    _, codes = _member_codes(base, qobj, f"presheaf space on {base.name}", "down")
+    code, close, _, _ = pair.coded(qobj)
     return tuple(Presheaf(base, qobj, values)
-                 for values, row in zip(rows, pair.closures(qobj, rows)) if tuple(row) == values)
+                 for values in code.value_rows([c for c in codes if close(c) == c]))
 
 
 # -- the residual category and residual contexts -----------------------------------

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (BaseMismatch, BudgetExceeded, ColimitMissing, QfcaError, TypeMismatch,
-                     _Frozen, budget)
+from .errors import (BaseMismatch, BudgetExceeded, ColimitMissing, InvalidParams, QfcaError,
+                     TypeMismatch, _Frozen, budget)
 from .qcat import (
     QCategory,
     QFunctor,
@@ -315,7 +315,11 @@ class _SetCode:
 
 
 def _layout(A: QCategory, qobj: str, sets: str) -> tuple[tuple, tuple, int]:
-    """A ``_SetCode``'s rows, fields and top, kept on A: ints only."""
+    """A ``_SetCode``'s rows, fields and top, kept on A: ints only.  A type that
+    is not an object of A's quantaloid is refused here, before anything is kept."""
+    if qobj not in A.q.objects:
+        raise InvalidParams(f"type {qobj!r} is not an object of {A.q.name}; "
+                            f"its objects are {list(A.q.objects)}")
     rows, fields, offset = [], [], 0
     for t in A.types:
         sets_at = getattr(A.q.homs[t, qobj], sets)

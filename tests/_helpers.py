@@ -24,9 +24,12 @@ pick out a verifier report's
 failed conditions or one condition by name.  A later section holds lemma
 checks that run on library maps: the transpose identities and the eight
 adjoint-arrow identities, exact equalities of distributors that no
-representation theorem reports on.  The last four sections hold maps that no
+representation theorem reports on.  The last five sections hold maps that no
 ``qfca`` command reaches and that the tests use to check the library or to
-build its inputs: suprema and infima, adjoint search, order-level density,
+build its inputs: the closure pairs' four maps and their left and right on
+one (co)presheaf (``isbell_up``, ``isbell_down``, ``kan_star``, ``kan_lower``,
+``pair_left`` and ``pair_right``), one-row calls of the pairs' family maps;
+suprema and infima, adjoint search, order-level density,
 the copresheaf Kan maps, the functor order and the equivalence search; the
 four generator maps as functors with their density; a context document
 written back as JSON; and Chu transforms with the functorial action of the
@@ -43,9 +46,6 @@ from qfca.concept import (
     ResidualCategory,
     closure_pair,
     fca_lattice,
-    isbell_down,
-    kan_lower,
-    kan_star,
     residual_category,
     residual_context,
     rst_lattice,
@@ -646,7 +646,7 @@ def oracle_side_laws(phi):
     cols = [lam for qobj in phi.q.objects for lam in enumerate_presheaves(phi.cod, qobj)]
     return (all(pointwise_leq(mu, isb.closure(mu)) for mu in rows),
             all(pointwise_leq(lam, kan.closure(lam)) for lam in cols),
-            all(pointwise_leq(kan.left(kan.right(mu)), mu) for mu in rows))
+            all(pointwise_leq(pair_left(kan, pair_right(kan, mu)), mu) for mu in rows))
 
 
 def oracle_copresheaf_hom(lam, kap):
@@ -806,6 +806,50 @@ def adjoint_arrow_identities_suite(F, phi, psi):
     check("trade.left", dist_compose(dist_left_imp(psi, psi), gF),
           dist_left_imp(psi, dist_compose(cF, psi)))
     return report
+
+
+# -- the closure pairs' maps on one (co)presheaf ------------------------------------
+
+
+def _one_row(body, v, kind: type, base: QCategory, where: str, out: type, out_base: QCategory):
+    """A family map's ``body`` on the one row of v, which must be a ``kind`` on
+    ``base`` (``where`` describes it), as an ``out`` on ``out_base``."""
+    _require(kind, base, where, v)
+    return out(out_base, v.type, tuple(body(v.type, [v.values])[0]))
+
+
+def isbell_up(phi: QDistributor, mu: Presheaf) -> Copresheaf:
+    """phi <l mu, a copresheaf on B: ``isbell_up(mu)(b) = hom(mu, phi(-, b))``."""
+    return _one_row(IsbellPair(phi).lefts, mu, Presheaf, phi.dom, "the context's row category",
+                    Copresheaf, phi.cod)
+
+
+def isbell_down(phi: QDistributor, lam: Copresheaf) -> Presheaf:
+    """isbell_up of the dual context: a copresheaf on B back to a presheaf on A."""
+    return _one_row(IsbellPair(phi).rights, lam, Copresheaf, phi.cod,
+                    "the context's column category", Presheaf, phi.dom)
+
+
+def kan_star(phi: QDistributor, lam: Presheaf) -> Presheaf:
+    """lam . phi, a presheaf on A: ``kan_star(lam)(a) = join_b lam(b) . phi(a, b)``."""
+    return _one_row(KanPair(phi).lefts, lam, Presheaf, phi.cod, "the context's column category",
+                    Presheaf, phi.dom)
+
+
+def kan_lower(phi: QDistributor, mu: Presheaf) -> Presheaf:
+    """mu <l phi, a presheaf on B: ``kan_lower(mu)(b) = hom(phi(-, b), mu)``."""
+    return _one_row(KanPair(phi).rights, mu, Presheaf, phi.dom, "the context's row category",
+                    Presheaf, phi.cod)
+
+
+def pair_left(pair, v):
+    """The left map of a closure pair on one (co)presheaf: isbell_up or kan_star."""
+    return (isbell_up if pair.kind == "fca" else kan_star)(pair.phi, v)
+
+
+def pair_right(pair, v):
+    """The right map of a closure pair on one (co)presheaf: isbell_down or kan_lower."""
+    return (isbell_down if pair.kind == "fca" else kan_lower)(pair.phi, v)
 
 
 # -- order, suprema, adjoints, density and equivalence on whole categories -----------

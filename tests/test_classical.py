@@ -18,7 +18,6 @@ from qfca.concept import (
     KanPair,
     complement_context,
     fca_lattice,
-    isbell_down,
     rst_lattice,
 )
 from qfca.represent import (
@@ -35,6 +34,7 @@ from _helpers import (
     failed_names,
     image_join_dense,
     image_meet_dense,
+    isbell_down,
     member_of,
     presheaf_to_subset,
 )

@@ -44,10 +44,6 @@ from qfca.concept import (
     codense_probe,
     complement_context,
     fca_lattice,
-    isbell_down,
-    isbell_up,
-    kan_lower,
-    kan_star,
     lattice_to_dot,
     lattice_to_json,
     residual_category,
@@ -66,11 +62,17 @@ from _helpers import (
     failed_names,
     fca_lattice_map,
     find_equivalence,
+    isbell_down,
+    isbell_up,
+    kan_lower,
+    kan_star,
     member_of,
     oracle_lattice_equality,
     oracle_left_imp,
     oracle_mask_covers,
     oracle_tables,
+    pair_left,
+    pair_right,
     pointwise_leq,
     presheaf_transpose,
     residual_chu,
@@ -116,7 +118,7 @@ def test_closure_laws(fix2id, fixl3):
             for mu in enumerate_presheaves(ctx.A, qobj):
                 assert pointwise_leq(mu, isb.closure(mu))
                 assert isb.closure(isb.closure(mu)) == isb.closure(mu)
-                assert pointwise_leq(kan.left(kan.right(mu)), mu)
+                assert pointwise_leq(pair_left(kan, pair_right(kan, mu)), mu)
             for lam in enumerate_presheaves(ctx.B, qobj):
                 assert pointwise_leq(lam, kan.closure(lam))
                 assert kan.closure(kan.closure(lam)) == kan.closure(lam)
@@ -443,9 +445,9 @@ def test_restriction_equivalence(fix2id, fixl3):
         isb = IsbellPair(ctx.phi)
         for qobj in ctx.phi.q.objects:
             for mu in brute_force_fixed(ctx.phi, "fca", qobj):
-                lam = isb.left(mu)
-                assert isb.left(isb.right(lam)) == lam  # lands in the dual fixed set
-                assert isb.right(lam) == mu
+                lam = pair_left(isb, mu)
+                assert pair_left(isb, pair_right(isb, lam)) == lam  # lands in the dual fixed set
+                assert pair_right(isb, lam) == mu
 
 
 def test_multi_typed_girard_routes_agree(diagb4):

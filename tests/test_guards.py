@@ -12,19 +12,16 @@ import pytest
 from qfca.errors import BaseMismatch
 from qfca.qcat import identity_functor
 from qfca.presheaf import copresheaf_hom, coyoneda, lan, presheaf_hom, yoneda
-from qfca.concept import (
-    isbell_down,
-    isbell_up,
-    kan_lower,
-    kan_star,
-    residual_category,
-    residual_context,
-)
+from qfca.concept import IsbellPair, KanPair, residual_category, residual_context
 
 from _helpers import (
     inf,
+    isbell_down,
+    isbell_up,
     kan_dag,
+    kan_lower,
     kan_lower_dag,
+    kan_star,
     pointwise_leq,
     pushforward,
     residual_map_functor,
@@ -47,6 +44,8 @@ ON_ANOTHER_BASE = {
     "isbell_down": lambda A, B, phi: isbell_down(phi, coyoneda(A, "x")),
     "kan_star": lambda A, B, phi: kan_star(phi, yoneda(A, "x")),
     "kan_lower": lambda A, B, phi: kan_lower(phi, yoneda(B, "p")),
+    "IsbellPair.closure": lambda A, B, phi: IsbellPair(phi).closure(yoneda(B, "p")),
+    "KanPair.closure": lambda A, B, phi: KanPair(phi).closure(yoneda(A, "x")),
     "kan_dag": lambda A, B, phi: kan_dag(phi, coyoneda(B, "p")),
     "kan_lower_dag": lambda A, B, phi: kan_lower_dag(phi, coyoneda(A, "x")),
     "residual_context": lambda A, B, phi: residual_context(phi, residual_category(B)),
@@ -67,6 +66,9 @@ OF_THE_WRONG_KIND = {
     "isbell_down": (lambda A, B, phi: isbell_down(phi, yoneda(B, "p")), "copresheaf"),
     "kan_star": (lambda A, B, phi: kan_star(phi, coyoneda(B, "p")), "presheaf"),
     "kan_lower": (lambda A, B, phi: kan_lower(phi, coyoneda(A, "x")), "presheaf"),
+    "IsbellPair.closure": (lambda A, B, phi: IsbellPair(phi).closure(coyoneda(A, "x")),
+                           "presheaf"),
+    "KanPair.closure": (lambda A, B, phi: KanPair(phi).closure(coyoneda(B, "p")), "presheaf"),
     "kan_dag": (lambda A, B, phi: kan_dag(phi, yoneda(A, "x")), "copresheaf"),
     "kan_lower_dag": (lambda A, B, phi: kan_lower_dag(phi, yoneda(B, "p")), "copresheaf"),
     "sup": (lambda A, B, phi: sup(A, coyoneda(A, "x")), "presheaf"),

@@ -85,12 +85,8 @@ BUILTIN_METHODS = {name for kind in vars(builtins).values() if isinstance(kind, 
 # only for the method pinned here.
 SHARED_READS = {
     "_ClosurePair.coded": "concept._fixpoint_lattice",
-    "IsbellPair.left": "concept.IsbellPair.closure",
-    "IsbellPair.right": "concept.IsbellPair.closure",
     "IsbellPair.spaces": "represent.canonical_adjunction",
     "IsbellPair.lattice": "cli.cmd_concepts",
-    "KanPair.left": "concept.KanPair.closure",
-    "KanPair.right": "concept.KanPair.closure",
     "KanPair.spaces": "represent.canonical_adjunction",
     "KanPair.lattice": "cli.cmd_concepts",
     "Issue.to_json": "errors.ValidationReport.to_json",

@@ -19,18 +19,15 @@ import pytest
 from qfca import concept
 from qfca.cli import load_document
 from qfca.concept import (
+    IsbellPair,
     brute_force_fixed,
     fca_lattice,
-    isbell_down,
-    isbell_up,
-    kan_lower,
-    kan_star,
     residual_category,
     rst_lattice,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
 )
-from qfca.errors import BudgetExceeded
+from qfca.errors import BudgetExceeded, InvalidParams
 from qfca.presheaf import (
     enumerate_copresheaves,
     enumerate_presheaves,
@@ -55,7 +52,15 @@ from qfca.represent import (
     verify_yoneda,
 )
 
-from _helpers import enumerate_categories, enumerate_distributors, member_of
+from _helpers import (
+    enumerate_categories,
+    enumerate_distributors,
+    isbell_down,
+    isbell_up,
+    kan_lower,
+    kan_star,
+    member_of,
+)
 
 CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"
 
@@ -232,3 +237,18 @@ def test_each_code_table_is_built_once_per_context(monkeypatch):
     assert len(built) == 24
     closure_pair_calls(phi)
     assert len(built) == 24
+
+
+def test_a_type_that_is_no_object_is_refused_before_anything_is_kept():
+    # the fixed-point oracle, the enumeration and a pair's code tables each build a
+    # _SetCode layout at the type first, and the layout refuses it
+    phi = load_document(str(CONTEXTS / "fix_dl3.json")).distributors["phi"]
+    message = r"^type 'zz' is not an object of diag-chain-3; its objects are \['0', '1', '2'\]$"
+    for call in (lambda: brute_force_fixed(phi, "fca", "zz"),
+                 lambda: enumerate_presheaves(phi.dom, "zz"),
+                 lambda: IsbellPair(phi).coded("zz")):
+        with pytest.raises(InvalidParams, match=message):
+            call()
+    for owner in (phi, phi.dom, phi.cod):
+        assert [attr for attr in vars(owner) if "zz" in attr] == []
+    assert [key for key in vars(phi.q).get("_translations", {}) if "zz" in key] == []

@@ -29,7 +29,6 @@ from qfca.presheaf import _join_dense, materialize_copresheaves, materialize_pre
 from qfca.concept import (
     brute_force_fixed,
     fca_lattice,
-    isbell_down,
     residual_category,
     verify_rst_as_fca,
     verify_rst_as_fca_complement,
@@ -65,6 +64,7 @@ from _helpers import (
     find_left_adjoint,
     find_right_adjoint,
     generator_functors,
+    isbell_down,
 )
 
 CONTEXTS = pathlib.Path(__file__).parent.parent / "contexts"
@@ -302,25 +302,40 @@ def test_table_paths_make_no_arrow_level_call(all_contexts, monkeypatch):
 def test_family_callers_make_no_per_member_call(monkeypatch):
     # the fixed-point oracle, the elementary identities and the canonical witnesses
     # map each family in one call: no one-(co)presheaf map and no conversion of a
-    # presheaf on a dual base to a copresheaf runs
+    # presheaf on a dual base to a copresheaf runs.  The closures run on the kept
+    # code closure, through neither family map, and once warm the fixed-point
+    # oracle reads the kept member codes and packs none
     contexts = {path.name: load_valid_document(str(path)).distributors["phi"]
                 for path in sorted(CONTEXTS.glob("*.json"))}
     assert len(contexts) == 4
     for module in (qfca.presheaf, qfca.represent):
         monkeypatch.setattr(module, "_copresheaf_of",
                             lambda *args: pytest.fail("_copresheaf_of"))
-    for name in ("isbell_up", "isbell_down", "kan_star", "kan_lower"):
-        monkeypatch.setattr(qfca.concept, name, lambda *args, name=name: pytest.fail(name))
+    assert not {"isbell_up", "isbell_down", "kan_star", "kan_lower", "_one_row"} \
+        & set(vars(qfca.concept))
     for cls in (qfca.IsbellPair, qfca.KanPair):
-        for name in ("left", "right", "closure"):
-            monkeypatch.setattr(cls, name, lambda *args, name=name: pytest.fail(name))
+        assert not hasattr(cls, "left") and not hasattr(cls, "right")
+        monkeypatch.setattr(cls, "closure", lambda *args: pytest.fail("closure"))
+    fixed = {}
     for file, phi in contexts.items():
-        fixed = [brute_force_fixed(phi, kind, qobj) for kind in ("fca", "rst")
-                 for qobj in phi.q.objects]
-        assert all(fixed), file
+        fixed[file] = [brute_force_fixed(phi, kind, qobj) for kind in ("fca", "rst")
+                       for qobj in phi.q.objects]
+        assert all(fixed[file]), file
         assert verify_elementary_identities(phi).passed, file
         canonical_fca_data(phi)
         canonical_rst_data(phi)
+    for name in ("lefts", "rights"):
+        monkeypatch.setattr(qfca.concept._ClosurePair, name,
+                            lambda *args, name=name: pytest.fail(name))
+    for file, phi in contexts.items():
+        for pair in (qfca.IsbellPair(phi), qfca.KanPair(phi)):
+            for qobj in phi.q.objects:
+                rows = [mu.values for mu in brute_force_fixed(phi, pair.kind, qobj)]
+                assert pair.closures(qobj, rows) == rows, (file, pair.kind, qobj)
+    monkeypatch.setattr(qfca.presheaf._SetCode, "pack", lambda *args: pytest.fail("pack"))
+    for file, phi in contexts.items():
+        assert [brute_force_fixed(phi, kind, qobj) for kind in ("fca", "rst")
+                for qobj in phi.q.objects] == fixed[file], file
 
 
 def test_verifiers_decode_no_code_one_at_a_time(monkeypatch):
