@@ -15,16 +15,15 @@ The lattices run on int codes: each map of a pair is tabled once per type and
 then costs one AND per position.  The two pairs share one base class, which
 holds the context and builds the closure on codes from the tables each pair
 supplies; the tables also give the generators and the re-check of every
-concept.  A table entry is a line of the context, written as a key string of
-one char per (type, entry), run through one ``str.translate`` into the binary
-digits of its image's code.  The translation tables depend only on the
-quantaloid, so it keeps them, as it keeps its opposite; a context keeps its
-key strings and, per kind and type, the two maps' tables and their closure.
-The tables are each map's one implementation, and the kept code closure the
-closure's: a pair's ``lefts``, ``rights`` and ``closures`` pack a family of
-value rows of one type by hom index, run the codes through and decode the
-images in one batch, and a pair's ``closure`` is the one-row call of
-``closures``.  A lattice keeps the codes and the generators, and its JSON and
+concept.  A table entry is built straight from a line of the context: each
+entry's image index is read off the quantaloid's composition or residuation
+table and the image's code summed over the line (``_table``).  A context keeps,
+per kind and type, the two maps' tables and their closure; the quantaloid
+keeps nothing for them.  The tables are each map's one implementation, and
+the kept code closure the closure's: a pair's ``lefts``, ``rights`` and
+``closures`` pack a family of value rows of one type by hom index, run the
+codes through and decode the images in one batch, and a pair's ``closure`` is
+the one-row call of ``closures``.  A lattice keeps the codes and the generators, and its JSON and
 DOT forms (labels, values, Hasse covers) are read off them: the concepts are
 the ``&`` closure of the generators, so the lower covers of a concept c are
 the maximal codes among ``c & g != c`` (proof at ``_hasse_covers``).
@@ -86,6 +85,7 @@ from .quantaloid import (
     CyclicDualizingFamily,
     Quantaloid,
     _kept,
+    _transpose,
     complement_arrow,
     is_cyclic_family,
     is_dualizing_family,
@@ -148,7 +148,7 @@ class _ClosurePair(_Frozen):
         type; nothing in it refers back to phi."""
         def build(phi):
             code = _SetCode(self.base, qobj)
-            left, mid, right = self._tables(code, *_kept(phi, "_keys", _keys))
+            left, mid, right = self._tables(code)
             return (code, lambda c: _through(right, _through(left, c, -1), code.top),
                     (code.top, *(g for _, row in right for g in row.values())),
                     (left, mid, right))
@@ -172,13 +172,13 @@ class IsbellPair(_ClosurePair):
     def lattice(self) -> ConceptLattice:
         return fca_lattice(self.phi)
 
-    def _tables(self, code: _SetCode, rows, columns):
+    def _tables(self, code: _SetCode):
         """The left map tabled from the rows to down-set codes of copresheaves on B
-        (presheaves on B^op), the right map the same table of the dual, from the columns."""
-        dual = dualize_distributor(self.phi)
+        (presheaves on B^op), the right map the same table of the dual, from its rows."""
+        phi, dual = self.phi, dualize_distributor(self.phi)
         mid = _SetCode(dual.dom, code.qobj)
-        return (_table(code, rows, self.phi.q, "isbell"), mid,
-                _table(mid, columns, dual.q, "isbell"))
+        return (_table(code, mid, phi.matrix, phi.q, "isbell"), mid,
+                _table(mid, code, dual.matrix, dual.q, "isbell"))
 
 
 class KanPair(_ClosurePair):
@@ -198,11 +198,13 @@ class KanPair(_ClosurePair):
     def lattice(self) -> ConceptLattice:
         return rst_lattice(self.phi)
 
-    def _tables(self, code: _SetCode, rows, columns):
+    def _tables(self, code: _SetCode):
         """The left map is a join, so its table maps the columns to up-set codes over A;
         the right map's table maps those, from the rows, to down-set codes over B."""
-        mid, q = _SetCode(self.phi.dom, code.qobj, "up"), self.phi.q
-        return _table(code, columns, q, "star"), mid, _table(mid, rows, q, "lower")
+        phi = self.phi
+        mid = _SetCode(phi.dom, code.qobj, "up")
+        return (_table(code, mid, phi.columns, phi.q, "star"), mid,
+                _table(mid, code, phi.matrix, phi.q, "lower"))
 
 
 def closure_pair(phi: QDistributor, kind: str) -> IsbellPair | KanPair:
@@ -250,63 +252,32 @@ class ConceptLattice(PresheafFamily):
         return f"ConceptLattice({self.kind}, {self.phi.name!r}, {len(self)} concepts)"
 
 
-def _keys(phi: QDistributor) -> tuple[list[str], list[str]]:
-    """The context's rows and columns as key strings: line i is one char per
-    position of the other side, last position first, the char numbering that
-    position's type and the entry's index in its hom.  Kept on phi: every map
-    and type reads them."""
-    n, at = len(phi.q.objects), {t: k for k, t in enumerate(phi.q.objects)}
-    m = [[n * w.index for w in row] for row in phi.matrix]
-
-    def keys(across, lines):
-        ks = [at[t] for t in across.types]
-        return ["".join(map(chr, map(operator.add, ks, line)))[::-1] for line in lines]
-    return keys(phi.cod, m), keys(phi.dom, zip(*m) if m else [()] * len(phi.cod))
-
-
-# per map, at value type s, line type p and type t across: the dst value by
-# [line value u][entry w], and the sets of the dst hom that code it
-_MAPS = {
-    "isbell": lambda q, s, p, t: (tuple(zip(*q.limp_table[p, s, t])), q.homs[s, t].down),
-    "star": lambda q, s, p, t: (q.compose_table[t, p, s], q.homs[t, s].up),
-    "lower": lambda q, s, p, t: (q.limp_table[p, t, s], q.homs[t, s].down),
-}
-
-
-def _translations(q: Quantaloid, kept: dict, key: tuple) -> list[list[str]]:
-    """Per value u of a line of type p, the ``str.translate`` table from each
-    key char (type t, entry w) to the binary digits of the dst value's set, at
-    ``key = (map, s, p)``; built on first use into ``kept``, which lives on q.
-    A table is a list by char, which translates faster than a dict."""
-    trs = kept.get(key)
-    if trs is None:
-        map_, s, p = key
-        n, trs = len(q.objects), [{} for _ in q.homs[p, s].elements]
-        for k, t in enumerate(q.objects):
-            values, sets = _MAPS[map_](q, s, p, t)
-            digits = [format(d, f"0{len(sets)}b") for d in sets]
-            for tr, row in zip(trs, values):
-                tr.update({k + n * w: digits[v] for w, v in enumerate(row)})
-        trs = kept.setdefault(key, [[tr.get(c) for c in range(max(tr) + 1)] for tr in trs])
-    return trs
-
-
-def _table(src: _SetCode, keys, q: Quantaloid, map_: str) -> list[tuple[int, dict[int, int]]]:
+def _table(src: _SetCode, dst: _SetCode, lines, q: Quantaloid,
+           map_: str) -> list[tuple[int, dict[int, int]]]:
     """A map of coded presheaves, per position i of src: its field, and each
     value there to the dst code of its image.  The image of a code is the
     ``&`` of its positions' entries.
 
-    An entry is ``keys[i]`` translated, each char to the digits of the dst
-    value's set at that position, and read as one binary int: one
-    ``str.translate`` per position and value, none per context cell.  The
-    translation tables depend only on the quantaloid, the map, the type and
-    the line's type and value, so q keeps them across calls, as it keeps its
-    opposite; phi keeps the tables (``_ClosurePair.coded``).  An empty dst side
-    gives code 0."""
-    kept, s = _kept(q, "_translations", lambda _: {}), src.qobj
-    return [(field, dict(zip(rows, [int(key.translate(tr) or "0", 2)
-                                    for tr in _translations(q, kept, (map_, s, p))])))
-            for p, field, rows, key in zip(src.base.types, src.fields, src.rows, keys)]
+    ``lines[i]`` is the context's line at position i, one entry per position of
+    dst.  The entry at value u is the sum over positions j of
+    ``dst.rows[j][k]``, k the image's index read off q's tables at the line's
+    entry w and u: row w of ``limp_table[p, s, t]`` for the Isbell map, and
+    column w of ``compose_table[t, p, s]`` (star) or ``limp_table[p, t, s]``
+    (lower), each transposed once per line type p and type t across.  A line
+    is read with ``map``s, so a cell costs no Python step; phi keeps the tables
+    (``_ClosurePair.coded``).  An empty dst side gives code 0."""
+    s, ps, ts = src.qobj, dict.fromkeys(src.base.types), dst.base.types
+    # per line type p and type t across: the image index by [entry w][value u]
+    images = {(p, t): q.limp_table[p, s, t] if map_ == "isbell" else
+              _transpose(q.compose_table[t, p, s] if map_ == "star" else q.limp_table[p, t, s])
+              for p in ps for t in dict.fromkeys(ts)}
+    across = {p: [images[p, t] for t in ts] for p in ps}
+    table, index = [], operator.attrgetter("index")
+    for p, field, rows, line in zip(src.base.types, src.fields, src.rows, lines):
+        columns = list(map(operator.getitem, across[p], map(index, line)))
+        codes = [sum(map(operator.getitem, dst.rows, ks)) for ks in zip(*columns)]
+        table.append((field, dict(zip(rows, codes or [0] * len(rows)))))
+    return table
 
 
 def _through(table, c: int, out: int) -> int:

@@ -68,7 +68,8 @@ from .errors import (
 class Arrow(_Frozen):
     """An arrow src -> dst, identified by its ordinal in that hom-lattice; arrows
     order as ``(src, dst, index)`` tuples.  Equality and hashing are spelled
-    out: they run in every cached residuation."""
+    out: they run wherever arrows are compared or hashed, as in (co)presheaf and
+    distributor equality and the value-row lookups of ``PresheafFamily.labels_of``."""
 
     _fields = ("src", "dst", "index")
 
@@ -120,11 +121,12 @@ def _kept(owner, attr: str, build):
     it alone: the ``_SetCode`` layouts, the member codes and their order, their
     value rows and down-set codes, and the value rows, categories, labels and
     label lookups of its (co)presheaf spaces and residual category, with the
-    residual members' provenance.  A context keeps its columns, its dual, its
-    key strings and, per kind and type, its closure pairs' code tables with
-    their ``_SetCode`` layouts and closure.  These hold only ints, strings,
-    arrows, functions of them and categories over the quantaloid, so none
-    refers back to its owner, which reference counting alone still frees.
+    residual members' provenance.  A context keeps its columns, its dual and,
+    per kind and type, its closure pairs' code tables with their ``_SetCode``
+    layouts and closure.  These hold only ints, strings, arrows, functions of
+    them and categories over the quantaloid, so none refers back to its owner,
+    which reference counting alone still frees.  A quantaloid keeps only its
+    opposite, and a hom-lattice only its ``_below`` tables.
     """
     value = owner.__dict__.get(attr)
     if value is None:
@@ -411,10 +413,6 @@ class Quantaloid:
             return self.arrow_table[(p, q)]
         except KeyError:
             raise TypeMismatch(f"no hom ({p},{q}) in {self.name}") from None
-
-    def all_arrows(self):
-        for p, q in itertools.product(self.objects, repeat=2):
-            yield from self.arrows(p, q)
 
     def arrow(self, p: str, q: str, label: str) -> Arrow:
         return self.arrows(p, q)[self.hom(p, q).index(label)]
@@ -723,25 +721,32 @@ class CyclicDualizingFamily(_Frozen):
         return {obj: Q.label(a) for obj, a in self.d}
 
 
+def _cyclic_pair(Q: Quantaloid, p: str, q: str, a: int, b: int) -> bool:
+    """Is ``left_imp(d_p, u) == right_imp(u, d_q)`` for every u: p -> q, at d_p
+    and d_q of indices a and b?  The row of ``limp_table[(p, q, p)]`` at a
+    against the column of ``rimp_table[(q, p, q)]`` at b."""
+    return Q.limp_table[(p, q, p)][a] == tuple([row[b] for row in Q.rimp_table[(q, p, q)]])
+
+
+def _dualizing_pair(Q: Quantaloid, p: str, q: str, a: int, b: int) -> bool:
+    """Do both round trips through d_p and d_q, of indices a and b, give back every
+    u: p -> q, ``right_imp(left_imp(d_p, u), d_p)`` and ``left_imp(d_q, right_imp(u, d_q))``?"""
+    left_p, right_p = Q.limp_table[(p, q, p)][a], Q.rimp_table[(p, q, p)]
+    left_q, right_q = Q.limp_table[(q, p, q)][b], Q.rimp_table[(q, p, q)]
+    return all(right_p[left_p[u]][a] == u and left_q[right_q[u][b]] == u
+               for u in range(len(Q.homs[(p, q)])))
+
+
 def is_cyclic_family(Q: Quantaloid, d: dict[str, Arrow]) -> bool:
-    """Is ``left_imp(d_p, u) == right_imp(u, d_q)`` for every u: p -> q?  One
-    comparison per object pair: the row of ``limp_table[(p, q, p)]`` at d_p
-    against the column of ``rimp_table[(q, p, q)]`` at d_q."""
-    return all(
-        Q.limp_table[(p, q, p)][d[p].index]
-        == tuple([row[d[q].index] for row in Q.rimp_table[(q, p, q)]])
-        for p, q in itertools.product(Q.objects, repeat=2)
-    )
+    """Is the endo-arrow family d cyclic at every object pair?"""
+    return all(_cyclic_pair(Q, p, q, d[p].index, d[q].index)
+               for p, q in itertools.product(Q.objects, repeat=2))
 
 
 def is_dualizing_family(Q: Quantaloid, d: dict[str, Arrow]) -> bool:
-    for u in Q.all_arrows():
-        dp, dq = d[u.src], d[u.dst]
-        if Q.right_imp(Q.left_imp(dp, u), dp) != u:
-            return False
-        if Q.left_imp(dq, Q.right_imp(u, dq)) != u:
-            return False
-    return True
+    """Is the endo-arrow family d dualizing at every object pair?"""
+    return all(_dualizing_pair(Q, p, q, d[p].index, d[q].index)
+               for p, q in itertools.product(Q.objects, repeat=2))
 
 
 def find_cyclic_dualizing_family(Q: Quantaloid):
@@ -752,26 +757,17 @@ def find_cyclic_dualizing_family(Q: Quantaloid):
     always cyclic, so ``None`` comes only from tables off the join formula.
 
     Both verdicts are conjunctions over object pairs (p, q) of a condition on
-    d_p and d_q alone, as ``is_cyclic_family`` and ``is_dualizing_family``
-    check them.  So each pair is decided once per (d_p, d_q), and the search
-    extends a family object by object, dropping every prefix with a pair that
-    is not cyclic; the families it reaches come in the same order.  The search
-    cap bounds the prefixes it pushes.
+    d_p and d_q alone, ``_cyclic_pair`` and ``_dualizing_pair``.  So each pair
+    is decided once per (d_p, d_q), and the search extends a family object by
+    object, dropping every prefix with a pair that is not cyclic; the families
+    it reaches come in the same order.  The search cap bounds the prefixes it
+    pushes.
     """
     cap, nodes = budget("search"), 0
     objects = Q.objects
     pools = [Q.arrows(q, q) for q in objects]
-
-    @functools.cache
-    def cyclic(p, q, a, b):  # left_imp(d_p, u) == right_imp(u, d_q) for every u: p -> q
-        return Q.limp_table[(p, q, p)][a] == tuple([row[b] for row in Q.rimp_table[(q, p, q)]])
-
-    @functools.cache
-    def dualizing(p, q, a, b):  # both round trips through d_p and d_q give back every u: p -> q
-        left_p, right_p = Q.limp_table[(p, q, p)][a], Q.rimp_table[(p, q, p)]
-        left_q, right_q = Q.limp_table[(q, p, q)][b], Q.rimp_table[(q, p, q)]
-        return all(right_p[left_p[u]][a] == u and left_q[right_q[u][b]] == u
-                   for u in range(len(Q.homs[(p, q)])))
+    cyclic, dualizing = (functools.cache(functools.partial(pair, Q))
+                         for pair in (_cyclic_pair, _dualizing_pair))
 
     # family prefixes, the least on top: families complete in lexicographic order
     best_cyclic, stack = None, [()]

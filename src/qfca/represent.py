@@ -54,10 +54,8 @@ from .qdist import (
     is_adjoint_functor_pair,
 )
 from .presheaf import (
-    Copresheaf,
     Presheaf,
     PresheafSpace,
-    _copresheaf_of,
     _hom_grid,
     _join_dense,
     _member_codes,
@@ -67,7 +65,6 @@ from .presheaf import (
     is_complete,
     is_dense,
     lan,
-    materialize_copresheaves,
     materialize_presheaves,
     presheaf_residual,
     ran,
@@ -275,16 +272,6 @@ def presheaf_tensor(A: QCategory, a: str, u: Arrow) -> Presheaf:
     if u.src != A.types[A.index(a)]:
         raise TypeMismatch(f"{u} does not start at the type of {a}")
     return Presheaf(A, *_tensor_rows(A, [(a, u)])[0])
-
-
-def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
-    """The corepresentable at a composed with u; type dom(u): presheaf_tensor in A^op."""
-    return _copresheaf_of(presheaf_tensor(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
-
-
-def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
-    """The representable at a residuated into u; type dom(u): presheaf_residual in A^op."""
-    return _copresheaf_of(presheaf_residual(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
 
 
 class _Elementary(_Frozen):
@@ -534,23 +521,27 @@ def verify_density_suite(A: QCategory) -> Report:
     four generator images dense, all on materialized spaces: the tensors
     ``u . hom(-, a)`` join-dense and the residuals ``left_imp(u, hom(a, -))``
     meet-dense in P(A), the cotensors meet-dense and the coresiduals join-dense
-    in P+(A), whose order is reversed.  A meet is a join in the (complete) dual."""
+    in P+(A), whose order is reversed.  A meet is a join in the (complete) dual.
+
+    A copresheaf on A is a presheaf on A^op and P+(A) is the dual of P(A^op),
+    so the copresheaf half is the presheaf half on A^op, as in ``verify_yoneda``:
+    co-Yoneda codense is Yoneda dense in P(A^op), the cotensors meet-dense are
+    its tensors join-dense, and the coresiduals join-dense its residuals meet-dense."""
     report = Report(f"density@{A.name}")
-    pa = materialize_presheaves(A)
-    pda = materialize_copresheaves(A)
+    pa, pd = materialize_presheaves(A), materialize_presheaves(dualize_category(A))
     report.check("yoneda-dense", is_dense(pa.yoneda_functor()), "")
-    report.check("coyoneda-codense", is_codense(pda.yoneda_functor()), "")
+    report.check("coyoneda-codense", is_dense(pd.yoneda_functor()), "")
     rc = residual_category(A)
     report.check("residual-inclusion-codense",
                  is_codense(rc.functor_to(pa, name="residual-inclusion")), "")
-    P, Pd = pa.category, pda.category
-    for name, X, space, pairs, make in (
-            ("presheaf_tensors:join", P, pa, dom_pairs, presheaf_tensor),
-            ("presheaf_residuals:meet", dualize_category(P), pa, dom_pairs, presheaf_residual),
-            ("copresheaf_tensors:meet", dualize_category(Pd), pda, cod_pairs, copresheaf_tensor),
-            ("copresheaf_residuals:join", Pd, pda, cod_pairs, copresheaf_residual)):
-        image = {space.label_of(make(A, a, u)) for a, u in pairs(A)}
-        report.check(name, _join_dense(X, image), "")
+    for name, space, make, meet in (
+            ("presheaf_tensors:join", pa, presheaf_tensor, False),
+            ("presheaf_residuals:meet", pa, presheaf_residual, True),
+            ("copresheaf_tensors:meet", pd, presheaf_tensor, False),
+            ("copresheaf_residuals:join", pd, presheaf_residual, True)):
+        image = {space.label_of(make(space.base, a, u)) for a, u in dom_pairs(space.base)}
+        X = space.category
+        report.check(name, _join_dense(dualize_category(X) if meet else X, image), "")
     return report
 
 

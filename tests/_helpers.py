@@ -31,7 +31,8 @@ one (co)presheaf (``isbell_up``, ``isbell_down``, ``kan_star``, ``kan_lower``,
 ``pair_left`` and ``pair_right``), one-row calls of the pairs' family maps;
 suprema and infima, adjoint search, order-level density,
 the copresheaf Kan maps, the functor order and the equivalence search; the
-four generator maps as functors with their density; a context document
+copresheaf tensors and residuals, and the four generator maps as functors
+with their density; a context document
 written back as JSON; and Chu transforms with the functorial action of the
 concept lattices on them.
 """
@@ -118,8 +119,6 @@ from qfca.represent import (
     _elementary,
     canonical_adjunction,
     cod_pairs,
-    copresheaf_residual,
-    copresheaf_tensor,
     dom_pairs,
     presheaf_tensor,
 )
@@ -478,9 +477,15 @@ def scan_leq(Q, a, b):
     return (a.index, b.index) in Q.hom(a.src, a.dst).leq_pairs
 
 
+def all_arrows(Q):
+    """Every arrow of Q, hom by hom in object pair order."""
+    for p, q in itertools.product(Q.objects, repeat=2):
+        yield from Q.arrows(p, q)
+
+
 def oracle_is_cyclic_family(Q, d):
     """The cyclic test one arrow at a time, through the ``Arrow`` residuations."""
-    return all(Q.left_imp(d[u.src], u) == Q.right_imp(u, d[u.dst]) for u in Q.all_arrows())
+    return all(Q.left_imp(d[u.src], u) == Q.right_imp(u, d[u.dst]) for u in all_arrows(Q))
 
 
 def oracle_find_cyclic_dualizing_family(Q):
@@ -607,7 +612,7 @@ def oracle_table(src, dst, column):
     """A map of coded presheaves built one context cell at a time: per position i
     of src, its field and each value there (index u) to the dst code with value
     ``column(i, j)[u]`` at each position j of dst.  The oracle for
-    ``concept._table``, which translates whole lines."""
+    ``concept._table``, which reads whole lines with ``map``s."""
     table = []
     for i, (field, rows) in enumerate(zip(src.fields, src.rows)):
         # one list of dst codes per position j, and zeros for an empty dst
@@ -1067,6 +1072,16 @@ def find_equivalence(A: QCategory, B: QCategory):
 
 
 # -- the four generator maps as functors --------------------------------------------
+
+
+def copresheaf_tensor(A: QCategory, a: str, u: Arrow) -> Copresheaf:
+    """The corepresentable at a composed with u; type dom(u): presheaf_tensor in A^op."""
+    return _copresheaf_of(presheaf_tensor(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
+
+
+def copresheaf_residual(A: QCategory, a: str, u: Arrow) -> Copresheaf:
+    """The representable at a residuated into u; type dom(u): presheaf_residual in A^op."""
+    return _copresheaf_of(presheaf_residual(dualize_category(A), a, A.q.dual_arrows([u])[0]), A)
 
 
 def generator_functors(A: QCategory, pa, pda) -> tuple[dict, dict]:

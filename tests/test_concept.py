@@ -38,7 +38,6 @@ from qfca.concept import (
     IsbellPair,
     KanPair,
     _check_rst_is_fca,
-    _translations,
     brute_force_fixed,
     closure_pair,
     codense_probe,
@@ -58,6 +57,7 @@ from _helpers import (
     ChuTransform,
     InvalidChu,
     chain4_quantale,
+    copresheaf_tensor,
     enumerate_distributors,
     failed_names,
     fca_lattice_map,
@@ -477,7 +477,6 @@ def test_generator_soundness(all_contexts):
     # every rst generator is the closure image of a presheaf residual, and
     # every fca generator the polarity image of a copresheaf tensor
     from qfca.represent import (
-        copresheaf_tensor,
         dom_pairs,
         cod_pairs,
         presheaf_residual,
@@ -620,9 +619,11 @@ def _square_context(Q, entries):
 
 
 def test_kept_tables_hold_no_context():
-    # the translation tables are kept on the quantaloid, and the key strings and
-    # code tables on the context refer to no context: it is freed once printed
+    # the code tables kept on the context refer to no context, so it is freed once
+    # printed; the quantaloid, its opposite built first as an FCA lattice builds it,
+    # gains nothing over the loop
     Q = build_preset("lukasiewicz-chain", n=3)
+    before = set(vars(Q.opposite())), set(vars(Q))
     for kind in ("fca", "rst"):
         phi = _square_context(Q, [[0, 1], [2, 1]])
         ref = weakref.ref(phi)
@@ -630,13 +631,12 @@ def test_kept_tables_hold_no_context():
         del phi
         gc.collect()
         assert ref() is None, kind
-    assert Q.__dict__["_translations"]
+    assert (set(vars(Q.opposite())), set(vars(Q))) == before
 
 
 def test_quantaloids_with_the_same_object_names_keep_their_own_tables():
     # tables built first over one quantaloid are never read for another with the
-    # same object names: each kept table equals one built afresh from its own
-    # quantaloid, and every coded table equals the per-cell oracle's
+    # same object names: every coded table equals the per-cell oracle's
     two = build_preset("two")
     luk3, godel3 = build_preset("lukasiewicz-chain", n=3), build_preset("godel-chain", n=3)
     luk3b, godel3b = build_preset("lukasiewicz-chain", n=3), build_preset("godel-chain", n=3)
@@ -647,9 +647,6 @@ def test_quantaloids_with_the_same_object_names_keep_their_own_tables():
                 for qobj in Q.objects:
                     left, _, right = pair.coded(qobj)[3]
                     assert (left, right) == oracle_tables(pair, qobj), Q.name
-            kept = Q.__dict__["_translations"]
-            assert all(trs == _translations(Q, {}, key) for key, trs in kept.items()), Q.name
-        assert first.__dict__["_translations"] is not second.__dict__["_translations"]
 
 
 def _lattice_equality(phi, other):

@@ -101,7 +101,7 @@ SHARED_READS = {
     "PresheafFamily.value_rows": "presheaf.PresheafFamily.functor_to",
     "QCategory.index": "presheaf.yoneda",
     "Preorder.leq": "presheaf._join_dense",
-    "QDistributor.q": "concept._keys",
+    "QDistributor.q": "concept.KanPair._tables",
     "HomLattice.leq": "quantaloid.Quantaloid.leq",
     "HomLattice.index": "quantaloid.Quantaloid.arrow",
     "Quantaloid.hom": "quantaloid.Quantaloid.label",

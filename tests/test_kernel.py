@@ -14,7 +14,7 @@ from _helpers import (
     scan_meet,
     scan_right_imp,
 )
-from qfca.concept import fca_lattice, rst_lattice
+from qfca.concept import fca_lattice, lattice_to_json, rst_lattice
 from qfca.errors import InvalidParams, TypeMismatch, ValidationFailed
 from qfca.qcat import QCategory
 from qfca.qdist import QDistributor, hom_rows
@@ -105,7 +105,7 @@ def _container_sizes(Q):
 
 
 def test_computing_leaves_the_quantaloid_unchanged(fixdl3):
-    # warmed first: the first computation on a quantaloid adds its kept translations
+    # warmed first: the first FCA lattice builds the opposite quantaloid
     Q = fixdl3.phi.q
     fca_lattice(fixdl3.phi)
     rst_lattice(fixdl3.phi)
@@ -116,16 +116,20 @@ def test_computing_leaves_the_quantaloid_unchanged(fixdl3):
     assert _container_sizes(Q) == before
 
 
-def test_a_first_computation_keeps_only_the_translations(fixdl3):
-    Q = build_preset("frame-diagonal", chain=3)  # a new instance, unlike the shared fixture
+def test_a_first_computation_keeps_nothing_on_the_quantaloid(fixdl3):
+    # on a new instance, unlike the shared fixture: an RST lattice and its JSON add
+    # nothing to Q, not even its opposite; an FCA lattice adds only the opposite
+    Q = build_preset("frame-diagonal", chain=3)
     A, B = (QCategory(Q, C.objects, C.types, C.hom, name=C.name) for C in (fixdl3.A, fixdl3.B))
     phi = QDistributor(A, B, fixdl3.phi.matrix, name="fresh")
-    owners = [Q, Q.opposite(), *Q.homs.values()]
+    owners = [Q, *Q.homs.values()]
     before = [set(vars(o)) for o in owners]
-    fca_lattice(phi)
-    rst_lattice(phi)
+    lattice_to_json(rst_lattice(phi))
+    assert [set(vars(o)) - names for o, names in zip(owners, before)] == [set()] * len(owners)
+    lattice_to_json(fca_lattice(phi))
     added = [set(vars(o)) - names for o, names in zip(owners, before)]
-    assert added == [{"_translations"}] * 2 + [set()] * len(Q.homs)
+    assert added == [{"_opposite"}] + [set()] * len(Q.homs)
+    assert set(vars(Q.opposite())) == set(vars(Q))  # the opposite keeps its tables only
 
 
 def _no_join_hom():

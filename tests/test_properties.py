@@ -571,8 +571,10 @@ def test_coded_closures_match_arrow_closures_randomized(data):
 @given(data=st.data())
 def test_coded_tables_match_the_per_cell_tables_randomized(data):
     # a table reads the matrix entry by entry, so any typed matrix will do; the
-    # frame-diagonal presets have a bottom type whose homs have one element
-    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2]), label="quantaloid")
+    # frame-diagonal presets have a bottom type whose homs have one element, and
+    # ORD2's homs (0, 1) and (1, 0) differ, so a table that reads its line type
+    # and its type across in swapped order meets a quantaloid where it matters
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2, ORD2]), label="quantaloid")
     empty = discrete_category(Q, QTypedSet((), ()))
     side = data.draw(st.sampled_from(["none"] * 4 + ["dom", "cod"]), label="empty side")
     A = empty if side == "dom" else random_carrier(data, Q)
