@@ -360,9 +360,11 @@ def load_document(path: str) -> ContextDocument:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=_object)
+            _refuse_repeats(data)
         except ValueError as e:  # undecodable bytes or malformed JSON
             raise UsageError(f"{path} is not valid JSON: {e}") from None
-    _refuse_repeats(data)
+        except RecursionError:  # in the decoder or in the scan for repeated keys
+            raise UsageError(f"{path} nests its JSON too deeply to read") from None
     _check_shape(data, _DOCUMENT_SHAPE)
     return parse_document(data)
 

@@ -17,20 +17,22 @@ holds the context and builds the closure on codes from the tables each pair
 supplies; the tables also give the generators and the re-check of every
 concept.  A table entry is built straight from a line of the context: each
 entry's image index is read off the quantaloid's composition or residuation
-table and the image's code summed over the line (``_table``).  A context keeps,
-per kind and type, the two maps' tables and their closure; the quantaloid
-keeps nothing for them.  The tables are each map's one implementation, and
-the kept code closure the closure's: a pair's ``lefts``, ``rights`` and
-``closures`` pack a family of value rows of one type by hom index, run the
-codes through and decode the images in one batch, and a pair's ``closure`` is
-the one-row call of ``closures``.  A lattice keeps the codes and the generators, and its JSON and
+table, as it is stored, and the image's code summed over the line (``_table``).
+The Isbell middle codes are copresheaves on B, on its co ``_SetCode``, so no
+dual context or opposite quantaloid is built.  A context keeps, per kind and
+type, the two maps' tables and their closure; the quantaloid keeps nothing for
+them.  The tables are each map's one implementation, and the kept code closure
+the closure's: a pair's ``lefts``, ``rights`` and ``closures`` pack a family of
+value rows of one type by hom index, run the codes through and decode the
+images in one batch, and a pair's ``closure`` is the one-row call of
+``closures``.  A lattice keeps the codes and the generators, and its JSON and
 DOT forms (labels, values, Hasse covers) are read off them: the concepts are
 the ``&`` closure of the generators, so the lower covers of a concept c are
-the maximal codes among ``c & g != c`` (proof at ``_hasse_covers``).
-Concepts become presheaves only when asked for.  ``brute_force_fixed``
-filters the kept member codes by the closure, in the tests and behind ``qfca
-concepts --oracle``; the tests check the tables against maps read off
-``Arrow`` scans one (co)presheaf at a time.
+the maximal codes among ``c & g != c`` (proof at ``_hasse_covers``).  Concepts
+become presheaves only when asked for.  ``brute_force_fixed`` filters the kept
+member codes by the closure, in the tests and behind ``qfca concepts
+--oracle``; the tests check the tables against maps read off ``Arrow`` scans
+one (co)presheaf at a time.
 
 The central computation here is the reduction of RST to FCA: the residual
 context of phi (its relative pseudo-complement with respect to the restricted
@@ -63,7 +65,6 @@ from .qdist import (
     QDistributor,
     dist_left_imp,
     dist_right_imp,
-    dualize_distributor,
     identity_dist,
     validate_distributor,
 )
@@ -85,7 +86,6 @@ from .quantaloid import (
     CyclicDualizingFamily,
     Quantaloid,
     _kept,
-    _transpose,
     complement_arrow,
     is_cyclic_family,
     is_dualizing_family,
@@ -99,9 +99,9 @@ class _ClosurePair(_Frozen):
     """What the two closure pairs share: the context ``phi`` and every map's body.
 
     Both pairs name the ``kind`` of their lattice, the ``base`` that their
-    closure acts on, whether their middle codes read back ``dual``, the
-    materialized ``spaces`` of their two maps, and the fixed-point ``lattice``;
-    each supplies the ``_tables`` of its two maps on int codes.  Each map has
+    closure acts on, the materialized ``spaces`` of their two maps, and the
+    fixed-point ``lattice``; each supplies the ``_tables`` of its two maps on
+    int codes, with the ``_SetCode`` of the codes between them.  Each map has
     one body, its table, and the closure ``right . left`` one, the two tables
     read in turn (``coded``): ``lefts``, ``rights`` and ``closures`` take value
     rows of one type s, pack them by hom index, run the codes through and
@@ -116,10 +116,10 @@ class _ClosurePair(_Frozen):
 
     def lefts(self, s: str, rows) -> list[tuple[Arrow, ...]]:
         """The left map of each row of values of type s on the base: packed on the base's
-        layout, run through the left table, decoded in one batch (as duals if ``dual``)."""
+        layout, run through the left table, decoded in one batch on the middle layout."""
         code, _, _, (left, mid, _) = self.coded(s)
         return mid.value_rows([_through(left, code.pack(v.index for v in vs), mid.top)
-                               for vs in rows], self.dual)
+                               for vs in rows])
 
     def rights(self, s: str, rows) -> list[tuple[Arrow, ...]]:
         """The right map of each row of values of type s between the maps: packed on the
@@ -157,10 +157,11 @@ class _ClosurePair(_Frozen):
 
 class IsbellPair(_ClosurePair):
     """The polarity adjunction: left ``phi <l mu``, a copresheaf on B with
-    ``left(mu)(b) = hom(mu, phi(-, b))``, and right the same map of the dual
-    context, a copresheaf on B back to a presheaf on A."""
+    ``left(mu)(b) = hom(mu, phi(-, b))``, and right ``lam >r phi``, a presheaf
+    on A with ``right(lam)(a) = meet_b right_imp(lam(b), phi(a, b))``; both
+    read the context over its own quantaloid."""
 
-    kind, dual = "fca", True
+    kind = "fca"
     base = property(lambda self: self.phi.dom)
 
     def closure(self, mu: Presheaf) -> Presheaf:
@@ -174,11 +175,11 @@ class IsbellPair(_ClosurePair):
 
     def _tables(self, code: _SetCode):
         """The left map tabled from the rows to down-set codes of copresheaves on B
-        (presheaves on B^op), the right map the same table of the dual, from its rows."""
-        phi, dual = self.phi, dualize_distributor(self.phi)
-        mid = _SetCode(dual.dom, code.qobj)
+        (its co layout), the right map from the columns back to presheaves on A."""
+        phi = self.phi
+        mid = _SetCode(phi.cod, code.qobj, co=True)
         return (_table(code, mid, phi.matrix, phi.q, "isbell"), mid,
-                _table(mid, code, dual.matrix, dual.q, "isbell"))
+                _table(mid, code, phi.columns, phi.q, "down"))
 
 
 class KanPair(_ClosurePair):
@@ -186,7 +187,7 @@ class KanPair(_ClosurePair):
     ``left(lam)(a) = join_b lam(b) . phi(a, b)``, and right ``mu <l phi``, a
     presheaf on B with ``right(mu)(b) = hom(phi(-, b), mu)``."""
 
-    kind, dual = "rst", False
+    kind = "rst"
     base = property(lambda self: self.phi.cod)
 
     def closure(self, lam: Presheaf) -> Presheaf:
@@ -254,28 +255,33 @@ class ConceptLattice(PresheafFamily):
 
 def _table(src: _SetCode, dst: _SetCode, lines, q: Quantaloid,
            map_: str) -> list[tuple[int, dict[int, int]]]:
-    """A map of coded presheaves, per position i of src: its field, and each
+    """A map of coded (co)presheaves, per position i of src: its field, and each
     value there to the dst code of its image.  The image of a code is the
     ``&`` of its positions' entries.
 
-    ``lines[i]`` is the context's line at position i, one entry per position of
-    dst.  The entry at value u is the sum over positions j of
-    ``dst.rows[j][k]``, k the image's index read off q's tables at the line's
-    entry w and u: row w of ``limp_table[p, s, t]`` for the Isbell map, and
-    column w of ``compose_table[t, p, s]`` (star) or ``limp_table[p, t, s]``
-    (lower), each transposed once per line type p and type t across.  A line
-    is read with ``map``s, so a cell costs no Python step; phi keeps the tables
-    (``_ClosurePair.coded``).  An empty dst side gives code 0."""
-    s, ps, ts = src.qobj, dict.fromkeys(src.base.types), dst.base.types
-    # per line type p and type t across: the image index by [entry w][value u]
-    images = {(p, t): q.limp_table[p, s, t] if map_ == "isbell" else
-              _transpose(q.compose_table[t, p, s] if map_ == "star" else q.limp_table[p, t, s])
-              for p in ps for t in dict.fromkeys(ts)}
-    across = {p: [images[p, t] for t in ts] for p in ps}
+    ``lines[i]`` is the context's line at position i (type p), one entry per
+    position j of dst (type t).  The entry at value u sums ``dst.rows[j][k]``
+    over j, k the image's index at the line's entry w and u, read off q's
+    tables as they are stored: row w of ``limp_table[p, s, t]`` at u for the
+    Isbell map; row u of ``compose_table[t, p, s]`` (star),
+    ``limp_table[p, t, s]`` (lower) or ``rimp_table[t, s, p]`` (down) at w.
+    A line is read with ``map``s, so a cell costs no Python step; an empty
+    dst side gives code 0."""
+    s, getitem = src.qobj, operator.getitem
+    tables, key = {"isbell": (q.limp_table, lambda p, t: (p, s, t)),
+                   "star": (q.compose_table, lambda p, t: (t, p, s)),
+                   "lower": (q.limp_table, lambda p, t: (p, t, s)),
+                   "down": (q.rimp_table, lambda p, t: (t, s, p))}[map_]
+    across = {p: [tables[key(p, t)] for t in dst.base.types] for p in dict.fromkeys(src.base.types)}
+    if map_ != "isbell":  # per value u, the rows u of the tables across
+        across = {p: list(zip(*tables)) for p, tables in across.items()}
     table, index = [], operator.attrgetter("index")
     for p, field, rows, line in zip(src.base.types, src.fields, src.rows, lines):
-        columns = list(map(operator.getitem, across[p], map(index, line)))
-        codes = [sum(map(operator.getitem, dst.rows, ks)) for ks in zip(*columns)]
+        ws = list(map(index, line))  # the entries w
+        if map_ == "isbell":
+            codes = [sum(map(getitem, dst.rows, ks)) for ks in zip(*map(getitem, across[p], ws))]
+        else:
+            codes = [sum(map(getitem, dst.rows, map(getitem, at, ws))) for at in across[p]]
         table.append((field, dict(zip(rows, codes or [0] * len(rows)))))
     return table
 

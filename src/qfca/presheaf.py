@@ -5,8 +5,9 @@ category on q; concretely a vector of arrows ``values[i]: |x_i| -> q`` with
 ``values[i] . hom(x_j, x_i) <= values[j]`` for all i, j.  A copresheaf points
 the other way: ``values[i]: q -> |x_i|``.
 
-A copresheaf on A over Q is a presheaf on the dual A^op over Q^op, so each
-copresheaf operation here is its presheaf twin applied to that dual.
+A copresheaf on A over Q is a presheaf on the dual A^op over Q^op, so the
+copresheaf enumeration and homs are their presheaf twins run on that dual;
+a copresheaf's code is laid out on A itself (a co ``_SetCode``).
 
 Order warning: the copresheaf category on A is the opposite of the presheaf
 category on A^op, so its underlying order is the *reverse* of the entrywise
@@ -24,7 +25,7 @@ category.  ``PresheafFamily`` is the one family class: every family holds its
 members as runs of a ``_SetCode`` and codes, decodes each run once, in one
 batch, into value rows, and builds its members on those rows; a space checks
 the cap on every call.  The same code lays out the hom rows that
-``is_complete`` compares, as presheaves on A^op.
+``is_complete`` compares, as copresheaves on A.
 Every hom between (co)presheaves, one or a whole family's matrix, is a call
 of the row kernel ``qdist.hom_rows`` on the members' own value rows.  The
 kernel reads only hom indices, and a copresheaf's value has the index of its
@@ -84,11 +85,6 @@ class Presheaf(_Vector):
 
 class Copresheaf(_Vector):
     """A vector ``values[i]: type -> |x_i|`` over the base carrier."""
-
-
-def _copresheaf_of(mu: Presheaf, base: QCategory) -> Copresheaf:
-    """mu, a presheaf on the dual of ``base``, as a copresheaf on ``base``."""
-    return Copresheaf(base, mu.type, mu.base.q.dual_arrows(mu.values))
 
 
 def _require(kind: type, base: QCategory, where: str, v, w=None) -> None:
@@ -154,8 +150,9 @@ def yoneda(A: QCategory, a: str) -> Presheaf:
 
 
 def coyoneda(A: QCategory, a: str) -> Copresheaf:
-    """a |-> hom(a, -), of type |a|: the Yoneda embedding of A^op."""
-    return _copresheaf_of(yoneda(dualize_category(A), a), A)
+    """a |-> hom(a, -), of type |a|: row a of the hom matrix."""
+    i = A.index(a)
+    return Copresheaf(A, A.types[i], A.hom[i])
 
 
 def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
@@ -258,45 +255,44 @@ class _SetCode:
     of the down-sets, and the up-set of a join that of the up-sets, so ``&``
     is the pointwise meet of down-set codes and the join of up-set codes.
     ``top`` sets every bit: the top presheaf, or the bottom one on up-sets.
+    With ``co`` the codes are copresheaves, laid out from ``q.homs[(qobj, |x_i|)]``:
+    Q^op holds these as its homs into qobj, so this is the plain layout on the dual
+    base bit for bit, and it decodes the codes there straight to q's arrows.
     Codes are read back a batch at a time, one position at a time for all of
     them, through a table from the bits of its field to the value there: its
     ``Arrow`` for ``value_rows``, built on first use, or its label for
     ``printed``.  ``decode`` is the one-code call of ``value_rows``.
     """
 
-    def __init__(self, base: QCategory, qobj: str, sets: str = "down"):
-        self.base, self.qobj = base, qobj
-        self.rows, self.fields, self.top = _kept(base, f"_{sets}-sets {qobj}",
-                                                 lambda A: _layout(A, qobj, sets))
+    def __init__(self, base: QCategory, qobj: str, sets: str = "down", co: bool = False):
+        self.base, self.qobj, self.co = base, qobj, co
+        self.rows, self.fields, self.top = _kept(base, f"_{sets}-sets {qobj}{' co' * co}",
+                                                 lambda A: _layout(A, qobj, sets, co))
 
     def pack(self, indices) -> int:
         return sum(rows[k] for rows, k in zip(self.rows, indices))
 
     def _read(self, values) -> list[dict]:
-        """Per position i, the bits of its field to ``values((|x_i|, qobj))`` by
-        value index."""
-        return [dict(zip(rows, values((t, self.qobj))))
+        """Per position i, the bits of its field to ``values(hom)`` by value index,
+        for the position's hom ``(|x_i|, qobj)``, or ``(qobj, |x_i|)`` if ``co``."""
+        s, co = self.qobj, self.co
+        return [dict(zip(rows, values((s, t) if co else (t, s))))
                 for t, rows in zip(self.base.types, self.rows)]
 
-    def value_rows(self, codes, dual: bool = False) -> list[tuple[Arrow, ...]]:
+    def value_rows(self, codes) -> list[tuple[Arrow, ...]]:
         """The value rows of ``codes``, decoded in one batch: each position's values
         are read for all the codes at once, by one ``map`` through a table from the
         bits of its field to the value's ``Arrow``, and zipped into one tuple per
-        code.  With ``dual`` each value is read as its dual, the arrow of the
-        opposite quantaloid with the same index."""
-        def tables(s):
-            q = s.base.q
-            if dual:
-                return s._read(lambda pq: q.opposite().arrow_table[pq[::-1]])
-            return s._read(q.arrow_table.__getitem__)
+        code."""
         if not self.fields or not codes:  # no objects: one empty row per code
             return [()] * len(codes)
-        at = _kept(self, "_duals" if dual else "_arrows", tables)
+        at = _kept(self, "_arrows", lambda s: s._read(s.base.q.arrow_table.__getitem__))
         return list(zip(*[map(values.__getitem__, map(field.__and__, codes))
                           for field, values in zip(self.fields, at)]))
 
-    def decode(self, code: int) -> Presheaf:
-        return Presheaf(self.base, self.qobj, self.value_rows([code])[0])
+    def decode(self, code: int) -> Presheaf | Copresheaf:
+        return (Copresheaf if self.co else Presheaf)(self.base, self.qobj,
+                                                     self.value_rows([code])[0])
 
     def printed(self, codes) -> tuple[list[str], list[tuple]]:
         """The codes' ``presheaf_label``s and value labels, decoding nothing: each
@@ -314,7 +310,7 @@ class _SetCode:
         return [head + ",".join(xs) for xs in shown], values
 
 
-def _layout(A: QCategory, qobj: str, sets: str) -> tuple[tuple, tuple, int]:
+def _layout(A: QCategory, qobj: str, sets: str, co: bool) -> tuple[tuple, tuple, int]:
     """A ``_SetCode``'s rows, fields and top, kept on A: ints only.  A type that
     is not an object of A's quantaloid is refused here, before anything is kept."""
     if qobj not in A.q.objects:
@@ -322,7 +318,7 @@ def _layout(A: QCategory, qobj: str, sets: str) -> tuple[tuple, tuple, int]:
                             f"its objects are {list(A.q.objects)}")
     rows, fields, offset = [], [], 0
     for t in A.types:
-        sets_at = getattr(A.q.homs[t, qobj], sets)
+        sets_at = getattr(A.q.homs[(qobj, t) if co else (t, qobj)], sets)
         rows.append(tuple(d << offset for d in sets_at))
         fields.append(((1 << len(sets_at)) - 1) << offset)
         offset += len(sets_at)
@@ -376,14 +372,11 @@ def _member_codes(A: QCategory, qobj: str, space: str,
     return code, codes
 
 
-def _member_rows(A: QCategory, qobj: str, space: str,
-                 dual: bool = False) -> tuple[tuple[Arrow, ...], ...]:
+def _member_rows(A: QCategory, qobj: str, space: str) -> tuple[tuple[Arrow, ...], ...]:
     """The value rows of ``_member_codes``, decoded in one batch and kept on A
-    beside the codes; with ``dual``, in the arrows of the opposite of A's
-    quantaloid, as a copresheaf on the dual of A holds them."""
+    beside the codes."""
     code, codes = _member_codes(A, qobj, space)
-    return _kept(A, f"_rows {qobj}{' dual' if dual else ''}",
-                 lambda A: tuple(code.value_rows(codes, dual)))
+    return _kept(A, f"_rows {qobj}", lambda A: tuple(code.value_rows(codes)))
 
 
 def _closed_members(A: QCategory, qobj: str, what: str) -> tuple[int, tuple[int, ...]]:
@@ -421,20 +414,17 @@ def _closed_members(A: QCategory, qobj: str, what: str) -> tuple[int, tuple[int,
     return len(codes), tuple(sorted(filter(law_ok, codes), key=indices))
 
 
-def _enumerate(A: QCategory, qobj: str, space: str) -> tuple[Presheaf, ...]:
-    """``_member_rows`` as presheaves."""
-    return tuple(Presheaf(A, qobj, values) for values in _member_rows(A, qobj, space))
-
-
 def enumerate_presheaves(A: QCategory, qobj: str) -> tuple[Presheaf, ...]:
-    """All presheaves of one type, in lexicographic value order."""
-    return _enumerate(A, qobj, f"presheaf space on {A.name}")
+    """All presheaves of one type, in lexicographic value order: ``_member_rows``."""
+    return tuple(Presheaf(A, qobj, values)
+                 for values in _member_rows(A, qobj, f"presheaf space on {A.name}"))
 
 
 def enumerate_copresheaves(A: QCategory, qobj: str) -> tuple[Copresheaf, ...]:
-    """All copresheaves of one type, in lexicographic value order."""
-    space = _enumerate(dualize_category(A), qobj, f"copresheaf space on {A.name}")
-    return tuple(_copresheaf_of(mu, A) for mu in space)
+    """All copresheaves of one type, in lexicographic value order, enumerated on A^op."""
+    _, codes = _member_codes(dualize_category(A), qobj, f"copresheaf space on {A.name}")
+    return tuple(Copresheaf(A, qobj, values)
+                 for values in _SetCode(A, qobj, "up", co=True).value_rows(codes))
 
 
 def is_complete(A: QCategory) -> bool:
@@ -446,12 +436,12 @@ def is_complete(A: QCategory) -> bool:
     type s the rows of the objects of type s must hold the top row, each tensor row
     ``z |-> left_imp(hom(a, z), u)`` for u: |a| -> s, and the meet of any two.
 
-    A row is coded as a presheaf on A^op of type s, ``hom(x, -)``, by its values'
-    down-sets side by side (a ``_SetCode``), so the meet of two rows is one ``&`` of
-    their codes and the top row sets every bit."""
-    q, types, dual = A.q, A.types, dualize_category(A)
+    A row ``hom(x, -)`` is coded as a copresheaf on A of type s, by its values'
+    down-sets side by side (the co ``_SetCode`` of A at s), so the meet of two rows
+    is one ``&`` of their codes and the top row sets every bit."""
+    q, types = A.q, A.types
     for s in q.objects:
-        code = _SetCode(dual, s)
+        code = _SetCode(A, s, co=True)
         rows = {code.pack(w.index for w in row) for row, t in zip(A.hom, types) if t == s}
         tensors = (code.pack(r) for row in A.hom
                    for r in zip(*(q.limp_table[(w.src, s, w.dst)][w.index] for w in row)))
@@ -504,11 +494,8 @@ class PresheafFamily:
         """The members' pairs (type, values) in member order; kept by ``_keep``, so a
         family that its base determines keeps them on the base.  They hold only
         strings and interned arrows."""
-        return self._keep("_value_rows", lambda s: s._read_rows())
-
-    def _read_rows(self) -> tuple:
-        return tuple((code.qobj, values) for code, codes in self.coded
-                     for values in code.value_rows(codes))
+        return self._keep("_value_rows", lambda s: tuple(
+            (code.qobj, values) for code, codes in s.coded for values in code.value_rows(codes)))
 
     @property
     def members(self) -> tuple:
@@ -586,27 +573,22 @@ class PresheafSpace(PresheafFamily):
     within a type, so labels and hom matrices are reproducible.  The
     copresheaf flavour is the opposite of the presheaf category on the dual
     base, which makes its underlying order the correct (reversed) one.  Its
-    codes are those of the presheaves on the dual base, and its value rows
-    are read off them straight into its own arrows.  The codes and value rows
-    are kept on the base the space enumerates (``_member_rows``); the space's
-    rows, labels and category on its own base.
+    codes are those of the presheaves on the dual base, enumerated and kept
+    there (``_member_codes``), on the co layout of its own base, so its value
+    rows decode straight to its own arrows.  The space's rows, labels and
+    category are kept on its own base.
     """
 
     def __init__(self, base: QCategory, kind: str = "presheaf"):
         if kind not in ("presheaf", "copresheaf"):
             raise QfcaError(f"unknown flavour {kind!r}")
         self.kind, self._tag = kind, kind
-        self._vector = Presheaf if kind == "presheaf" else Copresheaf
-        self._on = base if kind == "presheaf" else dualize_category(base)
-        self._what = f"{kind} space on {base.name}"
-        super().__init__(base, [_member_codes(self._on, qobj, self._what)
+        co = kind == "copresheaf"
+        self._vector = Copresheaf if co else Presheaf
+        on, what = dualize_category(base) if co else base, f"{kind} space on {base.name}"
+        super().__init__(base, [(_SetCode(base, qobj, "up", co), _member_codes(on, qobj, what)[1])
                                 for qobj in base.q.objects],
-                         f"{'P' if kind == 'presheaf' else 'P+'}({base.name})")
-
-    def _read_rows(self) -> tuple:
-        dual = self.kind == "copresheaf"
-        return tuple((qobj, values) for qobj in self.base.q.objects
-                     for values in _member_rows(self._on, qobj, self._what, dual))
+                         f"{'P+' if co else 'P'}({base.name})")
 
     def yoneda_functor(self) -> QFunctor:
         A = self.base

@@ -118,10 +118,10 @@ def _kept(owner, attr: str, build):
     atomically: callers racing here all get the one value stored.
 
     A base category keeps its dual and what the presheaf verifiers compute from
-    it alone: the ``_SetCode`` layouts, the member codes and their order, their
-    value rows and down-set codes, and the value rows, categories, labels and
-    label lookups of its (co)presheaf spaces and residual category, with the
-    residual members' provenance.  A context keeps its columns, its dual and,
+    it alone: the ``_SetCode`` layouts, plain and co, the member codes and their
+    order, their value rows and down-set codes, and the value rows, categories,
+    labels and label lookups of its (co)presheaf spaces and residual category,
+    with the residual members' provenance.  A context keeps its columns, its dual and,
     per kind and type, its closure pairs' code tables with their ``_SetCode``
     layouts and closure.  These hold only ints, strings, arrows, functions of
     them and categories over the quantaloid, so none refers back to its owner,

@@ -67,7 +67,6 @@ from qfca.presheaf import (
     Copresheaf,
     Presheaf,
     _SetCode,
-    _copresheaf_of,
     _graph_columns,
     _join_dense,
     _require,
@@ -890,6 +889,11 @@ def weighted_colimit(mu: Presheaf, F: QFunctor):
 def _presheaf_of(lam: Copresheaf) -> Presheaf:
     """lam as a presheaf over the opposite quantaloid on the dual of its base."""
     return Presheaf(dualize_category(lam.base), lam.type, lam.base.q.dual_arrows(lam.values))
+
+
+def _copresheaf_of(mu: Presheaf, base: QCategory) -> Copresheaf:
+    """mu, a presheaf on the dual of ``base``, as a copresheaf on ``base``."""
+    return Copresheaf(base, mu.type, mu.base.q.dual_arrows(mu.values))
 
 
 def member_of(family, label: str):

@@ -440,11 +440,15 @@ def test_unreadable_paths_are_usage_errors(capsys, tmp_path):
 def test_malformed_documents_are_usage_errors(tmp_path):
     doc = json.loads((CONTEXTS / "fix_2id.json").read_text())
     doc["categories"]["A"]["objects"] = 5
-    cases = {"list.json": ([doc], "$ must be an object"),
-             "objects.json": (doc, "$.categories.A.objects must be a list, got 5")}
-    for name, (data, message) in cases.items():
+    # nested past the recursion limit: in the scan for repeated keys, and in the decoder
+    deep = '{"quantaloid": {"preset": "two"}, "x": ' + "[" * 990 + "]" * 990 + "}"
+    cases = {"list.json": (json.dumps([doc]), "$ must be an object"),
+             "objects.json": (json.dumps(doc), "$.categories.A.objects must be a list, got 5"),
+             "deep.json": (deep, "nests its JSON too deeply to read"),
+             "deeper.json": ("[" * 100_000 + "]" * 100_000, "nests its JSON too deeply to read")}
+    for name, (text, message) in cases.items():
         path = tmp_path / name
-        path.write_text(json.dumps(data))
+        path.write_text(text)
         proc = subprocess.run(
             [sys.executable, "-m", "qfca.cli", "concepts", str(path)],
             capture_output=True, text=True, cwd=ROOT,

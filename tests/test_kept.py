@@ -185,7 +185,10 @@ def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
     # the value rows and down-set codes beside the member codes, and the spaces' rows
     objects = phi.q.objects
     assert {f"_rows {q}" for q in objects} | {f"_members {q} down" for q in objects} <= set(vars(A))
-    assert {f"_rows {q} dual" for q in objects} <= set(vars(dualize_category(A)))
+    # the copresheaf space's codes, enumerated on A^op, are decoded on the co layouts
+    # of A, and its rows are kept once, on A
+    assert {f"_up-sets {q} co" for q in objects} <= set(vars(A))
+    assert not [k for k in vars(dualize_category(A)) if k.endswith(" dual")]
     assert {"_value_rows presheaf", "_value_rows copresheaf", "_value_rows residuals"} <= set(vars(A))
     assert "_value_rows presheaf" in vars(dualize_category(A))
     refs = [weakref.ref(A), weakref.ref(dualize_category(A))]

@@ -490,22 +490,26 @@ def test_family_maps_match_the_per_member_maps_randomized(data):
 def test_batched_value_rows_match_decode_randomized(data):
     # value_rows reads each position of all the codes at once and zips the
     # positions; decode reads one code.  Both must give the rows the codes were
-    # packed from, on down-set and up-set layouts, and with dual the same indices
-    # in the opposite quantaloid; the empty base gives empty rows
+    # packed from, on down-set and up-set layouts, plain and co; the empty base
+    # gives empty rows.  A co layout on A has the rows, fields and top of the
+    # plain one on A^op, and reads the same codes as the same indices in Q
     Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2, ORD2]), label="quantaloid")
     n = data.draw(st.integers(1, 2), label="size")
     carriers = [_categories(Q, ()), _categories(Q, tuple(f"x{i}" for i in range(n)))]
     for A in (carriers[0][0], data.draw(st.sampled_from(carriers[1]), label="carrier")):
-        for qobj, sets in itertools.product(Q.objects, ("down", "up")):
-            code = _SetCode(A, qobj, sets)
+        for qobj, sets, co in itertools.product(Q.objects, ("down", "up"), (False, True)):
+            code = _SetCode(A, qobj, sets, co)
             indices = data.draw(st.lists(st.tuples(*[st.integers(0, len(r) - 1)
                                                      for r in code.rows]), max_size=6),
                                 label="indices")
             codes = [code.pack(ks) for ks in indices]
-            rows = [tuple(Q.arrow_table[t, qobj][k] for t, k in zip(A.types, ks))
-                    for ks in indices]
+            rows = [tuple(Q.arrow_table[(qobj, t) if co else (t, qobj)][k]
+                          for t, k in zip(A.types, ks)) for ks in indices]
             assert code.value_rows(codes) == [code.decode(c).values for c in codes] == rows
-            assert code.value_rows(codes, dual=True) == [Q.dual_arrows(r) for r in rows]
+            if co:
+                dual = _SetCode(dualize_category(A), qobj, sets)
+                assert (code.rows, code.fields, code.top) == (dual.rows, dual.fields, dual.top)
+                assert [Q.dual_arrows(r) for r in rows] == dual.value_rows(codes)
 
 
 @settings(max_examples=60, deadline=None)
