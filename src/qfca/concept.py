@@ -364,9 +364,11 @@ class ResidualCategory(PresheafFamily):
     copresheaves; they form a meet-dense and codense subcategory of the
     presheaf category.  Provenance (which pairs (a, u) produced each member)
     is retained per member key.  ``yoneda_graph`` is the distributor from the
-    base into this category whose column at a member is the member itself.
-    Both read the value rows.  The members' codes, value rows and provenance,
-    their labels and the category are kept on the base.
+    base into this category whose column at a member is the member itself,
+    built unchecked (``QDistributor._derived``), since the rows decode to the
+    arrows of ``arrow_table`` at its types.  Both read the value rows.  The
+    members' codes, value rows and provenance, their labels and the category
+    are kept on the base.
     """
 
     _tag = "residuals"
@@ -377,8 +379,8 @@ class ResidualCategory(PresheafFamily):
                          f"residuals({base.name})")
         self.provenance = dict(zip(self.value_rows, pairs))
         matrix = [[values[i] for _, values in self.value_rows] for i in range(len(base))]
-        self.yoneda_graph = QDistributor(base, self.category, matrix,
-                                         name=f"yoneda-graph({base.name})")
+        self.yoneda_graph = QDistributor._derived(base, self.category, matrix,
+                                                  f"yoneda-graph({base.name})")
 
 
 def _residuals(base: QCategory) -> tuple[tuple, tuple]:
@@ -409,7 +411,9 @@ def residual_context(phi: QDistributor, rc: ResidualCategory | None = None) -> Q
 
     Its entry at (b, m) is ``left_imp(u, phi(a, b))`` for every provenance pair
     (a, u) of the member m, as a test pins.  phi must be a distributor: one
-    that breaks the bimodule law is refused with the first violation.
+    that breaks the bimodule law is refused with the first violation, on every
+    call.  A phi already found valid is not checked again (``validate_distributor``
+    keeps the verdict).
     """
     validate_distributor(phi).require()
     if rc is None:

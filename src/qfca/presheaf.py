@@ -495,7 +495,11 @@ class PresheafFamily:
         family that its base determines keeps them on the base.  They hold only
         strings and interned arrows."""
         return self._keep("_value_rows", lambda s: tuple(
-            (code.qobj, values) for code, codes in s.coded for values in code.value_rows(codes)))
+            (code.qobj, values) for code, codes in s.coded for values in s._decoded(code, codes)))
+
+    def _decoded(self, code, codes):
+        """The value rows of one run, decoded in one batch."""
+        return code.value_rows(codes)
 
     @property
     def members(self) -> tuple:
@@ -576,7 +580,8 @@ class PresheafSpace(PresheafFamily):
     codes are those of the presheaves on the dual base, enumerated and kept
     there (``_member_codes``), on the co layout of its own base, so its value
     rows decode straight to its own arrows.  The space's rows, labels and
-    category are kept on its own base.
+    category are kept on its own base; the presheaf flavour's rows are the
+    base's kept ``_member_rows``, the same tuples, decoded once.
     """
 
     def __init__(self, base: QCategory, kind: str = "presheaf"):
@@ -589,6 +594,11 @@ class PresheafSpace(PresheafFamily):
         super().__init__(base, [(_SetCode(base, qobj, "up", co), _member_codes(on, qobj, what)[1])
                                 for qobj in base.q.objects],
                          f"{'P+' if co else 'P'}({base.name})")
+
+    def _decoded(self, code, codes):
+        if self.kind == "copresheaf":
+            return code.value_rows(codes)
+        return _member_rows(self.base, code.qobj, f"presheaf space on {self.base.name}")
 
     def yoneda_functor(self) -> QFunctor:
         A = self.base

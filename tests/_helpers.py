@@ -9,7 +9,9 @@ as grids of table indices; ``presheaf_join`` and the witness-based
 join-density test are the oracles of the density tests' join folds.  Among them is the
 per-position mask method for Hasse covers, which the library used before it
 read covers off the generators; the scan of ``weighted_colimit``, before the
-library looked suprema up in one dict; ``oracle_residuals``, the residual
+library looked suprema up in one dict; ``dual_right_imp``, the right
+implication as the dual of a left one, before the library read it off
+``rimp_table``; ``oracle_residuals``, the residual
 members built one ``Arrow`` vector at a time, before the library read them as
 codes; the family search that decided each endo-arrow family whole,
 before the library decided each object pair once; and the closure pairs'
@@ -247,6 +249,22 @@ def oracle_left_imp(xi, phi):
                                              for xrow, prow in zip(xi.matrix, phi.matrix)]))
              for k, t in enumerate(xi.cod.types)]
             for j, s in enumerate(phi.cod.types)]
+
+
+def oracle_right_imp(psi, xi):
+    """(psi >r xi)(x, y) = meet_z right_imp(psi(y, z), xi(x, z)) computed by explicit scans."""
+    Q = xi.q
+    return [[Arrow(s, t, scan_meet(Q, s, t, [scan_right_imp(Q, v, w)
+                                             for v, w in zip(prow, xrow)]))
+             for t, prow in zip(psi.dom.types, psi.matrix)]
+            for s, xrow in zip(xi.dom.types, xi.matrix)]
+
+
+def dual_right_imp(psi, xi):
+    """psi >r xi as the dual of xi^op <l psi^op, the route the library took before
+    it read right residuals off ``rimp_table``: a second oracle of ``dist_right_imp``."""
+    op = dist_left_imp(dualize_distributor(xi), dualize_distributor(psi))
+    return [list(row) for row in dualize_distributor(op).matrix]
 
 
 def residual_closed_form_misses(phi, rc, tr):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfca.cli as cli
+from qfca import qdist
 from qfca.concept import fca_lattice
 from qfca.errors import BudgetExceeded, ClosureBudgetExceeded, SearchBudgetExceeded
 from qfca.presheaf import enumerate_presheaves
@@ -906,3 +907,18 @@ def test_mutated_contexts_exit_with_documented_codes(tmp_path_factory, source, k
         for err in (e for code, e in zip(codes, errors) if code == 2):
             assert "zz" in err or old in err, err
             assert "missing parameter" not in err and "misses the required field" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tr", CONTEXTS / "fix_dl3.json"],
+    ["verify", CONTEXTS / "fix_l3.json", "--prop", "k-eq-m-tr"],
+    ["verify", CONTEXTS / "godel3.json", "--prop", "kphi-rep"],
+], ids=["tr", "k-eq-m-tr", "kphi-rep"])
+def test_a_loaded_context_is_checked_once(argv, capsys, monkeypatch):
+    # loading checks the bimodule law of each distributor, and the residual
+    # context reads the verdict kept on it instead of scanning again
+    scans, scan = [], qdist._bimodule_law
+    monkeypatch.setattr(qdist, "_bimodule_law",
+                        lambda phi, report: scans.append(phi.name) or scan(phi, report))
+    code, _ = run(capsys, *argv)
+    assert code == 0 and scans == ["phi"]

@@ -29,7 +29,9 @@ from qfca.qcat import (
 from qfca.qdist import QDistributor, identity_dist, validate_distributor
 from qfca.presheaf import (
     Presheaf,
+    _SetCode,
     enumerate_presheaves,
+    materialize_copresheaves,
     materialize_presheaves,
     presheaf_label,
     yoneda,
@@ -71,6 +73,7 @@ from _helpers import (
     oracle_left_imp,
     oracle_mask_covers,
     oracle_tables,
+    ordinal_quantaloid,
     pair_left,
     pair_right,
     pointwise_leq,
@@ -266,6 +269,45 @@ def test_a_non_distributor_has_no_residual_context(fixdl3, cell):
     for call in (residual_context, verify_rst_as_fca):
         with pytest.raises(QfcaError, match="distributor.bimodule"):
             call(phi)
+
+
+def test_the_isbell_lattice_over_asymmetric_homs():
+    # the ordinal quantaloid's homs (0, 1) and (1, 0) differ, as no preset's do: B's
+    # co layout at s lays u (type 1) and v (type 0) out from homs[s, |u|] and
+    # homs[s, |v|], so at s = 1 v has the one-element hom (1, 0), and the Isbell
+    # middle codes, the copresheaves on B, decode on it
+    Q = ordinal_quantaloid()
+
+    def arrows(rows):
+        return [[Q.arrow(p, q, label) for p, q, label in row] for row in rows]
+
+    A = QCategory(Q, ("x", "y"), ("0", "1"),
+                  arrows([[("0", "0", "1"), ("0", "1", "1")], [("1", "0", "0"), ("1", "1", "1")]]),
+                  name="A")
+    B = QCategory(Q, ("u", "v"), ("1", "0"),
+                  arrows([[("1", "1", "1"), ("1", "0", "0")], [("0", "1", "1"), ("0", "0", "1")]]),
+                  name="B")
+    phi = QDistributor(A, B, arrows([[("0", "1", "1"), ("0", "0", "0")],
+                                     [("1", "1", "0"), ("1", "0", "0")]]), name="phi")
+    assert validate_distributor(phi).ok
+    layouts = {s: (code.rows, code.fields, code.top)
+               for s in Q.objects for code in [_SetCode(B, s, "up", co=True)]}
+    assert layouts == {"0": (((3, 2), (12, 8)), (3, 12), 15), "1": (((3, 2), (4,)), (3, 4), 7)}
+    assert materialize_copresheaves(B).labels == (
+        "0|u:0,v:0", "0|u:1,v:0", "0|u:1,v:1", "1|u:0,v:0", "1|u:1,v:0")
+    lattice = fca_lattice(phi)
+    assert lattice_to_json(lattice) == {"kind": "fca", "context": "phi", "types": {
+        "0": {"concepts": [{"label": "0|x:1,y:0", "values": {"x": "1", "y": "0"}},
+                           {"label": "0|x:0,y:0", "values": {"x": "0", "y": "0"}}],
+              "hasse": [["0|x:0,y:0", "0|x:1,y:0"]]},
+        "1": {"concepts": [{"label": "1|x:1,y:1", "values": {"x": "1", "y": "1"}},
+                           {"label": "1|x:1,y:0", "values": {"x": "1", "y": "0"}}],
+              "hasse": [["1|x:1,y:0", "1|x:1,y:1"]]}}}
+    # the concepts' images in the middle, copresheaves on B
+    lefts = {s: [[Q.label(v) for v in values]
+                 for values in IsbellPair(phi).lefts(s, [p.values for p in ps])]
+             for s, ps in lattice.per_type().items()}
+    assert lefts == {"0": [["1", "0"], ["1", "1"]], "1": [["0", "0"], ["1", "0"]]}
 
 
 def test_rst_as_fca(all_contexts):

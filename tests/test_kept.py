@@ -35,7 +35,7 @@ from qfca.presheaf import (
     materialize_presheaves,
 )
 from qfca.qcat import QCategory, dualize_category
-from qfca.qdist import QDistributor, dualize_distributor, identity_dist
+from qfca.qdist import QDistributor, dualize_distributor, identity_dist, validate_distributor
 from qfca.quantaloid import find_cyclic_dualizing_family
 from qfca.represent import (
     canonical_dense_data,
@@ -196,6 +196,33 @@ def test_a_base_with_kept_spaces_is_freed_without_the_collector(fixdl3):
     try:
         del phi, A, rc  # freed by reference counting alone: nothing kept refers back
         assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_presheaf_space_reads_the_rows_its_base_keeps(fixdl3):
+    # the space's value rows are the base's kept _member_rows, the same tuples,
+    # whether the space or the enumeration reads them first
+    first, second = fresh(fixdl3.A), fresh(fixdl3.A)
+    spaces = [(first, materialize_presheaves(first).value_rows)]
+    for q in second.q.objects:
+        enumerate_presheaves(second, q)
+    spaces.append((second, materialize_presheaves(second).value_rows))
+    for A, pairs in spaces:
+        kept = [(q, values) for q in A.q.objects for values in vars(A)[f"_rows {q}"]]
+        assert pairs == tuple(kept)
+        assert all(got is values for (_, got), (_, values) in zip(pairs, kept))
+
+
+def test_a_validated_context_keeps_its_verdict_and_is_freed_without_the_collector(fixdl3):
+    phi = fresh_context(fixdl3.phi)
+    assert validate_distributor(phi).ok and vars(phi)["_valid"] is True
+    verify_rst_as_fca(phi)
+    ref = weakref.ref(phi)
+    gc.disable()
+    try:
+        del phi  # the verdict is a bare True, with no reference back
+        assert ref() is None
     finally:
         gc.enable()
 

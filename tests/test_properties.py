@@ -42,6 +42,7 @@ from hypothesis import given, settings, strategies as st
 from _helpers import (
     all_copresheaf_vectors,
     chain4_quantale,
+    dual_right_imp,
     elementary_oracle_grid,
     enumerate_categories,
     enumerate_distributors,
@@ -77,6 +78,7 @@ from _helpers import (
     oracle_residuals,
     oracle_residuation_tables,
     oracle_right,
+    oracle_right_imp,
     oracle_side_laws,
     oracle_tables,
     oracle_values,
@@ -115,6 +117,7 @@ from qfca.qdist import (
     QDistributor,
     dist_compose,
     dist_left_imp,
+    dist_right_imp,
     graph,
     identity_dist,
     validate_distributor,
@@ -824,6 +827,32 @@ def test_presheaf_half_matches_oracle_randomized(data):
         assert [list(r) for r in dist_left_imp(xi, psi).matrix] == oracle_left_imp(xi, psi)
     for psi, chi in ((phi_phi, phi), (back, phi), (phi, back), (phi, identity_dist(A))):
         assert [list(r) for r in dist_compose(psi, chi).matrix] == oracle_compose(psi, chi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_right_imp_matches_both_oracles_randomized(data):
+    # psi >r xi read off rimp_table, against the scans of right residuals and the
+    # dual of xi^op <l psi^op, on carriers of up to two objects.  ORD2's homs
+    # (0, 1) and (1, 0) differ, so a residual read from the wrong hom or triple
+    # shows there; the entries are drawn, since the implication is a formula
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2, ORD2]), label="quantaloid")
+
+    def carrier(side):
+        n = data.draw(st.integers(1, 2), label=f"{side}-size")
+        labels = tuple(f"{side}{i}" for i in range(n))
+        return data.draw(st.sampled_from(_categories(Q, labels)), label=f"{side}-carrier")
+
+    def drawn(X, Y, name):
+        return QDistributor(X, Y, [[data.draw(st.sampled_from(Q.arrows(s, t)), label=name)
+                                    for t in Y.types] for s in X.types], name=name)
+
+    A, B, C = carrier("a"), carrier("b"), carrier("c")
+    psi, xi = drawn(B, C, "psi"), drawn(A, C, "xi")
+    got = dist_right_imp(psi, xi)
+    assert (got.dom, got.cod) == (A, B)
+    assert [list(row) for row in got.matrix] == oracle_right_imp(psi, xi) == \
+        dual_right_imp(psi, xi)
 
 
 @settings(max_examples=60, deadline=None)

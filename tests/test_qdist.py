@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from qfca.errors import TypeMismatch
+from qfca import qdist
+from qfca.errors import QfcaError, TypeMismatch
 from qfca.qcat import QFunctor, QTypedSet, discrete_category, identity_functor
 from qfca.qdist import (
     QDistributor,
@@ -17,18 +18,20 @@ from qfca.qdist import (
     validate_distributor,
 )
 from qfca.presheaf import materialize_presheaves
-from qfca.concept import fca_lattice, rst_lattice
+from qfca.concept import fca_lattice, residual_category, residual_context, rst_lattice
 from qfca.quantaloid import build_preset
 
 from _helpers import (
     ChuTransform,
     adjoint_arrow_identities_suite,
     distributor_leq,
+    dual_right_imp,
     enumerate_categories,
     enumerate_distributors,
     functor_leq,
     oracle_bimodule_report,
     oracle_compose,
+    oracle_right_imp,
     sup,
     top_presheaf,
     validate_chu,
@@ -105,6 +108,70 @@ def test_right_imp_residuation_small(two, luk3):
                 assert validate_distributor(rimp).ok
                 for phi in enumerate_distributors(A, B):
                     assert distributor_leq(dist_compose(psi, phi), xi) == distributor_leq(phi, rimp)
+
+
+def test_right_imp_matches_both_oracles_on_the_fixtures(all_contexts):
+    # read off rimp_table, against the scans and against the dual of a left
+    # implication, on each context with the identity, itself and phi <l phi
+    for name, ctx in all_contexts.items():
+        phi = ctx.phi
+        for psi, xi in ((identity_dist(ctx.B), phi), (phi, phi), (dist_left_imp(phi, phi), phi)):
+            got = [list(row) for row in dist_right_imp(psi, xi).matrix]
+            assert got == oracle_right_imp(psi, xi) == dual_right_imp(psi, xi), name
+
+
+def test_the_constructor_refuses_a_mistyped_entry(fixdl3):
+    # an entry from a wrong hom in every position, and a wrong shape
+    phi, q = fixdl3.phi, fixdl3.phi.q
+    for i, j in itertools.product(range(len(phi.dom)), range(len(phi.cod))):
+        matrix = [list(row) for row in phi.matrix]
+        s, t = phi.dom.types[i], phi.cod.types[j]
+        wrong = next(p for p in q.objects if p != t)
+        matrix[i][j] = q.top(s, wrong)
+        with pytest.raises(TypeMismatch, match=rf"^entry \({phi.dom.objects[i]},"
+                                               rf"{phi.cod.objects[j]}\) is "):
+            QDistributor(phi.dom, phi.cod, matrix)
+    with pytest.raises(TypeMismatch, match="wrong shape"):
+        QDistributor(phi.dom, phi.cod, phi.matrix[1:])
+
+
+def test_a_derived_distributor_equals_the_checked_one(all_contexts):
+    for ctx in all_contexts.values():
+        phi = ctx.phi
+        results = (dist_left_imp(phi, phi), dist_right_imp(phi, phi),
+                   dist_compose(identity_dist(ctx.B), phi), qdist._dual_distributor(phi),
+                   residual_category(ctx.A).yoneda_graph)
+        for derived in results:
+            checked = QDistributor(derived.dom, derived.cod, derived.matrix, name=derived.name)
+            assert derived == checked and hash(derived) == hash(checked)
+        derived = QDistributor._derived(phi.dom, phi.cod, [list(r) for r in phi.matrix], "")
+        assert derived == phi and hash(derived) == hash(phi) and derived.name == "distributor"
+
+
+def test_a_valid_distributor_keeps_its_verdict_and_an_invalid_one_none(fixdl3, monkeypatch):
+    scans, scan = [], qdist._bimodule_law
+    monkeypatch.setattr(qdist, "_bimodule_law",
+                        lambda phi, report: scans.append(phi.name) or scan(phi, report))
+    q, A, B = fixdl3.phi.q, fixdl3.A, fixdl3.B
+    phi = QDistributor(A, B, fixdl3.phi.matrix, name="phi")
+    reports = [validate_distributor(phi) for _ in range(3)]
+    assert scans == ["phi"] and vars(phi)["_valid"] is True
+    # a new report each call, equal to the first
+    assert len(set(map(id, reports))) == 3
+    assert [r.to_json() for r in reports] == [oracle_bimodule_report(phi).to_json()] * 3
+    residual_context(phi)
+    assert scans == ["phi"]
+    # a distributor that fails keeps nothing, and is checked and refused on every
+    # call: phi with its entry (x, p) lowered from 1 to 0 breaks the bimodule law
+    matrix = [list(row) for row in phi.matrix]
+    matrix[A.index("x")][B.index("p")] = q.arrow(A.type_of("x"), B.type_of("p"), "0")
+    bad = QDistributor(A, B, matrix, name="lowered")
+    for n in range(1, 3):
+        report = validate_distributor(bad)
+        assert not report.ok and report.to_json() == oracle_bimodule_report(bad).to_json()
+        with pytest.raises(QfcaError, match=r"^distributor lowered: distributor\.bimodule at "):
+            residual_context(bad)
+        assert scans == ["phi"] + ["lowered"] * 2 * n and "_valid" not in vars(bad)
 
 
 def test_bimodule_law_matches_the_quadruple_scan_on_single_entry_changes(fixdl3, luk3):
@@ -237,6 +304,12 @@ def test_empty_carriers():
         assert all(row == () for row in back.matrix)
         tops = tuple(tuple(Q.top(s, t) for t in B.types) for s in B.types)
         assert dist_left_imp(phi, phi).matrix == (tops if len(A) == 0 else ())
+        # the right implication meets over the codomain: the top where it is empty
+        tops = tuple(tuple(Q.top(s, t) for t in A.types) for s in A.types)
+        assert dist_right_imp(phi, phi).matrix == (tops if len(B) == 0 else ())
+        for psi, xi in ((phi, phi), (identity_dist(B), phi)):
+            got = [list(row) for row in dist_right_imp(psi, xi).matrix]
+            assert got == oracle_right_imp(psi, xi) == dual_right_imp(psi, xi)
         assert dist_compose(phi, identity_dist(A)) == phi
         assert dist_compose(identity_dist(B), phi) == phi
         # composing through the empty side makes every entry an empty join
