@@ -367,8 +367,9 @@ class ResidualCategory(PresheafFamily):
     base into this category whose column at a member is the member itself,
     built unchecked (``QDistributor._derived``), since the rows decode to the
     arrows of ``arrow_table`` at its types.  Both read the value rows.  The
-    members' codes, value rows and provenance, their labels and the category
-    are kept on the base.
+    members' codes, value rows and provenance, their labels, the category and
+    the graph's matrix are kept on the base (``_keep``), so a call builds only
+    the graph distributor.
     """
 
     _tag = "residuals"
@@ -377,8 +378,8 @@ class ResidualCategory(PresheafFamily):
         runs, pairs = _kept(base, "_residuals", _residuals)
         super().__init__(base, [(_SetCode(base, t), codes) for t, codes in runs],
                          f"residuals({base.name})")
-        self.provenance = dict(zip(self.value_rows, pairs))
-        matrix = [[values[i] for _, values in self.value_rows] for i in range(len(base))]
+        self.provenance = self._keep("_provenance", lambda s: dict(zip(s.value_rows, pairs)))
+        matrix = self._keep("_yoneda-graph", lambda s: tuple(zip(*[v for _, v in s.value_rows])))
         self.yoneda_graph = QDistributor._derived(base, self.category, matrix,
                                                   f"yoneda-graph({base.name})")
 

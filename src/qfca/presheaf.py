@@ -6,8 +6,10 @@ category on q; concretely a vector of arrows ``values[i]: |x_i| -> q`` with
 the other way: ``values[i]: q -> |x_i|``.
 
 A copresheaf on A over Q is a presheaf on the dual A^op over Q^op, so the
-copresheaf enumeration and homs are their presheaf twins run on that dual;
-a copresheaf's code is laid out on A itself (a co ``_SetCode``).
+copresheaf enumeration (whose codes the adjunction laws' dual context shares),
+right Kan extensions and codensity are their presheaf twins run on that dual.
+A copresheaf's code is laid out on A itself (a co ``_SetCode``), and its homs,
+meets of right residuals, are read off ``rimp_table`` on A (``right_rows``).
 
 Order warning: the copresheaf category on A is the opposite of the presheaf
 category on A^op, so its underlying order is the *reverse* of the entrywise
@@ -26,15 +28,14 @@ members as runs of a ``_SetCode`` and codes, decodes each run once, in one
 batch, into value rows, and builds its members on those rows; a space checks
 the cap on every call.  The same code lays out the hom rows that
 ``is_complete`` compares, as copresheaves on A.
-Every hom between (co)presheaves, one or a whole family's matrix, is a call
-of the row kernel ``qdist.hom_rows`` on the members' own value rows.  The
-kernel reads only hom indices, and a copresheaf's value has the index of its
-dual, so a copresheaf hom runs on the dual base with no operand converted.  A
-functor into a family takes value rows, and a family map of them
-(``_per_type``), and looks each image up once.  A weighted colimit is one lookup,
-``_suprema``, from a hom row to its least-label object; ``lan`` and the
-join-density test read it.  A join-density witness is a fold of join tables
-over hom indices; no ``Arrow`` operation of the quantaloid runs there.
+Every hom between (co)presheaves, one or a whole family's matrix, is one call
+of a residuation kernel of ``qdist`` on the members' own value rows:
+``hom_rows`` (left residuals) for presheaves, ``right_rows`` (right
+residuals) for copresheaves.  A functor into a family takes value rows, and a
+family map of them (``_per_type``), and looks each image up once.  A weighted
+colimit is one lookup, ``_suprema``, from a hom row to its least-label object;
+``lan`` and the join-density test read it.  A join-density witness is a fold of
+join tables over hom indices; no ``Arrow`` operation of the quantaloid runs there.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .qcat import (
     underlying_order,
     validate_functor,
 )
-from .qdist import graph, hom_rows
+from .qdist import hom_rows, right_rows
 from .quantaloid import Arrow, _kept
 
 
@@ -102,35 +103,17 @@ def _require(kind: type, base: QCategory, where: str, v, w=None) -> None:
 # -- homs, joins, meets ---------------------------------------------------------
 
 
-def _hom_grid(rows, cols) -> list[list[Arrow]]:
-    """``hom(rows[i], cols[j])`` for (co)presheaves of one kind on one base, unchecked:
-    one ``hom_rows`` matrix on the base, or for copresheaves the transposed matrix of
-    the presheaf homs from cols to rows on the dual base, read back over the opposite
-    quantaloid.  The kernel reads the members' own rows: a value and its dual share
-    their index."""
-    if not rows or not cols:
-        return [[] for _ in rows]
-    base, dual = rows[0].base, rows[0].__class__ is Copresheaf
-    if dual:
-        base, rows, cols = dualize_category(base), cols, rows
-    grid = hom_rows(base.q, base.types, [(m.type, m.values) for m in rows],
-                    [(m.type, m.values) for m in cols])
-    return [list(base.q.dual_arrows(col)) for col in zip(*grid)] if dual else list(grid)
-
-
 def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
-    """The hom arrow from mu to nu: meet over a of left_imp(nu(a), mu(a))."""
+    """The hom arrow from mu to nu: meet over a of left_imp(nu(a), mu(a)); ``hom_rows``."""
     _require(Presheaf, mu.base, "the first operand's base", mu, nu)
-    return _hom_grid([mu], [nu])[0][0]
+    return next(hom_rows(mu.base.q, mu.base.types, [mu.key()], [nu.key()]))[0]
 
 
 def copresheaf_hom(lam: Copresheaf, kap: Copresheaf) -> Arrow:
-    """The hom arrow from lam to kap: meet over a of right_imp(kap(a), lam(a)).
-
-    It is the presheaf hom from kap to lam on the dual base.
-    """
+    """The hom arrow from lam to kap: meet over a of right_imp(kap(a), lam(a)), one
+    ``right_rows`` entry read off ``rimp_table`` on lam's own base."""
     _require(Copresheaf, lam.base, "the first operand's base", lam, kap)
-    return _hom_grid([lam], [kap])[0][0]
+    return next(right_rows(lam.base.q, lam.base.types, [lam.key()], [kap.key()]))[0]
 
 
 def presheaf_meet(A: QCategory, qobj: str, parts) -> Presheaf:
@@ -170,10 +153,12 @@ def presheaf_residual(A: QCategory, a: str, u: Arrow) -> Presheaf:
 
 def _graph_columns(F: QFunctor) -> list[tuple[str, tuple[Arrow, ...]]]:
     """Each object y of cod(F) as ``(|y|, graph(F)(-, y))``, the column of hom(F-, y)
-    read off the hom rows of cod(F) at the images."""
+    read off the hom rows of cod(F) at the images; F must preserve types."""
     B = F.cod
-    images = [B.hom[B.index(F(x))] for x in F.dom.objects]
-    return [(t, tuple(row[j] for row in images)) for j, t in enumerate(B.types)]
+    images = [B.index(F(x)) for x in F.dom.objects]
+    if any(B.types[i] != s for i, s in zip(images, F.dom.types)):
+        raise TypeMismatch(f"{F.name} does not preserve types, so it has no graph")
+    return [(t, tuple(B.hom[i][j] for i in images)) for j, t in enumerate(B.types)]
 
 
 def _suprema(F: QFunctor, weights):
@@ -195,7 +180,8 @@ def _suprema(F: QFunctor, weights):
 
 
 def lan(K: QFunctor, F: QFunctor) -> QFunctor:
-    """The pointwise left Kan extension of F along K (same domain).
+    """The pointwise left Kan extension of F along K (same domain), weighted by the
+    columns of graph(K) as read off the hom rows of cod(K) (``_graph_columns``).
 
     Raises :class:`ColimitMissing` naming the first point of cod(K) whose
     weighted colimit does not exist.  The graph identity graph(result) =
@@ -205,7 +191,7 @@ def lan(K: QFunctor, F: QFunctor) -> QFunctor:
     if K.dom != F.dom:
         raise BaseMismatch("Kan extension needs functors with a common domain")
     B = K.cod
-    mapping = dict(zip(B.objects, _suprema(F, zip(B.types, graph(K).columns))))
+    mapping = dict(zip(B.objects, _suprema(F, _graph_columns(K))))
     for b, c in mapping.items():
         if c is None:
             raise ColimitMissing(b, "colimit")
@@ -523,8 +509,11 @@ class PresheafFamily:
         return self._keep("category", PresheafFamily._span)
 
     def _span(self) -> QCategory:
-        return QCategory(self.base.q, self.labels, [t for t, _ in self.value_rows],
-                         _hom_grid(self.members, self.members), name=self.name)
+        """The members' homs, one kernel call on ``value_rows``: ``hom_rows`` for
+        presheaves, ``right_rows`` for copresheaves."""
+        kernel, rows = right_rows if self._vector is Copresheaf else hom_rows, self.value_rows
+        return QCategory(self.base.q, self.labels, [t for t, _ in rows],
+                         list(kernel(self.base.q, self.base.types, rows, rows)), name=self.name)
 
     def __len__(self) -> int:
         return sum(len(codes) for _, codes in self.coded)

@@ -8,16 +8,17 @@ operations of the calculus are
     left_imp:   (xi <l phi)(y, z)   = meet_x  left_imp(xi(x, z), phi(x, y))
     right_imp:  (psi >r xi)(x, y)   = meet_z  right_imp(psi(y, z), xi(x, z))
 
-Each entry is computed on the quantaloid's index tables, by one of two
-kernels: ``tensor_ix``, a fold of one entry's join of composites, carries
-``dist_compose``; ``_meet_rows``, a whole matrix of meets of residuals row by
-row, carries ``hom_rows`` (the row kernel of the presheaf hom, a meet of left
-residuals off ``limp_table``), and through it ``dist_left_imp``, every
-presheaf and copresheaf hom, the supremum lookup ``presheaf._suprema`` and
-the density tests; it carries ``dist_right_imp`` too, a meet of right
-residuals off ``rimp_table``, so no right implication goes through a dual.
-Both read only the indices of the arrows they are given, which an arrow and
-its dual share, and the bimodule law is decided on the compose table.  The
+Each entry is computed on the quantaloid's index tables.  ``tensor_ix``, a
+fold of one entry's join of composites, carries ``dist_compose``.  The two
+residuation kernels yield a whole matrix of homs row by row on one loop,
+``_meet_rows``: ``hom_rows``, meets of left residuals off ``limp_table``,
+carries ``dist_left_imp``, every presheaf hom, ``presheaf._suprema`` and the
+density tests; its twin ``right_rows``, meets of right residuals off
+``rimp_table``, carries ``dist_right_imp`` and every copresheaf hom.  So no
+hom is computed on a dual and read back; the duals left serve right Kan
+extensions, codensity and the verifiers' copresheaf halves, each its
+presheaf twin on the dual.  The kernels read only the indices of the arrows
+they are given, and the bimodule law is decided on the compose table.  The
 closure maps of a context run on its code tables (``concept``), not on these
 kernels.  A context keeps (``quantaloid._kept``) its ``columns``, its dual
 and, once ``validate_distributor`` has found it valid, that verdict; none
@@ -147,6 +148,15 @@ def hom_rows(q, types, rows, cols):
         limp[p, s, t][w.index] for p, w in zip(types, ws)])
 
 
+def right_rows(q, types, rows, cols):
+    """The copresheaf homs ``meet_x right_imp(vs[x], us[x])`` in hom (s, t) from each
+    row ``(s, us)`` to each column ``(t, vs)``, for ``us[x]: s -> types[x]`` and
+    ``vs[x]: t -> types[x]``: the twin of ``hom_rows`` on ``rimp_table``."""
+    rimp = q.rimp_table
+    return _meet_rows(q, rows, cols, lambda s, t, vs: [
+        rimp[s, t, r][v.index] for r, v in zip(types, vs)])
+
+
 def _meet_rows(q, rows, cols, hoist):
     """``meet_k hoist(s, t, ws)[k][us[k]]`` in hom (s, t) for each row ``(s, us)``
     and column ``(t, ws)``, yielded as one list over cols per row.
@@ -201,17 +211,13 @@ def dist_left_imp(xi: QDistributor, phi: QDistributor) -> QDistributor:
 
 
 def dist_right_imp(psi: QDistributor, xi: QDistributor) -> QDistributor:
-    """psi >r xi: A -/-> B for psi: B -/-> C and xi: A -/-> C, by rows of A.
-
-    Its entry (x, y) is ``meet_z right_imp(psi(y, z), xi(x, z))`` in hom
-    (|x|, |y|), the meet of right residuals that defines it (Stubbe, *TAC* 14,
-    2005): ``rimp_table[|x|, |y|, |z|]`` row ``psi(y, z)`` at ``xi(x, z)``, read
-    as ``hom_rows`` reads the left residuals.  No dual is built."""
+    """psi >r xi: A -/-> B for psi: B -/-> C and xi: A -/-> C: ``right_rows`` from the
+    rows of xi to the rows of psi, the meets of right residuals that define it
+    (Stubbe, *TAC* 14, 2005).  No dual is built."""
     if psi.cod != xi.cod:
         raise TypeMismatch("right implication needs a common codomain")
-    A, B, C, rimp = xi.dom, psi.dom, psi.cod, psi.q.rimp_table
-    matrix = _meet_rows(psi.q, zip(A.types, xi.matrix), zip(B.types, psi.matrix),
-                        lambda s, t, vs: [rimp[s, t, r][v.index] for r, v in zip(C.types, vs)])
+    A, B, C = xi.dom, psi.dom, psi.cod
+    matrix = right_rows(psi.q, C.types, zip(A.types, xi.matrix), zip(B.types, psi.matrix))
     return QDistributor._derived(A, B, matrix, f"({psi.name})>r({xi.name})")
 
 

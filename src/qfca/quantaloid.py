@@ -121,14 +121,14 @@ def _kept(owner, attr: str, build):
     it alone: the ``_SetCode`` layouts, plain and co, the member codes and their
     order, their value rows and down-set codes, and the value rows, categories,
     labels and label lookups of its (co)presheaf spaces and residual category,
-    with the residual members' provenance.  A context keeps its columns, its dual,
-    the passing verdict of ``validate_distributor`` (a bare ``True``; a failing
-    one is not kept) and, per kind and type, its closure pairs' code tables with
-    their ``_SetCode`` layouts and closure.  These hold only ints, strings,
-    arrows, functions of them and categories over the quantaloid, so none
-    refers back to its owner, which reference counting alone still frees.  A
-    quantaloid keeps only its opposite, and a hom-lattice only its ``_below``
-    tables.
+    with the residual members' provenance and Yoneda-graph matrix.  A context
+    keeps its columns, its dual, the passing verdict of ``validate_distributor``
+    (a bare ``True``; a failing one is not kept) and, per kind and type, its
+    closure pairs' code tables with their ``_SetCode`` layouts and closure.
+    These hold only ints, strings, arrows, functions of them and categories over
+    the quantaloid, so none refers back to its owner, which reference counting
+    alone still frees.  A quantaloid keeps only its opposite, and a hom-lattice
+    only its ``_below`` tables.
     """
     value = owner.__dict__.get(attr)
     if value is None:

@@ -18,7 +18,8 @@ and dense theorems, which read the adjunction on them.
 equivalence onto X.  ``_elementary`` describes each kind of the elementary
 theorem; its verifiers, corollary and canonical data read that, not the kind.
 The elementary entries are one grid of hom indices per kind, read off the
-residuation tables; the homs they are compared with come from ``hom_rows``.
+residuation tables; the homs they are compared with come from ``right_rows``
+(fca) and ``hom_rows`` (rst).
 A verifier keeps nothing; its bases and context do (see ``quantaloid._kept``).
 """
 
@@ -52,11 +53,11 @@ from .qdist import (
     graph,
     hom_rows,
     is_adjoint_functor_pair,
+    right_rows,
 )
 from .presheaf import (
     Presheaf,
     PresheafSpace,
-    _hom_grid,
     _join_dense,
     _member_codes,
     _per_type,
@@ -344,11 +345,10 @@ def _elementary(phi: QDistributor, kind: str) -> _Elementary:
     """The elementary theorem of ``kind`` on phi; ``closure_pair`` refuses other kinds."""
     pair, q, A, B = closure_pair(phi, kind), phi.q, phi.dom, phi.cod
     if pair.kind == "fca":  # F on rows with out-arrows, G on columns with in-arrows
-        dual = dualize_category(B)  # a copresheaf hom is the dual presheaf hom, reversed
-        # cod_pairs(B) are dom_pairs(B^op) in the opposite, in the same order
+        dual = dualize_category(B)  # cod_pairs(B) are dom_pairs(B^op) in the opposite
         return _Elementary(
             pair, dom_pairs(A), cod_pairs(B), lambda: _tensor_rows(dual, dom_pairs(dual)),
-            lambda lefts, named: zip(*hom_rows(dual.q, dual.types, named, lefts)),
+            lambda lefts, named: right_rows(q, B.types, lefts, named),
             lambda f, g: (*f, *g), _polarity_grid,
             lambda a, u, b, v: q.leq(q.compose(v, u), phi.at(a, b)),
             ("polarity-hom", "hom(up(tensor(a,u)), cotensor(b,v)) == "
@@ -435,12 +435,12 @@ def quantale_corollary_check(phi: QDistributor, X: QCategory, F: dict, G: dict,
 
 def _yoneda_misses(A: QCategory) -> list[tuple[str, str]]:
     """The (type, object) pairs where some presheaf mu has mu(a) != hom(yoneda(a), mu)."""
-    representables = [yoneda(A, a) for a in A.objects]
+    representables = [yoneda(A, a).key() for a in A.objects]
     misses = []
     for qobj in A.q.objects:
-        space = enumerate_presheaves(A, qobj)
-        for mu, col in zip(space, zip(*_hom_grid(representables, space))):
-            misses += [(qobj, a) for a, h, v in zip(A.objects, col, mu.values) if h != v]
+        space = [mu.key() for mu in enumerate_presheaves(A, qobj)]
+        for (_, values), col in zip(space, zip(*hom_rows(A.q, A.types, representables, space))):
+            misses += [(qobj, a) for a, h, v in zip(A.objects, col, values) if h != v]
     return misses
 
 

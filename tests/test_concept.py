@@ -70,6 +70,7 @@ from _helpers import (
     kan_star,
     member_of,
     oracle_lattice_equality,
+    oracle_copresheaf_hom,
     oracle_left_imp,
     oracle_mask_covers,
     oracle_tables,
@@ -293,8 +294,13 @@ def test_the_isbell_lattice_over_asymmetric_homs():
     layouts = {s: (code.rows, code.fields, code.top)
                for s in Q.objects for code in [_SetCode(B, s, "up", co=True)]}
     assert layouts == {"0": (((3, 2), (12, 8)), (3, 12), 15), "1": (((3, 2), (4,)), (3, 4), 7)}
-    assert materialize_copresheaves(B).labels == (
+    space = materialize_copresheaves(B)
+    assert space.labels == (
         "0|u:0,v:0", "0|u:1,v:0", "0|u:1,v:1", "1|u:0,v:0", "1|u:1,v:0")
+    # P+(B)'s homs between members of types 0 and 1 lie in the differing homs (0, 1)
+    # and (1, 0), so swapped operands or residual types fail here
+    assert [list(row) for row in space.category.hom] == [
+        [oracle_copresheaf_hom(m, n) for n in space.members] for m in space.members]
     lattice = fca_lattice(phi)
     assert lattice_to_json(lattice) == {"kind": "fca", "context": "phi", "types": {
         "0": {"concepts": [{"label": "0|x:1,y:0", "values": {"x": "1", "y": "0"}},

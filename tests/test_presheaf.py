@@ -47,6 +47,7 @@ from _helpers import (
     is_meet_dense,
     oracle_is_complete,
     oracle_left_imp,
+    ordinal_quantaloid,
     pointwise_leq,
     presheaf_join,
     pushforward,
@@ -220,6 +221,19 @@ def test_colimit_missing_raises(two):
     K = QFunctor(A, X, {"x": "u", "y": "v"})
     with pytest.raises(ColimitMissing):
         lan(K, identity_functor(A))  # the discrete target misses the join at v
+
+
+def test_a_functor_that_breaks_types_has_no_graph():
+    # the graph columns are read off cod(K)'s hom rows, so a K that sends an object to
+    # one of another type is refused before a residual is read at the wrong type
+    Q = ordinal_quantaloid()
+    hom = [[Q.arrow(p, q, label) for p, q, label in row]
+           for row in [[("1", "1", "1"), ("1", "0", "0")], [("0", "1", "1"), ("0", "0", "1")]]]
+    B = QCategory(Q, ("u", "v"), ("1", "0"), hom, name="B")
+    K = QFunctor(B, B, {"u": "v", "v": "u"}, name="swap")
+    for call in (lambda: lan(K, identity_functor(B)), lambda: is_dense(K)):
+        with pytest.raises(TypeMismatch, match="swap does not preserve types"):
+            call()
 
 
 def test_density_predicates(fix2id, fixl3):

@@ -247,8 +247,10 @@ def test_enumeration_matches_the_product_scan_randomized(data):
 @given(data=st.data())
 def test_hom_kernel_matches_the_scans_randomized(data):
     # every hom of both materialized spaces; then graph(F) <l graph(F), density and
-    # full faithfulness of the (co)Yoneda functor and of a few drawn members
-    Q = data.draw(st.sampled_from(QUANTALOIDS), label="quantaloid")
+    # full faithfulness of the (co)Yoneda functor and of a few drawn members.  ORD2's
+    # homs (0, 1) and (1, 0) differ, so a hom read with its operands or its residual's
+    # types swapped fails there
+    Q = data.draw(st.sampled_from(QUANTALOIDS + [DIAG4, BOOL2, ORD2]), label="quantaloid")
     A = random_carrier(data, Q)
     for space, oracle in ((materialize_presheaves(A), oracle_presheaf_hom),
                           (materialize_copresheaves(A), oracle_copresheaf_hom)):
